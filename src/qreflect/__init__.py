@@ -24,13 +24,12 @@ from .liouville import (
     wall_integral,
     wall_integral_closed,
 )
-from .mathieu import MathieuSolution, characteristic_exponent, r4_curve, r4_t4, solve_v4
+from .mathieu import MathieuSolution, characteristic_exponent, r4_curve, solve_v4
 from .potentials import (
     HomogeneousPotential,
     PhysicalScales,
     TabulatedPotential,
     energy_in_e1_units,
-    eval_potential,
     load_potential_table,
     scales_for,
 )
@@ -45,8 +44,8 @@ from .scattering import (
     solve_transformed,
     wronskian,
 )
-from .specialfns import SeriesControl, bessel_j, gamma, hyp2f1
-from .wkb import WkbField, badlands_peak, badlands_q, schwarzian
+from .specialfns import SeriesControl, bessel_j
+from .wkb import WkbField, schwarzian
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

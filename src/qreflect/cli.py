@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -137,19 +136,20 @@ def _reflect_row(pot, ell, energy, row, args, ctl) -> dict:
                 raise ValueError("mathieu route needs a kappa*ell value (C4 tail)")
             sol = mathieu.solve_v4(row["kappa_ell"])
             r_by_method[name] = sol.r
-            row["R_mathieu"] = sol.reflection_probability
+            row["R_mathieu"] = sol.R
             continue
         if name == "direct":
             res = scattering.solve_direct(pot, energy, ctl)
         elif name == "coupled":
             res = scattering.solve_coupled(pot, energy, ctl)
         elif name == "transformed":
-            _, prob = liouville.special_gauge(wkb.WkbField(pot, energy))
+            _, prob = liouville.special_gauge(wkb.WkbField(pot, energy),
+                                              trunc_rel=ctl.q_match_rel)
             res = scattering.solve_transformed(prob, ctl)
         else:
             raise ValueError(f"unknown method {name!r}")
         r_by_method[name] = res.r
-        row[f"R_{name}"] = res.reflection_probability
+        row[f"R_{name}"] = res.R
         worst_unitarity = max(worst_unitarity, res.diagnostics.unitarity_residual)
     refs = list(r_by_method.values())
     spread = max((abs(a - b) for a in refs for b in refs), default=0.0)
@@ -168,12 +168,7 @@ def cmd_reflect(args) -> int:
     if args.method == "mathieu" and (args.table or getattr(pot, "n", 4) != 4):
         raise ValueError("the mathieu route applies to the inverse-quartic model only")
     energies, rows = _energies(args, ell)
-    work = [(pot, ell, e, row, args, ctl) for e, row in zip(energies, rows)]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda w: _reflect_row(*w), work))
-    else:
-        rows = [_reflect_row(*w) for w in work]
+    rows = [_reflect_row(pot, ell, e, row, args, ctl) for e, row in zip(energies, rows)]
     columns = sorted({key for row in rows for key in row},
                      key=lambda c: (c not in ("kappa_ell", "energy_e1"), c))
     meta = {"command": "reflect", "method": args.method, "rtol": args.rtol,
@@ -228,7 +223,7 @@ def cmd_wall(args) -> int:
         energies, labels = _energies(args, ell)
         for energy, label in zip(energies, labels):
             field = wkb.WkbField(pot, energy)
-            _, prob = liouville.special_gauge(field)
+            _, prob = liouville.special_gauge(field, trunc_rel=args.q_match)
             zts, vbs = prob.probe(args.points)
             for zt, vb in zip(zts, vbs):
                 rows.append({**label, "curve": "field", "z_bold": float(zt),
@@ -236,7 +231,7 @@ def cmd_wall(args) -> int:
             key = _fmt(label.get("kappa_ell", label.get("energy_e1")))
             meta[f"E_bold[{key}]"] = prob.e_bold
             meta[f"integral[{key}]"] = liouville.wall_integral(prob)
-            v_min, neg_frac = prob.wall_sign_summary(args.points)
+            v_min, neg_frac = liouville.wall_sign_summary(vbs)
             meta[f"wall_min[{key}]"] = v_min
             meta[f"wall_negative_fraction[{key}]"] = neg_frac
         if args.overlay_universal:
@@ -288,7 +283,6 @@ def _add_common(sub: argparse.ArgumentParser, energy: bool = True) -> None:
     sub.add_argument("--q-match", type=float, default=1e-10)
     sub.add_argument("--output", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--jobs", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

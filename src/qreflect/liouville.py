@@ -18,14 +18,13 @@ ever needed, which keeps tabulated potentials first-class citizens.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.integrate import IntegrationWarning, quad
 
-from .specialfns import gamma
 from .wkb import WkbField, phase_coordinate, universal_badlands
 
 __all__ = [
@@ -44,6 +43,7 @@ __all__ = [
     "inversion_center",
     "wall_integral",
     "wall_integral_closed",
+    "wall_sign_summary",
 ]
 
 
@@ -55,38 +55,25 @@ class LiouvilleMap:
     derivative: Callable[[float], float]
     schwarzian: Callable[[float], float]
     dderivative: Callable[[float], float] | None = None
-    inverse: Callable[[float], float] | None = None
     inverse_map: "LiouvilleMap | None" = None
     name: str = "map"
 
     def __call__(self, z: float) -> float:
         return self.forward(z)
 
-    def invert(self, zt: float, bracket: tuple[float, float] | None = None) -> float:
-        """Inverse by closed form when available, else bracketed root-finding."""
-        if self.inverse is not None:
-            return self.inverse(zt)
-        if bracket is None:
-            raise ValueError("numeric inversion needs a bracket (z_lo, z_hi)")
-        lo, hi = bracket
-        return brentq(lambda z: self.forward(z) - zt, lo, hi, rtol=1e-14, maxiter=200)
-
 
 def identity_map() -> LiouvilleMap:
     return LiouvilleMap(lambda z: z, lambda z: 1.0, lambda z: 0.0,
-                        dderivative=lambda z: 0.0, inverse=lambda zt: zt,
-                        name="identity")
+                        dderivative=lambda z: 0.0, name="identity")
 
 
 def affine_map(a: float, b: float = 0.0) -> LiouvilleMap:
     if a <= 0.0:
         raise ValueError("affine slope must be positive for a monotone map")
     m = LiouvilleMap(lambda z: a * z + b, lambda z: a, lambda z: 0.0,
-                     dderivative=lambda z: 0.0, inverse=lambda zt: (zt - b) / a,
-                     name=f"affine({a},{b})")
+                     dderivative=lambda z: 0.0, name=f"affine({a},{b})")
     inv = LiouvilleMap(lambda zt: (zt - b) / a, lambda zt: 1.0 / a, lambda zt: 0.0,
-                       dderivative=lambda zt: 0.0, inverse=lambda z: a * z + b,
-                       name=f"affine({1/a},{-b/a})")
+                       dderivative=lambda zt: 0.0, name=f"affine({1/a},{-b/a})")
     object.__setattr__(m, "inverse_map", inv)
     return m
 
@@ -97,8 +84,7 @@ def inversion_map(zeta: float) -> LiouvilleMap:
         raise ValueError("zeta must be positive")
     z2 = zeta * zeta
     m = LiouvilleMap(lambda z: -z2 / z, lambda z: z2 / z ** 2, lambda z: 0.0,
-                     dderivative=lambda z: -2.0 * z2 / z ** 3,
-                     inverse=lambda zt: -z2 / zt, name=f"inversion({zeta})")
+                     dderivative=lambda z: -2.0 * z2 / z ** 3, name=f"inversion({zeta})")
     object.__setattr__(m, "inverse_map", m)
     return m
 
@@ -109,7 +95,7 @@ def log_map(zeta: float) -> LiouvilleMap:
         raise ValueError("zeta must be positive")
     return LiouvilleMap(lambda z: math.log(z / zeta), lambda z: 1.0 / z,
                         lambda z: 0.5 / z ** 2, dderivative=lambda z: -1.0 / z ** 2,
-                        inverse=lambda zt: zeta * math.exp(zt), name=f"log({zeta})")
+                        name=f"log({zeta})")
 
 
 def compose(first: LiouvilleMap, second: LiouvilleMap) -> LiouvilleMap:
@@ -125,11 +111,6 @@ def compose(first: LiouvilleMap, second: LiouvilleMap) -> LiouvilleMap:
         zt = first.forward(z)
         return first.derivative(z) ** 2 * second.schwarzian(zt) + first.schwarzian(z)
 
-    inv = None
-    if first.inverse is not None and second.inverse is not None:
-        def inv(zh):
-            return first.inverse(second.inverse(zh))
-
     dder = None
     if first.dderivative is not None and second.dderivative is not None:
         def dder(z):
@@ -137,7 +118,7 @@ def compose(first: LiouvilleMap, second: LiouvilleMap) -> LiouvilleMap:
             return (second.dderivative(zt) * first.derivative(z) ** 2
                     + second.derivative(zt) * first.dderivative(z))
 
-    return LiouvilleMap(fwd, der, schw, dderivative=dder, inverse=inv,
+    return LiouvilleMap(fwd, der, schw, dderivative=dder,
                         name=f"{second.name}∘{first.name}")
 
 
@@ -183,11 +164,6 @@ class TransformedProblem:
         return (inv.derivative(zt) ** 2 * self.f_original(z)
                 + 0.5 * inv.schwarzian(zt))
 
-    @property
-    def domain_transformed(self) -> tuple[float, float]:
-        a, b = self.domain
-        return self.mapping.forward(a), self.mapping.forward(b)
-
     def basis_wave(self, z: float, direction: int) -> tuple[complex, complex]:
         """Matching wave and its zt-derivative at original coordinate z."""
         if self.plane_wave_basis:
@@ -221,14 +197,15 @@ class TransformedProblem:
         vb = np.array([self.v_bold(z) for z in zs])
         return zts, vb
 
-    def wall_sign_summary(self, n_points: int = 600) -> tuple[float, float]:
-        """(min V_bold, fraction of probe points with V_bold < 0).
 
-        The wall of a full two-tail potential is mostly repulsive but may
-        dip below zero; this reports the pattern instead of asserting one.
-        """
-        _, vb = self.probe(n_points)
-        return float(vb.min()), float(np.mean(vb < 0.0))
+def wall_sign_summary(v_bold: np.ndarray) -> tuple[float, float]:
+    """(min V_bold, fraction of wall samples with V_bold < 0).
+
+    The wall of a full two-tail potential is mostly repulsive but may dip
+    below zero; this reports the pattern of ``probe``'s samples instead of
+    asserting one.
+    """
+    return float(v_bold.min()), float(np.mean(v_bold < 0.0))
 
 
 def transform_f(mapping: LiouvilleMap, f: Callable[[float], float],
@@ -243,14 +220,15 @@ def transform_f(mapping: LiouvilleMap, f: Callable[[float], float],
 
 
 def special_gauge(field: WkbField, scale: float | None = None,
-                  trunc_rel: float = 1e-12) -> tuple[LiouvilleMap, TransformedProblem]:
+                  trunc_rel: float = 1e-10) -> tuple[LiouvilleMap, TransformedProblem]:
     """The wall gauge zt = phi_dB/vk for a WKB field.
 
     ``scale`` is vk; the default sqrt(kappa * ell_far) collapses the
     inverse-quartic model onto its universal wall (and kappa*zeta_n for a
     homogeneous V_n exponent n). The domain is truncated where Q has fallen
     to ``trunc_rel`` of its peak, which quantifies the "free asymptotic
-    states" residual.
+    states" residual; the default is ``SolverControl.q_match_rel``'s, so the
+    wall route matches at the same cut as the others.
     """
     if scale is None:
         n, c_n = field.potential.tail_far()
@@ -284,7 +262,7 @@ def special_gauge(field: WkbField, scale: float | None = None,
 
 def inversion_center() -> float:
     """Wall coordinate of the inverse-quartic symmetry point, Gamma(3/4)**2/sqrt(pi)."""
-    return gamma(0.75) ** 2 / math.sqrt(math.pi)
+    return math.gamma(0.75) ** 2 / math.sqrt(math.pi)
 
 
 def universal_v4(u: float) -> tuple[float, float]:
@@ -333,7 +311,8 @@ def wall_integral(problem: TransformedProblem) -> float:
     """Integral of the wall over the transformed axis, int V_bold dz_bold.
 
     Evaluated in the original coordinate as vk * int Q(z) k(z) dz, extended
-    over (0, inf); positive for every attractive potential.
+    over (0, inf); positive for every attractive potential. The summed
+    quadrature error estimates must stay below 1e-3 of the result.
     """
     if problem.e_bold is None or problem.field is None:
         raise ValueError("wall integral is defined for special-gauge problems")
@@ -344,22 +323,28 @@ def wall_integral(problem: TransformedProblem) -> float:
     def integrand(z):
         return field.q(z) * field.k(z)
 
-    pieces = [0.0, z_peak / 30.0, z_peak / 3.0, z_peak, 3.0 * z_peak, 30.0 * z_peak]
+    pieces = [0.0, z_peak / 30.0, z_peak / 3.0, z_peak, 3.0 * z_peak, 30.0 * z_peak, math.inf]
     total = 0.0
-    for lo, hi in zip(pieces[:-1], pieces[1:]):
-        seg, _ = quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
-        total += seg
-    tail, _ = quad(integrand, pieces[-1], math.inf, epsabs=1e-13, epsrel=1e-12, limit=200)
-    total += tail
-    result = vk * total
-    if result <= 0.0:
+    err_total = 0.0
+    with warnings.catch_warnings():
+        # spline-limited segments of tabulated walls warn; the error budget
+        # below is what gates the result
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for lo, hi in zip(pieces[:-1], pieces[1:]):
+            seg, err = quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
+            total += seg
+            err_total += err
+    if total <= 0.0:
         raise RuntimeError("wall integral must be positive")
-    return result
+    if err_total > 1e-3 * total:
+        raise RuntimeError(f"wall integral error estimate {err_total / total:.1e}"
+                           " (relative) above 1e-3")
+    return vk * total
 
 
 def wall_integral_closed(n: int) -> float:
     """Closed form of the universal wall integral for V_n in Gamma functions."""
     if n <= 2:
         raise ValueError("needs n > 2")
-    return (n * math.sqrt(math.pi) * gamma(2.0 + 1.0 / n)
-            / (math.cos(math.pi / n) * 12.0 * gamma(0.5 + 1.0 / n)))
+    return (n * math.sqrt(math.pi) * math.gamma(2.0 + 1.0 / n)
+            / (math.cos(math.pi / n) * 12.0 * math.gamma(0.5 + 1.0 / n)))

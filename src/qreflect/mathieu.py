@@ -35,7 +35,6 @@ __all__ = [
     "mathieu_wave",
     "parity_sigma",
     "solve_v4",
-    "r4_t4",
     "r4_curve",
 ]
 
@@ -195,10 +194,6 @@ class MathieuSolution:
     t: complex
 
     @property
-    def reflection_probability(self) -> float:
-        return abs(self.r) ** 2
-
-    @property
     def R(self) -> float:  # noqa: N802
         return abs(self.r) ** 2
 
@@ -234,12 +229,6 @@ def solve_v4(kappa_ell: float, ctl: MathieuControl | None = None,
                            sigma=sigma, r=r, t=t)
 
 
-def r4_t4(kappa_ell: float, ctl: MathieuControl | None = None) -> tuple[complex, complex]:
-    """Closed-form (r, t) of the inverse-quartic model."""
-    sol = solve_v4(kappa_ell, ctl)
-    return sol.r, sol.t
-
-
 def r4_curve(kappa_ell_grid, ctl: MathieuControl | None = None) -> np.ndarray:
     """Universal reflection curve R4(kappa*ell) on a grid.
 
@@ -253,5 +242,5 @@ def r4_curve(kappa_ell_grid, ctl: MathieuControl | None = None) -> np.ndarray:
     out = np.zeros(grid.size, dtype=[("kappa_ell", float), ("R", float)])
     for i, kl in enumerate(grid):
         sol = solve_v4(float(kl), ctl)
-        out[i] = (kl, sol.reflection_probability)
+        out[i] = (kl, sol.R)
     return out

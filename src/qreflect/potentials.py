@@ -23,7 +23,6 @@ __all__ = [
     "HomogeneousPotential",
     "TabulatedPotential",
     "PhysicalScales",
-    "eval_potential",
     "scales_for",
     "energy_in_e1_units",
     "kappa_si",
@@ -185,11 +184,6 @@ def _require_positive(z: float):
         raise ValueError("potential is defined on z > 0 only")
 
 
-def eval_potential(potential, z: float) -> float:
-    """V(z) for either potential kind; domain error for z <= 0."""
-    return potential.value(z)
-
-
 @dataclass(frozen=True)
 class PhysicalScales:
     """Length and wavevector scales of a (potential, energy) pair.
@@ -207,14 +201,6 @@ class PhysicalScales:
     zeta_n: float
     ell_n: float
     e1_unit: float | None = None
-
-    @property
-    def zeta(self) -> float:
-        return self.zeta_n
-
-    @property
-    def ell(self) -> float:
-        return self.ell_n
 
 
 def scales_for(potential, energy: float) -> PhysicalScales:

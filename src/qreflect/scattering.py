@@ -121,11 +121,6 @@ class ScatteringResult:
     diagnostics: Diagnostics
 
     @property
-    def reflection_probability(self) -> float:
-        return abs(self.r) ** 2
-
-    # short alias used throughout the tests and the CLI
-    @property
     def R(self) -> float:  # noqa: N802
         return abs(self.r) ** 2
 
@@ -167,31 +162,44 @@ def _decompose(psi: complex, dpsi: complex,
     return cp, cm
 
 
-def _current(psi: complex, dpsi: complex) -> float:
-    return (psi.conjugate() * dpsi).imag
+def _solve(rhs, span: tuple[float, float], y0, atol_scale: float, end_wave, current,
+           basis, kappa: float, q, ctl: SolverControl) -> ScatteringResult:
+    """Integrate one route across ``span`` and assemble its amplitudes.
 
-
-def _drift(sol, n_samples: int) -> float:
-    ts = np.linspace(sol.t[0], sol.t[-1], n_samples)
-    ys = sol.sol(ts)
-    cur = np.imag(np.conj(ys[0]) * ys[1])
-    return float(np.max(np.abs(cur - cur[0])) / abs(cur[0]))
-
-
-def _assemble(kappa: float, cp: complex, cm: complex, drift: float,
-              q_left: float, q_right: float) -> ScatteringResult:
+    The route supplies its RHS and initial state, ``end_wave`` mapping its end
+    state to (Psi, Psi'), the conserved ``current`` of its dense states (for
+    the Wronskian drift), the matching ``basis(z, direction)`` and ``q`` for
+    the badlands at the matching points (None when it has no WKB field).
+    """
+    sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=ctl.rtol,
+                    atol=ctl.atol_factor * atol_scale, dense_output=True)
+    if not sol.success:
+        raise RuntimeError(f"integration failed: {sol.message}")
+    psi, dpsi = end_wave(sol.y[:, -1])
+    z_min, z_max = span
+    cp, cm = _decompose(psi, dpsi, basis(z_max, +1), basis(z_max, -1))
+    cur = current(sol.sol(np.linspace(sol.t[0], sol.t[-1], ctl.drift_samples)))
+    drift = float(np.max(np.abs(cur - cur[0])) / abs(cur[0]))
     transfer, smatrix = _matrices_from_coefficients(cp, cm)
-    current_residual = abs(abs(cm) ** 2 - abs(cp) ** 2 - 1.0)
     diags = Diagnostics(
         unitarity_residual=smatrix.unitarity_residual(),
         det_t_residual=abs(transfer.det() - 1.0),
         wronskian_drift=drift,
-        current_residual=current_residual,
-        matching_q_left=q_left,
-        matching_q_right=q_right,
+        current_residual=abs(abs(cm) ** 2 - abs(cp) ** 2 - 1.0),
+        matching_q_left=q(z_min) if q is not None else 0.0,
+        matching_q_right=q(z_max) if q is not None else 0.0,
     )
     return ScatteringResult(kappa=kappa, r=cp / cm, t=1.0 / cm,
                             transfer=transfer, smatrix=smatrix, diagnostics=diags)
+
+
+def _wave_current(ys) -> np.ndarray:
+    """Im(Psi* Psi') of (Psi, Psi') states, in whatever coordinate they use."""
+    return np.imag(np.conj(ys[0]) * ys[1])
+
+
+def _as_wave(y) -> tuple[complex, complex]:
+    return y[0], y[1]
 
 
 def solve_direct(potential, energy: float, ctl: SolverControl | None = None) -> ScatteringResult:
@@ -209,15 +217,8 @@ def solve_direct(potential, energy: float, ctl: SolverControl | None = None) -> 
     def rhs(z, y):
         return (y[1], -fld.f_coeff(z) * y[0])
 
-    sol = solve_ivp(rhs, (z_min, z_max), np.array([v0, d0], dtype=complex),
-                    method="DOP853", rtol=ctl.rtol,
-                    atol=ctl.atol_factor * abs(v0), dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    psi, dpsi = sol.y[0, -1], sol.y[1, -1]
-    cp, cm = _decompose(psi, dpsi, fld.wkb_wave(z_max, +1), fld.wkb_wave(z_max, -1))
-    return _assemble(fld.kappa, cp, cm, _drift(sol, ctl.drift_samples),
-                     fld.q(z_min), fld.q(z_max))
+    return _solve(rhs, (z_min, z_max), np.array([v0, d0], dtype=complex), abs(v0),
+                  _as_wave, _wave_current, fld.wkb_wave, fld.kappa, fld.q, ctl)
 
 
 def solve_coupled(potential, energy: float, ctl: SolverControl | None = None) -> ScatteringResult:
@@ -239,28 +240,22 @@ def solve_coupled(potential, energy: float, ctl: SolverControl | None = None) ->
         rot = cmath.exp(-2j * y[2].real)
         return (y[1] * g * rot, y[0] * g / rot, k)
 
+    def end_wave(y):
+        # gauge-consistent derivative: Psi' = ik (b+ w+ - b- w-) exactly
+        bp, bm, ph = y
+        k_end = fld.k(z_max)
+        al = k_end ** -0.5
+        wp = al * cmath.exp(1j * ph)
+        wm = al * cmath.exp(-1j * ph)
+        return bp * wp + bm * wm, 1j * k_end * (bp * wp - bm * wm)
+
+    def current(ys):
+        return np.abs(ys[1]) ** 2 - np.abs(ys[0]) ** 2
+
     eps = fld.dk(z_min) / (4.0 * fld.k(z_min) ** 2)
     y0 = np.array([1j * eps * cmath.exp(-2j * phi0), 1.0 - 1j * eps, phi0], dtype=complex)
-    sol = solve_ivp(rhs, (z_min, z_max), y0, method="DOP853",
-                    rtol=ctl.rtol, atol=ctl.atol_factor, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-
-    # gauge-consistent derivative: Psi' = ik (b+ w+ - b- w-) exactly
-    bp, bm, ph = sol.y[0, -1], sol.y[1, -1], sol.y[2, -1]
-    k_end = fld.k(z_max)
-    al = k_end ** -0.5
-    wp = al * cmath.exp(1j * ph)
-    wm = al * cmath.exp(-1j * ph)
-    psi = bp * wp + bm * wm
-    dpsi = 1j * k_end * (bp * wp - bm * wm)
-    cp, cm = _decompose(psi, dpsi, fld.wkb_wave(z_max, +1), fld.wkb_wave(z_max, -1))
-
-    ts = np.linspace(sol.t[0], sol.t[-1], ctl.drift_samples)
-    bps, bms, _ = sol.sol(ts)
-    cur = np.abs(bms) ** 2 - np.abs(bps) ** 2
-    drift = float(np.max(np.abs(cur - cur[0])) / abs(cur[0]))
-    return _assemble(fld.kappa, cp, cm, drift, fld.q(z_min), fld.q(z_max))
+    return _solve(rhs, (z_min, z_max), y0, 1.0, end_wave, current,
+                  fld.wkb_wave, fld.kappa, fld.q, ctl)
 
 
 def solve_transformed(problem: TransformedProblem, ctl: SolverControl | None = None) -> ScatteringResult:
@@ -272,7 +267,7 @@ def solve_transformed(problem: TransformedProblem, ctl: SolverControl | None = N
     the matching points.
     """
     ctl = ctl or _DEFAULT_CTL
-    w_min, w_max = problem.domain
+    w_min, _ = problem.domain
 
     if problem.e_bold is not None and problem.v_bold is not None:
         # special gauge: E_bold - V_bold needs one badlands evaluation, the
@@ -289,21 +284,11 @@ def solve_transformed(problem: TransformedProblem, ctl: SolverControl | None = N
         return (y[1] * jac, -f_tilde(w) * y[0] * jac)
 
     v0, d0 = problem.basis_wave(w_min, -1)
-    y0 = np.array([v0, d0], dtype=complex)
-    sol = solve_ivp(rhs, (w_min, w_max), y0, method="DOP853",
-                    rtol=ctl.rtol, atol=ctl.atol_factor * max(abs(v0), 1.0),
-                    dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    psi, dpsi = sol.y[0, -1], sol.y[1, -1]
-    cp, cm = _decompose(psi, dpsi, problem.basis_wave(w_max, +1),
-                        problem.basis_wave(w_max, -1))
-
-    drift = _drift(sol, ctl.drift_samples)  # current in zt is Im(Psi* dPsi/dzt)
-    kappa = problem.field.kappa if problem.field is not None else math.sqrt(problem.e_bold)
-    q_left = problem.field.q(w_min) if problem.field is not None else 0.0
-    q_right = problem.field.q(w_max) if problem.field is not None else 0.0
-    return _assemble(kappa, cp, cm, drift, q_left, q_right)
+    field = problem.field
+    kappa = field.kappa if field is not None else math.sqrt(problem.e_bold)
+    return _solve(rhs, problem.domain, np.array([v0, d0], dtype=complex), max(abs(v0), 1.0),
+                  _as_wave, _wave_current, problem.basis_wave, kappa,
+                  field.q if field is not None else None, ctl)
 
 
 def scattering_length(potential, ctl: SolverControl | None = None,

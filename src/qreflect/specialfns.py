@@ -1,10 +1,9 @@
-"""Self-contained special-function kernel.
+"""Bessel J of complex order, the one special function scipy lacks.
 
-Provides the three functions the rest of the package needs and nothing more:
-Gamma for real and complex argument, Bessel J of (possibly complex) order and
-real argument, and the Gauss hypergeometric series 2F1 inside the unit disc.
+Gamma, 1/Gamma and log Gamma of complex argument come from scipy.special;
+the Gauss 2F1 of the phase formula is scipy.special.hyp2f1, imported by wkb.
 
-All routines are pure and reentrant; series terminate on a combined
+The routines are pure and reentrant; series terminate on a combined
 absolute/relative tolerance with a hard cap on the number of terms, so
 failure is a raised exception rather than a silent truncation.
 """
@@ -15,19 +14,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-__all__ = [
-    "SeriesControl",
-    "PoleError",
-    "ConvergenceError",
-    "gamma",
-    "rgamma",
-    "bessel_j",
-    "hyp2f1",
-]
+from scipy.special import gamma, loggamma, rgamma
 
-
-class PoleError(ValueError):
-    """Evaluation requested at a pole of the function."""
+__all__ = ["SeriesControl", "ConvergenceError", "bessel_j"]
 
 
 class ConvergenceError(RuntimeError):
@@ -51,59 +40,6 @@ class SeriesControl:
 
 _DEFAULT_CTL = SeriesControl()
 
-# Lanczos coefficients, g = 7, 9 terms (Godfrey's set). Relative error of the
-# resulting Gamma is a few 1e-14 over the range used here.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _is_nonpositive_integer(z: complex) -> bool:
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
-
-
-def _gamma_complex(z: complex) -> complex:
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"gamma pole at {z}")
-    if z.real < 0.5:
-        # reflection into the half plane where Lanczos converges
-        return math.pi / (cmath.sin(math.pi * z) * _gamma_complex(1.0 - z))
-    z = z - 1.0
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (z + 0.5) * cmath.exp(-t) * acc
-
-
-def gamma(z):
-    """Gamma function for real or complex argument.
-
-    Raises PoleError at non-positive integers. Real input yields a float.
-    """
-    if isinstance(z, complex):
-        return _gamma_complex(z)
-    return _gamma_complex(complex(z)).real
-
-
-def rgamma(z) -> complex:
-    """1/Gamma(z), entire: returns exact 0 at non-positive integers."""
-    zc = complex(z)
-    if _is_nonpositive_integer(zc):
-        return 0.0 + 0.0j
-    return 1.0 / _gamma_complex(zc)
-
 
 # ---------------------------------------------------------------------------
 # Bessel J of complex order, real non-negative argument.
@@ -117,23 +53,13 @@ def rgamma(z) -> complex:
 _SERIES_CROSSOVER = 12.0
 
 
-def _loggamma_right(z: complex) -> complex:
-    """log Gamma by the same Lanczos sum, valid for Re z >= 0.5."""
-    zm = z - 1.0
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (zm + i)
-    t = zm + _LANCZOS_G + 0.5
-    return math.log(_SQRT_2PI) + (zm + 0.5) * cmath.log(t) - t + cmath.log(acc)
-
-
 def _jv_series(nu: complex, x: float, ctl: SeriesControl) -> complex:
     half = 0.5 * x  # caller guarantees x > 0
     if nu.real > 140.0:
         # Gamma(nu+1) would overflow; assemble the leading term in log space
-        term = cmath.exp(nu * math.log(half) - _loggamma_right(nu + 1.0))
+        term = cmath.exp(nu * math.log(half) - complex(loggamma(nu + 1.0)))
     else:
-        term = cmath.exp(nu * math.log(half)) * rgamma(nu + 1.0)
+        term = cmath.exp(nu * math.log(half)) * complex(rgamma(nu + 1.0))
     acc = term
     floor = ctl.abs_tol * abs(term)  # abs_tol is measured against the leading term
     for k in range(ctl.max_terms):
@@ -185,15 +111,15 @@ def _jv_backward(nu: complex, x: float, ctl: SeriesControl) -> complex:
         if k >= 2 * shift and (k - 2 * shift) % 2 == 0:
             j = (k - 2 * shift) // 2
             if j == 0:
-                norm += _gamma_complex(base + 1.0) * f_hi
+                norm += complex(gamma(base + 1.0)) * f_hi
             else:
-                norm += (base + 2 * j) * cmath.exp(_loggamma_right(base + j) - _loggamma_right(j + 1.0)) * f_hi
+                norm += (base + 2 * j) * cmath.exp(complex(loggamma(base + j)) - math.lgamma(j + 1.0)) * f_hi
         if abs(f_lo) > 1e250:
             f_hi *= 1e-250
             f_lo *= 1e-250
             norm *= 1e-250
     if shift == 0:
-        norm += _gamma_complex(nu + 1.0) * f_lo
+        norm += complex(gamma(nu + 1.0)) * f_lo
     return f_lo * cmath.exp(base * math.log(0.5 * x)) / norm
 
 
@@ -242,29 +168,3 @@ def bessel_j(nu, x: float, ctl: SeriesControl | None = None):
 
 def _is_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real == round(z.real)
-
-
-def hyp2f1(a: float, b: float, c: float, x: float, ctl: SeriesControl | None = None) -> float:
-    """Gauss hypergeometric 2F1(a, b; c; x) by its series, |x| < 1.
-
-    For x < -0.3 the Pfaff transformation maps the argument into (0, 0.5)
-    where the series converges geometrically; this covers the -1/x**n
-    arguments produced by the homogeneous-potential phase formula.
-    """
-    if ctl is None:
-        ctl = _DEFAULT_CTL
-    if _is_nonpositive_integer(complex(c)):
-        raise PoleError(f"hyp2f1 pole: c = {c}")
-    if abs(x) >= 1.0:
-        raise ValueError("hyp2f1 series domain is |x| < 1")
-    if x < -0.3:
-        # Pfaff: 2F1(a,b;c;x) = (1-x)^(-a) 2F1(a, c-b; c; x/(x-1))
-        return (1.0 - x) ** (-a) * hyp2f1(a, c - b, c, x / (x - 1.0), ctl)
-    term = 1.0
-    acc = 1.0
-    for k in range(ctl.max_terms):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
-        acc += term
-        if abs(term) < ctl.abs_tol + ctl.rel_tol * abs(acc):
-            return acc
-    raise ConvergenceError(f"hyp2f1 did not converge at x={x}")

@@ -20,15 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
+from scipy.special import hyp2f1
 
 from .potentials import HomogeneousPotential
-from .specialfns import hyp2f1
 
 __all__ = [
     "WkbField",
     "schwarzian",
-    "badlands_q",
-    "badlands_peak",
     "universal_badlands",
     "badlands_peak_x",
     "phase_coordinate",
@@ -61,7 +59,7 @@ def phase_coordinate(x: float, n: int) -> float:
     if n <= 2:
         raise ValueError("needs n > 2 for a finite far-end anchor")
     if x >= _HYP_SWITCH:
-        f = hyp2f1(0.5, -1.0 / n, 1.0 - 1.0 / n, -x ** float(-n))
+        f = float(hyp2f1(0.5, -1.0 / n, 1.0 - 1.0 / n, -x ** float(-n)))
         return n * x / (n - 2.0) * (f - (2.0 / n) * math.sqrt(1.0 + x ** float(-n)))
     anchor = phase_coordinate(_HYP_SWITCH, n)
     seg, err = quad(lambda t: math.sqrt(1.0 + t ** float(-n)), x, _HYP_SWITCH,
@@ -122,10 +120,6 @@ class WkbField:
 
     def dk(self, z: float) -> float:
         return -self.potential.dvalue(z) / (2.0 * self.k(z))
-
-    def d2k(self, z: float) -> float:
-        k = self.k(z)
-        return (-self.potential.d2value(z) - 2.0 * self.dk(z) ** 2) / (2.0 * k)
 
     def alpha(self, z: float) -> float:
         return self.k(z) ** -0.5
@@ -247,10 +241,3 @@ def _golden_max(f, a: float, b: float, tol: float = 1e-12) -> float:
             d = a + g * (b - a)
     return 0.5 * (a + b)
 
-
-def badlands_q(field: WkbField, z: float) -> float:
-    return field.q(z)
-
-
-def badlands_peak(field: WkbField) -> tuple[float, float]:
-    return field.q_peak()

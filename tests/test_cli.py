@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,17 @@ def run(tmp_path, name, argv):
     out = tmp_path / name
     code = main(argv + ["--output", str(out)])
     return code, out.read_text()
+
+
+def write_cp_table(tmp_path, lam_au=500.0, c3_au=0.25):
+    """Casimir-Polder-like two-tail table -c3/(z^3 (1 + z/lam)), atomic units."""
+    z = np.geomspace(1.0, 40000.0, 500)
+    v = -c3_au / (z ** 3 * (1.0 + z / lam_au))
+    table = tmp_path / "cp.pot"
+    lines = [f"# C3={c3_au} C4={c3_au * lam_au}"]
+    lines += [f"{a:.10e} {b:.10e}" for a, b in zip(z, v)]
+    table.write_text("\n".join(lines) + "\n")
+    return table
 
 
 def csv_rows(text):
@@ -36,6 +48,16 @@ class TestReflect:
         assert max(values) - min(values) < 1e-4
         assert float(row["gauge_residual"]) < 1e-7
         assert row["status"] == "ok"
+
+    def test_routes_share_the_matching_cut(self, tmp_path):
+        # the wall route matches at --q-match like the others, so direct and
+        # wall amplitudes differ by integration error only, not by the cut
+        code, text = run(tmp_path, "c.csv",
+                         ["reflect", "--model", "v4", "--kappa-ell", "0.119",
+                          "--method", "all"])
+        assert code == 0
+        _, rows = csv_rows(text)
+        assert float(rows[0]["gauge_residual"]) < 1e-11
 
     def test_zero_grid_rejected(self, capsys):
         code = main(["reflect", "--model", "v4", "--kappa-ell", "0"])
@@ -62,13 +84,6 @@ class TestReflect:
         _, text_a = run(tmp_path, "a.csv", argv)
         _, text_b = run(tmp_path, "b.csv", argv)
         assert text_a == text_b
-
-    def test_jobs_do_not_change_output(self, tmp_path):
-        argv = ["reflect", "--model", "v4", "--kappa-ell", "0.2,0.3,0.4",
-                "--method", "mathieu"]
-        _, serial = run(tmp_path, "s.csv", argv)
-        _, parallel = run(tmp_path, "p.csv", argv + ["--jobs", "3"])
-        assert serial == parallel
 
     def test_json_round_trip(self, tmp_path):
         code, text = run(tmp_path, "r.json",
@@ -112,13 +127,7 @@ class TestReflect:
         assert float(rows[0]["kappa_ell"]) == pytest.approx(kappa_a0 * ell_a0, rel=1e-10)
 
     def test_table_ingestion_with_e1_energies(self, tmp_path):
-        lam_au, c3_au = 500.0, 0.25
-        z = np.geomspace(1.0, 40000.0, 500)
-        v = -c3_au / (z ** 3 * (1.0 + z / lam_au))
-        table = tmp_path / "cp.pot"
-        lines = [f"# C3={c3_au} C4={c3_au * lam_au}"]
-        lines += [f"{a:.10e} {b:.10e}" for a, b in zip(z, v)]
-        table.write_text("\n".join(lines) + "\n")
+        table = write_cp_table(tmp_path)
         code, text = run(tmp_path, "t.csv",
                          ["reflect", "--table", str(table), "--energy-e1", "1000",
                           "--method", "direct", "--q-match", "1e-7"])
@@ -176,6 +185,22 @@ class TestWall:
                     if line.startswith("# ") and "=" in line)
         assert float(meta["E_bold[0.3]"]) == pytest.approx(0.3, rel=1e-12)
         assert float(meta["integral[0.3]"]) == pytest.approx(0.7725311, abs=1e-6)
+
+    def test_table_wall_is_quiet(self, tmp_path, capsys):
+        # quadrature warnings of the wall integral are gated, not printed
+        table = write_cp_table(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, text = run(tmp_path, "wt.csv",
+                             ["wall", "--table", str(table), "--energy-e1", "100",
+                              "--points", "8"])
+        assert code == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
+        meta = dict(line[2:].split("=", 1) for line in text.splitlines()
+                    if line.startswith("# ") and "=" in line)
+        integrals = [float(v) for k, v in meta.items() if k.startswith("integral[")]
+        assert len(integrals) == 1 and integrals[0] > 0.0
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_universal_other_exponents(self, tmp_path, n):

