@@ -14,6 +14,7 @@ Two potential families are supported:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,16 +109,14 @@ class TabulatedPotential:
         self.tail_tolerance = float(tail_tolerance)
         self._z = z
         self._v = v
-        # shape-preserving slopes in log-log space, with the end slopes pinned
-        # to the exact tail exponents so V stays C1 across the seams
-        log_z = np.log(z)
-        log_mv = np.log(-v)
-        slopes = PchipInterpolator(log_z, log_mv, extrapolate=False)(log_z, 1)
-        slopes[0] = -3.0
-        slopes[-1] = -4.0
-        self._interp = CubicHermiteSpline(log_z, log_mv, slopes, extrapolate=False)
-        self._dinterp = self._interp.derivative()
-        self._d2interp = self._interp.derivative(2)
+        # the scalar kernel below evaluates this spline and its derivatives
+        # from plain floats: a PPoly call per scalar costs far more than the sum
+        spline = _log_log_spline(z, v)
+        self._knots = spline.x.tolist()
+        self._last = len(self._knots) - 2
+        self._w = _local_coefficients(spline)
+        self._w1 = _local_coefficients(spline.derivative())
+        self._w2 = _local_coefficients(spline.derivative(2))
         # boundary-matched tail strengths: continuity at the seams
         self._cliff_scale = float(-v[0] * z[0] ** 3)
         self._far_scale = float(-v[-1] * z[-1] ** 4)
@@ -133,13 +132,31 @@ class TabulatedPotential:
         hi = abs(self._far_scale / self.far_c4 - 1.0)
         return float(lo), float(hi)
 
+    def _locate(self, z: float) -> tuple[int, float]:
+        """Interval of u = ln z and the offset u - u_i, as PPoly finds them.
+
+        Intervals are closed on the right like PPoly's. The index is clamped
+        rather than rejected: z is already inside [z_min, z_max], and
+        ``math.log`` may land one ulp outside the ``np.log`` knots at the ends.
+        """
+        u = math.log(z)
+        i = bisect_right(self._knots, u) - 1
+        if i < 0:
+            i = 0
+        elif i > self._last:
+            i = self._last
+        return i, u - self._knots[i]
+
     def value(self, z: float) -> float:
         _require_positive(z)
         if z < self.z_min:
             return -self._cliff_scale / z ** 3
         if z > self.z_max:
             return -self._far_scale / z ** 4
-        return -math.exp(float(self._interp(math.log(z))))
+        i, s = self._locate(z)
+        c0, c1, c2, c3 = self._w[i]
+        # summed in PPoly's order, so the result matches scipy bit for bit
+        return -math.exp(c0 + c1 * s + c2 * (s * s) + c3 * ((s * s) * s))
 
     def dvalue(self, z: float) -> float:
         _require_positive(z)
@@ -147,9 +164,13 @@ class TabulatedPotential:
             return 3.0 * self._cliff_scale / z ** 4
         if z > self.z_max:
             return 4.0 * self._far_scale / z ** 5
-        u = math.log(z)
+        i, s = self._locate(z)
+        c0, c1, c2, c3 = self._w[i]
+        b0, b1, b2 = self._w1[i]
+        w = c0 + c1 * s + c2 * (s * s) + c3 * ((s * s) * s)
+        w1 = b0 + b1 * s + b2 * (s * s)
         # V = -exp(w(u)), dV/dz = -exp(w) w' / z
-        return -math.exp(float(self._interp(u))) * float(self._dinterp(u)) / z
+        return -math.exp(w) * w1 / z
 
     def d2value(self, z: float) -> float:
         _require_positive(z)
@@ -157,10 +178,14 @@ class TabulatedPotential:
             return -12.0 * self._cliff_scale / z ** 5
         if z > self.z_max:
             return -20.0 * self._far_scale / z ** 6
-        u = math.log(z)
-        w1 = float(self._dinterp(u))
-        w2 = float(self._d2interp(u))
-        return -math.exp(float(self._interp(u))) * (w2 + w1 * w1 - w1) / z ** 2
+        i, s = self._locate(z)
+        c0, c1, c2, c3 = self._w[i]
+        b0, b1, b2 = self._w1[i]
+        d0, d1 = self._w2[i]
+        w = c0 + c1 * s + c2 * (s * s) + c3 * ((s * s) * s)
+        w1 = b0 + b1 * s + b2 * (s * s)
+        w2 = d0 + d1 * s
+        return -math.exp(w) * (w2 + w1 * w1 - w1) / z ** 2
 
     @property
     def cliff_c3_matched(self) -> float:
@@ -177,6 +202,25 @@ class TabulatedPotential:
 
     def tail_far(self) -> tuple[int, float]:
         return 4, self.far_c4
+
+
+def _log_log_spline(z: np.ndarray, v: np.ndarray) -> CubicHermiteSpline:
+    """Monotone cubic through (ln z, ln(-V)) with the tail exponents as end slopes.
+
+    The slopes are shape-preserving (PCHIP); the end slopes are pinned to the
+    exact tail exponents so V stays C1 across the seams.
+    """
+    log_z = np.log(z)
+    log_mv = np.log(-v)
+    slopes = PchipInterpolator(log_z, log_mv, extrapolate=False)(log_z, 1)
+    slopes[0] = -3.0
+    slopes[-1] = -4.0
+    return CubicHermiteSpline(log_z, log_mv, slopes, extrapolate=False)
+
+
+def _local_coefficients(poly) -> list[tuple[float, ...]]:
+    """Per-interval coefficients of a PPoly, lowest power first."""
+    return list(zip(*poly.c[::-1].tolist()))
 
 
 def _require_positive(z: float):

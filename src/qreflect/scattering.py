@@ -52,7 +52,6 @@ class SolverControl:
     rtol: float = 1e-12
     atol_factor: float = 1e-14    # absolute tolerance relative to the wave amplitude
     q_match_rel: float = 1e-10    # Q/Q_peak at which WKB matching is applied
-    drift_samples: int = 17       # interior points probed for Wronskian drift
     fit_residual_max: float = 1e-4
 
     def __post_init__(self):
@@ -167,18 +166,19 @@ def _solve(rhs, span: tuple[float, float], y0, atol_scale: float, end_wave, curr
     """Integrate one route across ``span`` and assemble its amplitudes.
 
     The route supplies its RHS and initial state, ``end_wave`` mapping its end
-    state to (Psi, Psi'), the conserved ``current`` of its dense states (for
-    the Wronskian drift), the matching ``basis(z, direction)`` and ``q`` for
-    the badlands at the matching points (None when it has no WKB field).
+    state to (Psi, Psi'), the conserved ``current`` of its states (for the
+    Wronskian drift over every accepted step), the matching
+    ``basis(z, direction)`` and ``q`` for the badlands at the matching points
+    (None when it has no WKB field).
     """
     sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=ctl.rtol,
-                    atol=ctl.atol_factor * atol_scale, dense_output=True)
+                    atol=ctl.atol_factor * atol_scale)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
     psi, dpsi = end_wave(sol.y[:, -1])
     z_min, z_max = span
     cp, cm = _decompose(psi, dpsi, basis(z_max, +1), basis(z_max, -1))
-    cur = current(sol.sol(np.linspace(sol.t[0], sol.t[-1], ctl.drift_samples)))
+    cur = current(sol.y)
     drift = float(np.max(np.abs(cur - cur[0])) / abs(cur[0]))
     transfer, smatrix = _matrices_from_coefficients(cp, cm)
     diags = Diagnostics(

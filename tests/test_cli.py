@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -125,6 +126,23 @@ class TestReflect:
         kappa_a0 = kappa_si(1000.0 * e1_unit(mass), mass) * BOHR_RADIUS
         ell_a0 = math.sqrt(2.0 * mass * c4_au * HARTREE * BOHR_RADIUS ** 4) / HBAR / BOHR_RADIUS
         assert float(rows[0]["kappa_ell"]) == pytest.approx(kappa_a0 * ell_a0, rel=1e-10)
+
+    def test_table_all_methods_in_bounded_time(self, tmp_path):
+        # every route, the wall route included, on a real-surface table
+        table = write_cp_table(tmp_path)
+        start = time.perf_counter()
+        code, text = run(tmp_path, "ta.csv",
+                         ["reflect", "--table", str(table), "--energy-e1", "100",
+                          "--method", "all", "--q-match", "1e-6"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        _, rows = csv_rows(text)
+        row = rows[0]
+        assert row["status"] == "ok"
+        for key in ("R_direct", "R_coupled", "R_transformed"):
+            assert 0.0 < float(row[key]) < 1.0
+        assert float(row["gauge_residual"]) < 1e-7
+        assert elapsed < 60.0
 
     def test_table_ingestion_with_e1_energies(self, tmp_path):
         table = write_cp_table(tmp_path)

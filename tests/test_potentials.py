@@ -1,5 +1,7 @@
 """Tests for potential models, tabulated ingestion and physical scales."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from qreflect.potentials import (
     load_potential_table,
     scales_for,
 )
+from qreflect.potentials import _log_log_spline
 
 
 def cp_like(c3: float, lam: float):
@@ -104,6 +107,40 @@ class TestTabulated:
         for z in (0.4, 2.2, 40.0):
             fd = (pot.value(z + h) - pot.value(z - h)) / (2 * h)
             assert pot.dvalue(z) == pytest.approx(fd, rel=1e-6)
+
+    def test_kernel_matches_scipy_spline(self):
+        # the scalar kernel reproduces scipy's PPoly evaluation bit for bit;
+        # scipy itself returns NaN where math.log lands outside the end knots
+        pot, _ = self.build()
+        spline = _log_log_spline(pot._z, pot._v)
+        derivs = (spline, spline.derivative(), spline.derivative(2))
+
+        def reference(z):
+            u = math.log(z)
+            w, w1, w2 = (float(p(u)) for p in derivs)
+            return (-math.exp(w), -math.exp(w) * w1 / z,
+                    -math.exp(w) * (w2 + w1 * w1 - w1) / z ** 2)
+
+        rng = np.random.default_rng(20)
+        interior = np.exp(rng.uniform(math.log(pot.z_min), math.log(pot.z_max), 4000))
+        for z in [*interior.tolist(), *pot._z.tolist()]:
+            got = (pot.value(z), pot.dvalue(z), pot.d2value(z))
+            for g, r in zip(got, reference(z)):
+                assert g == r or (math.isnan(r) and math.isfinite(g))
+
+    def test_table_ends_are_finite(self):
+        # math.log(z_min) falls one ulp below the np.log knot here, which made
+        # the spline reject the table's own first node
+        lo = 0.9661275959543612
+        z = lo * np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+        pot = TabulatedPotential(z, -1.0 / z ** 3, cliff_c3=1.0, far_c4=16.0 * lo,
+                                 tail_tolerance=10.0)
+        assert math.log(lo) < np.log(lo)
+        for end in (pot.z_min, pot.z_max):
+            for f in (pot.value, pot.dvalue, pot.d2value):
+                assert math.isfinite(f(end))
+        assert pot.value(lo) == pytest.approx(-1.0 / lo ** 3, rel=1e-14)
+        assert pot.dvalue(lo) == pytest.approx(3.0 / lo ** 4, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -61,6 +61,30 @@ class TestWronskian:
         res = solve_direct(v4(0.3), 0.3)
         assert res.diagnostics.wronskian_drift < 1e-9
 
+    @pytest.mark.parametrize("route", ["direct", "coupled", "transformed"])
+    def test_no_dense_output(self, monkeypatch, route):
+        # DOP853 takes 12 RHS calls per step, 15 when it also builds the dense
+        # interpolant; the drift is read from the accepted steps instead
+        import qreflect.scattering as scattering
+
+        sols = []
+        real = scattering.solve_ivp
+
+        def spy(*args, **kwargs):
+            sols.append(real(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(scattering, "solve_ivp", spy)
+        if route == "direct":
+            res = solve_direct(v4(1.0), 1.0)
+        elif route == "coupled":
+            res = solve_coupled(v4(1.0), 1.0)
+        else:
+            res = solve_transformed(special_gauge(WkbField(v4(1.0), 1.0))[1])
+        (sol,) = sols
+        assert sol.nfev / (len(sol.t) - 1) < 13
+        assert res.diagnostics.wronskian_drift < 1e-9
+
 
 class TestSMatrixAlgebra:
     def test_identity_transfer(self):
