@@ -184,7 +184,7 @@ def cmd_badlands(args) -> int:
     meta = {"command": "badlands", "potential": args.table or args.model}
     for energy, label in zip(energies, labels):
         field = wkb.WkbField(pot, energy)
-        z_lo, z_hi = field.matching_domain(1e-7)
+        z_lo, z_hi = field.matching_domain(args.q_match)
         z_peak, q_peak = field.q_peak()
         grid = np.unique(np.concatenate([
             np.geomspace(z_lo, z_hi, args.points),
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bad = subs.add_parser("badlands", help="tabulate the WKB-breakdown function")
     _add_common(p_bad)
     p_bad.add_argument("--points", type=int, default=400)
-    p_bad.set_defaults(func=cmd_badlands)
+    p_bad.set_defaults(func=cmd_badlands, q_match=1e-7)
 
     p_wall = subs.add_parser("wall", help="tabulate the Liouville wall")
     _add_common(p_wall)

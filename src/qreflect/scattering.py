@@ -22,9 +22,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field as dc_field
+from operator import mul
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 
 from .liouville import TransformedProblem
 from .wkb import WkbField
@@ -161,6 +162,117 @@ def _decompose(psi: complex, dpsi: complex,
     return cp, cm
 
 
+# -- DOP853 on Python scalars ------------------------------------------------
+# scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) replayed on
+# lists of Python complex numbers: the same tableau, initial step, error norm
+# and step-size control.  The states here hold two or three components, where
+# numpy's per-stage dot, asarray and add cost far more than the RHS itself.
+# The coefficients are complex so that each product is one complex
+# multiplication; zero entries stay in, as 0 * k adds an exact zero.
+
+def _coefficients(row: np.ndarray) -> tuple[complex, ...]:
+    return tuple(map(complex, row.tolist()))
+
+
+_STAGES = tuple((float(DOP853.C[s]), _coefficients(DOP853.A[s, :s]))
+                for s in range(1, DOP853.n_stages))
+_B = _coefficients(DOP853.B)
+_E5 = _coefficients(DOP853.E5)
+_E3 = _coefficients(DOP853.E3)
+_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+class OdeResult:
+    """The accepted points ``t`` (the start included), the states ``y`` there
+    (shape n × len(t)), the RHS call count ``nfev``, ``success`` and why the
+    run ended (``message``)."""
+
+    __slots__ = ("t", "y", "nfev", "success", "message")
+
+    def __init__(self, t: np.ndarray, y: np.ndarray, nfev: int, success: bool, message: str):
+        self.t, self.y, self.nfev, self.success, self.message = t, y, nfev, success, message
+
+
+def _sumsq(vs) -> float:
+    # numpy.linalg.norm's order: the real parts, then the imaginary parts
+    return sum([v.real * v.real for v in vs]) + sum([v.imag * v.imag for v in vs])
+
+
+def _initial_step(fun, t, y, f, span, rtol, atol) -> float:
+    """scipy's ``select_initial_step`` (Hairer, Norsett & Wanner, II.4)."""
+    w = [1.0 / (atol + abs(v) * rtol) for v in y]
+    root_n = len(y) ** 0.5
+    d0 = math.sqrt(_sumsq([v * s for v, s in zip(y, w)])) / root_n
+    d1 = math.sqrt(_sumsq([v * s for v, s in zip(f, w)])) / root_n
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = fun(t + h0, [v + h0 * g for v, g in zip(y, f)])
+    d2 = math.sqrt(_sumsq([(a - b) * s for a, b, s in zip(f1, f, w)])) / root_n / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
+    return min(100 * h0, h1, span)
+
+
+def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> OdeResult:
+    """Integrate y' = fun(t, y) forward over ``t_span`` by DOP853.
+
+    Takes the same steps and RHS calls as ``scipy.integrate.solve_ivp(...,
+    method="DOP853")`` up to rounding: ``fun`` receives the state as a list
+    of complex numbers and returns a sequence of its derivatives.  A step
+    that shrinks below ten ulps of t, as after an RHS that turned NaN, ends
+    the run with ``success=False``.
+    """
+    t, t_end = map(float, t_span)
+    if not t < t_end:
+        raise ValueError(f"integration span {t_span} does not run forward")
+    y = [complex(v) for v in y0]
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, t_end - t, rtol, atol)
+    nfev = 2
+    ts, ys = [t], [y]
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:   # also ends a NaN step size, which scipy retries forever
+                return OdeResult(np.array(ts), np.array(ys).T, nfev, False,
+                                 "Required step size is less than spacing between numbers.")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            ks = [[g] for g in f]   # the stage derivatives of each component
+            for c, row in _STAGES:
+                stage = fun(t + c * h, [v + sum(map(mul, row, k)) * h for v, k in zip(y, ks)])
+                for k, g in zip(ks, stage):
+                    k.append(g)
+            y_new = [v + h * sum(map(mul, _B, k)) for v, k in zip(y, ks)]
+            f_new = fun(t_new, y_new)
+            nfev += DOP853.n_stages
+            for k, g in zip(ks, f_new):
+                k.append(g)
+            w = [1.0 / (atol + max(abs(a), abs(b)) * rtol) for a, b in zip(y, y_new)]
+            e5 = _sumsq([sum(map(mul, _E5, k)) * s for k, s in zip(ks, w)])
+            e3 = _sumsq([sum(map(mul, _E3, k)) * s for k, s in zip(ks, w)])
+            if e5 == 0.0 and e3 == 0.0:
+                err = 0.0
+            else:
+                err = h * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
+            if err < 1.0:
+                factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT)
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+    return OdeResult(np.array(ts), np.array(ys).T, nfev, True,
+                     "The solver successfully reached the end of the integration interval.")
+
+
 def _solve(rhs, span: tuple[float, float], y0, atol_scale: float, end_wave, current,
            basis, kappa: float, q, ctl: SolverControl) -> ScatteringResult:
     """Integrate one route across ``span`` and assemble its amplitudes.
@@ -171,8 +283,7 @@ def _solve(rhs, span: tuple[float, float], y0, atol_scale: float, end_wave, curr
     ``basis(z, direction)`` and ``q`` for the badlands at the matching points
     (None when it has no WKB field).
     """
-    sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=ctl.rtol,
-                    atol=ctl.atol_factor * atol_scale)
+    sol = solve_ivp(rhs, span, y0, rtol=ctl.rtol, atol=ctl.atol_factor * atol_scale)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
     psi, dpsi = end_wave(sol.y[:, -1])
@@ -217,7 +328,7 @@ def solve_direct(potential, energy: float, ctl: SolverControl | None = None) -> 
     def rhs(z, y):
         return (y[1], -fld.f_coeff(z) * y[0])
 
-    return _solve(rhs, (z_min, z_max), np.array([v0, d0], dtype=complex), abs(v0),
+    return _solve(rhs, (z_min, z_max), (v0, d0), abs(v0),
                   _as_wave, _wave_current, fld.wkb_wave, fld.kappa, fld.q, ctl)
 
 
@@ -253,7 +364,7 @@ def solve_coupled(potential, energy: float, ctl: SolverControl | None = None) ->
         return np.abs(ys[1]) ** 2 - np.abs(ys[0]) ** 2
 
     eps = fld.dk(z_min) / (4.0 * fld.k(z_min) ** 2)
-    y0 = np.array([1j * eps * cmath.exp(-2j * phi0), 1.0 - 1j * eps, phi0], dtype=complex)
+    y0 = (1j * eps * cmath.exp(-2j * phi0), 1.0 - 1j * eps, phi0)
     return _solve(rhs, (z_min, z_max), y0, 1.0, end_wave, current,
                   fld.wkb_wave, fld.kappa, fld.q, ctl)
 
@@ -286,7 +397,7 @@ def solve_transformed(problem: TransformedProblem, ctl: SolverControl | None = N
     v0, d0 = problem.basis_wave(w_min, -1)
     field = problem.field
     kappa = field.kappa if field is not None else math.sqrt(problem.e_bold)
-    return _solve(rhs, problem.domain, np.array([v0, d0], dtype=complex), max(abs(v0), 1.0),
+    return _solve(rhs, problem.domain, (v0, d0), max(abs(v0), 1.0),
                   _as_wave, _wave_current, problem.basis_wave, kappa,
                   field.q if field is not None else None, ctl)
 

@@ -181,6 +181,20 @@ class TestBadlands:
                 peaks[float(key)] = float(line.split("=")[-1])
         assert peaks[0.1] > peaks[1.0]
 
+    def test_q_match_sets_the_range(self, tmp_path):
+        spans = {}
+        for cut in (None, "1e-7", "1e-4"):
+            extra = [] if cut is None else ["--q-match", cut]
+            code, text = run(tmp_path, f"b{cut}.csv", ["badlands", "--model", "v4",
+                                                       "--kappa-ell", "0.1", "--points", "20",
+                                                       *extra])
+            assert code == 0
+            zs = [float(r["z"]) for r in csv_rows(text)[1]]
+            spans[cut] = (min(zs), max(zs))
+        assert spans[None] == spans["1e-7"]
+        assert spans["1e-4"][0] > spans["1e-7"][0]
+        assert spans["1e-4"][1] < spans["1e-7"][1]
+
 
 class TestWall:
     def test_universal_quartic(self, tmp_path):

@@ -2,9 +2,13 @@
 
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+import qreflect.scattering as scattering
 
 from qreflect.liouville import (
     TransformedProblem,
@@ -22,6 +26,7 @@ from qreflect.scattering import (
     scattering_length,
     solve_coupled,
     solve_direct,
+    solve_ivp,
     solve_transformed,
     wronskian,
 )
@@ -41,6 +46,87 @@ def free_problem(kappa: float, span=(1.0, 40.0)) -> TransformedProblem:
         v_bold=lambda z: 0.0,
         plane_wave_basis=True,
     )
+
+
+def solve_route(route: str, kl: float):
+    if route == "direct":
+        return solve_direct(v4(kl), kl)
+    if route == "coupled":
+        return solve_coupled(v4(kl), kl)
+    return solve_transformed(special_gauge(WkbField(v4(kl), kl))[1])
+
+
+def spy_integrations(monkeypatch, integrate) -> list:
+    """Route ``scattering.solve_ivp`` through ``integrate``; collect its results."""
+    sols = []
+
+    def spy(*args, **kwargs):
+        sols.append(integrate(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(scattering, "solve_ivp", spy)
+    return sols
+
+
+class TestScalarDop853:
+    """``scattering.solve_ivp`` replays scipy's DOP853, which stays the reference."""
+
+    @pytest.mark.parametrize("kl", [0.119, 1.0, 10.0])
+    @pytest.mark.parametrize("route", ["direct", "coupled", "transformed"])
+    def test_same_steps_as_scipy(self, monkeypatch, route, kl):
+        sols = spy_integrations(monkeypatch, solve_ivp)
+        res = solve_route(route, kl)
+        refs = spy_integrations(monkeypatch, partial(scipy_solve_ivp, method="DOP853"))
+        ref = solve_route(route, kl)
+        (sol,), (sol_ref,) = sols, refs
+        assert len(sol.t) == len(sol_ref.t)
+        assert sol.nfev == sol_ref.nfev
+        # numpy rounds |z|, its BLAS norm and complex division differently
+        # from Python, and the step-size control carries one-ulp differences
+        # of the error norm forward: 5.6e-7 at worst on these nine cases
+        # (coupled, kappa*ell = 1; x86-64 with OpenBLAS)
+        np.testing.assert_allclose(sol.t, sol_ref.t, rtol=1e-5, atol=0.0)
+        assert abs(res.r - ref.r) < 1e-12
+
+    def test_nan_rhs_fails_like_scipy(self):
+        # the RHS turns NaN at t = 2: steps creep up to it and shrink by 0.2
+        # per rejection until they fall under ten ulps of t
+        def rhs(t, y):
+            return (y[1], -y[0] if t < 2.0 else complex(math.nan))
+
+        kw = dict(rtol=1e-10, atol=1e-12)
+        sol = solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), **kw)
+        with np.errstate(invalid="ignore"):
+            ref = scipy_solve_ivp(rhs, (0.0, 10.0), (1.0 + 0j, 0j), method="DOP853", **kw)
+        assert not sol.success and not ref.success
+        assert sol.message == ref.message
+        assert (len(sol.t), sol.nfev) == (len(ref.t), ref.nfev)
+        assert 1.9 < sol.t[-1] < 2.0
+        rejected = (sol.nfev - 2) // 12 - (len(sol.t) - 1)
+        assert 0 < rejected < 60   # 36 at these tolerances
+
+    def test_nan_from_the_start_fails_at_once(self):
+        # the initial step is NaN; scipy retries such a step forever
+        sol = solve_ivp(lambda t, y: (math.nan, math.nan), (0.0, 1.0), (1.0, 0.0),
+                        rtol=1e-10, atol=1e-12)
+        assert not sol.success
+        assert sol.nfev == 2
+        assert list(sol.t) == [0.0]
+
+    def test_span_must_run_forward(self):
+        with pytest.raises(ValueError, match="does not run forward"):
+            solve_ivp(lambda t, y: (y[1], -y[0]), (1.0, 0.0), (1.0, 0.0),
+                      rtol=1e-10, atol=1e-12)
+
+    def test_failed_integration_raises(self, monkeypatch):
+        fld = WkbField(v4(1.0), 1.0)
+        z_min, z_max = fld.matching_domain(SolverControl().q_match_rel)
+        z_nan = math.sqrt(z_min * z_max)
+        f_coeff = WkbField.f_coeff
+        monkeypatch.setattr(WkbField, "f_coeff",
+                            lambda self, z: f_coeff(self, z) if z < z_nan else math.nan)
+        with pytest.raises(RuntimeError, match="integration failed: Required step size"):
+            solve_direct(v4(1.0), 1.0)
 
 
 class TestWronskian:
@@ -65,22 +151,8 @@ class TestWronskian:
     def test_no_dense_output(self, monkeypatch, route):
         # DOP853 takes 12 RHS calls per step, 15 when it also builds the dense
         # interpolant; the drift is read from the accepted steps instead
-        import qreflect.scattering as scattering
-
-        sols = []
-        real = scattering.solve_ivp
-
-        def spy(*args, **kwargs):
-            sols.append(real(*args, **kwargs))
-            return sols[-1]
-
-        monkeypatch.setattr(scattering, "solve_ivp", spy)
-        if route == "direct":
-            res = solve_direct(v4(1.0), 1.0)
-        elif route == "coupled":
-            res = solve_coupled(v4(1.0), 1.0)
-        else:
-            res = solve_transformed(special_gauge(WkbField(v4(1.0), 1.0))[1])
+        sols = spy_integrations(monkeypatch, solve_ivp)
+        res = solve_route(route, 1.0)
         (sol,) = sols
         assert sol.nfev / (len(sol.t) - 1) < 13
         assert res.diagnostics.wronskian_drift < 1e-9
