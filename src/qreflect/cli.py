@@ -35,6 +35,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _grid_value(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:   # also false for nan
+        raise ValueError("grid values must be finite and positive")
+    return value
+
+
 def _parse_grid(spec: str) -> list[float]:
     """Comma list of values, or ``start:stop:count[:log]`` ranges."""
     values: list[float] = []
@@ -44,15 +51,15 @@ def _parse_grid(spec: str) -> list[float]:
             parts = chunk.split(":")
             if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
                 raise ValueError(f"bad grid spec {chunk!r}")
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            start, stop, count = _grid_value(parts[0]), _grid_value(parts[1]), int(parts[2])
             if len(parts) == 4:
                 values.extend(np.geomspace(start, stop, count).tolist())
             else:
                 values.extend(np.linspace(start, stop, count).tolist())
         elif chunk:
-            values.append(float(chunk))
-    if not values or any(v <= 0.0 for v in values):
-        raise ValueError("grid must be non-empty and positive")
+            values.append(_grid_value(chunk))
+    if not values:
+        raise ValueError("grid must be non-empty")
     return values
 
 

@@ -20,9 +20,9 @@ exp(2 i vk z_star) of the inverse-quartic closed form.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
-from operator import mul
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -167,20 +167,60 @@ def _decompose(psi: complex, dpsi: complex,
 # lists of Python complex numbers: the same tableau, initial step, error norm
 # and step-size control.  The states here hold two or three components, where
 # numpy's per-stage dot, asarray and add cost far more than the RHS itself.
-# The coefficients are complex so that each product is one complex
-# multiplication; zero entries stay in, as 0 * k adds an exact zero.
 
-def _coefficients(row: np.ndarray) -> tuple[complex, ...]:
-    return tuple(map(complex, row.tolist()))
-
-
-_STAGES = tuple((float(DOP853.C[s]), _coefficients(DOP853.A[s, :s]))
-                for s in range(1, DOP853.n_stages))
-_B = _coefficients(DOP853.B)
-_E5 = _coefficients(DOP853.E5)
-_E3 = _coefficients(DOP853.E3)
 _EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+def _combination(coefficients: np.ndarray, j: int) -> str:
+    # sum_s a_s k_s of component j over the nonzero entries, added left to
+    # right; a complex literal round-trips exactly and makes each product one
+    # complex multiplication
+    return " + ".join(f"{complex(a)!r}*k{s}_{j}"
+                      for s, a in enumerate(coefficients.tolist()) if a)
+
+
+@functools.cache
+def _attempt_kernel(n: int):
+    """One DOP853 attempt on an n-component state, as straight-line code.
+
+    ``attempt(fun, t, h, t_new, y, f, rtol, atol)`` takes the step from t to
+    ``t_new`` = t + h and returns ``(y_new, f_new, e5, e3)``: the new state,
+    its derivative and the sums of squares of the E5 and E3 error estimates
+    weighted by 1 / (atol + max(|y|, |y_new|) rtol), real parts first.  The
+    source is generated from scipy's tableau and compiled once per n, the
+    way ``dataclasses`` builds ``__init__``; per stage, a loop over the
+    tableau cost five times the RHS calls.  It is built on first use, so
+    that importing the package compiles nothing.
+    """
+    comps, last = range(n), DOP853.n_stages   # k{last} is f_new
+
+    def names(prefix: str) -> str:
+        return "".join(f"{prefix}{j}, " for j in comps)
+
+    def sumsq(e: str) -> str:
+        # as _sumsq: the real parts, then the imaginary parts
+        return " + ".join("(" + " + ".join(f"{e}{j}.{p}*{e}{j}.{p}" for j in comps) + ")"
+                          for p in ("real", "imag"))
+
+    src = ["def attempt(fun, t, h, t_new, y, f, rtol, atol):",
+           f"    {names('y')}= y",
+           f"    {names('k0_')}= f"]
+    for s in range(1, last):
+        state = ", ".join(f"y{j} + ({_combination(DOP853.A[s, :s], j)})*h" for j in comps)
+        src.append(f"    {names(f'k{s}_')}= fun(t + {float(DOP853.C[s])!r}*h, [{state}])")
+    src += [f"    u{j} = y{j} + h*({_combination(DOP853.B, j)})" for j in comps]
+    src += [f"    y_new = [{names('u')}]",
+            "    f_new = fun(t_new, y_new)",
+            f"    {names(f'k{last}_')}= f_new"]
+    for j in comps:
+        src += [f"    w = 1.0 / (atol + max(abs(y{j}), abs(u{j})) * rtol)",
+                f"    e5_{j} = ({_combination(DOP853.E5, j)})*w",
+                f"    e3_{j} = ({_combination(DOP853.E3, j)})*w"]
+    src.append(f"    return y_new, f_new, {sumsq('e5_')}, {sumsq('e3_')}")
+    namespace: dict = {}
+    exec("\n".join(src), namespace)
+    return namespace["attempt"]
 
 
 class OdeResult:
@@ -229,6 +269,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> OdeResult:
     if not t < t_end:
         raise ValueError(f"integration span {t_span} does not run forward")
     y = [complex(v) for v in y0]
+    attempt = _attempt_kernel(len(y))
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_end - t, rtol, atol)
     nfev = 2
@@ -243,19 +284,8 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> OdeResult:
                                  "Required step size is less than spacing between numbers.")
             t_new = min(t + h_abs, t_end)
             h = t_new - t
-            ks = [[g] for g in f]   # the stage derivatives of each component
-            for c, row in _STAGES:
-                stage = fun(t + c * h, [v + sum(map(mul, row, k)) * h for v, k in zip(y, ks)])
-                for k, g in zip(ks, stage):
-                    k.append(g)
-            y_new = [v + h * sum(map(mul, _B, k)) for v, k in zip(y, ks)]
-            f_new = fun(t_new, y_new)
+            y_new, f_new, e5, e3 = attempt(fun, t, h, t_new, y, f, rtol, atol)
             nfev += DOP853.n_stages
-            for k, g in zip(ks, f_new):
-                k.append(g)
-            w = [1.0 / (atol + max(abs(a), abs(b)) * rtol) for a, b in zip(y, y_new)]
-            e5 = _sumsq([sum(map(mul, _E5, k)) * s for k, s in zip(ks, w)])
-            e3 = _sumsq([sum(map(mul, _E3, k)) * s for k, s in zip(ks, w)])
             if e5 == 0.0 and e3 == 0.0:
                 err = 0.0
             else:
@@ -347,7 +377,7 @@ def solve_coupled(potential, energy: float, ctl: SolverControl | None = None) ->
 
     def rhs(z, y):
         k = fld.k(z)
-        g = fld.dk(z) / (2.0 * k)
+        g = -fld.potential.dvalue(z) / (2.0 * k) / (2.0 * k)   # fld.dk(z) / (2k)
         rot = cmath.exp(-2j * y[2].real)
         return (y[1] * g * rot, y[0] * g / rot, k)
 

@@ -61,9 +61,18 @@ class TestReflect:
         assert float(rows[0]["gauge_residual"]) < 1e-11
 
     def test_zero_grid_rejected(self, capsys):
-        code = main(["reflect", "--model", "v4", "--kappa-ell", "0"])
-        assert code == 2
-        assert "grid" in capsys.readouterr().err
+        # non-finite values used to reach the solvers and fail there with
+        # unrelated messages (and a numpy warning on the Mathieu route)
+        for argv in (["--kappa-ell", "0"], ["--kappa-ell", "nan"], ["--kappa-ell", "inf"],
+                     ["--kappa-ell", "1e400"], ["--kappa-ell", "0.1,inf", "--method", "mathieu"],
+                     ["--kappa-ell", "1e-3:inf:4:log"], ["--energy-e1", "inf"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["reflect", "--model", "v4", *argv])
+            err = capsys.readouterr().err
+            assert code == 2, argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+            assert "grid" in err, argv
 
     def test_missing_potential_rejected(self):
         assert main(["reflect", "--kappa-ell", "0.1"]) == 2

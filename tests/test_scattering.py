@@ -2,10 +2,15 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 from functools import partial
+from operator import mul
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 import qreflect.scattering as scattering
@@ -68,6 +73,88 @@ def spy_integrations(monkeypatch, integrate) -> list:
     return sols
 
 
+def _coefficients(row: np.ndarray) -> tuple[complex, ...]:
+    return tuple(map(complex, row.tolist()))
+
+
+_STAGES = tuple((float(DOP853.C[s]), _coefficients(DOP853.A[s, :s]))
+                for s in range(1, DOP853.n_stages))
+_B = _coefficients(DOP853.B)
+_E5 = _coefficients(DOP853.E5)
+_E3 = _coefficients(DOP853.E3)
+
+
+def loop_solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> scattering.OdeResult:
+    """The reference for ``scattering.solve_ivp``: DOP853 with a loop over the
+    tableau per stage, zero entries multiplied in, and the same step control.
+    ``sum`` adds left to right here (CPython 3.11), as the generated attempt
+    does."""
+    t, t_end = map(float, t_span)
+    y = [complex(v) for v in y0]
+    f = fun(t, y)
+    h_abs = scattering._initial_step(fun, t, y, f, t_end - t, rtol, atol)
+    nfev = 2
+    ts, ys = [t], [y]
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                return scattering.OdeResult(np.array(ts), np.array(ys).T, nfev, False,
+                                            "Required step size is less than spacing between numbers.")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            ks = [[g] for g in f]   # the stage derivatives of each component
+            for c, row in _STAGES:
+                stage = fun(t + c * h, [v + sum(map(mul, row, k)) * h for v, k in zip(y, ks)])
+                for k, g in zip(ks, stage):
+                    k.append(g)
+            y_new = [v + h * sum(map(mul, _B, k)) for v, k in zip(y, ks)]
+            f_new = fun(t_new, y_new)
+            nfev += DOP853.n_stages
+            for k, g in zip(ks, f_new):
+                k.append(g)
+            w = [1.0 / (atol + max(abs(a), abs(b)) * rtol) for a, b in zip(y, y_new)]
+            e5 = scattering._sumsq([sum(map(mul, _E5, k)) * s for k, s in zip(ks, w)])
+            e3 = scattering._sumsq([sum(map(mul, _E3, k)) * s for k, s in zip(ks, w)])
+            if e5 == 0.0 and e3 == 0.0:
+                err = 0.0
+            else:
+                err = h * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
+            if err < 1.0:
+                factor = (scattering._MAX_FACTOR if err == 0.0 else
+                          min(scattering._MAX_FACTOR, scattering._SAFETY * err ** scattering._EXPONENT))
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(scattering._MIN_FACTOR, scattering._SAFETY * err ** scattering._EXPONENT)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+    return scattering.OdeResult(np.array(ts), np.array(ys).T, nfev, True,
+                                "The solver successfully reached the end of the integration interval.")
+
+
+def run_kernel_case(case: str) -> None:
+    """Integrate once through ``scattering.solve_ivp``."""
+    if case == "decay":
+        scattering.solve_ivp(lambda t, y: (-y[0] / (1.0 + t),), (0.0, 5.0), (1.0 - 0.5j,),
+                             rtol=1e-10, atol=1e-12)
+    elif case == "oscillators":   # two uncoupled oscillators, four components
+        scattering.solve_ivp(lambda t, y: (y[1], -y[0], y[3], -4.0 * y[2]), (0.0, 7.0),
+                             (1.0, 0.5j, -0.25, 2.0 - 1j), rtol=1e-11, atol=1e-13)
+    elif case == "table":
+        lam, c3 = 3.0, 0.6
+        z = np.geomspace(0.004, 4000.0, 700)
+        pot = TabulatedPotential(z, -c3 / (z ** 3 * (1.0 + z / lam)),
+                                 cliff_c3=c3, far_c4=c3 * lam)
+        solve_coupled(pot, 0.02, SolverControl(q_match_rel=1e-6))
+    else:
+        route, kl = case.split("-")
+        solve_route(route, float(kl))
+
+
 class TestScalarDop853:
     """``scattering.solve_ivp`` replays scipy's DOP853, which stays the reference."""
 
@@ -87,6 +174,40 @@ class TestScalarDop853:
         # (coupled, kappa*ell = 1; x86-64 with OpenBLAS)
         np.testing.assert_allclose(sol.t, sol_ref.t, rtol=1e-5, atol=0.0)
         assert abs(res.r - ref.r) < 1e-12
+
+    @pytest.mark.parametrize("case", [f"{route}-{kl}" for route in ("direct", "coupled", "transformed")
+                                      for kl in (0.119, 1.0, 10.0)]
+                             + ["table", "decay", "oscillators"])
+    def test_kernel_matches_loop(self, monkeypatch, case):
+        # the generated attempt does the loop's arithmetic: the same steps and
+        # the same bits ("table" rejects many steps: 3945 accepted)
+        pairs = []
+
+        def both(*args, **kwargs):
+            pairs.append((solve_ivp(*args, **kwargs), loop_solve_ivp(*args, **kwargs)))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(scattering, "solve_ivp", both)
+        run_kernel_case(case)
+        ((sol, ref),) = pairs
+        assert np.array_equal(sol.t, ref.t)
+        assert np.array_equal(sol.y, ref.y)
+        assert (sol.nfev, sol.success) == (ref.nfev, ref.success)
+        assert sol.success and len(sol.t) > 10
+        if case == "table":
+            assert len(sol.t) - 1 == 3945
+            assert sol.nfev > 12 * (len(sol.t) - 1) + 2   # rejected attempts
+
+    def test_no_kernel_at_import(self):
+        # each kernel takes milliseconds to compile: importing the package
+        # must leave that to the first integration
+        code = ("import qreflect, qreflect.scattering as s; "
+                "print(s._attempt_kernel.cache_info().currsize)")
+        src = os.path.dirname(os.path.dirname(scattering.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "0"
 
     def test_nan_rhs_fails_like_scipy(self):
         # the RHS turns NaN at t = 2: steps creep up to it and shrink by 0.2
