@@ -45,7 +45,7 @@ from .scattering import (
     wronskian,
 )
 from .specialfns import SeriesControl, bessel_j
-from .wkb import WkbField, schwarzian
+from .wkb import WkbField
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -146,6 +146,7 @@ class TransformedProblem:
     f_original: Callable[[float], float]
     domain: tuple[float, float]           # in the original coordinate
     field: WkbField | None = None         # set when built from a WKB field
+    vk: float | None = None               # special gauge only: its scale
     e_bold: float | None = None           # special gauge only: vk**2
     v_bold: Callable[[float], float] | None = None  # wall height at original z
     plane_wave_basis: bool = False
@@ -253,6 +254,7 @@ def special_gauge(field: WkbField, scale: float | None = None,
         f_original=field.f_coeff,
         domain=domain,
         field=field,
+        vk=vk,
         e_bold=vk * vk,
         v_bold=lambda z: vk * vk * field.q(z),
         plane_wave_basis=True,

@@ -52,6 +52,7 @@ class HomogeneousPotential:
 
     n: int
     c_n: float
+    breaks = ()  # points where V'' jumps: none
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 3:
@@ -68,6 +69,12 @@ class HomogeneousPotential:
 
     def d2value(self, z: float) -> float:
         return -self.n * (self.n + 1) * self.c_n / z ** (self.n + 2)
+
+    def derivs(self, z: float) -> tuple[float, float, float]:
+        """(V, V', V'') at z, with the expressions of the three methods above."""
+        _require_positive(z)
+        n, c = self.n, self.c_n
+        return -c / z ** n, n * c / z ** (n + 1), -n * (n + 1) * c / z ** (n + 2)
 
     def tail_cliff(self) -> tuple[int, float]:
         return self.n, self.c_n
@@ -109,6 +116,8 @@ class TabulatedPotential:
         self.tail_tolerance = float(tail_tolerance)
         self._z = z
         self._v = v
+        # points where V'' jumps: the nodes, where the log-log cubic is only C1
+        self.breaks = tuple(z.tolist())
         # the scalar kernel below evaluates this spline and its derivatives
         # from plain floats: a PPoly call per scalar costs far more than the sum
         spline = _log_log_spline(z, v)
@@ -186,6 +195,34 @@ class TabulatedPotential:
         w1 = b0 + b1 * s + b2 * (s * s)
         w2 = d0 + d1 * s
         return -math.exp(w) * (w2 + w1 * w1 - w1) / z ** 2
+
+    def derivs(self, z: float) -> tuple[float, float, float]:
+        """(V, V', V'') at z from one interval lookup and one exponential.
+
+        Same expressions as ``value``, ``dvalue`` and ``d2value``, so the
+        three results equal theirs bit for bit.
+        """
+        _require_positive(z)
+        if z < self.z_min:
+            c = self._cliff_scale
+            return -c / z ** 3, 3.0 * c / z ** 4, -12.0 * c / z ** 5
+        if z > self.z_max:
+            c = self._far_scale
+            return -c / z ** 4, 4.0 * c / z ** 5, -20.0 * c / z ** 6
+        i, s = self._locate(z)
+        c0, c1, c2, c3 = self._w[i]
+        b0, b1, b2 = self._w1[i]
+        d0, d1 = self._w2[i]
+        w1 = b0 + b1 * s + b2 * (s * s)
+        mv = math.exp(c0 + c1 * s + c2 * (s * s) + c3 * ((s * s) * s))
+        return -mv, -mv * w1 / z, -mv * (d0 + d1 * s + w1 * w1 - w1) / z ** 2
+
+    def log_log_pieces(self) -> tuple[list[float], list[tuple[float, ...]]]:
+        """Knots u_i = ln z_i and, per interval, the cubic w = ln(-V) in u - u_i.
+
+        Coefficients come lowest power first, as ``value`` uses them.
+        """
+        return self._knots, self._w
 
     @property
     def cliff_c3_matched(self) -> float:

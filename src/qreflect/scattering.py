@@ -256,7 +256,7 @@ def _initial_step(fun, t, y, f, span, rtol, atol) -> float:
     return min(100 * h0, h1, span)
 
 
-def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> OdeResult:
+def solve_ivp(fun, t_span, y0, rtol: float, atol: float, breaks=()) -> OdeResult:
     """Integrate y' = fun(t, y) forward over ``t_span`` by DOP853.
 
     Takes the same steps and RHS calls as ``scipy.integrate.solve_ivp(...,
@@ -264,10 +264,17 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> OdeResult:
     of complex numbers and returns a sequence of its derivatives.  A step
     that shrinks below ten ulps of t, as after an RHS that turned NaN, ends
     the run with ``success=False``.
+
+    ``breaks`` are increasing points where ``fun`` is not smooth, such as
+    the knots of a spline.  No step crosses one: a step that would ends on
+    it, as a step that would pass the end of the span ends there.  The error
+    estimate of a step across a kink is not to be trusted.
     """
     t, t_end = map(float, t_span)
     if not t < t_end:
         raise ValueError(f"integration span {t_span} does not run forward")
+    stops = [t_end, *(b for b in map(float, reversed(breaks)) if t < b < t_end)]
+    stop = stops.pop()
     y = [complex(v) for v in y0]
     attempt = _attempt_kernel(len(y))
     f = fun(t, y)
@@ -282,7 +289,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> OdeResult:
             if not h_abs >= min_step:   # also ends a NaN step size, which scipy retries forever
                 return OdeResult(np.array(ts), np.array(ys).T, nfev, False,
                                  "Required step size is less than spacing between numbers.")
-            t_new = min(t + h_abs, t_end)
+            t_new = min(t + h_abs, stop)
             h = t_new - t
             y_new, f_new, e5, e3 = attempt(fun, t, h, t_new, y, f, rtol, atol)
             nfev += DOP853.n_stages
@@ -299,21 +306,24 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> OdeResult:
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
+        if t == stop and stops:
+            stop = stops.pop()
     return OdeResult(np.array(ts), np.array(ys).T, nfev, True,
                      "The solver successfully reached the end of the integration interval.")
 
 
 def _solve(rhs, span: tuple[float, float], y0, atol_scale: float, end_wave, current,
-           basis, kappa: float, q, ctl: SolverControl) -> ScatteringResult:
+           basis, kappa: float, q, breaks, ctl: SolverControl) -> ScatteringResult:
     """Integrate one route across ``span`` and assemble its amplitudes.
 
     The route supplies its RHS and initial state, ``end_wave`` mapping its end
     state to (Psi, Psi'), the conserved ``current`` of its states (for the
     Wronskian drift over every accepted step), the matching
-    ``basis(z, direction)`` and ``q`` for the badlands at the matching points
-    (None when it has no WKB field).
+    ``basis(z, direction)``, ``q`` for the badlands at the matching points
+    (None when it has no WKB field) and the potential's ``breaks``.
     """
-    sol = solve_ivp(rhs, span, y0, rtol=ctl.rtol, atol=ctl.atol_factor * atol_scale)
+    sol = solve_ivp(rhs, span, y0, rtol=ctl.rtol, atol=ctl.atol_factor * atol_scale,
+                    breaks=breaks)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
     psi, dpsi = end_wave(sol.y[:, -1])
@@ -358,8 +368,8 @@ def solve_direct(potential, energy: float, ctl: SolverControl | None = None) -> 
     def rhs(z, y):
         return (y[1], -fld.f_coeff(z) * y[0])
 
-    return _solve(rhs, (z_min, z_max), (v0, d0), abs(v0),
-                  _as_wave, _wave_current, fld.wkb_wave, fld.kappa, fld.q, ctl)
+    return _solve(rhs, (z_min, z_max), (v0, d0), abs(v0), _as_wave, _wave_current,
+                  fld.wkb_wave, fld.kappa, fld.q, potential.breaks, ctl)
 
 
 def solve_coupled(potential, energy: float, ctl: SolverControl | None = None) -> ScatteringResult:
@@ -396,7 +406,7 @@ def solve_coupled(potential, energy: float, ctl: SolverControl | None = None) ->
     eps = fld.dk(z_min) / (4.0 * fld.k(z_min) ** 2)
     y0 = (1j * eps * cmath.exp(-2j * phi0), 1.0 - 1j * eps, phi0)
     return _solve(rhs, (z_min, z_max), y0, 1.0, end_wave, current,
-                  fld.wkb_wave, fld.kappa, fld.q, ctl)
+                  fld.wkb_wave, fld.kappa, fld.q, potential.breaks, ctl)
 
 
 def solve_transformed(problem: TransformedProblem, ctl: SolverControl | None = None) -> ScatteringResult:
@@ -410,26 +420,27 @@ def solve_transformed(problem: TransformedProblem, ctl: SolverControl | None = N
     ctl = ctl or _DEFAULT_CTL
     w_min, _ = problem.domain
 
-    if problem.e_bold is not None and problem.v_bold is not None:
-        # special gauge: E_bold - V_bold needs one badlands evaluation, the
-        # generic route would recompute the Schwarzian from scratch
-        e_bold = problem.e_bold
+    if problem.vk is not None:
+        # special gauge: the Jacobian k/vk and the wall vk**2 Q come from one
+        # pass over the potential, where the map would evaluate it twice
+        vk, e_bold, k_q = problem.vk, problem.e_bold, problem.field.k_q
 
-        def f_tilde(w):
-            return e_bold - problem.v_bold(w)
+        def rhs(w, y):
+            k, q = k_q(w)
+            jac = k / vk
+            return (y[1] * jac, -(e_bold - vk * vk * q) * y[0] * jac)
     else:
-        f_tilde = problem.f_transformed_at
-
-    def rhs(w, y):
-        jac = problem.mapping.derivative(w)
-        return (y[1] * jac, -f_tilde(w) * y[0] * jac)
+        def rhs(w, y):
+            jac = problem.mapping.derivative(w)
+            return (y[1] * jac, -problem.f_transformed_at(w) * y[0] * jac)
 
     v0, d0 = problem.basis_wave(w_min, -1)
     field = problem.field
     kappa = field.kappa if field is not None else math.sqrt(problem.e_bold)
     return _solve(rhs, problem.domain, (v0, d0), max(abs(v0), 1.0),
                   _as_wave, _wave_current, problem.basis_wave, kappa,
-                  field.q if field is not None else None, ctl)
+                  field.q if field is not None else None,
+                  field.potential.breaks if field is not None else (), ctl)
 
 
 def scattering_length(potential, ctl: SolverControl | None = None,

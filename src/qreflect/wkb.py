@@ -15,24 +15,31 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
-from scipy.special import hyp2f1
+from scipy.special import hyp2f1, roots_legendre
 
 from .potentials import HomogeneousPotential
 
 __all__ = [
     "WkbField",
-    "schwarzian",
     "universal_badlands",
     "badlands_peak_x",
     "phase_coordinate",
 ]
 
-_HYP_SWITCH = 1.2  # x above which the hypergeometric closed form is used
+_HYP_SWITCH = 1.2  # x above which the 2F1 in -1/x**n converges
+
+# Phase table of a tabulated potential: Gauss-Legendre rules of two orders
+# (the lower one only estimates the error of the higher) on panels no wider
+# than _PANEL_DU in u = ln z, gated on the summed estimate in radians.
+_PHASE_RULES = (8, 12)
+_PANEL_DU = 0.5
+_PHASE_BUDGET = 1e-8
 
 
 def universal_badlands(x: float, n: int) -> float:
@@ -50,9 +57,12 @@ def badlands_peak_x(n: int) -> float:
 def phase_coordinate(x: float, n: int) -> float:
     """Universal phase integral int sqrt(1 + 1/x'**n) dx' with far-end anchor.
 
-    Equals phi_dB/(kappa zeta_n) for the homogeneous potential V_n. Uses the
-    hypergeometric closed form where its series argument -1/x**n is inside
-    the convergence disc and falls back to quadrature closer to the cliff.
+    Equals phi_dB/(kappa zeta_n) for the homogeneous potential V_n, fixed by
+    phase_coordinate(x) - x -> 0 as x -> inf. Closed form on both sides of
+    x = 1.2: above, a 2F1 in -1/x**n, inside its disc of convergence; below,
+    the antiderivative G(t) = t**a/a 2F1(-1/2, a/n; 1 + a/n; -t**n) with
+    a = 1 - n/2 (DLMF 8.17.7), joined to the upper branch at 1.2. Near the
+    cliff it runs like -2/(n - 2) x**(1 - n/2).
     """
     if x <= 0.0:
         raise ValueError("x must be positive")
@@ -61,38 +71,98 @@ def phase_coordinate(x: float, n: int) -> float:
     if x >= _HYP_SWITCH:
         f = float(hyp2f1(0.5, -1.0 / n, 1.0 - 1.0 / n, -x ** float(-n)))
         return n * x / (n - 2.0) * (f - (2.0 / n) * math.sqrt(1.0 + x ** float(-n)))
-    anchor = phase_coordinate(_HYP_SWITCH, n)
-    seg, err = quad(lambda t: math.sqrt(1.0 + t ** float(-n)), x, _HYP_SWITCH,
-                    epsabs=1e-13, epsrel=1e-13, limit=200)
-    if err > 1e-9 * max(1.0, abs(seg)):
-        raise RuntimeError("phase quadrature did not reach requested accuracy")
-    return anchor - seg
+    return (phase_coordinate(_HYP_SWITCH, n) - _cliff_antiderivative(_HYP_SWITCH, n)
+            + _cliff_antiderivative(x, n))
 
 
-def schwarzian(f, z: float, h: float | None = None) -> float:
-    """Schwarzian derivative f'''/f' - 1.5 (f''/f')**2 by central differences.
+def _cliff_antiderivative(t: float, n: int) -> float:
+    """G(t), an antiderivative of sqrt(1 + t**-n) that is exact at any t > 0."""
+    a = 1.0 - n / 2.0
+    return t ** a / a * float(hyp2f1(-0.5, a / n, 1.0 + a / n, -t ** float(n)))
 
-    Uses a seven-point stencil with fourth-order accurate first to third
-    derivatives. The step is scale-aware; for analytic evaluations prefer
-    ``schwarzian_from_derivatives``.
+
+@cache
+def _legendre(m: int) -> tuple[list[float], list[float]]:
+    """Gauss-Legendre nodes and weights of order m on [0, 1]."""
+    x, w = roots_legendre(m)
+    return (0.5 * (x + 1.0)).tolist(), (0.5 * w).tolist()
+
+
+class _PhaseTable:
+    """phi_dB of a tabulated potential at one energy, built on first use.
+
+    V is an exact power law outside the table, so phi is closed form there:
+    -C4m/z**4 above z_max gives the far-end anchor, and -C3m/z**3 below
+    z_min continues phi from the table's first node to the cliff. Inside,
+    each knot interval of u = ln z is split into equal panels no wider than
+    ``_PANEL_DU``, and phi is kept at the panel starts. Gauss-Legendre rules
+    integrate k z = sqrt(E + exp(w)) e**u over each panel, with w = ln(-V)
+    the spline's own cubic on that interval, so the table integrates the
+    potential the solvers see. The lower rule of ``_PHASE_RULES`` only
+    estimates the error of the higher; their summed difference must stay
+    within ``_PHASE_BUDGET``. A call inside the table then costs one lookup
+    and one short rule over the part of a panel below z.
     """
-    if h is None:
-        h = 6e-3 * max(abs(z), 1.0)
-    zs = z + h * np.arange(-3, 4)
-    vals = np.array([f(t) for t in zs])
-    d1 = (-vals[6] + 9 * vals[5] - 45 * vals[4] + 45 * vals[2] - 9 * vals[1] + vals[0]) / (60 * h)
-    d2 = (2 * vals[6] - 27 * vals[5] + 270 * vals[4] - 490 * vals[3]
-          + 270 * vals[2] - 27 * vals[1] + 2 * vals[0]) / (180 * h * h)
-    d3 = (vals[6] - 8 * vals[5] + 13 * vals[4] - 13 * vals[2] + 8 * vals[1] - vals[0]) / (8 * h ** 3)
-    if d1 == 0.0:
-        raise ZeroDivisionError("schwarzian undefined where f'(z) = 0")
-    return schwarzian_from_derivatives(d1, d2, d3)
 
+    def __init__(self, potential, energy: float):
+        kappa = math.sqrt(energy)
+        self.energy = energy
+        self.z_min, self.z_max = potential.z_min, potential.z_max
+        self.zeta4 = (potential.far_c4_matched / energy) ** 0.25
+        self.zeta3 = (potential.cliff_c3_matched / energy) ** (1.0 / 3.0)
+        self.kz4, self.kz3 = kappa * self.zeta4, kappa * self.zeta3
 
-def schwarzian_from_derivatives(d1: float, d2: float, d3: float) -> float:
-    if d1 == 0.0:
-        raise ZeroDivisionError("schwarzian undefined where f' = 0")
-    return d3 / d1 - 1.5 * (d2 / d1) ** 2
+        self.knots, self.cubics = potential.log_log_pieces()
+        u = np.array(self.knots)
+        c = np.array(self.cubics)
+        widths = np.diff(u)
+        parts = np.ceil(widths / _PANEL_DU).astype(int)
+        interval = np.repeat(np.arange(len(widths)), parts)
+        width = (widths / parts)[interval]
+        offset = (np.arange(len(interval)) - np.repeat(np.cumsum(parts) - parts, parts)) * width
+        ci = c[interval]
+
+        def panel_integrals(m: int) -> np.ndarray:
+            nodes, weights = _legendre(m)
+            s = offset[:, None] + width[:, None] * np.array(nodes)
+            w = ci[:, :1] + ci[:, 1:2] * s + ci[:, 2:3] * (s * s) + ci[:, 3:] * (s * s * s)
+            kz = np.sqrt(energy + np.exp(w)) * np.exp(u[interval][:, None] + s)
+            return width * (kz @ np.array(weights))
+
+        low, high = (panel_integrals(m) for m in _PHASE_RULES)
+        error = float(np.sum(np.abs(high - low)))
+        if not error <= _PHASE_BUDGET:
+            raise RuntimeError(f"phase table error estimate {error:.1e} rad"
+                               f" above {_PHASE_BUDGET:g} rad")
+        phi_top = self.kz4 * phase_coordinate(self.z_max / self.zeta4, 4)
+        self.phi_start = (phi_top - np.cumsum(high[::-1])[::-1]).tolist()
+        self.start = (u[interval] + offset).tolist()
+        self.interval = interval.tolist()
+        self.offset = offset.tolist()
+        self.rule = list(zip(*_legendre(_PHASE_RULES[1])))
+        self.phi_cliff = self.phi_start[0] - self.kz3 * phase_coordinate(
+            self.z_min / self.zeta3, 3)
+
+    def phi(self, z: float) -> float:
+        if z >= self.z_max:
+            return self.kz4 * phase_coordinate(z / self.zeta4, 4)
+        if z < self.z_min:
+            return self.phi_cliff + self.kz3 * phase_coordinate(z / self.zeta3, 3)
+        u = math.log(z)
+        # clamped: math.log may land an ulp outside numpy's knots at the ends
+        p = min(max(bisect_right(self.start, u) - 1, 0), len(self.start) - 1)
+        i = self.interval[p]
+        u_i = self.knots[i]
+        c0, c1, c2, c3 = self.cubics[i]
+        a = self.offset[p]
+        h = u - u_i - a
+        energy = self.energy
+        total = 0.0
+        for t, weight in self.rule:
+            s = a + h * t
+            w = c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+            total += weight * math.sqrt(energy + math.exp(w)) * math.exp(u_i + s)
+        return self.phi_start[p] + h * total
 
 
 @dataclass(frozen=True)
@@ -132,38 +202,13 @@ class WkbField:
             n, c_n = self.potential.tail_far()
             zeta = (c_n / self.energy) ** (1.0 / n)
             return self.kappa * zeta * phase_coordinate(z / zeta, n)
-        return self._phi_tabulated(z)
+        return self._phase_table.phi(z)
 
-    def _phi_tabulated(self, z: float) -> float:
-        n, c4 = self.potential.tail_far()
-        c4 = getattr(self.potential, "far_c4_matched", c4)  # the actual tail
-        zeta = (c4 / self.energy) ** 0.25
-        anchor = max(50.0 * zeta, getattr(self.potential, "z_max", 0.0))
-        phi_anchor = self.kappa * zeta * phase_coordinate(anchor / zeta, 4)
-        if z >= anchor:
-            return self.kappa * zeta * phase_coordinate(z / zeta, 4)
-        # integrate in the log coordinate, one quadrature per log unit plus
-        # breaks at the table edges: phase errors matter in absolute radians
-        s_lo, s_hi = math.log(z), math.log(anchor)
-        edges = {s_lo, s_hi}
-        edges.update(s for s in (math.log(self.potential.z_min),
-                                 math.log(self.potential.z_max)) if s_lo < s < s_hi)
-        edges.update(float(s) for s in np.arange(math.ceil(s_lo), s_hi, 1.0))
-        grid = sorted(edges)
-        total = 0.0
-        err_total = 0.0
-        with warnings.catch_warnings():
-            # roundoff-limited segments are fine; the explicit error budget
-            # below is what gates the result
-            warnings.simplefilter("ignore", IntegrationWarning)
-            for a, b in zip(grid[:-1], grid[1:]):
-                seg, err = quad(lambda s: self.k(math.exp(s)) * math.exp(s), a, b,
-                                epsabs=1e-13, epsrel=1e-13, limit=200)
-                total += seg
-                err_total += err
-        if err_total > 1e-8:
-            raise RuntimeError("phase quadrature did not reach absolute accuracy")
-        return phi_anchor - total
+    @cached_property
+    def _phase_table(self) -> _PhaseTable:
+        # per field, not per potential in a module cache: a field lives for
+        # one solve, so its table goes when the solve is done
+        return _PhaseTable(self.potential, self.energy)
 
     def wkb_wave(self, z: float, direction: int) -> tuple[complex, complex]:
         """WKB wave alpha e^(i eta phi) and its exact derivative, eta = +-1."""
@@ -177,13 +222,19 @@ class WkbField:
     # -- badlands ----------------------------------------------------------
     def q(self, z: float) -> float:
         """Badlands Q = -alpha**3 alpha'' = {phi,z}/(2 k**2), analytic form."""
-        # single pass over the potential derivatives; q is the hot spot of
-        # the wall-gauge solver
-        dv = self.potential.dvalue(z)
-        k2 = self.energy - self.potential.value(z)
-        dk = -dv / (2.0 * math.sqrt(k2))
-        d2k = (-self.potential.d2value(z) - 2.0 * dk * dk) / (2.0 * math.sqrt(k2))
-        return 0.5 * d2k / k2 ** 1.5 - 0.75 * dk * dk / (k2 * k2)
+        return self.k_q(z)[1]
+
+    def k_q(self, z: float) -> tuple[float, float]:
+        """(k_dB, Q) at z from one pass over V, V' and V''.
+
+        The wall-gauge solver needs both at every step.
+        """
+        v, dv, d2v = self.potential.derivs(z)
+        k2 = self.energy - v
+        k = math.sqrt(k2)
+        dk = -dv / (2.0 * k)
+        d2k = (-d2v - 2.0 * dk * dk) / (2.0 * k)
+        return k, 0.5 * d2k / k2 ** 1.5 - 0.75 * dk * dk / (k2 * k2)
 
     def q_peak(self) -> tuple[float, float]:
         """(z_peak, Q_peak); closed form for homogeneous, search otherwise."""

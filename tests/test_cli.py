@@ -243,6 +243,20 @@ class TestWall:
         integrals = [float(v) for k, v in meta.items() if k.startswith("integral[")]
         assert len(integrals) == 1 and integrals[0] > 0.0
 
+    def test_cubic_cliff_wall(self, tmp_path, capsys):
+        # the phase of -C3/z**3 near the cliff is closed form: no quadrature
+        # to give up, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(tmp_path, "w3.csv",
+                             ["wall", "--model", "vn", "--n", "3", "--energy-e1", "1000",
+                              "--points", "5"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        _, rows = csv_rows(text)
+        assert len(rows) == 5
+        assert all(math.isfinite(float(r["z_bold"])) for r in rows)
+
     @pytest.mark.parametrize("n", [3, 5])
     def test_universal_other_exponents(self, tmp_path, n):
         code, text = run(tmp_path, f"w{n}.csv", ["wall", "--universal-n", str(n)])

@@ -1,21 +1,90 @@
 """Tests for the WKB field: wavevector, phase convention, badlands function."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
+from qreflect import potentials, wkb
+from qreflect.cli import main
 from qreflect.potentials import HomogeneousPotential, TabulatedPotential
 from qreflect.wkb import (
     WkbField,
     badlands_peak_x,
     phase_coordinate,
-    schwarzian,
     universal_badlands,
 )
 
 Z_STAR = 0.8472130847939791
+
+# phase_coordinate(x, n) by 30-digit mpmath quadrature of x - int_x^inf
+# (sqrt(1 + t**-n) - 1) dt, at the doubles nearest these x
+MP_X = (1e-11, 1e-8, 1e-4, 0.3, 1.19, 1.21)
+MP_PHASE = {
+    3: (-6.32452944924116655741981996592e+5, -1.99974128904407700002394361837e+4,
+        -1.97412890440750204672872884859e+2, -1.05454513967060558380142624778,
+        1.02239039687411927525486828627, 1.04752024395761269401725703953),
+    4: (-9.99999999983055798807151136328e+10, -9.99999983055738283197857437742e+7,
+        -9.99830557383041139594276009649e+3, -1.63441105907454820053672769175,
+        1.09569427463415263323960631954, 1.12004463563197765653766843756),
+    5: (-2.10818510677891960388950926988e+16, -6.66666666665245607722386393725e+11,
+        -6.66665245628644899300688868115e+5, -2.63405399186596462715799047647,
+        1.13023928760610045996552049428, 1.15392050770222349451404411578),
+    6: (-5.00000000000000060502901362582e+21, -4.99999999999999849721961208382e+15,
+        -4.99999987064452155929311176373e+7, -4.26098834973510114371977768425,
+        1.14960697444991968481895801959, 1.17271578919863322625170702778),
+    8: (-3.33333333333333393836364051394e+32, -3.33333333333333312410771327338e+23,
+        -3.33333333332157418900288986414e+11, -1.11695695025703290766737852957e+1,
+        1.16943154379941013190310098052, 1.19163735966984760506039668478),
+}
+
+
+def write_table(tmp_path, nodes, lam_au=500.0, c3_au=0.25):
+    """-c3/(z^3 (1 + z/lam)) on 1 .. 40000 a0, as tests/test_cli.py writes it."""
+    z = np.geomspace(1.0, 40000.0, nodes)
+    v = -c3_au / (z ** 3 * (1.0 + z / lam_au))
+    table = tmp_path / f"cp{nodes}.pot"
+    lines = [f"# C3={c3_au} C4={c3_au * lam_au}"]
+    lines += [f"{a:.10e} {b:.10e}" for a, b in zip(z, v)]
+    table.write_text("\n".join(lines) + "\n")
+    return table
+
+
+def e1_energy(x: float) -> float:
+    """Reduced energy of x E1 for hydrogen, as the CLI's --energy-e1 sets it."""
+    mass = potentials.M_HYDROGEN
+    kappa = potentials.kappa_si(x * potentials.e1_unit(mass), mass) * potentials.BOHR_RADIUS
+    return kappa * kappa
+
+
+def quadrature_phi(fld: WkbField, z: float) -> float:
+    """Tabulated phi by adaptive quadrature, as the package computed it before
+    its phase table: quad per log unit of z up to max(50 zeta, z_max), under
+    the quartic closed form there.
+    """
+    pot = fld.potential
+    zeta = (pot.far_c4_matched / fld.energy) ** 0.25
+    anchor = max(50.0 * zeta, pot.z_max)
+    phi_anchor = fld.kappa * zeta * phase_coordinate(anchor / zeta, 4)
+    if z >= anchor:
+        return fld.kappa * zeta * phase_coordinate(z / zeta, 4)
+    s_lo, s_hi = math.log(z), math.log(anchor)
+    edges = {s_lo, s_hi}
+    edges.update(s for s in (math.log(pot.z_min), math.log(pot.z_max)) if s_lo < s < s_hi)
+    edges.update(float(s) for s in np.arange(math.ceil(s_lo), s_hi, 1.0))
+    grid = sorted(edges)
+    total = err_total = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for a, b in zip(grid[:-1], grid[1:]):
+            seg, err = quad(lambda s: fld.k(math.exp(s)) * math.exp(s), a, b,
+                            epsabs=1e-13, epsrel=1e-13, limit=200)
+            total += seg
+            err_total += err
+    assert err_total <= 1e-8
+    return phi_anchor - total
 
 
 def v4_field(kappa_ell: float) -> WkbField:
@@ -104,23 +173,48 @@ class TestPhase:
         kappa = math.sqrt(0.09)
         assert fld.phi(4000.0) == pytest.approx(kappa * 4000.0, rel=1e-7)
 
+    @pytest.mark.parametrize("n", sorted(MP_PHASE))
+    def test_closed_form_vs_mpmath(self, n):
+        # both sides of the switch at x = 1.2, down to deep in the cliff
+        for x, ref in zip(MP_X, MP_PHASE[n]):
+            assert phase_coordinate(x, n) == pytest.approx(ref, rel=1e-14, abs=0.0), x
 
-class TestSchwarzian:
-    def test_affine_is_zero(self):
-        assert schwarzian(lambda z: 3.1 * z - 0.4, 0.8) == pytest.approx(0.0, abs=1e-8)
+    @pytest.mark.parametrize("e1", [1.0, 100.0, 1000.0])
+    def test_tabulated_table_vs_quadrature(self, tmp_path, e1):
+        # below, inside and above the 500-node table on 1 .. 40000 a0
+        pot = potentials.load_potential_table(write_table(tmp_path, 500))
+        fld = WkbField(pot, e1_energy(e1))
+        for z in (1e-3, 0.3, 1.0, 1.7, 30.0, 2000.0, 39999.0, 4e4, 1.3e5):
+            assert fld.phi(z) == pytest.approx(quadrature_phi(fld, z), rel=0.0, abs=1e-10), z
 
-    def test_inversion_is_zero(self):
-        # homography: exact Schwarzian zero; finite differences leave dust
-        val = schwarzian(lambda z: -1.69 / z, 0.9)
-        scale = 6.0 / 0.9 ** 2  # |f'''/f'| there
-        assert abs(val) < 1e-5 * scale
+    def test_tabulated_continuous_across_seams(self, tmp_path):
+        pot = potentials.load_potential_table(write_table(tmp_path, 500))
+        fld = WkbField(pot, e1_energy(100.0))
+        for seam in (pot.z_min, pot.z_max):
+            lo, hi = seam * (1.0 - 1e-13), seam * (1.0 + 1e-13)
+            jump = fld.phi(hi) - fld.phi(lo) - fld.k(seam) * (hi - lo)
+            assert abs(jump) < 1e-12, seam
 
-    def test_exponential(self):
-        assert schwarzian(math.exp, 0.3) == pytest.approx(-0.5, abs=1e-8)
+    def test_coarse_table_vs_quadrature(self, tmp_path):
+        # six knots, 2.1 in ln z apart: the table splits them into panels
+        pot = potentials.load_potential_table(write_table(tmp_path, 6))
+        for e1 in (1.0, 100.0):
+            fld = WkbField(pot, e1_energy(e1))
+            for z in (0.1, 1.0, 2.5, 40.0, 800.0, 39000.0, 6e4):
+                assert fld.phi(z) == pytest.approx(quadrature_phi(fld, z), rel=0.0, abs=1e-10), z
 
-    def test_singular_derivative(self):
-        with pytest.raises(ZeroDivisionError):
-            schwarzian(lambda z: z * z, 0.0)
+    def test_table_error_gate(self, tmp_path, monkeypatch, capsys):
+        # 2- and 3-point rules cannot resolve the coarse table's panels
+        monkeypatch.setattr(wkb, "_PHASE_RULES", (2, 3))
+        table = write_table(tmp_path, 6)
+        fld = WkbField(potentials.load_potential_table(table), e1_energy(100.0))
+        with pytest.raises(RuntimeError, match="phase table error estimate"):
+            fld.phi(10.0)
+        code = main(["wall", "--table", str(table), "--energy-e1", "100", "--points", "5"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error: phase table error estimate")
 
 
 class TestBadlands:
