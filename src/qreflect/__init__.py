@@ -12,27 +12,16 @@ from .liouville import (
     LiouvilleMap,
     TransformedProblem,
     affine_map,
-    compose,
-    identity_map,
     inversion_center,
-    inversion_map,
     special_gauge,
     transform_f,
-    transform_wavefunction,
     universal_v4,
     universal_wall,
     wall_integral,
     wall_integral_closed,
 )
 from .mathieu import MathieuSolution, characteristic_exponent, r4_curve, solve_v4
-from .potentials import (
-    HomogeneousPotential,
-    PhysicalScales,
-    TabulatedPotential,
-    energy_in_e1_units,
-    load_potential_table,
-    scales_for,
-)
+from .potentials import HomogeneousPotential, TabulatedPotential, load_potential_table
 from .scattering import (
     ScatteringLength,
     ScatteringResult,
@@ -44,7 +33,7 @@ from .scattering import (
     solve_transformed,
     wronskian,
 )
-from .specialfns import SeriesControl, bessel_j
+from .specialfns import bessel_j
 from .wkb import WkbField
 
 __all__ = [name for name in dir() if not name.startswith("_")]

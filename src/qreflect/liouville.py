@@ -11,8 +11,9 @@ unchanged. The special gauge zt = phi_dB/vk turns an attractive well into a
 repulsive wall of height vk**2 Q(z) probed at energy vk**2.
 
 Maps are evaluator bundles (value, derivative, second derivative,
-Schwarzian); composition uses Cayley's identity so no symbolic algebra is
-ever needed, which keeps tabulated potentials first-class citizens.
+Schwarzian), so no symbolic algebra is ever needed, which keeps tabulated
+potentials first-class citizens. Two maps are built here: the wall gauge
+and the affine maps of the gauge-invariance check.
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ from .wkb import WkbField, phase_coordinate, universal_badlands
 __all__ = [
     "LiouvilleMap",
     "TransformedProblem",
-    "identity_map",
     "affine_map",
-    "inversion_map",
-    "log_map",
-    "compose",
-    "transform_wavefunction",
     "transform_f",
     "special_gauge",
     "universal_v4",
@@ -55,79 +51,16 @@ class LiouvilleMap:
     derivative: Callable[[float], float]
     schwarzian: Callable[[float], float]
     dderivative: Callable[[float], float] | None = None
-    inverse_map: "LiouvilleMap | None" = None
-    name: str = "map"
 
     def __call__(self, z: float) -> float:
         return self.forward(z)
 
 
-def identity_map() -> LiouvilleMap:
-    return LiouvilleMap(lambda z: z, lambda z: 1.0, lambda z: 0.0,
-                        dderivative=lambda z: 0.0, name="identity")
-
-
 def affine_map(a: float, b: float = 0.0) -> LiouvilleMap:
     if a <= 0.0:
         raise ValueError("affine slope must be positive for a monotone map")
-    m = LiouvilleMap(lambda z: a * z + b, lambda z: a, lambda z: 0.0,
-                     dderivative=lambda z: 0.0, name=f"affine({a},{b})")
-    inv = LiouvilleMap(lambda zt: (zt - b) / a, lambda zt: 1.0 / a, lambda zt: 0.0,
-                       dderivative=lambda zt: 0.0, name=f"affine({1/a},{-b/a})")
-    object.__setattr__(m, "inverse_map", inv)
-    return m
-
-
-def inversion_map(zeta: float) -> LiouvilleMap:
-    """zt = -zeta**2/z, the homography exchanging cliff-side and far-end."""
-    if zeta <= 0.0:
-        raise ValueError("zeta must be positive")
-    z2 = zeta * zeta
-    m = LiouvilleMap(lambda z: -z2 / z, lambda z: z2 / z ** 2, lambda z: 0.0,
-                     dderivative=lambda z: -2.0 * z2 / z ** 3, name=f"inversion({zeta})")
-    object.__setattr__(m, "inverse_map", m)
-    return m
-
-
-def log_map(zeta: float) -> LiouvilleMap:
-    """zt = ln(z/zeta); sends the inverse-quartic model to a Mathieu form."""
-    if zeta <= 0.0:
-        raise ValueError("zeta must be positive")
-    return LiouvilleMap(lambda z: math.log(z / zeta), lambda z: 1.0 / z,
-                        lambda z: 0.5 / z ** 2, dderivative=lambda z: -1.0 / z ** 2,
-                        name=f"log({zeta})")
-
-
-def compose(first: LiouvilleMap, second: LiouvilleMap) -> LiouvilleMap:
-    """Map applying ``first`` then ``second``; Schwarzians obey Cayley's identity."""
-
-    def fwd(z):
-        return second.forward(first.forward(z))
-
-    def der(z):
-        return second.derivative(first.forward(z)) * first.derivative(z)
-
-    def schw(z):
-        zt = first.forward(z)
-        return first.derivative(z) ** 2 * second.schwarzian(zt) + first.schwarzian(z)
-
-    dder = None
-    if first.dderivative is not None and second.dderivative is not None:
-        def dder(z):
-            zt = first.forward(z)
-            return (second.dderivative(zt) * first.derivative(z) ** 2
-                    + second.derivative(zt) * first.dderivative(z))
-
-    return LiouvilleMap(fwd, der, schw, dderivative=dder,
-                        name=f"{second.name}∘{first.name}")
-
-
-def transform_wavefunction(mapping: LiouvilleMap, psi_value: complex, z: float) -> complex:
-    """Psi_t(zt) = sqrt(zt'(z)) Psi(z); densities transform with the Jacobian."""
-    d = mapping.derivative(z)
-    if d <= 0.0:
-        raise ValueError("map must be strictly increasing")
-    return math.sqrt(d) * psi_value
+    return LiouvilleMap(lambda z: a * z + b, lambda z: a, lambda z: 0.0,
+                        dderivative=lambda z: 0.0)
 
 
 @dataclass(frozen=True)
@@ -155,15 +88,6 @@ class TransformedProblem:
         """F_t(zt(z)) through the forward form of the transformation."""
         d = self.mapping.derivative(z)
         return (self.f_original(z) - 0.5 * self.mapping.schwarzian(z)) / d ** 2
-
-    def f_transformed_inverse_form(self, z: float) -> float:
-        """Same quantity through the inverse map's own evaluators (cross-check)."""
-        inv = self.mapping.inverse_map
-        if inv is None:
-            raise ValueError("map carries no independent inverse evaluators")
-        zt = self.mapping.forward(z)
-        return (inv.derivative(zt) ** 2 * self.f_original(z)
-                + 0.5 * inv.schwarzian(zt))
 
     def basis_wave(self, z: float, direction: int) -> tuple[complex, complex]:
         """Matching wave and its zt-derivative at original coordinate z."""
@@ -220,33 +144,28 @@ def transform_f(mapping: LiouvilleMap, f: Callable[[float], float],
     return TransformedProblem(mapping=mapping, f_original=f, domain=domain, field=field)
 
 
-def special_gauge(field: WkbField, scale: float | None = None,
+def special_gauge(field: WkbField,
                   trunc_rel: float = 1e-10) -> tuple[LiouvilleMap, TransformedProblem]:
     """The wall gauge zt = phi_dB/vk for a WKB field.
 
-    ``scale`` is vk; the default sqrt(kappa * ell_far) collapses the
-    inverse-quartic model onto its universal wall (and kappa*zeta_n for a
-    homogeneous V_n exponent n). The domain is truncated where Q has fallen
-    to ``trunc_rel`` of its peak, which quantifies the "free asymptotic
-    states" residual; the default is ``SolverControl.q_match_rel``'s, so the
-    wall route matches at the same cut as the others.
+    The scale vk = sqrt(kappa * ell_far) collapses the inverse-quartic model
+    onto its universal wall (and vk = kappa*zeta_n for a homogeneous V_n
+    exponent n). The domain is truncated where Q has fallen to ``trunc_rel``
+    of its peak, which quantifies the "free asymptotic states" residual; the
+    default is ``SolverControl.q_match_rel``'s, so the wall route matches at
+    the same cut as the others.
     """
-    if scale is None:
-        n, c_n = field.potential.tail_far()
-        if n == 4:
-            scale = math.sqrt(field.kappa * math.sqrt(c_n))
-        else:
-            scale = field.kappa * (c_n / field.energy) ** (1.0 / n)
-    if scale <= 0.0:
-        raise ValueError("gauge scale must be positive")
-    vk = scale
+    n, c_n = field.potential.tail_far()
+    if n == 4:
+        vk = math.sqrt(field.kappa * math.sqrt(c_n))
+    else:
+        vk = field.kappa * (c_n / field.energy) ** (1.0 / n)
 
     mapping = LiouvilleMap(
         forward=lambda z: field.phi(z) / vk,
         derivative=lambda z: field.k(z) / vk,
         schwarzian=lambda z: 2.0 * field.q(z) * field.k(z) ** 2,
         dderivative=lambda z: field.dk(z) / vk,
-        name=f"wall(vk={vk:g})",
     )
     domain = field.matching_domain(trunc_rel)
     problem = TransformedProblem(

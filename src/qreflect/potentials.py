@@ -1,4 +1,4 @@
-"""Attractive surface potentials and the physical scales they set.
+"""Attractive surface potentials and the unit conversions they need.
 
 Internally everything runs in reduced units with hbar**2/(2m) = 1, so the
 Schrodinger coefficient is F(z) = E - V(z) with E = kappa**2. Conversions
@@ -23,9 +23,6 @@ from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 __all__ = [
     "HomogeneousPotential",
     "TabulatedPotential",
-    "PhysicalScales",
-    "scales_for",
-    "energy_in_e1_units",
     "kappa_si",
     "load_potential_table",
     "HBAR",
@@ -68,16 +65,13 @@ class HomogeneousPotential:
         return self.n * self.c_n / z ** (self.n + 1)
 
     def d2value(self, z: float) -> float:
-        return -self.n * (self.n + 1) * self.c_n / z ** (self.n + 2)
+        return self.derivs(z)[2]
 
     def derivs(self, z: float) -> tuple[float, float, float]:
-        """(V, V', V'') at z, with the expressions of the three methods above."""
+        """(V, V', V'') at z, with the expressions of ``value`` and ``dvalue``."""
         _require_positive(z)
         n, c = self.n, self.c_n
         return -c / z ** n, n * c / z ** (n + 1), -n * (n + 1) * c / z ** (n + 2)
-
-    def tail_cliff(self) -> tuple[int, float]:
-        return self.n, self.c_n
 
     def tail_far(self) -> tuple[int, float]:
         return self.n, self.c_n
@@ -93,8 +87,7 @@ class TabulatedPotential:
     nodes -- a value jump at the seams would act as an artificial step
     potential. The deviation of those boundary-matched strengths from the
     declared asymptotic C3/C4 is checked against ``tail_tolerance``; the
-    declared values remain the ones reported by ``tail_cliff``/``tail_far``
-    and used for far-end length scales.
+    declared far strength remains the one reported by ``tail_far``.
     """
 
     def __init__(self, z, v, cliff_c3: float, far_c4: float,
@@ -113,7 +106,6 @@ class TabulatedPotential:
         self.z_max = float(z[-1])
         self.cliff_c3 = float(cliff_c3)
         self.far_c4 = float(far_c4)
-        self.tail_tolerance = float(tail_tolerance)
         self._z = z
         self._v = v
         # points where V'' jumps: the nodes, where the log-log cubic is only C1
@@ -182,25 +174,13 @@ class TabulatedPotential:
         return -math.exp(w) * w1 / z
 
     def d2value(self, z: float) -> float:
-        _require_positive(z)
-        if z < self.z_min:
-            return -12.0 * self._cliff_scale / z ** 5
-        if z > self.z_max:
-            return -20.0 * self._far_scale / z ** 6
-        i, s = self._locate(z)
-        c0, c1, c2, c3 = self._w[i]
-        b0, b1, b2 = self._w1[i]
-        d0, d1 = self._w2[i]
-        w = c0 + c1 * s + c2 * (s * s) + c3 * ((s * s) * s)
-        w1 = b0 + b1 * s + b2 * (s * s)
-        w2 = d0 + d1 * s
-        return -math.exp(w) * (w2 + w1 * w1 - w1) / z ** 2
+        return self.derivs(z)[2]
 
     def derivs(self, z: float) -> tuple[float, float, float]:
         """(V, V', V'') at z from one interval lookup and one exponential.
 
-        Same expressions as ``value``, ``dvalue`` and ``d2value``, so the
-        three results equal theirs bit for bit.
+        Same expressions as ``value`` and ``dvalue``, so the first two
+        results equal theirs bit for bit.
         """
         _require_positive(z)
         if z < self.z_min:
@@ -234,9 +214,6 @@ class TabulatedPotential:
         """Boundary-matched far strength actually used above the table."""
         return self._far_scale
 
-    def tail_cliff(self) -> tuple[int, float]:
-        return 3, self.cliff_c3
-
     def tail_far(self) -> tuple[int, float]:
         return 4, self.far_c4
 
@@ -265,36 +242,6 @@ def _require_positive(z: float):
         raise ValueError("potential is defined on z > 0 only")
 
 
-@dataclass(frozen=True)
-class PhysicalScales:
-    """Length and wavevector scales of a (potential, energy) pair.
-
-    kappa    asymptotic wavevector sqrt(E) (reduced units)
-    zeta_n   distance where E = |V_n|, (c_n/E)**(1/n)
-    ell_n    strength length, (c_n)**(1/(n-2)) = (kappa**2 zeta_n**n)**(1/(n-2))
-    e1_unit  energy of the first gravitational quantum state, set only when
-             constructed from SI quantities
-    """
-
-    energy: float
-    kappa: float
-    n: int
-    zeta_n: float
-    ell_n: float
-    e1_unit: float | None = None
-
-
-def scales_for(potential, energy: float) -> PhysicalScales:
-    """Scales of the far-end tail for a reduced-unit potential and E > 0."""
-    if energy <= 0.0:
-        raise ValueError("energy must be positive")
-    n, c_n = potential.tail_far()
-    kappa = math.sqrt(energy)
-    zeta_n = (c_n / energy) ** (1.0 / n)
-    ell_n = c_n ** (1.0 / (n - 2))
-    return PhysicalScales(energy=energy, kappa=kappa, n=n, zeta_n=zeta_n, ell_n=ell_n)
-
-
 def kappa_si(energy_j: float, mass_kg: float) -> float:
     """Asymptotic wavevector sqrt(2 m E)/hbar in 1/m."""
     if energy_j <= 0.0 or mass_kg <= 0.0:
@@ -305,14 +252,6 @@ def kappa_si(energy_j: float, mass_kg: float) -> float:
 def e1_unit(mass_kg: float = M_HYDROGEN, g: float = G_STANDARD) -> float:
     """First gravitational-state energy (hbar^2 m g^2 / 2)^(1/3) * lambda_1, in J."""
     return (HBAR ** 2 * mass_kg * g * g / 2.0) ** (1.0 / 3.0) * AIRY_LAMBDA1
-
-
-def energy_in_e1_units(energy_j: float, mass_kg: float = M_HYDROGEN,
-                       g: float = G_STANDARD) -> float:
-    """E expressed in units of the first gravitational-state energy."""
-    if energy_j <= 0.0 or mass_kg <= 0.0 or g <= 0.0:
-        raise ValueError("all arguments must be positive")
-    return energy_j / e1_unit(mass_kg, g)
 
 
 def load_potential_table(path, mass_kg: float = M_HYDROGEN,

@@ -46,14 +46,16 @@ __all__ = [
 ]
 
 
+ATOL_FACTOR = 1e-14        # absolute tolerance relative to the wave amplitude
+FIT_RESIDUAL_MAX = 1e-4    # scattering_length's gate on max |r_fit - r|
+
+
 @dataclass(frozen=True)
 class SolverControl:
     """Integration and matching knobs shared by all solvers."""
 
     rtol: float = 1e-12
-    atol_factor: float = 1e-14    # absolute tolerance relative to the wave amplitude
     q_match_rel: float = 1e-10    # Q/Q_peak at which WKB matching is applied
-    fit_residual_max: float = 1e-4
 
     def __post_init__(self):
         if not (0.0 < self.rtol < 1e-3):
@@ -81,9 +83,6 @@ class TransferMatrix:
 
     def det(self) -> complex:
         return self.tpp * self.tmm - self.tpm * self.tmp
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.tpp, self.tpm], [self.tmp, self.tmm]])
 
 
 @dataclass(frozen=True)
@@ -322,7 +321,7 @@ def _solve(rhs, span: tuple[float, float], y0, atol_scale: float, end_wave, curr
     ``basis(z, direction)``, ``q`` for the badlands at the matching points
     (None when it has no WKB field) and the potential's ``breaks``.
     """
-    sol = solve_ivp(rhs, span, y0, rtol=ctl.rtol, atol=ctl.atol_factor * atol_scale,
+    sol = solve_ivp(rhs, span, y0, rtol=ctl.rtol, atol=ATOL_FACTOR * atol_scale,
                     breaks=breaks)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
@@ -443,24 +442,21 @@ def solve_transformed(problem: TransformedProblem, ctl: SolverControl | None = N
                   field.potential.breaks if field is not None else (), ctl)
 
 
-def scattering_length(potential, ctl: SolverControl | None = None,
-                      kappa_ell_grid=None) -> ScatteringLength:
+def scattering_length(potential, ctl: SolverControl | None = None) -> ScatteringLength:
     """Complex scattering length from the low-energy expansion of r.
 
     Fits r(kappa) = -(1 - 2 i kappa a) by linear regression of
     (r + 1)/(2 i kappa) against kappa over a geometric grid of small
-    kappa*ell (default 1e-4 .. 1e-2, 8 points), extrapolated to kappa = 0.
-    The residual gate is max |r_fit - r| over the grid; beyond the control
-    threshold the grid is not asymptotic and the fit raises.
+    kappa*ell (1e-4 .. 1e-2, 8 points), extrapolated to kappa = 0. The
+    residual gate is max |r_fit - r| over the grid; beyond
+    ``FIT_RESIDUAL_MAX`` the grid is not asymptotic and the fit raises.
     """
     ctl = ctl or _DEFAULT_CTL
     n, c4 = potential.tail_far()
     if n != 4:
         raise ValueError("scattering length needs an inverse-quartic far-end tail")
     ell = math.sqrt(getattr(potential, "far_c4_matched", c4))
-    if kappa_ell_grid is None:
-        kappa_ell_grid = np.geomspace(1e-4, 1e-2, 8)
-    kappas = np.asarray(kappa_ell_grid, dtype=float) / ell
+    kappas = np.geomspace(1e-4, 1e-2, 8) / ell
     rs = np.array([solve_direct(potential, k * k, ctl).r for k in kappas])
     y = (rs + 1.0) / (2j * kappas)
     design = np.vstack([np.ones_like(kappas), kappas]).T
@@ -468,9 +464,9 @@ def scattering_length(potential, ctl: SolverControl | None = None,
     a = complex(coeffs[0])
     r_fit = -(1.0 - 2j * kappas * (design @ coeffs))
     residual = float(np.max(np.abs(r_fit - rs)))
-    if residual > ctl.fit_residual_max:
+    if residual > FIT_RESIDUAL_MAX:
         raise RuntimeError(
             f"scattering-length fit residual {residual:.2e} above "
-            f"{ctl.fit_residual_max:.2e}: kappa grid not asymptotic")
+            f"{FIT_RESIDUAL_MAX:.2e}: kappa grid not asymptotic")
     return ScatteringLength(a=a, ell=ell, fit_residual=residual,
                             kappa_grid=tuple(float(k) for k in kappas))

@@ -12,33 +12,21 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from scipy.special import gamma, loggamma, rgamma
 
-__all__ = ["SeriesControl", "ConvergenceError", "bessel_j"]
+__all__ = ["ConvergenceError", "bessel_j"]
 
 
 class ConvergenceError(RuntimeError):
     """A series or iteration failed to converge within its term budget."""
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Termination policy for the series evaluations in this module."""
-
-    max_terms: int = 400
-    abs_tol: float = 1e-16
-    rel_tol: float = 1e-15
-
-    def __post_init__(self):
-        if self.max_terms < 8:
-            raise ValueError("max_terms must be >= 8")
-        if not (0.0 < self.abs_tol < 1.0 and 0.0 < self.rel_tol < 1.0):
-            raise ValueError("tolerances must lie in (0, 1)")
-
-
-_DEFAULT_CTL = SeriesControl()
+# Termination policy of the series below: a hard cap on the number of terms,
+# and the absolute (against the leading term) and relative tolerances.
+MAX_TERMS = 400
+ABS_TOL = 1e-16
+REL_TOL = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +41,7 @@ _DEFAULT_CTL = SeriesControl()
 _SERIES_CROSSOVER = 12.0
 
 
-def _jv_series(nu: complex, x: float, ctl: SeriesControl) -> complex:
+def _jv_series(nu: complex, x: float) -> complex:
     half = 0.5 * x  # caller guarantees x > 0
     if nu.real > 140.0:
         # Gamma(nu+1) would overflow; assemble the leading term in log space
@@ -61,23 +49,23 @@ def _jv_series(nu: complex, x: float, ctl: SeriesControl) -> complex:
     else:
         term = cmath.exp(nu * math.log(half)) * complex(rgamma(nu + 1.0))
     acc = term
-    floor = ctl.abs_tol * abs(term)  # abs_tol is measured against the leading term
-    for k in range(ctl.max_terms):
+    floor = ABS_TOL * abs(term)  # ABS_TOL is measured against the leading term
+    for k in range(MAX_TERMS):
         term *= -(half * half) / ((k + 1.0) * (nu + k + 1.0))
         acc += term
-        if abs(term) < floor + ctl.rel_tol * abs(acc):
+        if abs(term) < floor + REL_TOL * abs(acc):
             return acc
     raise ConvergenceError(f"bessel_j series did not converge for nu={nu}, x={x}")
 
 
-def _jv_hankel(nu: complex, x: float, ctl: SeriesControl) -> complex:
+def _jv_hankel(nu: complex, x: float) -> complex:
     # J_nu(x) ~ sqrt(2/(pi x)) (cos w * P - sin w * Q), w = x - nu pi/2 - pi/4
     mu = 4.0 * nu * nu
     p_sum: complex = 1.0
     q_sum: complex = 0.0
     term: complex = 1.0
     best = math.inf
-    for k in range(1, ctl.max_terms):
+    for k in range(1, MAX_TERMS):
         term *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * x * k)
         mag = abs(term)
         if mag > best:
@@ -87,13 +75,13 @@ def _jv_hankel(nu: complex, x: float, ctl: SeriesControl) -> complex:
             q_sum += term * (-1.0) ** ((k - 1) // 2)
         else:
             p_sum += term * (-1.0) ** (k // 2)
-        if mag < ctl.abs_tol:
+        if mag < ABS_TOL:
             break
     w = x - 0.5 * math.pi * nu - 0.25 * math.pi
     return cmath.sqrt(2.0 / (math.pi * x)) * (cmath.cos(w) * p_sum - cmath.sin(w) * q_sum)
 
 
-def _jv_backward(nu: complex, x: float, ctl: SeriesControl) -> complex:
+def _jv_backward(nu: complex, x: float) -> complex:
     # Miller's algorithm: downward recurrence from an arbitrary tiny seed,
     # normalized through (x/2)^b = sum_j (b+2j) Gamma(b+j)/j! J_{b+2j}(x).
     # J is the dominant solution going downward, so the seed error dies out.
@@ -123,7 +111,7 @@ def _jv_backward(nu: complex, x: float, ctl: SeriesControl) -> complex:
     return f_lo * cmath.exp(base * math.log(0.5 * x)) / norm
 
 
-def bessel_j(nu, x: float, ctl: SeriesControl | None = None):
+def bessel_j(nu, x: float):
     """Bessel function of the first kind J_nu(x) for x >= 0.
 
     The order may be complex; the argument is real and non-negative.
@@ -135,10 +123,8 @@ def bessel_j(nu, x: float, ctl: SeriesControl | None = None):
     ValueError
         If x < 0, or x = 0 with an order of negative real part.
     ConvergenceError
-        If the underlying series exhausts its term budget.
+        If the underlying series exhausts its budget of ``MAX_TERMS`` terms.
     """
-    if ctl is None:
-        ctl = _DEFAULT_CTL
     if x < 0.0:
         raise ValueError("bessel_j requires x >= 0")
     nu_c = complex(nu)
@@ -152,15 +138,15 @@ def bessel_j(nu, x: float, ctl: SeriesControl | None = None):
     elif _is_integer(nu_c) and nu_c.real < 0.0:
         # J_{-n} = (-1)^n J_n avoids the poles of the term recurrence
         n = int(round(nu_c.real))
-        out = (-1.0) ** n * complex(bessel_j(float(-n), x, ctl))
+        out = (-1.0) ** n * complex(bessel_j(float(-n), x))
     elif x <= _SERIES_CROSSOVER:
-        out = _jv_series(nu_c, x, ctl)
+        out = _jv_series(nu_c, x)
     elif x >= 25.0 and abs(nu_c) ** 2 <= 0.5 * x:
-        out = _jv_hankel(nu_c, x, ctl)
+        out = _jv_hankel(nu_c, x)
     else:
         # moderate argument or order comparable to argument: Hankel truncation
         # error exceeds target there, Miller recurrence does not
-        out = _jv_backward(nu_c, x, ctl)
+        out = _jv_backward(nu_c, x)
     if isinstance(nu, complex):
         return out
     return out.real

@@ -7,15 +7,11 @@ import pytest
 from scipy.integrate import quad
 
 from qreflect.liouville import (
+    LiouvilleMap,
     affine_map,
-    compose,
-    identity_map,
     inversion_center,
-    inversion_map,
-    log_map,
     special_gauge,
     transform_f,
-    transform_wavefunction,
     universal_v4,
     universal_v4_at,
     universal_wall,
@@ -37,61 +33,15 @@ def v4_field(kappa_ell: float) -> WkbField:
 
 
 class TestMaps:
-    def test_identity_has_zero_schwarzian(self):
-        m = identity_map()
-        assert m.schwarzian(1.3) == 0.0
-        assert m(2.5) == 2.5
-
     def test_affine_requires_positive_slope(self):
         with pytest.raises(ValueError):
             affine_map(-1.0)
-
-    def test_compose_with_identity(self):
-        m = affine_map(2.0, 1.0)
-        c = compose(m, identity_map())
-        for z in (0.2, 3.0):
-            assert c(z) == m(z)
-            assert c.schwarzian(z) == pytest.approx(m.schwarzian(z), abs=1e-14)
-
-    def test_compose_affines_is_affine(self):
-        c = compose(affine_map(2.0, 1.0), affine_map(0.5, -3.0))
-        for z in (0.2, 3.0):
-            assert c.schwarzian(z) == 0.0
-        assert c(2.0) == pytest.approx(0.5 * (2.0 * 2.0 + 1.0) - 3.0)
-
-    def test_inverse_relation(self):
-        # 0 = (zt')^2 {z, zt} + {zt, z} for a map composed with its inverse
-        m = log_map(1.7)
-        for z in (0.5, 2.0, 9.0):
-            d = m.derivative(z)
-            schw_inverse = -0.5  # inverse is 1.7 e^zt, the Schwarzian of exp
-            assert d ** 2 * schw_inverse + m.schwarzian(z) == pytest.approx(0.0, abs=1e-14)
-
-    def test_cayley_closed_form(self):
-        # affine then log: {zt, z} = a^2/(2 (a z + b)^2), exactly
-        a, b = 1.7, 0.3
-        c = compose(affine_map(a, b), log_map(0.9))
-        for z in (0.5, 2.0, 7.0):
-            assert c.schwarzian(z) == pytest.approx(a * a / (2.0 * (a * z + b) ** 2), rel=1e-13)
-
-    def test_wavefunction_rescaling(self):
-        psi = 0.3 + 0.4j
-        assert transform_wavefunction(identity_map(), psi, 1.0) == psi
-        assert transform_wavefunction(affine_map(4.0), psi, 1.0) == pytest.approx(2.0 * psi)
-
-    def test_wavefunction_round_trip(self):
-        m = affine_map(3.0, -1.0)
-        psi = 1.2 - 0.7j
-        z = 2.0
-        forward = transform_wavefunction(m, psi, z)
-        back = transform_wavefunction(m.inverse_map, forward, m(z))
-        assert back == pytest.approx(psi, rel=1e-12)
 
 
 class TestTransformF:
     def test_identity_map_preserves_f(self):
         fld = v4_field(0.3)
-        prob = transform_f(identity_map(), fld.f_coeff, (0.1, 10.0), field=fld)
+        prob = transform_f(affine_map(1.0), fld.f_coeff, (0.1, 10.0), field=fld)
         for z in (0.2, 1.0, 5.0):
             assert prob.f_transformed_at(z) == pytest.approx(fld.f_coeff(z), rel=1e-13)
 
@@ -102,25 +52,20 @@ class TestTransformF:
         for z in (0.2, 1.0, 5.0):
             assert prob.f_transformed_at(z) == pytest.approx(fld.f_coeff(z) / a ** 2, rel=1e-13)
 
-    def test_both_forms_agree(self):
-        fld = v4_field(0.3)
-        prob = transform_f(affine_map(1.7, -0.2), fld.f_coeff, (0.1, 10.0), field=fld)
-        for z in (0.3, 1.1, 4.0):
-            assert prob.f_transformed_at(z) == pytest.approx(
-                prob.f_transformed_inverse_form(z), rel=1e-9)
-
     def test_inversion_exchanges_ends_keeping_quartic_form(self):
         kl = 0.3
         fld = v4_field(kl)
         kap2 = kl  # kappa^2 = ell^2 = kl in these units
-        prob = transform_f(inversion_map(1.0), fld.f_coeff, (0.05, 20.0), field=fld)
+        # zt = -zeta**2/z with zeta = 1: a homography, so its Schwarzian vanishes
+        inversion = LiouvilleMap(lambda z: -1.0 / z, lambda z: 1.0 / z ** 2, lambda z: 0.0)
+        prob = transform_f(inversion, fld.f_coeff, (0.05, 20.0), field=fld)
         for z in (0.1, 0.7, 2.0, 15.0):
             zt = -1.0 / z
             assert prob.f_transformed_at(z) == pytest.approx(kap2 + kl / zt ** 4, rel=1e-12)
 
     def test_monotonicity_enforced(self):
         fld = v4_field(0.3)
-        decreasing = type(identity_map())(lambda z: -z, lambda z: -1.0, lambda z: 0.0)
+        decreasing = LiouvilleMap(lambda z: -z, lambda z: -1.0, lambda z: 0.0)
         with pytest.raises(ValueError):
             transform_f(decreasing, fld.f_coeff, (0.1, 1.0))
 

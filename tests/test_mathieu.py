@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import qreflect.mathieu as mathieu
 from qreflect.mathieu import (
-    MathieuControl,
     characteristic_exponent,
     coefficients,
     mathieu_wave,
@@ -17,6 +17,7 @@ from qreflect.mathieu import (
 )
 from qreflect.potentials import HomogeneousPotential
 from qreflect.scattering import solve_direct
+from qreflect.specialfns import ConvergenceError
 
 
 class TestCharacteristicExponent:
@@ -25,7 +26,7 @@ class TestCharacteristicExponent:
         assert tau == pytest.approx(0.5, abs=1e-8)
 
     def test_recurrence_residual_at_unit_q(self):
-        sol = solve_v4(1.0, n_terms=25)
+        sol = solve_v4(1.0)
         assert sol.recurrence_residual() < 1e-10
 
     def test_continuity_along_sweep(self):
@@ -44,6 +45,12 @@ class TestCharacteristicExponent:
     def test_precondition(self):
         with pytest.raises(ValueError):
             characteristic_exponent(-1.0)
+
+    def test_doubling_cap_raises(self, monkeypatch):
+        # at q = 1 one doubling past N_START does not settle tau to TAU_TOL
+        monkeypatch.setattr(mathieu, "N_MAX", mathieu.N_START)
+        with pytest.raises(ConvergenceError, match="did not settle"):
+            characteristic_exponent(1.0)
 
 
 class TestCoefficients:
@@ -64,6 +71,11 @@ class TestCoefficients:
         coeff = coefficients(tau, 1.0, 25)
         assert abs(coeff[0]) < 1e-14
         assert abs(coeff[-1]) < 1e-14
+
+    def test_short_table_raises(self):
+        # at q = 10 the coefficients still matter ten terms out
+        with pytest.raises(ConvergenceError, match="tails have not decayed"):
+            coefficients(characteristic_exponent(10.0), 10.0, 10)
 
 
 class TestWaveSeries:
@@ -145,7 +157,3 @@ class TestAmplitudes:
             r4_curve([0.1, -0.2])
         with pytest.raises(ValueError):
             solve_v4(0.0)
-
-    def test_control_validation(self):
-        with pytest.raises(ValueError):
-            MathieuControl(n_start=4)

@@ -1,4 +1,4 @@
-"""Tests for potential models, tabulated ingestion and physical scales."""
+"""Tests for potential models, tabulated ingestion and unit conversions."""
 
 import math
 
@@ -14,10 +14,8 @@ from qreflect.potentials import (
     HomogeneousPotential,
     TabulatedPotential,
     e1_unit,
-    energy_in_e1_units,
     kappa_si,
     load_potential_table,
-    scales_for,
 )
 from qreflect.potentials import _log_log_spline
 
@@ -149,32 +147,11 @@ class TestTabulated:
             TabulatedPotential([1.0, 0.5, 2.0, 3.0], [-1, -1, -1, -1], 1.0, 1.0)
 
 
-class TestScales:
-    def test_zeta_unity_when_energy_matches_strength(self):
-        scales = scales_for(HomogeneousPotential(4, 1.0), 1.0)
-        assert scales.zeta_n == pytest.approx(1.0)
-
-    def test_identities(self):
-        for n, c_n, energy in ((3, 0.7, 0.2), (4, 2.0, 0.9), (5, 1.1, 3.0)):
-            s = scales_for(HomogeneousPotential(n, c_n), energy)
-            assert s.ell_n ** (n - 2) == pytest.approx(s.kappa ** 2 * s.zeta_n ** n, rel=1e-12)
-            if n == 4:
-                assert s.zeta_n ** 2 == pytest.approx(s.ell_n / s.kappa, rel=1e-12)
-
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            scales_for(HomogeneousPotential(4, 1.0), -1.0)
-
-
 class TestSiConversions:
     def test_e1_for_hydrogen(self):
         # first gravitational level, about 1.407 peV
         e1_pev = e1_unit(M_HYDROGEN, G_STANDARD) / 1.602176634e-19 * 1e12
         assert e1_pev == pytest.approx(1.407, rel=2e-3)
-
-    def test_energy_ratio_identity(self):
-        e1 = e1_unit()
-        assert energy_in_e1_units(e1) == pytest.approx(1.0, rel=1e-12)
 
     def test_kappa_for_thousand_e1(self):
         kappa = kappa_si(1e3 * e1_unit(M_HYDROGEN, G_STANDARD), M_HYDROGEN)

@@ -18,7 +18,6 @@ import qreflect.scattering as scattering
 from qreflect.liouville import (
     TransformedProblem,
     affine_map,
-    identity_map,
     special_gauge,
     transform_f,
 )
@@ -44,7 +43,7 @@ def v4(kappa_ell: float) -> HomogeneousPotential:
 
 def free_problem(kappa: float, span=(1.0, 40.0)) -> TransformedProblem:
     return TransformedProblem(
-        mapping=identity_map(),
+        mapping=affine_map(1.0),
         f_original=lambda z: kappa * kappa,
         domain=span,
         e_bold=kappa * kappa,
@@ -458,6 +457,12 @@ class TestScatteringLength:
     def test_requires_quartic_tail(self):
         with pytest.raises(ValueError):
             scattering_length(HomogeneousPotential(3, 1.0))
+
+    def test_fit_residual_gate_raises(self, monkeypatch):
+        # no fit of eight points by a line is exact, so a zero gate must trip
+        monkeypatch.setattr(scattering, "FIT_RESIDUAL_MAX", 0.0)
+        with pytest.raises(RuntimeError, match="not asymptotic"):
+            scattering_length(v4(1.0))
 
 
 class TestTabulatedPipeline:

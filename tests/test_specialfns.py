@@ -12,8 +12,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import jv as scipy_jv
 
+import qreflect.specialfns as specialfns
 from qreflect.liouville import inversion_center, wall_integral_closed
-from qreflect.specialfns import ConvergenceError, SeriesControl, bessel_j
+from qreflect.specialfns import ConvergenceError, bessel_j
 from qreflect.wkb import hyp2f1
 
 # z* = Gamma(3/4)**2/sqrt(pi), also 1 - int_{-inf}^0 e^-u (sqrt(1+e^{4u})-1) du
@@ -80,9 +81,10 @@ class TestBesselJ:
         with pytest.raises(ValueError):
             bessel_j(0.0, -1.0)
 
-    def test_term_budget_exhaustion(self):
+    def test_term_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(specialfns, "MAX_TERMS", 8)
         with pytest.raises(ConvergenceError):
-            bessel_j(0.3, 11.0, SeriesControl(max_terms=8))
+            bessel_j(0.3, 11.0)
 
 
 class TestHyp2f1:
@@ -102,13 +104,3 @@ class TestHyp2f1:
         z_bold = x - tail
         f_from_quad = (z_bold / (2.0 * x)) + 0.5 * math.sqrt(1.0 + x ** -4.0)
         assert hyp2f1(0.5, -0.25, 0.75, -0.5) == pytest.approx(f_from_quad, rel=1e-10)
-
-
-class TestSeriesControl:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SeriesControl(max_terms=4)
-        with pytest.raises(ValueError):
-            SeriesControl(rel_tol=2.0)
-        ctl = SeriesControl(max_terms=64, abs_tol=1e-14, rel_tol=1e-13)
-        assert ctl.max_terms == 64
