@@ -15,7 +15,6 @@ import numpy as np
 from qreflect import (
     HomogeneousPotential,
     TabulatedPotential,
-    SolverControl,
     scattering_length,
 )
 
@@ -39,7 +38,7 @@ lam, c3 = 3.0, 0.6
 z = np.geomspace(0.004, 4000.0, 1200)
 table = TabulatedPotential(z, -c3 / (z ** 3 * (1.0 + z / lam)),
                            cliff_c3=c3, far_c4=c3 * lam)
-full = scattering_length(table, SolverControl(q_match_rel=1e-7))
+full = scattering_length(table)
 print(f"  b            = {full.b:.6f}")
 print(f"  ell          = {full.ell:.6f}")
 print(f"  b / ell      = {full.b / full.ell:.6f}   (no longer 1)")

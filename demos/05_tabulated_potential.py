@@ -15,7 +15,6 @@ Casimir-Polder tabulations, so a synthetic two-tail model stands in here.
 import numpy as np
 
 from qreflect import (
-    SolverControl,
     TabulatedPotential,
     scattering_length,
     solve_direct,
@@ -26,16 +25,15 @@ lam, c3 = 3.0, 0.6
 z = np.geomspace(0.004, 4000.0, 1200)
 pot = TabulatedPotential(z, -c3 / (z ** 3 * (1.0 + z / lam)),
                          cliff_c3=c3, far_c4=c3 * lam)
-ctl = SolverControl(q_match_rel=1e-7)
 
-sl = scattering_length(pot, ctl)
+sl = scattering_length(pot)
 print(f"synthetic potential: b = {sl.b:.4f}, ell = {sl.ell:.4f}, "
       f"b/ell = {sl.b / sl.ell:.4f}")
 print()
 print(f"{'kappa*b':>9} {'R (full)':>10} {'R4(kappa b)':>12} {'R4(kappa ell)':>14}")
 for kb in (0.02, 0.05, 0.119, 0.3, 0.8):
     kappa = kb / sl.b
-    full = solve_direct(pot, kappa * kappa, ctl).R
+    full = solve_direct(pot, kappa * kappa).R
     against_b = solve_v4(kb).R
     against_ell = solve_v4(kappa * sl.ell).R
     print(f"{kb:>9.3f} {full:>10.5f} {against_b:>12.5f} {against_ell:>14.5f}")

@@ -150,10 +150,12 @@ def special_gauge(field: WkbField,
 
     The scale vk = sqrt(kappa * ell_far) collapses the inverse-quartic model
     onto its universal wall (and vk = kappa*zeta_n for a homogeneous V_n
-    exponent n). The domain is truncated where Q has fallen to ``trunc_rel``
-    of its peak, which quantifies the "free asymptotic states" residual; the
-    default is ``SolverControl.q_match_rel``'s, so the wall route matches at
-    the same cut as the others.
+    exponent n). The domain is the field's ``matching_domain(trunc_rel)``:
+    truncated where Q has fallen to ``trunc_rel`` of its peak, which
+    quantifies the "free asymptotic states" residual, or on a threshold tail
+    at the cliff start of the other routes. The default is
+    ``SolverControl.q_match_rel``'s, so the wall route matches at the same
+    cut as the others.
     """
     n, c_n = field.potential.tail_far()
     if n == 4:

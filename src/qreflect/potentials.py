@@ -254,8 +254,7 @@ def e1_unit(mass_kg: float = M_HYDROGEN, g: float = G_STANDARD) -> float:
     return (HBAR ** 2 * mass_kg * g * g / 2.0) ** (1.0 / 3.0) * AIRY_LAMBDA1
 
 
-def load_potential_table(path, mass_kg: float = M_HYDROGEN,
-                         tail_tolerance: float = 0.05) -> TabulatedPotential:
+def load_potential_table(path, mass_kg: float = M_HYDROGEN) -> TabulatedPotential:
     """Read a two-column potential table in atomic units.
 
     Format: ``#`` comment lines, a header line ``# C3=<val> C4=<val>``
@@ -291,5 +290,4 @@ def load_potential_table(path, mass_kg: float = M_HYDROGEN,
     to_reduced = 2.0 * mass_kg * HARTREE * BOHR_RADIUS ** 2 / HBAR ** 2
     z = np.asarray(zs)
     v = np.asarray(vs) * to_reduced
-    return TabulatedPotential(z, v, cliff_c3=c3 * to_reduced, far_c4=c4 * to_reduced,
-                              tail_tolerance=tail_tolerance)
+    return TabulatedPotential(z, v, cliff_c3=c3 * to_reduced, far_c4=c4 * to_reduced)

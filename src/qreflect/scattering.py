@@ -3,9 +3,9 @@
 Three routes to the same amplitudes:
 
 * ``solve_direct``: integrate Psi'' + F Psi = 0 between two matching points
-  where the badlands function is negligible, starting from the leftward WKB
-  wave at the cliff (the one-way condition: everything reaching the surface
-  is absorbed there) and decomposing onto the WKB pair at the far end.
+  where the badlands function is negligible, starting from the field's
+  cliff wave (the one-way condition: everything reaching the surface is
+  absorbed there) and decomposing onto the WKB pair at the far end.
 * ``solve_coupled``: the equivalent first-order system for the amplitudes of
   the two counter-propagating WKB waves.
 * ``solve_transformed``: the same physics after a Liouville transformation,
@@ -55,7 +55,7 @@ class SolverControl:
     """Integration and matching knobs shared by all solvers."""
 
     rtol: float = 1e-12
-    q_match_rel: float = 1e-10    # Q/Q_peak at which WKB matching is applied
+    q_match_rel: float = 1e-10    # matching cut: Q/Q_peak, or E z**n/C_n on a threshold tail
 
     def __post_init__(self):
         if not (0.0 < self.rtol < 1e-3):
@@ -355,14 +355,15 @@ def _as_wave(y) -> tuple[complex, complex]:
 def solve_direct(potential, energy: float, ctl: SolverControl | None = None) -> ScatteringResult:
     """Integrate the Schrodinger equation once across the badlands.
 
-    The wave starts at the cliff-side matching point as the pure leftward
-    WKB wave (full transmission into the surface) and is decomposed on the
-    WKB pair at the far-end matching point, giving r = c+/c- and t = 1/c-.
+    The wave starts at the cliff-side matching point as the field's cliff
+    wave, the one-way wave into the surface (full transmission), and is
+    decomposed on the WKB pair at the far-end matching point, giving
+    r = c+/c- and t = 1/c-.
     """
     ctl = ctl or _DEFAULT_CTL
     fld = WkbField(potential, energy)
     z_min, z_max = fld.matching_domain(ctl.q_match_rel)
-    v0, d0 = fld.wkb_wave(z_min, -1)
+    v0, d0 = fld.cliff_wave(z_min)
 
     def rhs(z, y):
         return (y[1], -fld.f_coeff(z) * y[0])
@@ -376,8 +377,8 @@ def solve_coupled(potential, energy: float, ctl: SolverControl | None = None) ->
 
     The state carries (beta_+, beta_-, phi); the amplitudes obey
     beta_eta' = beta_(-eta) (k'/2k) exp(-2 i eta phi). The initial condition
-    is the exact representation of the leftward WKB wave in this gauge,
-    which includes a first-order dressing term i k'/(4 k**2).
+    is the exact representation of the cliff wave in this gauge; for the
+    leftward WKB wave it carries a first-order dressing term i k'/(4 k**2).
     """
     ctl = ctl or _DEFAULT_CTL
     fld = WkbField(potential, energy)
@@ -402,8 +403,18 @@ def solve_coupled(potential, energy: float, ctl: SolverControl | None = None) ->
     def current(ys):
         return np.abs(ys[1]) ** 2 - np.abs(ys[0]) ** 2
 
-    eps = fld.dk(z_min) / (4.0 * fld.k(z_min) ** 2)
-    y0 = (1j * eps * cmath.exp(-2j * phi0), 1.0 - 1j * eps, phi0)
+    if fld.on_threshold_tail(z_min):
+        # the cliff wave solved for b+- from Psi = b+ w+ + b- w- and
+        # Psi' = ik (b+ w+ - b- w-); the else branch is its closed form for
+        # the leftward WKB wave
+        psi, dpsi = fld.cliff_wave(z_min)
+        k = fld.k(z_min)
+        half = 0.5 * k ** 0.5
+        y0 = ((psi + dpsi / (1j * k)) * half * cmath.exp(-1j * phi0),
+              (psi - dpsi / (1j * k)) * half * cmath.exp(1j * phi0), phi0)
+    else:
+        eps = fld.dk(z_min) / (4.0 * fld.k(z_min) ** 2)
+        y0 = (1j * eps * cmath.exp(-2j * phi0), 1.0 - 1j * eps, phi0)
     return _solve(rhs, (z_min, z_max), y0, 1.0, end_wave, current,
                   fld.wkb_wave, fld.kappa, fld.q, potential.breaks, ctl)
 
@@ -414,7 +425,8 @@ def solve_transformed(problem: TransformedProblem, ctl: SolverControl | None = N
     The state is (Psi_t, dPsi_t/dzt) but the integration walks the *original*
     coordinate, with the map's derivative as Jacobian. The wall shape then
     never needs a numeric map inversion and the endpoints land exactly on
-    the matching points.
+    the matching points. On a threshold tail the start is the field's cliff
+    wave carried over by the map; elsewhere it is the leftward basis wave.
     """
     ctl = ctl or _DEFAULT_CTL
     w_min, _ = problem.domain
@@ -433,8 +445,16 @@ def solve_transformed(problem: TransformedProblem, ctl: SolverControl | None = N
             jac = problem.mapping.derivative(w)
             return (y[1] * jac, -problem.f_transformed_at(w) * y[0] * jac)
 
-    v0, d0 = problem.basis_wave(w_min, -1)
     field = problem.field
+    if field is not None and field.on_threshold_tail(w_min):
+        # the cliff wave carried over: Psi_t = sqrt(zt') Psi and
+        # dPsi_t/dzt = (Psi' + zt''/(2 zt') Psi)/sqrt(zt')
+        psi, dpsi = field.cliff_wave(w_min)
+        d = problem.mapping.derivative(w_min)
+        v0 = math.sqrt(d) * psi
+        d0 = (dpsi + 0.5 * problem.mapping.dderivative(w_min) / d * psi) / math.sqrt(d)
+    else:
+        v0, d0 = problem.basis_wave(w_min, -1)
     kappa = field.kappa if field is not None else math.sqrt(problem.e_bold)
     return _solve(rhs, problem.domain, (v0, d0), max(abs(v0), 1.0),
                   _as_wave, _wave_current, problem.basis_wave, kappa,

@@ -3,7 +3,9 @@
 A ``WkbField`` bundles the local wavevector k_dB = sqrt(E - V), the WKB
 amplitude 1/sqrt(k_dB), the action phase with the far-end convention
 phi(z) - kappa z -> 0, and the breakdown measure Q(z) (the "badlands"
-function) that localizes where quantum reflection happens.
+function) that localizes where quantum reflection happens. On the inner
+power-law tail of an n != 4 cliff, the routes start instead on the exact
+threshold wave of that tail (``cliff_wave``).
 
 All derivatives of k_dB are analytic, propagated from the potential's own
 derivatives; Q needs two of them and finite differences of tabulated data
@@ -16,12 +18,12 @@ import cmath
 import math
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cache, cached_property
+from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import hyp2f1, roots_legendre
+from scipy.special import hankel1, hyp2f1, roots_legendre
 
 from .potentials import HomogeneousPotential
 
@@ -71,8 +73,14 @@ def phase_coordinate(x: float, n: int) -> float:
     if x >= _HYP_SWITCH:
         f = float(hyp2f1(0.5, -1.0 / n, 1.0 - 1.0 / n, -x ** float(-n)))
         return n * x / (n - 2.0) * (f - (2.0 / n) * math.sqrt(1.0 + x ** float(-n)))
-    return (phase_coordinate(_HYP_SWITCH, n) - _cliff_antiderivative(_HYP_SWITCH, n)
-            + _cliff_antiderivative(x, n))
+    return _cliff_offset(n) + _cliff_antiderivative(x, n)
+
+
+@cache
+def _cliff_offset(n: int) -> float:
+    """phase_coordinate - G below x = 1.2, which is also the limit of
+    phase_coordinate(x) + 2/(n - 2) x**(1 - n/2) as x -> 0."""
+    return phase_coordinate(_HYP_SWITCH, n) - _cliff_antiderivative(_HYP_SWITCH, n)
 
 
 def _cliff_antiderivative(t: float, n: int) -> float:
@@ -171,6 +179,10 @@ class WkbField:
 
     potential: object
     energy: float
+    # the phase table of a tabulated potential, built on first use; a field,
+    # not a cached_property, so that filling it keeps the instance's attribute
+    # layout: a new instance-dict key slows every attribute read in the RHS
+    _table: _PhaseTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.energy <= 0.0:
@@ -204,11 +216,59 @@ class WkbField:
             return self.kappa * zeta * phase_coordinate(z / zeta, n)
         return self._phase_table.phi(z)
 
-    @cached_property
+    @property
     def _phase_table(self) -> _PhaseTable:
         # per field, not per potential in a module cache: a field lives for
         # one solve, so its table goes when the solve is done
-        return _PhaseTable(self.potential, self.energy)
+        if self._table is None:
+            object.__setattr__(self, "_table", _PhaseTable(self.potential, self.energy))
+        return self._table
+
+    @property
+    def _threshold_tail(self) -> tuple[int, float, float] | None:
+        """(n, C_n, z_top) of the inner tail: V = -C_n/z**n exactly for z <= z_top.
+
+        None for n = 4, where the WKB wave with E included is the better
+        cliff start: there Q falls like z**6 and E z**4/C_4 only like z**4.
+        Not cached, for the reason given at ``_table``.
+        """
+        if isinstance(self.potential, HomogeneousPotential):
+            n, c_n = self.potential.tail_far()
+            return None if n == 4 else (n, c_n, math.inf)
+        return 3, self.potential.cliff_c3_matched, self.potential.z_min
+
+    def on_threshold_tail(self, z: float) -> bool:
+        """Whether ``cliff_wave(z)`` is the threshold wave of the inner tail."""
+        tail = self._threshold_tail
+        return tail is not None and z <= tail[2]
+
+    def cliff_wave(self, z: float) -> tuple[complex, complex]:
+        """The one-way wave into the surface at a cliff start z, and its derivative.
+
+        On the inner tail (``on_threshold_tail``) it is the threshold solution
+        of psi'' + C_n z**-n psi = 0 (Friedrich & Trost, Phys. Rep. 397, 359),
+        c sqrt(z) H1_nu(x) with nu = 1/(n - 2) and x = 2 sqrt(C_n)/(n - 2)
+        z**(-(n - 2)/2); its only error is the neglected E z**n/C_n. With
+        phi -> phi_0 - x as z -> 0, the Hankel asymptote (DLMF 10.17.5) gives
+        c = sqrt(pi/(n - 2)) e^(i(nu pi/2 + pi/4 - phi_0)), so the wave tends
+        to ``wkb_wave(z, -1)`` and carries its flux, -1. Elsewhere it is
+        ``wkb_wave(z, -1)``.
+        """
+        if not self.on_threshold_tail(z):
+            return self.wkb_wave(z, -1)
+        n, c_n, _ = self._threshold_tail
+        if isinstance(self.potential, HomogeneousPotential):
+            phi_0 = self.kappa * (c_n / self.energy) ** (1.0 / n) * _cliff_offset(n)
+        else:
+            table = self._phase_table
+            phi_0 = table.phi_cliff + table.kz3 * _cliff_offset(3)
+        nu = 1.0 / (n - 2)
+        x = 2.0 * nu * math.sqrt(c_n) * z ** (-0.5 * (n - 2))
+        h, h_lower = hankel1((nu, nu - 1.0), x).tolist()
+        c = math.sqrt(math.pi * nu) * cmath.exp(1j * (0.5 * math.pi * nu + 0.25 * math.pi - phi_0))
+        root = math.sqrt(z)
+        # d/dz via H'_nu = H_(nu-1) - (nu/x) H_nu and dx/dz = -x/(2 nu z)
+        return c * root * h, c / root * (h - 0.5 * x / nu * h_lower)
 
     def wkb_wave(self, z: float, direction: int) -> tuple[complex, complex]:
         """WKB wave alpha e^(i eta phi) and its exact derivative, eta = +-1."""
@@ -262,7 +322,12 @@ class WkbField:
         return z_peak, self.q(z_peak)
 
     def matching_domain(self, q_rel: float = 1e-10) -> tuple[float, float]:
-        """(z_min, z_max) where Q has fallen to q_rel of its peak on each side."""
+        """(z_min, z_max) where Q has fallen to q_rel of its peak on each side.
+
+        Where the cliff-side crossing lies on the inner tail of an n != 4
+        cliff, z_min is instead the shallowest point of that tail with
+        E z**n/C_n <= q_rel: there ``cliff_wave`` is exact but for that E.
+        """
         if not (0.0 < q_rel < 1.0):
             raise ValueError("q_rel must lie in (0, 1)")
         z_peak, q_peak = self.q_peak()
@@ -277,7 +342,11 @@ class WkbField:
         hi = z_peak
         while self.q(hi) > target:
             hi *= 2.0
-        return crossing(lo, min(2.0 * lo, z_peak)), crossing(max(hi / 2.0, z_peak), hi)
+        z_min = crossing(lo, min(2.0 * lo, z_peak))
+        if self.on_threshold_tail(z_min):
+            n, c_n, z_top = self._threshold_tail
+            z_min = min(z_top, (q_rel * c_n / self.energy) ** (1.0 / n))
+        return z_min, crossing(max(hi / 2.0, z_peak), hi)
 
 
 def _golden_max(f, a: float, b: float, tol: float = 1e-12) -> float:

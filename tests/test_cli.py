@@ -153,6 +153,44 @@ class TestReflect:
         assert float(row["gauge_residual"]) < 1e-7
         assert elapsed < 60.0
 
+    def test_table_all_methods_at_the_default_cut(self, tmp_path):
+        # the routes start on the threshold wave at the table's first node
+        table = write_cp_table(tmp_path)
+        start = time.perf_counter()
+        code, text = run(tmp_path, "td.csv",
+                         ["reflect", "--table", str(table), "--energy-e1", "100",
+                          "--method", "all"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        row = csv_rows(text)[1][0]
+        assert row["status"] == "ok"
+        assert float(row["method_spread"]) <= 1e-8
+        assert elapsed < 20.0
+        # R of a WKB cliff start at cut 1e-11, at 3e-7 a0 deep in the glued
+        # tail (18 s for the direct route alone)
+        assert float(row["R_direct"]) == pytest.approx(0.705453141207, abs=1e-10)
+
+    def test_table_cliff_is_converged_in_the_cut(self, tmp_path):
+        table = write_cp_table(tmp_path)
+        values = []
+        for cut in ("1e-10", "1e-12"):
+            code, text = run(tmp_path, f"tc{cut}.csv",
+                             ["reflect", "--table", str(table), "--energy-e1", "100",
+                              "--method", "direct", "--q-match", cut])
+            assert code == 0
+            values.append(float(csv_rows(text)[1][0]["R_direct"]))
+        assert abs(values[0] - values[1]) < 1e-9
+
+    def test_cubic_model_all_methods_in_bounded_time(self, tmp_path):
+        start = time.perf_counter()
+        code, text = run(tmp_path, "v3a.csv",
+                         ["reflect", "--model", "vn", "--n", "3", "--energy-e1", "1000",
+                          "--method", "all"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert csv_rows(text)[1][0]["status"] == "ok"
+        assert elapsed < 20.0
+
     def test_table_ingestion_with_e1_energies(self, tmp_path):
         table = write_cp_table(tmp_path)
         code, text = run(tmp_path, "t.csv",
@@ -300,6 +338,15 @@ class TestScatlength:
         assert rec["b_over_ell"] == pytest.approx(1.0, abs=0.01)
         assert rec["fit_residual"] < 1e-4
         assert rec["b"] == -rec["a_im"]
+
+    def test_table_in_bounded_time(self, tmp_path):
+        table = write_cp_table(tmp_path)
+        start = time.perf_counter()
+        code, text = run(tmp_path, "st.csv", ["scatlength", "--table", str(table)])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert float(csv_rows(text)[1][0]["b"]) > 0.0
+        assert elapsed < 20.0
 
     def test_strength_scaling(self, tmp_path):
         _, text1 = run(tmp_path, "s1.json",

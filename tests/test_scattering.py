@@ -188,8 +188,9 @@ class TestScalarDop853:
                              + ["table", "decay", "oscillators"])
     def test_kernel_matches_loop(self, monkeypatch, case):
         # the generated attempt does the loop's arithmetic: the same steps and
-        # the same bits ("table" ends 469 steps on spline knots and rejects
-        # a few attempts: 3289 accepted)
+        # the same bits ("table" starts on the threshold wave at the table's
+        # first node, ends 468 steps on spline knots and rejects a few
+        # attempts: 539 accepted)
         pairs = []
 
         def both(*args, **kwargs):
@@ -204,7 +205,7 @@ class TestScalarDop853:
         assert (sol.nfev, sol.success) == (ref.nfev, ref.success)
         assert sol.success and len(sol.t) > 10
         if case == "table":
-            assert len(sol.t) - 1 == 3289
+            assert len(sol.t) - 1 == 539
             assert sol.nfev > 12 * (len(sol.t) - 1) + 2   # rejected attempts
 
     def test_no_kernel_at_import(self):
@@ -257,6 +258,78 @@ class TestScalarDop853:
                             lambda self, z: f_coeff(self, z) if z < z_nan else math.nan)
         with pytest.raises(RuntimeError, match="integration failed: Required step size"):
             solve_direct(v4(1.0), 1.0)
+
+
+def two_tail_table() -> TabulatedPotential:
+    lam, c3 = 3.0, 0.6
+    z = np.geomspace(0.004, 4000.0, 700)
+    return TabulatedPotential(z, -c3 / (z ** 3 * (1.0 + z / lam)), cliff_c3=c3, far_c4=c3 * lam)
+
+
+class TestCliffStart:
+    # accepted steps and RHS calls per route on v4 at the default cut, as
+    # before the threshold cliff start: n = 4 keeps the WKB start
+    V4_WORK = {
+        (0.119, "direct"): (307, 3710), (0.119, "coupled"): (254, 3074),
+        (0.119, "transformed"): (317, 3854),
+        (1.0, "direct"): (775, 9326), (1.0, "coupled"): (590, 7106),
+        (1.0, "transformed"): (775, 9326),
+        (10.0, "direct"): (2340, 28106), (10.0, "coupled"): (1726, 20738),
+        (10.0, "transformed"): (2336, 28058),
+    }
+
+    @pytest.mark.parametrize("kl", [0.119, 1.0, 10.0])
+    @pytest.mark.parametrize("route", ["direct", "coupled", "transformed"])
+    def test_quartic_starts_on_the_wkb_wave(self, monkeypatch, route, kl):
+        sols = spy_integrations(monkeypatch, solve_ivp)
+        solve_route(route, kl)
+        (sol,) = sols
+        fld = WkbField(v4(kl), kl)
+        z_min, z_max = fld.matching_domain(SolverControl().q_match_rel)
+        assert (sol.t[0], sol.t[-1]) == (z_min, z_max)
+        if route == "direct":
+            start = fld.wkb_wave(z_min, -1)
+        elif route == "coupled":
+            phi0 = fld.phi(z_min)
+            eps = fld.dk(z_min) / (4.0 * fld.k(z_min) ** 2)
+            start = (1j * eps * cmath.exp(-2j * phi0), 1.0 - 1j * eps, phi0)
+        else:
+            start = special_gauge(fld)[1].basis_wave(z_min, -1)
+        assert tuple(sol.y[:, 0].tolist()) == start
+        assert (len(sol.t) - 1, sol.nfev) == self.V4_WORK[kl, route]
+
+    def test_routes_share_the_threshold_wave(self, monkeypatch):
+        # each route's start state maps back to the same (Psi, Psi') at z_min
+        pot, energy = two_tail_table(), 0.02
+        sols = spy_integrations(monkeypatch, solve_ivp)
+        res = [solve_direct(pot, energy), solve_coupled(pot, energy),
+               solve_transformed(special_gauge(WkbField(pot, energy))[1])]
+        fld = WkbField(pot, energy)
+        z_min, _ = fld.matching_domain(SolverControl().q_match_rel)
+        assert fld.on_threshold_tail(z_min)
+        psi, dpsi = fld.cliff_wave(z_min)
+        assert all(sol.t[0] == z_min for sol in sols)
+        direct, coupled, wall = (sol.y[:, 0].tolist() for sol in sols)
+        assert direct == [psi, dpsi]
+        k, phi = fld.k(z_min), fld.phi(z_min)
+        wp, wm = k ** -0.5 * cmath.exp(1j * phi), k ** -0.5 * cmath.exp(-1j * phi)
+        bp, bm, _ = coupled
+        assert bp * wp + bm * wm == pytest.approx(psi, rel=1e-14)
+        assert 1j * k * (bp * wp - bm * wm) == pytest.approx(dpsi, rel=1e-14)
+        vk = math.sqrt(special_gauge(fld)[1].e_bold)
+        root = math.sqrt(k / vk)
+        assert wall[0] / root == pytest.approx(psi, rel=1e-14)
+        assert wall[1] * root - fld.dk(z_min) / (2.0 * k) * psi == pytest.approx(dpsi, rel=1e-13)
+        for other in res[1:]:
+            assert abs(other.r - res[0].r) < 1e-9
+
+    def test_table_error_is_linear_in_the_cut(self):
+        # the threshold start errs by E z**3/C_3 <= cut and the far end by
+        # about Q there, so r converges like the cut: 8 to 34 cut here
+        pot = two_tail_table()
+        ref = solve_direct(pot, 0.02, SolverControl(q_match_rel=1e-13)).r
+        for cut in (1e-8, 1e-10, 1e-12):
+            assert abs(solve_direct(pot, 0.02, SolverControl(q_match_rel=cut)).r - ref) < 50.0 * cut
 
 
 class TestWronskian:

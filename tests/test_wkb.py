@@ -291,3 +291,81 @@ class TestBadlands:
         assert q_peak > 0.0
         grid = np.geomspace(z_peak / 40.0, z_peak * 40.0, 300)
         assert q_peak >= max(fld.q(float(t)) for t in grid) * (1.0 - 1e-6)
+
+
+def two_tail_table() -> TabulatedPotential:
+    lam, c3 = 3.0, 0.6
+    z = np.geomspace(0.004, 4000.0, 700)
+    return TabulatedPotential(z, -c3 / (z ** 3 * (1.0 + z / lam)), cliff_c3=c3, far_c4=c3 * lam)
+
+
+def cliff_cases():
+    """(field, n, C_n) of a cubic, a quintic and a tabulated cliff."""
+    table = two_tail_table()
+    return [(WkbField(HomogeneousPotential(3, 1.0), 1.0), 3, 1.0),
+            (WkbField(HomogeneousPotential(5, 0.7), 0.3), 5, 0.7),
+            (WkbField(table, 0.02), 3, table.cliff_c3_matched)]
+
+
+class TestCliffWave:
+    @pytest.mark.parametrize("case", [0, 1, 2], ids=["n3", "n5", "table"])
+    def test_tends_to_the_leftward_wkb_wave(self, case):
+        # the WKB wave differs from the exact threshold wave by the first
+        # term of the Hankel asymptote, i (4 nu**2 - 1)/(8 x) (DLMF 10.17.5);
+        # beyond it both agree to 1e-9 where E z**n/C_n is far below 1e-12
+        fld, n, c_n = cliff_cases()[case]
+        nu = 1.0 / (n - 2)
+        for x in (3e4, 1e5):
+            z = (2.0 * nu * math.sqrt(c_n) / x) ** (2.0 / (n - 2))
+            assert fld.energy * z ** n / c_n <= 1e-12
+            assert fld.on_threshold_tail(z)
+            value, derivative = fld.cliff_wave(z)
+            w_value, w_derivative = fld.wkb_wave(z, -1)
+            first = 1.0 + 1j * (4.0 * nu * nu - 1.0) / (8.0 * x)
+            assert abs(value / w_value - first) < 1e-9
+            assert abs(derivative / w_derivative - first) < 1e-9
+            # and the first term is what sets them apart
+            assert abs(value / w_value - 1.0) == pytest.approx(abs(first - 1.0), rel=1e-3)
+
+    @pytest.mark.parametrize("case", [0, 1, 2], ids=["n3", "n5", "table"])
+    def test_carries_the_wkb_flux(self, case):
+        fld, n, c_n = cliff_cases()[case]
+        z_min, _ = fld.matching_domain(1e-10)
+        for z in (z_min, 0.1 * z_min, 1e-3 * z_min):
+            value, derivative = fld.cliff_wave(z)
+            assert (value.conjugate() * derivative).imag == pytest.approx(-1.0, abs=1e-13)
+
+    def test_quartic_keeps_the_wkb_start(self):
+        fld = v4_field(0.119)
+        z_min, z_max = fld.matching_domain(1e-10)
+        _, q_peak = fld.q_peak()
+        assert fld.q(z_min) / q_peak == pytest.approx(1e-10, rel=1e-6)
+        for z in (z_min, 1e-3 * z_min):
+            assert not fld.on_threshold_tail(z)
+            assert fld.cliff_wave(z) == fld.wkb_wave(z, -1)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_homogeneous_starts_where_e_reaches_the_cut(self, n):
+        # for n = 5 the Q cut would sit where Q changes sign, near z = zeta/2
+        fld = WkbField(HomogeneousPotential(n, 0.7), 0.3)
+        for cut in (1e-6, 1e-10):
+            z_min, _ = fld.matching_domain(cut)
+            assert z_min == (cut * 0.7 / 0.3) ** (1.0 / n)
+            assert fld.on_threshold_tail(z_min)
+
+    def test_table_starts_on_its_tail(self):
+        # below the first node the threshold point (cut 1e-10); capped at the
+        # first node (1e-6, 1e-4); where the Q cut lies inside the table, the
+        # WKB wave there (1e-3)
+        fld = WkbField(two_tail_table(), 0.02)
+        c3 = fld.potential.cliff_c3_matched
+        z_min, _ = fld.matching_domain(1e-10)
+        assert z_min == (1e-10 * c3 / 0.02) ** (1.0 / 3.0) < 0.004
+        for cut in (1e-6, 1e-4):
+            assert fld.matching_domain(cut)[0] == 0.004
+        z_min, _ = fld.matching_domain(1e-3)
+        _, q_peak = fld.q_peak()
+        assert z_min > 0.004
+        assert fld.q(z_min) / q_peak == pytest.approx(1e-3, rel=1e-6)
+        assert not fld.on_threshold_tail(z_min)
+        assert fld.cliff_wave(z_min) == fld.wkb_wave(z_min, -1)
