@@ -50,7 +50,7 @@ class LiouvilleMap:
     forward: Callable[[float], float]
     derivative: Callable[[float], float]
     schwarzian: Callable[[float], float]
-    dderivative: Callable[[float], float] | None = None
+    dderivative: Callable[[float], float]
 
     def __call__(self, z: float) -> float:
         return self.forward(z)
@@ -59,65 +59,56 @@ class LiouvilleMap:
 def affine_map(a: float, b: float = 0.0) -> LiouvilleMap:
     if a <= 0.0:
         raise ValueError("affine slope must be positive for a monotone map")
-    return LiouvilleMap(lambda z: a * z + b, lambda z: a, lambda z: 0.0,
-                        dderivative=lambda z: 0.0)
+    return LiouvilleMap(lambda z: a * z + b, lambda z: a, lambda z: 0.0, lambda z: 0.0)
 
 
 @dataclass(frozen=True)
 class TransformedProblem:
-    """A Schrodinger problem after a Liouville transformation.
+    """A WKB field's Schrodinger problem after a Liouville transformation.
 
     Everything is parametrized by the *original* coordinate, so no numeric
-    inversion is needed: F_t and the wall shape are evaluated at z while the
-    transformed coordinate advances through dz/dzt = 1/map.derivative(z).
-    For the special gauge the matching basis is a pair of plane waves
-    exp(+-i vk zt)/sqrt(vk); for other maps it is the image of the original
-    WKB waves.
+    inversion is needed: ``coefficients(z)`` gives (zt'(z), F_t(zt(z))), and
+    the transformed coordinate advances through dz/dzt = 1/zt'(z). Waves
+    cross between the gauges by ``carry`` and ``uncarry``, so the field's
+    own cliff and WKB waves serve as the start and the matching basis.
     """
 
     mapping: LiouvilleMap
-    f_original: Callable[[float], float]
+    field: WkbField
     domain: tuple[float, float]           # in the original coordinate
-    field: WkbField | None = None         # set when built from a WKB field
-    vk: float | None = None               # special gauge only: its scale
-    e_bold: float | None = None           # special gauge only: vk**2
-    v_bold: Callable[[float], float] | None = None  # wall height at original z
-    plane_wave_basis: bool = False
+    coefficients: Callable[[float], tuple[float, float]]
+    vk: float | None = None               # the wall gauge's scale
 
-    def f_transformed_at(self, z: float) -> float:
-        """F_t(zt(z)) through the forward form of the transformation."""
-        d = self.mapping.derivative(z)
-        return (self.f_original(z) - 0.5 * self.mapping.schwarzian(z)) / d ** 2
+    @property
+    def e_bold(self) -> float:
+        """Energy on the wall, vk**2."""
+        return self.vk * self.vk
 
-    def basis_wave(self, z: float, direction: int) -> tuple[complex, complex]:
-        """Matching wave and its zt-derivative at original coordinate z."""
-        if self.plane_wave_basis:
-            vk = math.sqrt(self.e_bold)
-            zt = self.mapping.forward(z)
-            value = vk ** -0.5 * complex(math.cos(direction * vk * zt),
-                                         math.sin(direction * vk * zt))
-            return value, 1j * direction * vk * value
-        if self.field is None:
-            raise ValueError("no matching basis available for this problem")
-        # image of the original WKB wave: k_t = k/d, phase carried through
+    def v_bold(self, z: float) -> float:
+        """Wall height vk**2 Q at original coordinate z."""
+        return self.vk * self.vk * self.field.q(z)
+
+    def carry(self, z: float, wave: tuple[complex, complex]) -> tuple[complex, complex]:
+        """(Psi, Psi') at z to (Psi_t, dPsi_t/dzt): Psi_t = sqrt(zt') Psi and
+        dPsi_t/dzt = (Psi' + zt''/(2 zt') Psi)/sqrt(zt')."""
+        psi, dpsi = wave
         d = self.mapping.derivative(z)
-        dd = self.mapping.dderivative(z) if self.mapping.dderivative else None
-        if dd is None:
-            raise ValueError("mapped WKB basis needs the map's second derivative")
-        k = self.field.k(z)
-        kt = k / d
-        dkt_dzt = (self.field.dk(z) - k * dd / d) / d ** 2
-        value = kt ** -0.5 * complex(math.cos(direction * self.field.phi(z)),
-                                     math.sin(direction * self.field.phi(z)))
-        derivative = (-dkt_dzt / (2.0 * kt) + 1j * direction * kt) * value
-        return value, derivative
+        root = math.sqrt(d)
+        return root * psi, (dpsi + 0.5 * self.mapping.dderivative(z) / d * psi) / root
+
+    def uncarry(self, z: float, state) -> tuple[complex, complex]:
+        """The inverse of ``carry``: (Psi_t, dPsi_t/dzt) at z back to (Psi, Psi')."""
+        psi_t, dpsi_t = state
+        d = self.mapping.derivative(z)
+        root = math.sqrt(d)
+        psi = psi_t / root
+        return psi, dpsi_t * root - 0.5 * self.mapping.dderivative(z) / d * psi
 
     def probe(self, n_points: int = 400):
         """Sample the wall as (zt, V_bold) arrays over the domain."""
-        if self.v_bold is None:
+        if self.vk is None:
             raise ValueError("probe needs a wall-form problem (special gauge)")
-        a, b = self.domain
-        zs = np.geomspace(a, b, n_points) if a > 0 else np.linspace(a, b, n_points)
+        zs = np.geomspace(*self.domain, n_points)
         zts = np.array([self.mapping.forward(z) for z in zs])
         vb = np.array([self.v_bold(z) for z in zs])
         return zts, vb
@@ -133,15 +124,21 @@ def wall_sign_summary(v_bold: np.ndarray) -> tuple[float, float]:
     return float(v_bold.min()), float(np.mean(v_bold < 0.0))
 
 
-def transform_f(mapping: LiouvilleMap, f: Callable[[float], float],
-                domain: tuple[float, float], field: WkbField | None = None) -> TransformedProblem:
-    """Transform a Schrodinger coefficient F under a Liouville map."""
+def transform_f(mapping: LiouvilleMap, field: WkbField,
+                domain: tuple[float, float]) -> TransformedProblem:
+    """Transform a field's Schrodinger coefficient F under a Liouville map."""
     a, b = domain
     if not (a < b):
         raise ValueError("domain must be an increasing interval")
     if mapping.derivative(0.5 * (a + b)) <= 0.0 or mapping.derivative(a) <= 0.0:
         raise ValueError("map must be strictly increasing on the domain")
-    return TransformedProblem(mapping=mapping, f_original=f, domain=domain, field=field)
+
+    def coefficients(z):
+        d = mapping.derivative(z)
+        return d, (field.f_coeff(z) - 0.5 * mapping.schwarzian(z)) / d ** 2
+
+    return TransformedProblem(mapping=mapping, field=field, domain=domain,
+                              coefficients=coefficients)
 
 
 def special_gauge(field: WkbField,
@@ -162,6 +159,7 @@ def special_gauge(field: WkbField,
         vk = math.sqrt(field.kappa * math.sqrt(c_n))
     else:
         vk = field.kappa * (c_n / field.energy) ** (1.0 / n)
+    e_bold = vk * vk
 
     mapping = LiouvilleMap(
         forward=lambda z: field.phi(z) / vk,
@@ -169,17 +167,16 @@ def special_gauge(field: WkbField,
         schwarzian=lambda z: 2.0 * field.q(z) * field.k(z) ** 2,
         dderivative=lambda z: field.dk(z) / vk,
     )
-    domain = field.matching_domain(trunc_rel)
-    problem = TransformedProblem(
-        mapping=mapping,
-        f_original=field.f_coeff,
-        domain=domain,
-        field=field,
-        vk=vk,
-        e_bold=vk * vk,
-        v_bold=lambda z: vk * vk * field.q(z),
-        plane_wave_basis=True,
-    )
+
+    def coefficients(z):
+        # the Jacobian k/vk and the wall vk**2 Q from one pass over the
+        # potential, where the map would evaluate it twice
+        k, q = field.k_q(z)
+        return k / vk, e_bold - vk * vk * q
+
+    problem = TransformedProblem(mapping=mapping, field=field,
+                                 domain=field.matching_domain(trunc_rel),
+                                 coefficients=coefficients, vk=vk)
     return mapping, problem
 
 
@@ -237,10 +234,9 @@ def wall_integral(problem: TransformedProblem) -> float:
     over (0, inf); positive for every attractive potential. The summed
     quadrature error estimates must stay below 1e-3 of the result.
     """
-    if problem.e_bold is None or problem.field is None:
+    if problem.vk is None:
         raise ValueError("wall integral is defined for special-gauge problems")
-    field = problem.field
-    vk = math.sqrt(problem.e_bold)
+    field, vk = problem.field, problem.vk
     z_peak, _ = field.q_peak()
 
     def integrand(z):

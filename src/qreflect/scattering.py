@@ -11,6 +11,9 @@ Three routes to the same amplitudes:
 * ``solve_transformed``: the same physics after a Liouville transformation,
   e.g. on the repulsive wall of the special gauge.
 
+All three start on one wave and end on one basis, the field's cliff wave and
+WKB pair; each route only maps them into and out of its own state.
+
 Conventions: r and t are defined for a wave incident from the far end; the
 incoming/transmitted wave at the cliff carries the WKB phase anchored by
 phi(z) - kappa z -> 0 at infinity, which fixes the transmission phase factor
@@ -106,8 +109,8 @@ class Diagnostics:
     det_t_residual: float
     wronskian_drift: float
     current_residual: float
-    matching_q_left: float
-    matching_q_right: float
+    matching_q_left: float     # the start's own error: Q, or E z**n/C_n on a threshold tail
+    matching_q_right: float    # Q at the far end
 
 
 @dataclass(frozen=True)
@@ -311,23 +314,24 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float, breaks=()) -> OdeResult
                      "The solver successfully reached the end of the integration interval.")
 
 
-def _solve(rhs, span: tuple[float, float], y0, atol_scale: float, end_wave, current,
-           basis, kappa: float, q, breaks, ctl: SolverControl) -> ScatteringResult:
-    """Integrate one route across ``span`` and assemble its amplitudes.
+def _solve(fld: WkbField, domain: tuple[float, float], ctl: SolverControl,
+           rhs, current, atol_scale, enter, leave) -> ScatteringResult:
+    """Integrate one route across ``domain`` and assemble its amplitudes.
 
-    The route supplies its RHS and initial state, ``end_wave`` mapping its end
-    state to (Psi, Psi'), the conserved ``current`` of its states (for the
-    Wronskian drift over every accepted step), the matching
-    ``basis(z, direction)``, ``q`` for the badlands at the matching points
-    (None when it has no WKB field) and the potential's ``breaks``.
+    Every route starts on the field's cliff wave at z_min and is decomposed
+    on its WKB pair at z_max. The route supplies its ``rhs``, the conserved
+    ``current`` of its states (for the Wronskian drift over every accepted
+    step), ``atol_scale(y0)`` of its start state, ``enter(z, (Psi, Psi'))``
+    mapping a wave into its state and ``leave(z, y)`` mapping a state back.
     """
-    sol = solve_ivp(rhs, span, y0, rtol=ctl.rtol, atol=ATOL_FACTOR * atol_scale,
-                    breaks=breaks)
+    z_min, z_max = domain
+    y0 = enter(z_min, fld.cliff_wave(z_min))
+    sol = solve_ivp(rhs, domain, y0, rtol=ctl.rtol, atol=ATOL_FACTOR * atol_scale(y0),
+                    breaks=fld.potential.breaks)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
-    psi, dpsi = end_wave(sol.y[:, -1])
-    z_min, z_max = span
-    cp, cm = _decompose(psi, dpsi, basis(z_max, +1), basis(z_max, -1))
+    psi, dpsi = leave(z_max, sol.y[:, -1])
+    cp, cm = _decompose(psi, dpsi, fld.wkb_wave(z_max, +1), fld.wkb_wave(z_max, -1))
     cur = current(sol.y)
     drift = float(np.max(np.abs(cur - cur[0])) / abs(cur[0]))
     transfer, smatrix = _matrices_from_coefficients(cp, cm)
@@ -336,10 +340,10 @@ def _solve(rhs, span: tuple[float, float], y0, atol_scale: float, end_wave, curr
         det_t_residual=abs(transfer.det() - 1.0),
         wronskian_drift=drift,
         current_residual=abs(abs(cm) ** 2 - abs(cp) ** 2 - 1.0),
-        matching_q_left=q(z_min) if q is not None else 0.0,
-        matching_q_right=q(z_max) if q is not None else 0.0,
+        matching_q_left=fld.cliff_residual(z_min),
+        matching_q_right=fld.q(z_max),
     )
-    return ScatteringResult(kappa=kappa, r=cp / cm, t=1.0 / cm,
+    return ScatteringResult(kappa=fld.kappa, r=cp / cm, t=1.0 / cm,
                             transfer=transfer, smatrix=smatrix, diagnostics=diags)
 
 
@@ -348,8 +352,8 @@ def _wave_current(ys) -> np.ndarray:
     return np.imag(np.conj(ys[0]) * ys[1])
 
 
-def _as_wave(y) -> tuple[complex, complex]:
-    return y[0], y[1]
+def _same(z, y):
+    return y
 
 
 def solve_direct(potential, energy: float, ctl: SolverControl | None = None) -> ScatteringResult:
@@ -362,28 +366,44 @@ def solve_direct(potential, energy: float, ctl: SolverControl | None = None) -> 
     """
     ctl = ctl or _DEFAULT_CTL
     fld = WkbField(potential, energy)
-    z_min, z_max = fld.matching_domain(ctl.q_match_rel)
-    v0, d0 = fld.cliff_wave(z_min)
 
     def rhs(z, y):
         return (y[1], -fld.f_coeff(z) * y[0])
 
-    return _solve(rhs, (z_min, z_max), (v0, d0), abs(v0), _as_wave, _wave_current,
-                  fld.wkb_wave, fld.kappa, fld.q, potential.breaks, ctl)
+    return _solve(fld, fld.matching_domain(ctl.q_match_rel), ctl, rhs, _wave_current,
+                  lambda y0: abs(y0[0]), _same, _same)
+
+
+def _amplitudes(fld: WkbField, z: float, wave: tuple[complex, complex]):
+    """(b+, b-, phi) at z of a wave solved from Psi = b+ w+ + b- w- and
+    Psi' = ik (b+ w+ - b- w-), w+- = alpha e^(+-i phi) the WKB waves."""
+    psi, dpsi = wave
+    k, phi = fld.k(z), fld.phi(z)
+    half = 0.5 * k ** 0.5
+    return ((psi + dpsi / (1j * k)) * half * cmath.exp(-1j * phi),
+            (psi - dpsi / (1j * k)) * half * cmath.exp(1j * phi), phi)
+
+
+def _amplitude_wave(fld: WkbField, z: float, y) -> tuple[complex, complex]:
+    """The inverse of ``_amplitudes``: (b+, b-, phi) at z back to (Psi, Psi')."""
+    bp, bm, ph = y
+    k = fld.k(z)
+    al = k ** -0.5
+    wp = al * cmath.exp(1j * ph)
+    wm = al * cmath.exp(-1j * ph)
+    return bp * wp + bm * wm, 1j * k * (bp * wp - bm * wm)
 
 
 def solve_coupled(potential, energy: float, ctl: SolverControl | None = None) -> ScatteringResult:
     """Same problem as ``solve_direct`` in counter-propagating amplitudes.
 
     The state carries (beta_+, beta_-, phi); the amplitudes obey
-    beta_eta' = beta_(-eta) (k'/2k) exp(-2 i eta phi). The initial condition
-    is the exact representation of the cliff wave in this gauge; for the
-    leftward WKB wave it carries a first-order dressing term i k'/(4 k**2).
+    beta_eta' = beta_(-eta) (k'/2k) exp(-2 i eta phi). The cliff wave enters
+    this gauge exactly; the leftward WKB wave, for one, enters with a
+    first-order dressing beta_+ = i k'/(4 k**2) e^(-2 i phi).
     """
     ctl = ctl or _DEFAULT_CTL
     fld = WkbField(potential, energy)
-    z_min, z_max = fld.matching_domain(ctl.q_match_rel)
-    phi0 = fld.phi(z_min)
 
     def rhs(z, y):
         k = fld.k(z)
@@ -391,32 +411,12 @@ def solve_coupled(potential, energy: float, ctl: SolverControl | None = None) ->
         rot = cmath.exp(-2j * y[2].real)
         return (y[1] * g * rot, y[0] * g / rot, k)
 
-    def end_wave(y):
-        # gauge-consistent derivative: Psi' = ik (b+ w+ - b- w-) exactly
-        bp, bm, ph = y
-        k_end = fld.k(z_max)
-        al = k_end ** -0.5
-        wp = al * cmath.exp(1j * ph)
-        wm = al * cmath.exp(-1j * ph)
-        return bp * wp + bm * wm, 1j * k_end * (bp * wp - bm * wm)
-
     def current(ys):
         return np.abs(ys[1]) ** 2 - np.abs(ys[0]) ** 2
 
-    if fld.on_threshold_tail(z_min):
-        # the cliff wave solved for b+- from Psi = b+ w+ + b- w- and
-        # Psi' = ik (b+ w+ - b- w-); the else branch is its closed form for
-        # the leftward WKB wave
-        psi, dpsi = fld.cliff_wave(z_min)
-        k = fld.k(z_min)
-        half = 0.5 * k ** 0.5
-        y0 = ((psi + dpsi / (1j * k)) * half * cmath.exp(-1j * phi0),
-              (psi - dpsi / (1j * k)) * half * cmath.exp(1j * phi0), phi0)
-    else:
-        eps = fld.dk(z_min) / (4.0 * fld.k(z_min) ** 2)
-        y0 = (1j * eps * cmath.exp(-2j * phi0), 1.0 - 1j * eps, phi0)
-    return _solve(rhs, (z_min, z_max), y0, 1.0, end_wave, current,
-                  fld.wkb_wave, fld.kappa, fld.q, potential.breaks, ctl)
+    return _solve(fld, fld.matching_domain(ctl.q_match_rel), ctl, rhs, current,
+                  lambda y0: 1.0, functools.partial(_amplitudes, fld),
+                  functools.partial(_amplitude_wave, fld))
 
 
 def solve_transformed(problem: TransformedProblem, ctl: SolverControl | None = None) -> ScatteringResult:
@@ -425,41 +425,17 @@ def solve_transformed(problem: TransformedProblem, ctl: SolverControl | None = N
     The state is (Psi_t, dPsi_t/dzt) but the integration walks the *original*
     coordinate, with the map's derivative as Jacobian. The wall shape then
     never needs a numeric map inversion and the endpoints land exactly on
-    the matching points. On a threshold tail the start is the field's cliff
-    wave carried over by the map; elsewhere it is the leftward basis wave.
+    the matching points, where the problem carries the field's waves over.
     """
     ctl = ctl or _DEFAULT_CTL
-    w_min, _ = problem.domain
+    coefficients = problem.coefficients
 
-    if problem.vk is not None:
-        # special gauge: the Jacobian k/vk and the wall vk**2 Q come from one
-        # pass over the potential, where the map would evaluate it twice
-        vk, e_bold, k_q = problem.vk, problem.e_bold, problem.field.k_q
+    def rhs(w, y):
+        jac, f = coefficients(w)
+        return (y[1] * jac, -f * y[0] * jac)
 
-        def rhs(w, y):
-            k, q = k_q(w)
-            jac = k / vk
-            return (y[1] * jac, -(e_bold - vk * vk * q) * y[0] * jac)
-    else:
-        def rhs(w, y):
-            jac = problem.mapping.derivative(w)
-            return (y[1] * jac, -problem.f_transformed_at(w) * y[0] * jac)
-
-    field = problem.field
-    if field is not None and field.on_threshold_tail(w_min):
-        # the cliff wave carried over: Psi_t = sqrt(zt') Psi and
-        # dPsi_t/dzt = (Psi' + zt''/(2 zt') Psi)/sqrt(zt')
-        psi, dpsi = field.cliff_wave(w_min)
-        d = problem.mapping.derivative(w_min)
-        v0 = math.sqrt(d) * psi
-        d0 = (dpsi + 0.5 * problem.mapping.dderivative(w_min) / d * psi) / math.sqrt(d)
-    else:
-        v0, d0 = problem.basis_wave(w_min, -1)
-    kappa = field.kappa if field is not None else math.sqrt(problem.e_bold)
-    return _solve(rhs, problem.domain, (v0, d0), max(abs(v0), 1.0),
-                  _as_wave, _wave_current, problem.basis_wave, kappa,
-                  field.q if field is not None else None,
-                  field.potential.breaks if field is not None else (), ctl)
+    return _solve(problem.field, problem.domain, ctl, rhs, _wave_current,
+                  lambda y0: max(abs(y0[0]), 1.0), problem.carry, problem.uncarry)
 
 
 def scattering_length(potential, ctl: SolverControl | None = None) -> ScatteringLength:

@@ -175,7 +175,7 @@ class _PhaseTable:
 
 @dataclass(frozen=True)
 class WkbField:
-    """Evaluators for k_dB, alpha_dB, phi_dB and Q of one scattering problem."""
+    """Evaluators for k_dB, phi_dB, Q and the waves of one scattering problem."""
 
     potential: object
     energy: float
@@ -202,9 +202,6 @@ class WkbField:
 
     def dk(self, z: float) -> float:
         return -self.potential.dvalue(z) / (2.0 * self.k(z))
-
-    def alpha(self, z: float) -> float:
-        return self.k(z) ** -0.5
 
     # -- phase with the far-end convention ---------------------------------
     def phi(self, z: float) -> float:
@@ -270,6 +267,17 @@ class WkbField:
         # d/dz via H'_nu = H_(nu-1) - (nu/x) H_nu and dx/dz = -x/(2 nu z)
         return c * root * h, c / root * (h - 0.5 * x / nu * h_lower)
 
+    def cliff_residual(self, z: float) -> float:
+        """Relative error of the wave equation that ``cliff_wave(z)`` solves.
+
+        E z**n/C_n on the inner tail, for F = E + C_n/z**n; elsewhere Q(z),
+        for the WKB wave's k**2 (1 + Q).
+        """
+        if not self.on_threshold_tail(z):
+            return self.q(z)
+        n, c_n, _ = self._threshold_tail
+        return self.energy * z ** n / c_n
+
     def wkb_wave(self, z: float, direction: int) -> tuple[complex, complex]:
         """WKB wave alpha e^(i eta phi) and its exact derivative, eta = +-1."""
         if direction not in (+1, -1):
@@ -327,6 +335,7 @@ class WkbField:
         Where the cliff-side crossing lies on the inner tail of an n != 4
         cliff, z_min is instead the shallowest point of that tail with
         E z**n/C_n <= q_rel: there ``cliff_wave`` is exact but for that E.
+        A cut that puts that point at or beyond the badlands peak is rejected.
         """
         if not (0.0 < q_rel < 1.0):
             raise ValueError("q_rel must lie in (0, 1)")
@@ -346,6 +355,9 @@ class WkbField:
         if self.on_threshold_tail(z_min):
             n, c_n, z_top = self._threshold_tail
             z_min = min(z_top, (q_rel * c_n / self.energy) ** (1.0 / n))
+            if z_min >= z_peak:
+                raise ValueError(f"matching cut {q_rel:g} puts the cliff start at or"
+                                 " beyond the badlands peak")
         return z_min, crossing(max(hi / 2.0, z_peak), hi)
 
 

@@ -86,8 +86,7 @@ def test_criterion_3_gauge_invariance():
     direct = solve_direct(v4(kl), kl)
     mapping = affine_map(float(np.exp(rng.uniform(-1.0, 1.0))),
                          float(rng.uniform(-2.0, 2.0)))
-    moved = solve_transformed(transform_f(mapping, fld.f_coeff,
-                                          fld.matching_domain(1e-10), field=fld))
+    moved = solve_transformed(transform_f(mapping, fld, fld.matching_domain(1e-10)))
     worst = max(worst, abs(direct.r - moved.r), abs(direct.t - moved.t))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and elapsed < 10.0

@@ -74,6 +74,15 @@ class TestReflect:
             assert err.startswith("error: ") and err.count("\n") == 1, argv
             assert "grid" in err, argv
 
+    def test_cut_past_the_badlands_peak_rejected(self, capsys):
+        code = main(["reflect", "--model", "vn", "--n", "3", "--energy-e1", "1000",
+                     "--method", "all", "--q-match", "0.9"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "badlands peak" in err
+
     def test_missing_potential_rejected(self):
         assert main(["reflect", "--kappa-ell", "0.1"]) == 2
 

@@ -41,45 +41,69 @@ class TestMaps:
 class TestTransformF:
     def test_identity_map_preserves_f(self):
         fld = v4_field(0.3)
-        prob = transform_f(affine_map(1.0), fld.f_coeff, (0.1, 10.0), field=fld)
+        prob = transform_f(affine_map(1.0), fld, (0.1, 10.0))
         for z in (0.2, 1.0, 5.0):
-            assert prob.f_transformed_at(z) == pytest.approx(fld.f_coeff(z), rel=1e-13)
+            assert prob.coefficients(z)[1] == pytest.approx(fld.f_coeff(z), rel=1e-13)
 
     def test_affine_map_rescales(self):
         fld = v4_field(0.3)
         a, b = 2.0, 1.0
-        prob = transform_f(affine_map(a, b), fld.f_coeff, (0.1, 10.0), field=fld)
+        prob = transform_f(affine_map(a, b), fld, (0.1, 10.0))
         for z in (0.2, 1.0, 5.0):
-            assert prob.f_transformed_at(z) == pytest.approx(fld.f_coeff(z) / a ** 2, rel=1e-13)
+            assert prob.coefficients(z)[1] == pytest.approx(fld.f_coeff(z) / a ** 2, rel=1e-13)
 
     def test_inversion_exchanges_ends_keeping_quartic_form(self):
         kl = 0.3
         fld = v4_field(kl)
         kap2 = kl  # kappa^2 = ell^2 = kl in these units
         # zt = -zeta**2/z with zeta = 1: a homography, so its Schwarzian vanishes
-        inversion = LiouvilleMap(lambda z: -1.0 / z, lambda z: 1.0 / z ** 2, lambda z: 0.0)
-        prob = transform_f(inversion, fld.f_coeff, (0.05, 20.0), field=fld)
+        inversion = LiouvilleMap(lambda z: -1.0 / z, lambda z: 1.0 / z ** 2, lambda z: 0.0,
+                                 lambda z: -2.0 / z ** 3)
+        prob = transform_f(inversion, fld, (0.05, 20.0))
         for z in (0.1, 0.7, 2.0, 15.0):
             zt = -1.0 / z
-            assert prob.f_transformed_at(z) == pytest.approx(kap2 + kl / zt ** 4, rel=1e-12)
+            assert prob.coefficients(z)[1] == pytest.approx(kap2 + kl / zt ** 4, rel=1e-12)
 
     def test_monotonicity_enforced(self):
         fld = v4_field(0.3)
-        decreasing = LiouvilleMap(lambda z: -z, lambda z: -1.0, lambda z: 0.0)
+        decreasing = LiouvilleMap(lambda z: -z, lambda z: -1.0, lambda z: 0.0, lambda z: 0.0)
         with pytest.raises(ValueError):
-            transform_f(decreasing, fld.f_coeff, (0.1, 1.0))
+            transform_f(decreasing, fld, (0.1, 1.0))
+
+
+class TestCarry:
+    def test_uncarry_inverts_carry(self):
+        fld = v4_field(0.3)
+        mapping, prob = special_gauge(fld)
+        for z in (0.2, 1.0, 5.0):
+            wave = fld.wkb_wave(z, -1)
+            back = prob.uncarry(z, prob.carry(z, wave))
+            assert back == pytest.approx(wave, rel=1e-14)
+
+    def test_wkb_wave_carries_to_a_plane_wave(self):
+        # on the wall, sqrt(zt') alpha e^(-i phi) is exp(-i vk zt)/sqrt(vk)
+        fld = v4_field(0.3)
+        mapping, prob = special_gauge(fld)
+        vk = prob.vk
+        for z in (0.05, 1.0, 20.0):
+            value, derivative = prob.carry(z, fld.wkb_wave(z, -1))
+            plane = vk ** -0.5 * complex(math.cos(vk * mapping(z)), -math.sin(vk * mapping(z)))
+            assert value == pytest.approx(plane, rel=1e-12)
+            assert derivative == pytest.approx(-1j * vk * plane, rel=1e-12)
 
 
 class TestSpecialGauge:
     def test_wall_equals_scaled_badlands(self):
         fld = v4_field(0.3)
         mapping, prob = special_gauge(fld)
+        generic = transform_f(mapping, fld, prob.domain)
         vk2 = prob.e_bold
         assert vk2 == pytest.approx(0.3, rel=1e-12)
         for z in (0.3, 1.0, 3.0):
             assert prob.v_bold(z) == pytest.approx(vk2 * fld.q(z), rel=1e-13)
             # 1 - Q = F_t / vk^2 through the generic transformation route
-            assert prob.f_transformed_at(z) / vk2 == pytest.approx(1.0 - fld.q(z), rel=1e-10)
+            assert generic.coefficients(z)[1] / vk2 == pytest.approx(1.0 - fld.q(z), rel=1e-10)
+            assert prob.coefficients(z) == pytest.approx(generic.coefficients(z), rel=1e-10)
 
     def test_map_is_scaled_phase(self):
         fld = v4_field(0.3)

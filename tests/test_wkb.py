@@ -247,10 +247,10 @@ class TestBadlands:
         fld = v4_field(0.3)
         for z in (0.4, 1.0, 2.0, 6.0):
             h = 4e-4 * z
-            stencil = [fld.alpha(z + k * h) for k in (-3, -2, -1, 0, 1, 2, 3)]
+            stencil = [fld.k(z + k * h) ** -0.5 for k in (-3, -2, -1, 0, 1, 2, 3)]
             d2 = (2 * stencil[6] - 27 * stencil[5] + 270 * stencil[4] - 490 * stencil[3]
                   + 270 * stencil[2] - 27 * stencil[1] + 2 * stencil[0]) / (180 * h * h)
-            q_amp = -fld.alpha(z) ** 3 * d2
+            q_amp = -(fld.k(z) ** -0.5) ** 3 * d2
             assert abs(q_amp - fld.q(z)) < 1e-8 * max(1.0, abs(fld.q(z)))
 
     def test_vanishing_at_both_ends(self):
@@ -369,3 +369,22 @@ class TestCliffWave:
         assert fld.q(z_min) / q_peak == pytest.approx(1e-3, rel=1e-6)
         assert not fld.on_threshold_tail(z_min)
         assert fld.cliff_wave(z_min) == fld.wkb_wave(z_min, -1)
+
+    @pytest.mark.parametrize("case", [0, 1, 2], ids=["n3", "n5", "table"])
+    def test_residual_is_the_neglected_energy(self, case):
+        # the threshold wave neglects E z**n/C_n, not Q: within the cut (up to
+        # the rounding of the n-th root), far below Q(z_min)
+        fld, n, c_n = cliff_cases()[case]
+        for cut in (1e-6, 1e-10):
+            z_min, _ = fld.matching_domain(cut)
+            residual = fld.cliff_residual(z_min)
+            assert residual == fld.energy * z_min ** n / c_n
+            assert residual <= cut * (1.0 + 1e-14)
+        assert fld.cliff_residual(z_min) < 1e-3 * abs(fld.q(z_min))
+
+    def test_cut_past_the_peak_rejected(self):
+        # at cut 0.9 the threshold point of -1/z**3 lies at x = 0.97, past x* = 0.895
+        fld = WkbField(HomogeneousPotential(3, 1.0), 1.0)
+        assert fld.matching_domain(0.5)[0] < fld.q_peak()[0]
+        with pytest.raises(ValueError, match="beyond the badlands peak"):
+            fld.matching_domain(0.9)
