@@ -63,6 +63,11 @@ def _parse_grid(spec: str) -> list[float]:
     return values
 
 
+def _check_points(args) -> None:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
+
+
 def _build_potential(args) -> tuple[object, float | None]:
     """Potential in reduced units plus ell (far-end length) when defined.
 
@@ -185,6 +190,7 @@ def cmd_reflect(args) -> int:
 
 
 def cmd_badlands(args) -> int:
+    _check_points(args)
     pot, ell = _build_potential(args)
     energies, labels = _energies(args, ell)
     rows = []
@@ -207,6 +213,9 @@ def cmd_badlands(args) -> int:
 
 
 def cmd_wall(args) -> int:
+    _check_points(args)
+    if not 0.0 < args.x_min < args.x_max < math.inf:   # also false for nan
+        raise ValueError("--x-min and --x-max must be finite with 0 < x-min < x-max")
     rows: list[dict] = []
     meta: dict = {"command": "wall"}
     if args.universal_n:

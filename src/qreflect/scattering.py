@@ -12,7 +12,9 @@ Three routes to the same amplitudes:
   e.g. on the repulsive wall of the special gauge.
 
 All three start on one wave and end on one basis, the field's cliff wave and
-WKB pair; each route only maps them into and out of its own state.
+WKB pair; each route only maps them into and out of its own state. Direct
+runs on DOP853 (``solve_ivp``), the two gauge routes on Chebyshev panels
+(``collocate``), so the routes check two integrators as well as three gauges.
 
 Conventions: r and t are defined for a wave incident from the far end; the
 incoming/transmitted wave at the cliff carries the WKB phase anchored by
@@ -29,6 +31,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.integrate import DOP853
+from scipy.linalg.lapack import zgesv
 
 from .liouville import TransformedProblem
 from .wkb import WkbField
@@ -167,7 +170,7 @@ def _decompose(psi: complex, dpsi: complex,
 # -- DOP853 on Python scalars ------------------------------------------------
 # scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) replayed on
 # lists of Python complex numbers: the same tableau, initial step, error norm
-# and step-size control.  The states here hold two or three components, where
+# and step-size control.  The direct route's state holds two components, where
 # numpy's per-stage dot, asarray and add cost far more than the RHS itself.
 
 _EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
@@ -227,8 +230,8 @@ def _attempt_kernel(n: int):
 
 class OdeResult:
     """The accepted points ``t`` (the start included), the states ``y`` there
-    (shape n × len(t)), the RHS call count ``nfev``, ``success`` and why the
-    run ended (``message``)."""
+    (shape n × len(t)), the count ``nfev`` of RHS or coefficient evaluations,
+    ``success`` and why the run ended (``message``)."""
 
     __slots__ = ("t", "y", "nfev", "success", "message")
 
@@ -314,20 +317,107 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float, breaks=()) -> OdeResult
                      "The solver successfully reached the end of the integration interval.")
 
 
-def _solve(fld: WkbField, domain: tuple[float, float], ctl: SolverControl,
-           rhs, current, atol_scale, enter, leave) -> ScatteringResult:
+# -- Chebyshev panels ----------------------------------------------------------
+# The gauge routes' y' = [[0, a], [b, 0]] y in integral form on panels of
+# first-kind Chebyshev points (Greengard, SIAM J. Numer. Anal. 28, 1071 (1991)).
+
+_NODES = 16           # per panel: 12 is about 2x slower on v4, 8 about 10x, 24 no faster
+_TAIL_FLOOR = 1e-14   # floor of the panel test's tol: its rounding noise
+_GROW, _SHRINK = 4.0, 0.2
+
+
+@functools.cache
+def _chebyshev_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(x, S, w, tail) on [-1, 1]: the ``_NODES`` points, ascending; S @ f and
+    w @ f, the integrals of the interpolant of f from -1 to each point and
+    over [-1, 1] (Fejer's first rule); tail @ f, its last two Chebyshev
+    coefficients. Built on first use, like ``_attempt_kernel``."""
+    n = _NODES
+    theta = np.pi - np.pi * (np.arange(n) + 0.5) / n       # arccos of the points
+    x = np.cos(theta)
+    cheb = np.cos(np.outer(np.arange(n + 1), theta))      # T_m(x_j), m = 0 .. n
+    to_coeffs = 2.0 / n * cheb[:n]
+    to_coeffs[0] *= 0.5
+    # int_{-1}^{x} T_m = T_(m+1)/(2(m+1)) - T_(m-1)/(2(m-1)) - (its value at -1)
+    m = np.arange(2, n)[:, None]
+    sign = (-1.0) ** (m + 1)
+    upper = (cheb[3:] - sign) / (2.0 * (m + 1)) - (cheb[1:n - 1] - sign) / (2.0 * (m - 1))
+    integrals = np.vstack([x + 1.0, 0.5 * (x * x - 1.0), upper])   # [m, i]
+    whole = np.array([2.0 / (1 - k * k) if k % 2 == 0 else 0.0 for k in range(n)])
+    return x, integrals.T @ to_coeffs, whole @ to_coeffs, to_coeffs[-2:]
+
+
+def collocate(coefficients, domain, y0, rtol: float, breaks=()) -> OdeResult:
+    """Integrate y' = [[0, a(z)], [b(z), 0]] y forward over ``domain`` on Chebyshev panels.
+
+    ``coefficients(z_a, zs, s)`` returns arrays of a and b at the nodes
+    ``zs`` of the panel from z_a, where ``s @ f`` integrates node values
+    from z_a to each node. A panel solves Y = y_a + S (M Y) at its nodes,
+    one component eliminated, and ends on y_a + w (M Y); no node lies on its
+    ends, where a coefficient may jump. It is accepted when the last two
+    Chebyshev coefficients of both components are at most tol times its
+    largest |Y|, tol = max(rtol, 1e-14): below that floor lies rounding
+    noise (at 1e-15 v4 and the test table took six times the panels). The
+    first panel is as wide as z_min, the next scales by (tol/tail)**(1/14)
+    within x0.2 .. x4, and a retry by x0.9 at most, so that a tail a hair
+    above tol cannot retry one panel forever. Panels end on ``breaks``; one
+    narrower than ten ulps of z, as after NaN coefficients, ends the run
+    with ``success=False``. As from ``solve_ivp``, ``t`` holds the panel
+    ends, ``y`` the states there; ``nfev`` counts node evaluations.
+    """
+    x, s_ref, w_ref, tail_ref = _chebyshev_rule()
+    z, z_end = map(float, domain)
+    if not z < z_end:
+        raise ValueError(f"integration span {domain} does not run forward")
+    stops = [z_end, *(b for b in map(float, reversed(breaks)) if z < b < z_end)]
+    stop = stops.pop()
+    tol = max(rtol, _TAIL_FLOOR)
+    u, v = map(complex, y0)
+    eye = np.eye(_NODES)
+    ts, ys, nfev, width = [z], [(u, v)], 0, z
+    while z < z_end:
+        z_b = min(z + width, stop)
+        h = z_b - z
+        if not h >= 10.0 * (math.nextafter(z, math.inf) - z):
+            return OdeResult(np.array(ts), np.array(ys).T, nfev, False,
+                             "Required panel width is less than spacing between numbers.")
+        s = 0.5 * h * s_ref
+        a, b = coefficients(z, z + 0.5 * h * (x + 1.0), s)
+        nfev += _NODES
+        sa, sb = s * a, s * b
+        us, info = zgesv(eye - sa @ sb, u + v * sa.sum(axis=1))[2:]
+        vs = sb @ us + v
+        nodes = np.array((us, vs))
+        tail = np.abs(nodes @ tail_ref.T).max() / np.abs(nodes).max() if info == 0 else math.nan
+        if not tail <= tol:   # a NaN tail is rejected too, and shrinks the panel
+            factor = min((tol / tail) ** (1.0 / (_NODES - 2)), _SAFETY)
+            width = h * (factor if factor > _SHRINK else _SHRINK)
+            continue
+        u += complex(0.5 * h * (w_ref @ (a * vs)))
+        v += complex(0.5 * h * (w_ref @ (b * us)))
+        z = z_b
+        ts.append(z)
+        ys.append((u, v))
+        width = h * (min((tol / tail) ** (1.0 / (_NODES - 2)), _GROW) if tail > 0.0 else _GROW)
+        if z == stop and stops:
+            stop = stops.pop()
+    return OdeResult(np.array(ts), np.array(ys).T, nfev, True,
+                     "The solver successfully reached the end of the integration interval.")
+
+
+def _solve(fld: WkbField, domain: tuple[float, float],
+           integrate, current, enter, leave) -> ScatteringResult:
     """Integrate one route across ``domain`` and assemble its amplitudes.
 
     Every route starts on the field's cliff wave at z_min and is decomposed
-    on its WKB pair at z_max. The route supplies its ``rhs``, the conserved
-    ``current`` of its states (for the Wronskian drift over every accepted
-    step), ``atol_scale(y0)`` of its start state, ``enter(z, (Psi, Psi'))``
-    mapping a wave into its state and ``leave(z, y)`` mapping a state back.
+    on its WKB pair at z_max. The route supplies ``integrate(domain, y0,
+    breaks)``, which returns an ``OdeResult``, the conserved ``current`` of
+    its states (for the Wronskian drift over every accepted step or panel),
+    ``enter(z, (Psi, Psi'))`` mapping a wave into its state and
+    ``leave(z, y)`` mapping a state back.
     """
     z_min, z_max = domain
-    y0 = enter(z_min, fld.cliff_wave(z_min))
-    sol = solve_ivp(rhs, domain, y0, rtol=ctl.rtol, atol=ATOL_FACTOR * atol_scale(y0),
-                    breaks=fld.potential.breaks)
+    sol = integrate(domain, enter(z_min, fld.cliff_wave(z_min)), breaks=fld.potential.breaks)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
     psi, dpsi = leave(z_max, sol.y[:, -1])
@@ -370,25 +460,30 @@ def solve_direct(potential, energy: float, ctl: SolverControl | None = None) -> 
     def rhs(z, y):
         return (y[1], -fld.f_coeff(z) * y[0])
 
-    return _solve(fld, fld.matching_domain(ctl.q_match_rel), ctl, rhs, _wave_current,
-                  lambda y0: abs(y0[0]), _same, _same)
+    def integrate(domain, y0, breaks):
+        return solve_ivp(rhs, domain, y0, rtol=ctl.rtol, atol=ATOL_FACTOR * abs(y0[0]),
+                         breaks=breaks)
+
+    return _solve(fld, fld.matching_domain(ctl.q_match_rel), integrate, _wave_current,
+                  _same, _same)
 
 
 def _amplitudes(fld: WkbField, z: float, wave: tuple[complex, complex]):
-    """(b+, b-, phi) at z of a wave solved from Psi = b+ w+ + b- w- and
+    """(b+, b-) at z of a wave solved from Psi = b+ w+ + b- w- and
     Psi' = ik (b+ w+ - b- w-), w+- = alpha e^(+-i phi) the WKB waves."""
     psi, dpsi = wave
     k, phi = fld.k(z), fld.phi(z)
     half = 0.5 * k ** 0.5
     return ((psi + dpsi / (1j * k)) * half * cmath.exp(-1j * phi),
-            (psi - dpsi / (1j * k)) * half * cmath.exp(1j * phi), phi)
+            (psi - dpsi / (1j * k)) * half * cmath.exp(1j * phi))
 
 
 def _amplitude_wave(fld: WkbField, z: float, y) -> tuple[complex, complex]:
-    """The inverse of ``_amplitudes``: (b+, b-, phi) at z back to (Psi, Psi')."""
-    bp, bm, ph = y
+    """The inverse of ``_amplitudes``: (b+, b-) at z back to (Psi, Psi')."""
+    bp, bm = y
     k = fld.k(z)
     al = k ** -0.5
+    ph = fld.phi(z)
     wp = al * cmath.exp(1j * ph)
     wm = al * cmath.exp(-1j * ph)
     return bp * wp + bm * wm, 1j * k * (bp * wp - bm * wm)
@@ -397,45 +492,49 @@ def _amplitude_wave(fld: WkbField, z: float, y) -> tuple[complex, complex]:
 def solve_coupled(potential, energy: float, ctl: SolverControl | None = None) -> ScatteringResult:
     """Same problem as ``solve_direct`` in counter-propagating amplitudes.
 
-    The state carries (beta_+, beta_-, phi); the amplitudes obey
-    beta_eta' = beta_(-eta) (k'/2k) exp(-2 i eta phi). The cliff wave enters
-    this gauge exactly; the leftward WKB wave, for one, enters with a
-    first-order dressing beta_+ = i k'/(4 k**2) e^(-2 i phi).
+    The state carries (beta_+, beta_-); the amplitudes obey
+    beta_eta' = beta_(-eta) (k'/2k) exp(-2 i eta phi), integrated by
+    ``collocate``. On each panel phi is ``fld.phi`` at the panel's start
+    plus the panel's integral of k, so it never drifts. The cliff wave
+    enters this gauge exactly; the leftward WKB wave, for one, enters with
+    a first-order dressing beta_+ = i k'/(4 k**2) e^(-2 i phi).
     """
     ctl = ctl or _DEFAULT_CTL
     fld = WkbField(potential, energy)
 
-    def rhs(z, y):
-        k = fld.k(z)
-        g = -fld.potential.dvalue(z) / (2.0 * k) / (2.0 * k)   # fld.dk(z) / (2k)
-        rot = cmath.exp(-2j * y[2].real)
-        return (y[1] * g * rot, y[0] * g / rot, k)
+    def coefficients(z_a, zs, s):
+        zs = zs.tolist()
+        k = np.array([fld.k(z) for z in zs])
+        g = np.array([fld.potential.dvalue(z) for z in zs]) / (-4.0 * k * k)   # k'/(2k)
+        rot = np.exp(-2j * (fld.phi(z_a) + s @ k))
+        return g * rot, g * rot.conj()
 
     def current(ys):
         return np.abs(ys[1]) ** 2 - np.abs(ys[0]) ** 2
 
-    return _solve(fld, fld.matching_domain(ctl.q_match_rel), ctl, rhs, current,
-                  lambda y0: 1.0, functools.partial(_amplitudes, fld),
-                  functools.partial(_amplitude_wave, fld))
+    return _solve(fld, fld.matching_domain(ctl.q_match_rel),
+                  functools.partial(collocate, coefficients, rtol=ctl.rtol), current,
+                  functools.partial(_amplitudes, fld), functools.partial(_amplitude_wave, fld))
 
 
 def solve_transformed(problem: TransformedProblem, ctl: SolverControl | None = None) -> ScatteringResult:
     """Solve the Liouville-transformed problem; amplitudes are gauge-invariant.
 
-    The state is (Psi_t, dPsi_t/dzt) but the integration walks the *original*
-    coordinate, with the map's derivative as Jacobian. The wall shape then
-    never needs a numeric map inversion and the endpoints land exactly on
-    the matching points, where the problem carries the field's waves over.
+    The state is (Psi_t, dPsi_t/dzt) but the integration, by ``collocate``,
+    walks the *original* coordinate, with the map's derivative as Jacobian.
+    The wall shape then never needs a numeric map inversion and the
+    endpoints land exactly on the matching points, where the problem carries
+    the field's waves over.
     """
     ctl = ctl or _DEFAULT_CTL
-    coefficients = problem.coefficients
 
-    def rhs(w, y):
-        jac, f = coefficients(w)
-        return (y[1] * jac, -f * y[0] * jac)
+    def coefficients(z_a, zs, s):
+        jac, f = np.array([problem.coefficients(z) for z in zs.tolist()]).T
+        return jac, -f * jac
 
-    return _solve(problem.field, problem.domain, ctl, rhs, _wave_current,
-                  lambda y0: max(abs(y0[0]), 1.0), problem.carry, problem.uncarry)
+    return _solve(problem.field, problem.domain,
+                  functools.partial(collocate, coefficients, rtol=ctl.rtol), _wave_current,
+                  problem.carry, problem.uncarry)
 
 
 def scattering_length(potential, ctl: SolverControl | None = None) -> ScatteringLength:

@@ -179,6 +179,16 @@ class TestReflect:
         # tail (18 s for the direct route alone)
         assert float(row["R_direct"]) == pytest.approx(0.705453141207, abs=1e-10)
 
+    def test_table_routes_agree_at_the_default_cut(self, tmp_path):
+        # the wall route's panels end on the knots, where V'' jumps: it agrees
+        # with direct and coupled to integration accuracy, not to 3e-10
+        table = write_cp_table(tmp_path)
+        code, text = run(tmp_path, "ts.csv",
+                         ["reflect", "--table", str(table), "--energy-e1", "100",
+                          "--method", "all"])
+        assert code == 0
+        assert float(csv_rows(text)[1][0]["method_spread"]) <= 1e-11
+
     def test_table_cliff_is_converged_in_the_cut(self, tmp_path):
         table = write_cp_table(tmp_path)
         values = []
@@ -253,6 +263,28 @@ class TestBadlands:
 
 
 class TestWall:
+    def test_bad_sampling_rejected(self, capsys):
+        # --points 0 used to fail inside numpy (or print an empty table) and a
+        # negative --x-min to print a numpy warning before the error
+        for argv in (["wall", "--model", "v4", "--kappa-ell", "0.3", "--points", "0"],
+                     ["wall", "--universal-n", "4", "--points", "0"],
+                     ["badlands", "--model", "v4", "--kappa-ell", "0.1", "--points", "-3"],
+                     ["wall", "--universal-n", "4", "--x-min", "-1"],
+                     ["wall", "--universal-n", "4", "--x-min", "0"],
+                     ["wall", "--universal-n", "4", "--x-max", "inf"],
+                     ["wall", "--universal-n", "4", "--x-min", "nan"],
+                     ["wall", "--universal-n", "4", "--x-min", "60"],
+                     ["wall", "--model", "v4", "--kappa-ell", "0.3", "--overlay-universal",
+                      "--x-max", "0.01"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+            out, err = capsys.readouterr()
+            assert code == 2, argv
+            assert out == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+            assert ("--points" in err) == ("--points" in argv), argv
+
     def test_universal_quartic(self, tmp_path):
         code, text = run(tmp_path, "w.csv", ["wall", "--universal-n", "4"])
         assert code == 0
