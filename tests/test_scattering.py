@@ -152,29 +152,61 @@ def run_kernel_case(case: str) -> None:
 
 # the routes still integrated by DOP853; the gauge routes run on ``collocate``
 DOP853_ROUTES = ["direct"]
+ROUTES = ["direct", "coupled", "transformed"]
+
+
+def pointwise(integrate, coefficients, domain, y0, rtol: float, breaks=()):
+    """Stand in for ``scattering.collocate``: integrate its y' = [[0, a], [b, 0]] y
+    by ``integrate``, a DOP853, with a and b read one point at a time (a
+    one-node "panel" from z itself, whose integral matrix is zero)."""
+    def rhs(z, y):
+        a, b = coefficients(z, np.array([z]), np.zeros((1, 1)))
+        return (complex(a[0]) * y[1], complex(b[0]) * y[0])
+
+    return integrate(rhs, domain, y0, rtol=rtol,
+                     atol=scattering.ATOL_FACTOR * max(abs(y0[0]), 1.0), breaks=breaks)
+
+
+def on_dop853(monkeypatch, integrate) -> None:
+    """Run every route's integration through ``integrate``, a DOP853: the
+    direct route's in place of ``scattering.solve_ivp``, the gauge routes'
+    in place of ``scattering.collocate``."""
+    monkeypatch.setattr(scattering, "solve_ivp", integrate)
+    monkeypatch.setattr(scattering, "collocate", partial(pointwise, integrate))
 
 
 class TestScalarDop853:
     """``scattering.solve_ivp`` replays scipy's DOP853, which stays the reference."""
 
     @pytest.mark.parametrize("kl", [0.119, 1.0, 10.0])
-    @pytest.mark.parametrize("route", DOP853_ROUTES)
+    @pytest.mark.parametrize("route", ROUTES)
     def test_same_steps_as_scipy(self, monkeypatch, route, kl):
-        sols = spy_integrations(monkeypatch, solve_ivp)
-        res = solve_route(route, kl)
-        refs = spy_integrations(monkeypatch, scipy_dop853)
-        ref = solve_route(route, kl)
-        (sol,), (sol_ref,) = sols, refs
+        # the gauge routes' systems, which ``collocate`` integrates, go
+        # through DOP853 here, pointwise, and land on the routes' own r
+        runs = []
+        for integrate in (solve_ivp, scipy_dop853):
+            sols = []
+
+            def record(*args, integrate=integrate, sols=sols, **kwargs):
+                sols.append(integrate(*args, **kwargs))
+                return sols[-1]
+
+            on_dop853(monkeypatch, record)
+            runs.append((solve_route(route, kl), sols))
+        monkeypatch.undo()
+        (res, (sol,)), (ref, (sol_ref,)) = runs
         assert len(sol.t) == len(sol_ref.t)
         assert sol.nfev == sol_ref.nfev
         # numpy rounds |z|, its BLAS norm and complex division differently
         # from Python, and the step-size control carries one-ulp differences
-        # of the error norm forward: 2.4e-8 at worst on these cases
-        # (kappa*ell = 0.119; x86-64 with OpenBLAS)
+        # of the error norm forward: 2.0e-7 at worst on these nine cases
+        # (coupled, kappa*ell = 1; x86-64 with OpenBLAS)
         np.testing.assert_allclose(sol.t, sol_ref.t, rtol=1e-5, atol=0.0)
         assert abs(res.r - ref.r) < 1e-12
+        if route not in DOP853_ROUTES:   # two integrators, one r: 2.3e-12 at worst
+            assert abs(res.r - solve_route(route, kl).r) < 1e-10
 
-    @pytest.mark.parametrize("case", [f"{route}-{kl}" for route in DOP853_ROUTES
+    @pytest.mark.parametrize("case", [f"{route}-{kl}" for route in ROUTES
                                       for kl in (0.119, 1.0, 10.0)]
                              + ["table", "decay", "oscillators"])
     def test_kernel_matches_loop(self, monkeypatch, case):
@@ -188,7 +220,7 @@ class TestScalarDop853:
             pairs.append((solve_ivp(*args, **kwargs), loop_solve_ivp(*args, **kwargs)))
             return pairs[-1][0]
 
-        monkeypatch.setattr(scattering, "solve_ivp", both)
+        on_dop853(monkeypatch, both)
         run_kernel_case(case)
         ((sol, ref),) = pairs
         assert np.array_equal(sol.t, ref.t)
