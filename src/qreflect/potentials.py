@@ -14,7 +14,6 @@ Two potential families are supported:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,21 +56,24 @@ class HomogeneousPotential:
         if self.c_n <= 0.0:
             raise ValueError("strength c_n must be positive (attractive potential)")
 
-    def value(self, z: float) -> float:
+    def value(self, z):
         _require_positive(z)
         return -self.c_n / z ** self.n
 
-    def dvalue(self, z: float) -> float:
-        return self.n * self.c_n / z ** (self.n + 1)
+    def dvalue(self, z):
+        return -self.n * (self.value(z) / z)
 
-    def d2value(self, z: float) -> float:
+    def d2value(self, z):
         return self.derivs(z)[2]
 
-    def derivs(self, z: float) -> tuple[float, float, float]:
-        """(V, V', V'') at z, with the expressions of ``value`` and ``dvalue``."""
-        _require_positive(z)
-        n, c = self.n, self.c_n
-        return -c / z ** n, n * c / z ** (n + 1), -n * (n + 1) * c / z ** (n + 2)
+    def derivs(self, z):
+        """(V, V', V'') at z, a float or an array, from one power.
+
+        V and V' are ``value`` and ``dvalue`` bit for bit.
+        """
+        v = self.value(z)
+        v_z = v / z
+        return v, -self.n * v_z, self.n * (self.n + 1) * v_z / z
 
     def tail_far(self) -> tuple[int, float]:
         return self.n, self.c_n
@@ -110,14 +112,23 @@ class TabulatedPotential:
         self._v = v
         # points where V'' jumps: the nodes, where the log-log cubic is only C1
         self.breaks = tuple(z.tolist())
-        # the scalar kernel below evaluates this spline and its derivatives
-        # from plain floats: a PPoly call per scalar costs far more than the sum
         spline = _log_log_spline(z, v)
-        self._knots = spline.x.tolist()
-        self._last = len(self._knots) - 2
-        self._w = _local_coefficients(spline)
-        self._w1 = _local_coefficients(spline.derivative())
-        self._w2 = _local_coefficients(spline.derivative(2))
+        self._knots = spline.x
+        # w = ln(-V) and its u-derivatives per piece, one row per power, lowest
+        # first, in u - _origin: piece 0 is the cliff tail below the table,
+        # piece i in 1 .. m the cubic from u_(i-1), piece m + 1 the far tail;
+        # a tail -C/z**n is the line w = ln(-V) at its end node - n (u - u_node)
+        cubic = np.zeros((4, len(z) + 1))
+        cubic[:, 1:-1] = spline.c[::-1]
+        cubic[:2, 0] = np.log(-v[0]), -3.0
+        cubic[:2, -1] = np.log(-v[-1]), -4.0
+        self._w = cubic
+        self._w1 = np.stack([cubic[1], 2.0 * cubic[2], 3.0 * cubic[3]])
+        self._w2 = np.stack([2.0 * cubic[2], 6.0 * cubic[3]])
+        self._origin = np.concatenate([spline.x[:1], spline.x])
+        # the search points: the last knot an ulp higher, so that z_max itself
+        # falls on the last cubic and only u > u_m on the far tail
+        self._search = np.append(spline.x[:-1], np.nextafter(spline.x[-1], np.inf))
         # boundary-matched tail strengths: continuity at the seams
         self._cliff_scale = float(-v[0] * z[0] ** 3)
         self._far_scale = float(-v[-1] * z[-1] ** 4)
@@ -133,76 +144,49 @@ class TabulatedPotential:
         hi = abs(self._far_scale / self.far_c4 - 1.0)
         return float(lo), float(hi)
 
-    def _locate(self, z: float) -> tuple[int, float]:
-        """Interval of u = ln z and the offset u - u_i, as PPoly finds them.
+    def _pieces(self, z):
+        """Piece index and offset s = u - u_origin of each z, u = ln z.
 
-        Intervals are closed on the right like PPoly's. The index is clamped
-        rather than rejected: z is already inside [z_min, z_max], and
-        ``math.log`` may land one ulp outside the ``np.log`` knots at the ends.
+        As in PPoly, a node falls on the cubic that starts there, and z_max
+        on the last one.
         """
-        u = math.log(z)
-        i = bisect_right(self._knots, u) - 1
-        if i < 0:
-            i = 0
-        elif i > self._last:
-            i = self._last
-        return i, u - self._knots[i]
-
-    def value(self, z: float) -> float:
         _require_positive(z)
-        if z < self.z_min:
-            return -self._cliff_scale / z ** 3
-        if z > self.z_max:
-            return -self._far_scale / z ** 4
-        i, s = self._locate(z)
-        c0, c1, c2, c3 = self._w[i]
-        # summed in PPoly's order, so the result matches scipy bit for bit
-        return -math.exp(c0 + c1 * s + c2 * (s * s) + c3 * ((s * s) * s))
+        u = np.log(z)
+        i = np.searchsorted(self._search, u, side="right")
+        return i, u - self._origin[i]
 
-    def dvalue(self, z: float) -> float:
-        _require_positive(z)
-        if z < self.z_min:
-            return 3.0 * self._cliff_scale / z ** 4
-        if z > self.z_max:
-            return 4.0 * self._far_scale / z ** 5
-        i, s = self._locate(z)
-        c0, c1, c2, c3 = self._w[i]
-        b0, b1, b2 = self._w1[i]
-        w = c0 + c1 * s + c2 * (s * s) + c3 * ((s * s) * s)
-        w1 = b0 + b1 * s + b2 * (s * s)
-        # V = -exp(w(u)), dV/dz = -exp(w) w' / z
-        return -math.exp(w) * w1 / z
+    @staticmethod
+    def _cubic(c, s):
+        # summed in PPoly's order, so that the table's cubic matches scipy bit for bit
+        c0, c1, c2, c3 = c
+        return c0 + c1 * s + c2 * (s * s) + c3 * ((s * s) * s)
 
-    def d2value(self, z: float) -> float:
+    def value(self, z):
+        i, s = self._pieces(z)
+        return -np.exp(self._cubic(self._w[:, i], s))
+
+    def dvalue(self, z):
+        return self.derivs(z)[1]
+
+    def d2value(self, z):
         return self.derivs(z)[2]
 
-    def derivs(self, z: float) -> tuple[float, float, float]:
-        """(V, V', V'') at z from one interval lookup and one exponential.
+    def derivs(self, z):
+        """(V, V', V'') at z, a float or an array, from one search and one exponential.
 
-        Same expressions as ``value`` and ``dvalue``, so the first two
-        results equal theirs bit for bit.
+        V = -exp(w(u)) gives V' = -exp(w) w'/z and V'' = -exp(w)(w'' + w'**2 - w')/z**2.
         """
-        _require_positive(z)
-        if z < self.z_min:
-            c = self._cliff_scale
-            return -c / z ** 3, 3.0 * c / z ** 4, -12.0 * c / z ** 5
-        if z > self.z_max:
-            c = self._far_scale
-            return -c / z ** 4, 4.0 * c / z ** 5, -20.0 * c / z ** 6
-        i, s = self._locate(z)
-        c0, c1, c2, c3 = self._w[i]
-        b0, b1, b2 = self._w1[i]
-        d0, d1 = self._w2[i]
+        i, s = self._pieces(z)
+        b0, b1, b2 = self._w1[:, i]
+        d0, d1 = self._w2[:, i]
         w1 = b0 + b1 * s + b2 * (s * s)
-        mv = math.exp(c0 + c1 * s + c2 * (s * s) + c3 * ((s * s) * s))
+        mv = np.exp(self._cubic(self._w[:, i], s))
         return -mv, -mv * w1 / z, -mv * (d0 + d1 * s + w1 * w1 - w1) / z ** 2
 
-    def log_log_pieces(self) -> tuple[list[float], list[tuple[float, ...]]]:
-        """Knots u_i = ln z_i and, per interval, the cubic w = ln(-V) in u - u_i.
-
-        Coefficients come lowest power first, as ``value`` uses them.
-        """
-        return self._knots, self._w
+    def log_log_pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Knots u_i = ln z_i and the cubics w = ln(-V) in u - u_i on the m
+        intervals, shape (4, m): one row per power, lowest first."""
+        return self._knots, self._w[:, 1:-1]
 
     @property
     def cliff_c3_matched(self) -> float:
@@ -232,13 +216,8 @@ def _log_log_spline(z: np.ndarray, v: np.ndarray) -> CubicHermiteSpline:
     return CubicHermiteSpline(log_z, log_mv, slopes, extrapolate=False)
 
 
-def _local_coefficients(poly) -> list[tuple[float, ...]]:
-    """Per-interval coefficients of a PPoly, lowest power first."""
-    return list(zip(*poly.c[::-1].tolist()))
-
-
-def _require_positive(z: float):
-    if z <= 0.0:
+def _require_positive(z):
+    if (z <= 0.0).any() if isinstance(z, np.ndarray) else z <= 0.0:
         raise ValueError("potential is defined on z > 0 only")
 
 

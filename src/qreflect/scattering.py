@@ -12,9 +12,12 @@ Three routes to the same amplitudes:
   e.g. on the repulsive wall of the special gauge.
 
 All three start on one wave and end on one basis, the field's cliff wave and
-WKB pair; each route only maps them into and out of its own state. Direct
-runs on DOP853 (``solve_ivp``), the two gauge routes on Chebyshev panels
-(``collocate``), so the routes check two integrators as well as three gauges.
+WKB pair; each route only maps them into and out of its own state. Each
+state obeys y' = [[0, a], [b, 0]] y with the route's own a and b, and all
+three run on one integrator, ``solve_ivp``: Chebyshev panels, solved many
+at a time. The routes check each other as three gauges with very
+different coefficients; the tests also check each against scipy's
+``solve_ivp`` reading the same coefficients point by point.
 
 Conventions: r and t are defined for a wave incident from the far end; the
 incoming/transmitted wave at the cliff carries the WKB phase anchored by
@@ -30,8 +33,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.linalg.lapack import zgesv
 
 from .liouville import TransformedProblem
 from .wkb import WkbField
@@ -52,7 +53,6 @@ __all__ = [
 ]
 
 
-ATOL_FACTOR = 1e-14        # absolute tolerance relative to the wave amplitude
 FIT_RESIDUAL_MAX = 1e-4    # scattering_length's gate on max |r_fit - r|
 
 
@@ -167,70 +167,22 @@ def _decompose(psi: complex, dpsi: complex,
     return cp, cm
 
 
-# -- DOP853 on Python scalars ------------------------------------------------
-# scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) replayed on
-# lists of Python complex numbers: the same tableau, initial step, error norm
-# and step-size control.  The direct route's state holds two components, where
-# numpy's per-stage dot, asarray and add cost far more than the RHS itself.
+# -- Chebyshev panels ----------------------------------------------------------
+# Every route's state obeys y' = [[0, a], [b, 0]] y, in integral form on panels
+# of first-kind Chebyshev points (Greengard, SIAM J. Numer. Anal. 28, 1071
+# (1991)). The system is linear, so a panel's 2x2 propagator does not depend
+# on the state, and the panels of a solve are solved together, in batches.
 
-_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-
-
-def _combination(coefficients: np.ndarray, j: int) -> str:
-    # sum_s a_s k_s of component j over the nonzero entries, added left to
-    # right; a complex literal round-trips exactly and makes each product one
-    # complex multiplication
-    return " + ".join(f"{complex(a)!r}*k{s}_{j}"
-                      for s, a in enumerate(coefficients.tolist()) if a)
-
-
-@functools.cache
-def _attempt_kernel(n: int):
-    """One DOP853 attempt on an n-component state, as straight-line code.
-
-    ``attempt(fun, t, h, t_new, y, f, rtol, atol)`` takes the step from t to
-    ``t_new`` = t + h and returns ``(y_new, f_new, e5, e3)``: the new state,
-    its derivative and the sums of squares of the E5 and E3 error estimates
-    weighted by 1 / (atol + max(|y|, |y_new|) rtol), real parts first.  The
-    source is generated from scipy's tableau and compiled once per n, the
-    way ``dataclasses`` builds ``__init__``; per stage, a loop over the
-    tableau cost five times the RHS calls.  It is built on first use, so
-    that importing the package compiles nothing.
-    """
-    comps, last = range(n), DOP853.n_stages   # k{last} is f_new
-
-    def names(prefix: str) -> str:
-        return "".join(f"{prefix}{j}, " for j in comps)
-
-    def sumsq(e: str) -> str:
-        # as _sumsq: the real parts, then the imaginary parts
-        return " + ".join("(" + " + ".join(f"{e}{j}.{p}*{e}{j}.{p}" for j in comps) + ")"
-                          for p in ("real", "imag"))
-
-    src = ["def attempt(fun, t, h, t_new, y, f, rtol, atol):",
-           f"    {names('y')}= y",
-           f"    {names('k0_')}= f"]
-    for s in range(1, last):
-        state = ", ".join(f"y{j} + ({_combination(DOP853.A[s, :s], j)})*h" for j in comps)
-        src.append(f"    {names(f'k{s}_')}= fun(t + {float(DOP853.C[s])!r}*h, [{state}])")
-    src += [f"    u{j} = y{j} + h*({_combination(DOP853.B, j)})" for j in comps]
-    src += [f"    y_new = [{names('u')}]",
-            "    f_new = fun(t_new, y_new)",
-            f"    {names(f'k{last}_')}= f_new"]
-    for j in comps:
-        src += [f"    w = 1.0 / (atol + max(abs(y{j}), abs(u{j})) * rtol)",
-                f"    e5_{j} = ({_combination(DOP853.E5, j)})*w",
-                f"    e3_{j} = ({_combination(DOP853.E3, j)})*w"]
-    src.append(f"    return y_new, f_new, {sumsq('e5_')}, {sumsq('e3_')}")
-    namespace: dict = {}
-    exec("\n".join(src), namespace)
-    return namespace["attempt"]
+_NODES = 16           # per panel: 24 (at 8 rad) is faster on v4, slower on knot-bound panels
+_TAIL_FLOOR = 1e-14   # floor of the panel test's tol: its rounding noise
+_PANEL_RAD = 3.0      # phase per panel of the first partition
+_PANEL_RATIO = 1.5    # and z_b/z_a of its widest panel
+_BATCH = 32           # panels solved at once; 64 is ~9% faster on v4 but holds more memory
 
 
 class OdeResult:
-    """The accepted points ``t`` (the start included), the states ``y`` there
-    (shape n × len(t)), the count ``nfev`` of RHS or coefficient evaluations,
+    """The panel ends ``t`` (the start included), the states ``y`` there
+    (shape 2 x len(t)), the count ``nfev`` of coefficient evaluations,
     ``success`` and why the run ended (``message``)."""
 
     __slots__ = ("t", "y", "nfev", "success", "message")
@@ -239,99 +191,13 @@ class OdeResult:
         self.t, self.y, self.nfev, self.success, self.message = t, y, nfev, success, message
 
 
-def _sumsq(vs) -> float:
-    # numpy.linalg.norm's order: the real parts, then the imaginary parts
-    return sum([v.real * v.real for v in vs]) + sum([v.imag * v.imag for v in vs])
-
-
-def _initial_step(fun, t, y, f, span, rtol, atol) -> float:
-    """scipy's ``select_initial_step`` (Hairer, Norsett & Wanner, II.4)."""
-    w = [1.0 / (atol + abs(v) * rtol) for v in y]
-    root_n = len(y) ** 0.5
-    d0 = math.sqrt(_sumsq([v * s for v, s in zip(y, w)])) / root_n
-    d1 = math.sqrt(_sumsq([v * s for v, s in zip(f, w)])) / root_n
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    f1 = fun(t + h0, [v + h0 * g for v, g in zip(y, f)])
-    d2 = math.sqrt(_sumsq([(a - b) * s for a, b, s in zip(f1, f, w)])) / root_n / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
-    return min(100 * h0, h1, span)
-
-
-def solve_ivp(fun, t_span, y0, rtol: float, atol: float, breaks=()) -> OdeResult:
-    """Integrate y' = fun(t, y) forward over ``t_span`` by DOP853.
-
-    Takes the same steps and RHS calls as ``scipy.integrate.solve_ivp(...,
-    method="DOP853")`` up to rounding: ``fun`` receives the state as a list
-    of complex numbers and returns a sequence of its derivatives.  A step
-    that shrinks below ten ulps of t, as after an RHS that turned NaN, ends
-    the run with ``success=False``.
-
-    ``breaks`` are increasing points where ``fun`` is not smooth, such as
-    the knots of a spline.  No step crosses one: a step that would ends on
-    it, as a step that would pass the end of the span ends there.  The error
-    estimate of a step across a kink is not to be trusted.
-    """
-    t, t_end = map(float, t_span)
-    if not t < t_end:
-        raise ValueError(f"integration span {t_span} does not run forward")
-    stops = [t_end, *(b for b in map(float, reversed(breaks)) if t < b < t_end)]
-    stop = stops.pop()
-    y = [complex(v) for v in y0]
-    attempt = _attempt_kernel(len(y))
-    f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_end - t, rtol, atol)
-    nfev = 2
-    ts, ys = [t], [y]
-    while t < t_end:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:   # also ends a NaN step size, which scipy retries forever
-                return OdeResult(np.array(ts), np.array(ys).T, nfev, False,
-                                 "Required step size is less than spacing between numbers.")
-            t_new = min(t + h_abs, stop)
-            h = t_new - t
-            y_new, f_new, e5, e3 = attempt(fun, t, h, t_new, y, f, rtol, atol)
-            nfev += DOP853.n_stages
-            if e5 == 0.0 and e3 == 0.0:
-                err = 0.0
-            else:
-                err = h * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
-            if err < 1.0:
-                factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT)
-                h_abs = h * (min(1.0, factor) if rejected else factor)
-                break
-            h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
-            rejected = True
-        t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.append(y)
-        if t == stop and stops:
-            stop = stops.pop()
-    return OdeResult(np.array(ts), np.array(ys).T, nfev, True,
-                     "The solver successfully reached the end of the integration interval.")
-
-
-# -- Chebyshev panels ----------------------------------------------------------
-# The gauge routes' y' = [[0, a], [b, 0]] y in integral form on panels of
-# first-kind Chebyshev points (Greengard, SIAM J. Numer. Anal. 28, 1071 (1991)).
-
-_NODES = 16           # per panel: 12 is about 2x slower on v4, 8 about 10x, 24 no faster
-_TAIL_FLOOR = 1e-14   # floor of the panel test's tol: its rounding noise
-_GROW, _SHRINK = 4.0, 0.2
-
-
 @functools.cache
 def _chebyshev_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(x, S, w, tail) on [-1, 1]: the ``_NODES`` points, ascending; S @ f and
     w @ f, the integrals of the interpolant of f from -1 to each point and
     over [-1, 1] (Fejer's first rule); tail @ f, its last two Chebyshev
-    coefficients. Built on first use, like ``_attempt_kernel``."""
+    coefficients. Built on first use, so that importing the package builds
+    nothing."""
     n = _NODES
     theta = np.pi - np.pi * (np.arange(n) + 0.5) / n       # arccos of the points
     x = np.cos(theta)
@@ -347,77 +213,125 @@ def _chebyshev_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return x, integrals.T @ to_coeffs, whole @ to_coeffs, to_coeffs[-2:]
 
 
-def collocate(coefficients, domain, y0, rtol: float, breaks=()) -> OdeResult:
-    """Integrate y' = [[0, a(z)], [b(z), 0]] y forward over ``domain`` on Chebyshev panels.
+def _times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m for a real m, with a complex x split into real and imaginary
+    parts: numpy multiplies a complex by a real matrix many times slower."""
+    if not np.iscomplexobj(x):
+        return x @ m
+    out = np.empty(x.shape[:-1] + m.shape[1:], dtype=complex)
+    out.real = x.real @ m
+    out.imag = x.imag @ m
+    return out
 
-    ``coefficients(z_a, zs, s)`` returns arrays of a and b at the nodes
-    ``zs`` of the panel from z_a, where ``s @ f`` integrates node values
-    from z_a to each node. A panel solves Y = y_a + S (M Y) at its nodes,
-    one component eliminated, and ends on y_a + w (M Y); no node lies on its
-    ends, where a coefficient may jump. It is accepted when the last two
-    Chebyshev coefficients of both components are at most tol times its
-    largest |Y|, tol = max(rtol, 1e-14): below that floor lies rounding
-    noise (at 1e-15 v4 and the test table took six times the panels). The
-    first panel is as wide as z_min, the next scales by (tol/tail)**(1/14)
-    within x0.2 .. x4, and a retry by x0.9 at most, so that a tail a hair
-    above tol cannot retry one panel forever. Panels end on ``breaks``; one
-    narrower than ten ulps of z, as after NaN coefficients, ends the run
-    with ``success=False``. As from ``solve_ivp``, ``t`` holds the panel
-    ends, ``y`` the states there; ``nfev`` counts node evaluations.
+
+def _first_partition(fld: WkbField, domain: tuple[float, float]) -> np.ndarray:
+    """Panel ends across ``domain``: one on every knot of the potential, none
+    more than ``_PANEL_RATIO`` apart, and about ``_PANEL_RAD`` of phi apart,
+    spaced evenly between those points."""
+    z_min, z_max = domain
+    count = math.ceil(math.log(z_max / z_min) / math.log(_PANEL_RATIO))
+    coarse = z_min * (z_max / z_min) ** (np.arange(count + 1) / count)
+    coarse[-1] = z_max
+    knots = np.asarray(fld.potential.breaks, dtype=float)
+    knots = knots[(knots > z_min) & (knots < z_max)]
+    if len(knots):
+        coarse = np.union1d(coarse, knots)
+    parts = np.maximum(np.ceil(np.diff(fld.phi(coarse)) / _PANEL_RAD), 1.0).astype(int)
+    piece = np.repeat(np.arange(len(parts)), parts)
+    step = np.diff(coarse)[piece] / parts[piece]
+    ends = coarse[piece] + (np.arange(len(piece)) - (np.cumsum(parts) - parts)[piece]) * step
+    return np.append(ends, z_max)
+
+
+def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:
+    """Integrate y' = [[0, a(z)], [b(z), 0]] y from ``y0`` at ends[0] to ends[-1].
+
+    ``ends`` is the first partition into panels; ``coefficients(z_a, zs,
+    running)`` returns a and b at the nodes ``zs`` (one row per panel, from
+    the panel starts ``z_a``), arrays or numbers, where ``running(f)``
+    integrates node values from each panel's start to each of its nodes. A
+    panel solves Y = e_j + S (M Y) at its nodes for both unit starts e_j at
+    once, one component eliminated, and its propagator's columns are
+    e_j + w (M Y); no node lies on a panel end, where a coefficient may
+    jump. A panel is accepted when the last two Chebyshev coefficients of
+    both components are at most tol times their largest value, in both
+    columns, tol = max(rtol, 1e-14): below that floor lies rounding noise.
+    The panels that fail are halved and solved again, the others kept; a
+    panel narrower than ten ulps of z, or coefficients that are not finite,
+    end the run with ``success=False``. The product of the propagators in
+    order gives the states at the panel ends; ``nfev`` counts coefficient
+    evaluations at nodes, retries included. At most ``_BATCH`` panels are
+    solved at a time.
     """
     x, s_ref, w_ref, tail_ref = _chebyshev_rule()
-    z, z_end = map(float, domain)
-    if not z < z_end:
-        raise ValueError(f"integration span {domain} does not run forward")
-    stops = [z_end, *(b for b in map(float, reversed(breaks)) if z < b < z_end)]
-    stop = stops.pop()
+    ends = np.asarray(ends, dtype=float)
+    if not (len(ends) > 1 and (np.diff(ends) > 0.0).all()):
+        raise ValueError(f"integration span ({ends[0]}, {ends[-1]}) does not run forward")
     tol = max(rtol, _TAIL_FLOOR)
-    u, v = map(complex, y0)
-    eye = np.eye(_NODES)
-    ts, ys, nfev, width = [z], [(u, v)], 0, z
-    while z < z_end:
-        z_b = min(z + width, stop)
-        h = z_b - z
-        if not h >= 10.0 * (math.nextafter(z, math.inf) - z):
-            return OdeResult(np.array(ts), np.array(ys).T, nfev, False,
-                             "Required panel width is less than spacing between numbers.")
-        s = 0.5 * h * s_ref
-        a, b = coefficients(z, z + 0.5 * h * (x + 1.0), s)
-        nfev += _NODES
-        sa, sb = s * a, s * b
-        us, info = zgesv(eye - sa @ sb, u + v * sa.sum(axis=1))[2:]
-        vs = sb @ us + v
-        nodes = np.array((us, vs))
-        tail = np.abs(nodes @ tail_ref.T).max() / np.abs(nodes).max() if info == 0 else math.nan
-        if not tail <= tol:   # a NaN tail is rejected too, and shrinks the panel
-            factor = min((tol / tail) ** (1.0 / (_NODES - 2)), _SAFETY)
-            width = h * (factor if factor > _SHRINK else _SHRINK)
-            continue
-        u += complex(0.5 * h * (w_ref @ (a * vs)))
-        v += complex(0.5 * h * (w_ref @ (b * us)))
-        z = z_b
-        ts.append(z)
-        ys.append((u, v))
-        width = h * (min((tol / tail) ** (1.0 / (_NODES - 2)), _GROW) if tail > 0.0 else _GROW)
-        if z == stop and stops:
-            stop = stops.pop()
-    return OdeResult(np.array(ts), np.array(ys).T, nfev, True,
+    u_start = np.array([1.0, 0.0])    # the two columns start on (1, 0) and (0, 1)
+    v_start = 1.0 - u_start
+    queue_a, queue_b = ends[:-1], ends[1:]
+    starts, propagators, nfev = [], [], 0
+
+    def failed(message: str) -> OdeResult:
+        return OdeResult(ends[:1], np.array(y0, dtype=complex)[:, None], nfev, False, message)
+
+    while len(queue_a):
+        z_a, z_b = queue_a[:_BATCH], queue_b[:_BATCH]
+        half = 0.5 * (z_b - z_a)
+        if not (half >= 5.0 * (np.nextafter(z_a, np.inf) - z_a)).all():
+            return failed("Required panel width is less than spacing between numbers.")
+        zs = z_a[:, None] + half[:, None] * (x + 1.0)
+        a, b = (np.broadcast_to(c, zs.shape) for c in
+                coefficients(z_a, zs, lambda f: half[:, None] * _times(f, s_ref.T)))
+        nfev += zs.size
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            return failed("Coefficients are not finite.")
+        # U = u_a + S a V and V = v_a + S b U, for (u_a, v_a) = (1, 0) and
+        # (0, 1): (1 - S a S b) U = u_a + v_a S a 1, then V = v_a + S b U
+        ha, hb = half[:, None] * a, half[:, None] * b
+        lhs = _times(s_ref * ha[:, None, :], s_ref)
+        lhs *= -hb[:, None, :]
+        lhs.reshape(len(z_a), -1)[:, ::len(x) + 1] += 1.0
+        us = np.linalg.solve(lhs, np.stack([np.ones(zs.shape), _times(ha, s_ref.T)], axis=2))
+        us = np.ascontiguousarray(us.transpose(0, 2, 1))          # [panel, column, node]
+        vs = _times(hb[:, None, :] * us, s_ref.T) + v_start[:, None]
+        # the tail test on both components of both columns
+        tails = np.abs(_times(np.concatenate([us, vs], axis=2).reshape(-1, len(x)), tail_ref.T))
+        size = np.maximum(np.abs(us).max(axis=2), np.abs(vs).max(axis=2))
+        good = (tails.reshape(len(z_a), 2, 4).max(axis=2) <= tol * size).all(axis=1)
+        starts.append(z_a[good])
+        weights = half[good, None] * w_ref
+        propagators.append(np.stack([
+            u_start + np.einsum("pcn,pn->pc", vs[good], weights * a[good]),
+            v_start + np.einsum("pcn,pn->pc", us[good], weights * b[good])], axis=1))
+        mid = z_a[~good] + half[~good]
+        queue_a = np.concatenate([queue_a[_BATCH:], z_a[~good], mid])
+        queue_b = np.concatenate([queue_b[_BATCH:], mid, z_b[~good]])
+    order = np.argsort(np.concatenate(starts))
+    y = tuple(map(complex, y0))
+    ys = [y]
+    for (m00, m01), (m10, m11) in np.concatenate(propagators)[order].tolist():
+        y = (m00 * y[0] + m01 * y[1], m10 * y[0] + m11 * y[1])
+        ys.append(y)
+    t = np.append(np.concatenate(starts)[order], ends[-1])
+    return OdeResult(t, np.array(ys).T, nfev, True,
                      "The solver successfully reached the end of the integration interval.")
 
 
-def _solve(fld: WkbField, domain: tuple[float, float],
-           integrate, current, enter, leave) -> ScatteringResult:
+def _solve(fld: WkbField, domain: tuple[float, float], coefficients, rtol: float,
+           current, enter, leave) -> ScatteringResult:
     """Integrate one route across ``domain`` and assemble its amplitudes.
 
     Every route starts on the field's cliff wave at z_min and is decomposed
-    on its WKB pair at z_max. The route supplies ``integrate(domain, y0,
-    breaks)``, which returns an ``OdeResult``, the conserved ``current`` of
-    its states (for the Wronskian drift over every accepted step or panel),
-    ``enter(z, (Psi, Psi'))`` mapping a wave into its state and
-    ``leave(z, y)`` mapping a state back.
+    on its WKB pair at z_max. The route supplies the ``coefficients`` of its
+    system for ``solve_ivp``, the conserved ``current`` of its states (for
+    the Wronskian drift over every panel), ``enter(z, (Psi, Psi'))`` mapping
+    a wave into its state and ``leave(z, y)`` mapping a state back.
     """
     z_min, z_max = domain
-    sol = integrate(domain, enter(z_min, fld.cliff_wave(z_min)), breaks=fld.potential.breaks)
+    sol = solve_ivp(coefficients, _first_partition(fld, domain),
+                    enter(z_min, fld.cliff_wave(z_min)), rtol)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
     psi, dpsi = leave(z_max, sol.y[:, -1])
@@ -430,8 +344,8 @@ def _solve(fld: WkbField, domain: tuple[float, float],
         det_t_residual=abs(transfer.det() - 1.0),
         wronskian_drift=drift,
         current_residual=abs(abs(cm) ** 2 - abs(cp) ** 2 - 1.0),
-        matching_q_left=fld.cliff_residual(z_min),
-        matching_q_right=fld.q(z_max),
+        matching_q_left=float(fld.cliff_residual(z_min)),
+        matching_q_right=float(fld.q(z_max)),
     )
     return ScatteringResult(kappa=fld.kappa, r=cp / cm, t=1.0 / cm,
                             transfer=transfer, smatrix=smatrix, diagnostics=diags)
@@ -452,20 +366,16 @@ def solve_direct(potential, energy: float, ctl: SolverControl | None = None) -> 
     The wave starts at the cliff-side matching point as the field's cliff
     wave, the one-way wave into the surface (full transmission), and is
     decomposed on the WKB pair at the far-end matching point, giving
-    r = c+/c- and t = 1/c-.
+    r = c+/c- and t = 1/c-. The state (Psi, Psi') has a = 1 and b = -F.
     """
     ctl = ctl or _DEFAULT_CTL
     fld = WkbField(potential, energy)
 
-    def rhs(z, y):
-        return (y[1], -fld.f_coeff(z) * y[0])
+    def coefficients(z_a, zs, running):
+        return 1.0, -fld.f_coeff(zs)
 
-    def integrate(domain, y0, breaks):
-        return solve_ivp(rhs, domain, y0, rtol=ctl.rtol, atol=ATOL_FACTOR * abs(y0[0]),
-                         breaks=breaks)
-
-    return _solve(fld, fld.matching_domain(ctl.q_match_rel), integrate, _wave_current,
-                  _same, _same)
+    return _solve(fld, fld.matching_domain(ctl.q_match_rel), coefficients, ctl.rtol,
+                  _wave_current, _same, _same)
 
 
 def _amplitudes(fld: WkbField, z: float, wave: tuple[complex, complex]):
@@ -493,47 +403,44 @@ def solve_coupled(potential, energy: float, ctl: SolverControl | None = None) ->
     """Same problem as ``solve_direct`` in counter-propagating amplitudes.
 
     The state carries (beta_+, beta_-); the amplitudes obey
-    beta_eta' = beta_(-eta) (k'/2k) exp(-2 i eta phi), integrated by
-    ``collocate``. On each panel phi is ``fld.phi`` at the panel's start
-    plus the panel's integral of k, so it never drifts. The cliff wave
-    enters this gauge exactly; the leftward WKB wave, for one, enters with
-    a first-order dressing beta_+ = i k'/(4 k**2) e^(-2 i phi).
+    beta_eta' = beta_(-eta) (k'/2k) exp(-2 i eta phi). On each panel phi
+    is ``fld.phi`` at the panel's start plus the panel's integral of k, so
+    it never drifts. The cliff wave enters this gauge exactly; the leftward
+    WKB wave, for one, enters with a first-order dressing
+    beta_+ = i k'/(4 k**2) e^(-2 i phi).
     """
     ctl = ctl or _DEFAULT_CTL
     fld = WkbField(potential, energy)
 
-    def coefficients(z_a, zs, s):
-        zs = zs.tolist()
-        k = np.array([fld.k(z) for z in zs])
-        g = np.array([fld.potential.dvalue(z) for z in zs]) / (-4.0 * k * k)   # k'/(2k)
-        rot = np.exp(-2j * (fld.phi(z_a) + s @ k))
+    def coefficients(z_a, zs, running):
+        k = fld.k(zs)
+        g = fld.potential.dvalue(zs) / (-4.0 * k * k)   # k'/(2k)
+        rot = np.exp(-2j * (fld.phi(z_a)[:, None] + running(k)))
         return g * rot, g * rot.conj()
 
     def current(ys):
         return np.abs(ys[1]) ** 2 - np.abs(ys[0]) ** 2
 
-    return _solve(fld, fld.matching_domain(ctl.q_match_rel),
-                  functools.partial(collocate, coefficients, rtol=ctl.rtol), current,
+    return _solve(fld, fld.matching_domain(ctl.q_match_rel), coefficients, ctl.rtol, current,
                   functools.partial(_amplitudes, fld), functools.partial(_amplitude_wave, fld))
 
 
 def solve_transformed(problem: TransformedProblem, ctl: SolverControl | None = None) -> ScatteringResult:
     """Solve the Liouville-transformed problem; amplitudes are gauge-invariant.
 
-    The state is (Psi_t, dPsi_t/dzt) but the integration, by ``collocate``,
-    walks the *original* coordinate, with the map's derivative as Jacobian.
-    The wall shape then never needs a numeric map inversion and the
-    endpoints land exactly on the matching points, where the problem carries
-    the field's waves over.
+    The state is (Psi_t, dPsi_t/dzt) but the integration walks the
+    *original* coordinate, with the map's derivative as Jacobian. The wall
+    shape then never needs a numeric map inversion and the endpoints land
+    exactly on the matching points, where the problem carries the field's
+    waves over.
     """
     ctl = ctl or _DEFAULT_CTL
 
-    def coefficients(z_a, zs, s):
-        jac, f = np.array([problem.coefficients(z) for z in zs.tolist()]).T
+    def coefficients(z_a, zs, running):
+        jac, f = problem.coefficients(zs)
         return jac, -f * jac
 
-    return _solve(problem.field, problem.domain,
-                  functools.partial(collocate, coefficients, rtol=ctl.rtol), _wave_current,
+    return _solve(problem.field, problem.domain, coefficients, ctl.rtol, _wave_current,
                   problem.carry, problem.uncarry)
 
 

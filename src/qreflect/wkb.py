@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -56,24 +55,32 @@ def badlands_peak_x(n: int) -> float:
     return (num / (4.0 * (n ** 2 + 3.0 * n + 2.0))) ** (1.0 / n)
 
 
-def phase_coordinate(x: float, n: int) -> float:
+def phase_coordinate(x, n: int):
     """Universal phase integral int sqrt(1 + 1/x'**n) dx' with far-end anchor.
 
     Equals phi_dB/(kappa zeta_n) for the homogeneous potential V_n, fixed by
-    phase_coordinate(x) - x -> 0 as x -> inf. Closed form on both sides of
-    x = 1.2: above, a 2F1 in -1/x**n, inside its disc of convergence; below,
-    the antiderivative G(t) = t**a/a 2F1(-1/2, a/n; 1 + a/n; -t**n) with
-    a = 1 - n/2 (DLMF 8.17.7), joined to the upper branch at 1.2. Near the
-    cliff it runs like -2/(n - 2) x**(1 - n/2).
+    phase_coordinate(x) - x -> 0 as x -> inf; x is a float or an array.
+    Closed form on both sides of x = 1.2: above, a 2F1 in -1/x**n, inside
+    its disc of convergence; below, the antiderivative
+    G(t) = t**a/a 2F1(-1/2, a/n; 1 + a/n; -t**n) with a = 1 - n/2
+    (DLMF 8.17.7), joined to the upper branch at 1.2. Near the cliff it runs
+    like -2/(n - 2) x**(1 - n/2).
     """
-    if x <= 0.0:
+    x = np.asarray(x, dtype=float)
+    if (x <= 0.0).any():
         raise ValueError("x must be positive")
     if n <= 2:
         raise ValueError("needs n > 2 for a finite far-end anchor")
-    if x >= _HYP_SWITCH:
-        f = float(hyp2f1(0.5, -1.0 / n, 1.0 - 1.0 / n, -x ** float(-n)))
-        return n * x / (n - 2.0) * (f - (2.0 / n) * math.sqrt(1.0 + x ** float(-n)))
-    return _cliff_offset(n) + _cliff_antiderivative(x, n)
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape)
+    far = flat >= _HYP_SWITCH
+    xf = flat[far]
+    f = hyp2f1(0.5, -1.0 / n, 1.0 - 1.0 / n, -xf ** float(-n))
+    out[far] = n * xf / (n - 2.0) * (f - (2.0 / n) * np.sqrt(1.0 + xf ** float(-n)))
+    near = ~far
+    if near.any():   # not on the far branch alone: _cliff_offset itself calls it there
+        out[near] = _cliff_offset(n) + _cliff_antiderivative(flat[near], n)
+    return out.reshape(x.shape)[()]
 
 
 @cache
@@ -83,17 +90,17 @@ def _cliff_offset(n: int) -> float:
     return phase_coordinate(_HYP_SWITCH, n) - _cliff_antiderivative(_HYP_SWITCH, n)
 
 
-def _cliff_antiderivative(t: float, n: int) -> float:
+def _cliff_antiderivative(t, n: int):
     """G(t), an antiderivative of sqrt(1 + t**-n) that is exact at any t > 0."""
     a = 1.0 - n / 2.0
-    return t ** a / a * float(hyp2f1(-0.5, a / n, 1.0 + a / n, -t ** float(n)))
+    return t ** a / a * hyp2f1(-0.5, a / n, 1.0 + a / n, -t ** float(n))
 
 
 @cache
-def _legendre(m: int) -> tuple[list[float], list[float]]:
+def _legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights of order m on [0, 1]."""
     x, w = roots_legendre(m)
-    return (0.5 * (x + 1.0)).tolist(), (0.5 * w).tolist()
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 class _PhaseTable:
@@ -121,21 +128,16 @@ class _PhaseTable:
         self.kz4, self.kz3 = kappa * self.zeta4, kappa * self.zeta3
 
         self.knots, self.cubics = potential.log_log_pieces()
-        u = np.array(self.knots)
-        c = np.array(self.cubics)
+        u = self.knots
         widths = np.diff(u)
         parts = np.ceil(widths / _PANEL_DU).astype(int)
         interval = np.repeat(np.arange(len(widths)), parts)
         width = (widths / parts)[interval]
         offset = (np.arange(len(interval)) - np.repeat(np.cumsum(parts) - parts, parts)) * width
-        ci = c[interval]
 
         def panel_integrals(m: int) -> np.ndarray:
             nodes, weights = _legendre(m)
-            s = offset[:, None] + width[:, None] * np.array(nodes)
-            w = ci[:, :1] + ci[:, 1:2] * s + ci[:, 2:3] * (s * s) + ci[:, 3:] * (s * s * s)
-            kz = np.sqrt(energy + np.exp(w)) * np.exp(u[interval][:, None] + s)
-            return width * (kz @ np.array(weights))
+            return width * self._kz(interval, offset[:, None] + width[:, None] * nodes, weights)
 
         low, high = (panel_integrals(m) for m in _PHASE_RULES)
         error = float(np.sum(np.abs(high - low)))
@@ -143,34 +145,38 @@ class _PhaseTable:
             raise RuntimeError(f"phase table error estimate {error:.1e} rad"
                                f" above {_PHASE_BUDGET:g} rad")
         phi_top = self.kz4 * phase_coordinate(self.z_max / self.zeta4, 4)
-        self.phi_start = (phi_top - np.cumsum(high[::-1])[::-1]).tolist()
-        self.start = (u[interval] + offset).tolist()
-        self.interval = interval.tolist()
-        self.offset = offset.tolist()
-        self.rule = list(zip(*_legendre(_PHASE_RULES[1])))
+        self.phi_start = phi_top - np.cumsum(high[::-1])[::-1]
+        self.start = u[interval] + offset
+        self.interval = interval
+        self.offset = offset
         self.phi_cliff = self.phi_start[0] - self.kz3 * phase_coordinate(
             self.z_min / self.zeta3, 3)
 
-    def phi(self, z: float) -> float:
-        if z >= self.z_max:
-            return self.kz4 * phase_coordinate(z / self.zeta4, 4)
-        if z < self.z_min:
-            return self.phi_cliff + self.kz3 * phase_coordinate(z / self.zeta3, 3)
-        u = math.log(z)
-        # clamped: math.log may land an ulp outside numpy's knots at the ends
-        p = min(max(bisect_right(self.start, u) - 1, 0), len(self.start) - 1)
+    def _kz(self, interval: np.ndarray, s: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Rule sums of k z = sqrt(E + exp(w)) e**u at u = u_i + s, a row of s per
+        knot interval i in ``interval``."""
+        c0, c1, c2, c3 = (c[:, None] for c in self.cubics[:, interval])
+        w = c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+        kz = np.sqrt(self.energy + np.exp(w)) * np.exp(self.knots[interval][:, None] + s)
+        return kz @ weights
+
+    def phi(self, z):
+        z = np.asarray(z, dtype=float)
+        flat = z.reshape(-1)
+        out = np.empty(flat.shape)
+        top, low = flat >= self.z_max, flat < self.z_min
+        out[top] = self.kz4 * phase_coordinate(flat[top] / self.zeta4, 4)
+        out[low] = self.phi_cliff + self.kz3 * phase_coordinate(flat[low] / self.zeta3, 3)
+        mid = ~(top | low)
+        u = np.log(flat[mid])
+        # clamped: the log may land an ulp outside the knots at the ends
+        p = np.clip(np.searchsorted(self.start, u, side="right") - 1, 0, len(self.start) - 1)
         i = self.interval[p]
-        u_i = self.knots[i]
-        c0, c1, c2, c3 = self.cubics[i]
         a = self.offset[p]
-        h = u - u_i - a
-        energy = self.energy
-        total = 0.0
-        for t, weight in self.rule:
-            s = a + h * t
-            w = c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
-            total += weight * math.sqrt(energy + math.exp(w)) * math.exp(u_i + s)
-        return self.phi_start[p] + h * total
+        h = u - self.knots[i] - a
+        nodes, weights = _legendre(_PHASE_RULES[1])
+        out[mid] = self.phi_start[p] + h * self._kz(i, a[:, None] + h[:, None] * nodes, weights)
+        return out.reshape(z.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -193,19 +199,20 @@ class WkbField:
         return math.sqrt(self.energy)
 
     # -- local wavevector and derivatives ---------------------------------
-    def f_coeff(self, z: float) -> float:
+    # each evaluator takes z as a float or an array
+    def f_coeff(self, z):
         """Schrodinger coefficient F = E - V, positive everywhere here."""
         return self.energy - self.potential.value(z)
 
-    def k(self, z: float) -> float:
-        return math.sqrt(self.f_coeff(z))
+    def k(self, z):
+        return np.sqrt(self.f_coeff(z))
 
-    def dk(self, z: float) -> float:
+    def dk(self, z):
         return -self.potential.dvalue(z) / (2.0 * self.k(z))
 
     # -- phase with the far-end convention ---------------------------------
-    def phi(self, z: float) -> float:
-        if z <= 0.0:
+    def phi(self, z):
+        if (np.asarray(z) <= 0.0).any():
             raise ValueError("phase is defined on z > 0")
         if isinstance(self.potential, HomogeneousPotential):
             n, c_n = self.potential.tail_far()
@@ -288,18 +295,18 @@ class WkbField:
         return value, derivative
 
     # -- badlands ----------------------------------------------------------
-    def q(self, z: float) -> float:
+    def q(self, z):
         """Badlands Q = -alpha**3 alpha'' = {phi,z}/(2 k**2), analytic form."""
         return self.k_q(z)[1]
 
-    def k_q(self, z: float) -> tuple[float, float]:
+    def k_q(self, z):
         """(k_dB, Q) at z from one pass over V, V' and V''.
 
         The wall-gauge solver needs both at every step.
         """
         v, dv, d2v = self.potential.derivs(z)
         k2 = self.energy - v
-        k = math.sqrt(k2)
+        k = np.sqrt(k2)
         dk = -dv / (2.0 * k)
         d2k = (-d2v - 2.0 * dk * dk) / (2.0 * k)
         return k, 0.5 * d2k / k2 ** 1.5 - 0.75 * dk * dk / (k2 * k2)
@@ -317,7 +324,7 @@ class WkbField:
         n4, c4 = self.potential.tail_far()
         zeta = (c4 / self.energy) ** 0.25
         grid = np.geomspace(zeta / 300.0, zeta * 300.0, 241)
-        qs = np.array([self.q(z) for z in grid])
+        qs = self.q(grid)
         imax = int(np.argmax(qs))
         if imax in (0, len(grid) - 1):
             raise RuntimeError("badlands peak not bracketed by the search grid")

@@ -19,7 +19,7 @@ from qreflect.liouville import (
     wall_integral_closed,
     wall_sign_summary,
 )
-from qreflect.potentials import HomogeneousPotential
+from qreflect.potentials import HomogeneousPotential, TabulatedPotential
 from qreflect.wkb import WkbField, badlands_peak_x, universal_badlands
 
 Z_STAR = 0.8472130847939791
@@ -184,6 +184,28 @@ class TestWallIntegral:
                         0.0, np.inf, epsabs=1e-12, epsrel=1e-11, limit=400)
         assert wall_integral_closed(n) == pytest.approx(value, rel=1e-9)
         assert wall_integral_closed(n) == pytest.approx(frozen, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_homogeneous_closed_forms(self, n):
+        # the integral runs out to where the tails have fallen by e**-40,
+        # on panels that resolve the steeper walls of larger n
+        _, prob = special_gauge(WkbField(HomogeneousPotential(n, 0.3), 0.3))
+        assert wall_integral(prob) == pytest.approx(wall_integral_closed(n), rel=1e-14)
+
+    def test_table_matches_quadrature_per_knot_interval(self):
+        # Q jumps at every knot of a table: the panels end on the knots, and
+        # the integral matches quad run on each knot interval and on the tails
+        lam, c3 = 3.0, 0.6
+        z = np.geomspace(0.01, 1000.0, 120)
+        fld = WkbField(TabulatedPotential(z, -c3 / (z ** 3 * (1.0 + z / lam)),
+                                          cliff_c3=c3, far_c4=c3 * lam), 0.05)
+        _, prob = special_gauge(fld)
+        z_peak, _ = fld.q_peak()
+        edges = np.log([z_peak * 1e-40, *z, z_peak * 1e6])
+        total = sum(quad(lambda u: float(fld.q(math.exp(u)) * fld.k(math.exp(u))) * math.exp(u),
+                         a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                    for a, b in zip(edges[:-1], edges[1:]))
+        assert wall_integral(prob) == pytest.approx(prob.vk * total, rel=1e-13)
 
     def test_positivity_and_energy_independence(self):
         for kl in (0.05, 1.5):

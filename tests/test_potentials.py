@@ -35,6 +35,30 @@ class TestHomogeneous:
             HomogeneousPotential(4, 1.0).value(0.0)
         with pytest.raises(ValueError):
             HomogeneousPotential(4, 1.0).value(-2.0)
+        with pytest.raises(ValueError):
+            HomogeneousPotential(4, 1.0).derivs(np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    def test_derivs_agree_with_value_and_dvalue(self, n):
+        # one power for all three: V and V' within 2 ulp of ``value`` and
+        # ``dvalue``, on scalars and on arrays, and V' and V'' within 4 ulp of
+        # the closed forms, which round on their own
+        pot = HomogeneousPotential(n, 0.7)
+        zs = np.exp(np.random.default_rng(n).uniform(-6.0, 6.0, 2000))
+        c = pot.c_n
+
+        def ulps(got, ref) -> float:
+            got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+            return float(np.max(np.abs(got - ref) / np.spacing(np.abs(ref))))
+
+        scalars = zs[:300].tolist()
+        for z, (v, dv, d2v) in [(zs, pot.derivs(zs)),
+                                (scalars, np.array([pot.derivs(z) for z in scalars]).T)]:
+            assert ulps(v, [pot.value(x) for x in z] if z is scalars else pot.value(z)) <= 2
+            assert ulps(dv, [pot.dvalue(x) for x in z] if z is scalars else pot.dvalue(z)) <= 2
+            x = np.asarray(z)
+            assert ulps(dv, n * c / x ** (n + 1)) <= 4
+            assert ulps(d2v, -n * (n + 1) * c / x ** (n + 2)) <= 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -107,24 +131,23 @@ class TestTabulated:
             assert pot.dvalue(z) == pytest.approx(fd, rel=1e-6)
 
     def test_kernel_matches_scipy_spline(self):
-        # the scalar kernel reproduces scipy's PPoly evaluation bit for bit;
-        # scipy itself returns NaN where math.log lands outside the end knots
+        # the array kernel reproduces scipy's PPoly evaluation bit for bit,
+        # with numpy's log and exp as the kernel takes them, on arrays and on
+        # scalars, the table's own nodes included (a node falls on the cubic
+        # that starts there, as in PPoly, and z_max on the last one)
         pot, _ = self.build()
         spline = _log_log_spline(pot._z, pot._v)
-        derivs = (spline, spline.derivative(), spline.derivative(2))
-
-        def reference(z):
-            u = math.log(z)
-            w, w1, w2 = (float(p(u)) for p in derivs)
-            return (-math.exp(w), -math.exp(w) * w1 / z,
-                    -math.exp(w) * (w2 + w1 * w1 - w1) / z ** 2)
-
         rng = np.random.default_rng(20)
         interior = np.exp(rng.uniform(math.log(pot.z_min), math.log(pot.z_max), 4000))
-        for z in [*interior.tolist(), *pot._z.tolist()]:
-            got = (pot.value(z), pot.dvalue(z), pot.d2value(z))
-            for g, r in zip(got, reference(z)):
-                assert g == r or (math.isnan(r) and math.isfinite(g))
+        zs = np.concatenate([interior, pot._z])
+        u = np.log(zs)
+        w, w1, w2 = (p(u) for p in (spline, spline.derivative(), spline.derivative(2)))
+        reference = (-np.exp(w), -np.exp(w) * w1 / zs, -np.exp(w) * (w2 + w1 * w1 - w1) / zs ** 2)
+        got = (pot.value(zs), pot.dvalue(zs), pot.d2value(zs))
+        assert all(np.array_equal(g, r) for g, r in zip(got, reference))
+        assert all(np.array_equal(g, r) for g, r in zip(pot.derivs(zs), reference))
+        for i in range(0, len(zs), 37):
+            assert pot.derivs(float(zs[i])) == tuple(r[i] for r in reference)
 
     def test_table_ends_are_finite(self):
         # math.log(z_min) falls one ulp below the np.log knot here, which made

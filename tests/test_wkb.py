@@ -1,7 +1,9 @@
 """Tests for the WKB field: wavevector, phase convention, badlands function."""
 
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from qreflect import potentials, wkb
 from qreflect.cli import main
-from qreflect.potentials import HomogeneousPotential, TabulatedPotential
+from qreflect.potentials import HomogeneousPotential, TabulatedPotential, _log_log_spline
 from qreflect.wkb import (
     WkbField,
     badlands_peak_x,
@@ -203,6 +205,26 @@ class TestPhase:
             for z in (0.1, 1.0, 2.5, 40.0, 800.0, 39000.0, 6e4):
                 assert fld.phi(z) == pytest.approx(quadrature_phi(fld, z), rel=0.0, abs=1e-10), z
 
+    @pytest.mark.parametrize("case", ["v3", "v4", "table"])
+    def test_arrays_match_scalars(self, tmp_path, case):
+        # one call on an array gives what one call per point gives, to
+        # rounding (numpy's array loops and its scalar ones round apart): phi
+        # on both sides of x = 1.2 and on every part of a table, k and Q
+        if case == "table":
+            fld = WkbField(potentials.load_potential_table(write_table(tmp_path, 500)),
+                           e1_energy(100.0))
+            zs = np.geomspace(0.2, 2e5, 301)
+        else:
+            fld = WkbField(HomogeneousPotential(int(case[1]), 0.3), 0.3)
+            zs = np.geomspace(1e-3, 1e3, 301)
+        for evaluate in (fld.phi, fld.k, fld.q, fld.f_coeff):
+            each = np.array([evaluate(float(z)) for z in zs])
+            np.testing.assert_allclose(evaluate(zs), each, rtol=1e-14,
+                                       atol=1e-15 * np.max(np.abs(each)))
+        grid = zs.reshape(7, 43)
+        assert fld.phi(grid).shape == grid.shape
+        np.testing.assert_array_equal(fld.phi(grid), fld.phi(zs).reshape(grid.shape))
+
     def test_table_error_gate(self, tmp_path, monkeypatch, capsys):
         # 2- and 3-point rules cannot resolve the coarse table's panels
         monkeypatch.setattr(wkb, "_PHASE_RULES", (2, 3))
@@ -279,6 +301,54 @@ class TestBadlands:
         _, q_peak = fld.q_peak()
         assert fld.q(z_lo) / q_peak == pytest.approx(1e-10, rel=1e-6)
         assert fld.q(z_hi) / q_peak == pytest.approx(1e-10, rel=1e-6)
+
+    @pytest.mark.parametrize("case", ["two-tail", "cp", "table-cli-30", "table-cli-100",
+                                      "table-cli-300"])
+    def test_peak_search_argmax(self, tmp_path, case):
+        # the search reads Q on its 241-point grid in one array call; its
+        # argmax is the one of Q evaluated point by point from scipy's PPoly
+        # and Python floats, on the test tables and on the benchmark's
+        # table-cli table (seed 1) at its three energies
+        if case == "two-tail":
+            pot, energy = two_tail_table(), 0.02
+        elif case == "cp":
+            pot = potentials.load_potential_table(write_table(tmp_path, 500))
+            energy = e1_energy(100.0)
+        else:
+            path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+            spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+            workloads = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(workloads)
+            table = workloads.TableCli(1, tmp_path / "table-cli")
+            table.write_inputs()
+            pot = potentials.load_potential_table(table.table)
+            energy = e1_energy(float(case.rsplit("-", 1)[1]))
+        fld = WkbField(pot, energy)
+        spline = _log_log_spline(pot._z, pot._v)
+        pieces = (spline, spline.derivative(), spline.derivative(2))
+
+        def q_point(z: float) -> float:
+            if pot.z_min <= z <= pot.z_max:
+                w, w1, w2 = (float(p(math.log(z))) for p in pieces)
+                mv = math.exp(w)
+                v, dv, d2v = -mv, -mv * w1 / z, -mv * (w2 + w1 * w1 - w1) / z ** 2
+            else:
+                n, c = (3, pot.cliff_c3_matched) if z < pot.z_min else (4, pot.far_c4_matched)
+                v, dv, d2v = -c / z ** n, n * c / z ** (n + 1), -n * (n + 1) * c / z ** (n + 2)
+            k2 = energy - v
+            k = math.sqrt(k2)
+            dk = -dv / (2.0 * k)
+            d2k = (-d2v - 2.0 * dk * dk) / (2.0 * k)
+            return 0.5 * d2k / k2 ** 1.5 - 0.75 * dk * dk / (k2 * k2)
+
+        zeta = (pot.tail_far()[1] / energy) ** 0.25
+        grid = np.geomspace(zeta / 300.0, zeta * 300.0, 241)
+        imax = int(np.argmax([q_point(float(z)) for z in grid]))
+        assert int(np.argmax(fld.q(grid))) == imax
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # the multimodal warning of a coarse table
+            z_peak, _ = fld.q_peak()
+        assert grid[imax - 1] <= z_peak <= grid[imax + 1]
 
     def test_tabulated_peak_search(self):
         lam = 2.0
