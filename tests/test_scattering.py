@@ -135,6 +135,15 @@ class TestCollocate:
         np.testing.assert_allclose(sol.y[0], wave, rtol=0.0, atol=1e-11)
         np.testing.assert_allclose(sol.y[1] / omega, 1j * wave, rtol=0.0, atol=1e-11)
 
+    def test_both_columns_pass_the_tail_test(self):
+        # with b = 0 only the column started on (0, 1) moves, u = int a: a
+        # panel passed on the other column alone would stay 10 rad wide
+        sol = solve_ivp(lambda z_a, zs, running: (np.cos(20.0 * zs), 0.0),
+                        (0.0, 10.0), (0.0, 1.0), rtol=1e-12)
+        assert sol.success and len(sol.t) > 30
+        np.testing.assert_allclose(sol.y[0], np.sin(20.0 * sol.t) / 20.0, rtol=0.0, atol=1e-13)
+        np.testing.assert_array_equal(sol.y[1], 1.0)
+
     def test_panels_end_on_the_knots(self, monkeypatch):
         # the wall's F_t holds V'', which jumps at every knot: each knot in
         # the span ends a panel, and no node reads a knot or a panel across one

@@ -304,11 +304,11 @@ class TestBadlands:
 
     @pytest.mark.parametrize("case", ["two-tail", "cp", "table-cli-30", "table-cli-100",
                                       "table-cli-300"])
-    def test_peak_search_argmax(self, tmp_path, case):
-        # the search reads Q on its 241-point grid in one array call; its
-        # argmax is the one of Q evaluated point by point from scipy's PPoly
-        # and Python floats, on the test tables and on the benchmark's
-        # table-cli table (seed 1) at its three energies
+    def test_peak_search_argmax(self, tmp_path, monkeypatch, case):
+        # the search reads Q on its 241-point grid, zeta/300 .. 300 zeta, in
+        # one array call; its argmax is the one of Q evaluated point by point
+        # from scipy's PPoly and Python floats, on the test tables and on the
+        # benchmark's table-cli table (seed 1) at its three energies
         if case == "two-tail":
             pot, energy = two_tail_table(), 0.02
         elif case == "cp":
@@ -344,10 +344,22 @@ class TestBadlands:
         zeta = (pot.tail_far()[1] / energy) ** 0.25
         grid = np.geomspace(zeta / 300.0, zeta * 300.0, 241)
         imax = int(np.argmax([q_point(float(z)) for z in grid]))
-        assert int(np.argmax(fld.q(grid))) == imax
+        read = []
+        q = WkbField.q
+
+        def spy(self, z):
+            out = q(self, z)
+            if np.ndim(z):
+                read.append((z, out))
+            return out
+
+        monkeypatch.setattr(WkbField, "q", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # the multimodal warning of a coarse table
             z_peak, _ = fld.q_peak()
+        ((searched, values),) = read
+        np.testing.assert_array_equal(searched, grid)
+        assert int(np.argmax(values)) == imax
         assert grid[imax - 1] <= z_peak <= grid[imax + 1]
 
     def test_tabulated_peak_search(self):
