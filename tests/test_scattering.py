@@ -80,9 +80,63 @@ def on_dop853(monkeypatch, integrate) -> None:
     monkeypatch.setattr(scattering, "solve_ivp", partial(pointwise, integrate))
 
 
+def loop_solve_ivp(coefficients, ends, y0, rtol: float) -> scattering.OdeResult:
+    """The reference for ``scattering.solve_ivp``: a loop over the panels in
+    order, each solved alone in the integral form [[1, -S a], [-S b, 1]]
+    (U, V) = (u_a, v_a) on all 2 x 16 unknowns, nothing eliminated, for the
+    two unit starts, with the same tail test; a panel that fails it is
+    replaced by its two halves, left first. The cases here all succeed."""
+    x, s_ref, w_ref, tail_ref = scattering._chebyshev_rule()
+    n, tol = len(x), max(rtol, 1e-14)
+    starts = np.kron(np.eye(2), np.ones((n, 1)))   # (1, 0) and (0, 1) at every node
+    y = np.array(y0, dtype=complex)
+    ts, ys, nfev = [float(ends[0])], [y], 0
+    todo = list(zip(map(float, ends[:-1]), map(float, ends[1:])))[::-1]
+    while todo:
+        z_a, z_b = todo.pop()
+        half = 0.5 * (z_b - z_a)
+        assert half >= 5.0 * (math.nextafter(z_a, math.inf) - z_a)
+        zs = z_a + half * (x + 1.0)
+        a, b = (np.broadcast_to(c, (1, n))[0] for c in
+                coefficients(np.array([z_a]), zs[None, :], lambda f: half * (f @ s_ref.T)))
+        nfev += n
+        assert np.isfinite(a).all() and np.isfinite(b).all()
+        s = half * s_ref
+        lhs = np.block([[np.eye(n), -s * a], [-s * b, np.eye(n)]])
+        cols = np.linalg.solve(lhs, starts).T.reshape(2, 2, n)   # [column, (U, V), node]
+        tails = np.abs(cols @ tail_ref.T).max(axis=(1, 2))
+        if not (tails <= tol * np.abs(cols).max(axis=(1, 2))).all():
+            mid = z_a + half
+            todo += [(mid, z_b), (z_a, mid)]
+            continue
+        weights = half * w_ref
+        y = (np.eye(2) + np.array([[weights @ (a * cols[c, 1]) for c in range(2)],
+                                   [weights @ (b * cols[c, 0]) for c in range(2)]])) @ y
+        ts.append(z_b)
+        ys.append(y)
+    return scattering.OdeResult(np.array(ts), np.array(ys).T, nfev, True,
+                                "The solver successfully reached the end of the integration interval.")
+
+
+def run_kernel_case(case: str) -> None:
+    """Integrate once through ``scattering.solve_ivp``."""
+    if case == "decay":   # u'' = 2 u / (1 + z)**2 from u = 1/(1 + z), one first panel
+        scattering.solve_ivp(lambda z_a, zs, running: (1.0, 2.0 / (1.0 + zs) ** 2),
+                             (0.0, 5.0), (1.0, -1.0), rtol=1e-10)
+    elif case == "oscillators":   # u'' = -(4 + cos z) u, complex start
+        scattering.solve_ivp(lambda z_a, zs, running: (1.0, -(4.0 + np.cos(zs))),
+                             (0.0, 3.5, 7.0), (1.0, 0.5j), rtol=1e-11)
+    elif case == "table":
+        solve_direct(two_tail_table(), 0.02, SolverControl(q_match_rel=1e-6))
+    else:
+        route, kl = case.split("-")
+        solve_route(route, float(kl))
+
+
 class TestScalarDop853:
-    """scipy's DOP853, reading each route's coefficients one point at a time,
-    checks the Chebyshev panels of ``scattering.solve_ivp``."""
+    """References for the Chebyshev panels of ``scattering.solve_ivp``:
+    scipy's DOP853, reading each route's coefficients one point at a time,
+    and ``loop_solve_ivp``, one panel at a time."""
 
     @pytest.mark.parametrize("kl", [0.119, 1.0, 10.0])
     @pytest.mark.parametrize("route", ROUTES)
@@ -102,6 +156,61 @@ class TestScalarDop853:
         (sol,) = sols
         assert sol.success and len(sol.t) > 20
         assert abs(solve_route(route, kl).r - ref.r) < 1e-10
+
+    @pytest.mark.parametrize("case", [f"{route}-{kl}" for route in ROUTES
+                                      for kl in (0.119, 1.0, 10.0)]
+                             + ["table", "decay", "oscillators"])
+    def test_kernel_matches_loop(self, monkeypatch, case):
+        # the batches of panels, one component eliminated, take the loop's
+        # panels, halved ones included, and land on its states: 1.9e-14 of
+        # the largest component at worst (direct, kappa*ell = 10; x86-64 with
+        # OpenBLAS). "table" ends its panels on the spline knots
+        pairs = []
+
+        def both(*args, **kwargs):
+            pairs.append((solve_ivp(*args, **kwargs), loop_solve_ivp(*args, **kwargs)))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(scattering, "solve_ivp", both)
+        run_kernel_case(case)
+        ((sol, ref),) = pairs
+        assert np.array_equal(sol.t, ref.t)
+        assert (sol.nfev, sol.success) == (ref.nfev, ref.success)
+        assert sol.success and len(sol.t) > 4
+        assert (np.abs(sol.y - ref.y) < 1e-13 * np.abs(ref.y).max(axis=0)).all()
+        if case == "table":
+            knots = np.array(two_tail_table().breaks)
+            assert np.isin(knots[(knots > sol.t[0]) & (knots < sol.t[-1])], sol.t).all()
+        else:
+            assert sol.nfev > scattering._NODES * (len(sol.t) - 1)   # halved panels
+        if case == "decay":
+            np.testing.assert_allclose(sol.y[0], 1.0 / (1.0 + sol.t), rtol=1e-10, atol=0.0)
+
+    def test_nan_rhs_fails_like_scipy(self):
+        # b turns NaN at z = 2: scipy's DOP853 creeps up to it and gives up
+        # below ten ulps of z; the panels stop at the batch that meets it
+        # and end the run at its start
+        def coefficients(z_a, zs, running):
+            return 1.0, np.where(zs < 2.0, -1.0, np.nan)
+
+        ends = np.linspace(0.0, 10.0, 11)
+        sol = solve_ivp(coefficients, ends, (1.0, 0.0), rtol=1e-10)
+        with np.errstate(invalid="ignore"):
+            ref = pointwise(scipy_solve_ivp, coefficients, ends, (1.0, 0.0), rtol=1e-10)
+        assert not sol.success and not ref.success
+        assert 1.9 < ref.t[-1] < 2.0
+        assert sol.message == "Coefficients are not finite."
+        assert list(sol.t) == [0.0] and sol.nfev == 10 * scattering._NODES
+
+    def test_nan_from_the_start_fails_at_once(self):
+        # NaN at the first node: the run ends after the first batch of
+        # panels, at its start, and evaluates none of the others
+        ends = np.linspace(0.0, 1.0, 3 * scattering._BATCH + 1)
+        sol = solve_ivp(lambda z_a, zs, running: (math.nan, math.nan), ends, (1.0, 0.0),
+                        rtol=1e-10)
+        assert not sol.success
+        assert sol.nfev == scattering._BATCH * scattering._NODES
+        assert list(sol.t) == [0.0]
 
     def test_span_must_run_forward(self):
         with pytest.raises(ValueError, match="does not run forward"):
