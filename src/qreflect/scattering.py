@@ -14,10 +14,12 @@ Three routes to the same amplitudes:
 All three start on one wave and end on one basis, the field's cliff wave and
 WKB pair; each route only maps them into and out of its own state. Each
 state obeys y' = [[0, a], [b, 0]] y with the route's own a and b, and all
-three run on one integrator, ``solve_ivp``: Chebyshev panels, solved many
-at a time. The routes check each other as three gauges with very
-different coefficients; the tests also check each against scipy's
-``solve_ivp`` reading the same coefficients point by point.
+three run on one integrator, ``solve_ivp``: Chebyshev panels of two rules,
+32 nodes where the phase sets a panel's width and 12 where a knot of a
+table does, solved many at a time. The routes check each other as three
+gauges with very different coefficients; the tests also check each
+against scipy's ``solve_ivp`` reading the same coefficients point by
+point.
 
 Conventions: r and t are defined for a wave incident from the far end; the
 incoming/transmitted wave at the cliff carries the WKB phase anchored by
@@ -172,12 +174,17 @@ def _decompose(psi: complex, dpsi: complex,
 # of first-kind Chebyshev points (Greengard, SIAM J. Numer. Anal. 28, 1071
 # (1991)). The system is linear, so a panel's 2x2 propagator does not depend
 # on the state, and the panels of a solve are solved together, in batches.
+# A panel takes one of two rules, after what set its width: the phase, or a
+# knot of a table, which leaves it narrow and smooth.
 
-_NODES = 16           # per panel: 24 (at 8 rad) is faster on v4, slower on knot-bound panels
+_PHASE_NODES = 32     # a panel of up to _PHASE_RAD of phi and z_b/z_a <= _PHASE_RATIO
+_PHASE_RAD = 12.0
+_PHASE_RATIO = 2.0
+_KNOT_NODES = 12      # a panel of at most _KNOT_RAD and z_b/z_a <= _KNOT_RATIO; 8 fails too often
+_KNOT_RAD = 2.0
+_KNOT_RATIO = 1.1
+_BUDGET = 16384       # matrix entries (nodes**2 a panel) solved at once; more holds more memory
 _TAIL_FLOOR = 1e-14   # floor of the panel test's tol: its rounding noise
-_PANEL_RAD = 3.0      # phase per panel of the first partition
-_PANEL_RATIO = 1.5    # and z_b/z_a of its widest panel
-_BATCH = 32           # panels solved at once; 64 is ~9% faster on v4 but holds more memory
 
 
 class OdeResult:
@@ -192,13 +199,12 @@ class OdeResult:
 
 
 @functools.cache
-def _chebyshev_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(x, S, w, tail) on [-1, 1]: the ``_NODES`` points, ascending; S @ f and
-    w @ f, the integrals of the interpolant of f from -1 to each point and
-    over [-1, 1] (Fejer's first rule); tail @ f, its last two Chebyshev
+def _chebyshev_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(x, S, w, tail) on [-1, 1]: the n points, ascending; S @ f and w @ f,
+    the integrals of the interpolant of f from -1 to each point and over
+    [-1, 1] (Fejer's first rule); tail @ f, its last two Chebyshev
     coefficients. Built on first use, so that importing the package builds
     nothing."""
-    n = _NODES
     theta = np.pi - np.pi * (np.arange(n) + 0.5) / n       # arccos of the points
     x = np.cos(theta)
     cheb = np.cos(np.outer(np.arange(n + 1), theta))      # T_m(x_j), m = 0 .. n
@@ -224,90 +230,103 @@ def _times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_partition(fld: WkbField, domain: tuple[float, float]) -> np.ndarray:
-    """Panel ends across ``domain``: one on every knot of the potential, none
-    more than ``_PANEL_RATIO`` apart, and about ``_PANEL_RAD`` of phi apart,
-    spaced evenly between those points."""
+def _first_partition(fld: WkbField, domain: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Panel ends across ``domain`` and each panel's node count.
+
+    There is an end on every knot of the potential, none more than
+    ``_PHASE_RATIO`` apart, and about ``_PHASE_RAD`` of phi apart, spaced
+    evenly between those points. A panel of at most ``_KNOT_RAD`` and
+    ``_KNOT_RATIO``, which on a table is one knot interval or less, takes
+    ``_KNOT_NODES``; the others ``_PHASE_NODES``.
+    """
     z_min, z_max = domain
-    count = math.ceil(math.log(z_max / z_min) / math.log(_PANEL_RATIO))
+    count = math.ceil(math.log(z_max / z_min) / math.log(_PHASE_RATIO))
     coarse = z_min * (z_max / z_min) ** (np.arange(count + 1) / count)
     coarse[-1] = z_max
     knots = np.asarray(fld.potential.breaks, dtype=float)
     knots = knots[(knots > z_min) & (knots < z_max)]
     if len(knots):
         coarse = np.union1d(coarse, knots)
-    parts = np.maximum(np.ceil(np.diff(fld.phi(coarse)) / _PANEL_RAD), 1.0).astype(int)
+    phase = np.diff(fld.phi(coarse))
+    parts = np.maximum(np.ceil(phase / _PHASE_RAD), 1.0).astype(int)
     piece = np.repeat(np.arange(len(parts)), parts)
     step = np.diff(coarse)[piece] / parts[piece]
     ends = coarse[piece] + (np.arange(len(piece)) - (np.cumsum(parts) - parts)[piece]) * step
-    return np.append(ends, z_max)
+    knot_bound = (phase <= _KNOT_RAD) & (coarse[1:] <= _KNOT_RATIO * coarse[:-1])
+    return np.append(ends, z_max), np.where(knot_bound, _KNOT_NODES, _PHASE_NODES)[piece]
 
 
-def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:
+def solve_ivp(coefficients, ends, nodes, y0, rtol: float) -> OdeResult:
     """Integrate y' = [[0, a(z)], [b(z), 0]] y from ``y0`` at ends[0] to ends[-1].
 
-    ``ends`` is the first partition into panels; ``coefficients(z_a, zs,
-    running)`` returns a and b at the nodes ``zs`` (one row per panel, from
-    the panel starts ``z_a``), arrays or numbers, where ``running(f)``
-    integrates node values from each panel's start to each of its nodes. A
-    panel solves Y = e_j + S (M Y) at its nodes for both unit starts e_j at
-    once, one component eliminated, and its propagator's columns are
-    e_j + w (M Y); no node lies on a panel end, where a coefficient may
-    jump. A panel is accepted when the last two Chebyshev coefficients of
-    both components are at most tol times their largest value, in both
-    columns, tol = max(rtol, 1e-14): below that floor lies rounding noise.
-    The panels that fail are halved and solved again, the others kept; a
-    panel narrower than ten ulps of z, or coefficients that are not finite,
-    end the run with ``success=False``. The product of the propagators in
-    order gives the states at the panel ends; ``nfev`` counts coefficient
-    evaluations at nodes, retries included. At most ``_BATCH`` panels are
-    solved at a time.
+    ``ends`` is the first partition into panels and ``nodes`` the size of
+    each panel's Chebyshev rule (one count, or one per panel);
+    ``coefficients(z_a, zs, running)`` returns a and b at the nodes ``zs``
+    (one row per panel, from the panel starts ``z_a``), arrays or numbers,
+    where ``running(f)`` integrates node values from each panel's start to
+    each of its nodes. A panel solves Y = e_j + S (M Y) at its nodes for
+    both unit starts e_j at once, one component eliminated, and its
+    propagator's columns are e_j + w (M Y); no node lies on a panel end,
+    where a coefficient may jump. A panel is accepted when the last two
+    Chebyshev coefficients of both components are at most tol times their
+    largest value, in both columns, tol = max(rtol, 1e-14): below that
+    floor lies rounding noise. The panels that fail are halved, each half
+    on its parent's rule, and solved again, the others kept; a panel
+    narrower than ten ulps of z, or coefficients that are not finite, end
+    the run with ``success=False``. The product of the propagators in order
+    gives the states at the panel ends; ``nfev`` counts coefficient
+    evaluations at nodes, retries included. The panels of one rule are
+    solved in batches of at most ``_BUDGET`` matrix entries, nodes**2 a
+    panel.
     """
-    x, s_ref, w_ref, tail_ref = _chebyshev_rule()
     ends = np.asarray(ends, dtype=float)
     if not (len(ends) > 1 and (np.diff(ends) > 0.0).all()):
         raise ValueError(f"integration span ({ends[0]}, {ends[-1]}) does not run forward")
+    nodes = np.broadcast_to(nodes, len(ends) - 1)
     tol = max(rtol, _TAIL_FLOOR)
     u_start = np.array([1.0, 0.0])    # the two columns start on (1, 0) and (0, 1)
     v_start = 1.0 - u_start
-    queue_a, queue_b = ends[:-1], ends[1:]
     starts, propagators, nfev = [], [], 0
 
     def failed(message: str) -> OdeResult:
         return OdeResult(ends[:1], np.array(y0, dtype=complex)[:, None], nfev, False, message)
 
-    while len(queue_a):
-        z_a, z_b = queue_a[:_BATCH], queue_b[:_BATCH]
-        half = 0.5 * (z_b - z_a)
-        if not (half >= 5.0 * (np.nextafter(z_a, np.inf) - z_a)).all():
-            return failed("Required panel width is less than spacing between numbers.")
-        zs = z_a[:, None] + half[:, None] * (x + 1.0)
-        a, b = (np.broadcast_to(c, zs.shape) for c in
-                coefficients(z_a, zs, lambda f: half[:, None] * _times(f, s_ref.T)))
-        nfev += zs.size
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            return failed("Coefficients are not finite.")
-        # U = u_a + S a V and V = v_a + S b U, for (u_a, v_a) = (1, 0) and
-        # (0, 1): (1 - S a S b) U = u_a + v_a S a 1, then V = v_a + S b U
-        ha, hb = half[:, None] * a, half[:, None] * b
-        lhs = _times(s_ref * ha[:, None, :], s_ref)
-        lhs *= -hb[:, None, :]
-        lhs.reshape(len(z_a), -1)[:, ::len(x) + 1] += 1.0
-        us = np.linalg.solve(lhs, np.stack([np.ones(zs.shape), _times(ha, s_ref.T)], axis=2))
-        us = np.ascontiguousarray(us.transpose(0, 2, 1))          # [panel, column, node]
-        vs = _times(hb[:, None, :] * us, s_ref.T) + v_start[:, None]
-        # the tail test on both components of both columns
-        tails = np.abs(_times(np.concatenate([us, vs], axis=2).reshape(-1, len(x)), tail_ref.T))
-        size = np.maximum(np.abs(us).max(axis=2), np.abs(vs).max(axis=2))
-        good = (tails.reshape(len(z_a), 2, 4).max(axis=2) <= tol * size).all(axis=1)
-        starts.append(z_a[good])
-        weights = half[good, None] * w_ref
-        propagators.append(np.stack([
-            u_start + np.einsum("pcn,pn->pc", vs[good], weights * a[good]),
-            v_start + np.einsum("pcn,pn->pc", us[good], weights * b[good])], axis=1))
-        mid = z_a[~good] + half[~good]
-        queue_a = np.concatenate([queue_a[_BATCH:], z_a[~good], mid])
-        queue_b = np.concatenate([queue_b[_BATCH:], mid, z_b[~good]])
+    for n in np.unique(nodes).tolist():
+        x, s_ref, w_ref, tail_ref = _chebyshev_rule(n)
+        batch = max(_BUDGET // (n * n), 1)
+        queue_a, queue_b = ends[:-1][nodes == n], ends[1:][nodes == n]
+        while len(queue_a):
+            z_a, z_b = queue_a[:batch], queue_b[:batch]
+            half = 0.5 * (z_b - z_a)
+            if not (half >= 5.0 * (np.nextafter(z_a, np.inf) - z_a)).all():
+                return failed("Required panel width is less than spacing between numbers.")
+            zs = z_a[:, None] + half[:, None] * (x + 1.0)
+            a, b = (np.broadcast_to(c, zs.shape) for c in
+                    coefficients(z_a, zs, lambda f: half[:, None] * _times(f, s_ref.T)))
+            nfev += zs.size
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                return failed("Coefficients are not finite.")
+            # U = u_a + S a V and V = v_a + S b U, for (u_a, v_a) = (1, 0) and
+            # (0, 1): (1 - S a S b) U = u_a + v_a S a 1, then V = v_a + S b U
+            ha, hb = half[:, None] * a, half[:, None] * b
+            lhs = _times(s_ref * ha[:, None, :], s_ref)
+            lhs *= -hb[:, None, :]
+            lhs.reshape(len(z_a), -1)[:, ::n + 1] += 1.0
+            us = np.linalg.solve(lhs, np.stack([np.ones(zs.shape), _times(ha, s_ref.T)], axis=2))
+            us = np.ascontiguousarray(us.transpose(0, 2, 1))          # [panel, column, node]
+            vs = _times(hb[:, None, :] * us, s_ref.T) + v_start[:, None]
+            # the tail test on both components of both columns
+            tails = np.abs(_times(np.concatenate([us, vs], axis=2).reshape(-1, n), tail_ref.T))
+            size = np.maximum(np.abs(us).max(axis=2), np.abs(vs).max(axis=2))
+            good = (tails.reshape(len(z_a), 2, 4).max(axis=2) <= tol * size).all(axis=1)
+            starts.append(z_a[good])
+            weights = half[good, None] * w_ref
+            propagators.append(np.stack([
+                u_start + np.einsum("pcn,pn->pc", vs[good], weights * a[good]),
+                v_start + np.einsum("pcn,pn->pc", us[good], weights * b[good])], axis=1))
+            mid = z_a[~good] + half[~good]
+            queue_a = np.concatenate([queue_a[batch:], z_a[~good], mid])
+            queue_b = np.concatenate([queue_b[batch:], mid, z_b[~good]])
     order = np.argsort(np.concatenate(starts))
     y = tuple(map(complex, y0))
     ys = [y]
@@ -330,7 +349,7 @@ def _solve(fld: WkbField, domain: tuple[float, float], coefficients, rtol: float
     a wave into its state and ``leave(z, y)`` mapping a state back.
     """
     z_min, z_max = domain
-    sol = solve_ivp(coefficients, _first_partition(fld, domain),
+    sol = solve_ivp(coefficients, *_first_partition(fld, domain),
                     enter(z_min, fld.cliff_wave(z_min)), rtol)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")

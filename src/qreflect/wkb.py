@@ -336,6 +336,19 @@ class WkbField:
         z_peak = _golden_max(self.q, grid[imax - 1], grid[imax + 1])
         return z_peak, self.q(z_peak)
 
+    def _walk(self, z: float, way: int, target: float) -> float:
+        """The first of z, z 2**way, z 2**(2 way), ... (way = +-1) where Q is
+        not above ``target``: the doubling walk, with Q read on 8, 16, 32, ...
+        points a call. ldexp scales by a power of two exactly, so each point
+        is the one that halving or doubling one step at a time reaches."""
+        first, count = 0, 8
+        while True:
+            zs = np.ldexp(z, way * np.arange(first, first + count))
+            stop = np.flatnonzero(~(self.q(zs) > target))
+            if len(stop):
+                return float(zs[stop[0]])
+            first, count = first + count, 2 * count
+
     def matching_domain(self, q_rel: float = 1e-10) -> tuple[float, float]:
         """(z_min, z_max) where Q has fallen to q_rel of its peak on each side.
 
@@ -352,12 +365,8 @@ class WkbField:
         def crossing(lo: float, hi: float) -> float:
             return brentq(lambda z: self.q(z) - target, lo, hi, xtol=1e-300, rtol=1e-13)
 
-        lo = z_peak
-        while self.q(lo) > target:
-            lo /= 2.0
-        hi = z_peak
-        while self.q(hi) > target:
-            hi *= 2.0
+        lo = self._walk(z_peak, -1, target)
+        hi = self._walk(z_peak, +1, target)
         z_min = crossing(lo, min(2.0 * lo, z_peak))
         if self.on_threshold_tail(z_min):
             n, c_n, z_top = self._threshold_tail

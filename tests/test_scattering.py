@@ -60,11 +60,12 @@ def spy_integrations(monkeypatch, integrate=None) -> list:
 ROUTES = ["direct", "coupled", "transformed"]
 
 
-def pointwise(integrate, coefficients, ends, y0, rtol: float):
+def pointwise(integrate, coefficients, ends, nodes, y0, rtol: float):
     """Stand in for ``scattering.solve_ivp``: integrate its y' = [[0, a], [b, 0]] y
     over the span of ``ends`` by ``integrate``, a DOP853 that knows no
-    panels, with a and b read one point at a time (a one-node "panel" from
-    z itself, whose running integral is zero)."""
+    panels and so no rules (``nodes``), with a and b read one point at a
+    time (a one-node "panel" from z itself, whose running integral is
+    zero)."""
     def rhs(z, y):
         a, b = (complex(np.ravel(c)[0]) for c in
                 coefficients(np.array([z]), np.array([[z]]), np.zeros_like))
@@ -80,20 +81,22 @@ def on_dop853(monkeypatch, integrate) -> None:
     monkeypatch.setattr(scattering, "solve_ivp", partial(pointwise, integrate))
 
 
-def loop_solve_ivp(coefficients, ends, y0, rtol: float) -> scattering.OdeResult:
+def loop_solve_ivp(coefficients, ends, nodes, y0, rtol: float) -> scattering.OdeResult:
     """The reference for ``scattering.solve_ivp``: a loop over the panels in
-    order, each solved alone in the integral form [[1, -S a], [-S b, 1]]
-    (U, V) = (u_a, v_a) on all 2 x 16 unknowns, nothing eliminated, for the
-    two unit starts, with the same tail test; a panel that fails it is
-    replaced by its two halves, left first. The cases here all succeed."""
-    x, s_ref, w_ref, tail_ref = scattering._chebyshev_rule()
-    n, tol = len(x), max(rtol, 1e-14)
-    starts = np.kron(np.eye(2), np.ones((n, 1)))   # (1, 0) and (0, 1) at every node
+    order, each solved alone on its own rule of n nodes in the integral
+    form [[1, -S a], [-S b, 1]] (U, V) = (u_a, v_a) on all 2 x n unknowns,
+    nothing eliminated, for the two unit starts, with the same tail test; a
+    panel that fails it is replaced by its two halves, left first, on its
+    rule. The cases here all succeed."""
+    tol = max(rtol, 1e-14)
     y = np.array(y0, dtype=complex)
     ts, ys, nfev = [float(ends[0])], [y], 0
-    todo = list(zip(map(float, ends[:-1]), map(float, ends[1:])))[::-1]
+    todo = list(zip(map(float, ends[:-1]), map(float, ends[1:]),
+                    np.broadcast_to(nodes, len(ends) - 1).tolist()))[::-1]
     while todo:
-        z_a, z_b = todo.pop()
+        z_a, z_b, n = todo.pop()
+        x, s_ref, w_ref, tail_ref = scattering._chebyshev_rule(n)
+        starts = np.kron(np.eye(2), np.ones((n, 1)))   # (1, 0) and (0, 1) at every node
         half = 0.5 * (z_b - z_a)
         assert half >= 5.0 * (math.nextafter(z_a, math.inf) - z_a)
         zs = z_a + half * (x + 1.0)
@@ -107,7 +110,7 @@ def loop_solve_ivp(coefficients, ends, y0, rtol: float) -> scattering.OdeResult:
         tails = np.abs(cols @ tail_ref.T).max(axis=(1, 2))
         if not (tails <= tol * np.abs(cols).max(axis=(1, 2))).all():
             mid = z_a + half
-            todo += [(mid, z_b), (z_a, mid)]
+            todo += [(mid, z_b, n), (z_a, mid, n)]
             continue
         weights = half * w_ref
         y = (np.eye(2) + np.array([[weights @ (a * cols[c, 1]) for c in range(2)],
@@ -120,14 +123,15 @@ def loop_solve_ivp(coefficients, ends, y0, rtol: float) -> scattering.OdeResult:
 
 def run_kernel_case(case: str) -> None:
     """Integrate once through ``scattering.solve_ivp``."""
+    knot, phase = scattering._KNOT_NODES, scattering._PHASE_NODES
     if case == "decay":   # u'' = 2 u / (1 + z)**2 from u = 1/(1 + z), one first panel
         scattering.solve_ivp(lambda z_a, zs, running: (1.0, 2.0 / (1.0 + zs) ** 2),
-                             (0.0, 5.0), (1.0, -1.0), rtol=1e-10)
-    elif case == "oscillators":   # u'' = -(4 + cos z) u, complex start
+                             (0.0, 5.0), knot, (1.0, -1.0), rtol=1e-10)
+    elif case == "oscillators":   # u'' = -(4 + cos z) u, complex start, both rules
         scattering.solve_ivp(lambda z_a, zs, running: (1.0, -(4.0 + np.cos(zs))),
-                             (0.0, 3.5, 7.0), (1.0, 0.5j), rtol=1e-11)
-    elif case == "table":
-        solve_direct(two_tail_table(), 0.02, SolverControl(q_match_rel=1e-6))
+                             (0.0, 3.5, 7.0), (knot, phase), (1.0, 0.5j), rtol=1e-11)
+    elif case == "table":   # the default cut starts below the table: both rules
+        solve_direct(two_tail_table(), 0.02)
     else:
         route, kl = case.split("-")
         solve_route(route, float(kl))
@@ -162,27 +166,31 @@ class TestScalarDop853:
                              + ["table", "decay", "oscillators"])
     def test_kernel_matches_loop(self, monkeypatch, case):
         # the batches of panels, one component eliminated, take the loop's
-        # panels, halved ones included, and land on its states: 1.9e-14 of
+        # panels, halved ones included, and land on its states: 3.7e-14 of
         # the largest component at worst (direct, kappa*ell = 10; x86-64 with
-        # OpenBLAS). "table" ends its panels on the spline knots
+        # OpenBLAS). "table"
+        # ends its panels on the spline knots, on both rules
         pairs = []
 
         def both(*args, **kwargs):
-            pairs.append((solve_ivp(*args, **kwargs), loop_solve_ivp(*args, **kwargs)))
+            pairs.append((solve_ivp(*args, **kwargs), loop_solve_ivp(*args, **kwargs),
+                          len(args[1]) - 1, np.unique(args[2])))
             return pairs[-1][0]
 
         monkeypatch.setattr(scattering, "solve_ivp", both)
         run_kernel_case(case)
-        ((sol, ref),) = pairs
+        ((sol, ref, first, rules),) = pairs
         assert np.array_equal(sol.t, ref.t)
         assert (sol.nfev, sol.success) == (ref.nfev, ref.success)
         assert sol.success and len(sol.t) > 4
         assert (np.abs(sol.y - ref.y) < 1e-13 * np.abs(ref.y).max(axis=0)).all()
+        if case in ("table", "oscillators"):
+            assert rules.tolist() == [scattering._KNOT_NODES, scattering._PHASE_NODES]
         if case == "table":
             knots = np.array(two_tail_table().breaks)
             assert np.isin(knots[(knots > sol.t[0]) & (knots < sol.t[-1])], sol.t).all()
-        else:
-            assert sol.nfev > scattering._NODES * (len(sol.t) - 1)   # halved panels
+        elif case not in ("direct-1.0", "transformed-1.0"):   # these pass every first panel
+            assert len(sol.t) - 1 > first   # halved panels
         if case == "decay":
             np.testing.assert_allclose(sol.y[0], 1.0 / (1.0 + sol.t), rtol=1e-10, atol=0.0)
 
@@ -193,30 +201,34 @@ class TestScalarDop853:
         def coefficients(z_a, zs, running):
             return 1.0, np.where(zs < 2.0, -1.0, np.nan)
 
-        ends = np.linspace(0.0, 10.0, 11)
-        sol = solve_ivp(coefficients, ends, (1.0, 0.0), rtol=1e-10)
+        ends, n = np.linspace(0.0, 10.0, 11), scattering._PHASE_NODES
+        sol = solve_ivp(coefficients, ends, n, (1.0, 0.0), rtol=1e-10)
         with np.errstate(invalid="ignore"):
-            ref = pointwise(scipy_solve_ivp, coefficients, ends, (1.0, 0.0), rtol=1e-10)
+            ref = pointwise(scipy_solve_ivp, coefficients, ends, n, (1.0, 0.0), rtol=1e-10)
         assert not sol.success and not ref.success
         assert 1.9 < ref.t[-1] < 2.0
         assert sol.message == "Coefficients are not finite."
-        assert list(sol.t) == [0.0] and sol.nfev == 10 * scattering._NODES
+        assert list(sol.t) == [0.0] and sol.nfev == 10 * n
 
     def test_nan_from_the_start_fails_at_once(self):
         # NaN at the first node: the run ends after the first batch of
-        # panels, at its start, and evaluates none of the others
-        ends = np.linspace(0.0, 1.0, 3 * scattering._BATCH + 1)
-        sol = solve_ivp(lambda z_a, zs, running: (math.nan, math.nan), ends, (1.0, 0.0),
-                        rtol=1e-10)
-        assert not sol.success
-        assert sol.nfev == scattering._BATCH * scattering._NODES
-        assert list(sol.t) == [0.0]
+        # panels, at its start, and evaluates none of the others; a batch
+        # holds as many panels of n nodes as the budget of n**2 entries each
+        for n in (scattering._KNOT_NODES, scattering._PHASE_NODES):
+            batch = scattering._BUDGET // (n * n)
+            ends = np.linspace(0.0, 1.0, 3 * batch + 1)
+            sol = solve_ivp(lambda z_a, zs, running: (math.nan, math.nan), ends, n, (1.0, 0.0),
+                            rtol=1e-10)
+            assert not sol.success
+            assert sol.nfev == batch * n
+            assert list(sol.t) == [0.0]
 
     def test_span_must_run_forward(self):
         with pytest.raises(ValueError, match="does not run forward"):
-            solve_ivp(lambda z_a, zs, running: (1.0, -1.0), (1.0, 0.0), (1.0, 0.0), rtol=1e-10)
+            solve_ivp(lambda z_a, zs, running: (1.0, -1.0), (1.0, 0.0), 12, (1.0, 0.0),
+                      rtol=1e-10)
         with pytest.raises(ValueError, match="does not run forward"):
-            solve_ivp(lambda z_a, zs, running: (1.0, -1.0), (0.0, 2.0, 1.0, 3.0), (1.0, 0.0),
+            solve_ivp(lambda z_a, zs, running: (1.0, -1.0), (0.0, 2.0, 1.0, 3.0), 12, (1.0, 0.0),
                       rtol=1e-10)
 
     def test_failed_integration_raises(self, monkeypatch):
@@ -235,20 +247,23 @@ class TestCollocate:
 
     def test_oscillator_over_many_radians(self):
         # y'' = -omega**2 y across 600 rad from y = e^(i omega (z - 1)), from
-        # one first panel, halved until the panels pass
+        # one first panel, halved alike until the panels pass: to 1024
+        # panels of 12 nodes, 32 of 32
         omega = 12.0
-        sol = solve_ivp(lambda z_a, zs, running: (1.0, -omega * omega),
-                        (1.0, 51.0), (1.0, 1j * omega), rtol=1e-12)
-        assert sol.success and sol.t[-1] == 51.0 and len(sol.t) > 100
-        wave = np.exp(1j * omega * (sol.t - 1.0))
-        np.testing.assert_allclose(sol.y[0], wave, rtol=0.0, atol=1e-11)
-        np.testing.assert_allclose(sol.y[1] / omega, 1j * wave, rtol=0.0, atol=1e-11)
+        for n, least in ((scattering._KNOT_NODES, 100), (scattering._PHASE_NODES, 30)):
+            sol = solve_ivp(lambda z_a, zs, running: (1.0, -omega * omega),
+                            (1.0, 51.0), n, (1.0, 1j * omega), rtol=1e-12)
+            assert sol.success and sol.t[-1] == 51.0 and len(sol.t) > least
+            assert np.ptp(np.diff(sol.t)) == 0.0
+            wave = np.exp(1j * omega * (sol.t - 1.0))
+            np.testing.assert_allclose(sol.y[0], wave, rtol=0.0, atol=1e-11)
+            np.testing.assert_allclose(sol.y[1] / omega, 1j * wave, rtol=0.0, atol=1e-11)
 
     def test_both_columns_pass_the_tail_test(self):
         # with b = 0 only the column started on (0, 1) moves, u = int a: a
         # panel passed on the other column alone would stay 10 rad wide
         sol = solve_ivp(lambda z_a, zs, running: (np.cos(20.0 * zs), 0.0),
-                        (0.0, 10.0), (0.0, 1.0), rtol=1e-12)
+                        (0.0, 10.0), scattering._KNOT_NODES, (0.0, 1.0), rtol=1e-12)
         assert sol.success and len(sol.t) > 30
         np.testing.assert_allclose(sol.y[0], np.sin(20.0 * sol.t) / 20.0, rtol=0.0, atol=1e-13)
         np.testing.assert_array_equal(sol.y[1], 1.0)
@@ -271,12 +286,13 @@ class TestCollocate:
         inside = knots[(knots > prob.domain[0]) & (knots < prob.domain[1])]
         assert len(inside) > 400
         assert np.isin(inside, sol.t).all()
-        nodes = np.concatenate(nodes)
-        assert nodes.shape[1] == scattering._NODES
-        assert not np.isin(nodes, knots).any()
-        # every panel's nodes share one knot interval
-        panels = np.searchsorted(knots, nodes)
-        assert (panels == panels[:, :1]).all()
+        # inside the table every panel is one knot interval
+        assert {batch.shape[1] for batch in nodes} == {scattering._KNOT_NODES}
+        for batch in nodes:
+            assert not np.isin(batch, knots).any()
+            # every panel's nodes share one knot interval
+            panels = np.searchsorted(knots, batch)
+            assert (panels == panels[:, :1]).all()
 
     def test_nan_coefficient_fails(self, monkeypatch):
         # as ``TestScalarDop853.test_failed_integration_raises`` for direct
@@ -294,23 +310,69 @@ class TestCollocate:
         with pytest.raises(RuntimeError, match="integration failed: Coefficients are not finite"):
             solve_transformed(prob)
         # a solve that fails ends at its start and says why
+        n = scattering._PHASE_NODES
         sol = solve_ivp(lambda z_a, zs, running: (1.0, np.where(zs < 2.0, -1.0, np.nan)),
-                        (0.0, 1.0, 3.0), (1.0, 0.0), rtol=1e-10)
+                        (0.0, 1.0, 3.0), n, (1.0, 0.0), rtol=1e-10)
         assert not sol.success and sol.message == "Coefficients are not finite."
-        assert list(sol.t) == [0.0] and sol.nfev == 2 * scattering._NODES
+        assert list(sol.t) == [0.0] and sol.nfev == 2 * n
+
+    def test_rules_on_the_table(self):
+        # a knot interval of at most 2 rad takes the 12-node rule; the
+        # panels below the table, where the phase sets the width, take 32
+        fld = WkbField(two_tail_table(), 0.02)
+        ends, nodes = scattering._first_partition(fld, fld.matching_domain())
+        assert len(nodes) == len(ends) - 1
+        knots = np.array(fld.potential.breaks)
+        phase = np.diff(fld.phi(ends))
+        one_interval = np.searchsorted(knots, ends[:-1], side="right") == \
+            np.searchsorted(knots, ends[1:], side="left")
+        knot_bound = one_interval & (phase <= scattering._KNOT_RAD)
+        assert knot_bound.sum() > 500 and (~knot_bound).sum() >= 2
+        np.testing.assert_array_equal(
+            nodes, np.where(knot_bound, scattering._KNOT_NODES, scattering._PHASE_NODES))
+        # the phase-bound panels lie below the table, each within the phase
+        # rule's bounds
+        assert (ends[1:][~knot_bound] <= knots[0]).all()
+        assert (phase[~knot_bound] <= scattering._PHASE_RAD).all()
+        assert (ends[1:][~knot_bound] <= scattering._PHASE_RATIO * ends[:-1][~knot_bound]).all()
+
+    def test_halves_keep_the_rule(self):
+        # 60 rad on every first panel fails both rules: each half is solved
+        # on its parent's rule, down to the accepted panels
+        first = np.linspace(0.0, 4.0, 5)
+        rules = np.array([scattering._KNOT_NODES, scattering._PHASE_NODES] * 2)
+        panels = []
+
+        def coefficients(z_a, zs, running):
+            x = scattering._chebyshev_rule(zs.shape[1])[0]
+            panels.extend(zip(z_a, z_a + (zs[:, -1] - zs[:, 0]) / (x[-1] - x[0]) * 2.0,
+                              [zs.shape[1]] * len(z_a)))
+            return 1.0, -3600.0
+
+        sol = solve_ivp(coefficients, first, rules, (1.0, 60j), rtol=1e-12)
+        assert sol.success and sol.nfev == sum(n for _, _, n in panels)
+        np.testing.assert_allclose(sol.y[0], np.exp(60j * sol.t), rtol=0.0, atol=1e-10)
+        assert len(panels) > len(first) + 10
+        for z_a, z_b, n in panels:
+            # the first panel that holds this one sets its rule
+            parent = np.searchsorted(first, 0.5 * (z_a + z_b)) - 1
+            assert n == rules[parent]
+        # both rules were halved more than once
+        widths = {n: {round(z_b - z_a, 9) for z_a, z_b, m in panels if m == n} for n in rules}
+        assert all(len(w) > 2 for w in widths.values())
 
     @pytest.mark.parametrize("rtol", [1e-4, 1e-12])
     def test_retried_panels_shrink(self, monkeypatch, rtol):
         # only the panels that fail the tail test are solved again, halved;
         # the accepted ones stay as they are (a tail a hair above tol once
         # retried one panel forever: v4 with C4 = 1 at E = 100, rtol 1e-4).
-        # A first partition of 30 rad per panel makes many of them fail
-        monkeypatch.setattr(scattering, "_PANEL_RAD", 30.0)
-        x = scattering._chebyshev_rule()[0]
+        # A first partition of 120 rad per panel makes many of them fail
+        monkeypatch.setattr(scattering, "_PHASE_RAD", 120.0)
         panels, firsts = [], []
 
         def recorded(coefficients, ends, *args, **kwargs):
             def record(z_a, zs, running):
+                x = scattering._chebyshev_rule(zs.shape[1])[0]
                 panels.extend(zip(z_a, (zs[:, -1] - zs[:, 0]) / (x[-1] - x[0])))
                 return coefficients(z_a, zs, running)
             firsts.append(len(ends) - 1)
@@ -324,7 +386,7 @@ class TestCollocate:
             sols = spy_integrations(monkeypatch, recorded)
             solve()
             (sol,), (first,) = sols, firsts
-            assert sol.nfev == scattering._NODES * len(panels)
+            assert sol.nfev == scattering._PHASE_NODES * len(panels)   # v4: no knots
             assert len(panels) > first
             # each later panel is one half of an earlier one, and each panel
             # that was halved has both halves
@@ -373,12 +435,12 @@ class TestCliffStart:
     # cut (n = 4 keeps the WKB start), within 10%: the panel tests pass
     # through BLAS and LAPACK, whose kernels differ between CPUs
     V4_WORK = {
-        (0.119, "direct"): (37, 720), (0.119, "coupled"): (39, 784),
-        (0.119, "transformed"): (35, 656),
-        (1.0, "direct"): (67, 1264), (1.0, "coupled"): (77, 1584),
-        (1.0, "transformed"): (67, 1264),
-        (10.0, "direct"): (175, 3248), (10.0, "coupled"): (205, 4208),
-        (10.0, "transformed"): (175, 3248),
+        (0.119, "direct"): (14, 480), (0.119, "coupled"): (14, 480),
+        (0.119, "transformed"): (14, 480),
+        (1.0, "direct"): (19, 608), (1.0, "coupled"): (22, 800),
+        (1.0, "transformed"): (19, 608),
+        (10.0, "direct"): (44, 1440), (10.0, "coupled"): (51, 1888),
+        (10.0, "transformed"): (44, 1440),
     }
 
     @pytest.mark.parametrize("kl", [0.119, 1.0, 10.0])
@@ -474,7 +536,7 @@ class TestWronskian:
         res = solve_route(route, 1.0)
         (sol,) = sols
         assert sol.y.shape == (2, len(sol.t))
-        assert sol.nfev < 2 * scattering._NODES * (len(sol.t) - 1)
+        assert sol.nfev < 2 * scattering._PHASE_NODES * (len(sol.t) - 1)   # v4: no knots
         assert res.diagnostics.wronskian_drift < 1e-9
 
 

@@ -302,6 +302,26 @@ class TestBadlands:
         assert fld.q(z_lo) / q_peak == pytest.approx(1e-10, rel=1e-6)
         assert fld.q(z_hi) / q_peak == pytest.approx(1e-10, rel=1e-6)
 
+    @pytest.mark.parametrize("cut", [1e-6, 1e-10, 1e-13])
+    @pytest.mark.parametrize("case", ["v4", "v3", "v5", "two-tail"])
+    def test_walks_match_the_scalar_walk(self, case, cut):
+        # matching_domain's brackets come from doubling walks that read Q in
+        # array calls; they stop on the very point that halving or doubling
+        # one step at a time stops on. The table's cliff walk runs past the
+        # first call of 8 points
+        fld = {"v4": v4_field(0.7), "v3": WkbField(HomogeneousPotential(3, 1.0), 1.0),
+               "v5": WkbField(HomogeneousPotential(5, 0.7), 0.3),
+               "two-tail": WkbField(two_tail_table(), 0.02)}[case]
+        z_peak, q_peak = fld.q_peak()
+        target = cut * q_peak
+        for way in (-1, +1):
+            z, steps = z_peak, 0
+            while fld.q(z) > target:
+                z, steps = (z / 2.0 if way < 0 else z * 2.0), steps + 1
+            assert fld._walk(z_peak, way, target) == z
+            if case == "two-tail" and way < 0:
+                assert steps >= 8
+
     @pytest.mark.parametrize("case", ["two-tail", "cp", "table-cli-30", "table-cli-100",
                                       "table-cli-300"])
     def test_peak_search_argmax(self, tmp_path, monkeypatch, case):
