@@ -354,7 +354,7 @@ def _solve(fld: WkbField, domain: tuple[float, float], coefficients, rtol: float
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
     psi, dpsi = leave(z_max, sol.y[:, -1])
-    cp, cm = _decompose(psi, dpsi, fld.wkb_wave(z_max, +1), fld.wkb_wave(z_max, -1))
+    cp, cm = _decompose(psi, dpsi, *fld.wkb_pair(z_max))
     cur = current(sol.y)
     drift = float(np.max(np.abs(cur - cur[0])) / abs(cur[0]))
     transfer, smatrix = _matrices_from_coefficients(cp, cm)

@@ -10,6 +10,14 @@ threshold wave of that tail (``cliff_wave``).
 All derivatives of k_dB are analytic, propagated from the potential's own
 derivatives; Q needs two of them and finite differences of tabulated data
 would wreck its shape.
+
+The matching cut, where Q has fallen to a fraction of its peak, is closed
+form where V is an exact power law: on V_n it is zeta_n times the crossings
+of ``universal_badlands``, found once per (n, cut), so the v4 cliff end no
+longer carries the cancellation of the two terms of the numeric Q there
+(up to 7e-10 of z); on a table's -C4m/z**4 tail it is the quartic's
+algebraic root. Q is searched, in array calls, only on a table: its peak,
+the walks from it, and the crossings that lie among the knots.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -42,6 +51,15 @@ _PHASE_RULES = (8, 12)
 _PANEL_DU = 0.5
 _PHASE_BUDGET = 1e-8
 
+# Searches on the numeric Q of a table: each array call reads Q on a bracket
+# cut into _SECTIONS equal parts; the badlands peak takes _PEAK_ROUNDS calls
+# after its grid, and a matching crossing reads Q until its bracket is
+# narrower than _CUT_RTOL of z
+_SECTIONS = 128
+_SECTION_ENDS = np.arange(_SECTIONS + 1) / _SECTIONS
+_PEAK_ROUNDS = 4
+_CUT_RTOL = 1e-10
+
 
 def universal_badlands(x: float, n: int) -> float:
     """Dimensionless badlands of V_n: (kappa zeta_n)**2 Q at x = z/zeta_n."""
@@ -53,6 +71,32 @@ def badlands_peak_x(n: int) -> float:
     """Location x* of the maximum of the universal badlands of V_n."""
     num = 5.0 * n ** 2 - 3.0 * n - 8.0 + math.sqrt(3.0 * (7.0 * n ** 4 - 6.0 * n ** 3 - 13.0 * n ** 2))
     return (num / (4.0 * (n ** 2 + 3.0 * n + 2.0))) ** (1.0 / n)
+
+
+@cache
+def _badlands_cut(n: int, q_rel: float) -> tuple[float, float]:
+    """(x_min, x_max): where the universal badlands of V_n has fallen to q_rel
+    of its peak, on the cliff and on the far side of x*. On each side the
+    first of x* 2**-+1, x* 2**-+2, ... not above that level brackets the
+    crossing, which brentq finds on the Python-float formula."""
+    x_star = badlands_peak_x(n)
+    level = q_rel * universal_badlands(x_star, n)
+    ends = []
+    for way in (-1, +1):
+        x = x_star
+        while universal_badlands(x, n) > level:
+            x = math.ldexp(x, way)
+        a, b = sorted((x, math.ldexp(x, -way)))
+        ends.append(brentq(lambda t: universal_badlands(t, n) - level, a, b,
+                           xtol=1e-300, rtol=4.0 * np.finfo(float).eps))
+    return ends[0], ends[1]
+
+
+def _quartic_far_crossing(level: float) -> float:
+    """The x > 1 where the universal badlands of V_4, 5 x**6/(1 + x**4)**3,
+    falls to ``level``: there x**2 + x**-2 = (5/level)**(1/3)."""
+    t = (5.0 / level) ** (1.0 / 3.0)
+    return math.sqrt(0.5 * (t + math.sqrt(t * t - 4.0)))
 
 
 def phase_coordinate(x, n: int):
@@ -289,10 +333,18 @@ class WkbField:
         """WKB wave alpha e^(i eta phi) and its exact derivative, eta = +-1."""
         if direction not in (+1, -1):
             raise ValueError("direction must be +1 or -1")
+        return self.wkb_pair(z)[(1 - direction) // 2]
+
+    def wkb_pair(self, z: float) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+        """``(wkb_wave(z, +1), wkb_wave(z, -1))`` from one evaluation of k, k' and phi."""
         k = self.k(z)
-        value = k ** -0.5 * cmath.exp(1j * direction * self.phi(z))
-        derivative = (-self.dk(z) / (2.0 * k) + 1j * direction * k) * value
-        return value, derivative
+        dk = -self.potential.dvalue(z) / (2.0 * k)
+        alpha, phase = k ** -0.5, self.phi(z)
+        waves = []
+        for direction in (+1, -1):
+            value = alpha * cmath.exp(1j * direction * phase)
+            waves.append((value, (-dk / (2.0 * k) + 1j * direction * k) * value))
+        return waves[0], waves[1]
 
     # -- badlands ----------------------------------------------------------
     def q(self, z):
@@ -321,6 +373,10 @@ class WkbField:
         return self._q_peak_search()
 
     def _q_peak_search(self) -> tuple[float, float]:
+        """The largest Q on 241 points, zeta/300 .. 300 zeta, refined between
+        that point's neighbours by ``_PEAK_ROUNDS`` array calls, each of which
+        keeps the two sections beside its largest value; a largest value on
+        a knot's jump is read beside it."""
         n4, c4 = self.potential.tail_far()
         zeta = (c4 / self.energy) ** 0.25
         grid = np.geomspace(zeta / 300.0, zeta * 300.0, 241)
@@ -333,8 +389,19 @@ class WkbField:
         prominent = local_max & (interior > 0.01 * qs[imax])  # knot ripple is not a mode
         if int(np.count_nonzero(prominent)) > 1:
             warnings.warn("badlands appears multimodal; reporting the global peak")
-        z_peak = _golden_max(self.q, grid[imax - 1], grid[imax + 1])
-        return z_peak, self.q(z_peak)
+        knots = self.potential.breaks
+        lo, hi = grid[imax - 1], grid[imax + 1]
+        for _ in range(_PEAK_ROUNDS):
+            # Q jumps at a knot, where its largest value may sit: it is read
+            # 1e-14 of z on each side of every knot in the bracket, far
+            # enough for ln z to fall on the cubic of that side
+            inner = np.array(knots[bisect_right(knots, lo):bisect_left(knots, hi)])
+            zs = np.sort(np.concatenate([lo + (hi - lo) * _SECTION_ENDS,
+                                         inner * (1.0 - 1e-14), inner * (1.0 + 1e-14)]))
+            qs = self.q(zs)
+            j = int(np.argmax(qs))
+            lo, hi = zs[max(j - 1, 0)], zs[min(j + 1, len(zs) - 1)]
+        return float(zs[j]), float(qs[j])
 
     def _walk(self, z: float, way: int, target: float) -> float:
         """The first of z, z 2**way, z 2**(2 way), ... (way = +-1) where Q is
@@ -349,9 +416,32 @@ class WkbField:
                 return float(zs[stop[0]])
             first, count = first + count, 2 * count
 
+    def _crossing(self, inside: float, outside: float, target: float) -> float:
+        """Where Q falls to ``target`` between ``inside``, where it is above,
+        and ``outside``, where it is not: each array call cuts the bracket
+        into ``_SECTIONS`` and keeps the section after the last point above,
+        until the bracket is narrower than ``_CUT_RTOL`` of z. Of several
+        crossings that the sections resolve (knot ripple) it keeps the one
+        farthest from ``inside``.
+        Returns the outer end, where Q is not above ``target``."""
+        while abs(outside - inside) > _CUT_RTOL * outside:
+            zs = inside + (outside - inside) * _SECTION_ENDS
+            # Q is known at the ends, so only the points between are read
+            above = np.flatnonzero(self.q(zs[1:-1]) > target)
+            j = int(above[-1]) + 1 if len(above) else 0
+            inside, outside = float(zs[j]), float(zs[j + 1])
+        return outside
+
     def matching_domain(self, q_rel: float = 1e-10) -> tuple[float, float]:
         """(z_min, z_max) where Q has fallen to q_rel of its peak on each side.
 
+        On V_n that is zeta_n times the crossings of ``universal_badlands``,
+        found once per (n, q_rel), so Q is not read at all. On a table Q is
+        searched: its peak (``_q_peak_search``), then a doubling walk from it
+        on each side and ``_crossing`` in the last step of the walk. Where
+        that step lies above the table, on the exact -C4m/z**4 tail, the far
+        crossing is the universal one of that tail instead; where it lies
+        wholly on the -C3m/z**3 tail below, the cliff crossing is not needed.
         Where the cliff-side crossing lies on the inner tail of an n != 4
         cliff, z_min is instead the shallowest point of that tail with
         E z**n/C_n <= q_rel: there ``cliff_wave`` is exact but for that E.
@@ -359,33 +449,29 @@ class WkbField:
         """
         if not (0.0 < q_rel < 1.0):
             raise ValueError("q_rel must lie in (0, 1)")
-        z_peak, q_peak = self.q_peak()
-        target = q_rel * q_peak
-
-        def crossing(lo: float, hi: float) -> float:
-            return brentq(lambda z: self.q(z) - target, lo, hi, xtol=1e-300, rtol=1e-13)
-
-        lo = self._walk(z_peak, -1, target)
-        hi = self._walk(z_peak, +1, target)
-        z_min = crossing(lo, min(2.0 * lo, z_peak))
+        pot = self.potential
+        if isinstance(pot, HomogeneousPotential):
+            n, c_n = pot.tail_far()
+            zeta = (c_n / self.energy) ** (1.0 / n)
+            x_min, x_max = _badlands_cut(n, q_rel)
+            z_min, z_max, z_peak = zeta * x_min, zeta * x_max, zeta * badlands_peak_x(n)
+        else:
+            z_peak, q_peak = self.q_peak()
+            target = q_rel * q_peak
+            lo = self._walk(z_peak, -1, target)
+            inside = min(2.0 * lo, z_peak)
+            z_min = inside if self.on_threshold_tail(inside) else self._crossing(inside, lo, target)
+            hi = self._walk(z_peak, +1, target)
+            inside = max(hi / 2.0, z_peak)
+            if inside > pot.z_max:
+                zeta = (pot.far_c4_matched / self.energy) ** 0.25
+                z_max = float(zeta * _quartic_far_crossing(target * self.energy * zeta * zeta))
+            else:
+                z_max = self._crossing(inside, hi, target)
         if self.on_threshold_tail(z_min):
             n, c_n, z_top = self._threshold_tail
             z_min = min(z_top, (q_rel * c_n / self.energy) ** (1.0 / n))
             if z_min >= z_peak:
                 raise ValueError(f"matching cut {q_rel:g} puts the cliff start at or"
                                  " beyond the badlands peak")
-        return z_min, crossing(max(hi / 2.0, z_peak), hi)
-
-
-def _golden_max(f, a: float, b: float, tol: float = 1e-12) -> float:
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - g * (b - a), a + g * (b - a)
-    while abs(b - a) > tol * max(1.0, abs(a) + abs(b)):
-        if f(c) > f(d):
-            b, d = d, c
-            c = b - g * (b - a)
-        else:
-            a, c = c, d
-            d = a + g * (b - a)
-    return 0.5 * (a + b)
-
+        return z_min, z_max

@@ -1,5 +1,6 @@
 """Tests for the WKB field: wavevector, phase convention, badlands function."""
 
+import cmath
 import importlib.util
 import math
 import warnings
@@ -8,12 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq
 
 from qreflect import potentials, wkb
 from qreflect.cli import main
 from qreflect.potentials import HomogeneousPotential, TabulatedPotential, _log_log_spline
 from qreflect.wkb import (
     WkbField,
+    _badlands_cut,
+    _quartic_far_crossing,
     badlands_peak_x,
     phase_coordinate,
     universal_badlands,
@@ -232,7 +236,9 @@ class TestPhase:
         fld = WkbField(potentials.load_potential_table(table), e1_energy(100.0))
         with pytest.raises(RuntimeError, match="phase table error estimate"):
             fld.phi(10.0)
-        code = main(["wall", "--table", str(table), "--energy-e1", "100", "--points", "5"])
+        # the 6-node table's badlands has two modes
+        with pytest.warns(UserWarning, match="multimodal"):
+            code = main(["wall", "--table", str(table), "--energy-e1", "100", "--points", "5"])
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
@@ -303,6 +309,53 @@ class TestBadlands:
         assert fld.q(z_hi) / q_peak == pytest.approx(1e-10, rel=1e-6)
 
     @pytest.mark.parametrize("cut", [1e-6, 1e-10, 1e-13])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_closed_form_cut(self, n, cut):
+        # on V_n the cut is zeta_n times two numbers fixed by (n, cut); for
+        # n != 4 the cliff end is the threshold start instead, pinned bit for
+        # bit by TestCliffWave
+        fld = WkbField(HomogeneousPotential(n, 0.7), 0.3)
+        zeta = (0.7 / 0.3) ** (1.0 / n)
+        x_min, x_max = _badlands_cut(n, cut)
+        z_min, z_max = fld.matching_domain(cut)
+        assert z_max == zeta * x_max
+        assert z_min == (zeta * x_min if n == 4 else (cut * 0.7 / 0.3) ** (1.0 / n))
+
+    @pytest.mark.parametrize("cut", [1e-6, 1e-10, 1e-13])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_closed_form_cut_hits_the_ratio(self, n, cut):
+        # for n = 5 the cliff crossing lies just above x**5 = 1/24, where the
+        # universal badlands changes sign and its formula keeps only about
+        # 1e-16/cut of its digits there; that end is never a start (see above)
+        x_star = badlands_peak_x(n)
+        peak = universal_badlands(x_star, n)
+        x_min, x_max = _badlands_cut(n, cut)
+        assert x_min < x_star < x_max
+        ends = (x_max,) if n == 5 else (x_min, x_max)
+        for x in ends:
+            assert universal_badlands(x, n) / peak == pytest.approx(cut, rel=1e-12, abs=0.0)
+        if n == 4:   # the algebraic root that a table's quartic tail takes
+            assert _quartic_far_crossing(cut * peak) == pytest.approx(x_max, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("kappa_ell", [1e-3, 0.119, 1.0, 10.0])
+    def test_v4_cut_against_the_numeric_search(self, kappa_ell):
+        # brentq on the numeric Q, as matching_domain searched before: on the
+        # cliff, k_q's two terms of about 3 x**2/(kappa zeta)**2 each cancel
+        # to Q = 5 x**6/(kappa zeta)**2, so Q keeps a relative error of a few
+        # eps/x**4 and z, with Q ~ z**6, about eps/x**4: 4e-9 at x = 0.0152,
+        # where up to 7e-10 is seen; on the far side nothing cancels
+        fld = v4_field(kappa_ell)   # zeta = 1
+        z_min, z_max = fld.matching_domain(1e-10)
+        target = 1e-10 * fld.q_peak()[1]
+
+        def numeric(a, b):
+            return brentq(lambda z: fld.q(z) - target, a, b, xtol=1e-300, rtol=1e-13)
+
+        eps = np.finfo(float).eps
+        assert abs(numeric(z_min / 2.0, 2.0 * z_min) / z_min - 1.0) <= eps / z_min ** 4
+        assert numeric(z_max / 2.0, 2.0 * z_max) == pytest.approx(z_max, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("cut", [1e-6, 1e-10, 1e-13])
     @pytest.mark.parametrize("case", ["v4", "v3", "v5", "two-tail"])
     def test_walks_match_the_scalar_walk(self, case, cut):
         # matching_domain's brackets come from doubling walks that read Q in
@@ -326,22 +379,18 @@ class TestBadlands:
                                       "table-cli-300"])
     def test_peak_search_argmax(self, tmp_path, monkeypatch, case):
         # the search reads Q on its 241-point grid, zeta/300 .. 300 zeta, in
-        # one array call; its argmax is the one of Q evaluated point by point
-        # from scipy's PPoly and Python floats, on the test tables and on the
-        # benchmark's table-cli table (seed 1) at its three energies
+        # its first array call; that call's argmax is the one of Q evaluated
+        # point by point from scipy's PPoly and Python floats, and Q_peak is
+        # the largest Q that a golden-section search on those point values
+        # finds in its bracket; on the test tables and on the benchmark's
+        # table-cli table (seed 1) at its three energies
         if case == "two-tail":
             pot, energy = two_tail_table(), 0.02
         elif case == "cp":
             pot = potentials.load_potential_table(write_table(tmp_path, 500))
             energy = e1_energy(100.0)
         else:
-            path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-            spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-            workloads = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(workloads)
-            table = workloads.TableCli(1, tmp_path / "table-cli")
-            table.write_inputs()
-            pot = potentials.load_potential_table(table.table)
+            pot = table_cli_table(tmp_path)
             energy = e1_energy(float(case.rsplit("-", 1)[1]))
         fld = WkbField(pot, energy)
         spline = _log_log_spline(pot._z, pot._v)
@@ -364,23 +413,44 @@ class TestBadlands:
         zeta = (pot.tail_far()[1] / energy) ** 0.25
         grid = np.geomspace(zeta / 300.0, zeta * 300.0, 241)
         imax = int(np.argmax([q_point(float(z)) for z in grid]))
-        read = []
-        q = WkbField.q
-
-        def spy(self, z):
-            out = q(self, z)
-            if np.ndim(z):
-                read.append((z, out))
-            return out
-
-        monkeypatch.setattr(WkbField, "q", spy)
+        read = spy_q(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # the multimodal warning of a coarse table
-            z_peak, _ = fld.q_peak()
-        ((searched, values),) = read
+            z_peak, q_peak = fld.q_peak()
+        searched, values = read[0]
         np.testing.assert_array_equal(searched, grid)
         assert int(np.argmax(values)) == imax
         assert grid[imax - 1] <= z_peak <= grid[imax + 1]
+        z_golden = golden_max(q_point, grid[imax - 1], grid[imax + 1], tol=1e-12 * grid[imax])
+        assert q_peak == pytest.approx(q_point(z_golden), rel=1e-13, abs=0.0)
+
+    def test_table_far_cut_on_the_tail(self, tmp_path):
+        # at E1 x 30 and cut 1e-7 the far crossing of the table-cli table lies
+        # above its last node, 40000 a0, on the exact -C4m/z**4 tail, whose Q
+        # is the universal quartic one scaled by zeta_4
+        pot = table_cli_table(tmp_path)
+        energy = e1_energy(30.0)
+        fld = WkbField(pot, energy)
+        _, z_max = fld.matching_domain(1e-7)
+        target = 1e-7 * fld.q_peak()[1]
+        zeta = (pot.far_c4_matched / energy) ** 0.25
+        assert z_max > pot.z_max
+        assert universal_badlands(z_max / zeta, 4) / (energy * zeta ** 2) == pytest.approx(
+            target, rel=1e-12, abs=0.0)
+        assert fld.q(z_max) == pytest.approx(target, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("cut", [1e-3, 1e-10])
+    def test_table_cut_inside_the_table(self, cut):
+        # the two-tail table's far crossing at cut 1e-3 and 1e-10, and its
+        # cliff crossing at 1e-3, lie among its knots: Q is searched there
+        # until the crossing is pinned within 1e-10 of z
+        fld = WkbField(two_tail_table(), 0.02)
+        z_min, z_max = fld.matching_domain(cut)
+        target = cut * fld.q_peak()[1]
+        ends = [(z_max, -1)] + ([(z_min, +1)] if cut == 1e-3 else [])
+        for z, inward in ends:
+            assert fld.potential.z_min < z < fld.potential.z_max
+            assert fld.q(z) <= target < fld.q(z * (1.0 + inward * 1e-10))
 
     def test_tabulated_peak_search(self):
         lam = 2.0
@@ -393,6 +463,88 @@ class TestBadlands:
         assert q_peak > 0.0
         grid = np.geomspace(z_peak / 40.0, z_peak * 40.0, 300)
         assert q_peak >= max(fld.q(float(t)) for t in grid) * (1.0 - 1e-6)
+
+
+class TestCutBudget:
+    """How often ``matching_domain`` reads Q."""
+
+    # on a table: the peak's grid and its 4 rounds; 3 calls (56 doublings)
+    # per walk reach the cut of every case below; 5 rounds of 128 sections
+    # per crossing take a factor-2 bracket below 1e-10 of z
+    TABLE_ARRAY_CALLS = 5 + 2 * 3 + 2 * 5
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_homogeneous_reads_no_q(self, monkeypatch, n):
+        def unread(*args):
+            raise AssertionError("Q read on V_n")
+
+        fld = WkbField(HomogeneousPotential(n, 0.7), 0.3)
+        monkeypatch.setattr(WkbField, "q", unread)
+        monkeypatch.setattr(HomogeneousPotential, "derivs", unread)
+        for cut in (1e-6, 1e-10, 1e-13):
+            fld.matching_domain(cut)
+
+    @pytest.mark.parametrize("case", ["two-tail", "table-cli-30", "table-cli-100",
+                                      "table-cli-300", "table-cli-kl1e-4"])
+    def test_table_reads_q_in_array_calls(self, tmp_path, monkeypatch, case):
+        if case == "two-tail":
+            pot, energy = two_tail_table(), 0.02
+        else:
+            pot = table_cli_table(tmp_path)
+            if case == "table-cli-kl1e-4":   # the first energy of scatlength
+                energy = 1e-8 / pot.far_c4_matched
+            else:
+                energy = e1_energy(float(case.rsplit("-", 1)[1]))
+        fld = WkbField(pot, energy)
+        for cut in (1e-3, 1e-7, 1e-10, 1e-13):
+            read = spy_q(monkeypatch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")   # the multimodal warning at small energies
+                fld.matching_domain(cut)
+            assert all(np.ndim(z) for z, _ in read), cut
+            assert len(read) <= self.TABLE_ARRAY_CALLS, cut
+
+
+class TestWavePair:
+    @pytest.mark.parametrize("case", ["v4", "v3", "two-tail"])
+    def test_pair_is_both_waves(self, case):
+        # bit for bit the waves of wkb_wave, and the expressions it had
+        # before it read the pair: k**-1/2 e^(i eta phi), (-k'/2k + i eta k) times that
+        fld = {"v4": v4_field(0.119), "v3": WkbField(HomogeneousPotential(3, 1.0), 1.0),
+               "two-tail": WkbField(two_tail_table(), 0.02)}[case]
+        for z in (0.001, 0.05, 1.0, 65.6, 5000.0):
+            pair = fld.wkb_pair(z)
+            assert pair == (fld.wkb_wave(z, +1), fld.wkb_wave(z, -1))
+            k = fld.k(z)
+            for (value, derivative), eta in zip(pair, (+1, -1)):
+                wave = k ** -0.5 * cmath.exp(1j * eta * fld.phi(z))
+                assert value == wave
+                assert derivative == (-fld.dk(z) / (2.0 * k) + 1j * eta * k) * wave
+
+
+def table_cli_table(tmp_path) -> TabulatedPotential:
+    """The benchmark's table-cli table at seed 1, written by its own workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    table = workloads.TableCli(1, tmp_path / "table-cli")
+    table.write_inputs()
+    return potentials.load_potential_table(table.table)
+
+
+def spy_q(monkeypatch) -> list:
+    """Patch ``WkbField.q`` to record (z, Q) of each call, scalar or array."""
+    read = []
+    q = WkbField.q
+
+    def spy(self, z):
+        out = q(self, z)
+        read.append((z, out))
+        return out
+
+    monkeypatch.setattr(WkbField, "q", spy)
+    return read
 
 
 def two_tail_table() -> TabulatedPotential:
