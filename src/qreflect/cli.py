@@ -203,8 +203,8 @@ def cmd_badlands(args) -> int:
             np.geomspace(z_lo, z_hi, args.points),
             np.geomspace(z_peak / 2.0, 2.0 * z_peak, 51),  # peak resolved regardless
         ]))
-        for z in grid:
-            rows.append({**label, "z": float(z), "Q": field.q(float(z))})
+        for z, q in zip(grid.tolist(), field.q(grid).tolist()):
+            rows.append({**label, "z": z, "Q": q})
         meta[f"q_peak[{_fmt(label.get('kappa_ell', label.get('energy_e1')))}]"] = q_peak
         meta[f"z_peak[{_fmt(label.get('kappa_ell', label.get('energy_e1')))}]"] = z_peak
     first_cols = [c for c in ("kappa_ell", "energy_e1") if any(c in r for r in rows)]

@@ -23,10 +23,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import roots_legendre
 
-from .wkb import WkbField, phase_coordinate, universal_badlands
+from .wkb import WkbField, _legendre, phase_coordinate, universal_badlands
 
 __all__ = [
     "LiouvilleMap",
@@ -186,18 +184,12 @@ def inversion_center() -> float:
 def universal_v4(u: float) -> tuple[float, float]:
     """Universal inverse-quartic wall, parametrized by u = ln(z/zeta).
 
-    Returns (z_bold, V_bold) with V_bold = 5/(8 cosh(2u)**3) and z_bold
-    measured so the peak sits at the inversion center; symmetric under
-    u -> -u.
+    Returns (z_bold, V_bold) with V_bold = 5/(8 cosh(2u)**3) and
+    z_bold = phase_coordinate(e**u, 4), which is z* + int_0^u sqrt(2 cosh 2t) dt:
+    the peak sits at the inversion center z*, and the wall is symmetric
+    under u -> -u.
     """
-    z_star = inversion_center()
-    if u == 0.0:
-        return z_star, 5.0 / 8.0
-    seg, err = quad(lambda t: math.sqrt(2.0 * math.cosh(2.0 * t)), 0.0, u,
-                    epsabs=1e-13, epsrel=1e-13, limit=200)
-    if err > 1e-9 * max(1.0, abs(seg)):
-        raise RuntimeError("wall coordinate quadrature failed")
-    return z_star + seg, 5.0 / (8.0 * math.cosh(2.0 * u) ** 3)
+    return phase_coordinate(math.exp(u), 4), 5.0 / (8.0 * math.cosh(2.0 * u) ** 3)
 
 
 def universal_wall(x: float, n: int) -> tuple[float, float]:
@@ -208,9 +200,9 @@ def universal_wall(x: float, n: int) -> tuple[float, float]:
 def universal_v4_at(z_bold: float) -> float:
     """Universal inverse-quartic wall height as a function of z_bold.
 
-    Inverts the monotone coordinate relation by a Newton iteration with
-    derivative sqrt(2 cosh 2u); used to probe the wall at mirrored points
-    about the inversion center.
+    Inverts the monotone closed form of ``universal_v4`` by a Newton
+    iteration with derivative sqrt(2 cosh 2u); used to probe the wall at
+    mirrored points about the inversion center.
     """
     z_star = inversion_center()
     u = math.asinh(0.5 * (z_bold - z_star))  # crude but monotone start
@@ -256,10 +248,10 @@ def wall_integral(problem: TransformedProblem) -> float:
         width = np.diff(edges)
         sums = []
         for m in (8, 12):
-            x, w = roots_legendre(m)
-            z = np.exp(edges[:-1, None] + width[:, None] * (0.5 * x + 0.5))
+            nodes, weights = _legendre(m)
+            z = np.exp(edges[:-1, None] + width[:, None] * nodes)
             k, q = field.k_q(z)
-            sums.append(0.5 * width * ((q * k * z) @ w))
+            sums.append(width * ((q * k * z) @ weights))
         total += float(np.sum(sums[1]))
         err_total += float(np.sum(np.abs(sums[1] - sums[0])))
     if total <= 0.0:

@@ -194,7 +194,13 @@ class MathieuSolution:
 
 
 def solve_v4(kappa_ell: float) -> MathieuSolution:
-    """Exact amplitudes for the inverse-quartic model at dimensionless kappa*ell."""
+    """Exact amplitudes for the inverse-quartic model at dimensionless kappa*ell.
+
+    The closed form covers kappa*ell up to about 299. Above that (first at
+    299.37 on a grid of step 0.01) the characteristic exponent does not
+    settle within the Hill determinant's truncations, and
+    ``characteristic_exponent`` raises ``ConvergenceError``.
+    """
     if kappa_ell <= 0.0:
         raise ValueError("kappa_ell must be positive")
     q = kappa_ell

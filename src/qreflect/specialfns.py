@@ -1,7 +1,8 @@
 """Bessel J of complex order, the one special function scipy lacks.
 
-Gamma, 1/Gamma and log Gamma of complex argument come from scipy.special;
-the Gauss 2F1 of the phase formula is scipy.special.hyp2f1, imported by wkb.
+Real orders, and Gamma, 1/Gamma and log Gamma of complex argument, come
+from scipy.special; the Gauss 2F1 of the phase formula is
+scipy.special.hyp2f1, imported by wkb.
 
 The routines are pure and reentrant; series terminate on a combined
 absolute/relative tolerance with a hard cap on the number of terms, so
@@ -13,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from scipy.special import gamma, loggamma, rgamma
+from scipy.special import gamma, jv, loggamma, rgamma
 
 __all__ = ["ConvergenceError", "bessel_j"]
 
@@ -29,15 +30,8 @@ ABS_TOL = 1e-16
 REL_TOL = 1e-15
 
 
-# ---------------------------------------------------------------------------
-# Bessel J of complex order, real non-negative argument.
-#
-# Three regimes:
-#   x <= _SERIES_CROSSOVER            ascending power series
-#   x >= 25 and |nu|^2 <= x/2         Hankel large-argument expansion
-#   otherwise                         Miller backward recurrence
-# ---------------------------------------------------------------------------
-
+# bessel_j takes the ascending series up to this argument, Miller's
+# recurrence above it
 _SERIES_CROSSOVER = 12.0
 
 
@@ -56,29 +50,6 @@ def _jv_series(nu: complex, x: float) -> complex:
         if abs(term) < floor + REL_TOL * abs(acc):
             return acc
     raise ConvergenceError(f"bessel_j series did not converge for nu={nu}, x={x}")
-
-
-def _jv_hankel(nu: complex, x: float) -> complex:
-    # J_nu(x) ~ sqrt(2/(pi x)) (cos w * P - sin w * Q), w = x - nu pi/2 - pi/4
-    mu = 4.0 * nu * nu
-    p_sum: complex = 1.0
-    q_sum: complex = 0.0
-    term: complex = 1.0
-    best = math.inf
-    for k in range(1, MAX_TERMS):
-        term *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * x * k)
-        mag = abs(term)
-        if mag > best:
-            break  # asymptotic series started diverging; stop at its best
-        best = mag
-        if k % 2 == 1:
-            q_sum += term * (-1.0) ** ((k - 1) // 2)
-        else:
-            p_sum += term * (-1.0) ** (k // 2)
-        if mag < ABS_TOL:
-            break
-    w = x - 0.5 * math.pi * nu - 0.25 * math.pi
-    return cmath.sqrt(2.0 / (math.pi * x)) * (cmath.cos(w) * p_sum - cmath.sin(w) * q_sum)
 
 
 def _jv_backward(nu: complex, x: float) -> complex:
@@ -114,43 +85,31 @@ def _jv_backward(nu: complex, x: float) -> complex:
 def bessel_j(nu, x: float):
     """Bessel function of the first kind J_nu(x) for x >= 0.
 
-    The order may be complex; the argument is real and non-negative.
-    Validated to ~1e-10 relative accuracy for |nu| <= 10, x <= 100 (away
-    from zeros of J). Complex order yields a complex result.
+    The argument is real and non-negative. An order with zero imaginary
+    part goes to ``scipy.special.jv``: a float order gives a float, a
+    complex-typed one a complex. Any other order takes the ascending series
+    for x <= 12 and Miller's recurrence above. Both are validated to ~1e-10
+    relative accuracy for |nu| <= 10, x <= 100 (away from zeros of J):
+    against scipy at real orders and by the three-term recurrence at
+    complex ones.
 
     Raises
     ------
     ValueError
-        If x < 0, or x = 0 with an order of negative real part.
+        If x < 0, or x = 0 with a complex order of non-positive real part.
     ConvergenceError
-        If the underlying series exhausts its budget of ``MAX_TERMS`` terms.
+        If the series exhausts its budget of ``MAX_TERMS`` terms.
     """
     if x < 0.0:
         raise ValueError("bessel_j requires x >= 0")
     nu_c = complex(nu)
+    if nu_c.imag == 0.0:
+        out = jv(nu_c.real, x)
+        return complex(out) if isinstance(nu, complex) else float(out)
     if x == 0.0:
-        if nu_c == 0.0:
-            out: complex = 1.0 + 0.0j
-        elif nu_c.real > 0.0 or _is_integer(nu_c):
-            out = 0.0 + 0.0j
-        else:
-            raise ValueError("bessel_j diverges at x = 0 for Re nu < 0")
-    elif _is_integer(nu_c) and nu_c.real < 0.0:
-        # J_{-n} = (-1)^n J_n avoids the poles of the term recurrence
-        n = int(round(nu_c.real))
-        out = (-1.0) ** n * complex(bessel_j(float(-n), x))
-    elif x <= _SERIES_CROSSOVER:
-        out = _jv_series(nu_c, x)
-    elif x >= 25.0 and abs(nu_c) ** 2 <= 0.5 * x:
-        out = _jv_hankel(nu_c, x)
-    else:
-        # moderate argument or order comparable to argument: Hankel truncation
-        # error exceeds target there, Miller recurrence does not
-        out = _jv_backward(nu_c, x)
-    if isinstance(nu, complex):
-        return out
-    return out.real
-
-
-def _is_integer(z: complex) -> bool:
-    return z.imag == 0.0 and z.real == round(z.real)
+        if nu_c.real > 0.0:
+            return 0.0 + 0.0j
+        raise ValueError("bessel_j diverges at x = 0 for Re nu <= 0")
+    if x <= _SERIES_CROSSOVER:
+        return _jv_series(nu_c, x)
+    return _jv_backward(nu_c, x)

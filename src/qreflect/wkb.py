@@ -26,8 +26,8 @@ import cmath
 import math
 import warnings
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -229,10 +229,6 @@ class WkbField:
 
     potential: object
     energy: float
-    # the phase table of a tabulated potential, built on first use; a field,
-    # not a cached_property, so that filling it keeps the instance's attribute
-    # layout: a new instance-dict key slows every attribute read in the RHS
-    _table: _PhaseTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.energy <= 0.0:
@@ -264,21 +260,18 @@ class WkbField:
             return self.kappa * zeta * phase_coordinate(z / zeta, n)
         return self._phase_table.phi(z)
 
-    @property
+    @cached_property
     def _phase_table(self) -> _PhaseTable:
         # per field, not per potential in a module cache: a field lives for
         # one solve, so its table goes when the solve is done
-        if self._table is None:
-            object.__setattr__(self, "_table", _PhaseTable(self.potential, self.energy))
-        return self._table
+        return _PhaseTable(self.potential, self.energy)
 
-    @property
+    @cached_property
     def _threshold_tail(self) -> tuple[int, float, float] | None:
         """(n, C_n, z_top) of the inner tail: V = -C_n/z**n exactly for z <= z_top.
 
         None for n = 4, where the WKB wave with E included is the better
         cliff start: there Q falls like z**6 and E z**4/C_4 only like z**4.
-        Not cached, for the reason given at ``_table``.
         """
         if isinstance(self.potential, HomogeneousPotential):
             n, c_n = self.potential.tail_far()
@@ -364,7 +357,12 @@ class WkbField:
         return k, 0.5 * d2k / k2 ** 1.5 - 0.75 * dk * dk / (k2 * k2)
 
     def q_peak(self) -> tuple[float, float]:
-        """(z_peak, Q_peak); closed form for homogeneous, search otherwise."""
+        """(z_peak, Q_peak); closed form for homogeneous, search otherwise,
+        found once per field."""
+        return self._peak
+
+    @cached_property
+    def _peak(self) -> tuple[float, float]:
         if isinstance(self.potential, HomogeneousPotential):
             n, c_n = self.potential.tail_far()
             zeta = (c_n / self.energy) ** (1.0 / n)

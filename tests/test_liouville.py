@@ -1,11 +1,15 @@
 """Tests for Liouville maps, the special gauge and the universal walls."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import qreflect
 from qreflect.liouville import (
     LiouvilleMap,
     affine_map,
@@ -154,6 +158,14 @@ class TestUniversalWalls:
             right = universal_v4_at(Z_STAR + d)
             assert abs(left - right) < 1e-10
 
+    def test_coordinate_against_quadrature(self):
+        # an oracle of its own: universal_v4 and the gauge map share
+        # phase_coordinate, so this is z* + int_0^u sqrt(2 cosh 2t) dt by quad
+        for u in (-3.0, -1.2, -0.3, 0.4, 1.0, 2.5):
+            seg, _ = quad(lambda t: math.sqrt(2.0 * math.cosh(2.0 * t)), 0.0, u,
+                          epsabs=1e-13, epsrel=1e-13, limit=200)
+            assert universal_v4(u)[0] == pytest.approx(Z_STAR + seg, rel=1e-12, abs=1e-12), u
+
     def test_consistency_with_parametric_form(self):
         for u in (-1.2, 0.4, 2.0):
             zb, vb = universal_v4(u)
@@ -221,3 +233,14 @@ class TestWallIntegral:
         assert v_min >= 0.0
         assert neg_frac == 0.0
         assert wall_sign_summary(np.array([0.5, -0.1, 0.2, -0.3])) == (-0.3, 0.5)
+
+
+def test_package_import_leaves_out_scipy_integrate():
+    # every quadrature of the package is closed form or its own
+    # Gauss-Legendre rule: importing it does not load scipy's integrators
+    code = "import sys, qreflect; print('scipy.integrate' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(qreflect.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

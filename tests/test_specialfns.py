@@ -1,8 +1,10 @@
 """Tests for the special-function kernel and the constants built on Gamma and 2F1.
 
 Oracles: closed forms (half-integer Bessel), scipy's independent
-implementations for real orders, and quadratures evaluated by
-scipy.integrate.quad. Frozen constants were computed from those oracles.
+implementations for real orders (which bessel_j hands to scipy itself, so
+its complex-order code is checked against them at zero imaginary part), and
+quadratures evaluated by scipy.integrate.quad. Frozen constants were
+computed from those oracles.
 """
 
 import math
@@ -53,17 +55,36 @@ class TestBesselJ:
         assert bessel_j(1.5, x) == pytest.approx(expected, rel=1e-11)
 
     def test_against_scipy_real_orders(self):
+        # the complex-order code at zero imaginary part, where scipy is the
+        # oracle: the series up to its crossover, Miller's recurrence everywhere
         for nu in (-9.5, -2.3, 0.0, 0.5, 3.7, 9.9):
             for x in (0.05, 1.0, 5.0, 11.0, 13.0, 25.0, 50.0, 100.0):
-                mine = bessel_j(nu, x)
                 ref = scipy_jv(nu, x)
                 scale = max(abs(ref), math.sqrt(2.0 / (math.pi * x)) * 1e-2)
-                assert abs(mine - ref) <= 1e-9 * scale, (nu, x)
+                routes = [specialfns._jv_backward]
+                if x <= specialfns._SERIES_CROSSOVER:
+                    routes.append(specialfns._jv_series)
+                for route in routes:
+                    assert abs(route(complex(nu), x) - ref) <= 1e-9 * scale, (route, nu, x)
+
+    @pytest.mark.parametrize("nu", [-9.5, -4.0, 0.0, 0.3, 2.0, 9.9])
+    def test_real_order_is_scipy(self, nu):
+        for x in (0.0, 0.05, 5.0, 13.0, 100.0):
+            out = bessel_j(nu, x)
+            assert type(out) is float
+            assert np.array_equal(out, scipy_jv(nu, x), equal_nan=True), (nu, x)
+            # a complex-typed order with zero imaginary part, as the Mathieu
+            # series passes its integer orders, takes the same route
+            wide = bessel_j(complex(nu), x)
+            assert type(wide) is complex
+            assert np.array_equal(wide, complex(scipy_jv(nu, x)), equal_nan=True), (nu, x)
 
     def test_negative_integer_identity(self):
+        # J_-n = (-1)**n J_n, the identity the Mathieu series relies on for
+        # its factors J_-m, at the complex-typed orders it passes
         for n in (1, 4, 9):
             for x in (0.7, 6.0, 40.0):
-                assert bessel_j(float(-n), x) == pytest.approx(
+                assert bessel_j(complex(-n), x) == pytest.approx(
                     (-1.0) ** n * bessel_j(float(n), x), rel=1e-11)
 
     def test_recurrence_complex_orders(self):
@@ -84,7 +105,7 @@ class TestBesselJ:
     def test_term_budget_exhaustion(self, monkeypatch):
         monkeypatch.setattr(specialfns, "MAX_TERMS", 8)
         with pytest.raises(ConvergenceError):
-            bessel_j(0.3, 11.0)
+            bessel_j(0.3 + 0.1j, 11.0)
 
 
 class TestHyp2f1:
