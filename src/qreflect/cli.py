@@ -30,6 +30,8 @@ _FMT = "{:.12g}"
 
 
 def _fmt(value) -> str:
+    if value is None:   # the cell of a route that failed
+        return ""
     if isinstance(value, float):
         return _FMT.format(value)
     return str(value)
@@ -132,6 +134,23 @@ def _emit(path, fmt: str, meta: dict, columns: list[str], rows: list[dict]) -> N
         sys.stdout.write(text)
 
 
+def _solve_route(name, pot, energy, row, ctl):
+    """One route's solution at one grid row: a ScatteringResult or a MathieuSolution."""
+    if name == "mathieu":
+        if row.get("kappa_ell") is None:
+            raise ValueError("mathieu route needs a kappa*ell value (C4 tail)")
+        return mathieu.solve_v4(row["kappa_ell"])
+    if name == "direct":
+        return scattering.solve_direct(pot, energy, ctl)
+    if name == "coupled":
+        return scattering.solve_coupled(pot, energy, ctl)
+    if name == "transformed":
+        _, prob = liouville.special_gauge(wkb.WkbField(pot, energy),
+                                          trunc_rel=ctl.q_match_rel)
+        return scattering.solve_transformed(prob, ctl)
+    raise ValueError(f"unknown method {name!r}")
+
+
 def _reflect_row(pot, ell, energy, row, args, ctl) -> dict:
     if args.method == "all":
         methods = ["direct", "coupled", "transformed"]
@@ -142,35 +161,30 @@ def _reflect_row(pot, ell, energy, row, args, ctl) -> dict:
         methods = [args.method]
     r_by_method: dict[str, complex] = {}
     worst_unitarity = 0.0
+    failures = []
     for name in methods:
-        if name == "mathieu":
-            if row.get("kappa_ell") is None:
-                raise ValueError("mathieu route needs a kappa*ell value (C4 tail)")
-            sol = mathieu.solve_v4(row["kappa_ell"])
-            r_by_method[name] = sol.r
-            row["R_mathieu"] = sol.R
+        try:
+            res = _solve_route(name, pot, energy, row, ctl)
+        except (RuntimeError, ZeroDivisionError) as exc:
+            # a numerical failure at this energy fails this row only
+            row[f"R_{name}"] = None
+            failures.append(f"{name}: {exc}")
             continue
-        if name == "direct":
-            res = scattering.solve_direct(pot, energy, ctl)
-        elif name == "coupled":
-            res = scattering.solve_coupled(pot, energy, ctl)
-        elif name == "transformed":
-            _, prob = liouville.special_gauge(wkb.WkbField(pot, energy),
-                                              trunc_rel=ctl.q_match_rel)
-            res = scattering.solve_transformed(prob, ctl)
-        else:
-            raise ValueError(f"unknown method {name!r}")
         r_by_method[name] = res.r
         row[f"R_{name}"] = res.R
-        worst_unitarity = max(worst_unitarity, res.diagnostics.unitarity_residual)
+        if name != "mathieu":
+            worst_unitarity = max(worst_unitarity, res.diagnostics.unitarity_residual)
     refs = list(r_by_method.values())
     spread = max((abs(a - b) for a in refs for b in refs), default=0.0)
     row["method_spread"] = float(spread)
     if "direct" in r_by_method and "transformed" in r_by_method:
         row["gauge_residual"] = float(abs(r_by_method["direct"] - r_by_method["transformed"]))
     row["unitarity_residual"] = worst_unitarity
-    ok = spread <= args.max_spread and worst_unitarity <= args.max_unitarity
+    ok = not failures and spread <= args.max_spread and worst_unitarity <= args.max_unitarity
     row["status"] = "ok" if ok else "fail"
+    if failures:
+        label = next(f"{key}={_fmt(row[key])}" for key in ("kappa_ell", "energy_e1") if key in row)
+        print(f"warning: {label}: " + "; ".join(failures), file=sys.stderr)
     return row
 
 

@@ -14,12 +14,20 @@ incoming/outgoing waves gives closed forms for the amplitudes:
 
 with vk = sqrt(q), z_star the inversion-center coordinate, and
 sigma = ln(Psi_t^-(0)/Psi_t^+(0)) the parity constant.
+
+Each layer works in one pass: every truncation of Hill's determinant
+(DLMF 28.29) comes from one outward sweep, the continued fractions run on
+Python complex numbers, and each Bessel factor of the series is taken for
+its whole ladder of orders in one ``bessel_j`` call, which accepts arrays
+of orders.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +55,29 @@ N_MAX = 800
 TAU_TOL = 1e-12
 
 
-def _hill_determinant(q: float, n_side: int) -> float:
-    """Truncated Hill determinant at zero exponent, by the continuant recurrence."""
-    ns = np.arange(-n_side, n_side + 1)
-    xi = q / (4.0 * ns.astype(float) ** 2 - A_PARAM)
-    d_prev2, d_prev = 1.0, 1.0
-    for k in range(1, 2 * n_side + 1):
-        d_prev2, d_prev = d_prev, d_prev - xi[k] * xi[k - 1] * d_prev2
-    return float(d_prev)
+def _hill_determinants(q: float, sides):
+    """Truncated Hill determinants D_N at zero exponent, for each N of ``sides``.
+
+    The determinant over -N..N has unit diagonal and off-diagonal products
+    xi_{n-1} xi_n, xi_n = q/(4 n**2 - a). Since xi_{-n} = xi_n, expanding
+    it along row 0 gives D_N = K1 (K1 - 2 xi_0 xi_1 K2), with K1 and K2 the
+    continuants over 1..N and 2..N. Both grow outward one step per N, so
+    one sweep serves the increasing ``sides`` in turn.
+    """
+    edge = 2.0 * (q / -A_PARAM) * (q / (4.0 - A_PARAM))   # 2 xi_0 xi_1
+    # continuants over 1..N-1 and 1..N, and over 2..N-1 and 2..N; at N = 1
+    # the ones over 1..0 and 2..1 are empty (1), the one over 2..0 is 0
+    k1_prev, k1 = 1.0, 1.0
+    k2_prev, k2 = 0.0, 1.0
+    reached = 1
+    for n_side in sides:
+        n = np.arange(reached, n_side + 1, dtype=float)
+        xi = q / (4.0 * n * n - A_PARAM)
+        for link in (xi[:-1] * xi[1:]).tolist():
+            k1_prev, k1 = k1, k1 - link * k1_prev
+            k2_prev, k2 = k2, k2 - link * k2_prev
+        reached = n_side
+        yield k1 * (k1 - edge * k2)
 
 
 def characteristic_exponent(q: float) -> complex:
@@ -62,7 +85,8 @@ def characteristic_exponent(q: float) -> complex:
 
     Root of the infinite Hill determinant, evaluated through the classical
     identity sin(pi tau / 2)**2 = Delta(0) sin(pi sqrt(a) / 2)**2 with the
-    truncation doubled until tau is stable to ``TAU_TOL``. Normalized to
+    truncation doubled until tau is stable to ``TAU_TOL``. All truncations
+    come from one outward sweep of the determinant. Normalized to
     Re tau in [0, 1], Im tau >= 0; tau -> sqrt(a) as q -> 0.
     """
     if q <= 0.0:
@@ -73,15 +97,16 @@ def characteristic_exponent(q: float) -> complex:
         tau = 2.0 / math.pi * cmath.asin(cmath.sqrt(complex(det * sin_a2)))
         return complex(abs(tau.real), abs(tau.imag))
 
+    dets = _hill_determinants(q, (N_START << k for k in itertools.count()))
     # the truncated determinant approaches its limit like N**-3, so one
     # Richardson step per doubling removes the leading tail
     n_side = N_START
-    d_lo = _hill_determinant(q, n_side)
-    d_hi = _hill_determinant(q, 2 * n_side)
+    d_lo = next(dets)
+    d_hi = next(dets)
     tau_prev = tau_from_det(d_hi + (d_hi - d_lo) / 7.0)
     while n_side <= N_MAX:
         n_side *= 2
-        d_lo, d_hi = d_hi, _hill_determinant(q, 2 * n_side)
+        d_lo, d_hi = d_hi, next(dets)
         tau = tau_from_det(d_hi + (d_hi - d_lo) / 7.0)
         if abs(tau - tau_prev) < TAU_TOL:
             return tau
@@ -98,25 +123,43 @@ def coefficients(tau: complex, q: float, n_terms: int = 30) -> np.ndarray:
     if n_terms < 10:
         raise ValueError("n_terms must be at least 10")
 
-    def ladder(sign: int) -> np.ndarray:
-        ratios = np.zeros(n_terms + 2, dtype=complex)
-        ratios[n_terms + 1] = -q / ((tau + sign * 2.0 * (n_terms + 1)) ** 2 - A_PARAM)
+    def ladder(sign: int) -> list[complex]:
+        # A_{sign n} for n = 1..n_terms: the ratios A_{sign n}/A_{sign (n-1)}
+        # downward from the tail seed, then their running products
+        ratio = -q / ((tau + sign * 2.0 * (n_terms + 1)) ** 2 - A_PARAM)
+        ratios = []
         for n in range(n_terms, 0, -1):
-            den = ((tau + sign * 2.0 * n) ** 2 - A_PARAM) + q * ratios[n + 1]
+            z = tau + sign * 2.0 * n
+            den = (z * z - A_PARAM) + q * ratio
             if den == 0.0:
                 raise ConvergenceError("continued fraction hit a vanishing denominator")
-            ratios[n] = -q / den
-        return ratios
+            ratio = -q / den
+            ratios.append(ratio)
+        return list(itertools.accumulate(reversed(ratios), operator.mul))
 
-    up, down = ladder(+1), ladder(-1)
-    coeff = np.zeros(2 * n_terms + 1, dtype=complex)
-    coeff[n_terms] = 1.0
-    for n in range(1, n_terms + 1):
-        coeff[n_terms + n] = coeff[n_terms + n - 1] * up[n]
-        coeff[n_terms - n] = coeff[n_terms - n + 1] * down[n]
+    coeff = np.array(ladder(-1)[::-1] + [1.0] + ladder(+1), dtype=complex)
     if max(abs(coeff[0]), abs(coeff[-1])) > 1e-13:
         raise ConvergenceError("coefficient tails have not decayed; raise n_terms")
     return coeff
+
+
+def _waves(zt: float, tau: complex, q: float, coeff: np.ndarray, signs) -> np.ndarray:
+    """Psi_t^(sign)(zt) for each of ``signs``, from one Bessel call per factor.
+
+    Psi_t^(+-)(zt) = sum_m (-1)**m A_m J_(+-(m+tau))(sqrt(q) e**zt)
+    J_(+-m)(sqrt(q) e**-zt); each factor is taken for the ladders of orders
+    of all signs at once. Terms whose coefficient is exactly zero are
+    skipped, so a Bessel factor that overflows never meets one.
+    """
+    n_terms = (len(coeff) - 1) // 2
+    m = np.arange(-n_terms, n_terms + 1)
+    kept = coeff != 0.0
+    m, c = m[kept], coeff[kept]
+    signs = np.array(signs)[:, None]
+    sq = math.sqrt(q)
+    grow = bessel_j(signs * (m + tau), sq * math.exp(zt))
+    decay = bessel_j(signs * m.astype(float), sq * math.exp(-zt))
+    return np.sum(np.where(m % 2, -c, c) * grow * decay, axis=1)
 
 
 def mathieu_wave(zt: float, tau: complex, q: float, coeff: np.ndarray,
@@ -124,32 +167,7 @@ def mathieu_wave(zt: float, tau: complex, q: float, coeff: np.ndarray,
     """Bessel-product series Psi_t^(+-)(zt); ``sign`` selects the superscript."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    n_terms = (len(coeff) - 1) // 2
-    sq = math.sqrt(q)
-    x_grow = sq * math.exp(zt)
-    x_decay = sq * math.exp(-zt)
-    total = coeff[n_terms] * bessel_j(complex(sign) * tau, x_grow) \
-        * bessel_j(complex(0.0), x_decay)
-    scale = abs(total)
-    negligible = 0
-    for n in range(1, n_terms + 1):
-        term = 0.0 + 0.0j
-        for m in (n, -n):
-            c = coeff[n_terms + m]
-            if c == 0.0:
-                continue
-            term += ((-1) ** m * c
-                     * bessel_j(complex(sign) * (m + tau), x_grow)
-                     * bessel_j(complex(sign * m), x_decay))
-        total += term
-        scale = max(scale, abs(total))
-        if abs(term) < 1e-16 * max(scale, 1e-300):
-            negligible += 1
-            if negligible >= 3 and n >= 5:
-                break
-        else:
-            negligible = 0
-    return complex(total)
+    return complex(_waves(zt, tau, q, coeff, [sign])[0])
 
 
 def parity_sigma(tau: complex, q: float, coeff: np.ndarray) -> complex:
@@ -157,10 +175,10 @@ def parity_sigma(tau: complex, q: float, coeff: np.ndarray) -> complex:
 
     exp(-+sigma) relates the two solutions at mirrored coordinates; the
     principal branch is returned, which the amplitude formulas tolerate
-    since they are 2 pi i periodic in sigma.
+    since they are 2 pi i periodic in sigma. Both waves come from one
+    series evaluation.
     """
-    plus = mathieu_wave(0.0, tau, q, coeff, +1)
-    minus = mathieu_wave(0.0, tau, q, coeff, -1)
+    plus, minus = _waves(0.0, tau, q, coeff, [+1, -1]).tolist()
     if abs(plus) < 1e-250:
         raise ZeroDivisionError("Psi_t^+(0) vanishes; sigma undefined at this q")
     return cmath.log(minus / plus)
@@ -183,14 +201,11 @@ class MathieuSolution:
 
     def recurrence_residual(self) -> float:
         """Max residual of the three-term recurrence over the coefficient table."""
-        n_terms = (len(self.coeff) - 1) // 2
-        worst = 0.0
-        scale = float(np.max(np.abs(self.coeff)))
-        for n in range(-(n_terms - 1), n_terms):
-            lhs = ((self.tau + 2.0 * n) ** 2 - A_PARAM) * self.coeff[n_terms + n] \
-                + self.q * (self.coeff[n_terms + n + 1] + self.coeff[n_terms + n - 1])
-            worst = max(worst, abs(lhs) / scale)
-        return worst
+        c = self.coeff
+        n_terms = (len(c) - 1) // 2
+        n = np.arange(-(n_terms - 1), n_terms)
+        lhs = ((self.tau + 2.0 * n) ** 2 - A_PARAM) * c[1:-1] + self.q * (c[2:] + c[:-2])
+        return float(np.max(np.abs(lhs)) / np.max(np.abs(c)))
 
 
 def solve_v4(kappa_ell: float) -> MathieuSolution:

@@ -1,5 +1,9 @@
 """Bessel J of complex order, the one special function scipy lacks.
 
+``bessel_j`` takes one order or a whole array of them, such as the ladder
+of orders m + tau of a Mathieu series, and sums the series for all of an
+array's complex orders at once.
+
 Real orders, and Gamma, 1/Gamma and log Gamma of complex argument, come
 from scipy.special; the Gauss 2F1 of the phase formula is
 scipy.special.hyp2f1, imported by wkb.
@@ -14,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 from scipy.special import gamma, jv, loggamma, rgamma
 
 __all__ = ["ConvergenceError", "bessel_j"]
@@ -35,21 +40,30 @@ REL_TOL = 1e-15
 _SERIES_CROSSOVER = 12.0
 
 
-def _jv_series(nu: complex, x: float) -> complex:
+def _jv_series(nu, x: float) -> np.ndarray:
+    # the ascending series for an array of orders at once; each order keeps
+    # the partial sum at which its own terms met the tolerance
+    nu = np.atleast_1d(np.asarray(nu, dtype=complex))
     half = 0.5 * x  # caller guarantees x > 0
-    if nu.real > 140.0:
-        # Gamma(nu+1) would overflow; assemble the leading term in log space
-        term = cmath.exp(nu * math.log(half) - complex(loggamma(nu + 1.0)))
-    else:
-        term = cmath.exp(nu * math.log(half)) * complex(rgamma(nu + 1.0))
-    acc = term
-    floor = ABS_TOL * abs(term)  # ABS_TOL is measured against the leading term
-    for k in range(MAX_TERMS):
-        term *= -(half * half) / ((k + 1.0) * (nu + k + 1.0))
+    log_half = math.log(half)
+    # Gamma(nu+1) would overflow above Re nu = 140: those leading terms are
+    # assembled in log space
+    big = nu.real > 140.0
+    term = np.empty_like(nu)
+    term[big] = np.exp(nu[big] * log_half - loggamma(nu[big] + 1.0))
+    term[~big] = np.exp(nu[~big] * log_half) * rgamma(nu[~big] + 1.0)
+    acc = term.copy()
+    out = term.copy()
+    floor = ABS_TOL * np.abs(term)  # ABS_TOL is measured against the leading term
+    todo = np.ones(nu.shape, dtype=bool)
+    for k in range(1, MAX_TERMS + 1):
+        term *= (-(half * half) / k) / (nu + k)
         acc += term
-        if abs(term) < floor + REL_TOL * abs(acc):
-            return acc
-    raise ConvergenceError(f"bessel_j series did not converge for nu={nu}, x={x}")
+        np.copyto(out, acc, where=todo)
+        todo &= ~(np.abs(term) < floor + REL_TOL * np.abs(acc))  # NaN never converges
+        if not np.count_nonzero(todo):
+            return out
+    raise ConvergenceError(f"bessel_j series did not converge for nu={nu[todo][0]}, x={x}")
 
 
 def _jv_backward(nu: complex, x: float) -> complex:
@@ -85,13 +99,16 @@ def _jv_backward(nu: complex, x: float) -> complex:
 def bessel_j(nu, x: float):
     """Bessel function of the first kind J_nu(x) for x >= 0.
 
-    The argument is real and non-negative. An order with zero imaginary
-    part goes to ``scipy.special.jv``: a float order gives a float, a
-    complex-typed one a complex. Any other order takes the ascending series
-    for x <= 12 and Miller's recurrence above. Both are validated to ~1e-10
-    relative accuracy for |nu| <= 10, x <= 100 (away from zeros of J):
-    against scipy at real orders and by the three-term recurrence at
-    complex ones.
+    The argument is real and non-negative; ``nu`` is one order or an array
+    of orders, and the result has the same shape. Orders with zero
+    imaginary part go to ``scipy.special.jv``, all of them in one call: a
+    float order gives a float, a complex-typed one a complex. Other orders
+    take the ascending series for x <= 12, summed for all of them at once,
+    and Miller's recurrence, one order at a time, above. Both are validated
+    to ~1e-10 relative accuracy for |nu| <= 10, x <= 100 (away from zeros
+    of J): against scipy at real orders and by the three-term recurrence
+    at complex ones. A complex order gives the same number, to rounding,
+    alone as in an array.
 
     Raises
     ------
@@ -102,14 +119,23 @@ def bessel_j(nu, x: float):
     """
     if x < 0.0:
         raise ValueError("bessel_j requires x >= 0")
-    nu_c = complex(nu)
-    if nu_c.imag == 0.0:
-        out = jv(nu_c.real, x)
-        return complex(out) if isinstance(nu, complex) else float(out)
-    if x == 0.0:
-        if nu_c.real > 0.0:
-            return 0.0 + 0.0j
-        raise ValueError("bessel_j diverges at x = 0 for Re nu <= 0")
-    if x <= _SERIES_CROSSOVER:
-        return _jv_series(nu_c, x)
-    return _jv_backward(nu_c, x)
+    orders = np.asarray(nu)
+    if not np.iscomplexobj(orders):
+        out = jv(orders, x)
+        return out if orders.ndim else float(out)
+    orders = orders.astype(complex)
+    out = np.empty(orders.shape, dtype=complex)
+    real = orders.imag == 0.0
+    out[real] = jv(orders.real[real], x)
+    other = ~real
+    rest = orders[other]
+    if rest.size:
+        if x == 0.0:
+            if np.any(rest.real <= 0.0):
+                raise ValueError("bessel_j diverges at x = 0 for Re nu <= 0")
+            out[other] = 0.0
+        elif x <= _SERIES_CROSSOVER:
+            out[other] = _jv_series(rest, x)
+        else:
+            out[other] = [_jv_backward(complex(v), x) for v in rest]
+    return out if orders.ndim else complex(out)

@@ -83,6 +83,35 @@ class TestReflect:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "badlands peak" in err
 
+    def test_closed_form_failure_fails_its_row_only(self, tmp_path, capsys):
+        # the Mathieu closed form stops near kappa*ell = 299; the row beyond
+        # it fails with an empty cell while the numeric routes still answer
+        code, text = run(tmp_path, "hi.csv",
+                         ["reflect", "--model", "v4", "--kappa-ell", "100:400:3:log"])
+        err = capsys.readouterr().err
+        assert code == 1
+        _, rows = csv_rows(text)
+        assert [float(row["kappa_ell"]) for row in rows] == pytest.approx([100.0, 200.0, 400.0])
+        assert [row["status"] for row in rows] == ["ok", "ok", "fail"]
+        assert rows[2]["R_mathieu"] == ""
+        assert all(float(rows[2][f"R_{name}"]) < 1e-26
+                   for name in ("direct", "coupled", "transformed"))
+        assert all(float(row["R_mathieu"]) > 0.0 for row in rows[:2])
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("warning: kappa_ell=400: mathieu: ")
+        assert "did not settle" in lines[0]
+
+    def test_closed_form_failure_in_json(self, tmp_path, capsys):
+        code, text = run(tmp_path, "hi.json",
+                         ["reflect", "--model", "v4", "--kappa-ell", "100:400:3:log",
+                          "--method", "mathieu", "--format", "json"])
+        assert code == 1
+        assert capsys.readouterr().err.count("warning: ") == 1
+        rows = json.loads(text)["rows"]
+        assert [row["R_mathieu"] is None for row in rows] == [False, False, True]
+        assert [row["status"] for row in rows] == ["ok", "ok", "fail"]
+
     def test_missing_potential_rejected(self):
         assert main(["reflect", "--kappa-ell", "0.1"]) == 2
 

@@ -1,4 +1,10 @@
-"""Tests for the modified-Mathieu solution of the inverse-quartic model."""
+"""Tests for the modified-Mathieu solution of the inverse-quartic model.
+
+Besides the physics checks, the scalar code that solve_v4 ran before its
+layers took whole arrays serves as an oracle: a continuant per truncation
+of the Hill determinant, continued fractions on numpy scalars, and a
+Bessel-product series summed term by term with an early stop.
+"""
 
 import cmath
 import math
@@ -17,7 +23,147 @@ from qreflect.mathieu import (
 )
 from qreflect.potentials import HomogeneousPotential
 from qreflect.scattering import solve_direct
-from qreflect.specialfns import ConvergenceError
+from qreflect.specialfns import ConvergenceError, bessel_j
+
+
+def scalar_hill_determinant(q: float, n_side: int) -> float:
+    """The truncated Hill determinant over -n_side..n_side, by one continuant."""
+    ns = np.arange(-n_side, n_side + 1)
+    xi = q / (4.0 * ns.astype(float) ** 2 - mathieu.A_PARAM)
+    d_prev2, d_prev = 1.0, 1.0
+    for k in range(1, 2 * n_side + 1):
+        d_prev2, d_prev = d_prev, d_prev - xi[k] * xi[k - 1] * d_prev2
+    return float(d_prev)
+
+
+def scalar_characteristic_exponent(q: float) -> complex:
+    """tau with every truncation's determinant computed afresh."""
+    sin_a2 = math.sin(0.5 * math.pi * math.sqrt(mathieu.A_PARAM)) ** 2
+
+    def tau_from_det(det):
+        tau = 2.0 / math.pi * cmath.asin(cmath.sqrt(complex(det * sin_a2)))
+        return complex(abs(tau.real), abs(tau.imag))
+
+    n_side = mathieu.N_START
+    d_lo = scalar_hill_determinant(q, n_side)
+    d_hi = scalar_hill_determinant(q, 2 * n_side)
+    tau_prev = tau_from_det(d_hi + (d_hi - d_lo) / 7.0)
+    while n_side <= mathieu.N_MAX:
+        n_side *= 2
+        d_lo, d_hi = d_hi, scalar_hill_determinant(q, 2 * n_side)
+        tau = tau_from_det(d_hi + (d_hi - d_lo) / 7.0)
+        if abs(tau - tau_prev) < mathieu.TAU_TOL:
+            return tau
+        tau_prev = tau
+    raise AssertionError("oracle tau did not settle")
+
+
+def scalar_coefficients(tau: complex, q: float, n_terms: int = 30) -> np.ndarray:
+    """A_n from continued fractions stored in numpy arrays, element by element."""
+    def ladder(sign):
+        ratios = np.zeros(n_terms + 2, dtype=complex)
+        ratios[n_terms + 1] = -q / ((tau + sign * 2.0 * (n_terms + 1)) ** 2 - mathieu.A_PARAM)
+        for n in range(n_terms, 0, -1):
+            ratios[n] = -q / (((tau + sign * 2.0 * n) ** 2 - mathieu.A_PARAM) + q * ratios[n + 1])
+        return ratios
+
+    up, down = ladder(+1), ladder(-1)
+    coeff = np.zeros(2 * n_terms + 1, dtype=complex)
+    coeff[n_terms] = 1.0
+    for n in range(1, n_terms + 1):
+        coeff[n_terms + n] = coeff[n_terms + n - 1] * up[n]
+        coeff[n_terms - n] = coeff[n_terms - n + 1] * down[n]
+    return coeff
+
+
+def scalar_mathieu_wave(zt, tau, q, coeff, sign) -> tuple[complex, float]:
+    """Psi_t^(sign)(zt) term by term from scalar Bessel calls, stopping after
+    three negligible terms; also the sum of the terms' moduli, which bounds
+    the rounding error of any summation of them."""
+    n_terms = (len(coeff) - 1) // 2
+    x_grow = math.sqrt(q) * math.exp(zt)
+    x_decay = math.sqrt(q) * math.exp(-zt)
+    total = coeff[n_terms] * bessel_j(complex(sign) * tau, x_grow) * bessel_j(0j, x_decay)
+    scale = size = abs(total)
+    negligible = 0
+    for n in range(1, n_terms + 1):
+        term = 0.0 + 0.0j
+        for m in (n, -n):
+            if coeff[n_terms + m] == 0.0:
+                continue
+            part = ((-1) ** m * coeff[n_terms + m] * bessel_j(complex(sign) * (m + tau), x_grow)
+                    * bessel_j(complex(sign * m), x_decay))
+            term += part
+            size += abs(part)
+        total += term
+        scale = max(scale, abs(total))
+        if abs(term) < 1e-16 * max(scale, 1e-300):
+            negligible += 1
+            if negligible >= 3 and n >= 5:
+                break
+        else:
+            negligible = 0
+    return complex(total), size
+
+
+def scalar_solve_v4(kappa_ell: float) -> tuple[complex, complex]:
+    """(tau, r) from the scalar layers above."""
+    q = kappa_ell
+    tau = scalar_characteristic_exponent(q)
+    coeff = scalar_coefficients(tau, q)
+    plus, _ = scalar_mathieu_wave(0.0, tau, q, coeff, +1)
+    minus, _ = scalar_mathieu_wave(0.0, tau, q, coeff, -1)
+    sigma = cmath.log(minus / plus)
+    return tau, -1j * cmath.sinh(sigma) / cmath.sinh(sigma + 1j * math.pi * tau)
+
+
+class TestScalarOracles:
+    """Each layer of solve_v4 against the scalar code it replaced."""
+
+    @pytest.mark.parametrize("q", [1e-3, 1.0, 10.0, 299.0])
+    def test_hill_sweep_matches_the_continuant(self, q):
+        sides = [1, 2, 3, 25, 100, 400]
+        swept = list(mathieu._hill_determinants(q, sides))
+        assert len(swept) == len(sides)
+        for n_side, det in zip(sides, swept):
+            ref = scalar_hill_determinant(q, n_side)
+            assert abs(det - ref) <= 1e-13 * abs(ref), (q, n_side)
+
+    @pytest.mark.parametrize("q", [1e-3, 0.3, 3.0, 100.0])
+    def test_coefficients_match(self, q):
+        tau = characteristic_exponent(q)
+        coeff = coefficients(tau, q)
+        ref = scalar_coefficients(tau, q)
+        assert np.allclose(coeff, ref, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("q", [1e-3, 0.3, 3.0, 100.0])
+    def test_waves_match(self, q):
+        tau = characteristic_exponent(q)
+        coeff = coefficients(tau, q)
+        for zt in (-2.0, 0.0, 2.0):
+            for sign in (+1, -1):
+                ref, size = scalar_mathieu_wave(zt, tau, q, coeff, sign)
+                wave = mathieu_wave(zt, tau, q, coeff, sign)
+                assert abs(wave - ref) <= 1e-14 * size, (q, zt, sign)
+
+    @pytest.mark.parametrize("kl", [1e-3, 0.5, 10.0])
+    def test_recurrence_residual_matches_the_loop(self, kl):
+        sol = solve_v4(kl)
+        n_terms = (len(sol.coeff) - 1) // 2
+        scale = float(np.max(np.abs(sol.coeff)))
+        worst = 0.0
+        for n in range(-(n_terms - 1), n_terms):
+            lhs = ((sol.tau + 2.0 * n) ** 2 - mathieu.A_PARAM) * sol.coeff[n_terms + n] \
+                + sol.q * (sol.coeff[n_terms + n + 1] + sol.coeff[n_terms + n - 1])
+            worst = max(worst, abs(lhs) / scale)
+        assert sol.recurrence_residual() == pytest.approx(worst, rel=1e-12, abs=1e-300)
+
+    def test_solve_v4_matches(self):
+        for kl in np.geomspace(1e-3, 299.0, 41):
+            sol = solve_v4(float(kl))
+            tau, r = scalar_solve_v4(float(kl))
+            assert abs(sol.tau - tau) <= 1e-14, kl
+            assert abs(sol.r - r) <= 1e-12, kl
 
 
 class TestCharacteristicExponent:

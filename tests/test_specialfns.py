@@ -2,17 +2,20 @@
 
 Oracles: closed forms (half-integer Bessel), scipy's independent
 implementations for real orders (which bessel_j hands to scipy itself, so
-its complex-order code is checked against them at zero imaginary part), and
-quadratures evaluated by scipy.integrate.quad. Frozen constants were
-computed from those oracles.
+its complex-order code is checked against them at zero imaginary part), the
+one-order-at-a-time ascending series that bessel_j summed before it took
+arrays of orders, and quadratures evaluated by scipy.integrate.quad. Frozen
+constants were computed from those oracles.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import jv as scipy_jv
+from scipy.special import rgamma
 
 import qreflect.specialfns as specialfns
 from qreflect.liouville import inversion_center, wall_integral_closed
@@ -106,6 +109,83 @@ class TestBesselJ:
         monkeypatch.setattr(specialfns, "MAX_TERMS", 8)
         with pytest.raises(ConvergenceError):
             bessel_j(0.3 + 0.1j, 11.0)
+
+
+def scalar_series(nu: complex, x: float) -> tuple[complex, float]:
+    """The ascending series for one complex order, as bessel_j summed it
+    before it took arrays of orders, with the same termination rule. Also
+    returns the sum of the terms' moduli, which bounds the rounding error
+    of any summation of them."""
+    half = 0.5 * x
+    term = cmath.exp(nu * math.log(half)) * complex(rgamma(nu + 1.0))
+    acc, size = term, abs(term)
+    floor = specialfns.ABS_TOL * abs(term)
+    for k in range(specialfns.MAX_TERMS):
+        term *= -(half * half) / ((k + 1.0) * (nu + k + 1.0))
+        acc += term
+        size += abs(term)
+        if abs(term) < floor + specialfns.REL_TOL * abs(acc):
+            return acc, size
+    raise AssertionError("oracle series did not converge")
+
+
+class TestBesselJOrderArrays:
+    """bessel_j over a whole array of orders, as the Mathieu series calls it:
+    the ladders m + tau and -(m + tau), |m| <= 30, of a complex exponent."""
+
+    LADDER = np.arange(-30, 31)
+    TAUS = (0.37 + 0.8j, 0.02 + 1.9j, 0.5 + 1e-3j)
+
+    def ladders(self, tau):
+        return np.concatenate([self.LADDER + tau, -(self.LADDER + tau)])
+
+    @pytest.mark.parametrize("x", [0.03, 3.0, 11.9, 12.1, 17.0])
+    def test_complex_orders_equal_scalar_calls(self, x):
+        # numpy may round a long array and a one-element one differently, so
+        # the series (x <= 12) agrees to its rounding bound; Miller's
+        # recurrence runs one order at a time and agrees exactly
+        for tau in self.TAUS:
+            orders = self.ladders(tau)
+            out = bessel_j(orders, x)
+            assert out.shape == orders.shape and out.dtype == complex
+            scalar = [bessel_j(complex(nu), x) for nu in orders]
+            assert all(type(v) is complex for v in scalar)
+            if x > specialfns._SERIES_CROSSOVER:
+                assert np.array_equal(out, scalar), (tau, x)
+                continue
+            for nu, value, single in zip(orders, out, scalar):
+                ref, size = scalar_series(complex(nu), x)
+                # the array, the single order and the scalar sum of old
+                for a, b in ((value, single), (value, ref), (single, ref)):
+                    assert abs(a - b) <= 1e-15 * size, (nu, x)
+                assert abs(value - ref) <= 1e-10 * abs(ref), (nu, x)
+
+    @pytest.mark.parametrize("x", [0.0, 0.03, 3.0, 11.9, 12.1, 17.0])
+    def test_real_orders_are_scipy_bit_for_bit(self, x):
+        orders = np.concatenate([self.LADDER + 0.37, self.LADDER.astype(float)])
+        out = bessel_j(orders, x)
+        assert out.dtype == float
+        assert np.array_equal(out, scipy_jv(orders, x), equal_nan=True)
+        wide = bessel_j(orders.astype(complex), x)
+        assert wide.dtype == complex
+        assert np.array_equal(wide, scipy_jv(orders, x).astype(complex), equal_nan=True)
+
+    def test_mixed_orders_keep_their_shape(self):
+        orders = np.array([[0.5 + 0.0j, -2.0 + 0.0j, 1.3 + 0.4j],
+                           [-7.6 - 0.2j, 3.0 + 0.0j, 0.1 + 2.0j]])
+        for x in (2.5, 13.0):
+            out = bessel_j(orders, x)
+            assert out.shape == orders.shape
+            single = np.array([bessel_j(complex(nu), x) for nu in orders.ravel()])
+            assert np.allclose(out.ravel(), single, rtol=1e-14, atol=0.0)
+            real = orders.ravel().imag == 0.0
+            assert np.array_equal(out.ravel()[real], scipy_jv(orders.ravel().real[real], x))
+
+    def test_zero_argument(self):
+        out = bessel_j(np.array([2.5 + 1.0j, 0.0 + 0.0j, 2.0 + 0.0j]), 0.0)
+        assert np.array_equal(out, [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError):
+            bessel_j(np.array([2.5 + 1.0j, -0.5 + 1.0j]), 0.0)
 
 
 class TestHyp2f1:
