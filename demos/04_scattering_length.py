@@ -2,10 +2,12 @@
 
 At low energy the reflection amplitude flattens onto r = -(1 - 2 i kappa a)
 with a complex length a; its (negated) imaginary part b fixes the leading
-reflection deficit R = 1 - 4 kappa b. For the pure inverse-quartic model
-b equals the strength length ell exactly, so the fit is a sharp validation
-target; for a full two-tail potential b deviates from ell, which is exactly
-why reflection data are best plotted against kappa*b rather than kappa*ell.
+reflection deficit R = 1 - 4 kappa b. a is read off the zero-energy
+solution. For the pure inverse-quartic model that solution is z e^(i ell/z),
+so b equals the strength length ell exactly, and the fit residual measures
+how closely direct solves at small kappa follow the law with that a; for a
+full two-tail potential b deviates from ell, which is exactly why reflection
+data are best plotted against kappa*b rather than kappa*ell.
 """
 
 import math

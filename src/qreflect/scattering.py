@@ -37,7 +37,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .liouville import TransformedProblem
-from .wkb import WkbField
+from .potentials import HomogeneousPotential
+from .wkb import WkbField, threshold_phases, threshold_wave
 
 __all__ = [
     "SolverControl",
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 
-FIT_RESIDUAL_MAX = 1e-4    # scattering_length's gate on max |r_fit - r|
+FIT_RESIDUAL_MAX = 1e-4    # scattering_length's gate on |r - r_model|
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,14 @@ class ScatteringResult:
 
 @dataclass(frozen=True)
 class ScatteringLength:
+    """The complex scattering length ``a`` of a -C4/z**4 far tail, from its
+    zero-energy solution, with b = -Im a and ell = sqrt(C4).
+
+    ``fit_residual`` checks ``a`` against a direct solve at each kappa of
+    ``kappa_grid``: the largest |r - r_model| there, for
+    r_model = -(1 - 2 i kappa a) with ``a`` pinned. See ``scattering_length``.
+    """
+
     a: complex
     ell: float
     fit_residual: float
@@ -231,14 +240,9 @@ def _times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _first_partition(fld: WkbField, domain: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Panel ends across ``domain`` and each panel's node count.
-
-    There is an end on every knot of the potential, none more than
-    ``_PHASE_RATIO`` apart, and about ``_PHASE_RAD`` of phi apart, spaced
-    evenly between those points. A panel of at most ``_KNOT_RAD`` and
-    ``_KNOT_RATIO``, which on a table is one knot interval or less, takes
-    ``_KNOT_NODES``; the others ``_PHASE_NODES``.
-    """
+    """Panel ends across ``domain`` and each panel's node count: ``_panels``
+    between an end on every knot of the potential and ends no more than
+    ``_PHASE_RATIO`` apart, with the phase of ``fld``."""
     z_min, z_max = domain
     count = math.ceil(math.log(z_max / z_min) / math.log(_PHASE_RATIO))
     coarse = z_min * (z_max / z_min) ** (np.arange(count + 1) / count)
@@ -247,13 +251,24 @@ def _first_partition(fld: WkbField, domain: tuple[float, float]) -> tuple[np.nda
     knots = knots[(knots > z_min) & (knots < z_max)]
     if len(knots):
         coarse = np.union1d(coarse, knots)
-    phase = np.diff(fld.phi(coarse))
+    return _panels(coarse, np.diff(fld.phi(coarse)))
+
+
+def _panels(points: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Panel ends between ascending ``points``, with ``phase`` of phi between
+    each two, and each panel's node count.
+
+    Each gap is cut evenly into the fewest panels of about ``_PHASE_RAD`` of
+    phi or less. A gap of at most ``_KNOT_RAD`` and ``_KNOT_RATIO``, which on
+    a table is one knot interval or less, takes ``_KNOT_NODES``; the others
+    ``_PHASE_NODES``.
+    """
     parts = np.maximum(np.ceil(phase / _PHASE_RAD), 1.0).astype(int)
     piece = np.repeat(np.arange(len(parts)), parts)
-    step = np.diff(coarse)[piece] / parts[piece]
-    ends = coarse[piece] + (np.arange(len(piece)) - (np.cumsum(parts) - parts)[piece]) * step
-    knot_bound = (phase <= _KNOT_RAD) & (coarse[1:] <= _KNOT_RATIO * coarse[:-1])
-    return np.append(ends, z_max), np.where(knot_bound, _KNOT_NODES, _PHASE_NODES)[piece]
+    step = np.diff(points)[piece] / parts[piece]
+    ends = points[piece] + (np.arange(len(piece)) - (np.cumsum(parts) - parts)[piece]) * step
+    knot_bound = (phase <= _KNOT_RAD) & (points[1:] <= _KNOT_RATIO * points[:-1])
+    return np.append(ends, points[-1]), np.where(knot_bound, _KNOT_NODES, _PHASE_NODES)[piece]
 
 
 def solve_ivp(coefficients, ends, nodes, y0, rtol: float) -> OdeResult:
@@ -464,30 +479,57 @@ def solve_transformed(problem: TransformedProblem, ctl: SolverControl | None = N
 
 
 def scattering_length(potential, ctl: SolverControl | None = None) -> ScatteringLength:
-    """Complex scattering length from the low-energy expansion of r.
+    """Complex scattering length a of a potential with a -C4/z**4 far tail.
 
-    Fits r(kappa) = -(1 - 2 i kappa a) by linear regression of
-    (r + 1)/(2 i kappa) against kappa over a geometric grid of small
-    kappa*ell (1e-4 .. 1e-2, 8 points), extrapolated to kappa = 0. The
-    residual gate is max |r_fit - r| over the grid; beyond
-    ``FIT_RESIDUAL_MAX`` the grid is not asymptotic and the fit raises.
+    At E = 0 the one-way wave into the surface tends to A (z - a) far out,
+    and at low energy r = -(1 - 2 i kappa a) + O(kappa**2). On -C4/z**4 that
+    wave is z e^(i ell/z), so a = -i ell in closed form, ell = sqrt(C4). On a
+    table a comes from one solve of psi'' = V psi at E = 0, exact at both
+    ends, so no matching cut enters: it starts at the first node on the
+    threshold wave of the -C3m/z**3 tail below (``threshold_wave``) and is
+    written at z_max as A z cos(ell/z) + B z sin(ell/z), the solutions of the
+    -C4m/z**4 tail above, ell = sqrt(C4m); then a = -B ell/A.
+
+    A direct solve at kappa ell = 1e-4 (``kappa_grid``) checks a:
+    ``fit_residual`` is |r - r_model| there, for r_model = -(1 - 2 i kappa a)
+    with a pinned and nothing fitted. Beyond ``FIT_RESIDUAL_MAX`` that
+    energy is not yet asymptotic, or the solve disagrees with a, and the
+    call raises.
     """
     ctl = ctl or _DEFAULT_CTL
     n, c4 = potential.tail_far()
     if n != 4:
         raise ValueError("scattering length needs an inverse-quartic far-end tail")
-    ell = math.sqrt(getattr(potential, "far_c4_matched", c4))
-    kappas = np.geomspace(1e-4, 1e-2, 8) / ell
-    rs = np.array([solve_direct(potential, k * k, ctl).r for k in kappas])
-    y = (rs + 1.0) / (2j * kappas)
-    design = np.vstack([np.ones_like(kappas), kappas]).T
-    coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
-    a = complex(coeffs[0])
-    r_fit = -(1.0 - 2j * kappas * (design @ coeffs))
-    residual = float(np.max(np.abs(r_fit - rs)))
+    if isinstance(potential, HomogeneousPotential):
+        ell = math.sqrt(c4)
+        a = complex(0.0, -ell)
+    else:
+        ell = math.sqrt(potential.far_c4_matched)
+        a = _threshold_length(potential, ell, ctl.rtol)
+    kappa = 1e-4 / ell
+    residual = float(abs(solve_direct(potential, kappa * kappa, ctl).r + 1.0 - 2j * kappa * a))
     if residual > FIT_RESIDUAL_MAX:
         raise RuntimeError(
             f"scattering-length fit residual {residual:.2e} above "
             f"{FIT_RESIDUAL_MAX:.2e}: kappa grid not asymptotic")
-    return ScatteringLength(a=a, ell=ell, fit_residual=residual,
-                            kappa_grid=tuple(float(k) for k in kappas))
+    return ScatteringLength(a=a, ell=ell, fit_residual=residual, kappa_grid=(kappa,))
+
+
+def _threshold_length(table, ell: float, rtol: float) -> complex:
+    """a from one solve of psi'' = V psi across a table at E = 0, from the
+    threshold wave at the first node to z_max, on panels between the knots
+    (``_panels`` with the phase of ``threshold_phases``): on a fine table one
+    panel of the knot rule per knot interval."""
+    knots = np.asarray(table.breaks, dtype=float)
+    sol = solve_ivp(lambda z_a, zs, running: (1.0, table.value(zs)),
+                    *_panels(knots, threshold_phases(table)),
+                    threshold_wave(knots[0], 3, table.cliff_c3_matched), rtol)
+    if not sol.success:
+        raise RuntimeError(f"integration failed: {sol.message}")
+    z = knots[-1]
+    c, s = math.cos(ell / z), math.sin(ell / z)
+    wave = tuple(sol.y[:, -1])
+    # A and B, each times W(z cos, z sin) = -ell, which cancels in -B ell/A
+    along_cos = wronskian(wave, (z * s, s - ell / z * c))
+    along_sin = wronskian((z * c, c + ell / z * s), wave)
+    return complex(-ell * along_sin / along_cos)

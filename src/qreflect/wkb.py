@@ -40,6 +40,8 @@ __all__ = [
     "universal_badlands",
     "badlands_peak_x",
     "phase_coordinate",
+    "threshold_wave",
+    "threshold_phases",
 ]
 
 _HYP_SWITCH = 1.2  # x above which the 2F1 in -1/x**n converges
@@ -99,6 +101,19 @@ def _quartic_far_crossing(level: float) -> float:
     return math.sqrt(0.5 * (t + math.sqrt(t * t - 4.0)))
 
 
+def threshold_wave(z: float, n: int, c_n: float, c: complex = 1.0) -> tuple[complex, complex]:
+    """c sqrt(z) H1_nu(x) and its derivative, nu = 1/(n - 2) and
+    x = 2 sqrt(C_n)/(n - 2) z**(-(n - 2)/2): the solution of
+    psi'' + C_n z**-n psi = 0 that moves into the surface, the zero-energy
+    wave of -C_n/z**n (Friedrich & Trost, Phys. Rep. 397, 359)."""
+    nu = 1.0 / (n - 2)
+    x = 2.0 * nu * math.sqrt(c_n) * z ** (-0.5 * (n - 2))
+    h, h_lower = hankel1((nu, nu - 1.0), x).tolist()
+    root = math.sqrt(z)
+    # d/dz via H'_nu = H_(nu-1) - (nu/x) H_nu and dx/dz = -x/(2 nu z)
+    return c * root * h, c / root * (h - 0.5 * x / nu * h_lower)
+
+
 def phase_coordinate(x, n: int):
     """Universal phase integral int sqrt(1 + 1/x'**n) dx' with far-end anchor.
 
@@ -145,6 +160,27 @@ def _legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights of order m on [0, 1]."""
     x, w = roots_legendre(m)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _kz_sums(knots: np.ndarray, cubics: np.ndarray, energy: float, interval: np.ndarray,
+             s: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Rule sums of k z = sqrt(E + exp(w)) e**u at u = u_i + s, a row of s per
+    knot interval i in ``interval``, on the ``knots`` and ``cubics`` of
+    ``log_log_pieces``."""
+    c0, c1, c2, c3 = (c[:, None] for c in cubics[:, interval])
+    w = c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+    kz = np.sqrt(energy + np.exp(w)) * np.exp(knots[interval][:, None] + s)
+    return kz @ weights
+
+
+def threshold_phases(potential) -> np.ndarray:
+    """int sqrt(-V) dz over each knot interval of a table: the phase at E = 0,
+    by the higher rule of ``_PHASE_RULES`` on the whole interval in u = ln z."""
+    knots, cubics = potential.log_log_pieces()
+    widths = np.diff(knots)
+    nodes, weights = _legendre(_PHASE_RULES[1])
+    return widths * _kz_sums(knots, cubics, 0.0, np.arange(len(widths)),
+                             widths[:, None] * nodes, weights)
 
 
 class _PhaseTable:
@@ -197,12 +233,7 @@ class _PhaseTable:
             self.z_min / self.zeta3, 3)
 
     def _kz(self, interval: np.ndarray, s: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Rule sums of k z = sqrt(E + exp(w)) e**u at u = u_i + s, a row of s per
-        knot interval i in ``interval``."""
-        c0, c1, c2, c3 = (c[:, None] for c in self.cubics[:, interval])
-        w = c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
-        kz = np.sqrt(self.energy + np.exp(w)) * np.exp(self.knots[interval][:, None] + s)
-        return kz @ weights
+        return _kz_sums(self.knots, self.cubics, self.energy, interval, s, weights)
 
     def phi(self, z):
         z = np.asarray(z, dtype=float)
@@ -288,8 +319,7 @@ class WkbField:
 
         On the inner tail (``on_threshold_tail``) it is the threshold solution
         of psi'' + C_n z**-n psi = 0 (Friedrich & Trost, Phys. Rep. 397, 359),
-        c sqrt(z) H1_nu(x) with nu = 1/(n - 2) and x = 2 sqrt(C_n)/(n - 2)
-        z**(-(n - 2)/2); its only error is the neglected E z**n/C_n. With
+        c times ``threshold_wave``; its only error is the neglected E z**n/C_n. With
         phi -> phi_0 - x as z -> 0, the Hankel asymptote (DLMF 10.17.5) gives
         c = sqrt(pi/(n - 2)) e^(i(nu pi/2 + pi/4 - phi_0)), so the wave tends
         to ``wkb_wave(z, -1)`` and carries its flux, -1. Elsewhere it is
@@ -304,12 +334,8 @@ class WkbField:
             table = self._phase_table
             phi_0 = table.phi_cliff + table.kz3 * _cliff_offset(3)
         nu = 1.0 / (n - 2)
-        x = 2.0 * nu * math.sqrt(c_n) * z ** (-0.5 * (n - 2))
-        h, h_lower = hankel1((nu, nu - 1.0), x).tolist()
         c = math.sqrt(math.pi * nu) * cmath.exp(1j * (0.5 * math.pi * nu + 0.25 * math.pi - phi_0))
-        root = math.sqrt(z)
-        # d/dz via H'_nu = H_(nu-1) - (nu/x) H_nu and dx/dz = -x/(2 nu z)
-        return c * root * h, c / root * (h - 0.5 * x / nu * h_lower)
+        return threshold_wave(z, n, c_n, c)
 
     def cliff_residual(self, z: float) -> float:
         """Relative error of the wave equation that ``cliff_wave(z)`` solves.
@@ -437,9 +463,11 @@ class WkbField:
         found once per (n, q_rel), so Q is not read at all. On a table Q is
         searched: its peak (``_q_peak_search``), then a doubling walk from it
         on each side and ``_crossing`` in the last step of the walk. Where
-        that step lies above the table, on the exact -C4m/z**4 tail, the far
-        crossing is the universal one of that tail instead; where it lies
-        wholly on the -C3m/z**3 tail below, the cliff crossing is not needed.
+        that step lies above the table, on the exact -C4m/z**4 tail, or
+        straddles z_max with Q on the tail still above the target at z_max,
+        the far crossing is the universal one of that tail instead; where the
+        step lies wholly on the -C3m/z**3 tail below, the cliff crossing is
+        not needed.
         Where the cliff-side crossing lies on the inner tail of an n != 4
         cliff, z_min is instead the shallowest point of that tail with
         E z**n/C_n <= q_rel: there ``cliff_wave`` is exact but for that E.
@@ -461,9 +489,14 @@ class WkbField:
             z_min = inside if self.on_threshold_tail(inside) else self._crossing(inside, lo, target)
             hi = self._walk(z_peak, +1, target)
             inside = max(hi / 2.0, z_peak)
-            if inside > pot.z_max:
-                zeta = (pot.far_c4_matched / self.energy) ** 0.25
-                z_max = float(zeta * _quartic_far_crossing(target * self.energy * zeta * zeta))
+            zeta = (pot.far_c4_matched / self.energy) ** 0.25
+            level = target * self.energy * zeta * zeta   # the target of the universal badlands
+            # the last step lies above the table, or it straddles z_max and Q
+            # just above z_max, on the tail, is still above the target: either
+            # way the crossing lies on the tail
+            if inside > pot.z_max or (hi > pot.z_max
+                                      and universal_badlands(pot.z_max / zeta, 4) > level):
+                z_max = float(zeta * _quartic_far_crossing(level))
             else:
                 z_max = self._crossing(inside, hi, target)
         if self.on_threshold_tail(z_min):

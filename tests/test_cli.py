@@ -405,7 +405,7 @@ class TestScatlength:
                          ["scatlength", "--model", "v4", "--format", "json"])
         assert code == 0
         rec = json.loads(text)["rows"][0]
-        assert rec["b_over_ell"] == pytest.approx(1.0, abs=0.01)
+        assert rec["a_re"] == 0.0 and rec["b_over_ell"] == 1.0   # a = -i ell in closed form
         assert rec["fit_residual"] < 1e-4
         assert rec["b"] == -rec["a_im"]
 

@@ -17,7 +17,15 @@ import qreflect.scattering as scattering
 
 from qreflect.liouville import affine_map, special_gauge, transform_f
 from qreflect.mathieu import solve_v4
-from qreflect.potentials import HomogeneousPotential, TabulatedPotential
+from qreflect.potentials import (
+    BOHR_RADIUS,
+    M_HYDROGEN,
+    HomogeneousPotential,
+    TabulatedPotential,
+    e1_unit,
+    kappa_si,
+    load_potential_table,
+)
 from qreflect.scattering import (
     SolverControl,
     TransferMatrix,
@@ -29,7 +37,7 @@ from qreflect.scattering import (
     solve_transformed,
     wronskian,
 )
-from qreflect.wkb import WkbField
+from qreflect.wkb import WkbField, threshold_wave
 
 
 def v4(kappa_ell: float) -> HomogeneousPotential:
@@ -336,6 +344,21 @@ class TestCollocate:
         assert (phase[~knot_bound] <= scattering._PHASE_RAD).all()
         assert (ends[1:][~knot_bound] <= scattering._PHASE_RATIO * ends[:-1][~knot_bound]).all()
 
+    @pytest.mark.parametrize("case", ["v4-0.119", "v4-10", "cp-e1x100"])
+    def test_partition_unchanged(self, tmp_path, case):
+        # _first_partition through _panels gives the ends and rules of the
+        # one-function reference, bit for bit
+        if case.startswith("v4"):
+            kl = float(case.split("-")[1])
+            fld = WkbField(v4(kl), kl)
+        else:
+            fld = WkbField(cp_table(tmp_path), e1_energy(100.0))
+        domain = fld.matching_domain()
+        ends, nodes = scattering._first_partition(fld, domain)
+        old_ends, old_nodes = joined_partition(fld, domain)
+        np.testing.assert_array_equal(ends, old_ends)
+        np.testing.assert_array_equal(nodes, old_nodes)
+
     def test_halves_keep_the_rule(self):
         # 60 rad on every first panel fails both rules: each half is solved
         # on its parent's rule, down to the accepted panels
@@ -428,6 +451,46 @@ def two_tail_table() -> TabulatedPotential:
     lam, c3 = 3.0, 0.6
     z = np.geomspace(0.004, 4000.0, 700)
     return TabulatedPotential(z, -c3 / (z ** 3 * (1.0 + z / lam)), cliff_c3=c3, far_c4=c3 * lam)
+
+
+def cp_table(tmp_path) -> TabulatedPotential:
+    """-c3/(z^3 (1 + z/lam)) on 1 .. 40000 a0, written and read as the
+    ``cp`` table of tests/test_cli.py."""
+    z = np.geomspace(1.0, 40000.0, 500)
+    v = -0.25 / (z ** 3 * (1.0 + z / 500.0))
+    table = tmp_path / "cp.pot"
+    table.write_text("\n".join([f"# C3=0.25 C4={0.25 * 500.0}"]
+                               + [f"{a:.10e} {b:.10e}" for a, b in zip(z, v)]) + "\n")
+    return load_potential_table(table)
+
+
+def e1_energy(x: float) -> float:
+    """Reduced energy of x E1 for hydrogen, as the CLI's --energy-e1 sets it."""
+    mass = M_HYDROGEN
+    kappa = kappa_si(x * e1_unit(mass), mass) * BOHR_RADIUS
+    return kappa * kappa
+
+
+def joined_partition(fld: WkbField, domain):
+    """The first partition in one function reading ``fld.phi``: the
+    reference for ``scattering._first_partition`` and ``scattering._panels``."""
+    z_min, z_max = domain
+    count = math.ceil(math.log(z_max / z_min) / math.log(scattering._PHASE_RATIO))
+    coarse = z_min * (z_max / z_min) ** (np.arange(count + 1) / count)
+    coarse[-1] = z_max
+    knots = np.asarray(fld.potential.breaks, dtype=float)
+    knots = knots[(knots > z_min) & (knots < z_max)]
+    if len(knots):
+        coarse = np.union1d(coarse, knots)
+    phase = np.diff(fld.phi(coarse))
+    parts = np.maximum(np.ceil(phase / scattering._PHASE_RAD), 1.0).astype(int)
+    piece = np.repeat(np.arange(len(parts)), parts)
+    step = np.diff(coarse)[piece] / parts[piece]
+    ends = coarse[piece] + (np.arange(len(piece)) - (np.cumsum(parts) - parts)[piece]) * step
+    knot_bound = ((phase <= scattering._KNOT_RAD)
+                  & (coarse[1:] <= scattering._KNOT_RATIO * coarse[:-1]))
+    return (np.append(ends, z_max),
+            np.where(knot_bound, scattering._KNOT_NODES, scattering._PHASE_NODES)[piece])
 
 
 class TestCliffStart:
@@ -696,9 +759,56 @@ class TestScatteringLength:
         assert result.b / result.ell == pytest.approx(1.0, abs=0.01)
         assert result.fit_residual < 1e-4
 
+    @pytest.mark.parametrize("c4", [1.0, 2.0, 0.37])
+    def test_quartic_closed_form(self, c4):
+        # the one-way zero-energy wave of -C4/z**4 is z e^(i ell/z): a = -i ell
+        result = scattering_length(HomogeneousPotential(4, c4))
+        ell = math.sqrt(c4)
+        assert result.ell == ell
+        assert abs(result.a - complex(0.0, -ell)) <= 1e-14 * ell
+
+    def test_table_rules_and_tolerance(self, tmp_path, monkeypatch):
+        # the zero-energy solve on the 12-node rule agrees with the 32-node
+        # rule and with a tighter tolerance
+        pot = cp_table(tmp_path)
+        a = scattering_length(pot).a
+        ell = math.sqrt(pot.far_c4_matched)
+        assert abs(scattering._threshold_length(pot, ell, 1e-14) / a - 1.0) <= 1e-10
+        monkeypatch.setattr(scattering, "_KNOT_NODES", 32)
+        assert abs(scattering._threshold_length(pot, ell, 1e-12) / a - 1.0) <= 1e-10
+
+    def test_table_against_scipy(self, tmp_path):
+        # scipy's DOP853 from the first node's threshold wave to z_max on the
+        # same V, decomposed on z cos(ell/z) and z sin(ell/z)
+        pot = cp_table(tmp_path)
+        a = scattering_length(pot).a
+        ell = math.sqrt(pot.far_c4_matched)
+        z0, z1 = pot.breaks[0], pot.breaks[-1]
+        sol = scipy_solve_ivp(lambda z, y: (y[1], pot.value(z) * y[0]), (z0, z1),
+                              np.array(threshold_wave(z0, 3, pot.cliff_c3_matched)),
+                              method="DOP853", rtol=1e-13, atol=1e-300)
+        assert sol.success
+        psi, dpsi = sol.y[:, -1]
+        c, s = math.cos(ell / z1), math.sin(ell / z1)
+        along_cos = psi * (s - ell / z1 * c) - dpsi * z1 * s
+        along_sin = z1 * c * dpsi - (c + ell / z1 * s) * psi
+        assert abs(-ell * along_sin / along_cos / a - 1.0) <= 1e-8
+
+    def test_table_low_energy_limit(self, tmp_path):
+        # (r + 1)/(2 i kappa) tends to a linearly in kappa: at kappa ell = 1e-5
+        # and a tight cut it lies within 1e-3 of a (1.5e-4 on this table)
+        pot = cp_table(tmp_path)
+        result = scattering_length(pot)
+        kappa = 1e-5 / result.ell
+        r = solve_direct(pot, kappa * kappa, SolverControl(q_match_rel=1e-12)).r
+        assert abs((r + 1.0) / (2j * kappa) - result.a) <= 1e-3 * abs(result.a)
+        assert result.fit_residual < 1e-4
+
     def test_low_energy_reflection_law(self):
+        # the law at kappa*ell = 1e-4 .. 1e-2, where R falls to 0.96
         result = scattering_length(v4(1.0))
-        for kappa in result.kappa_grid[::3]:
+        assert result.kappa_grid == (1e-4 / result.ell,)
+        for kappa in np.geomspace(1e-4, 1e-2, 8)[::3] / result.ell:
             res = solve_direct(v4(1.0), kappa * kappa)
             law = 1.0 - 4.0 * kappa * result.b
             assert res.R == pytest.approx(law, rel=0.01)
@@ -714,7 +824,8 @@ class TestScatteringLength:
             scattering_length(HomogeneousPotential(3, 1.0))
 
     def test_fit_residual_gate_raises(self, monkeypatch):
-        # no fit of eight points by a line is exact, so a zero gate must trip
+        # no finite-energy solve meets the law with a pinned exactly, so a
+        # zero gate must trip
         monkeypatch.setattr(scattering, "FIT_RESIDUAL_MAX", 0.0)
         with pytest.raises(RuntimeError, match="not asymptotic"):
             scattering_length(v4(1.0))

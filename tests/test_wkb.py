@@ -439,6 +439,33 @@ class TestBadlands:
             target, rel=1e-12, abs=0.0)
         assert fld.q(z_max) == pytest.approx(target, rel=1e-12, abs=0.0)
 
+    def test_table_far_cut_straddling_the_last_node(self, tmp_path, monkeypatch):
+        # at E1 x 100 and cut 1e-7 the walk's last step on the table-cli
+        # table straddles its last node, 40000 a0, and Q just above that node
+        # is still above the target: the crossing lies on the -C4m/z**4 tail,
+        # where its closed form replaces the search in the step
+        pot = table_cli_table(tmp_path)
+        fld = WkbField(pot, e1_energy(100.0))
+        z_peak, q_peak = fld.q_peak()
+        target = 1e-7 * q_peak
+        hi = fld._walk(z_peak, +1, target)
+        inside = max(hi / 2.0, z_peak)
+        assert inside < pot.z_max < hi
+        assert inside == pytest.approx(33440.0, rel=1e-3) and hi == 2.0 * inside
+        searched = fld._crossing(inside, hi, target)
+        crossings = []
+        crossing = WkbField._crossing
+
+        def spy(self, *args):
+            crossings.append(args)
+            return crossing(self, *args)
+
+        monkeypatch.setattr(WkbField, "_crossing", spy)
+        _, z_max = fld.matching_domain(1e-7)
+        assert crossings == []
+        assert z_max == pytest.approx(45806.0, rel=1e-3)
+        assert z_max == pytest.approx(searched, rel=1e-10, abs=0.0)
+
     @pytest.mark.parametrize("cut", [1e-3, 1e-10])
     def test_table_cut_inside_the_table(self, cut):
         # the two-tail table's far crossing at cut 1e-3 and 1e-10, and its
