@@ -16,10 +16,11 @@ with vk = sqrt(q), z_star the inversion-center coordinate, and
 sigma = ln(Psi_t^-(0)/Psi_t^+(0)) the parity constant.
 
 Each layer works in one pass: every truncation of Hill's determinant
-(DLMF 28.29) comes from one outward sweep, the continued fractions run on
-Python complex numbers, and each Bessel factor of the series is taken for
-its whole ladder of orders in one ``bessel_j`` call, which accepts arrays
-of orders.
+(DLMF 28.29) comes from one outward sweep, and the continued fractions run
+on Python complex numbers. The Bessel-product series takes only the terms
+that can reach its sum: a closed-form bound on each term, the coefficient
+times bounds on both Bessel factors, leaves out the rest of the ladder, and
+each Bessel factor is one ``bessel_j`` call over the kept orders.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ import cmath
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .liouville import inversion_center
 from .specialfns import ConvergenceError, bessel_j
@@ -53,6 +56,11 @@ A_PARAM = 0.25  # the -1/4 constant produced by the logarithmic map
 N_START = 25
 N_MAX = 800
 TAU_TOL = 1e-12
+
+# _waves keeps the terms of a Bessel-product series whose bound reaches
+# SERIES_CUT of the largest bound, or of the kept terms' moduli where the
+# bounds turn out loose
+SERIES_CUT = 1e-20
 
 
 def _hill_determinants(q: float, sides):
@@ -143,23 +151,79 @@ def coefficients(tau: complex, q: float, n_terms: int = 30) -> np.ndarray:
     return coeff
 
 
+def _log_j_bounds(rho, x: float, beta: float, log_sin: float) -> np.ndarray:
+    """Log of an upper bound on |J_mu(x)|, x > 0, for orders mu of real parts ``rho``.
+
+    The orders share |Im mu| = ``beta`` and log|sin(pi mu)| = ``log_sin``; with
+    h = x/2 and c = cosh(pi beta):
+
+    - Re mu >= 0: Poisson's integral (DLMF 10.9.4) and |Gamma(mu + 1/2)|**2
+      >= Gamma(rho + 1/2)**2 / c give sqrt(c) h**rho / Gamma(rho + 1), which
+      at real orders is DLMF 10.14.4.
+    - Re mu < 0: Schlaefli's integral (DLMF 10.9.6) gives c + |sin(pi mu)|
+      e**(x/2) Gamma(-rho) h**rho / pi, after bounding e**(x (1/u - u)/2) by
+      e**(x/2) e**(-x u/2) over u = e**t >= 1. This is the reflection of the
+      leading term of the ascending series through Y_(-mu).
+    """
+    log_c = math.log(math.cosh(math.pi * beta))
+    up = rho >= 0.0
+    size = np.abs(rho)
+    # log of h**|rho| / Gamma(rho + 1) above zero, of h**|rho| / Gamma(-rho) below
+    power = size * math.log(0.5 * x) - gammaln(size + up)
+    reflected = np.logaddexp(log_c, log_sin - math.log(math.pi) + 0.5 * x - power)
+    return np.where(up, power + 0.5 * log_c, reflected)
+
+
 def _waves(zt: float, tau: complex, q: float, coeff: np.ndarray, signs) -> np.ndarray:
-    """Psi_t^(sign)(zt) for each of ``signs``, from one Bessel call per factor.
+    """Psi_t^(sign)(zt) for each of ``signs``, over the terms that can reach the sum.
 
     Psi_t^(+-)(zt) = sum_m (-1)**m A_m J_(+-(m+tau))(sqrt(q) e**zt)
-    J_(+-m)(sqrt(q) e**-zt); each factor is taken for the ladders of orders
-    of all signs at once. Terms whose coefficient is exactly zero are
-    skipped, so a Bessel factor that overflows never meets one.
+    J_(+-m)(sqrt(q) e**-zt). Each term is bounded by |A_m| times the
+    ``_log_j_bounds`` of both its Bessel factors. A series keeps the terms
+    whose bound reaches ``SERIES_CUT`` of its largest bound, and each factor
+    is one ``bessel_j`` call over the kept orders of all signs.
+
+    The terms left out total less than the ladder's length times that
+    threshold. Where this is not below the rounding level of the sum,
+    machine epsilon times the moduli of the kept terms, the bounds were
+    loose (at large arguments); a second pass then adds the terms whose
+    bound reaches ``SERIES_CUT`` of that modulus sum. A term whose
+    coefficient underflowed to zero is never evaluated, so a Bessel factor
+    that overflows never meets it.
     """
     n_terms = (len(coeff) - 1) // 2
-    m = np.arange(-n_terms, n_terms + 1)
-    kept = coeff != 0.0
-    m, c = m[kept], coeff[kept]
+    m = np.arange(-n_terms, n_terms + 1.0)
     signs = np.array(signs)[:, None]
     sq = math.sqrt(q)
-    grow = bessel_j(signs * (m + tau), sq * math.exp(zt))
-    decay = bessel_j(signs * m.astype(float), sq * math.exp(-zt))
-    return np.sum(np.where(m % 2, -c, c) * grow * decay, axis=1)
+    x_grow, x_decay = sq * math.exp(zt), sq * math.exp(-zt)
+    rho = signs * (m + tau.real)
+    n = np.abs(m)
+    sin_tau = abs(cmath.sin(math.pi * tau))
+    log_sin = math.log(sin_tau) if sin_tau else -math.inf
+    with np.errstate(divide="ignore"):  # an underflowed coefficient has log -inf
+        log_bound = (np.log(np.abs(coeff))
+                     # |J_(+-m)(x)| <= (x/2)**|m| / |m|!  (DLMF 10.14.4)
+                     + n * math.log(0.5 * x_decay) - gammaln(n + 1.0)
+                     + _log_j_bounds(rho, x_grow, tau.imag, log_sin))
+    # real orders go to bessel_j as floats, which hands them to scipy in one call
+    grow_orders = rho if tau.imag == 0.0 else signs * (m + tau)
+    # (-1)**m J_(+-m) = J_(-+m) carries the sign of each term
+    decay_orders = -signs * m
+
+    def evaluate(take):
+        out = np.zeros(take.shape, dtype=complex)
+        out[take] = bessel_j(grow_orders[take], x_grow) * bessel_j(decay_orders[take], x_decay)
+        return out * coeff
+
+    level = log_bound.max(axis=1, keepdims=True) + math.log(SERIES_CUT)
+    take = log_bound >= level
+    terms = evaluate(take)
+    # the terms left out total less than len(m) e**level, which must stay
+    # below the rounding level of the sum
+    size = np.abs(terms).sum(axis=1, keepdims=True)
+    if (level + math.log(len(m) / sys.float_info.epsilon) > np.log(size)).any():
+        terms += evaluate(~take & (log_bound >= np.log(size * SERIES_CUT)))
+    return terms.sum(axis=1)
 
 
 def mathieu_wave(zt: float, tau: complex, q: float, coeff: np.ndarray,
@@ -184,9 +248,13 @@ def parity_sigma(tau: complex, q: float, coeff: np.ndarray) -> complex:
     return cmath.log(minus / plus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MathieuSolution:
-    """Assembled exact solution of the inverse-quartic model at one kappa*ell."""
+    """Assembled exact solution of the inverse-quartic model at one kappa*ell.
+
+    Solutions compare and hash by identity: the coefficient table is an
+    array, which has no single truth value to compare fields by.
+    """
 
     q: float
     tau: complex

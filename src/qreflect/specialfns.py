@@ -38,6 +38,8 @@ REL_TOL = 1e-15
 # bessel_j takes the ascending series up to this argument, Miller's
 # recurrence above it
 _SERIES_CROSSOVER = 12.0
+# terms of the ascending series taken per block
+_SERIES_BLOCK = 16
 
 
 def _jv_series(nu, x: float) -> np.ndarray:
@@ -56,13 +58,21 @@ def _jv_series(nu, x: float) -> np.ndarray:
     out = term.copy()
     floor = ABS_TOL * np.abs(term)  # ABS_TOL is measured against the leading term
     todo = np.ones(nu.shape, dtype=bool)
-    for k in range(1, MAX_TERMS + 1):
-        term *= (-(half * half) / k) / (nu + k)
-        acc += term
-        np.copyto(out, acc, where=todo)
-        todo &= ~(np.abs(term) < floor + REL_TOL * np.abs(acc))  # NaN never converges
+    # the terms come _SERIES_BLOCK at a time, as running products of their
+    # ratios, and the partial sums as running sums: the same products and
+    # sums, in the same order, as a loop over the terms one by one
+    for start in range(1, MAX_TERMS + 1, _SERIES_BLOCK):
+        k = np.arange(start, min(start + _SERIES_BLOCK, MAX_TERMS + 1), dtype=float)[:, None]
+        terms = np.cumprod(np.vstack([term, (-(half * half) / k) / (nu + k)]), axis=0)[1:]
+        accs = np.cumsum(np.vstack([acc, terms]), axis=0)[1:]
+        met = np.abs(terms) < floor + REL_TOL * np.abs(accs)  # NaN never meets it
+        now = todo & met.any(axis=0)
+        cols = np.flatnonzero(now)
+        out[cols] = accs[met[:, cols].argmax(axis=0), cols]
+        todo &= ~now
         if not np.count_nonzero(todo):
             return out
+        term, acc = terms[-1], accs[-1]
     raise ConvergenceError(f"bessel_j series did not converge for nu={nu[todo][0]}, x={x}")
 
 

@@ -3,14 +3,18 @@
 Besides the physics checks, the scalar code that solve_v4 ran before its
 layers took whole arrays serves as an oracle: a continuant per truncation
 of the Hill determinant, continued fractions on numpy scalars, and a
-Bessel-product series summed term by term with an early stop.
+Bessel-product series summed term by term with an early stop. So does the
+array code that summed the series over its whole ladder of orders before
+the series kept only the terms a bound lets reach the sum.
 """
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 import qreflect.mathieu as mathieu
 from qreflect.mathieu import (
@@ -117,6 +121,32 @@ def scalar_solve_v4(kappa_ell: float) -> tuple[complex, complex]:
     return tau, -1j * cmath.sinh(sigma) / cmath.sinh(sigma + 1j * math.pi * tau)
 
 
+def full_ladder_waves(zt, tau, q, coeff, signs) -> tuple[np.ndarray, np.ndarray]:
+    """Psi_t^(sign)(zt) for each of ``signs`` over the whole ladder of orders,
+    skipping only terms whose coefficient is exactly zero; also the sums of
+    the terms' moduli."""
+    n_terms = (len(coeff) - 1) // 2
+    m = np.arange(-n_terms, n_terms + 1)
+    kept = coeff != 0.0
+    m, c = m[kept], coeff[kept]
+    signs = np.array(signs)[:, None]
+    sq = math.sqrt(q)
+    grow = bessel_j(signs * (m + tau), sq * math.exp(zt))
+    decay = bessel_j(signs * m.astype(float), sq * math.exp(-zt))
+    terms = np.where(m % 2, -c, c) * grow * decay
+    return np.sum(terms, axis=1), np.sum(np.abs(terms), axis=1)
+
+
+def full_ladder_solve_v4(kappa_ell: float) -> tuple[complex, complex]:
+    """(tau, r) with the parity constant from the whole ladder."""
+    q = kappa_ell
+    tau = characteristic_exponent(q)
+    coeff = coefficients(tau, q)
+    (plus, minus), _ = full_ladder_waves(0.0, tau, q, coeff, [+1, -1])
+    sigma = cmath.log(minus / plus)
+    return tau, -1j * cmath.sinh(sigma) / cmath.sinh(sigma + 1j * math.pi * tau)
+
+
 class TestScalarOracles:
     """Each layer of solve_v4 against the scalar code it replaced."""
 
@@ -164,6 +194,88 @@ class TestScalarOracles:
             tau, r = scalar_solve_v4(float(kl))
             assert abs(sol.tau - tau) <= 1e-14, kl
             assert abs(sol.r - r) <= 1e-12, kl
+
+
+class TestSeriesCut:
+    """The Bessel-product series over the terms its bound keeps, against the
+    whole ladder."""
+
+    def test_solve_v4_matches_the_full_ladder(self):
+        for kl in np.geomspace(1e-3, 299.0, 400):
+            sol = solve_v4(float(kl))
+            tau, r = full_ladder_solve_v4(float(kl))
+            assert sol.tau == tau, kl
+            assert abs(sol.r - r) <= 1e-12, kl
+
+    @pytest.mark.parametrize("q", [1e-3, 0.3, 3.0, 100.0])
+    def test_waves_match_the_full_ladder(self, q):
+        # off zt = 0 a Bessel factor of negative order grows like
+        # Gamma(m + tau) (2/x)**(m + tau): a cut on the coefficients alone
+        # misses it
+        tau = characteristic_exponent(q)
+        coeff = coefficients(tau, q)
+        for zt in (-2.0, 0.0, 2.0):
+            waves = mathieu._waves(zt, tau, q, coeff, [+1, -1])
+            ref, size = full_ladder_waves(zt, tau, q, coeff, [+1, -1])
+            assert np.all(np.abs(waves - ref) <= 1e-14 * size), (q, zt)
+
+    @staticmethod
+    def spy_orders(monkeypatch) -> list[int]:
+        sizes = []
+
+        def spy(nu, x):
+            sizes.append(np.size(nu))
+            return bessel_j(nu, x)
+
+        monkeypatch.setattr(mathieu, "bessel_j", spy)
+        return sizes
+
+    def test_cut_keeps_few_orders(self, monkeypatch):
+        sizes = self.spy_orders(monkeypatch)
+        solve_v4(0.01)
+        # one call per Bessel factor, each on the kept orders of both series
+        # rather than on their whole ladders of 2 * 61
+        assert len(sizes) == 2
+        assert max(sizes) <= 2 * 15
+
+    def test_loose_bounds_take_a_second_pass(self, monkeypatch):
+        # at x = 10 e**2 the bounds on the growing factor make the largest
+        # term bound 4e17 times the moduli sum, so the first pass keeps too
+        # few terms
+        q, zt = 100.0, 2.0
+        tau = characteristic_exponent(q)
+        coeff = coefficients(tau, q)
+        sizes = self.spy_orders(monkeypatch)
+        (wave,) = mathieu._waves(zt, tau, q, coeff, [+1])
+        assert len(sizes) == 4
+        (ref,), (size,) = full_ladder_waves(zt, tau, q, coeff, [+1])
+        assert abs(wave - ref) <= 1e-14 * size
+
+    @pytest.mark.parametrize("kl", [1e-8, 1e-6, 150.0, 250.0])
+    def test_extremes_stay_quiet(self, kl):
+        # coefficients that underflow to zero at small kappa*ell, and
+        # Miller's recurrence for complex orders above x = 12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = solve_v4(kl)
+        assert abs(sol.r) ** 2 + abs(sol.t) ** 2 == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("tau", [0.5, 0.93, 1.0, 1.0 + 0.43j, 1.72j, 1.0 + 9.3j])
+    def test_bessel_bounds_hold(self, tau):
+        m = np.arange(-30, 31)
+        sin_tau = abs(cmath.sin(math.pi * tau))
+        log_sin = math.log(sin_tau) if sin_tau else -math.inf
+        for x in (1e-3, 0.3, 1.0, 3.0, 12.5, 17.3, 74.0):
+            for sign in (+1, -1):
+                orders = sign * (m + complex(tau))
+                values = bessel_j(orders if orders.imag.any() else orders.real, x)
+                bound = mathieu._log_j_bounds(orders.real, x, abs(orders[0].imag), log_sin)
+                assert np.all(np.abs(values) <= np.exp(bound) * (1.0 + 1e-12)), (tau, x, sign)
+        # the integer orders of the decaying factor
+        for x in (1e-3, 1.0, 74.0):
+            n = np.arange(31.0)
+            bound = n * math.log(0.5 * x) - gammaln(n + 1.0)
+            assert np.all(np.abs(bessel_j(n, x)) <= np.exp(bound) * (1.0 + 1e-12)), x
 
 
 class TestCharacteristicExponent:
@@ -263,6 +375,12 @@ class TestWaveSeries:
 
 
 class TestAmplitudes:
+    def test_solutions_compare_by_identity(self):
+        a, b = solve_v4(0.1), solve_v4(0.1)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
     def test_unitarity(self):
         for kl in (0.01, 0.1, 1.0):
             sol = solve_v4(kl)

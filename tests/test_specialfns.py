@@ -70,6 +70,14 @@ class TestBesselJ:
                 for route in routes:
                     assert abs(route(complex(nu), x) - ref) <= 1e-9 * scale, (route, nu, x)
 
+    def test_series_above_order_140(self):
+        # the series assembles its leading terms above Re nu = 140 in log
+        # space, where Gamma(nu + 1) would overflow
+        orders = np.array([140.5, 150.5, 163.25, 12.5]) + 0j
+        for x in (3.0, 7.5, 11.9):
+            out = specialfns._jv_series(orders, x)
+            assert np.allclose(out, scipy_jv(orders.real, x), rtol=1e-12, atol=0.0), x
+
     @pytest.mark.parametrize("nu", [-9.5, -4.0, 0.0, 0.3, 2.0, 9.9])
     def test_real_order_is_scipy(self, nu):
         for x in (0.0, 0.05, 5.0, 13.0, 100.0):
