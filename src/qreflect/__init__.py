@@ -26,7 +26,6 @@ from .scattering import (
     ScatteringLength,
     ScatteringResult,
     SolverControl,
-    s_from_t,
     scattering_length,
     solve_coupled,
     solve_direct,

@@ -151,12 +151,16 @@ def _solve_route(name, pot, energy, row, ctl):
     raise ValueError(f"unknown method {name!r}")
 
 
-def _reflect_row(pot, ell, energy, row, args, ctl) -> dict:
+def _pure_quartic(pot, args) -> bool:
+    """The Mathieu route applies: the closed form exists for -C4/z**4 only."""
+    return not args.table and getattr(pot, "n", 4) == 4
+
+
+def _reflect_row(pot, energy, row, args, ctl) -> dict:
     if args.method == "all":
         methods = ["direct", "coupled", "transformed"]
-        if row.get("kappa_ell") is not None and getattr(pot, "n", 4) == 4 \
-                and not args.table:
-            methods.append("mathieu")  # closed form exists for the pure quartic only
+        if row.get("kappa_ell") is not None and _pure_quartic(pot, args):
+            methods.append("mathieu")
     else:
         methods = [args.method]
     r_by_method: dict[str, complex] = {}
@@ -191,10 +195,10 @@ def _reflect_row(pot, ell, energy, row, args, ctl) -> dict:
 def cmd_reflect(args) -> int:
     pot, ell = _build_potential(args)
     ctl = scattering.SolverControl(rtol=args.rtol, q_match_rel=args.q_match)
-    if args.method == "mathieu" and (args.table or getattr(pot, "n", 4) != 4):
+    if args.method == "mathieu" and not _pure_quartic(pot, args):
         raise ValueError("the mathieu route applies to the inverse-quartic model only")
     energies, rows = _energies(args, ell)
-    rows = [_reflect_row(pot, ell, e, row, args, ctl) for e, row in zip(energies, rows)]
+    rows = [_reflect_row(pot, e, row, args, ctl) for e, row in zip(energies, rows)]
     columns = sorted({key for row in rows for key in row},
                      key=lambda c: (c not in ("kappa_ell", "energy_e1"), c))
     meta = {"command": "reflect", "method": args.method, "rtol": args.rtol,

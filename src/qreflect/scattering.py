@@ -1,4 +1,4 @@
-"""Numerical scattering solvers and S-matrix extraction.
+"""Numerical scattering solvers: r, t and the diagnostics of each solve.
 
 Three routes to the same amplitudes:
 
@@ -42,13 +42,10 @@ from .wkb import WkbField, threshold_phases, threshold_wave
 
 __all__ = [
     "SolverControl",
-    "TransferMatrix",
-    "ScatteringMatrix",
     "ScatteringResult",
     "ScatteringLength",
     "Diagnostics",
     "wronskian",
-    "s_from_t",
     "solve_direct",
     "solve_coupled",
     "solve_transformed",
@@ -84,33 +81,13 @@ def wronskian(psi1: tuple[complex, complex], psi2: tuple[complex, complex]) -> c
 
 
 @dataclass(frozen=True)
-class TransferMatrix:
-    tpp: complex
-    tpm: complex
-    tmp: complex
-    tmm: complex
-
-    def det(self) -> complex:
-        return self.tpp * self.tmm - self.tpm * self.tmp
-
-
-@dataclass(frozen=True)
-class ScatteringMatrix:
-    spp: complex
-    spm: complex
-    smp: complex
-    smm: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.spp, self.spm], [self.smp, self.smm]])
-
-    def unitarity_residual(self) -> float:
-        s = self.as_array()
-        return float(np.max(np.abs(s @ s.conj().T - np.eye(2))))
-
-
-@dataclass(frozen=True)
 class Diagnostics:
+    """The checks of one solve. Three read one flux balance of the far-end
+    coefficients (c+, c-): ``current_residual`` is ||c-|**2 - |c+|**2 - 1|,
+    ``det_t_residual`` the same as |det T - 1| of the transfer matrix
+    [[c-, -c+], [-conj(c+), conj(c-)]], and ``unitarity_residual`` it times
+    |t|**2, as max |S S^+ - 1|."""
+
     unitarity_residual: float
     det_t_residual: float
     wronskian_drift: float
@@ -124,8 +101,6 @@ class ScatteringResult:
     kappa: float
     r: complex
     t: complex
-    transfer: TransferMatrix
-    smatrix: ScatteringMatrix
     diagnostics: Diagnostics
 
     @property
@@ -138,8 +113,8 @@ class ScatteringLength:
     """The complex scattering length ``a`` of a -C4/z**4 far tail, from its
     zero-energy solution, with b = -Im a and ell = sqrt(C4).
 
-    ``fit_residual`` checks ``a`` against a direct solve at each kappa of
-    ``kappa_grid``: the largest |r - r_model| there, for
+    ``fit_residual`` checks ``a`` against one direct solve at the kappa of
+    ``kappa_grid`` (kappa ell = 1e-4): |r - r_model| there, for
     r_model = -(1 - 2 i kappa a) with ``a`` pinned. See ``scattering_length``.
     """
 
@@ -151,22 +126,6 @@ class ScatteringLength:
     @property
     def b(self) -> float:
         return -self.a.imag
-
-
-def s_from_t(transfer: TransferMatrix) -> ScatteringMatrix:
-    """S-matrix from a transfer matrix; requires a nonzero (+,+) entry."""
-    if abs(transfer.tpp) == 0.0:
-        raise ZeroDivisionError("transfer matrix has vanishing (+,+) entry")
-    inv = 1.0 / transfer.tpp
-    return ScatteringMatrix(spp=inv, spm=-transfer.tpm * inv,
-                            smp=transfer.tmp * inv, smm=inv)
-
-
-def _matrices_from_coefficients(cp: complex, cm: complex) -> tuple[TransferMatrix, ScatteringMatrix]:
-    # the one-way solution continued from the cliff reads c+ Psi_R^+ + c- Psi_R^-
-    # at the far end; its complex conjugate supplies the second column
-    transfer = TransferMatrix(tpp=cm, tpm=-cp, tmp=-cp.conjugate(), tmm=cm.conjugate())
-    return transfer, s_from_t(transfer)
 
 
 def _decompose(psi: complex, dpsi: complex,
@@ -198,13 +157,12 @@ _TAIL_FLOOR = 1e-14   # floor of the panel test's tol: its rounding noise
 
 class OdeResult:
     """The panel ends ``t`` (the start included), the states ``y`` there
-    (shape 2 x len(t)), the count ``nfev`` of coefficient evaluations,
-    ``success`` and why the run ended (``message``)."""
+    (shape 2 x len(t)) and the count ``nfev`` of coefficient evaluations."""
 
-    __slots__ = ("t", "y", "nfev", "success", "message")
+    __slots__ = ("t", "y", "nfev")
 
-    def __init__(self, t: np.ndarray, y: np.ndarray, nfev: int, success: bool, message: str):
-        self.t, self.y, self.nfev, self.success, self.message = t, y, nfev, success, message
+    def __init__(self, t: np.ndarray, y: np.ndarray, nfev: int):
+        self.t, self.y, self.nfev = t, y, nfev
 
 
 @functools.cache
@@ -287,12 +245,12 @@ def solve_ivp(coefficients, ends, nodes, y0, rtol: float) -> OdeResult:
     largest value, in both columns, tol = max(rtol, 1e-14): below that
     floor lies rounding noise. The panels that fail are halved, each half
     on its parent's rule, and solved again, the others kept; a panel
-    narrower than ten ulps of z, or coefficients that are not finite, end
-    the run with ``success=False``. The product of the propagators in order
-    gives the states at the panel ends; ``nfev`` counts coefficient
-    evaluations at nodes, retries included. The panels of one rule are
-    solved in batches of at most ``_BUDGET`` matrix entries, nodes**2 a
-    panel.
+    narrower than ten ulps of z, or coefficients that are not finite,
+    raise ``RuntimeError`` ("integration failed: ..."). The product of the
+    propagators in order gives the states at the panel ends; ``nfev``
+    counts coefficient evaluations at nodes, retries included. The panels
+    of one rule are solved in batches of at most ``_BUDGET`` matrix
+    entries, nodes**2 a panel.
     """
     ends = np.asarray(ends, dtype=float)
     if not (len(ends) > 1 and (np.diff(ends) > 0.0).all()):
@@ -302,10 +260,6 @@ def solve_ivp(coefficients, ends, nodes, y0, rtol: float) -> OdeResult:
     u_start = np.array([1.0, 0.0])    # the two columns start on (1, 0) and (0, 1)
     v_start = 1.0 - u_start
     starts, propagators, nfev = [], [], 0
-
-    def failed(message: str) -> OdeResult:
-        return OdeResult(ends[:1], np.array(y0, dtype=complex)[:, None], nfev, False, message)
-
     for n in np.unique(nodes).tolist():
         x, s_ref, w_ref, tail_ref = _chebyshev_rule(n)
         batch = max(_BUDGET // (n * n), 1)
@@ -314,13 +268,14 @@ def solve_ivp(coefficients, ends, nodes, y0, rtol: float) -> OdeResult:
             z_a, z_b = queue_a[:batch], queue_b[:batch]
             half = 0.5 * (z_b - z_a)
             if not (half >= 5.0 * (np.nextafter(z_a, np.inf) - z_a)).all():
-                return failed("Required panel width is less than spacing between numbers.")
+                raise RuntimeError("integration failed: Required panel width is less "
+                                   "than spacing between numbers.")
             zs = z_a[:, None] + half[:, None] * (x + 1.0)
             a, b = (np.broadcast_to(c, zs.shape) for c in
                     coefficients(z_a, zs, lambda f: half[:, None] * _times(f, s_ref.T)))
             nfev += zs.size
             if not (np.isfinite(a).all() and np.isfinite(b).all()):
-                return failed("Coefficients are not finite.")
+                raise RuntimeError("integration failed: Coefficients are not finite.")
             # U = u_a + S a V and V = v_a + S b U, for (u_a, v_a) = (1, 0) and
             # (0, 1): (1 - S a S b) U = u_a + v_a S a 1, then V = v_a + S b U
             ha, hb = half[:, None] * a, half[:, None] * b
@@ -349,8 +304,7 @@ def solve_ivp(coefficients, ends, nodes, y0, rtol: float) -> OdeResult:
         y = (m00 * y[0] + m01 * y[1], m10 * y[0] + m11 * y[1])
         ys.append(y)
     t = np.append(np.concatenate(starts)[order], ends[-1])
-    return OdeResult(t, np.array(ys).T, nfev, True,
-                     "The solver successfully reached the end of the integration interval.")
+    return OdeResult(t, np.array(ys).T, nfev)
 
 
 def _solve(fld: WkbField, domain: tuple[float, float], coefficients, rtol: float,
@@ -366,23 +320,24 @@ def _solve(fld: WkbField, domain: tuple[float, float], coefficients, rtol: float
     z_min, z_max = domain
     sol = solve_ivp(coefficients, *_first_partition(fld, domain),
                     enter(z_min, fld.cliff_wave(z_min)), rtol)
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
     psi, dpsi = leave(z_max, sol.y[:, -1])
     cp, cm = _decompose(psi, dpsi, *fld.wkb_pair(z_max))
+    if cm == 0.0:
+        raise ZeroDivisionError("the far-end wave has no incoming part (c- = 0)")
+    inv = 1.0 / cm
+    # S = [[t, r], [r', t]] of the solution and its complex conjugate, which
+    # read c+ Psi^+ + c- Psi^- and conj(c+) Psi^- + conj(c-) Psi^+ at the far end
+    s = np.array([[inv, cp * inv], [-cp.conjugate() * inv, inv]])
     cur = current(sol.y)
-    drift = float(np.max(np.abs(cur - cur[0])) / abs(cur[0]))
-    transfer, smatrix = _matrices_from_coefficients(cp, cm)
     diags = Diagnostics(
-        unitarity_residual=smatrix.unitarity_residual(),
-        det_t_residual=abs(transfer.det() - 1.0),
-        wronskian_drift=drift,
+        unitarity_residual=float(np.max(np.abs(s @ s.conj().T - np.eye(2)))),
+        det_t_residual=abs(cm * cm.conjugate() - cp * cp.conjugate() - 1.0),
+        wronskian_drift=float(np.max(np.abs(cur - cur[0])) / abs(cur[0])),
         current_residual=abs(abs(cm) ** 2 - abs(cp) ** 2 - 1.0),
         matching_q_left=float(fld.cliff_residual(z_min)),
         matching_q_right=float(fld.q(z_max)),
     )
-    return ScatteringResult(kappa=fld.kappa, r=cp / cm, t=1.0 / cm,
-                            transfer=transfer, smatrix=smatrix, diagnostics=diags)
+    return ScatteringResult(kappa=fld.kappa, r=cp / cm, t=inv, diagnostics=diags)
 
 
 def _wave_current(ys) -> np.ndarray:
@@ -510,8 +465,9 @@ def scattering_length(potential, ctl: SolverControl | None = None) -> Scattering
     residual = float(abs(solve_direct(potential, kappa * kappa, ctl).r + 1.0 - 2j * kappa * a))
     if residual > FIT_RESIDUAL_MAX:
         raise RuntimeError(
-            f"scattering-length fit residual {residual:.2e} above "
-            f"{FIT_RESIDUAL_MAX:.2e}: kappa grid not asymptotic")
+            f"scattering-length check residual {residual:.2e} above "
+            f"{FIT_RESIDUAL_MAX:.2e}: kappa ell = 1e-4 not asymptotic, "
+            f"or the solve disagrees with a")
     return ScatteringLength(a=a, ell=ell, fit_residual=residual, kappa_grid=(kappa,))
 
 
@@ -524,8 +480,6 @@ def _threshold_length(table, ell: float, rtol: float) -> complex:
     sol = solve_ivp(lambda z_a, zs, running: (1.0, table.value(zs)),
                     *_panels(knots, threshold_phases(table)),
                     threshold_wave(knots[0], 3, table.cliff_c3_matched), rtol)
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
     z = knots[-1]
     c, s = math.cos(ell / z), math.sin(ell / z)
     wave = tuple(sol.y[:, -1])

@@ -49,11 +49,15 @@ def _jv_series(nu, x: float) -> np.ndarray:
     half = 0.5 * x  # caller guarantees x > 0
     log_half = math.log(half)
     # Gamma(nu+1) would overflow above Re nu = 140: those leading terms are
-    # assembled in log space
+    # assembled in log space; a call with none (every Mathieu ladder stays
+    # within |Re nu| ~ 31) takes the direct chain alone
     big = nu.real > 140.0
-    term = np.empty_like(nu)
-    term[big] = np.exp(nu[big] * log_half - loggamma(nu[big] + 1.0))
-    term[~big] = np.exp(nu[~big] * log_half) * rgamma(nu[~big] + 1.0)
+    if big.any():
+        term = np.empty_like(nu)
+        term[big] = np.exp(nu[big] * log_half - loggamma(nu[big] + 1.0))
+        term[~big] = np.exp(nu[~big] * log_half) * rgamma(nu[~big] + 1.0)
+    else:
+        term = np.exp(nu * log_half) * rgamma(nu + 1.0)
     acc = term.copy()
     out = term.copy()
     floor = ABS_TOL * np.abs(term)  # ABS_TOL is measured against the leading term

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qreflect import scattering
 from qreflect.cli import main
 
 
@@ -111,6 +112,25 @@ class TestReflect:
         rows = json.loads(text)["rows"]
         assert [row["R_mathieu"] is None for row in rows] == [False, False, True]
         assert [row["status"] for row in rows] == ["ok", "ok", "fail"]
+
+    def test_no_incoming_wave_fails_its_row(self, tmp_path, capsys, monkeypatch):
+        # a far-end decomposition with c- = 0 raises in each numeric route:
+        # their cells stay empty and the row fails, while the closed form answers
+        decompose = scattering._decompose
+
+        def no_incoming(*args):
+            cp, cm = decompose(*args)
+            return cp, 0.0 * cm
+
+        monkeypatch.setattr(scattering, "_decompose", no_incoming)
+        code, text = run(tmp_path, "c0.csv", ["reflect", "--model", "v4", "--kappa-ell", "0.119"])
+        err = capsys.readouterr().err
+        assert code == 1
+        _, (row,) = csv_rows(text)
+        assert [row[f"R_{name}"] for name in ("direct", "coupled", "transformed")] == ["", "", ""]
+        assert float(row["R_mathieu"]) == pytest.approx(0.631, abs=1e-3)
+        assert row["status"] == "fail"
+        assert err.startswith("warning: kappa_ell=0.119: direct: ") and err.count("\n") == 1
 
     def test_missing_potential_rejected(self):
         assert main(["reflect", "--kappa-ell", "0.1"]) == 2

@@ -78,6 +78,14 @@ class TestBesselJ:
             out = specialfns._jv_series(orders, x)
             assert np.allclose(out, scipy_jv(orders.real, x), rtol=1e-12, atol=0.0), x
 
+    def test_orders_above_140_in_a_mixed_array(self):
+        # one order above Re nu = 140 sends the call's leading terms through
+        # both chains; each order still gives its value alone
+        orders = np.array([1.5 + 0.5j, 150.5 + 0.5j])
+        out = bessel_j(orders, 3.0)
+        for nu, value in zip(orders, out):
+            assert value == pytest.approx(bessel_j(complex(nu), 3.0), rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("nu", [-9.5, -4.0, 0.0, 0.3, 2.0, 9.9])
     def test_real_order_is_scipy(self, nu):
         for x in (0.0, 0.05, 5.0, 13.0, 100.0):
