@@ -23,7 +23,7 @@ from qreflect import (
     solve_direct,
     solve_transformed,
     special_gauge,
-    universal_v4,
+    universal_wall,
     wall_integral,
     wall_integral_closed,
 )
@@ -44,8 +44,8 @@ print("The wall peak is always 5/8; only E_bold = kappa*ell moves.")
 print(f"Wall area: {wall_integral(problem):.9f} "
       f"(closed form {wall_integral_closed(4):.9f})")
 
-us = np.linspace(-2.5, 2.5, 301)
-shape = np.array([universal_v4(float(u)) for u in us])
+xs = np.exp(np.linspace(-2.5, 2.5, 301))
+shape = np.array([universal_wall(float(x), 4) for x in xs])
 
 try:
     import matplotlib

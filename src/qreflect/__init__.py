@@ -15,7 +15,6 @@ from .liouville import (
     inversion_center,
     special_gauge,
     transform_f,
-    universal_v4,
     universal_wall,
     wall_integral,
     wall_integral_closed,

@@ -195,6 +195,8 @@ def _reflect_row(pot, energy, row, args, ctl) -> dict:
 def cmd_reflect(args) -> int:
     pot, ell = _build_potential(args)
     ctl = scattering.SolverControl(rtol=args.rtol, q_match_rel=args.q_match)
+    if not (0.0 < args.max_spread < math.inf and 0.0 < args.max_unitarity < math.inf):
+        raise ValueError("--max-spread and --max-unitarity must be finite and positive")
     if args.method == "mathieu" and not _pure_quartic(pot, args):
         raise ValueError("the mathieu route applies to the inverse-quartic model only")
     energies, rows = _energies(args, ell)
@@ -265,9 +267,9 @@ def cmd_wall(args) -> int:
             key = _fmt(label.get("kappa_ell", label.get("energy_e1")))
             meta[f"E_bold[{key}]"] = prob.e_bold
             meta[f"integral[{key}]"] = liouville.wall_integral(prob)
-            v_min, neg_frac = liouville.wall_sign_summary(vbs)
-            meta[f"wall_min[{key}]"] = v_min
-            meta[f"wall_negative_fraction[{key}]"] = neg_frac
+            # the wall of a two-tail potential may dip below zero: how far, and how often
+            meta[f"wall_min[{key}]"] = float(vbs.min())
+            meta[f"wall_negative_fraction[{key}]"] = float(np.mean(vbs < 0.0))
         if args.overlay_universal:
             n_far, _ = pot.tail_far()
             for x in np.geomspace(args.x_min, args.x_max, args.points):
@@ -297,7 +299,7 @@ def cmd_scatlength(args) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, energy: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, energy: bool = True, rtol: bool = False) -> None:
     sub.add_argument("--model", choices=("v4", "vn"), default=None,
                      help="homogeneous potential family")
     sub.add_argument("--n", type=int, default=3, help="exponent for --model vn")
@@ -306,15 +308,16 @@ def _add_common(sub: argparse.ArgumentParser, energy: bool = True) -> None:
     sub.add_argument("--table", default=None, help="tabulated potential file (atomic units)")
     sub.add_argument("--mass-amu", type=float, default=1.00782503207,
                      help="atom mass in amu for unit conversions")
-    sub.add_argument("--g", type=float, default=potentials.G_STANDARD,
-                     help="gravitational acceleration for the E1 unit")
     if energy:
+        sub.add_argument("--g", type=float, default=potentials.G_STANDARD,
+                         help="gravitational acceleration for the E1 unit")
         sub.add_argument("--kappa-ell", default=None,
                          help="dimensionless kappa*ell grid: list or start:stop:count[:log]")
         sub.add_argument("--energy-e1", default=None,
                          help="energy grid in units of the first gravitational state")
-    sub.add_argument("--rtol", type=float, default=1e-12)
-    sub.add_argument("--q-match", type=float, default=1e-10)
+    if rtol:
+        sub.add_argument("--rtol", type=float, default=scattering.RTOL)
+    sub.add_argument("--q-match", type=float, default=wkb.Q_MATCH_REL)
     sub.add_argument("--output", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -326,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_reflect = subs.add_parser("reflect", help="reflection probabilities over a grid")
-    _add_common(p_reflect)
+    _add_common(p_reflect, rtol=True)
     p_reflect.add_argument("--method", default="all",
                            choices=("direct", "coupled", "transformed", "mathieu", "all"))
     p_reflect.add_argument("--max-spread", type=float, default=1e-5,
@@ -352,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wall.set_defaults(func=cmd_wall)
 
     p_len = subs.add_parser("scatlength", help="low-energy scattering length")
-    _add_common(p_len, energy=False)
+    _add_common(p_len, energy=False, rtol=True)
     p_len.set_defaults(func=cmd_scatlength)
     return parser
 

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .wkb import WkbField, _legendre, phase_coordinate, universal_badlands
+from .wkb import Q_MATCH_REL, WkbField, _legendre, phase_coordinate, universal_badlands
 
 __all__ = [
     "LiouvilleMap",
@@ -32,12 +32,10 @@ __all__ = [
     "affine_map",
     "transform_f",
     "special_gauge",
-    "universal_v4",
     "universal_wall",
     "inversion_center",
     "wall_integral",
     "wall_integral_closed",
-    "wall_sign_summary",
 ]
 
 
@@ -49,9 +47,6 @@ class LiouvilleMap:
     derivative: Callable[[float], float]
     schwarzian: Callable[[float], float]
     dderivative: Callable[[float], float]
-
-    def __call__(self, z: float) -> float:
-        return self.forward(z)
 
 
 def affine_map(a: float, b: float = 0.0) -> LiouvilleMap:
@@ -110,16 +105,6 @@ class TransformedProblem:
         return self.mapping.forward(zs), self.v_bold(zs)
 
 
-def wall_sign_summary(v_bold: np.ndarray) -> tuple[float, float]:
-    """(min V_bold, fraction of wall samples with V_bold < 0).
-
-    The wall of a full two-tail potential is mostly repulsive but may dip
-    below zero; this reports the pattern of ``probe``'s samples instead of
-    asserting one.
-    """
-    return float(v_bold.min()), float(np.mean(v_bold < 0.0))
-
-
 def transform_f(mapping: LiouvilleMap, field: WkbField,
                 domain: tuple[float, float]) -> TransformedProblem:
     """Transform a field's Schrodinger coefficient F under a Liouville map."""
@@ -138,7 +123,7 @@ def transform_f(mapping: LiouvilleMap, field: WkbField,
 
 
 def special_gauge(field: WkbField,
-                  trunc_rel: float = 1e-10) -> tuple[LiouvilleMap, TransformedProblem]:
+                  trunc_rel: float = Q_MATCH_REL) -> tuple[LiouvilleMap, TransformedProblem]:
     """The wall gauge zt = phi_dB/vk for a WKB field.
 
     The scale vk = sqrt(kappa * ell_far) collapses the inverse-quartic model
@@ -146,9 +131,9 @@ def special_gauge(field: WkbField,
     exponent n). The domain is the field's ``matching_domain(trunc_rel)``:
     truncated where Q has fallen to ``trunc_rel`` of its peak, which
     quantifies the "free asymptotic states" residual, or on a threshold tail
-    at the cliff start of the other routes. The default is
-    ``SolverControl.q_match_rel``'s, so the wall route matches at the same
-    cut as the others.
+    at the cliff start of the other routes. The default is the routes'
+    shared ``Q_MATCH_REL``, so the wall route matches at the same cut as the
+    others.
     """
     n, c_n = field.potential.tail_far()
     if n == 4:
@@ -181,17 +166,6 @@ def inversion_center() -> float:
     return math.gamma(0.75) ** 2 / math.sqrt(math.pi)
 
 
-def universal_v4(u: float) -> tuple[float, float]:
-    """Universal inverse-quartic wall, parametrized by u = ln(z/zeta).
-
-    Returns (z_bold, V_bold) with V_bold = 5/(8 cosh(2u)**3) and
-    z_bold = phase_coordinate(e**u, 4), which is z* + int_0^u sqrt(2 cosh 2t) dt:
-    the peak sits at the inversion center z*, and the wall is symmetric
-    under u -> -u.
-    """
-    return phase_coordinate(math.exp(u), 4), 5.0 / (8.0 * math.cosh(2.0 * u) ** 3)
-
-
 def universal_wall(x: float, n: int) -> tuple[float, float]:
     """Universal wall of V_n parametrized by x = z/zeta_n: (z_bold, V_bold)."""
     return phase_coordinate(x, n), universal_badlands(x, n)
@@ -200,14 +174,17 @@ def universal_wall(x: float, n: int) -> tuple[float, float]:
 def universal_v4_at(z_bold: float) -> float:
     """Universal inverse-quartic wall height as a function of z_bold.
 
-    Inverts the monotone closed form of ``universal_v4`` by a Newton
-    iteration with derivative sqrt(2 cosh 2u); used to probe the wall at
-    mirrored points about the inversion center.
+    In u = ln(z/zeta) the wall of ``universal_wall(e**u, 4)`` is
+    V_bold = 5/(8 cosh(2u)**3) at z_bold = phase_coordinate(e**u, 4), which
+    is z* + int_0^u sqrt(2 cosh 2t) dt: the peak sits at the inversion
+    center z*, and the wall is symmetric under u -> -u. A Newton iteration
+    with derivative sqrt(2 cosh 2u) inverts z_bold(u); used to probe the
+    wall at mirrored points about the inversion center.
     """
     z_star = inversion_center()
     u = math.asinh(0.5 * (z_bold - z_star))  # crude but monotone start
     for _ in range(60):
-        zb, _ = universal_v4(u)
+        zb = phase_coordinate(math.exp(u), 4)
         step = (z_bold - zb) / math.sqrt(2.0 * math.cosh(2.0 * u))
         u += step
         if abs(step) < 1e-13 * max(1.0, abs(u)):
@@ -239,7 +216,7 @@ def wall_integral(problem: TransformedProblem) -> float:
     n_far = field.potential.tail_far()[0]
     u_peak = math.log(field.q_peak()[0])
     lo, hi = u_peak - 40.0 / decay, u_peak + 40.0 / (n_far + 1.0)
-    knots = np.log(np.asarray(field.potential.breaks, dtype=float))
+    knots = np.log(field.potential.breaks)
     ends = np.union1d(np.linspace(lo, hi, math.ceil((hi - lo) * max(n_cliff, n_far)) + 1),
                       knots[(knots > lo) & (knots < hi)])
     total = err_total = 0.0

@@ -42,7 +42,6 @@ __all__ = [
     "MathieuSolution",
     "characteristic_exponent",
     "coefficients",
-    "mathieu_wave",
     "parity_sigma",
     "solve_v4",
     "r4_curve",
@@ -56,6 +55,9 @@ A_PARAM = 0.25  # the -1/4 constant produced by the logarithmic map
 N_START = 25
 N_MAX = 800
 TAU_TOL = 1e-12
+
+# coefficients keeps A_n for |n| <= N_TERMS
+N_TERMS = 30
 
 # _waves keeps the terms of a Bessel-product series whose bound reaches
 # SERIES_CUT of the largest bound, or of the kept terms' moduli where the
@@ -97,8 +99,8 @@ def characteristic_exponent(q: float) -> complex:
     come from one outward sweep of the determinant. Normalized to
     Re tau in [0, 1], Im tau >= 0; tau -> sqrt(a) as q -> 0.
     """
-    if q <= 0.0:
-        raise ValueError("q must be positive")
+    if not 0.0 < q < math.inf:   # also false for nan
+        raise ValueError("q must be finite and positive")
     sin_a2 = math.sin(0.5 * math.pi * math.sqrt(A_PARAM)) ** 2
 
     def tau_from_det(det: float) -> complex:
@@ -122,21 +124,18 @@ def characteristic_exponent(q: float) -> complex:
     raise ConvergenceError(f"characteristic exponent did not settle for q={q}")
 
 
-def coefficients(tau: complex, q: float, n_terms: int = 30) -> np.ndarray:
-    """Recurrence coefficients A_n for n in [-n_terms, n_terms], A_0 = 1.
+def coefficients(tau: complex, q: float) -> np.ndarray:
+    """Recurrence coefficients A_n for n in [-N_TERMS, N_TERMS], A_0 = 1.
 
     The ratios A_n/A_{n-1} come from downward continued fractions seeded with
     the asymptotic tail; they decay rapidly, which is checked before returning.
     """
-    if n_terms < 10:
-        raise ValueError("n_terms must be at least 10")
-
     def ladder(sign: int) -> list[complex]:
-        # A_{sign n} for n = 1..n_terms: the ratios A_{sign n}/A_{sign (n-1)}
+        # A_{sign n} for n = 1..N_TERMS: the ratios A_{sign n}/A_{sign (n-1)}
         # downward from the tail seed, then their running products
-        ratio = -q / ((tau + sign * 2.0 * (n_terms + 1)) ** 2 - A_PARAM)
+        ratio = -q / ((tau + sign * 2.0 * (N_TERMS + 1)) ** 2 - A_PARAM)
         ratios = []
-        for n in range(n_terms, 0, -1):
+        for n in range(N_TERMS, 0, -1):
             z = tau + sign * 2.0 * n
             den = (z * z - A_PARAM) + q * ratio
             if den == 0.0:
@@ -147,7 +146,7 @@ def coefficients(tau: complex, q: float, n_terms: int = 30) -> np.ndarray:
 
     coeff = np.array(ladder(-1)[::-1] + [1.0] + ladder(+1), dtype=complex)
     if max(abs(coeff[0]), abs(coeff[-1])) > 1e-13:
-        raise ConvergenceError("coefficient tails have not decayed; raise n_terms")
+        raise ConvergenceError("coefficient tails have not decayed; raise N_TERMS")
     return coeff
 
 
@@ -226,14 +225,6 @@ def _waves(zt: float, tau: complex, q: float, coeff: np.ndarray, signs) -> np.nd
     return terms.sum(axis=1)
 
 
-def mathieu_wave(zt: float, tau: complex, q: float, coeff: np.ndarray,
-                 sign: int) -> complex:
-    """Bessel-product series Psi_t^(+-)(zt); ``sign`` selects the superscript."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return complex(_waves(zt, tau, q, coeff, [sign])[0])
-
-
 def parity_sigma(tau: complex, q: float, coeff: np.ndarray) -> complex:
     """Parity constant sigma = ln(Psi_t^-(0)/Psi_t^+(0)).
 
@@ -284,8 +275,8 @@ def solve_v4(kappa_ell: float) -> MathieuSolution:
     settle within the Hill determinant's truncations, and
     ``characteristic_exponent`` raises ``ConvergenceError``.
     """
-    if kappa_ell <= 0.0:
-        raise ValueError("kappa_ell must be positive")
+    if not 0.0 < kappa_ell < math.inf:   # also false for nan
+        raise ValueError("kappa_ell must be finite and positive")
     q = kappa_ell
     vk = math.sqrt(kappa_ell)
     tau = characteristic_exponent(q)
@@ -308,8 +299,8 @@ def r4_curve(grid) -> np.ndarray:
     that are insensitive to their branch choices.
     """
     grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0.0):
-        raise ValueError("grid must be positive")
+    if not ((0.0 < grid) & (grid < math.inf)).all():   # also false for nan
+        raise ValueError("grid must be finite and positive")
     out = np.zeros(grid.size, dtype=[("kappa_ell", float), ("R", float)])
     for i, kl in enumerate(grid):
         sol = solve_v4(float(kl))

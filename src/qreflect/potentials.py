@@ -41,6 +41,8 @@ HARTREE = 4.3597447222071e-18   # J
 AMU = 1.66053906660e-27         # kg
 AIRY_LAMBDA1 = 2.338107410459767  # |first zero of Ai|
 
+TAIL_TOLERANCE = 0.05   # largest relative gap between a table's declared and matched tails
+
 
 @dataclass(frozen=True)
 class HomogeneousPotential:
@@ -48,13 +50,14 @@ class HomogeneousPotential:
 
     n: int
     c_n: float
-    breaks = ()  # points where V'' jumps: none
+    breaks = np.empty(0)  # points where V'' jumps: none
+    breaks.flags.writeable = False
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 3:
             raise ValueError("homogeneous exponent n must be an integer >= 3")
-        if self.c_n <= 0.0:
-            raise ValueError("strength c_n must be positive (attractive potential)")
+        if not 0.0 < self.c_n < math.inf:   # also false for nan
+            raise ValueError("strength c_n must be finite and positive (attractive potential)")
 
     def value(self, z):
         _require_positive(z)
@@ -88,30 +91,30 @@ class TabulatedPotential:
     tails take over, rescaled multiplicatively to pass through the boundary
     nodes -- a value jump at the seams would act as an artificial step
     potential. The deviation of those boundary-matched strengths from the
-    declared asymptotic C3/C4 is checked against ``tail_tolerance``; the
+    declared asymptotic C3/C4 is checked against ``TAIL_TOLERANCE``; the
     declared far strength remains the one reported by ``tail_far``.
     """
 
-    def __init__(self, z, v, cliff_c3: float, far_c4: float,
-                 tail_tolerance: float = 0.05):
-        z = np.asarray(z, dtype=float)
+    def __init__(self, z, v, cliff_c3: float, far_c4: float):
+        z = np.array(z, dtype=float)   # a copy: it is kept, read-only, as ``breaks``
         v = np.asarray(v, dtype=float)
         if z.ndim != 1 or z.shape != v.shape or z.size < 4:
             raise ValueError("need matching 1D arrays with at least 4 samples")
-        if np.any(z <= 0.0) or np.any(np.diff(z) <= 0.0):
-            raise ValueError("z samples must be positive and strictly increasing")
-        if np.any(v >= 0.0):
-            raise ValueError("potential samples must be negative (attractive)")
-        if cliff_c3 <= 0.0 or far_c4 <= 0.0:
-            raise ValueError("tail strengths must be positive")
+        # each test is false for nan, so nan fails it
+        if not (np.isfinite(z).all() and z[0] > 0.0 and (np.diff(z) > 0.0).all()):
+            raise ValueError("z samples must be finite, positive and strictly increasing")
+        if not (np.isfinite(v).all() and (v < 0.0).all()):
+            raise ValueError("potential samples must be finite and negative (attractive)")
+        if not (0.0 < cliff_c3 < math.inf and 0.0 < far_c4 < math.inf):
+            raise ValueError("tail strengths must be finite and positive")
         self.z_min = float(z[0])
         self.z_max = float(z[-1])
         self.cliff_c3 = float(cliff_c3)
         self.far_c4 = float(far_c4)
-        self._z = z
         self._v = v
         # points where V'' jumps: the nodes, where the log-log cubic is only C1
-        self.breaks = tuple(z.tolist())
+        z.flags.writeable = False
+        self.breaks = z
         spline = _log_log_spline(z, v)
         self._knots = spline.x
         # w = ln(-V) and its u-derivatives per piece, one row per power, lowest
@@ -132,17 +135,12 @@ class TabulatedPotential:
         # boundary-matched tail strengths: continuity at the seams
         self._cliff_scale = float(-v[0] * z[0] ** 3)
         self._far_scale = float(-v[-1] * z[-1] ** 4)
-        mis_lo, mis_hi = self.tail_mismatch()
-        if max(mis_lo, mis_hi) > tail_tolerance:
+        mis_lo = abs(self._cliff_scale / self.cliff_c3 - 1.0)
+        mis_hi = abs(self._far_scale / self.far_c4 - 1.0)
+        if not (mis_lo <= TAIL_TOLERANCE and mis_hi <= TAIL_TOLERANCE):   # also true for nan
             raise ValueError(
                 f"table ends deviate from declared tails by ({mis_lo:.3g}, {mis_hi:.3g}),"
-                f" above tolerance {tail_tolerance:g}")
-
-    def tail_mismatch(self) -> tuple[float, float]:
-        """Relative deviation of the boundary-matched tails from the declared ones."""
-        lo = abs(self._cliff_scale / self.cliff_c3 - 1.0)
-        hi = abs(self._far_scale / self.far_c4 - 1.0)
-        return float(lo), float(hi)
+                f" above tolerance {TAIL_TOLERANCE:g}")
 
     def _pieces(self, z):
         """Piece index and offset s = u - u_origin of each z, u = ln z.
@@ -223,13 +221,15 @@ def _require_positive(z):
 
 def kappa_si(energy_j: float, mass_kg: float) -> float:
     """Asymptotic wavevector sqrt(2 m E)/hbar in 1/m."""
-    if energy_j <= 0.0 or mass_kg <= 0.0:
-        raise ValueError("energy and mass must be positive")
+    if not (0.0 < energy_j < math.inf and 0.0 < mass_kg < math.inf):   # also false for nan
+        raise ValueError("energy and mass must be finite and positive")
     return math.sqrt(2.0 * mass_kg * energy_j) / HBAR
 
 
 def e1_unit(mass_kg: float = M_HYDROGEN, g: float = G_STANDARD) -> float:
     """First gravitational-state energy (hbar^2 m g^2 / 2)^(1/3) * lambda_1, in J."""
+    if not (0.0 < mass_kg < math.inf and 0.0 < g < math.inf):   # also false for nan
+        raise ValueError("mass and g must be finite and positive")
     return (HBAR ** 2 * mass_kg * g * g / 2.0) ** (1.0 / 3.0) * AIRY_LAMBDA1
 
 
@@ -242,7 +242,9 @@ def load_potential_table(path, mass_kg: float = M_HYDROGEN) -> TabulatedPotentia
     units with the Bohr radius as the length unit, i.e. V is replaced by
     2 m V / hbar**2 expressed in 1/a0**2.
     """
-    c3 = c4 = None
+    if not 0.0 < mass_kg < math.inf:   # also false for nan
+        raise ValueError("mass must be finite and positive")
+    declared: dict[str, float] = {}
     zs: list[float] = []
     vs: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -251,20 +253,20 @@ def load_potential_table(path, mass_kg: float = M_HYDROGEN) -> TabulatedPotentia
             if not line:
                 continue
             if line.startswith("#"):
+                # only ``C3=<val>`` and ``C4=<val>`` declare, spaces around = allowed
                 tokens = line[1:].replace("=", " = ").split()
-                for i, tok in enumerate(tokens):
-                    if tok == "C3" and i + 2 < len(tokens):
-                        c3 = float(tokens[i + 2])
-                    if tok == "C4" and i + 2 < len(tokens):
-                        c4 = float(tokens[i + 2])
+                declared.update((key, float(value)) for key, eq, value
+                                in zip(tokens, tokens[1:], tokens[2:])
+                                if key in ("C3", "C4") and eq == "=")
                 continue
             cols = line.split()
             if len(cols) != 2:
                 raise ValueError(f"malformed table row: {raw!r}")
             zs.append(float(cols[0]))
             vs.append(float(cols[1]))
-    if c3 is None or c4 is None:
+    if declared.keys() != {"C3", "C4"}:
         raise ValueError("table must declare tails in a '# C3=<val> C4=<val>' header")
+    c3, c4 = declared["C3"], declared["C4"]
     # 2mV/hbar^2 with lengths in a0: multiply energies by this factor
     to_reduced = 2.0 * mass_kg * HARTREE * BOHR_RADIUS ** 2 / HBAR ** 2
     z = np.asarray(zs)

@@ -32,13 +32,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .liouville import TransformedProblem
 from .potentials import HomogeneousPotential
-from .wkb import WkbField, threshold_phases, threshold_wave
+from .wkb import Q_MATCH_REL, WkbField, threshold_phases, threshold_wave
 
 __all__ = [
     "SolverControl",
@@ -54,14 +54,15 @@ __all__ = [
 
 
 FIT_RESIDUAL_MAX = 1e-4    # scattering_length's gate on |r - r_model|
+RTOL = 1e-12               # the default integration tolerance, SolverControl.rtol's
 
 
 @dataclass(frozen=True)
 class SolverControl:
     """Integration and matching knobs shared by all solvers."""
 
-    rtol: float = 1e-12
-    q_match_rel: float = 1e-10    # matching cut: Q/Q_peak, or E z**n/C_n on a threshold tail
+    rtol: float = RTOL
+    q_match_rel: float = Q_MATCH_REL    # matching cut: Q/Q_peak, or E z**n/C_n on a threshold tail
 
     def __post_init__(self):
         if not (0.0 < self.rtol < 1e-3):
@@ -82,14 +83,11 @@ def wronskian(psi1: tuple[complex, complex], psi2: tuple[complex, complex]) -> c
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """The checks of one solve. Three read one flux balance of the far-end
+    """The checks of one solve. Two read one flux balance of the far-end
     coefficients (c+, c-): ``current_residual`` is ||c-|**2 - |c+|**2 - 1|,
-    ``det_t_residual`` the same as |det T - 1| of the transfer matrix
-    [[c-, -c+], [-conj(c+), conj(c-)]], and ``unitarity_residual`` it times
-    |t|**2, as max |S S^+ - 1|."""
+    and ``unitarity_residual`` it times |t|**2, as max |S S^+ - 1|."""
 
     unitarity_residual: float
-    det_t_residual: float
     wronskian_drift: float
     current_residual: float
     matching_q_left: float     # the start's own error: Q, or E z**n/C_n on a threshold tail
@@ -113,15 +111,14 @@ class ScatteringLength:
     """The complex scattering length ``a`` of a -C4/z**4 far tail, from its
     zero-energy solution, with b = -Im a and ell = sqrt(C4).
 
-    ``fit_residual`` checks ``a`` against one direct solve at the kappa of
-    ``kappa_grid`` (kappa ell = 1e-4): |r - r_model| there, for
-    r_model = -(1 - 2 i kappa a) with ``a`` pinned. See ``scattering_length``.
+    ``fit_residual`` checks ``a`` against one direct solve at kappa ell =
+    1e-4: |r - r_model| there, for r_model = -(1 - 2 i kappa a) with ``a``
+    pinned. See ``scattering_length``.
     """
 
     a: complex
     ell: float
     fit_residual: float
-    kappa_grid: tuple[float, ...] = dc_field(default=())
 
     @property
     def b(self) -> float:
@@ -205,7 +202,7 @@ def _first_partition(fld: WkbField, domain: tuple[float, float]) -> tuple[np.nda
     count = math.ceil(math.log(z_max / z_min) / math.log(_PHASE_RATIO))
     coarse = z_min * (z_max / z_min) ** (np.arange(count + 1) / count)
     coarse[-1] = z_max
-    knots = np.asarray(fld.potential.breaks, dtype=float)
+    knots = fld.potential.breaks
     knots = knots[(knots > z_min) & (knots < z_max)]
     if len(knots):
         coarse = np.union1d(coarse, knots)
@@ -331,7 +328,6 @@ def _solve(fld: WkbField, domain: tuple[float, float], coefficients, rtol: float
     cur = current(sol.y)
     diags = Diagnostics(
         unitarity_residual=float(np.max(np.abs(s @ s.conj().T - np.eye(2)))),
-        det_t_residual=abs(cm * cm.conjugate() - cp * cp.conjugate() - 1.0),
         wronskian_drift=float(np.max(np.abs(cur - cur[0])) / abs(cur[0])),
         current_residual=abs(abs(cm) ** 2 - abs(cp) ** 2 - 1.0),
         matching_q_left=float(fld.cliff_residual(z_min)),
@@ -445,7 +441,7 @@ def scattering_length(potential, ctl: SolverControl | None = None) -> Scattering
     written at z_max as A z cos(ell/z) + B z sin(ell/z), the solutions of the
     -C4m/z**4 tail above, ell = sqrt(C4m); then a = -B ell/A.
 
-    A direct solve at kappa ell = 1e-4 (``kappa_grid``) checks a:
+    A direct solve at kappa ell = 1e-4 checks a:
     ``fit_residual`` is |r - r_model| there, for r_model = -(1 - 2 i kappa a)
     with a pinned and nothing fitted. Beyond ``FIT_RESIDUAL_MAX`` that
     energy is not yet asymptotic, or the solve disagrees with a, and the
@@ -468,7 +464,7 @@ def scattering_length(potential, ctl: SolverControl | None = None) -> Scattering
             f"scattering-length check residual {residual:.2e} above "
             f"{FIT_RESIDUAL_MAX:.2e}: kappa ell = 1e-4 not asymptotic, "
             f"or the solve disagrees with a")
-    return ScatteringLength(a=a, ell=ell, fit_residual=residual, kappa_grid=(kappa,))
+    return ScatteringLength(a=a, ell=ell, fit_residual=residual)
 
 
 def _threshold_length(table, ell: float, rtol: float) -> complex:
@@ -476,7 +472,7 @@ def _threshold_length(table, ell: float, rtol: float) -> complex:
     threshold wave at the first node to z_max, on panels between the knots
     (``_panels`` with the phase of ``threshold_phases``): on a fine table one
     panel of the knot rule per knot interval."""
-    knots = np.asarray(table.breaks, dtype=float)
+    knots = table.breaks
     sol = solve_ivp(lambda z_a, zs, running: (1.0, table.value(zs)),
                     *_panels(knots, threshold_phases(table)),
                     threshold_wave(knots[0], 3, table.cliff_c3_matched), rtol)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -45,6 +44,10 @@ __all__ = [
 ]
 
 _HYP_SWITCH = 1.2  # x above which the 2F1 in -1/x**n converges
+
+# the default matching cut of every route: Q/Q_peak, or E z**n/C_n on a
+# threshold tail, at both ends of a solve
+Q_MATCH_REL = 1e-10
 
 # Phase table of a tabulated potential: Gauss-Legendre rules of two orders
 # (the lower one only estimates the error of the higher) on panels no wider
@@ -262,8 +265,8 @@ class WkbField:
     energy: float
 
     def __post_init__(self):
-        if self.energy <= 0.0:
-            raise ValueError("energy must be positive")
+        if not 0.0 < self.energy < math.inf:   # also false for nan
+            raise ValueError("energy must be finite and positive")
 
     @property
     def kappa(self) -> float:
@@ -322,11 +325,11 @@ class WkbField:
         c times ``threshold_wave``; its only error is the neglected E z**n/C_n. With
         phi -> phi_0 - x as z -> 0, the Hankel asymptote (DLMF 10.17.5) gives
         c = sqrt(pi/(n - 2)) e^(i(nu pi/2 + pi/4 - phi_0)), so the wave tends
-        to ``wkb_wave(z, -1)`` and carries its flux, -1. Elsewhere it is
-        ``wkb_wave(z, -1)``.
+        to the leftward WKB wave ``wkb_pair(z)[1]`` and carries its flux, -1.
+        Elsewhere it is that wave.
         """
         if not self.on_threshold_tail(z):
-            return self.wkb_wave(z, -1)
+            return self.wkb_pair(z)[1]
         n, c_n, _ = self._threshold_tail
         if isinstance(self.potential, HomogeneousPotential):
             phi_0 = self.kappa * (c_n / self.energy) ** (1.0 / n) * _cliff_offset(n)
@@ -348,14 +351,9 @@ class WkbField:
         n, c_n, _ = self._threshold_tail
         return self.energy * z ** n / c_n
 
-    def wkb_wave(self, z: float, direction: int) -> tuple[complex, complex]:
-        """WKB wave alpha e^(i eta phi) and its exact derivative, eta = +-1."""
-        if direction not in (+1, -1):
-            raise ValueError("direction must be +1 or -1")
-        return self.wkb_pair(z)[(1 - direction) // 2]
-
     def wkb_pair(self, z: float) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        """``(wkb_wave(z, +1), wkb_wave(z, -1))`` from one evaluation of k, k' and phi."""
+        """The WKB waves alpha e^(i eta phi) and their exact derivatives, for
+        eta = +1 and -1 in that order, from one evaluation of k, k' and phi."""
         k = self.k(z)
         dk = -self.potential.dvalue(z) / (2.0 * k)
         alpha, phase = k ** -0.5, self.phi(z)
@@ -419,7 +417,7 @@ class WkbField:
             # Q jumps at a knot, where its largest value may sit: it is read
             # 1e-14 of z on each side of every knot in the bracket, far
             # enough for ln z to fall on the cubic of that side
-            inner = np.array(knots[bisect_right(knots, lo):bisect_left(knots, hi)])
+            inner = knots[np.searchsorted(knots, lo, "right"):np.searchsorted(knots, hi, "left")]
             zs = np.sort(np.concatenate([lo + (hi - lo) * _SECTION_ENDS,
                                          inner * (1.0 - 1e-14), inner * (1.0 + 1e-14)]))
             qs = self.q(zs)
@@ -456,7 +454,7 @@ class WkbField:
             inside, outside = float(zs[j]), float(zs[j + 1])
         return outside
 
-    def matching_domain(self, q_rel: float = 1e-10) -> tuple[float, float]:
+    def matching_domain(self, q_rel: float = Q_MATCH_REL) -> tuple[float, float]:
         """(z_min, z_max) where Q has fallen to q_rel of its peak on each side.
 
         On V_n that is zeta_n times the crossings of ``universal_badlands``,

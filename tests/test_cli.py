@@ -11,22 +11,13 @@ import pytest
 from qreflect import scattering
 from qreflect.cli import main
 
+from helpers import write_cp_table
+
 
 def run(tmp_path, name, argv):
     out = tmp_path / name
     code = main(argv + ["--output", str(out)])
     return code, out.read_text()
-
-
-def write_cp_table(tmp_path, lam_au=500.0, c3_au=0.25):
-    """Casimir-Polder-like two-tail table -c3/(z^3 (1 + z/lam)), atomic units."""
-    z = np.geomspace(1.0, 40000.0, 500)
-    v = -c3_au / (z ** 3 * (1.0 + z / lam_au))
-    table = tmp_path / "cp.pot"
-    lines = [f"# C3={c3_au} C4={c3_au * lam_au}"]
-    lines += [f"{a:.10e} {b:.10e}" for a, b in zip(z, v)]
-    table.write_text("\n".join(lines) + "\n")
-    return table
 
 
 def csv_rows(text):
@@ -134,6 +125,28 @@ class TestReflect:
 
     def test_missing_potential_rejected(self):
         assert main(["reflect", "--kappa-ell", "0.1"]) == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["--kappa-ell", "0.1", "--cn", "{}"],
+        ["--energy-e1", "100", "--mass-amu", "{}"],
+        ["--energy-e1", "100", "--g", "{}"],
+        ["--kappa-ell", "0.1", "--max-spread", "{}"],
+        ["--kappa-ell", "0.1", "--max-unitarity", "{}"],
+    ], ids=["cn", "mass-amu", "g", "max-spread", "max-unitarity"])
+    def test_non_finite_input_rejected(self, capsys, argv, bad):
+        # a configuration error, before any solve
+        assert main(["reflect", "--model", "v4", *(a.format(bad) for a in argv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite and positive" in err
+
+    @pytest.mark.parametrize("c4", ["nan", "inf"])
+    def test_non_finite_table_tail_rejected(self, tmp_path, capsys, c4):
+        table = tmp_path / "nan.pot"
+        table.write_text(write_cp_table(tmp_path).read_text().replace("C4=125.0", f"C4={c4}"))
+        assert main(["reflect", "--table", str(table), "--energy-e1", "100",
+                     "--method", "direct"]) == 2
+        assert "finite and positive" in capsys.readouterr().err
 
     def test_grid_spec_expansion(self, tmp_path):
         code, text = run(tmp_path, "g.csv",
@@ -354,6 +367,9 @@ class TestWall:
                     if line.startswith("# ") and "=" in line)
         assert float(meta["E_bold[0.3]"]) == pytest.approx(0.3, rel=1e-12)
         assert float(meta["integral[0.3]"]) == pytest.approx(0.7725311, abs=1e-6)
+        # the quartic wall is repulsive everywhere
+        assert float(meta["wall_min[0.3]"]) >= 0.0
+        assert float(meta["wall_negative_fraction[0.3]"]) == 0.0
 
     def test_table_wall_is_quiet(self, tmp_path, capsys):
         # quadrature warnings of the wall integral are gated, not printed
@@ -446,3 +462,16 @@ class TestScatlength:
         b1 = json.loads(text1)["rows"][0]["b"]
         b4 = json.loads(text4)["rows"][0]["b"]
         assert b4 / b1 == pytest.approx(2.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["badlands", "--model", "v4", "--kappa-ell", "0.3", "--rtol", "1e-9"],
+    ["wall", "--model", "v4", "--kappa-ell", "0.3", "--rtol", "1e-9"],
+    ["scatlength", "--model", "v4", "--g", "9.8"],
+], ids=["badlands-rtol", "wall-rtol", "scatlength-g"])
+def test_unread_flag_is_a_usage_error(capsys, argv):
+    # each subcommand takes only the flags it reads
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -20,7 +20,6 @@ import qreflect.mathieu as mathieu
 from qreflect.mathieu import (
     characteristic_exponent,
     coefficients,
-    mathieu_wave,
     parity_sigma,
     r4_curve,
     solve_v4,
@@ -173,7 +172,7 @@ class TestScalarOracles:
         for zt in (-2.0, 0.0, 2.0):
             for sign in (+1, -1):
                 ref, size = scalar_mathieu_wave(zt, tau, q, coeff, sign)
-                wave = mathieu_wave(zt, tau, q, coeff, sign)
+                wave = mathieu._waves(zt, tau, q, coeff, [sign])[0]
                 assert abs(wave - ref) <= 1e-14 * size, (q, zt, sign)
 
     @pytest.mark.parametrize("kl", [1e-3, 0.5, 10.0])
@@ -279,6 +278,12 @@ class TestSeriesCut:
 
 
 class TestCharacteristicExponent:
+    @pytest.mark.parametrize("q", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, q):
+        for call in (characteristic_exponent, solve_v4, lambda q: r4_curve([0.1, q])):
+            with pytest.raises(ValueError, match="finite and positive"):
+                call(q)
+
     def test_decoupled_limit(self):
         tau = characteristic_exponent(1e-8)
         assert tau == pytest.approx(0.5, abs=1e-8)
@@ -314,8 +319,8 @@ class TestCharacteristicExponent:
 class TestCoefficients:
     def test_decoupled_limit(self):
         tau = characteristic_exponent(1e-8)
-        coeff = coefficients(tau, 1e-8, 12)
-        n_terms = 12
+        coeff = coefficients(tau, 1e-8)
+        n_terms = mathieu.N_TERMS
         assert coeff[n_terms] == 1.0
         assert abs(coeff[n_terms + 1]) < 1e-7
         assert abs(coeff[n_terms - 1]) < 1e-7
@@ -326,25 +331,26 @@ class TestCoefficients:
 
     def test_tail_decay(self):
         tau = characteristic_exponent(1.0)
-        coeff = coefficients(tau, 1.0, 25)
+        coeff = coefficients(tau, 1.0)
         assert abs(coeff[0]) < 1e-14
         assert abs(coeff[-1]) < 1e-14
 
-    def test_short_table_raises(self):
+    def test_short_table_raises(self, monkeypatch):
         # at q = 10 the coefficients still matter ten terms out
+        monkeypatch.setattr(mathieu, "N_TERMS", 10)
         with pytest.raises(ConvergenceError, match="tails have not decayed"):
-            coefficients(characteristic_exponent(10.0), 10.0, 10)
+            coefficients(characteristic_exponent(10.0), 10.0)
 
 
 class TestWaveSeries:
     def test_parity_relation(self):
         q = 0.5
         tau = characteristic_exponent(q)
-        coeff = coefficients(tau, q, 25)
+        coeff = coefficients(tau, q)
         sigma = parity_sigma(tau, q, coeff)
         for zt in (0.3, 0.7):
-            plus = mathieu_wave(zt, tau, q, coeff, +1)
-            minus_mirror = mathieu_wave(-zt, tau, q, coeff, -1)
+            (plus,) = mathieu._waves(zt, tau, q, coeff, [+1])
+            (minus_mirror,) = mathieu._waves(-zt, tau, q, coeff, [-1])
             assert plus == pytest.approx(cmath.exp(-sigma) * minus_mirror, rel=1e-9)
 
     def test_sigma_finite_and_continuous(self):
@@ -352,7 +358,7 @@ class TestWaveSeries:
         values = []
         for q in qs:
             tau = characteristic_exponent(float(q))
-            coeff = coefficients(tau, float(q), 25)
+            coeff = coefficients(tau, float(q))
             values.append(parity_sigma(tau, float(q), coeff))
         assert all(np.isfinite([v.real for v in values]))
         # exp(sigma) is branch-free; require a smooth sweep of it
@@ -364,11 +370,11 @@ class TestWaveSeries:
         # its leading Bessel term
         q = 0.5
         tau = characteristic_exponent(q)
-        coeff = coefficients(tau, q, 25)
+        coeff = coefficients(tau, q)
         x_big = 50.0
         zt = math.log(x_big / math.sqrt(q))
         for sign in (+1, -1):
-            series = mathieu_wave(zt, tau, q, coeff, sign)
+            (series,) = mathieu._waves(zt, tau, q, coeff, [sign])
             envelope = math.sqrt(2.0 / (math.pi * x_big))
             cosine = envelope * cmath.cos(x_big - sign * 0.5 * math.pi * tau - 0.25 * math.pi)
             assert abs(series - cosine) < 1e-6 * envelope

@@ -66,6 +66,11 @@ class TestHomogeneous:
         with pytest.raises(ValueError):
             HomogeneousPotential(4, -1.0)
 
+    @pytest.mark.parametrize("c_n", [math.nan, math.inf])
+    def test_non_finite_strength_rejected(self, c_n):
+        with pytest.raises(ValueError, match="finite and positive"):
+            HomogeneousPotential(4, c_n)
+
     def test_monotone_attraction(self):
         pot = HomogeneousPotential(5, 0.7)
         zs = np.geomspace(0.01, 100.0, 64)
@@ -92,7 +97,7 @@ class TestTabulated:
 
     def test_nodes_exact(self):
         pot, model = self.build()
-        for z in (pot._z[3], pot._z[60], pot._z[-2]):
+        for z in (pot.breaks[3], pot.breaks[60], pot.breaks[-2]):
             assert pot.value(float(z)) == pytest.approx(model(float(z)), rel=1e-13)
 
     def test_between_nodes_close(self):
@@ -136,10 +141,10 @@ class TestTabulated:
         # scalars, the table's own nodes included (a node falls on the cubic
         # that starts there, as in PPoly, and z_max on the last one)
         pot, _ = self.build()
-        spline = _log_log_spline(pot._z, pot._v)
+        spline = _log_log_spline(pot.breaks, pot._v)
         rng = np.random.default_rng(20)
         interior = np.exp(rng.uniform(math.log(pot.z_min), math.log(pot.z_max), 4000))
-        zs = np.concatenate([interior, pot._z])
+        zs = np.concatenate([interior, pot.breaks])
         u = np.log(zs)
         w, w1, w2 = (p(u) for p in (spline, spline.derivative(), spline.derivative(2)))
         reference = (-np.exp(w), -np.exp(w) * w1 / zs, -np.exp(w) * (w2 + w1 * w1 - w1) / zs ** 2)
@@ -154,8 +159,7 @@ class TestTabulated:
         # the spline reject the table's own first node
         lo = 0.9661275959543612
         z = lo * np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-        pot = TabulatedPotential(z, -1.0 / z ** 3, cliff_c3=1.0, far_c4=16.0 * lo,
-                                 tail_tolerance=10.0)
+        pot = TabulatedPotential(z, -1.0 / z ** 3, cliff_c3=1.0, far_c4=16.0 * lo)
         assert math.log(lo) < np.log(lo)
         for end in (pot.z_min, pot.z_max):
             for f in (pot.value, pot.dvalue, pot.d2value):
@@ -168,6 +172,22 @@ class TestTabulated:
             TabulatedPotential([1.0, 2.0, 3.0, 4.0], [-1.0, -0.5, 0.1, -0.1], 1.0, 1.0)
         with pytest.raises(ValueError):
             TabulatedPotential([1.0, 0.5, 2.0, 3.0], [-1, -1, -1, -1], 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["z", "v", "c3", "c4"])
+    def test_non_finite_input_rejected(self, where, bad):
+        z, v = [1.0, 2.0, 3.0, 4.0], [-1.0, -0.125, -1.0 / 27.0, -1.0 / 64.0]
+        c3, c4 = 1.0, 4.0
+        if where == "z":
+            z[-1] = bad
+        elif where == "v":
+            v[1] = -bad   # -inf is negative: only the finiteness test rejects it
+        elif where == "c3":
+            c3 = bad
+        else:
+            c4 = bad
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedPotential(z, v, cliff_c3=c3, far_c4=c4)
 
 
 class TestSiConversions:
@@ -187,6 +207,13 @@ class TestSiConversions:
 
     def test_airy_constant(self):
         assert AIRY_LAMBDA1 == pytest.approx(2.338, abs=5e-4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        for call in (lambda: kappa_si(bad, M_HYDROGEN), lambda: kappa_si(1e-30, bad),
+                     lambda: e1_unit(bad, G_STANDARD), lambda: e1_unit(M_HYDROGEN, bad)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                call()
 
 
 class TestTableFile:
@@ -208,6 +235,37 @@ class TestTableFile:
         path.write_text("1.0 -1.0\n2.0 -0.2\n3.0 -0.05\n4.0 -0.02\n")
         with pytest.raises(ValueError):
             load_potential_table(path)
+
+    @pytest.mark.parametrize("c4", ["nan", "inf"])
+    def test_non_finite_tail_rejected(self, tmp_path, c4):
+        path = tmp_path / "nan.pot"
+        path.write_text(f"# C3=1 C4={c4}\n" + "".join(
+            f"{z} {-1.0 / (z ** 3 * (1.0 + z))}\n" for z in (1.0, 2.0, 4.0, 8.0)))
+        with pytest.raises(ValueError, match="finite and positive"):
+            load_potential_table(path)
+
+    @pytest.mark.parametrize("mass", [math.nan, math.inf, -1.0])
+    def test_non_finite_mass_rejected(self, tmp_path, mass):
+        path = tmp_path / "mass.pot"
+        path.write_text("# C3=1 C4=2\n" + "".join(
+            f"{z} {-1.0 / (z ** 3 * (1.0 + z))}\n" for z in (1.0, 2.0, 4.0, 8.0)))
+        with pytest.raises(ValueError, match="mass must be finite and positive"):
+            load_potential_table(path, mass_kg=mass)
+
+    def test_header_reads_only_declarations(self, tmp_path):
+        # a comment that names C3 or C4 without '=' declares nothing
+        rows = [f"{z:.12e} {-0.25 / (z ** 3 * (1.0 + z / 500.0)):.12e}"
+                for z in np.geomspace(1.0, 20000.0, 40)]
+        plain = tmp_path / "plain.pot"
+        plain.write_text("\n".join(["# C3=0.25 C4=125.0", *rows]) + "\n")
+        noisy = tmp_path / "noisy.pot"
+        noisy.write_text("\n".join(["# C4 comes from the far-field fit below",
+                                    "# C3 and C4 in hartree a0**3 and a0**4",
+                                    "# C3 = 0.25 C4= 125.0", *rows]) + "\n")
+        a, b = load_potential_table(plain), load_potential_table(noisy)
+        assert (a.cliff_c3, a.far_c4) == (b.cliff_c3, b.far_c4)
+        zs = np.geomspace(0.5, 40000.0, 50)
+        assert np.array_equal(a.value(zs), b.value(zs))
 
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "bad2.pot"

@@ -23,6 +23,8 @@ from qreflect.wkb import (
     universal_badlands,
 )
 
+from helpers import e1_energy, two_tail_table, v4_field, write_cp_table
+
 Z_STAR = 0.8472130847939791
 
 # phase_coordinate(x, n) by 30-digit mpmath quadrature of x - int_x^inf
@@ -45,24 +47,6 @@ MP_PHASE = {
         -3.33333333332157418900288986414e+11, -1.11695695025703290766737852957e+1,
         1.16943154379941013190310098052, 1.19163735966984760506039668478),
 }
-
-
-def write_table(tmp_path, nodes, lam_au=500.0, c3_au=0.25):
-    """-c3/(z^3 (1 + z/lam)) on 1 .. 40000 a0, as tests/test_cli.py writes it."""
-    z = np.geomspace(1.0, 40000.0, nodes)
-    v = -c3_au / (z ** 3 * (1.0 + z / lam_au))
-    table = tmp_path / f"cp{nodes}.pot"
-    lines = [f"# C3={c3_au} C4={c3_au * lam_au}"]
-    lines += [f"{a:.10e} {b:.10e}" for a, b in zip(z, v)]
-    table.write_text("\n".join(lines) + "\n")
-    return table
-
-
-def e1_energy(x: float) -> float:
-    """Reduced energy of x E1 for hydrogen, as the CLI's --energy-e1 sets it."""
-    mass = potentials.M_HYDROGEN
-    kappa = potentials.kappa_si(x * potentials.e1_unit(mass), mass) * potentials.BOHR_RADIUS
-    return kappa * kappa
 
 
 def quadrature_phi(fld: WkbField, z: float) -> float:
@@ -93,11 +77,6 @@ def quadrature_phi(fld: WkbField, z: float) -> float:
     return phi_anchor - total
 
 
-def v4_field(kappa_ell: float) -> WkbField:
-    # with c_4 = E = kappa_ell, both kappa and ell equal sqrt(kappa_ell), zeta = 1
-    return WkbField(HomogeneousPotential(4, kappa_ell), kappa_ell)
-
-
 def golden_max(f, a, b, tol=1e-12):
     g = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - g * (b - a), a + g * (b - a)
@@ -112,6 +91,11 @@ def golden_max(f, a, b, tol=1e-12):
 
 
 class TestWavevector:
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, 0.0])
+    def test_non_finite_energy_rejected(self, energy):
+        with pytest.raises(ValueError, match="finite and positive"):
+            WkbField(HomogeneousPotential(4, 1.0), energy)
+
     def test_quartic_closed_form(self):
         fld = v4_field(0.3)
         kap = ell = math.sqrt(0.3)
@@ -188,13 +172,13 @@ class TestPhase:
     @pytest.mark.parametrize("e1", [1.0, 100.0, 1000.0])
     def test_tabulated_table_vs_quadrature(self, tmp_path, e1):
         # below, inside and above the 500-node table on 1 .. 40000 a0
-        pot = potentials.load_potential_table(write_table(tmp_path, 500))
+        pot = potentials.load_potential_table(write_cp_table(tmp_path, 500))
         fld = WkbField(pot, e1_energy(e1))
         for z in (1e-3, 0.3, 1.0, 1.7, 30.0, 2000.0, 39999.0, 4e4, 1.3e5):
             assert fld.phi(z) == pytest.approx(quadrature_phi(fld, z), rel=0.0, abs=1e-10), z
 
     def test_tabulated_continuous_across_seams(self, tmp_path):
-        pot = potentials.load_potential_table(write_table(tmp_path, 500))
+        pot = potentials.load_potential_table(write_cp_table(tmp_path, 500))
         fld = WkbField(pot, e1_energy(100.0))
         for seam in (pot.z_min, pot.z_max):
             lo, hi = seam * (1.0 - 1e-13), seam * (1.0 + 1e-13)
@@ -203,7 +187,7 @@ class TestPhase:
 
     def test_coarse_table_vs_quadrature(self, tmp_path):
         # six knots, 2.1 in ln z apart: the table splits them into panels
-        pot = potentials.load_potential_table(write_table(tmp_path, 6))
+        pot = potentials.load_potential_table(write_cp_table(tmp_path, 6))
         for e1 in (1.0, 100.0):
             fld = WkbField(pot, e1_energy(e1))
             for z in (0.1, 1.0, 2.5, 40.0, 800.0, 39000.0, 6e4):
@@ -215,7 +199,7 @@ class TestPhase:
         # rounding (numpy's array loops and its scalar ones round apart): phi
         # on both sides of x = 1.2 and on every part of a table, k and Q
         if case == "table":
-            fld = WkbField(potentials.load_potential_table(write_table(tmp_path, 500)),
+            fld = WkbField(potentials.load_potential_table(write_cp_table(tmp_path, 500)),
                            e1_energy(100.0))
             zs = np.geomspace(0.2, 2e5, 301)
         else:
@@ -232,7 +216,7 @@ class TestPhase:
     def test_table_error_gate(self, tmp_path, monkeypatch, capsys):
         # 2- and 3-point rules cannot resolve the coarse table's panels
         monkeypatch.setattr(wkb, "_PHASE_RULES", (2, 3))
-        table = write_table(tmp_path, 6)
+        table = write_cp_table(tmp_path, 6)
         fld = WkbField(potentials.load_potential_table(table), e1_energy(100.0))
         with pytest.raises(RuntimeError, match="phase table error estimate"):
             fld.phi(10.0)
@@ -387,13 +371,13 @@ class TestBadlands:
         if case == "two-tail":
             pot, energy = two_tail_table(), 0.02
         elif case == "cp":
-            pot = potentials.load_potential_table(write_table(tmp_path, 500))
+            pot = potentials.load_potential_table(write_cp_table(tmp_path, 500))
             energy = e1_energy(100.0)
         else:
             pot = table_cli_table(tmp_path)
             energy = e1_energy(float(case.rsplit("-", 1)[1]))
         fld = WkbField(pot, energy)
-        spline = _log_log_spline(pot._z, pot._v)
+        spline = _log_log_spline(pot.breaks, pot._v)
         pieces = (spline, spline.derivative(), spline.derivative(2))
 
         def q_point(z: float) -> float:
@@ -535,13 +519,12 @@ class TestCutBudget:
 class TestWavePair:
     @pytest.mark.parametrize("case", ["v4", "v3", "two-tail"])
     def test_pair_is_both_waves(self, case):
-        # bit for bit the waves of wkb_wave, and the expressions it had
-        # before it read the pair: k**-1/2 e^(i eta phi), (-k'/2k + i eta k) times that
+        # bit for bit the expressions of the waves: k**-1/2 e^(i eta phi) and
+        # (-k'/2k + i eta k) times that
         fld = {"v4": v4_field(0.119), "v3": WkbField(HomogeneousPotential(3, 1.0), 1.0),
                "two-tail": WkbField(two_tail_table(), 0.02)}[case]
         for z in (0.001, 0.05, 1.0, 65.6, 5000.0):
             pair = fld.wkb_pair(z)
-            assert pair == (fld.wkb_wave(z, +1), fld.wkb_wave(z, -1))
             k = fld.k(z)
             for (value, derivative), eta in zip(pair, (+1, -1)):
                 wave = k ** -0.5 * cmath.exp(1j * eta * fld.phi(z))
@@ -574,12 +557,6 @@ def spy_q(monkeypatch) -> list:
     return read
 
 
-def two_tail_table() -> TabulatedPotential:
-    lam, c3 = 3.0, 0.6
-    z = np.geomspace(0.004, 4000.0, 700)
-    return TabulatedPotential(z, -c3 / (z ** 3 * (1.0 + z / lam)), cliff_c3=c3, far_c4=c3 * lam)
-
-
 def cliff_cases():
     """(field, n, C_n) of a cubic, a quintic and a tabulated cliff."""
     table = two_tail_table()
@@ -601,7 +578,7 @@ class TestCliffWave:
             assert fld.energy * z ** n / c_n <= 1e-12
             assert fld.on_threshold_tail(z)
             value, derivative = fld.cliff_wave(z)
-            w_value, w_derivative = fld.wkb_wave(z, -1)
+            w_value, w_derivative = fld.wkb_pair(z)[1]
             first = 1.0 + 1j * (4.0 * nu * nu - 1.0) / (8.0 * x)
             assert abs(value / w_value - first) < 1e-9
             assert abs(derivative / w_derivative - first) < 1e-9
@@ -623,7 +600,7 @@ class TestCliffWave:
         assert fld.q(z_min) / q_peak == pytest.approx(1e-10, rel=1e-6)
         for z in (z_min, 1e-3 * z_min):
             assert not fld.on_threshold_tail(z)
-            assert fld.cliff_wave(z) == fld.wkb_wave(z, -1)
+            assert fld.cliff_wave(z) == fld.wkb_pair(z)[1]
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_homogeneous_starts_where_e_reaches_the_cut(self, n):
@@ -649,7 +626,7 @@ class TestCliffWave:
         assert z_min > 0.004
         assert fld.q(z_min) / q_peak == pytest.approx(1e-3, rel=1e-6)
         assert not fld.on_threshold_tail(z_min)
-        assert fld.cliff_wave(z_min) == fld.wkb_wave(z_min, -1)
+        assert fld.cliff_wave(z_min) == fld.wkb_pair(z_min)[1]
 
     @pytest.mark.parametrize("case", [0, 1, 2], ids=["n3", "n5", "table"])
     def test_residual_is_the_neglected_energy(self, case):
