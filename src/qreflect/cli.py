@@ -195,8 +195,9 @@ def _reflect_row(pot, energy, row, args, ctl) -> dict:
 def cmd_reflect(args) -> int:
     pot, ell = _build_potential(args)
     ctl = scattering.SolverControl(rtol=args.rtol, q_match_rel=args.q_match)
-    if not (0.0 < args.max_spread < math.inf and 0.0 < args.max_unitarity < math.inf):
-        raise ValueError("--max-spread and --max-unitarity must be finite and positive")
+    # 0 and inf are usable gates (inf switches one off); nan and negatives pass nothing
+    if not (args.max_spread >= 0.0 and args.max_unitarity >= 0.0):
+        raise ValueError("--max-spread and --max-unitarity must be non-negative numbers")
     if args.method == "mathieu" and not _pure_quartic(pot, args):
         raise ValueError("the mathieu route applies to the inverse-quartic model only")
     energies, rows = _energies(args, ell)

@@ -131,14 +131,32 @@ class TestReflect:
         ["--kappa-ell", "0.1", "--cn", "{}"],
         ["--energy-e1", "100", "--mass-amu", "{}"],
         ["--energy-e1", "100", "--g", "{}"],
-        ["--kappa-ell", "0.1", "--max-spread", "{}"],
-        ["--kappa-ell", "0.1", "--max-unitarity", "{}"],
-    ], ids=["cn", "mass-amu", "g", "max-spread", "max-unitarity"])
+    ], ids=["cn", "mass-amu", "g"])
     def test_non_finite_input_rejected(self, capsys, argv, bad):
         # a configuration error, before any solve
         assert main(["reflect", "--model", "v4", *(a.format(bad) for a in argv)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite and positive" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "-1"])
+    @pytest.mark.parametrize("gate", ["--max-spread", "--max-unitarity"])
+    def test_invalid_gate_rejected(self, capsys, gate, bad):
+        # nan and negative gates would fail every row; reject them before any solve
+        assert main(["reflect", "--model", "v4", "--kappa-ell", "0.1", gate, bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-negative" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--max-spread", "inf", "--max-unitarity", "inf"],
+        ["--max-spread", "0", "--method", "direct"],
+    ], ids=["inf-switches-off", "zero-single-method"])
+    def test_boundary_gates_accepted(self, tmp_path, argv):
+        # inf switches a gate off; a spread of 0 passes when one method runs
+        code, text = run(tmp_path, "b.csv",
+                         ["reflect", "--model", "v4", "--kappa-ell", "0.3", *argv])
+        assert code == 0
+        _, (row,) = csv_rows(text)
+        assert row["status"] == "ok"
 
     @pytest.mark.parametrize("c4", ["nan", "inf"])
     def test_non_finite_table_tail_rejected(self, tmp_path, capsys, c4):
@@ -370,6 +388,20 @@ class TestWall:
         # the quartic wall is repulsive everywhere
         assert float(meta["wall_min[0.3]"]) >= 0.0
         assert float(meta["wall_negative_fraction[0.3]"]) == 0.0
+
+    def test_wall_sign_summary_of_negative_samples(self, tmp_path, monkeypatch):
+        # a two-tail wall may dip below zero; the quartic never does, so feed
+        # the reduction a probe with negative samples (a zero is not negative)
+        from qreflect import liouville
+        monkeypatch.setattr(liouville.TransformedProblem, "probe", lambda self, n: (
+            np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.5, -0.1, 0.0, -0.3])))
+        code, text = run(tmp_path, "ws.csv",
+                         ["wall", "--model", "v4", "--kappa-ell", "0.3"])
+        assert code == 0
+        meta = dict(line[2:].split("=", 1) for line in text.splitlines()
+                    if line.startswith("# ") and "=" in line)
+        assert float(meta["wall_min[0.3]"]) == -0.3
+        assert float(meta["wall_negative_fraction[0.3]"]) == 0.5
 
     def test_table_wall_is_quiet(self, tmp_path, capsys):
         # quadrature warnings of the wall integral are gated, not printed
