@@ -169,7 +169,7 @@ def _reflect_row(pot, energy, row, args, ctl) -> dict:
     for name in methods:
         try:
             res = _solve_route(name, pot, energy, row, ctl)
-        except (RuntimeError, ZeroDivisionError) as exc:
+        except (RuntimeError, ArithmeticError) as exc:
             # a numerical failure at this energy fails this row only
             row[f"R_{name}"] = None
             failures.append(f"{name}: {exc}")
@@ -239,7 +239,7 @@ def cmd_wall(args) -> int:
         raise ValueError("--x-min and --x-max must be finite with 0 < x-min < x-max")
     rows: list[dict] = []
     meta: dict = {"command": "wall"}
-    if args.universal_n:
+    if args.universal_n is not None:
         n = args.universal_n
         xs = np.geomspace(args.x_min, args.x_max, args.points)
         for x in xs:
@@ -366,7 +366,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,12 +12,14 @@ derivatives; Q needs two of them and finite differences of tabulated data
 would wreck its shape.
 
 The matching cut, where Q has fallen to a fraction of its peak, is closed
-form where V is an exact power law: on V_n it is zeta_n times the crossings
-of ``universal_badlands``, found once per (n, cut), so the v4 cliff end no
-longer carries the cancellation of the two terms of the numeric Q there
-(up to 7e-10 of z); on a table's -C4m/z**4 tail it is the quartic's
-algebraic root. Q is searched, in array calls, only on a table: its peak,
-the walks from it, and the crossings that lie among the knots.
+form where V is an exact power law. Its far end on V_4 and on a table's
+-C4m/z**4 tail is the quartic's algebraic root, and its cliff end on V_4 is
+that root's inverse (the universal badlands is even under x -> 1/x), free of
+the cancellation of the numeric Q's two terms there (up to 7e-10 of z). On
+V_n, n != 4, the far crossing of ``universal_badlands`` is found once per
+(n, cut), and the cliff end is the threshold start. Q is searched, in array
+calls, only on a table: its peak, the walks from it, and the crossings that
+lie among the knots.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import cache, cached_property
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import hankel1, hyp2f1, roots_legendre
+from scipy.special import gamma, hankel1, hyp2f1, roots_legendre
 
 from .potentials import HomogeneousPotential
 
@@ -42,8 +44,6 @@ __all__ = [
     "threshold_wave",
     "threshold_phases",
 ]
-
-_HYP_SWITCH = 1.2  # x above which the 2F1 in -1/x**n converges
 
 # the default matching cut of every route: Q/Q_peak, or E z**n/C_n on a
 # threshold tail, at both ends of a solve
@@ -79,28 +79,26 @@ def badlands_peak_x(n: int) -> float:
 
 
 @cache
-def _badlands_cut(n: int, q_rel: float) -> tuple[float, float]:
-    """(x_min, x_max): where the universal badlands of V_n has fallen to q_rel
-    of its peak, on the cliff and on the far side of x*. On each side the
-    first of x* 2**-+1, x* 2**-+2, ... not above that level brackets the
-    crossing, which brentq finds on the Python-float formula."""
+def _far_cut(n: int, q_rel: float) -> float:
+    """The x > x* where the universal badlands of V_n has fallen to q_rel of
+    its peak: ``_quartic_far_crossing`` for n = 4; otherwise the first of
+    x* 2, x* 4, ... not above that level and its half bracket the crossing,
+    which brentq finds on the Python-float formula."""
     x_star = badlands_peak_x(n)
     level = q_rel * universal_badlands(x_star, n)
-    ends = []
-    for way in (-1, +1):
-        x = x_star
-        while universal_badlands(x, n) > level:
-            x = math.ldexp(x, way)
-        a, b = sorted((x, math.ldexp(x, -way)))
-        ends.append(brentq(lambda t: universal_badlands(t, n) - level, a, b,
-                           xtol=1e-300, rtol=4.0 * np.finfo(float).eps))
-    return ends[0], ends[1]
+    if n == 4:
+        return _quartic_far_crossing(level)
+    x = x_star
+    while universal_badlands(x, n) > level:
+        x *= 2.0
+    return brentq(lambda t: universal_badlands(t, n) - level, 0.5 * x, x,
+                  xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
 
 
 def _quartic_far_crossing(level: float) -> float:
     """The x > 1 where the universal badlands of V_4, 5 x**6/(1 + x**4)**3,
     falls to ``level``: there x**2 + x**-2 = (5/level)**(1/3)."""
-    t = (5.0 / level) ** (1.0 / 3.0)
+    t = float(np.cbrt(5.0 / level))   # ** (1/3) would lose up to 3 ulps of x
     return math.sqrt(0.5 * (t + math.sqrt(t * t - 4.0)))
 
 
@@ -122,40 +120,34 @@ def phase_coordinate(x, n: int):
 
     Equals phi_dB/(kappa zeta_n) for the homogeneous potential V_n, fixed by
     phase_coordinate(x) - x -> 0 as x -> inf; x is a float or an array.
-    Closed form on both sides of x = 1.2: above, a 2F1 in -1/x**n, inside
-    its disc of convergence; below, the antiderivative
-    G(t) = t**a/a 2F1(-1/2, a/n; 1 + a/n; -t**n) with a = 1 - n/2
-    (DLMF 8.17.7), joined to the upper branch at 1.2. Near the cliff it runs
-    like -2/(n - 2) x**(1 - n/2).
+    One closed form at every x > 0: ``_cliff_offset(n)`` + G(x), with the
+    antiderivative G(t) = t**a/a 2F1(-1/2, a/n; 1 + a/n; -t**n) and
+    a = 1 - n/2 (DLMF 8.17.7). Near the cliff it runs like
+    -2/(n - 2) x**(1 - n/2). Raises OverflowError where x**n or x**a
+    overflows, which would make the 2F1 nan or the result -inf.
     """
     x = np.asarray(x, dtype=float)
-    if (x <= 0.0).any():
+    lo, hi = float(x.min(initial=1.0)), float(x.max(initial=1.0))   # an empty x passes
+    if not 0.0 < lo:   # also false for nan
         raise ValueError("x must be positive")
     if n <= 2:
         raise ValueError("needs n > 2 for a finite far-end anchor")
-    flat = x.reshape(-1)
-    out = np.empty(flat.shape)
-    far = flat >= _HYP_SWITCH
-    xf = flat[far]
-    f = hyp2f1(0.5, -1.0 / n, 1.0 - 1.0 / n, -xf ** float(-n))
-    out[far] = n * xf / (n - 2.0) * (f - (2.0 / n) * np.sqrt(1.0 + xf ** float(-n)))
-    near = ~far
-    if near.any():   # not on the far branch alone: _cliff_offset itself calls it there
-        out[near] = _cliff_offset(n) + _cliff_antiderivative(flat[near], n)
-    return out.reshape(x.shape)[()]
+    a = 1.0 - n / 2.0
+    for power, end in ((n, hi), (a, lo)):
+        try:   # a Python float raises where numpy would warn
+            end ** power
+        except OverflowError:
+            raise OverflowError(f"x**{power:g} overflows a float at x = {end:g}") from None
+    return _cliff_offset(n) + x ** a / a * hyp2f1(-0.5, a / n, 1.0 + a / n, -x ** float(n))
 
 
 @cache
 def _cliff_offset(n: int) -> float:
-    """phase_coordinate - G below x = 1.2, which is also the limit of
-    phase_coordinate(x) + 2/(n - 2) x**(1 - n/2) as x -> 0."""
-    return phase_coordinate(_HYP_SWITCH, n) - _cliff_antiderivative(_HYP_SWITCH, n)
-
-
-def _cliff_antiderivative(t, n: int):
-    """G(t), an antiderivative of sqrt(1 + t**-n) that is exact at any t > 0."""
-    a = 1.0 - n / 2.0
-    return t ** a / a * hyp2f1(-0.5, a / n, 1.0 + a / n, -t ** float(n))
+    """phase_coordinate - G, the limit of phase_coordinate(x) + 2/(n - 2) x**(1 - n/2)
+    as x -> 0: the Beta integral -Gamma(-1/n) Gamma(1/n - 1/2)/(n Gamma(-1/2))
+    (DLMF 5.12.3), continued analytically. For n = 4 it is 2 Gamma(3/4)**2/sqrt(pi),
+    twice the inverse-quartic symmetry point z*."""
+    return float(-gamma(-1.0 / n) * gamma(1.0 / n - 0.5) / (n * gamma(-0.5)))
 
 
 @cache
@@ -457,8 +449,9 @@ class WkbField:
     def matching_domain(self, q_rel: float = Q_MATCH_REL) -> tuple[float, float]:
         """(z_min, z_max) where Q has fallen to q_rel of its peak on each side.
 
-        On V_n that is zeta_n times the crossings of ``universal_badlands``,
-        found once per (n, q_rel), so Q is not read at all. On a table Q is
+        On V_n, z_max is zeta_n x, with x the far crossing of
+        ``universal_badlands`` found once per (n, q_rel) (``_far_cut``), and on
+        V_4 z_min is zeta/x, so Q is not read at all. On a table Q is
         searched: its peak (``_q_peak_search``), then a doubling walk from it
         on each side and ``_crossing`` in the last step of the walk. Where
         that step lies above the table, on the exact -C4m/z**4 tail, or
@@ -469,7 +462,9 @@ class WkbField:
         Where the cliff-side crossing lies on the inner tail of an n != 4
         cliff, z_min is instead the shallowest point of that tail with
         E z**n/C_n <= q_rel: there ``cliff_wave`` is exact but for that E.
-        A cut that puts that point at or beyond the badlands peak is rejected.
+        A cut that puts that point at or beyond the badlands peak is rejected,
+        and so is a domain that is not finite and ordered, as where
+        zeta = (C/E)**(1/n) overflows or underflows.
         """
         if not (0.0 < q_rel < 1.0):
             raise ValueError("q_rel must lie in (0, 1)")
@@ -477,8 +472,10 @@ class WkbField:
         if isinstance(pot, HomogeneousPotential):
             n, c_n = pot.tail_far()
             zeta = (c_n / self.energy) ** (1.0 / n)
-            x_min, x_max = _badlands_cut(n, q_rel)
-            z_min, z_max, z_peak = zeta * x_min, zeta * x_max, zeta * badlands_peak_x(n)
+            x_max = _far_cut(n, q_rel)
+            # V_4's badlands is even under x -> 1/x; for n != 4 z_min is the
+            # threshold start below, on a tail that holds at every z
+            z_min, z_max, z_peak = zeta / x_max, zeta * x_max, zeta * badlands_peak_x(n)
         else:
             z_peak, q_peak = self.q_peak()
             target = q_rel * q_peak
@@ -497,6 +494,8 @@ class WkbField:
                 z_max = float(zeta * _quartic_far_crossing(level))
             else:
                 z_max = self._crossing(inside, hi, target)
+        if not 0.0 < z_min < z_max < math.inf:   # also false for nan
+            raise ValueError(f"matching domain ({z_min:g}, {z_max:g}) is not finite and ordered")
         if self.on_threshold_tail(z_min):
             n, c_n, z_top = self._threshold_tail
             z_min = min(z_top, (q_rel * c_n / self.energy) ** (1.0 / n))

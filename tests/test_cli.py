@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qreflect import scattering
+from qreflect import mathieu, scattering
 from qreflect.cli import main
 
 from helpers import write_cp_table
@@ -75,6 +75,23 @@ class TestReflect:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "badlands peak" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["badlands", "--model", "v4", "--kappa-ell", "0.3", "--cn", "1e300", "--points", "2"],
+        ["reflect", "--model", "v4", "--kappa-ell", "0.3", "--cn", "1e300", "--method", "direct"],
+        ["reflect", "--model", "v4", "--kappa-ell", "0.3", "--cn", "1e-300", "--method", "direct"],
+    ])
+    def test_non_finite_matching_domain_rejected(self, capsys, argv):
+        # zeta = (C/E)**(1/4) overflows or underflows: the domain used to come
+        # out (inf, inf) or (0, 0), and print inf and nan rows or fail inside
+        # a route
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: matching domain (") and err.count("\n") == 1
+
     def test_closed_form_failure_fails_its_row_only(self, tmp_path, capsys):
         # the Mathieu closed form stops near kappa*ell = 299; the row beyond
         # it fails with an empty cell while the numeric routes still answer
@@ -122,6 +139,19 @@ class TestReflect:
         assert float(row["R_mathieu"]) == pytest.approx(0.631, abs=1e-3)
         assert row["status"] == "fail"
         assert err.startswith("warning: kappa_ell=0.119: direct: ") and err.count("\n") == 1
+
+    def test_overflow_in_a_route_fails_its_row(self, tmp_path, capsys, monkeypatch):
+        # any ArithmeticError of a route fails its row, not the command
+        def overflow(kappa_ell):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(mathieu, "solve_v4", overflow)
+        code, text = run(tmp_path, "o.csv", ["reflect", "--model", "v4", "--kappa-ell", "0.119"])
+        err = capsys.readouterr().err
+        assert code == 1
+        _, (row,) = csv_rows(text)
+        assert row["R_mathieu"] == "" and row["status"] == "fail"
+        assert err == "warning: kappa_ell=0.119: mathieu: math range error\n"
 
     def test_missing_potential_rejected(self):
         assert main(["reflect", "--kappa-ell", "0.1"]) == 2
@@ -364,6 +394,31 @@ class TestWall:
             assert out == "", argv
             assert err.startswith("error: ") and err.count("\n") == 1, argv
             assert ("--points" in err) == ("--points" in argv), argv
+
+    @pytest.mark.parametrize("argv, power", [(["--universal-n", "4", "--x-max", "1e80"], "4"),
+                                             (["--universal-n", "40", "--x-max", "1e10"], "40"),
+                                             (["--universal-n", "8", "--x-min", "1e-120"], "-3")])
+    def test_overflow_is_an_error(self, capsys, argv, power):
+        # a power of x overflows a float: an error line, not a traceback, nor
+        # a warning and a row of -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["wall", *argv, "--points", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: x**{power} overflows a float at x = {float(argv[3]):g}\n"
+
+    @pytest.mark.parametrize("argv", [["--universal-n", "0"],
+                                      ["--model", "v4", "--kappa-ell", "0.3", "--universal-n", "0"]])
+    def test_universal_n_zero_is_read(self, capsys, argv):
+        # 0 is a given exponent, not an absent one: it used to print the
+        # field wall, or ask for a potential
+        code = main(["wall", *argv, "--points", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: needs n > 2 for a finite far-end anchor\n"
 
     def test_universal_quartic(self, tmp_path):
         code, text = run(tmp_path, "w.csv", ["wall", "--universal-n", "4"])

@@ -13,11 +13,12 @@ from scipy.optimize import brentq
 
 from qreflect import potentials, wkb
 from qreflect.cli import main
+from qreflect.liouville import inversion_center
 from qreflect.potentials import HomogeneousPotential, TabulatedPotential, _log_log_spline
 from qreflect.wkb import (
     WkbField,
-    _badlands_cut,
-    _quartic_far_crossing,
+    _cliff_offset,
+    _far_cut,
     badlands_peak_x,
     phase_coordinate,
     universal_badlands,
@@ -29,23 +30,44 @@ Z_STAR = 0.8472130847939791
 
 # phase_coordinate(x, n) by 30-digit mpmath quadrature of x - int_x^inf
 # (sqrt(1 + t**-n) - 1) dt, at the doubles nearest these x
-MP_X = (1e-11, 1e-8, 1e-4, 0.3, 1.19, 1.21)
+MP_X = (1e-11, 1e-8, 1e-4, 0.3, 1.19, 1.21, 2.0, 30.0, 1e3, 1e6)
 MP_PHASE = {
     3: (-6.32452944924116655741981996592e+5, -1.99974128904407700002394361837e+4,
         -1.97412890440750204672872884859e+2, -1.05454513967060558380142624778,
-        1.02239039687411927525486828627, 1.04752024395761269401725703953),
+        1.02239039687411927525486828627, 1.04752024395761269401725703953,
+        1.93825235566335135109799833319, 2.99997222232510168993012054411e+1,
+        9.99999999750000000024999999992e+2, 9.99999999999999999750000000000e+5),
     4: (-9.99999999983055798807151136328e+10, -9.99999983055738283197857437742e+7,
         -9.99830557383041139594276009649e+3, -1.63441105907454820053672769175,
-        1.09569427463415263323960631954, 1.12004463563197765653766843756),
+        1.09569427463415263323960631954, 1.12004463563197765653766843756,
+        1.97930347809989679057877231048, 2.99999938271613103400019458838e+1,
+        9.99999999999833333333333351190e+2, 9.99999999999999999999999833333e+5),
     5: (-2.10818510677891960388950926988e+16, -6.66666666665245607722386393725e+11,
         -6.66665245628644899300688868115e+5, -2.63405399186596462715799047647,
-        1.13023928760610045996552049428, 1.15392050770222349451404411578),
+        1.13023928760610045996552049428, 1.15392050770222349451404411578,
+        1.99221435811247447651722789916, 2.99999998456790130513076616966e+1,
+        9.99999999999999875000000000000e+2, 1.00000000000000000000000000000e+6),
     6: (-5.00000000000000060502901362582e+21, -4.99999999999999849721961208382e+15,
         -4.99999987064452155929311176373e+7, -4.26098834973510114371977768425,
-        1.14960697444991968481895801959, 1.17271578919863322625170702778),
+        1.14960697444991968481895801959, 1.17271578919863322625170702778,
+        1.99688052080204562153107396728, 2.99999999958847736631929209277e+1,
+        9.99999999999999999900000000000e+2, 1.00000000000000000000000000000e+6),
     8: (-3.33333333333333393836364051394e+32, -3.33333333333333312410771327338e+23,
         -3.33333333332157418900288986414e+11, -1.11695695025703290766737852957e+1,
-        1.16943154379941013190310098052, 1.19163735966984760506039668478),
+        1.16943154379941013190310098052, 1.19163735966984760506039668478,
+        1.99944221827551253909264695162, 2.99999999999967339473512318826e+1,
+        9.99999999999999999999999928571e+2, 1.00000000000000000000000000000e+6),
+}
+# the cliff offset C_n = lim phase_coordinate(x, n) - x**a/a as x -> 0,
+# a = 1 - n/2, by 30-digit mpmath quadrature of 1 - 1/a
+# - int_0^1 (sqrt(1 + t**-n) - t**(-n/2)) dt - int_1^inf (sqrt(1 + t**-n) - 1) dt
+MP_CLIFF_OFFSET = {
+    3: 2.58710955922979053495351502513,
+    4: 1.69442616958795817321299824696,
+    5: 1.42103802171944281320326409199,
+    6: 1.29355477961489526747675751257,
+    7: 1.22148687859233440764834830930,
+    8: 1.17586651130832305989877675839,
 }
 
 
@@ -165,9 +187,30 @@ class TestPhase:
 
     @pytest.mark.parametrize("n", sorted(MP_PHASE))
     def test_closed_form_vs_mpmath(self, n):
-        # both sides of the switch at x = 1.2, down to deep in the cliff
+        # from deep in the cliff to far out, where 2F1 takes -x**n of 1e30
+        # and more
         for x, ref in zip(MP_X, MP_PHASE[n]):
             assert phase_coordinate(x, n) == pytest.approx(ref, rel=1e-14, abs=0.0), x
+
+    def test_cliff_offset_vs_mpmath(self):
+        for n, ref in MP_CLIFF_OFFSET.items():
+            assert _cliff_offset(n) == pytest.approx(ref, rel=1e-15, abs=0.0), n
+        # the quartic's offset is twice its inversion center z*
+        assert _cliff_offset(4) == pytest.approx(2.0 * inversion_center(), rel=2e-15, abs=0.0)
+
+    def test_overflow_raises(self):
+        # x**4 overflows a float above 1e77, where the 2F1 would be nan, and
+        # x**-3 below 1e-103, where the result would be -inf
+        assert math.isfinite(phase_coordinate(1e77, 4))
+        assert math.isfinite(phase_coordinate(1e-102, 8))
+        for x in (1e78, np.array([1.0, 1e80])):
+            with pytest.raises(OverflowError, match=r"x\*\*4 overflows"):
+                phase_coordinate(x, 4)
+        with pytest.raises(OverflowError, match=r"x\*\*-3 overflows a float at x = 1e-120"):
+            phase_coordinate(np.array([1e-120, 1.0]), 8)
+        assert phase_coordinate(np.array([]), 4).shape == (0,)
+        with pytest.raises(ValueError, match="positive"):
+            phase_coordinate(np.array([1.0, math.nan]), 4)
 
     @pytest.mark.parametrize("e1", [1.0, 100.0, 1000.0])
     def test_tabulated_table_vs_quadrature(self, tmp_path, e1):
@@ -197,7 +240,7 @@ class TestPhase:
     def test_arrays_match_scalars(self, tmp_path, case):
         # one call on an array gives what one call per point gives, to
         # rounding (numpy's array loops and its scalar ones round apart): phi
-        # on both sides of x = 1.2 and on every part of a table, k and Q
+        # on both sides of the peak and on every part of a table, k and Q
         if case == "table":
             fld = WkbField(potentials.load_potential_table(write_cp_table(tmp_path, 500)),
                            e1_energy(100.0))
@@ -295,31 +338,41 @@ class TestBadlands:
     @pytest.mark.parametrize("cut", [1e-6, 1e-10, 1e-13])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_closed_form_cut(self, n, cut):
-        # on V_n the cut is zeta_n times two numbers fixed by (n, cut); for
-        # n != 4 the cliff end is the threshold start instead, pinned bit for
-        # bit by TestCliffWave
+        # on V_n the far end is zeta_n times a number fixed by (n, cut), and
+        # the V_4 cliff end its mirror under x -> 1/x; for n != 4 the cliff end
+        # is the threshold start instead, pinned bit for bit by TestCliffWave
         fld = WkbField(HomogeneousPotential(n, 0.7), 0.3)
         zeta = (0.7 / 0.3) ** (1.0 / n)
-        x_min, x_max = _badlands_cut(n, cut)
+        x_max = _far_cut(n, cut)
         z_min, z_max = fld.matching_domain(cut)
         assert z_max == zeta * x_max
-        assert z_min == (zeta * x_min if n == 4 else (cut * 0.7 / 0.3) ** (1.0 / n))
+        assert z_min == (zeta / x_max if n == 4 else (cut * 0.7 / 0.3) ** (1.0 / n))
+        if n == 4:
+            assert z_min * z_max == pytest.approx(zeta * zeta, rel=5e-16, abs=0.0)
 
     @pytest.mark.parametrize("cut", [1e-6, 1e-10, 1e-13])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_closed_form_cut_hits_the_ratio(self, n, cut):
-        # for n = 5 the cliff crossing lies just above x**5 = 1/24, where the
-        # universal badlands changes sign and its formula keeps only about
-        # 1e-16/cut of its digits there; that end is never a start (see above)
         x_star = badlands_peak_x(n)
         peak = universal_badlands(x_star, n)
-        x_min, x_max = _badlands_cut(n, cut)
-        assert x_min < x_star < x_max
-        ends = (x_max,) if n == 5 else (x_min, x_max)
+        x_max = _far_cut(n, cut)
+        assert x_star < x_max
+        ends = (1.0 / x_max, x_max) if n == 4 else (x_max,)
         for x in ends:
             assert universal_badlands(x, n) / peak == pytest.approx(cut, rel=1e-12, abs=0.0)
-        if n == 4:   # the algebraic root that a table's quartic tail takes
-            assert _quartic_far_crossing(cut * peak) == pytest.approx(x_max, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("cut, x_min, x_max", [
+        (1e-6, 0.0707115620408034156045374750841, 14.1419588415110922868251670572),
+        (1e-10, 0.0152341541997132317316434038134, 65.6419770267799991208880614228),
+        (1e-13, 0.00481746242129234406339685837531, 207.578163055340988686862449939),
+    ])
+    def test_v4_cut_vs_mpmath(self, cut, x_min, x_max):
+        # the two roots of 5 x**6/(1 + x**4)**3 = 5/8 cut by 30-digit mpmath
+        # findroot: the closed form and its inverse keep them to two ulps,
+        # as the brentq search that they replace did
+        x = _far_cut(4, cut)
+        assert x == pytest.approx(x_max, rel=4.5e-16, abs=0.0)
+        assert 1.0 / x == pytest.approx(x_min, rel=4.5e-16, abs=0.0)
 
     @pytest.mark.parametrize("kappa_ell", [1e-3, 0.119, 1.0, 10.0])
     def test_v4_cut_against_the_numeric_search(self, kappa_ell):
