@@ -11,8 +11,6 @@ Three mutually validating routes to the same reflection amplitudes:
 from .liouville import (
     LiouvilleMap,
     TransformedProblem,
-    affine_map,
-    inversion_center,
     special_gauge,
     transform_f,
     universal_wall,
@@ -32,7 +30,7 @@ from .scattering import (
     wronskian,
 )
 from .specialfns import bessel_j
-from .wkb import WkbField
+from .wkb import WkbField, inversion_center
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -241,20 +241,22 @@ def cmd_wall(args) -> int:
     meta: dict = {"command": "wall"}
     if args.universal_n is not None:
         n = args.universal_n
-        xs = np.geomspace(args.x_min, args.x_max, args.points)
+        xs = np.geomspace(args.x_min, args.x_max, args.points).tolist()
         for x in xs:
-            zb, vb = liouville.universal_wall(float(x), n)
+            zb, vb = liouville.universal_wall(x, n)
             rows.append({"z_bold": zb, "V_bold": vb})
         meta.update({"universal_n": n,
                      "integral_closed": liouville.wall_integral_closed(n),
                      "peak_x": wkb.badlands_peak_x(n)})
         if n == 4:
-            z_star = liouville.inversion_center()
-            sym = max(abs(liouville.universal_v4_at(z_star + d)
-                          - liouville.universal_v4_at(z_star - d))
-                      for d in np.linspace(0.05, 1.5, 30))
+            # the wall is even under x -> 1/x about z*: z_bold(x) + z_bold(1/x)
+            # = 2 z* and V_bold(x) = V_bold(1/x), read at each printed x
+            z_star = wkb.inversion_center()
+            mirror = [liouville.universal_wall(1.0 / x, 4) for x in xs]
             meta["inversion_center"] = z_star
-            meta["symmetry_residual"] = sym
+            meta["symmetry_residual"] = max(
+                max(abs(row["z_bold"] + zb - 2.0 * z_star), abs(row["V_bold"] - vb))
+                for row, (zb, vb) in zip(rows, mirror))
     else:
         pot, ell = _build_potential(args)
         energies, labels = _energies(args, ell)
@@ -312,10 +314,12 @@ def _add_common(sub: argparse.ArgumentParser, energy: bool = True, rtol: bool = 
     if energy:
         sub.add_argument("--g", type=float, default=potentials.G_STANDARD,
                          help="gravitational acceleration for the E1 unit")
-        sub.add_argument("--kappa-ell", default=None,
-                         help="dimensionless kappa*ell grid: list or start:stop:count[:log]")
-        sub.add_argument("--energy-e1", default=None,
-                         help="energy grid in units of the first gravitational state")
+        # one grid: --energy-e1 also sets the units of --cn
+        grid = sub.add_mutually_exclusive_group()
+        grid.add_argument("--kappa-ell", default=None,
+                          help="dimensionless kappa*ell grid: list or start:stop:count[:log]")
+        grid.add_argument("--energy-e1", default=None,
+                          help="energy grid in units of the first gravitational state")
     if rtol:
         sub.add_argument("--rtol", type=float, default=scattering.RTOL)
     sub.add_argument("--q-match", type=float, default=wkb.Q_MATCH_REL)

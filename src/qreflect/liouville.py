@@ -12,8 +12,9 @@ repulsive wall of height vk**2 Q(z) probed at energy vk**2.
 
 Maps are evaluator bundles (value, derivative, second derivative,
 Schwarzian), so no symbolic algebra is ever needed, which keeps tabulated
-potentials first-class citizens. Two maps are built here: the wall gauge
-and the affine maps of the gauge-invariance check.
+potentials first-class citizens. The one map built here is the wall gauge;
+``transform_f`` takes any other, such as the log gauge zt = ln(z/zeta) that
+turns -C4/z**4 into the modified Mathieu equation of ``mathieu``.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ from .wkb import Q_MATCH_REL, WkbField, _legendre, phase_coordinate, universal_b
 __all__ = [
     "LiouvilleMap",
     "TransformedProblem",
-    "affine_map",
     "transform_f",
     "special_gauge",
     "universal_wall",
-    "inversion_center",
     "wall_integral",
     "wall_integral_closed",
 ]
@@ -47,12 +46,6 @@ class LiouvilleMap:
     derivative: Callable[[float], float]
     schwarzian: Callable[[float], float]
     dderivative: Callable[[float], float]
-
-
-def affine_map(a: float, b: float = 0.0) -> LiouvilleMap:
-    if a <= 0.0:
-        raise ValueError("affine slope must be positive for a monotone map")
-    return LiouvilleMap(lambda z: a * z + b, lambda z: a, lambda z: 0.0, lambda z: 0.0)
 
 
 @dataclass(frozen=True)
@@ -126,9 +119,9 @@ def special_gauge(field: WkbField,
                   trunc_rel: float = Q_MATCH_REL) -> tuple[LiouvilleMap, TransformedProblem]:
     """The wall gauge zt = phi_dB/vk for a WKB field.
 
-    The scale vk = sqrt(kappa * ell_far) collapses the inverse-quartic model
-    onto its universal wall (and vk = kappa*zeta_n for a homogeneous V_n
-    exponent n). The domain is the field's ``matching_domain(trunc_rel)``:
+    The scale vk = kappa (C/E)**(1/n), for the declared far tail -C/z**n,
+    collapses V_n onto its universal wall; on -C4/z**4 it is
+    sqrt(kappa ell). The domain is the field's ``matching_domain(trunc_rel)``:
     truncated where Q has fallen to ``trunc_rel`` of its peak, which
     quantifies the "free asymptotic states" residual, or on a threshold tail
     at the cliff start of the other routes. The default is the routes'
@@ -136,10 +129,7 @@ def special_gauge(field: WkbField,
     others.
     """
     n, c_n = field.potential.tail_far()
-    if n == 4:
-        vk = math.sqrt(field.kappa * math.sqrt(c_n))
-    else:
-        vk = field.kappa * (c_n / field.energy) ** (1.0 / n)
+    vk = field.kappa * (c_n / field.energy) ** (1.0 / n)
     e_bold = vk * vk
 
     mapping = LiouvilleMap(
@@ -150,8 +140,8 @@ def special_gauge(field: WkbField,
     )
 
     def coefficients(z):
-        # the Jacobian k/vk and the wall vk**2 Q from one pass over the
-        # potential, where the map would evaluate it twice
+        # the Jacobian k/vk and the wall vk**2 Q from one k_q call, where
+        # the map would evaluate k twice
         k, q = field.k_q(z)
         return k / vk, e_bold - vk * vk * q
 
@@ -161,37 +151,9 @@ def special_gauge(field: WkbField,
     return mapping, problem
 
 
-def inversion_center() -> float:
-    """Wall coordinate of the inverse-quartic symmetry point, Gamma(3/4)**2/sqrt(pi)."""
-    return math.gamma(0.75) ** 2 / math.sqrt(math.pi)
-
-
 def universal_wall(x: float, n: int) -> tuple[float, float]:
     """Universal wall of V_n parametrized by x = z/zeta_n: (z_bold, V_bold)."""
     return phase_coordinate(x, n), universal_badlands(x, n)
-
-
-def universal_v4_at(z_bold: float) -> float:
-    """Universal inverse-quartic wall height as a function of z_bold.
-
-    In u = ln(z/zeta) the wall of ``universal_wall(e**u, 4)`` is
-    V_bold = 5/(8 cosh(2u)**3) at z_bold = phase_coordinate(e**u, 4), which
-    is z* + int_0^u sqrt(2 cosh 2t) dt: the peak sits at the inversion
-    center z*, and the wall is symmetric under u -> -u. A Newton iteration
-    with derivative sqrt(2 cosh 2u) inverts z_bold(u); used to probe the
-    wall at mirrored points about the inversion center.
-    """
-    z_star = inversion_center()
-    u = math.asinh(0.5 * (z_bold - z_star))  # crude but monotone start
-    for _ in range(60):
-        zb = phase_coordinate(math.exp(u), 4)
-        step = (z_bold - zb) / math.sqrt(2.0 * math.cosh(2.0 * u))
-        u += step
-        if abs(step) < 1e-13 * max(1.0, abs(u)):
-            break
-    else:
-        raise RuntimeError("wall coordinate inversion did not converge")
-    return 5.0 / (8.0 * math.cosh(2.0 * u) ** 3)
 
 
 def wall_integral(problem: TransformedProblem) -> float:

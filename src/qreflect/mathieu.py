@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .liouville import inversion_center
 from .specialfns import ConvergenceError, bessel_j
+from .wkb import inversion_center
 
 __all__ = [
     "MathieuSolution",

@@ -7,15 +7,19 @@ function) that localizes where quantum reflection happens. On the inner
 power-law tail of an n != 4 cliff, the routes start instead on the exact
 threshold wave of that tail (``cliff_wave``).
 
-All derivatives of k_dB are analytic, propagated from the potential's own
-derivatives; Q needs two of them and finite differences of tabulated data
-would wreck its shape.
+Each field has one length zeta = (C/E)**(1/n) of its far tail -C/z**n
+(``WkbField.zeta``), and the field's geometry on V_n is the universal one
+scaled by it: phi = kappa zeta ``phase_coordinate(z/zeta, n)`` and
+Q = ``universal_badlands(z/zeta, n)``/(kappa zeta)**2, closed form at every z.
+On a table, Q comes from analytic derivatives of k_dB, propagated from the
+spline's own; Q needs two of them and finite differences of tabulated data
+would wreck its shape. Those two terms cancel on a cliff (on V_4 to a
+relative error of about eps/x**4), which is why V_n takes the closed form.
 
 The matching cut, where Q has fallen to a fraction of its peak, is closed
 form where V is an exact power law. Its far end on V_4 and on a table's
 -C4m/z**4 tail is the quartic's algebraic root, and its cliff end on V_4 is
-that root's inverse (the universal badlands is even under x -> 1/x), free of
-the cancellation of the numeric Q's two terms there (up to 7e-10 of z). On
+that root's inverse (the universal badlands is even under x -> 1/x). On
 V_n, n != 4, the far crossing of ``universal_badlands`` is found once per
 (n, cut), and the cliff end is the threshold start. Q is searched, in array
 calls, only on a table: its peak, the walks from it, and the crossings that
@@ -41,6 +45,7 @@ __all__ = [
     "universal_badlands",
     "badlands_peak_x",
     "phase_coordinate",
+    "inversion_center",
     "threshold_wave",
     "threshold_phases",
 ]
@@ -150,6 +155,13 @@ def _cliff_offset(n: int) -> float:
     return float(-gamma(-1.0 / n) * gamma(1.0 / n - 0.5) / (n * gamma(-0.5)))
 
 
+def inversion_center() -> float:
+    """Wall coordinate z* of the inverse-quartic symmetry point x = 1,
+    Gamma(3/4)**2/sqrt(pi): the wall is even under x -> 1/x, where
+    phase_coordinate(x, 4) + phase_coordinate(1/x, 4) = 2 z*."""
+    return _cliff_offset(4) / 2.0
+
+
 @cache
 def _legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights of order m on [0, 1]."""
@@ -194,11 +206,11 @@ class _PhaseTable:
     and one short rule over the part of a panel below z.
     """
 
-    def __init__(self, potential, energy: float):
-        kappa = math.sqrt(energy)
+    def __init__(self, field: WkbField):
+        potential, energy, kappa = field.potential, field.energy, field.kappa
         self.energy = energy
         self.z_min, self.z_max = potential.z_min, potential.z_max
-        self.zeta4 = (potential.far_c4_matched / energy) ** 0.25
+        self.zeta4 = field.zeta
         self.zeta3 = (potential.cliff_c3_matched / energy) ** (1.0 / 3.0)
         self.kz4, self.kz3 = kappa * self.zeta4, kappa * self.zeta3
 
@@ -264,6 +276,16 @@ class WkbField:
     def kappa(self) -> float:
         return math.sqrt(self.energy)
 
+    @cached_property
+    def zeta(self) -> float:
+        """(C/E)**(1/n) of the far tail -C/z**n, where |V| = E: C_n on V_n,
+        and on a table the matched C4m that V has above z_max."""
+        if isinstance(self.potential, HomogeneousPotential):
+            n, c = self.potential.tail_far()
+        else:
+            n, c = 4, self.potential.far_c4_matched
+        return (c / self.energy) ** (1.0 / n)
+
     # -- local wavevector and derivatives ---------------------------------
     # each evaluator takes z as a float or an array
     def f_coeff(self, z):
@@ -281,16 +303,15 @@ class WkbField:
         if (np.asarray(z) <= 0.0).any():
             raise ValueError("phase is defined on z > 0")
         if isinstance(self.potential, HomogeneousPotential):
-            n, c_n = self.potential.tail_far()
-            zeta = (c_n / self.energy) ** (1.0 / n)
-            return self.kappa * zeta * phase_coordinate(z / zeta, n)
+            zeta = self.zeta
+            return self.kappa * zeta * phase_coordinate(z / zeta, self.potential.n)
         return self._phase_table.phi(z)
 
     @cached_property
     def _phase_table(self) -> _PhaseTable:
         # per field, not per potential in a module cache: a field lives for
         # one solve, so its table goes when the solve is done
-        return _PhaseTable(self.potential, self.energy)
+        return _PhaseTable(self)
 
     @cached_property
     def _threshold_tail(self) -> tuple[int, float, float] | None:
@@ -324,7 +345,7 @@ class WkbField:
             return self.wkb_pair(z)[1]
         n, c_n, _ = self._threshold_tail
         if isinstance(self.potential, HomogeneousPotential):
-            phi_0 = self.kappa * (c_n / self.energy) ** (1.0 / n) * _cliff_offset(n)
+            phi_0 = self.kappa * self.zeta * _cliff_offset(n)
         else:
             table = self._phase_table
             phi_0 = table.phi_cliff + table.kz3 * _cliff_offset(3)
@@ -361,10 +382,16 @@ class WkbField:
         return self.k_q(z)[1]
 
     def k_q(self, z):
-        """(k_dB, Q) at z from one pass over V, V' and V''.
+        """(k_dB, Q) at z: the wall-gauge solver needs both at every step.
 
-        The wall-gauge solver needs both at every step.
+        On V_n, Q is ``universal_badlands(z/zeta, n)/(kappa zeta)**2``, free of
+        the cancellation of the two terms below on the cliff (to about
+        eps/x**4 on V_4); on a table both come from one pass over V, V' and V''.
         """
+        if isinstance(self.potential, HomogeneousPotential):
+            zeta = self.zeta
+            return (self.k(z),
+                    universal_badlands(z / zeta, self.potential.n) / (self.energy * zeta * zeta))
         v, dv, d2v = self.potential.derivs(z)
         k2 = self.energy - v
         k = np.sqrt(k2)
@@ -380,9 +407,7 @@ class WkbField:
     @cached_property
     def _peak(self) -> tuple[float, float]:
         if isinstance(self.potential, HomogeneousPotential):
-            n, c_n = self.potential.tail_far()
-            zeta = (c_n / self.energy) ** (1.0 / n)
-            z_peak = zeta * badlands_peak_x(n)
+            z_peak = self.zeta * badlands_peak_x(self.potential.n)
             return z_peak, self.q(z_peak)
         return self._q_peak_search()
 
@@ -391,8 +416,10 @@ class WkbField:
         that point's neighbours by ``_PEAK_ROUNDS`` array calls, each of which
         keeps the two sections beside its largest value; a largest value on
         a knot's jump is read beside it."""
-        n4, c4 = self.potential.tail_far()
-        zeta = (c4 / self.energy) ** 0.25
+        # about the declared C4's zeta: on the matched one's grid a sample can
+        # fall on the ripple of Q in the last knot interval, where the spline
+        # bends to its pinned end slope -4, and read as a second mode
+        zeta = (self.potential.far_c4 / self.energy) ** 0.25
         grid = np.geomspace(zeta / 300.0, zeta * 300.0, 241)
         qs = self.q(grid)
         imax = int(np.argmax(qs))
@@ -470,8 +497,7 @@ class WkbField:
             raise ValueError("q_rel must lie in (0, 1)")
         pot = self.potential
         if isinstance(pot, HomogeneousPotential):
-            n, c_n = pot.tail_far()
-            zeta = (c_n / self.energy) ** (1.0 / n)
+            n, zeta = pot.n, self.zeta
             x_max = _far_cut(n, q_rel)
             # V_4's badlands is even under x -> 1/x; for n != 4 z_min is the
             # threshold start below, on a tail that holds at every z
@@ -484,7 +510,7 @@ class WkbField:
             z_min = inside if self.on_threshold_tail(inside) else self._crossing(inside, lo, target)
             hi = self._walk(z_peak, +1, target)
             inside = max(hi / 2.0, z_peak)
-            zeta = (pot.far_c4_matched / self.energy) ** 0.25
+            zeta = self.zeta
             level = target * self.energy * zeta * zeta   # the target of the universal badlands
             # the last step lies above the table, or it straddles z_max and Q
             # just above z_max, on the tail, is still above the target: either

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from qreflect.liouville import LiouvilleMap
 from qreflect.potentials import (
     BOHR_RADIUS,
     M_HYDROGEN,
@@ -21,6 +22,15 @@ def v4(kappa_ell: float) -> HomogeneousPotential:
 def v4_field(kappa_ell: float) -> WkbField:
     """The field of ``v4(kappa_ell)`` at E = kappa_ell."""
     return WkbField(v4(kappa_ell), kappa_ell)
+
+
+def log_map(zeta: float) -> LiouvilleMap:
+    """The paper's log gauge zt = ln(z/zeta): zt' = 1/z, zt'' = -1/z**2 and
+    Schwarzian {zt, z} = 1/(2 z**2). On -C4/z**4 at zeta = (C4/E)**(1/4) it
+    turns F = E + C4/z**4 into 2 q cosh(2 zt) - 1/4, q = kappa ell: the
+    modified Mathieu equation that ``mathieu`` solves."""
+    return LiouvilleMap(forward=lambda z: np.log(z / zeta), derivative=lambda z: 1.0 / z,
+                        schwarzian=lambda z: 0.5 / z ** 2, dderivative=lambda z: -1.0 / z ** 2)
 
 
 def two_tail_table() -> TabulatedPotential:

@@ -10,6 +10,8 @@ import pytest
 
 from qreflect import mathieu, scattering
 from qreflect.cli import main
+from qreflect.potentials import HomogeneousPotential
+from qreflect.wkb import WkbField
 
 from helpers import write_cp_table
 
@@ -347,6 +349,16 @@ class TestBadlands:
         near_peak = (zs > zeta / 2) & (zs < 2 * zeta)
         assert near_peak.sum() >= 50
 
+    def test_cliff_end_is_the_cut(self, tmp_path):
+        # on V_4 the first row is the cliff end of the matching domain, where
+        # Q is cut * Q_peak; the numeric Q's two terms cancel there, to 4e-11
+        code, text = run(tmp_path, "bc.json", ["badlands", "--model", "v4", "--kappa-ell", "0.3",
+                                               "--points", "5", "--format", "json"])
+        assert code == 0
+        payload = json.loads(text)
+        q_peak = payload["config"]["q_peak[0.3]"]
+        assert payload["rows"][0]["Q"] == pytest.approx(1e-7 * q_peak, rel=1e-14, abs=0.0)
+
     def test_peak_height_orders_with_energy(self, tmp_path):
         _, text = run(tmp_path, "b2.csv",
                       ["badlands", "--model", "v4", "--kappa-ell", "0.1,1.0"])
@@ -408,6 +420,15 @@ class TestWall:
         assert code == 2
         assert out == ""
         assert err == f"error: x**{power} overflows a float at x = {float(argv[3]):g}\n"
+
+    def test_mirror_overflow_is_an_error(self, capsys):
+        # the quartic's symmetry residual reads the wall at 1/x too, where
+        # x**4 overflows below x = 1e-77
+        code = main(["wall", "--universal-n", "4", "--x-min", "1e-80", "--points", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: x**4 overflows a float at x = 1e+80\n"
 
     @pytest.mark.parametrize("argv", [["--universal-n", "0"],
                                       ["--model", "v4", "--kappa-ell", "0.3", "--universal-n", "0"]])
@@ -494,9 +515,12 @@ class TestWall:
         assert code == 0
 
     def test_overlay_collapses_onto_universal(self, tmp_path):
-        # quartic field wall rows and the universal overlay trace one curve;
-        # the exact universal shape (Newton-inverted) is the oracle
-        from qreflect.liouville import universal_v4_at
+        # quartic field wall rows and the universal overlay trace one curve:
+        # the field row at z is the universal wall at x = z/zeta, with z
+        # rebuilt as the probe samples the matching domain (C4 = 1 at
+        # kappa = 0.3, so zeta = 0.3**-0.5), and the overlay is the wall at
+        # the printed x
+        from qreflect.liouville import universal_wall
 
         code, text = run(tmp_path, "wo.csv",
                          ["wall", "--model", "v4", "--kappa-ell", "0.3",
@@ -508,8 +532,11 @@ class TestWall:
         universal = [(float(r["z_bold"]), float(r["V_bold"])) for r in rows
                      if r["curve"] == "universal"]
         assert len(field) == 120 and len(universal) == 120
-        for zb, vb in field[10:-10:6] + universal[10:-10:6]:
-            assert vb == pytest.approx(universal_v4_at(zb), rel=1e-8, abs=1e-13)
+        fld = WkbField(HomogeneousPotential(4, 1.0), 0.09)
+        xs = np.concatenate([np.geomspace(*fld.matching_domain(), 120) / fld.zeta,
+                             np.geomspace(0.02, 50.0, 120)])
+        for (zb, vb), x in zip(field + universal, xs.tolist()):
+            assert (zb, vb) == pytest.approx(universal_wall(x, 4), rel=1e-10, abs=0.0), x
 
     def test_vn_model_reflect(self, tmp_path):
         # cubic potential through the direct solver with an E1 energy grid
@@ -549,6 +576,18 @@ class TestScatlength:
         b1 = json.loads(text1)["rows"][0]["b"]
         b4 = json.loads(text4)["rows"][0]["b"]
         assert b4 / b1 == pytest.approx(2.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("command", ["reflect", "badlands", "wall"])
+def test_two_energy_grids_are_a_usage_error(capsys, command):
+    # --energy-e1 also reads --cn in atomic units: with both grids the
+    # kappa*ell grid was solved on a strength in the other units
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--model", "v4", "--kappa-ell", "0.3", "--energy-e1", "100"])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "not allowed with argument" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,19 +12,16 @@ from scipy.integrate import quad
 import qreflect
 from qreflect.liouville import (
     LiouvilleMap,
-    affine_map,
-    inversion_center,
     special_gauge,
     transform_f,
-    universal_v4_at,
     universal_wall,
     wall_integral,
     wall_integral_closed,
 )
 from qreflect.potentials import HomogeneousPotential, TabulatedPotential
-from qreflect.wkb import WkbField, badlands_peak_x, universal_badlands
+from qreflect.wkb import WkbField, badlands_peak_x, inversion_center, universal_badlands
 
-from helpers import v4_field
+from helpers import log_map, two_tail_table, v4_field
 
 Z_STAR = 0.8472130847939791
 WALL_INTEGRAL_4 = 0.7725311155422383  # 5 Gamma(5/4)^2/(3 sqrt(pi))
@@ -32,25 +29,25 @@ WALL_INTEGRAL_3 = 0.9347880702169695
 WALL_INTEGRAL_5 = 0.7748481388736765
 
 
-class TestMaps:
-    def test_affine_requires_positive_slope(self):
-        with pytest.raises(ValueError):
-            affine_map(-1.0)
-
-
 class TestTransformF:
-    def test_identity_map_preserves_f(self):
-        fld = v4_field(0.3)
-        prob = transform_f(affine_map(1.0), fld, (0.1, 10.0))
-        for z in (0.2, 1.0, 5.0):
-            assert prob.coefficients(z)[1] == pytest.approx(fld.f_coeff(z), rel=1e-13)
+    def test_log_map_gives_the_mathieu_coefficient(self):
+        # -C4/z**4 with ell = 1 at kappa = 0.3, so zeta = 0.3**-0.5: in
+        # zt = ln(z/zeta) the coefficient is 2 q cosh(2 zt) - 1/4, q = 0.3
+        fld = WkbField(HomogeneousPotential(4, 1.0), 0.09)
+        prob = transform_f(log_map(fld.zeta), fld, (0.05, 20.0))
+        for z in (0.05, 0.3, 1.0, fld.zeta, 5.0, 20.0):
+            zt = math.log(z / fld.zeta)
+            assert prob.coefficients(z) == pytest.approx(
+                (1.0 / z, 0.6 * math.cosh(2.0 * zt) - 0.25), rel=1e-13, abs=0.0), z
 
-    def test_affine_map_rescales(self):
-        fld = v4_field(0.3)
-        a, b = 2.0, 1.0
-        prob = transform_f(affine_map(a, b), fld, (0.1, 10.0))
-        for z in (0.2, 1.0, 5.0):
-            assert prob.coefficients(z)[1] == pytest.approx(fld.f_coeff(z) / a ** 2, rel=1e-13)
+    def test_log_map_on_a_table(self):
+        # F_t = (F - {zt, z}/2)/zt'**2 = z**2 F - 1/4 in the log map, on the
+        # spline and on both glued tails
+        fld = WkbField(two_tail_table(), 0.02)
+        prob = transform_f(log_map(2.0), fld, (1e-3, 1e4))
+        for z in (1e-3, 0.1, 3.0, 100.0, 1e4):
+            assert prob.coefficients(z)[1] == pytest.approx(
+                z * z * fld.f_coeff(z) - 0.25, rel=1e-13, abs=0.0), z
 
     def test_inversion_exchanges_ends_keeping_quartic_form(self):
         kl = 0.3
@@ -140,7 +137,7 @@ class TestUniversalWalls:
         zb, vb = universal_wall(1.0, 4)
         assert vb == 5.0 / 8.0
         assert zb == pytest.approx(Z_STAR, rel=1e-12)
-        assert inversion_center() == pytest.approx(Z_STAR, rel=1e-12)
+        assert inversion_center() == pytest.approx(Z_STAR, rel=1e-15)
 
     def test_symmetry_in_u(self):
         # u = ln x -> -u is x -> 1/x, exact for a power of two
@@ -151,10 +148,13 @@ class TestUniversalWalls:
             assert zb_p + zb_m == pytest.approx(2.0 * Z_STAR, rel=1e-11)
 
     def test_symmetry_in_wall_coordinate(self):
-        for d in (0.1, 0.6, 1.4):
-            left = universal_v4_at(Z_STAR - d)
-            right = universal_v4_at(Z_STAR + d)
-            assert abs(left - right) < 1e-10
+        # mirrored about z*: the points x and 1/x lie at z* -+ d and share
+        # one height, for x that 1/x does not give exactly
+        for x in (0.3, 0.07, 0.021):
+            zb_m, vb_m = universal_wall(x, 4)
+            zb_p, vb_p = universal_wall(1.0 / x, 4)
+            assert abs(zb_m + zb_p - 2.0 * inversion_center()) < 1e-10
+            assert abs(vb_m - vb_p) < 1e-10
 
     def test_coordinate_against_quadrature(self):
         # an oracle of its own: universal_wall and the gauge map share

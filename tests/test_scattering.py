@@ -15,7 +15,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 import qreflect.scattering as scattering
 
-from qreflect.liouville import affine_map, special_gauge, transform_f
+from qreflect.liouville import special_gauge, transform_f
 from qreflect.mathieu import solve_v4
 from qreflect.potentials import HomogeneousPotential, TabulatedPotential, load_potential_table
 from qreflect.scattering import (
@@ -29,7 +29,7 @@ from qreflect.scattering import (
 )
 from qreflect.wkb import WkbField, threshold_wave
 
-from helpers import e1_energy, two_tail_table, v4, write_cp_table
+from helpers import e1_energy, log_map, two_tail_table, v4, write_cp_table
 
 
 def solve_route(route: str, kl: float, ctl: SolverControl | None = None):
@@ -694,17 +694,15 @@ class TestSolveTransformed:
             assert abs(direct.r - wall.r) < 1e-8
             assert abs(direct.t - wall.t) < 1e-8
 
-    def test_gauge_invariance_affine(self):
-        kl = 0.5
-        fld = WkbField(v4(kl), kl)
-        direct = solve_direct(v4(kl), kl)
-        rng = np.random.default_rng(5)
-        for _ in range(2):
-            mapping = affine_map(float(np.exp(rng.uniform(-1, 1))), float(rng.uniform(-2, 2)))
-            prob = transform_f(mapping, fld, fld.matching_domain(1e-10))
-            moved = solve_transformed(prob)
-            assert abs(direct.r - moved.r) < 1e-8
-            assert abs(direct.t - moved.t) < 1e-8
+    def test_gauge_invariance_log_map(self):
+        # the paper's log gauge ln(z/zeta) has a Schwarzian 1/(2 z**2), which
+        # the route must carry; zeta = 0.5**-0.5 at ell = 1 and kappa = 0.5
+        pot = HomogeneousPotential(4, 1.0)
+        fld = WkbField(pot, 0.25)
+        direct = solve_direct(pot, 0.25)
+        moved = solve_transformed(transform_f(log_map(fld.zeta), fld, fld.matching_domain()))
+        assert abs(direct.r - moved.r) < 1e-10
+        assert abs(direct.t - moved.t) < 1e-10
 
     def test_gauge_invariance_tabulated(self):
         # the wall gauge must hold for interpolated potentials too; this is

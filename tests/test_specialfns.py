@@ -18,9 +18,9 @@ from scipy.special import jv as scipy_jv
 from scipy.special import rgamma
 
 import qreflect.specialfns as specialfns
-from qreflect.liouville import inversion_center, wall_integral_closed
+from qreflect.liouville import wall_integral_closed
 from qreflect.specialfns import ConvergenceError, bessel_j
-from qreflect.wkb import hyp2f1
+from qreflect.wkb import hyp2f1, inversion_center
 
 # z* = Gamma(3/4)**2/sqrt(pi), also 1 - int_{-inf}^0 e^-u (sqrt(1+e^{4u})-1) du
 Z_STAR = 0.8472130847939791

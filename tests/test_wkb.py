@@ -11,9 +11,8 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
-from qreflect import potentials, wkb
+from qreflect import inversion_center, potentials, wkb
 from qreflect.cli import main
-from qreflect.liouville import inversion_center
 from qreflect.potentials import HomogeneousPotential, TabulatedPotential, _log_log_spline
 from qreflect.wkb import (
     WkbField,
@@ -195,8 +194,8 @@ class TestPhase:
     def test_cliff_offset_vs_mpmath(self):
         for n, ref in MP_CLIFF_OFFSET.items():
             assert _cliff_offset(n) == pytest.approx(ref, rel=1e-15, abs=0.0), n
-        # the quartic's offset is twice its inversion center z*
-        assert _cliff_offset(4) == pytest.approx(2.0 * inversion_center(), rel=2e-15, abs=0.0)
+        # the quartic's offset is twice its inversion center z*, by one formula
+        assert inversion_center() == _cliff_offset(4) / 2.0
 
     def test_overflow_raises(self):
         # x**4 overflows a float above 1e77, where the 2F1 would be nan, and
