@@ -17,10 +17,10 @@ sigma = ln(Psi_t^-(0)/Psi_t^+(0)) the parity constant.
 
 Each layer works in one pass: every truncation of Hill's determinant
 (DLMF 28.29) comes from one outward sweep, and the continued fractions run
-on Python complex numbers. The Bessel-product series takes only the terms
-that can reach its sum: a closed-form bound on each term, the coefficient
-times bounds on both Bessel factors, leaves out the rest of the ladder, and
-each Bessel factor is one ``bessel_j`` call over the kept orders.
+on Python complex numbers. The coefficient table is sized by q: it ends
+where a leading-order bound on the coefficients falls below 1e-20. The
+Bessel-product series is summed over that whole table at zt = 0, each
+Bessel factor one ``bessel_j`` call over the table's orders.
 """
 
 from __future__ import annotations
@@ -29,11 +29,9 @@ import cmath
 import itertools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .specialfns import ConvergenceError, bessel_j
 from .wkb import inversion_center
@@ -56,13 +54,10 @@ N_START = 25
 N_MAX = 800
 TAU_TOL = 1e-12
 
-# coefficients keeps A_n for |n| <= N_TERMS
+# coefficients keeps A_n out to the first |n| at which a leading-order bound
+# on |A_n| falls below COEFF_CUT, and at most to |n| = N_TERMS
+COEFF_CUT = 1e-20
 N_TERMS = 30
-
-# _waves keeps the terms of a Bessel-product series whose bound reaches
-# SERIES_CUT of the largest bound, or of the kept terms' moduli where the
-# bounds turn out loose
-SERIES_CUT = 1e-20
 
 
 def _hill_determinants(q: float, sides):
@@ -125,17 +120,28 @@ def characteristic_exponent(q: float) -> complex:
 
 
 def coefficients(tau: complex, q: float) -> np.ndarray:
-    """Recurrence coefficients A_n for n in [-N_TERMS, N_TERMS], A_0 = 1.
+    """Recurrence coefficients A_n for n in [-N, N], A_0 = 1, with N sized by q.
 
-    The ratios A_n/A_{n-1} come from downward continued fractions seeded with
-    the asymptotic tail; they decay rapidly, which is checked before returning.
+    N is the first n at which the leading-order bound on |A_(+-n)|, the
+    product over k <= n of q/|(tau +- 2k)**2 - 1/4|, falls below
+    ``COEFF_CUT``, and at most ``N_TERMS``. Since Re tau lies in [0, 1],
+    each denominator is at least (2k - 1)**2 - 1/4, so N depends on q
+    alone: 5 at q = 1e-3, 11 at q = 1, 17 at q = 10 and ``N_TERMS`` from
+    q = 94 on. The ratios A_n/A_{n-1} come from downward continued fractions
+    seeded with the asymptotic tail; they decay rapidly, which is checked
+    before returning.
     """
+    n_terms, bound = 0, 1.0
+    while bound >= COEFF_CUT and n_terms < N_TERMS:
+        n_terms += 1
+        bound *= q / ((2 * n_terms - 1) ** 2 - A_PARAM)
+
     def ladder(sign: int) -> list[complex]:
-        # A_{sign n} for n = 1..N_TERMS: the ratios A_{sign n}/A_{sign (n-1)}
+        # A_{sign n} for n = 1..n_terms: the ratios A_{sign n}/A_{sign (n-1)}
         # downward from the tail seed, then their running products
-        ratio = -q / ((tau + sign * 2.0 * (N_TERMS + 1)) ** 2 - A_PARAM)
+        ratio = -q / ((tau + sign * 2.0 * (n_terms + 1)) ** 2 - A_PARAM)
         ratios = []
-        for n in range(N_TERMS, 0, -1):
+        for n in range(n_terms, 0, -1):
             z = tau + sign * 2.0 * n
             den = (z * z - A_PARAM) + q * ratio
             if den == 0.0:
@@ -150,79 +156,35 @@ def coefficients(tau: complex, q: float) -> np.ndarray:
     return coeff
 
 
-def _log_j_bounds(rho, x: float, beta: float, log_sin: float) -> np.ndarray:
-    """Log of an upper bound on |J_mu(x)|, x > 0, for orders mu of real parts ``rho``.
-
-    The orders share |Im mu| = ``beta`` and log|sin(pi mu)| = ``log_sin``; with
-    h = x/2 and c = cosh(pi beta):
-
-    - Re mu >= 0: Poisson's integral (DLMF 10.9.4) and |Gamma(mu + 1/2)|**2
-      >= Gamma(rho + 1/2)**2 / c give sqrt(c) h**rho / Gamma(rho + 1), which
-      at real orders is DLMF 10.14.4.
-    - Re mu < 0: Schlaefli's integral (DLMF 10.9.6) gives c + |sin(pi mu)|
-      e**(x/2) Gamma(-rho) h**rho / pi, after bounding e**(x (1/u - u)/2) by
-      e**(x/2) e**(-x u/2) over u = e**t >= 1. This is the reflection of the
-      leading term of the ascending series through Y_(-mu).
-    """
-    log_c = math.log(math.cosh(math.pi * beta))
-    up = rho >= 0.0
-    size = np.abs(rho)
-    # log of h**|rho| / Gamma(rho + 1) above zero, of h**|rho| / Gamma(-rho) below
-    power = size * math.log(0.5 * x) - gammaln(size + up)
-    reflected = np.logaddexp(log_c, log_sin - math.log(math.pi) + 0.5 * x - power)
-    return np.where(up, power + 0.5 * log_c, reflected)
-
-
 def _waves(zt: float, tau: complex, q: float, coeff: np.ndarray, signs) -> np.ndarray:
-    """Psi_t^(sign)(zt) for each of ``signs``, over the terms that can reach the sum.
+    """Psi_t^(sign)(zt) for each of ``signs``, summed over the coefficient table.
 
     Psi_t^(+-)(zt) = sum_m (-1)**m A_m J_(+-(m+tau))(sqrt(q) e**zt)
-    J_(+-m)(sqrt(q) e**-zt). Each term is bounded by |A_m| times the
-    ``_log_j_bounds`` of both its Bessel factors. A series keeps the terms
-    whose bound reaches ``SERIES_CUT`` of its largest bound, and each factor
-    is one ``bessel_j`` call over the kept orders of all signs.
+    J_(+-m)(sqrt(q) e**-zt), with every m of the table; each Bessel factor
+    is one ``bessel_j`` call over the orders of all signs.
 
-    The terms left out total less than the ladder's length times that
-    threshold. Where this is not below the rounding level of the sum,
-    machine epsilon times the moduli of the kept terms, the bounds were
-    loose (at large arguments); a second pass then adds the terms whose
-    bound reaches ``SERIES_CUT`` of that modulus sum. A term whose
-    coefficient underflowed to zero is never evaluated, so a Bessel factor
-    that overflows never meets it.
+    The table's cut on |A_m| is a cut on the terms at zt = 0 only, the one
+    point ``parity_sigma`` reads. There both factors take x = sqrt(q): a
+    factor of negative order, about Gamma(|m| -+ tau) (2/x)**(|m| -+ tau),
+    meets one of about (x/2)**|m|/|m|!, so a term exceeds |A_m| by a factor
+    that grows no faster than a power of |m|. Off zt = 0 the arguments
+    differ by e**(2 zt), a term grows like e**(2 |zt m|) against its
+    coefficient, and terms beyond the table can reach the sum.
     """
     n_terms = (len(coeff) - 1) // 2
     m = np.arange(-n_terms, n_terms + 1.0)
     signs = np.array(signs)[:, None]
     sq = math.sqrt(q)
-    x_grow, x_decay = sq * math.exp(zt), sq * math.exp(-zt)
-    rho = signs * (m + tau.real)
-    n = np.abs(m)
-    sin_tau = abs(cmath.sin(math.pi * tau))
-    log_sin = math.log(sin_tau) if sin_tau else -math.inf
-    with np.errstate(divide="ignore"):  # an underflowed coefficient has log -inf
-        log_bound = (np.log(np.abs(coeff))
-                     # |J_(+-m)(x)| <= (x/2)**|m| / |m|!  (DLMF 10.14.4)
-                     + n * math.log(0.5 * x_decay) - gammaln(n + 1.0)
-                     + _log_j_bounds(rho, x_grow, tau.imag, log_sin))
     # real orders go to bessel_j as floats, which hands them to scipy in one call
-    grow_orders = rho if tau.imag == 0.0 else signs * (m + tau)
+    grow_orders = signs * (m + tau.real) if tau.imag == 0.0 else signs * (m + tau)
     # (-1)**m J_(+-m) = J_(-+m) carries the sign of each term
-    decay_orders = -signs * m
-
-    def evaluate(take):
-        out = np.zeros(take.shape, dtype=complex)
-        out[take] = bessel_j(grow_orders[take], x_grow) * bessel_j(decay_orders[take], x_decay)
-        return out * coeff
-
-    level = log_bound.max(axis=1, keepdims=True) + math.log(SERIES_CUT)
-    take = log_bound >= level
-    terms = evaluate(take)
-    # the terms left out total less than len(m) e**level, which must stay
-    # below the rounding level of the sum
-    size = np.abs(terms).sum(axis=1, keepdims=True)
-    if (level + math.log(len(m) / sys.float_info.epsilon) > np.log(size)).any():
-        terms += evaluate(~take & (log_bound >= np.log(size * SERIES_CUT)))
-    return terms.sum(axis=1)
+    terms = bessel_j(grow_orders, sq * math.exp(zt)) * bessel_j(-signs * m, sq * math.exp(-zt))
+    # numpy's pairwise sum groups a row's entries by position: in a row of
+    # the full width 2 N_TERMS + 1 each term keeps its place for every table
+    # length, so a sum rounds as it did over the fixed table of N_TERMS a side
+    row = np.zeros((len(signs), 2 * N_TERMS + 1), dtype=complex)
+    row[:, N_TERMS - n_terms:N_TERMS + n_terms + 1] = terms * coeff
+    return row.sum(axis=1)
 
 
 def parity_sigma(tau: complex, q: float, coeff: np.ndarray) -> complex:

@@ -149,6 +149,7 @@ _KNOT_NODES = 12      # a panel of at most _KNOT_RAD and z_b/z_a <= _KNOT_RATIO;
 _KNOT_RAD = 2.0
 _KNOT_RATIO = 1.1
 _BUDGET = 16384       # matrix entries (nodes**2 a panel) solved at once; more holds more memory
+_MAX_PANELS = 100_000  # a first partition above this fails; real solves take a few hundred
 _TAIL_FLOOR = 1e-14   # floor of the panel test's tol: its rounding noise
 
 
@@ -216,9 +217,15 @@ def _panels(points: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Each gap is cut evenly into the fewest panels of about ``_PHASE_RAD`` of
     phi or less. A gap of at most ``_KNOT_RAD`` and ``_KNOT_RATIO``, which on
     a table is one knot interval or less, takes ``_KNOT_NODES``; the others
-    ``_PHASE_NODES``.
+    ``_PHASE_NODES``. More than ``_MAX_PANELS`` panels raise
+    ``RuntimeError`` before anything is allocated.
     """
-    parts = np.maximum(np.ceil(phase / _PHASE_RAD), 1.0).astype(int)
+    parts = np.maximum(np.ceil(phase / _PHASE_RAD), 1.0)
+    count = parts.sum()
+    if not count <= _MAX_PANELS:   # also true for nan
+        raise RuntimeError(f"integration failed: the first partition needs {count:.3g} "
+                           f"panels, more than {_MAX_PANELS}")
+    parts = parts.astype(int)
     piece = np.repeat(np.arange(len(parts)), parts)
     step = np.diff(points)[piece] / parts[piece]
     ends = points[piece] + (np.arange(len(piece)) - (np.cumsum(parts) - parts)[piece]) * step

@@ -155,6 +155,18 @@ class TestReflect:
         assert row["R_mathieu"] == "" and row["status"] == "fail"
         assert err == "warning: kappa_ell=0.119: mathieu: math range error\n"
 
+    def test_unbounded_partition_fails_its_row(self, tmp_path, capsys):
+        # cut 1e-100 puts z_max near 1e25 zeta, where the first partition
+        # would take 6e15 panels: counted before anything is allocated
+        code, text = run(tmp_path, "p.csv", ["reflect", "--model", "v4", "--kappa-ell", "0.3",
+                                             "--q-match", "1e-100", "--method", "direct"])
+        err = capsys.readouterr().err
+        assert code == 1
+        _, (row,) = csv_rows(text)
+        assert row["R_direct"] == "" and row["status"] == "fail"
+        assert err.startswith("warning: kappa_ell=0.3: direct: integration failed: ")
+        assert err.count("\n") == 1 and str(scattering._MAX_PANELS) in err
+
     def test_missing_potential_rejected(self):
         assert main(["reflect", "--kappa-ell", "0.1"]) == 2
 

@@ -3,9 +3,10 @@
 Oracles: closed forms (half-integer Bessel), scipy's independent
 implementations for real orders (which bessel_j hands to scipy itself, so
 its complex-order code is checked against them at zero imaginary part), the
-one-order-at-a-time ascending series that bessel_j summed before it took
-arrays of orders, and quadratures evaluated by scipy.integrate.quad. Frozen
-constants were computed from those oracles.
+one-order-at-a-time ascending series and Miller recurrence that bessel_j
+ran before it took arrays of orders and ladders of them, and quadratures
+evaluated by scipy.integrate.quad. Frozen constants were computed from
+those oracles.
 """
 
 import cmath
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import jv as scipy_jv
-from scipy.special import rgamma
+from scipy.special import gamma, loggamma, rgamma
 
 import qreflect.specialfns as specialfns
 from qreflect.liouville import wall_integral_closed
@@ -59,16 +60,18 @@ class TestBesselJ:
 
     def test_against_scipy_real_orders(self):
         # the complex-order code at zero imaginary part, where scipy is the
-        # oracle: the series up to its crossover, Miller's recurrence everywhere
+        # oracle: the series up to its crossover, Miller's recurrence everywhere,
+        # over the ladder nu .. nu + 4
+        steps = np.arange(5)
         for nu in (-9.5, -2.3, 0.0, 0.5, 3.7, 9.9):
             for x in (0.05, 1.0, 5.0, 11.0, 13.0, 25.0, 50.0, 100.0):
-                ref = scipy_jv(nu, x)
-                scale = max(abs(ref), math.sqrt(2.0 / (math.pi * x)) * 1e-2)
-                routes = [specialfns._jv_backward]
+                ref = scipy_jv(nu + steps, x)
+                scale = np.maximum(np.abs(ref), math.sqrt(2.0 / (math.pi * x)) * 1e-2)
+                routes = {"ladder": specialfns._jv_ladder(complex(nu), steps, x)}
                 if x <= specialfns._SERIES_CROSSOVER:
-                    routes.append(specialfns._jv_series)
-                for route in routes:
-                    assert abs(route(complex(nu), x) - ref) <= 1e-9 * scale, (route, nu, x)
+                    routes["series"] = specialfns._jv_series(nu + steps, x)
+                for route, out in routes.items():
+                    assert np.all(np.abs(out - ref) <= 1e-9 * scale), (route, nu, x)
 
     def test_series_above_order_140(self):
         # the series assembles its leading terms above Re nu = 140 in log
@@ -145,6 +148,40 @@ def scalar_series(nu: complex, x: float) -> tuple[complex, float]:
     raise AssertionError("oracle series did not converge")
 
 
+def per_order_miller(nu: complex, x: float) -> complex:
+    """Miller's recurrence for one complex order, as bessel_j ran it above
+    x = 12 before it swept whole ladders of orders: downward from a tiny
+    seed and normalized through (x/2)^b = sum_j (b+2j) Gamma(b+j)/j! J_{b+2j}(x),
+    with a base b = nu + 2 shift of real part >= 0.5."""
+    shift = max(0, int(math.ceil(0.5 * (0.5 - nu.real))))
+    base = nu + 2 * shift
+    k_top = int(math.ceil(x + 14.0 * math.sqrt(x) + 20.0 + max(0.0, abs(nu) - nu.real)))
+    k_top += (k_top % 2) + 2 * shift
+    f_hi: complex = 0.0
+    f_lo: complex = 1e-155
+    norm: complex = 0.0
+    for k in range(k_top, 0, -1):
+        f_hi, f_lo = f_lo, (2.0 * (nu + k) / x) * f_lo - f_hi
+        if k >= 2 * shift and (k - 2 * shift) % 2 == 0:
+            j = (k - 2 * shift) // 2
+            if j == 0:
+                norm += complex(gamma(base + 1.0)) * f_hi
+            else:
+                norm += (base + 2 * j) * cmath.exp(complex(loggamma(base + j)) - math.lgamma(j + 1.0)) * f_hi
+        if abs(f_lo) > 1e250:
+            f_hi *= 1e-250
+            f_lo *= 1e-250
+            norm *= 1e-250
+    if shift == 0:
+        norm += complex(gamma(nu + 1.0)) * f_lo
+    return f_lo * cmath.exp(base * math.log(0.5 * x)) / norm
+
+
+# relative agreement of one recurrence per ladder with one per order above
+# x = 12: the two start and normalize at different orders
+LADDER_RTOL = 1e-13
+
+
 class TestBesselJOrderArrays:
     """bessel_j over a whole array of orders, as the Mathieu series calls it:
     the ladders m + tau and -(m + tau), |m| <= 30, of a complex exponent."""
@@ -159,7 +196,7 @@ class TestBesselJOrderArrays:
     def test_complex_orders_equal_scalar_calls(self, x):
         # numpy may round a long array and a one-element one differently, so
         # the series (x <= 12) agrees to its rounding bound; Miller's
-        # recurrence runs one order at a time and agrees exactly
+        # recurrence runs once per ladder of an array, once per order alone
         for tau in self.TAUS:
             orders = self.ladders(tau)
             out = bessel_j(orders, x)
@@ -167,7 +204,7 @@ class TestBesselJOrderArrays:
             scalar = [bessel_j(complex(nu), x) for nu in orders]
             assert all(type(v) is complex for v in scalar)
             if x > specialfns._SERIES_CROSSOVER:
-                assert np.array_equal(out, scalar), (tau, x)
+                assert np.allclose(out, scalar, rtol=LADDER_RTOL, atol=0.0), (tau, x)
                 continue
             for nu, value, single in zip(orders, out, scalar):
                 ref, size = scalar_series(complex(nu), x)
@@ -175,6 +212,23 @@ class TestBesselJOrderArrays:
                 for a, b in ((value, single), (value, ref), (single, ref)):
                     assert abs(a - b) <= 1e-15 * size, (nu, x)
                 assert abs(value - ref) <= 1e-10 * abs(ref), (nu, x)
+
+    @pytest.mark.parametrize("x", [12.1, 17.0, 30.0, 74.0])
+    def test_ladder_sweep_matches_per_order_recurrence(self, x):
+        for tau in self.TAUS:
+            orders = self.ladders(tau)
+            out = bessel_j(orders, x)
+            ref = np.array([per_order_miller(complex(nu), x) for nu in orders])
+            assert np.allclose(out, ref, rtol=LADDER_RTOL, atol=0.0), (tau, x)
+
+    def test_ladders_are_found_in_a_mixed_array(self):
+        # two ladders, shuffled, with a lone order beside them; each order
+        # keeps its place
+        orders = np.concatenate([self.ladders(0.37 + 0.8j), [2.2 - 0.4j]])
+        shuffle = np.random.default_rng(5).permutation(orders.size)
+        out = bessel_j(orders[shuffle], 17.0)
+        ref = np.array([per_order_miller(complex(nu), 17.0) for nu in orders[shuffle]])
+        assert np.allclose(out, ref, rtol=LADDER_RTOL, atol=0.0)
 
     @pytest.mark.parametrize("x", [0.0, 0.03, 3.0, 11.9, 12.1, 17.0])
     def test_real_orders_are_scipy_bit_for_bit(self, x):
