@@ -101,7 +101,8 @@ def _jv_ladder(base: complex, steps: np.ndarray, x: float) -> np.ndarray:
                                        + np.maximum(0.0, np.abs(orders) - orders.real))))
     k_top += (k_top % 2) + 2 * shift
     j = np.arange((k_top - 2 * shift) // 2 + 1)
-    weights = ((b + 2 * j) * np.exp(loggamma(b + j) - gammaln(j + 1.0))).tolist()
+    with np.errstate(over="raise"):   # Re b above about 170 overflows
+        weights = ((b + 2 * j) * np.exp(loggamma(b + j) - gammaln(j + 1.0))).tolist()
     weights[0] = complex(gamma(b + 1.0))
     found = [0j] * (top + 1)
     f_hi: complex = 0.0

@@ -120,6 +120,12 @@ class TestBesselJ:
             scale = max(abs(low), abs(mid), abs(high))
             assert abs(low + high - 2.0 * nu / x * mid) <= 1e-9 * scale, (nu, x)
 
+    def test_order_beyond_the_normalization_raises(self):
+        # above x = 12 the Gamma weights of the normalizing sum overflow from
+        # Re nu ~ 170 on: an ArithmeticError, not a nan
+        with pytest.raises(ArithmeticError):
+            bessel_j(171.5 + 1e-3j, 13.0)
+
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
             bessel_j(0.0, -1.0)
@@ -222,9 +228,10 @@ class TestBesselJOrderArrays:
             assert np.allclose(out, ref, rtol=LADDER_RTOL, atol=0.0), (tau, x)
 
     def test_ladders_are_found_in_a_mixed_array(self):
-        # two ladders, shuffled, with a lone order beside them; each order
-        # keeps its place
-        orders = np.concatenate([self.ladders(0.37 + 0.8j), [2.2 - 0.4j]])
+        # three ladders, two of them with one imaginary part, shuffled, with
+        # a lone order beside them; each order keeps its place
+        orders = np.concatenate([self.ladders(0.37 + 0.8j), self.LADDER + 0.61 + 0.8j,
+                                 [2.2 - 0.4j]])
         shuffle = np.random.default_rng(5).permutation(orders.size)
         out = bessel_j(orders[shuffle], 17.0)
         ref = np.array([per_order_miller(complex(nu), 17.0) for nu in orders[shuffle]])
