@@ -137,18 +137,13 @@ def _emit(path, fmt: str, meta: dict, columns: list[str], rows: list[dict]) -> N
 def _solve_route(name, pot, energy, row, ctl):
     """One route's solution at one grid row: a ScatteringResult or a MathieuSolution."""
     if name == "mathieu":
-        if row.get("kappa_ell") is None:
-            raise ValueError("mathieu route needs a kappa*ell value (C4 tail)")
         return mathieu.solve_v4(row["kappa_ell"])
     if name == "direct":
         return scattering.solve_direct(pot, energy, ctl)
     if name == "coupled":
         return scattering.solve_coupled(pot, energy, ctl)
-    if name == "transformed":
-        _, prob = liouville.special_gauge(wkb.WkbField(pot, energy),
-                                          trunc_rel=ctl.q_match_rel)
-        return scattering.solve_transformed(prob, ctl)
-    raise ValueError(f"unknown method {name!r}")
+    _, prob = liouville.special_gauge(wkb.WkbField(pot, energy), trunc_rel=ctl.q_match_rel)
+    return scattering.solve_transformed(prob, ctl)
 
 
 def _pure_quartic(pot, args) -> bool:

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .wkb import Q_MATCH_REL, WkbField, _legendre, phase_coordinate, universal_badlands
+from .wkb import Q_MATCH_REL, WkbField, _panel_sums, phase_coordinate, universal_badlands
 
 __all__ = [
     "LiouvilleMap",
@@ -65,14 +65,21 @@ class TransformedProblem:
     coefficients: Callable[[float], tuple[float, float]]
     vk: float | None = None               # the wall gauge's scale
 
+    def _wall_scale(self) -> float:
+        """vk, which every wall quantity reads: only a wall-form problem has one."""
+        if self.vk is None:
+            raise ValueError("wall quantities need a wall-form problem (special gauge)")
+        return self.vk
+
     @property
     def e_bold(self) -> float:
         """Energy on the wall, vk**2."""
-        return self.vk * self.vk
+        vk = self._wall_scale()
+        return vk * vk
 
     def v_bold(self, z: float) -> float:
         """Wall height vk**2 Q at original coordinate z."""
-        return self.vk * self.vk * self.field.q(z)
+        return self.e_bold * self.field.q(z)
 
     def carry(self, z: float, wave: tuple[complex, complex]) -> tuple[complex, complex]:
         """(Psi, Psi') at z to (Psi_t, dPsi_t/dzt): Psi_t = sqrt(zt') Psi and
@@ -92,8 +99,6 @@ class TransformedProblem:
 
     def probe(self, n_points: int = 400):
         """Sample the wall as (zt, V_bold) arrays over the domain."""
-        if self.vk is None:
-            raise ValueError("probe needs a wall-form problem (special gauge)")
         zs = np.geomspace(*self.domain, n_points)
         return self.mapping.forward(zs), self.v_bold(zs)
 
@@ -163,15 +168,13 @@ def wall_integral(problem: TransformedProblem) -> float:
     (0, inf), positive for every attractive potential. In u = ln z the
     integrand Q k z falls like exp(-p |u - u_peak|) on both sides: p = n/2 - 1
     on a -C_n/z**n cliff (5 for n = 4) and n + 1 on the far tail. It is
-    integrated out to where that has fallen by e**-40, by Gauss-Legendre
-    rules of 8 and 12 points on panels at most 1/n wide, n the larger of the
-    two tail exponents, that end on the potential's knots, where Q jumps;
-    the summed difference of the two rules must stay below 1e-3 of the
-    result.
+    integrated out to where that has fallen by e**-40, in one pass of the
+    phase table's two Gauss-Legendre rules (``wkb._panel_sums``) on panels
+    at most 1/n wide, n the larger of the two tail exponents, that end on
+    the potential's knots, where Q jumps; the summed difference of the two
+    rules must stay below 1e-3 of the result.
     """
-    if problem.vk is None:
-        raise ValueError("wall integral is defined for special-gauge problems")
-    field, vk = problem.field, problem.vk
+    field, vk = problem.field, problem._wall_scale()
     tail = field._threshold_tail
     n_cliff = 4 if tail is None else tail[0]
     decay = 5.0 if n_cliff == 4 else 0.5 * n_cliff - 1.0
@@ -181,18 +184,15 @@ def wall_integral(problem: TransformedProblem) -> float:
     knots = np.log(field.potential.breaks)
     ends = np.union1d(np.linspace(lo, hi, math.ceil((hi - lo) * max(n_cliff, n_far)) + 1),
                       knots[(knots > lo) & (knots < hi)])
-    total = err_total = 0.0
-    for start in range(0, len(ends) - 1, 128):   # 128 panels at a time: little memory
-        edges = ends[start:start + 129]
-        width = np.diff(edges)
-        sums = []
-        for m in (8, 12):
-            nodes, weights = _legendre(m)
-            z = np.exp(edges[:-1, None] + width[:, None] * nodes)
-            k, q = field.k_q(z)
-            sums.append(width * ((q * k * z) @ weights))
-        total += float(np.sum(sums[1]))
-        err_total += float(np.sum(np.abs(sums[1] - sums[0])))
+    width = np.diff(ends)
+
+    def qkz(x):
+        z = np.exp(ends[:-1, None] + width[:, None] * x)
+        k, q = field.k_q(z)
+        return q * k * z
+
+    sums, err_total = _panel_sums(width, qkz)
+    total = float(np.sum(sums))
     if total <= 0.0:
         raise RuntimeError("wall integral must be positive")
     if err_total > 1e-3 * total:

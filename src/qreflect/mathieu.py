@@ -156,20 +156,17 @@ def coefficients(tau: complex, q: float) -> np.ndarray:
     return coeff
 
 
-def _waves(zt: float, tau: complex, q: float, coeff: np.ndarray, signs) -> np.ndarray:
-    """Psi_t^(sign)(zt) for each of ``signs``, summed over the coefficient table.
+def _waves(tau: complex, q: float, coeff: np.ndarray, signs) -> np.ndarray:
+    """Psi_t^(sign)(0) for each of ``signs``, summed over the coefficient table.
 
-    Psi_t^(+-)(zt) = sum_m (-1)**m A_m J_(+-(m+tau))(sqrt(q) e**zt)
-    J_(+-m)(sqrt(q) e**-zt), with every m of the table; each Bessel factor
-    is one ``bessel_j`` call over the orders of all signs.
+    Psi_t^(+-)(0) = sum_m (-1)**m A_m J_(+-(m+tau))(sqrt(q)) J_(+-m)(sqrt(q)),
+    with every m of the table; each Bessel factor is one ``bessel_j`` call
+    over the orders of all signs.
 
-    The table's cut on |A_m| is a cut on the terms at zt = 0 only, the one
-    point ``parity_sigma`` reads. There both factors take x = sqrt(q): a
-    factor of negative order, about Gamma(|m| -+ tau) (2/x)**(|m| -+ tau),
+    The table's cut on |A_m| is a cut on these terms: a factor of negative
+    order, about Gamma(|m| -+ tau) (2/x)**(|m| -+ tau) at x = sqrt(q),
     meets one of about (x/2)**|m|/|m|!, so a term exceeds |A_m| by a factor
-    that grows no faster than a power of |m|. Off zt = 0 the arguments
-    differ by e**(2 zt), a term grows like e**(2 |zt m|) against its
-    coefficient, and terms beyond the table can reach the sum.
+    that grows no faster than a power of |m|.
     """
     n_terms = (len(coeff) - 1) // 2
     m = np.arange(-n_terms, n_terms + 1.0)
@@ -178,7 +175,7 @@ def _waves(zt: float, tau: complex, q: float, coeff: np.ndarray, signs) -> np.nd
     # real orders go to bessel_j as floats, which hands them to scipy in one call
     grow_orders = signs * (m + tau.real) if tau.imag == 0.0 else signs * (m + tau)
     # (-1)**m J_(+-m) = J_(-+m) carries the sign of each term
-    terms = bessel_j(grow_orders, sq * math.exp(zt)) * bessel_j(-signs * m, sq * math.exp(-zt))
+    terms = bessel_j(grow_orders, sq) * bessel_j(-signs * m, sq)
     # numpy's pairwise sum groups a row's entries by position: in a row of
     # the full width 2 N_TERMS + 1 each term keeps its place for every table
     # length, so a sum rounds as it did over the fixed table of N_TERMS a side
@@ -195,7 +192,7 @@ def parity_sigma(tau: complex, q: float, coeff: np.ndarray) -> complex:
     since they are 2 pi i periodic in sigma. Both waves come from one
     series evaluation.
     """
-    plus, minus = _waves(0.0, tau, q, coeff, [+1, -1]).tolist()
+    plus, minus = _waves(tau, q, coeff, [+1, -1]).tolist()
     if abs(plus) < 1e-250:
         raise ZeroDivisionError("Psi_t^+(0) vanishes; sigma undefined at this q")
     return cmath.log(minus / plus)

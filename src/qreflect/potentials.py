@@ -66,18 +66,6 @@ class HomogeneousPotential:
     def dvalue(self, z):
         return -self.n * (self.value(z) / z)
 
-    def d2value(self, z):
-        return self.derivs(z)[2]
-
-    def derivs(self, z):
-        """(V, V', V'') at z, a float or an array, from one power.
-
-        V and V' are ``value`` and ``dvalue`` bit for bit.
-        """
-        v = self.value(z)
-        v_z = v / z
-        return v, -self.n * v_z, self.n * (self.n + 1) * v_z / z
-
     def tail_far(self) -> tuple[int, float]:
         return self.n, self.c_n
 

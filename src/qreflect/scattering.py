@@ -370,25 +370,12 @@ def solve_direct(potential, energy: float, ctl: SolverControl | None = None) -> 
                   _wave_current, _same, _same)
 
 
-def _amplitudes(fld: WkbField, z: float, wave: tuple[complex, complex]):
-    """(b+, b-) at z of a wave solved from Psi = b+ w+ + b- w- and
-    Psi' = ik (b+ w+ - b- w-), w+- = alpha e^(+-i phi) the WKB waves."""
-    psi, dpsi = wave
-    k, phi = fld.k(z), fld.phi(z)
-    half = 0.5 * k ** 0.5
-    return ((psi + dpsi / (1j * k)) * half * cmath.exp(-1j * phi),
-            (psi - dpsi / (1j * k)) * half * cmath.exp(1j * phi))
-
-
-def _amplitude_wave(fld: WkbField, z: float, y) -> tuple[complex, complex]:
-    """The inverse of ``_amplitudes``: (b+, b-) at z back to (Psi, Psi')."""
-    bp, bm = y
+def _adiabatic_pair(fld: WkbField, z: float) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """The waves w+- = alpha e^(+-i phi) and their derivatives +-i k w+-: the
+    basis whose coefficients are the coupled route's (beta_+, beta_-)."""
     k = fld.k(z)
-    al = k ** -0.5
-    ph = fld.phi(z)
-    wp = al * cmath.exp(1j * ph)
-    wm = al * cmath.exp(-1j * ph)
-    return bp * wp + bm * wm, 1j * k * (bp * wp - bm * wm)
+    w = k ** -0.5 * cmath.exp(1j * fld.phi(z))
+    return (w, 1j * k * w), (w.conjugate(), -1j * k * w.conjugate())
 
 
 def solve_coupled(potential, energy: float, ctl: SolverControl | None = None) -> ScatteringResult:
@@ -397,9 +384,11 @@ def solve_coupled(potential, energy: float, ctl: SolverControl | None = None) ->
     The state carries (beta_+, beta_-); the amplitudes obey
     beta_eta' = beta_(-eta) (k'/2k) exp(-2 i eta phi). On each panel phi
     is ``fld.phi`` at the panel's start plus the panel's integral of k, so
-    it never drifts. The cliff wave enters this gauge exactly; the leftward
-    WKB wave, for one, enters with a first-order dressing
-    beta_+ = i k'/(4 k**2) e^(-2 i phi).
+    it never drifts. (beta_+, beta_-) are a wave's coefficients on the
+    adiabatic pair (``_adiabatic_pair``), so a wave enters by ``_decompose``
+    on that pair and leaves as its sum over it. The cliff wave enters
+    exactly; the leftward WKB wave, for one, enters with a first-order
+    dressing beta_+ = i k'/(4 k**2) e^(-2 i phi).
     """
     ctl = ctl or _DEFAULT_CTL
     fld = WkbField(potential, energy)
@@ -413,8 +402,15 @@ def solve_coupled(potential, energy: float, ctl: SolverControl | None = None) ->
     def current(ys):
         return np.abs(ys[1]) ** 2 - np.abs(ys[0]) ** 2
 
+    def enter(z, wave):
+        return _decompose(*wave, *_adiabatic_pair(fld, z))
+
+    def leave(z, y):
+        (wp, dwp), (wm, dwm) = _adiabatic_pair(fld, z)
+        return y[0] * wp + y[1] * wm, y[0] * dwp + y[1] * dwm
+
     return _solve(fld, fld.matching_domain(ctl.q_match_rel), coefficients, ctl.rtol, current,
-                  functools.partial(_amplitudes, fld), functools.partial(_amplitude_wave, fld))
+                  enter, leave)
 
 
 def solve_transformed(problem: TransformedProblem, ctl: SolverControl | None = None) -> ScatteringResult:

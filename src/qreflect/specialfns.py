@@ -20,7 +20,7 @@ import cmath
 import math
 
 import numpy as np
-from scipy.special import gamma, gammaln, jv, loggamma, rgamma
+from scipy.special import gammaln, jv, loggamma, rgamma
 
 __all__ = ["ConvergenceError", "bessel_j"]
 
@@ -87,7 +87,8 @@ def _jv_series(nu, x: float) -> np.ndarray:
 def _jv_ladder(base: complex, steps: np.ndarray, x: float) -> np.ndarray:
     # Miller's algorithm (DLMF 10.74(iii)) for the orders base + steps,
     # steps >= 0 integers, in one downward recurrence from an arbitrary tiny
-    # seed, normalized once through (x/2)^b = sum_j (b+2j) Gamma(b+j)/j! J_{b+2j}(x).
+    # seed, normalized once through (x/2)^b = sum_j (b+2j) Gamma(b+j)/j! J_{b+2j}(x),
+    # both sides divided by Gamma(b+1) in log space, where neither overflows.
     # J is the dominant solution going downward, so the seed error dies out.
     # The base order b of the sum needs Re >= 0.5: Gamma coefficients of a
     # negative base alternate in sign and the sum cancels badly.
@@ -101,9 +102,10 @@ def _jv_ladder(base: complex, steps: np.ndarray, x: float) -> np.ndarray:
                                        + np.maximum(0.0, np.abs(orders) - orders.real))))
     k_top += (k_top % 2) + 2 * shift
     j = np.arange((k_top - 2 * shift) // 2 + 1)
-    with np.errstate(over="raise"):   # Re b above about 170 overflows
-        weights = ((b + 2 * j) * np.exp(loggamma(b + j) - gammaln(j + 1.0))).tolist()
-    weights[0] = complex(gamma(b + 1.0))
+    log_gamma = complex(loggamma(b + 1.0))
+    with np.errstate(over="raise"):   # a raise, not an inf, should one still overflow
+        weights = ((b + 2 * j) * np.exp(loggamma(b + j) - log_gamma - gammaln(j + 1.0))).tolist()
+    weights[0] = 1.0
     found = [0j] * (top + 1)
     f_hi: complex = 0.0
     f_lo: complex = 1e-155
@@ -123,7 +125,7 @@ def _jv_ladder(base: complex, steps: np.ndarray, x: float) -> np.ndarray:
     found[0] = f_lo
     if shift == 0:
         norm += weights[0] * f_lo
-    return np.array(found)[steps] * (cmath.exp(b * math.log(0.5 * x)) / norm)
+    return np.array(found)[steps] * (cmath.exp(b * math.log(0.5 * x) - log_gamma) / norm)
 
 
 def _jv_ladders(orders: np.ndarray, x: float) -> np.ndarray:

@@ -55,8 +55,9 @@ __all__ = [
 Q_MATCH_REL = 1e-10
 
 # Phase table of a tabulated potential: Gauss-Legendre rules of two orders
-# (the lower one only estimates the error of the higher) on panels no wider
-# than _PANEL_DU in u = ln z, gated on the summed estimate in radians.
+# (the lower one only estimates the error of the higher; ``_panel_sums``,
+# which the wall integral shares) on panels no wider than _PANEL_DU in
+# u = ln z, gated on the summed estimate in radians.
 _PHASE_RULES = (8, 12)
 _PANEL_DU = 0.5
 _PHASE_BUDGET = 1e-8
@@ -74,7 +75,11 @@ _CUT_RTOL = 1e-10
 def universal_badlands(x: float, n: int) -> float:
     """Dimensionless badlands of V_n: (kappa zeta_n)**2 Q at x = z/zeta_n."""
     xn = x ** n
-    return n * x ** (n - 2) * (4.0 - n + 4.0 * (1.0 + n) * xn) / (16.0 * (1.0 + xn) ** 3)
+    rise = 1.0 + xn
+    # divided by 1 + x**n three times, and never multiplied by x**n alone:
+    # (1 + x**n)**3 overflows from x**n ~ 1e102 on, 4 (1 + n) x**n near 1e308
+    shape = (4.0 - n) / rise + 4.0 * (1.0 + n) * (xn / rise)
+    return n * x ** (n - 2) / rise * shape / rise / 16.0
 
 
 def badlands_peak_x(n: int) -> float:
@@ -169,25 +174,43 @@ def _legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _kz_sums(knots: np.ndarray, cubics: np.ndarray, energy: float, interval: np.ndarray,
-             s: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Rule sums of k z = sqrt(E + exp(w)) e**u at u = u_i + s, a row of s per
-    knot interval i in ``interval``, on the ``knots`` and ``cubics`` of
+def _panel_sums(width: np.ndarray, integrand) -> tuple[np.ndarray, float]:
+    """Each panel's integral by the higher rule of ``_PHASE_RULES``, and the
+    summed |higher - lower|, the sum's error estimate; ``integrand(x)`` reads
+    each panel of ``width``, one a row, at a rule's points x on [0, 1]."""
+    low, high = (width * (integrand(x) @ w) for x, w in map(_legendre, _PHASE_RULES))
+    return high, float(np.sum(np.abs(high - low)))
+
+
+def _kz(knots: np.ndarray, cubics: np.ndarray, energy: float, interval: np.ndarray,
+        s: np.ndarray) -> np.ndarray:
+    """k z = sqrt(E + exp(w)) e**u at u = u_i + s, a row of s per knot
+    interval i in ``interval``, on the ``knots`` and ``cubics`` of
     ``log_log_pieces``."""
     c0, c1, c2, c3 = (c[:, None] for c in cubics[:, interval])
     w = c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
-    kz = np.sqrt(energy + np.exp(w)) * np.exp(knots[interval][:, None] + s)
-    return kz @ weights
+    return np.sqrt(energy + np.exp(w)) * np.exp(knots[interval][:, None] + s)
+
+
+def _log_panels(potential, energy: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The phase table's panels, each knot interval of u = ln z cut evenly
+    into panels no wider than ``_PANEL_DU``: each panel's interval and offset
+    from that interval's knot, and the ``_panel_sums`` of k z at ``energy``."""
+    knots, cubics = potential.log_log_pieces()
+    widths = np.diff(knots)
+    parts = np.ceil(widths / _PANEL_DU).astype(int)
+    interval = np.repeat(np.arange(len(widths)), parts)
+    width = (widths / parts)[interval]
+    offset = (np.arange(len(interval)) - np.repeat(np.cumsum(parts) - parts, parts)) * width
+    return interval, offset, *_panel_sums(
+        width, lambda x: _kz(knots, cubics, energy, interval, offset[:, None] + width[:, None] * x))
 
 
 def threshold_phases(potential) -> np.ndarray:
     """int sqrt(-V) dz over each knot interval of a table: the phase at E = 0,
-    by the higher rule of ``_PHASE_RULES`` on the whole interval in u = ln z."""
-    knots, cubics = potential.log_log_pieces()
-    widths = np.diff(knots)
-    nodes, weights = _legendre(_PHASE_RULES[1])
-    return widths * _kz_sums(knots, cubics, 0.0, np.arange(len(widths)),
-                             widths[:, None] * nodes, weights)
+    on the phase table's panels (``_log_panels``) summed per interval."""
+    interval, _, phases, _ = _log_panels(potential, 0.0)
+    return np.bincount(interval, weights=phases)
 
 
 class _PhaseTable:
@@ -215,32 +238,15 @@ class _PhaseTable:
         self.kz4, self.kz3 = kappa * self.zeta4, kappa * self.zeta3
 
         self.knots, self.cubics = potential.log_log_pieces()
-        u = self.knots
-        widths = np.diff(u)
-        parts = np.ceil(widths / _PANEL_DU).astype(int)
-        interval = np.repeat(np.arange(len(widths)), parts)
-        width = (widths / parts)[interval]
-        offset = (np.arange(len(interval)) - np.repeat(np.cumsum(parts) - parts, parts)) * width
-
-        def panel_integrals(m: int) -> np.ndarray:
-            nodes, weights = _legendre(m)
-            return width * self._kz(interval, offset[:, None] + width[:, None] * nodes, weights)
-
-        low, high = (panel_integrals(m) for m in _PHASE_RULES)
-        error = float(np.sum(np.abs(high - low)))
+        self.interval, self.offset, high, error = _log_panels(potential, energy)
         if not error <= _PHASE_BUDGET:
             raise RuntimeError(f"phase table error estimate {error:.1e} rad"
                                f" above {_PHASE_BUDGET:g} rad")
         phi_top = self.kz4 * phase_coordinate(self.z_max / self.zeta4, 4)
         self.phi_start = phi_top - np.cumsum(high[::-1])[::-1]
-        self.start = u[interval] + offset
-        self.interval = interval
-        self.offset = offset
+        self.start = self.knots[self.interval] + self.offset
         self.phi_cliff = self.phi_start[0] - self.kz3 * phase_coordinate(
             self.z_min / self.zeta3, 3)
-
-    def _kz(self, interval: np.ndarray, s: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        return _kz_sums(self.knots, self.cubics, self.energy, interval, s, weights)
 
     def phi(self, z):
         z = np.asarray(z, dtype=float)
@@ -257,7 +263,8 @@ class _PhaseTable:
         a = self.offset[p]
         h = u - self.knots[i] - a
         nodes, weights = _legendre(_PHASE_RULES[1])
-        out[mid] = self.phi_start[p] + h * self._kz(i, a[:, None] + h[:, None] * nodes, weights)
+        out[mid] = self.phi_start[p] + h * (
+            _kz(self.knots, self.cubics, self.energy, i, a[:, None] + h[:, None] * nodes) @ weights)
         return out.reshape(z.shape)[()]
 
 

@@ -371,6 +371,19 @@ class TestBadlands:
         q_peak = payload["config"]["q_peak[0.3]"]
         assert payload["rows"][0]["Q"] == pytest.approx(1e-7 * q_peak, rel=1e-14, abs=0.0)
 
+    def test_far_end_is_the_cut_at_a_tiny_cut(self, capsys):
+        # at cut 1e-200 the far end lies at x ~ 1e33, where (1 + x**4)**3
+        # overflowed: a warning and Q = 0 in the last row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["badlands", "--model", "v4", "--kappa-ell", "0.3", "--q-match", "1e-200",
+                         "--points", "3", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        q_peak = payload["config"]["q_peak[0.3]"]
+        assert payload["rows"][-1]["Q"] == pytest.approx(1e-200 * q_peak, rel=1e-12, abs=0.0)
+
     def test_peak_height_orders_with_energy(self, tmp_path):
         _, text = run(tmp_path, "b2.csv",
                       ["badlands", "--model", "v4", "--kappa-ell", "0.1,1.0"])
@@ -432,6 +445,17 @@ class TestWall:
         assert code == 2
         assert out == ""
         assert err == f"error: x**{power} overflows a float at x = {float(argv[3]):g}\n"
+
+    def test_far_universal_wall_is_finite(self, capsys):
+        # x**4 is a float at x = 1e50 but (1 + x**4)**3 is not, which made the
+        # command exit 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["wall", "--universal-n", "4", "--x-max", "1e50", "--points", "2"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        _, rows = csv_rows(out)
+        assert float(rows[-1]["V_bold"]) == pytest.approx(5e-300, rel=1e-11)
 
     def test_mirror_overflow_is_an_error(self, capsys):
         # the quartic's symmetry residual reads the wall at 1/x too, where

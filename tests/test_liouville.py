@@ -61,6 +61,15 @@ class TestTransformF:
             zt = -1.0 / z
             assert prob.coefficients(z)[1] == pytest.approx(kap2 + kl / zt ** 4, rel=1e-12)
 
+    def test_wall_quantities_need_the_wall_gauge(self):
+        # a problem from transform_f has no vk: each wall quantity raises
+        # ValueError, not a TypeError from None * None
+        prob = transform_f(log_map(1.0), v4_field(0.3), (0.1, 10.0))
+        for read in (lambda: prob.e_bold, lambda: prob.v_bold(1.0), prob.probe,
+                     lambda: wall_integral(prob)):
+            with pytest.raises(ValueError, match="wall-form problem"):
+                read()
+
     def test_monotonicity_enforced(self):
         fld = v4_field(0.3)
         decreasing = LiouvilleMap(lambda z: -z, lambda z: -1.0, lambda z: 0.0, lambda z: 0.0)

@@ -178,11 +178,10 @@ class TestScalarOracles:
     def test_waves_match(self, q):
         tau = characteristic_exponent(q)
         coeff = coefficients(tau, q)
-        for zt in (-2.0, 0.0, 2.0):
-            for sign in (+1, -1):
-                ref, size = scalar_mathieu_wave(zt, tau, q, coeff, sign)
-                wave = mathieu._waves(zt, tau, q, coeff, [sign])[0]
-                assert abs(wave - ref) <= 1e-14 * size, (q, zt, sign)
+        for sign in (+1, -1):
+            ref, size = scalar_mathieu_wave(0.0, tau, q, coeff, sign)
+            wave = mathieu._waves(tau, q, coeff, [sign])[0]
+            assert abs(wave - ref) <= 1e-14 * size, (q, sign)
 
     @pytest.mark.parametrize("kl", [1e-3, 0.5, 10.0])
     def test_recurrence_residual_matches_the_loop(self, kl):
@@ -220,19 +219,18 @@ class TestSeriesCut:
         # at zt = 0 the terms of the coefficients the table leaves out stay
         # below the rounding of the sum
         tau = characteristic_exponent(q)
-        waves = mathieu._waves(0.0, tau, q, coefficients(tau, q), [+1, -1])
+        waves = mathieu._waves(tau, q, coefficients(tau, q), [+1, -1])
         ref, size = full_ladder_waves(0.0, tau, q, scalar_coefficients(tau, q), [+1, -1])
         assert np.all(np.abs(waves - ref) <= 1e-14 * size), q
 
     @pytest.mark.parametrize("q", [1e-3, 0.3, 3.0, 100.0])
     def test_waves_match_the_full_ladder(self, q):
-        # on one table, at and off zt = 0
+        # on one table
         tau = characteristic_exponent(q)
         coeff = coefficients(tau, q)
-        for zt in (-2.0, 0.0, 2.0):
-            waves = mathieu._waves(zt, tau, q, coeff, [+1, -1])
-            ref, size = full_ladder_waves(zt, tau, q, coeff, [+1, -1])
-            assert np.all(np.abs(waves - ref) <= 1e-14 * size), (q, zt)
+        waves = mathieu._waves(tau, q, coeff, [+1, -1])
+        ref, size = full_ladder_waves(0.0, tau, q, coeff, [+1, -1])
+        assert np.all(np.abs(waves - ref) <= 1e-14 * size), q
 
     @staticmethod
     def spy_orders(monkeypatch) -> list[int]:
@@ -329,14 +327,16 @@ class TestCoefficients:
 
 
 class TestWaveSeries:
+    # the package sums the series at zt = 0 only; off it, these read the
+    # test's own sum over the same coefficient table, ``full_ladder_waves``
     def test_parity_relation(self):
         q = 0.5
         tau = characteristic_exponent(q)
         coeff = coefficients(tau, q)
         sigma = parity_sigma(tau, q, coeff)
         for zt in (0.3, 0.7):
-            (plus,) = mathieu._waves(zt, tau, q, coeff, [+1])
-            (minus_mirror,) = mathieu._waves(-zt, tau, q, coeff, [-1])
+            (plus,), _ = full_ladder_waves(zt, tau, q, coeff, [+1])
+            (minus_mirror,), _ = full_ladder_waves(-zt, tau, q, coeff, [-1])
             assert plus == pytest.approx(cmath.exp(-sigma) * minus_mirror, rel=1e-9)
 
     def test_sigma_finite_and_continuous(self):
@@ -360,7 +360,7 @@ class TestWaveSeries:
         x_big = 50.0
         zt = math.log(x_big / math.sqrt(q))
         for sign in (+1, -1):
-            (series,) = mathieu._waves(zt, tau, q, coeff, [sign])
+            (series,), _ = full_ladder_waves(zt, tau, q, coeff, [sign])
             envelope = math.sqrt(2.0 / (math.pi * x_big))
             cosine = envelope * cmath.cos(x_big - sign * 0.5 * math.pi * tau - 0.25 * math.pi)
             assert abs(series - cosine) < 1e-6 * envelope

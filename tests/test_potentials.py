@@ -36,29 +36,7 @@ class TestHomogeneous:
         with pytest.raises(ValueError):
             HomogeneousPotential(4, 1.0).value(-2.0)
         with pytest.raises(ValueError):
-            HomogeneousPotential(4, 1.0).derivs(np.array([1.0, 0.0]))
-
-    @pytest.mark.parametrize("n", [3, 4, 5, 8])
-    def test_derivs_agree_with_value_and_dvalue(self, n):
-        # one power for all three: V and V' within 2 ulp of ``value`` and
-        # ``dvalue``, on scalars and on arrays, and V' and V'' within 4 ulp of
-        # the closed forms, which round on their own
-        pot = HomogeneousPotential(n, 0.7)
-        zs = np.exp(np.random.default_rng(n).uniform(-6.0, 6.0, 2000))
-        c = pot.c_n
-
-        def ulps(got, ref) -> float:
-            got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
-            return float(np.max(np.abs(got - ref) / np.spacing(np.abs(ref))))
-
-        scalars = zs[:300].tolist()
-        for z, (v, dv, d2v) in [(zs, pot.derivs(zs)),
-                                (scalars, np.array([pot.derivs(z) for z in scalars]).T)]:
-            assert ulps(v, [pot.value(x) for x in z] if z is scalars else pot.value(z)) <= 2
-            assert ulps(dv, [pot.dvalue(x) for x in z] if z is scalars else pot.dvalue(z)) <= 2
-            x = np.asarray(z)
-            assert ulps(dv, n * c / x ** (n + 1)) <= 4
-            assert ulps(d2v, -n * (n + 1) * c / x ** (n + 2)) <= 4
+            HomogeneousPotential(4, 1.0).value(np.array([1.0, 0.0]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -83,9 +61,7 @@ class TestHomogeneous:
         h = 1e-5
         for z in (0.3, 1.0, 7.0):
             fd1 = (pot.value(z + h) - pot.value(z - h)) / (2 * h)
-            fd2 = (pot.value(z + h) - 2 * pot.value(z) + pot.value(z - h)) / h ** 2
             assert pot.dvalue(z) == pytest.approx(fd1, rel=1e-8)
-            assert pot.d2value(z) == pytest.approx(fd2, rel=1e-5)
 
 
 class TestTabulated:

@@ -120,11 +120,15 @@ class TestBesselJ:
             scale = max(abs(low), abs(mid), abs(high))
             assert abs(low + high - 2.0 * nu / x * mid) <= 1e-9 * scale, (nu, x)
 
-    def test_order_beyond_the_normalization_raises(self):
-        # above x = 12 the Gamma weights of the normalizing sum overflow from
-        # Re nu ~ 170 on: an ArithmeticError, not a nan
-        with pytest.raises(ArithmeticError):
-            bessel_j(171.5 + 1e-3j, 13.0)
+    @pytest.mark.parametrize("nu, x, ref", [
+        # 40-digit mpmath besselj, frozen
+        (171.5 + 1e-3j, 13.0, 1.2501603768103569614e-171 - 4.0933782807033808847e-174j),
+        (200.25 + 0.5j, 30.0, 9.7600295924287541691e-142 - 3.438237815569020473e-141j)],
+        ids=["171.5", "200.25"])
+    def test_order_beyond_gamma_overflow(self, nu, x, ref):
+        # above x = 12 the ladder's normalizing sum takes its Gamma weights
+        # relative to Gamma(b + 1), which overflows from Re b ~ 170 on
+        assert abs(bessel_j(nu, x) - ref) <= 1e-12 * abs(ref)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):

@@ -271,7 +271,27 @@ class TestPhase:
         assert err.splitlines()[-1].startswith("error: phase table error estimate")
 
 
+    def test_threshold_phases_match_quadrature(self):
+        # knot intervals wider than a panel: the phase table splits each, and
+        # the phases at E = 0 sum its panels per interval
+        lam, c3 = 3.0, 0.6
+        z = np.geomspace(0.1, 100.0, 8)
+        pot = TabulatedPotential(z, -c3 / (z ** 3 * (1.0 + z / lam)), cliff_c3=c3, far_c4=c3 * lam)
+        assert (np.diff(np.log(z)) > wkb._PANEL_DU).all()
+        ref = [quad(lambda t: math.sqrt(-pot.value(t)), a, b, epsabs=0.0, epsrel=1e-13)[0]
+               for a, b in zip(z[:-1], z[1:])]
+        assert np.allclose(wkb.threshold_phases(pot), ref, rtol=1e-10, atol=0.0)
+
+
 class TestBadlands:
+    def test_far_tail_does_not_overflow(self):
+        # (1 + x**4)**3 overflows above x ~ 1e25, where Q = 5 x**-6 is a float
+        assert WkbField(HomogeneousPotential(4, 1.0), 1.0).q(1e30) == pytest.approx(
+            5e-180, rel=1e-14)
+        # up to where x**4 overflows, Q underflows to 0, not nan
+        assert universal_badlands(1e50, 4) == pytest.approx(5e-300, rel=1e-14)
+        assert universal_badlands(1.15e77, 4) == 0.0
+
     def test_quartic_explicit_formula(self):
         fld = v4_field(0.3)
         kap = ell = math.sqrt(0.3)
@@ -543,7 +563,6 @@ class TestCutBudget:
 
         fld = WkbField(HomogeneousPotential(n, 0.7), 0.3)
         monkeypatch.setattr(WkbField, "q", unread)
-        monkeypatch.setattr(HomogeneousPotential, "derivs", unread)
         for cut in (1e-6, 1e-10, 1e-13):
             fld.matching_domain(cut)
 
