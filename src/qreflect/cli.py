@@ -79,15 +79,15 @@ def _build_potential(args) -> tuple[object, float | None]:
     """
     if args.table:
         pot = potentials.load_potential_table(args.table, mass_kg=args.mass_amu * potentials.AMU)
-        return pot, math.sqrt(pot.far_c4)
-    if args.model not in ("v4", "vn"):
+    elif args.model not in ("v4", "vn"):
         raise ValueError("specify --model v4, --model vn or --table")
-    n = 4 if args.model == "v4" else args.n
-    c_n = args.cn
-    if getattr(args, "energy_e1", None):
-        mass = args.mass_amu * potentials.AMU
-        c_n *= 2.0 * mass * potentials.HARTREE * potentials.BOHR_RADIUS ** 2 / potentials.HBAR ** 2
-    pot = potentials.HomogeneousPotential(n, c_n)
+    else:
+        c_n = args.cn
+        if getattr(args, "energy_e1", None):
+            mass = args.mass_amu * potentials.AMU
+            c_n *= 2.0 * mass * potentials.HARTREE * potentials.BOHR_RADIUS ** 2 / potentials.HBAR ** 2
+        pot = potentials.HomogeneousPotential(4 if args.model == "v4" else args.n, c_n)
+    n, c_n = pot.tail_far()
     return pot, math.sqrt(c_n) if n == 4 else None
 
 
@@ -245,12 +245,14 @@ def cmd_wall(args) -> int:
                      "peak_x": wkb.badlands_peak_x(n)})
         if n == 4:
             # the wall is even under x -> 1/x about z*: z_bold(x) + z_bold(1/x)
-            # = 2 z* and V_bold(x) = V_bold(1/x), read at each printed x
+            # = 2 z*, read relative to |z_bold(x)| + |z_bold(1/x)| >= 2 z* since
+            # far out the two cancel, and V_bold(x) = V_bold(1/x), at each printed x
             z_star = wkb.inversion_center()
             mirror = [liouville.universal_wall(1.0 / x, 4) for x in xs]
             meta["inversion_center"] = z_star
             meta["symmetry_residual"] = max(
-                max(abs(row["z_bold"] + zb - 2.0 * z_star), abs(row["V_bold"] - vb))
+                max(abs(row["z_bold"] + zb - 2.0 * z_star) / (abs(row["z_bold"]) + abs(zb)),
+                    abs(row["V_bold"] - vb))
                 for row, (zb, vb) in zip(rows, mirror))
     else:
         pot, ell = _build_potential(args)

@@ -175,10 +175,8 @@ def wall_integral(problem: TransformedProblem) -> float:
     rules must stay below 1e-3 of the result.
     """
     field, vk = problem.field, problem._wall_scale()
-    tail = field._threshold_tail
-    n_cliff = 4 if tail is None else tail[0]
+    (n_cliff, _, _), (n_far, _, _) = field.potential.tails
     decay = 5.0 if n_cliff == 4 else 0.5 * n_cliff - 1.0
-    n_far = field.potential.tail_far()[0]
     u_peak = math.log(field.q_peak()[0])
     lo, hi = u_peak - 40.0 / decay, u_peak + 40.0 / (n_far + 1.0)
     knots = np.log(field.potential.breaks)

@@ -176,12 +176,7 @@ def _waves(tau: complex, q: float, coeff: np.ndarray, signs) -> np.ndarray:
     grow_orders = signs * (m + tau.real) if tau.imag == 0.0 else signs * (m + tau)
     # (-1)**m J_(+-m) = J_(-+m) carries the sign of each term
     terms = bessel_j(grow_orders, sq) * bessel_j(-signs * m, sq)
-    # numpy's pairwise sum groups a row's entries by position: in a row of
-    # the full width 2 N_TERMS + 1 each term keeps its place for every table
-    # length, so a sum rounds as it did over the fixed table of N_TERMS a side
-    row = np.zeros((len(signs), 2 * N_TERMS + 1), dtype=complex)
-    row[:, N_TERMS - n_terms:N_TERMS + n_terms + 1] = terms * coeff
-    return row.sum(axis=1)
+    return (terms * coeff).sum(axis=1)
 
 
 def parity_sigma(tau: complex, q: float, coeff: np.ndarray) -> complex:

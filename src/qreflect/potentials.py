@@ -9,6 +9,10 @@ Two potential families are supported:
 * ``HomogeneousPotential``: V_n(z) = -c_n / z**n for integer n >= 3.
 * ``TabulatedPotential``: samples of a Casimir-Polder-like potential joined
   to declared power-law tails, -C3/z**3 below the table and -C4/z**4 above.
+
+Each states once, as ``tails = ((n, C, z_top), (n, C, z_from))``, the exact
+power laws V = -C/z**n it follows at or below z_top and at or above z_from;
+``tail_far()`` is the declared far asymptote, whose C4 gives ell = sqrt(C4).
 """
 
 from __future__ import annotations
@@ -66,6 +70,10 @@ class HomogeneousPotential:
     def dvalue(self, z):
         return -self.n * (self.value(z) / z)
 
+    @property
+    def tails(self) -> tuple[tuple[int, float, float], tuple[int, float, float]]:
+        return (self.n, self.c_n, math.inf), (self.n, self.c_n, 0.0)
+
     def tail_far(self) -> tuple[int, float]:
         return self.n, self.c_n
 
@@ -79,8 +87,8 @@ class TabulatedPotential:
     tails take over, rescaled multiplicatively to pass through the boundary
     nodes -- a value jump at the seams would act as an artificial step
     potential. The deviation of those boundary-matched strengths from the
-    declared asymptotic C3/C4 is checked against ``TAIL_TOLERANCE``; the
-    declared far strength remains the one reported by ``tail_far``.
+    declared asymptotic C3/C4 is checked against ``TAIL_TOLERANCE``; ``tails``
+    holds the matched laws, and ``tail_far`` the declared far strength.
     """
 
     def __init__(self, z, v, cliff_c3: float, far_c4: float):
@@ -121,10 +129,10 @@ class TabulatedPotential:
         # falls on the last cubic and only u > u_m on the far tail
         self._search = np.append(spline.x[:-1], np.nextafter(spline.x[-1], np.inf))
         # boundary-matched tail strengths: continuity at the seams
-        self._cliff_scale = float(-v[0] * z[0] ** 3)
-        self._far_scale = float(-v[-1] * z[-1] ** 4)
-        mis_lo = abs(self._cliff_scale / self.cliff_c3 - 1.0)
-        mis_hi = abs(self._far_scale / self.far_c4 - 1.0)
+        self.tails = ((3, float(-v[0] * z[0] ** 3), self.z_min),
+                      (4, float(-v[-1] * z[-1] ** 4), self.z_max))
+        mis_lo, mis_hi = (abs(c / declared - 1.0) for (_, c, _), declared
+                          in zip(self.tails, (self.cliff_c3, self.far_c4)))
         if not (mis_lo <= TAIL_TOLERANCE and mis_hi <= TAIL_TOLERANCE):   # also true for nan
             raise ValueError(
                 f"table ends deviate from declared tails by ({mis_lo:.3g}, {mis_hi:.3g}),"
@@ -173,16 +181,6 @@ class TabulatedPotential:
         """Knots u_i = ln z_i and the cubics w = ln(-V) in u - u_i on the m
         intervals, shape (4, m): one row per power, lowest first."""
         return self._knots, self._w[:, 1:-1]
-
-    @property
-    def cliff_c3_matched(self) -> float:
-        """Boundary-matched cliff strength actually used below the table."""
-        return self._cliff_scale
-
-    @property
-    def far_c4_matched(self) -> float:
-        """Boundary-matched far strength actually used above the table."""
-        return self._far_scale
 
     def tail_far(self) -> tuple[int, float]:
         return 4, self.far_c4

@@ -451,14 +451,13 @@ def scattering_length(potential, ctl: SolverControl | None = None) -> Scattering
     call raises.
     """
     ctl = ctl or _DEFAULT_CTL
-    n, c4 = potential.tail_far()
+    n, c4, _ = potential.tails[1]
     if n != 4:
         raise ValueError("scattering length needs an inverse-quartic far-end tail")
+    ell = math.sqrt(c4)
     if isinstance(potential, HomogeneousPotential):
-        ell = math.sqrt(c4)
         a = complex(0.0, -ell)
     else:
-        ell = math.sqrt(potential.far_c4_matched)
         a = _threshold_length(potential, ell, ctl.rtol)
     kappa = 1e-4 / ell
     residual = float(abs(solve_direct(potential, kappa * kappa, ctl).r + 1.0 - 2j * kappa * a))
@@ -478,7 +477,7 @@ def _threshold_length(table, ell: float, rtol: float) -> complex:
     knots = table.breaks
     sol = solve_ivp(lambda z_a, zs, running: (1.0, table.value(zs)),
                     *_panels(knots, threshold_phases(table)),
-                    threshold_wave(knots[0], 3, table.cliff_c3_matched), rtol)
+                    threshold_wave(knots[0], *table.tails[0][:2]), rtol)
     z = knots[-1]
     c, s = math.cos(ell / z), math.sin(ell / z)
     wave = tuple(sol.y[:, -1])

@@ -234,7 +234,7 @@ class _PhaseTable:
         self.energy = energy
         self.z_min, self.z_max = potential.z_min, potential.z_max
         self.zeta4 = field.zeta
-        self.zeta3 = (potential.cliff_c3_matched / energy) ** (1.0 / 3.0)
+        self.zeta3 = (potential.tails[0][1] / energy) ** (1.0 / 3.0)
         self.kz4, self.kz3 = kappa * self.zeta4, kappa * self.zeta3
 
         self.knots, self.cubics = potential.log_log_pieces()
@@ -287,10 +287,7 @@ class WkbField:
     def zeta(self) -> float:
         """(C/E)**(1/n) of the far tail -C/z**n, where |V| = E: C_n on V_n,
         and on a table the matched C4m that V has above z_max."""
-        if isinstance(self.potential, HomogeneousPotential):
-            n, c = self.potential.tail_far()
-        else:
-            n, c = 4, self.potential.far_c4_matched
+        n, c, _ = self.potential.tails[1]
         return (c / self.energy) ** (1.0 / n)
 
     # -- local wavevector and derivatives ---------------------------------
@@ -327,10 +324,8 @@ class WkbField:
         None for n = 4, where the WKB wave with E included is the better
         cliff start: there Q falls like z**6 and E z**4/C_4 only like z**4.
         """
-        if isinstance(self.potential, HomogeneousPotential):
-            n, c_n = self.potential.tail_far()
-            return None if n == 4 else (n, c_n, math.inf)
-        return 3, self.potential.cliff_c3_matched, self.potential.z_min
+        tail = self.potential.tails[0]
+        return None if tail[0] == 4 else tail
 
     def on_threshold_tail(self, z: float) -> bool:
         """Whether ``cliff_wave(z)`` is the threshold wave of the inner tail."""
@@ -426,7 +421,7 @@ class WkbField:
         # about the declared C4's zeta: on the matched one's grid a sample can
         # fall on the ripple of Q in the last knot interval, where the spline
         # bends to its pinned end slope -4, and read as a second mode
-        zeta = (self.potential.far_c4 / self.energy) ** 0.25
+        zeta = (self.potential.tail_far()[1] / self.energy) ** 0.25
         grid = np.geomspace(zeta / 300.0, zeta * 300.0, 241)
         qs = self.q(grid)
         imax = int(np.argmax(qs))

@@ -477,8 +477,11 @@ class TestWall:
         assert out == ""
         assert err == "error: needs n > 2 for a finite far-end anchor\n"
 
-    def test_universal_quartic(self, tmp_path):
-        code, text = run(tmp_path, "w.csv", ["wall", "--universal-n", "4"])
+    @pytest.mark.parametrize("x_max", ["50", "1e8", "1e20", "1e50"])
+    def test_universal_quartic(self, tmp_path, x_max):
+        # far out z_bold(x) and z_bold(1/x) nearly cancel: the residual reads
+        # their sum relative to their sizes, not the rounding of x
+        code, text = run(tmp_path, "w.csv", ["wall", "--universal-n", "4", "--x-max", x_max])
         assert code == 0
         meta = dict(line[2:].split("=", 1) for line in text.splitlines()
                     if line.startswith("# ") and "=" in line)

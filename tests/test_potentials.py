@@ -18,6 +18,9 @@ from qreflect.potentials import (
     load_potential_table,
 )
 from qreflect.potentials import _log_log_spline
+from qreflect.wkb import WkbField
+
+from helpers import two_tail_table
 
 
 def cp_like(c3: float, lam: float):
@@ -85,10 +88,28 @@ class TestTabulated:
         pot, _ = self.build(c3=1.3, lam=2.0)
         # boundary-matched power laws: exact -C/z^n shape with the strength
         # pinned by the table's end values, close to the declared tails
-        assert pot.value(0.01) == pytest.approx(-pot.cliff_c3_matched / 0.01 ** 3, rel=1e-12)
-        assert pot.value(500.0) == pytest.approx(-pot.far_c4_matched / 500.0 ** 4, rel=1e-12)
-        assert pot.cliff_c3_matched == pytest.approx(1.3, rel=0.05)
-        assert pot.far_c4_matched == pytest.approx(2.6, rel=0.05)
+        (_, c3m, _), (_, c4m, _) = pot.tails
+        assert pot.value(0.01) == pytest.approx(-c3m / 0.01 ** 3, rel=1e-12)
+        assert pot.value(500.0) == pytest.approx(-c4m / 500.0 ** 4, rel=1e-12)
+        assert c3m == pytest.approx(1.3, rel=0.05)
+        assert c4m == pytest.approx(2.6, rel=0.05)
+
+    @pytest.mark.parametrize("pot", [HomogeneousPotential(3, 0.7), HomogeneousPotential(4, 1.3),
+                                     HomogeneousPotential(5, 0.7), two_tail_table()],
+                             ids=["v3", "v4", "v5", "two-tail"])
+    def test_tails_hold_beyond_their_bounds(self, pot):
+        # V = -C/z**n at and below the first tail's z_top, and at and above
+        # the second's z_from; on V_n both are V_n at every z
+        (n_lo, c_lo, z_top), (n_hi, c_hi, z_from) = pot.tails
+        for n, c, zs in ((n_lo, c_lo, min(z_top, 1.0) * np.array([1.0, 0.5, 1e-3])),
+                         (n_hi, c_hi, max(z_from, 1.0) * np.array([1.0, 2.0, 1e3]))):
+            np.testing.assert_allclose(pot.value(zs), -c / zs ** n, rtol=1e-12, atol=0.0)
+        if isinstance(pot, HomogeneousPotential):
+            assert pot.tails == ((pot.n, pot.c_n, math.inf), (pot.n, pot.c_n, 0.0))
+        else:
+            assert (n_lo, z_top, n_hi, z_from) == (3, pot.z_min, 4, pot.z_max)
+        # the field's zeta is that of the far tail, bit for bit
+        assert WkbField(pot, 0.02).zeta == (c_hi / 0.02) ** (1.0 / n_hi)
 
     def test_tails_continuous_at_seams(self):
         pot, _ = self.build()

@@ -542,7 +542,7 @@ class TestCliffStart:
         pot, energy = two_tail_table(), 0.02
         fld = WkbField(pot, energy)
         z_min, _ = fld.matching_domain(SolverControl().q_match_rel)
-        expected = energy * z_min ** 3 / pot.cliff_c3_matched
+        expected = energy * z_min ** 3 / pot.tails[0][1]
         for res in (solve_direct(pot, energy), solve_coupled(pot, energy),
                     solve_transformed(special_gauge(fld)[1])):
             assert res.diagnostics.matching_q_left == expected
@@ -765,7 +765,7 @@ class TestScatteringLength:
         # rule and with a tighter tolerance
         pot = load_potential_table(write_cp_table(tmp_path))
         a = scattering_length(pot).a
-        ell = math.sqrt(pot.far_c4_matched)
+        ell = math.sqrt(pot.tails[1][1])
         assert abs(scattering._threshold_length(pot, ell, 1e-14) / a - 1.0) <= 1e-10
         monkeypatch.setattr(scattering, "_KNOT_NODES", 32)
         assert abs(scattering._threshold_length(pot, ell, 1e-12) / a - 1.0) <= 1e-10
@@ -775,10 +775,10 @@ class TestScatteringLength:
         # same V, decomposed on z cos(ell/z) and z sin(ell/z)
         pot = load_potential_table(write_cp_table(tmp_path))
         a = scattering_length(pot).a
-        ell = math.sqrt(pot.far_c4_matched)
+        ell = math.sqrt(pot.tails[1][1])
         z0, z1 = pot.breaks[0], pot.breaks[-1]
         sol = scipy_solve_ivp(lambda z, y: (y[1], pot.value(z) * y[0]), (z0, z1),
-                              np.array(threshold_wave(z0, 3, pot.cliff_c3_matched)),
+                              np.array(threshold_wave(z0, 3, pot.tails[0][1])),
                               method="DOP853", rtol=1e-13, atol=1e-300)
         assert sol.success
         psi, dpsi = sol.y[:, -1]

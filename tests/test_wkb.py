@@ -76,7 +76,7 @@ def quadrature_phi(fld: WkbField, z: float) -> float:
     the quartic closed form there.
     """
     pot = fld.potential
-    zeta = (pot.far_c4_matched / fld.energy) ** 0.25
+    zeta = (pot.tails[1][1] / fld.energy) ** 0.25
     anchor = max(50.0 * zeta, pot.z_max)
     phi_anchor = fld.kappa * zeta * phase_coordinate(anchor / zeta, 4)
     if z >= anchor:
@@ -458,7 +458,7 @@ class TestBadlands:
                 mv = math.exp(w)
                 v, dv, d2v = -mv, -mv * w1 / z, -mv * (w2 + w1 * w1 - w1) / z ** 2
             else:
-                n, c = (3, pot.cliff_c3_matched) if z < pot.z_min else (4, pot.far_c4_matched)
+                n, c, _ = pot.tails[0] if z < pot.z_min else pot.tails[1]
                 v, dv, d2v = -c / z ** n, n * c / z ** (n + 1), -n * (n + 1) * c / z ** (n + 2)
             k2 = energy - v
             k = math.sqrt(k2)
@@ -489,7 +489,7 @@ class TestBadlands:
         fld = WkbField(pot, energy)
         _, z_max = fld.matching_domain(1e-7)
         target = 1e-7 * fld.q_peak()[1]
-        zeta = (pot.far_c4_matched / energy) ** 0.25
+        zeta = (pot.tails[1][1] / energy) ** 0.25
         assert z_max > pot.z_max
         assert universal_badlands(z_max / zeta, 4) / (energy * zeta ** 2) == pytest.approx(
             target, rel=1e-12, abs=0.0)
@@ -574,7 +574,7 @@ class TestCutBudget:
         else:
             pot = table_cli_table(tmp_path)
             if case == "table-cli-kl1e-4":   # the first energy of scatlength
-                energy = 1e-8 / pot.far_c4_matched
+                energy = 1e-8 / pot.tails[1][1]
             else:
                 energy = e1_energy(float(case.rsplit("-", 1)[1]))
         fld = WkbField(pot, energy)
@@ -633,7 +633,7 @@ def cliff_cases():
     table = two_tail_table()
     return [(WkbField(HomogeneousPotential(3, 1.0), 1.0), 3, 1.0),
             (WkbField(HomogeneousPotential(5, 0.7), 0.3), 5, 0.7),
-            (WkbField(table, 0.02), 3, table.cliff_c3_matched)]
+            (WkbField(table, 0.02), 3, table.tails[0][1])]
 
 
 class TestCliffWave:
@@ -687,7 +687,7 @@ class TestCliffWave:
         # first node (1e-6, 1e-4); where the Q cut lies inside the table, the
         # WKB wave there (1e-3)
         fld = WkbField(two_tail_table(), 0.02)
-        c3 = fld.potential.cliff_c3_matched
+        c3 = fld.potential.tails[0][1]
         z_min, _ = fld.matching_domain(1e-10)
         assert z_min == (1e-10 * c3 / 0.02) ** (1.0 / 3.0) < 0.004
         for cut in (1e-6, 1e-4):
