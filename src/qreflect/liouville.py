@@ -89,11 +89,11 @@ class TransformedProblem:
         root = math.sqrt(d)
         return root * psi, (dpsi + 0.5 * self.mapping.dderivative(z) / d * psi) / root
 
-    def uncarry(self, z: float, state) -> tuple[complex, complex]:
-        """The inverse of ``carry``: (Psi_t, dPsi_t/dzt) at z back to (Psi, Psi')."""
+    def uncarry(self, z, state):
+        """The inverse of ``carry``, on arrays: (Psi_t, dPsi_t/dzt) at z back to (Psi, Psi')."""
         psi_t, dpsi_t = state
         d = self.mapping.derivative(z)
-        root = math.sqrt(d)
+        root = np.sqrt(d)
         psi = psi_t / root
         return psi, dpsi_t * root - 0.5 * self.mapping.dderivative(z) / d * psi
 

@@ -201,7 +201,7 @@ def _log_log_spline(z: np.ndarray, v: np.ndarray) -> CubicHermiteSpline:
 
 
 def _require_positive(z):
-    if (z <= 0.0).any() if isinstance(z, np.ndarray) else z <= 0.0:
+    if not ((z > 0.0).all() if isinstance(z, np.ndarray) else z > 0.0):   # also false for nan
         raise ValueError("potential is defined on z > 0 only")
 
 

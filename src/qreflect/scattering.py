@@ -29,7 +29,6 @@ exp(2 i vk z_star) of the inverse-quartic closed form.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -83,20 +82,19 @@ def wronskian(psi1: tuple[complex, complex], psi2: tuple[complex, complex]) -> c
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """The checks of one solve. Two read one flux balance of the far-end
-    coefficients (c+, c-): ``current_residual`` is ||c-|**2 - |c+|**2 - 1|,
-    and ``unitarity_residual`` it times |t|**2, as max |S S^+ - 1|."""
+    """The checks of one solve, read on the physical wave (Psi, Psi') in every
+    route: the far-end flux balance ||c-|**2 - |c+|**2 - 1| |t|**2 of its
+    coefficients (c+, c-), and max |W - W_0|/|W_0| of W = Im(Psi* Psi') over
+    the panel ends."""
 
     unitarity_residual: float
     wronskian_drift: float
-    current_residual: float
     matching_q_left: float     # the start's own error: Q, or E z**n/C_n on a threshold tail
     matching_q_right: float    # Q at the far end
 
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    kappa: float
     r: complex
     t: complex
     diagnostics: Diagnostics
@@ -312,40 +310,31 @@ def solve_ivp(coefficients, ends, nodes, y0, rtol: float) -> OdeResult:
 
 
 def _solve(fld: WkbField, domain: tuple[float, float], coefficients, rtol: float,
-           current, enter, leave) -> ScatteringResult:
+           enter, leave) -> ScatteringResult:
     """Integrate one route across ``domain`` and assemble its amplitudes.
 
     Every route starts on the field's cliff wave at z_min and is decomposed
     on its WKB pair at z_max. The route supplies the ``coefficients`` of its
-    system for ``solve_ivp``, the conserved ``current`` of its states (for
-    the Wronskian drift over every panel), ``enter(z, (Psi, Psi'))`` mapping
-    a wave into its state and ``leave(z, y)`` mapping a state back.
+    system for ``solve_ivp``, ``enter(z, (Psi, Psi'))`` mapping a wave into
+    its state and ``leave(zs, ys)`` mapping the states at all panel ends
+    back to (Psi, Psi'), on which every check is read (``Diagnostics``).
     """
     z_min, z_max = domain
     sol = solve_ivp(coefficients, *_first_partition(fld, domain),
                     enter(z_min, fld.cliff_wave(z_min)), rtol)
-    psi, dpsi = leave(z_max, sol.y[:, -1])
-    cp, cm = _decompose(psi, dpsi, *fld.wkb_pair(z_max))
+    psi, dpsi = leave(sol.t, sol.y)
+    cp, cm = _decompose(psi[-1], dpsi[-1], *fld.wkb_pair(z_max))
     if cm == 0.0:
         raise ZeroDivisionError("the far-end wave has no incoming part (c- = 0)")
     inv = 1.0 / cm
-    # S = [[t, r], [r', t]] of the solution and its complex conjugate, which
-    # read c+ Psi^+ + c- Psi^- and conj(c+) Psi^- + conj(c-) Psi^+ at the far end
-    s = np.array([[inv, cp * inv], [-cp.conjugate() * inv, inv]])
-    cur = current(sol.y)
+    current = np.imag(np.conj(psi) * dpsi)
     diags = Diagnostics(
-        unitarity_residual=float(np.max(np.abs(s @ s.conj().T - np.eye(2)))),
-        wronskian_drift=float(np.max(np.abs(cur - cur[0])) / abs(cur[0])),
-        current_residual=abs(abs(cm) ** 2 - abs(cp) ** 2 - 1.0),
+        unitarity_residual=float(abs(abs(cm) ** 2 - abs(cp) ** 2 - 1.0) * abs(inv) ** 2),
+        wronskian_drift=float(np.max(np.abs(current - current[0])) / abs(current[0])),
         matching_q_left=float(fld.cliff_residual(z_min)),
         matching_q_right=float(fld.q(z_max)),
     )
-    return ScatteringResult(kappa=fld.kappa, r=cp / cm, t=inv, diagnostics=diags)
-
-
-def _wave_current(ys) -> np.ndarray:
-    """Im(Psi* Psi') of (Psi, Psi') states, in whatever coordinate they use."""
-    return np.imag(np.conj(ys[0]) * ys[1])
+    return ScatteringResult(r=cp / cm, t=inv, diagnostics=diags)
 
 
 def _same(z, y):
@@ -367,14 +356,14 @@ def solve_direct(potential, energy: float, ctl: SolverControl | None = None) -> 
         return 1.0, -fld.f_coeff(zs)
 
     return _solve(fld, fld.matching_domain(ctl.q_match_rel), coefficients, ctl.rtol,
-                  _wave_current, _same, _same)
+                  _same, _same)
 
 
-def _adiabatic_pair(fld: WkbField, z: float) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+def _adiabatic_pair(fld: WkbField, z):
     """The waves w+- = alpha e^(+-i phi) and their derivatives +-i k w+-: the
     basis whose coefficients are the coupled route's (beta_+, beta_-)."""
     k = fld.k(z)
-    w = k ** -0.5 * cmath.exp(1j * fld.phi(z))
+    w = k ** -0.5 * np.exp(1j * fld.phi(z))
     return (w, 1j * k * w), (w.conjugate(), -1j * k * w.conjugate())
 
 
@@ -399,9 +388,6 @@ def solve_coupled(potential, energy: float, ctl: SolverControl | None = None) ->
         rot = np.exp(-2j * (fld.phi(z_a)[:, None] + running(k)))
         return g * rot, g * rot.conj()
 
-    def current(ys):
-        return np.abs(ys[1]) ** 2 - np.abs(ys[0]) ** 2
-
     def enter(z, wave):
         return _decompose(*wave, *_adiabatic_pair(fld, z))
 
@@ -409,7 +395,7 @@ def solve_coupled(potential, energy: float, ctl: SolverControl | None = None) ->
         (wp, dwp), (wm, dwm) = _adiabatic_pair(fld, z)
         return y[0] * wp + y[1] * wm, y[0] * dwp + y[1] * dwm
 
-    return _solve(fld, fld.matching_domain(ctl.q_match_rel), coefficients, ctl.rtol, current,
+    return _solve(fld, fld.matching_domain(ctl.q_match_rel), coefficients, ctl.rtol,
                   enter, leave)
 
 
@@ -428,7 +414,7 @@ def solve_transformed(problem: TransformedProblem, ctl: SolverControl | None = N
         jac, f = problem.coefficients(zs)
         return jac, -f * jac
 
-    return _solve(problem.field, problem.domain, coefficients, ctl.rtol, _wave_current,
+    return _solve(problem.field, problem.domain, coefficients, ctl.rtol,
                   problem.carry, problem.uncarry)
 
 

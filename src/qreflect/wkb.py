@@ -304,7 +304,7 @@ class WkbField:
 
     # -- phase with the far-end convention ---------------------------------
     def phi(self, z):
-        if (np.asarray(z) <= 0.0).any():
+        if not (np.asarray(z) > 0.0).all():   # also false for nan
             raise ValueError("phase is defined on z > 0")
         if isinstance(self.potential, HomogeneousPotential):
             zeta = self.zeta

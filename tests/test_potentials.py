@@ -34,12 +34,10 @@ class TestHomogeneous:
         assert HomogeneousPotential(3, 2.0).value(2.0) == -0.25
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            HomogeneousPotential(4, 1.0).value(0.0)
-        with pytest.raises(ValueError):
-            HomogeneousPotential(4, 1.0).value(-2.0)
-        with pytest.raises(ValueError):
-            HomogeneousPotential(4, 1.0).value(np.array([1.0, 0.0]))
+        # nan too, alone or in an array: every comparison with it is false
+        for z in (0.0, -2.0, np.array([1.0, 0.0]), math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="z > 0"):
+                HomogeneousPotential(4, 1.0).value(z)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -73,6 +71,13 @@ class TestTabulated:
         z = np.geomspace(0.05, 200.0, n)
         v = np.array([model(float(t)) for t in z])
         return TabulatedPotential(z, v, cliff_c3=c3, far_c4=c3 * lam), model
+
+    def test_domain_error(self):
+        pot, _ = self.build()
+        for z in (0.0, -2.0, np.array([1.0, 0.0]), math.nan, np.array([1.0, math.nan])):
+            for evaluate in (pot.value, pot.derivs):
+                with pytest.raises(ValueError, match="z > 0"):
+                    evaluate(z)
 
     def test_nodes_exact(self):
         pot, model = self.build()

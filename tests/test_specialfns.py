@@ -123,11 +123,15 @@ class TestBesselJ:
     @pytest.mark.parametrize("nu, x, ref", [
         # 40-digit mpmath besselj, frozen
         (171.5 + 1e-3j, 13.0, 1.2501603768103569614e-171 - 4.0933782807033808847e-174j),
-        (200.25 + 0.5j, 30.0, 9.7600295924287541691e-142 - 3.438237815569020473e-141j)],
-        ids=["171.5", "200.25"])
+        (200.25 + 0.5j, 30.0, 9.7600295924287541691e-142 - 3.438237815569020473e-141j),
+        (-150.3 + 1j, 13.0, -4.4755275555413990241e139 + 3.1988926830918812903e139j),
+        (-120.25 + 0.5j, 30.0, -7.130385482717410921e55 - 3.4819676266918799581e56j)],
+        ids=["171.5", "200.25", "-150.3", "-120.25"])
     def test_order_beyond_gamma_overflow(self, nu, x, ref):
         # above x = 12 the ladder's normalizing sum takes its Gamma weights
-        # relative to Gamma(b + 1), which overflows from Re b ~ 170 on
+        # relative to Gamma(b + 1), which overflows from Re b ~ 170 on; far
+        # below order 0 the recurrence itself grows past 1e250, and the
+        # ladder rescales it (twice at -150.3, once at -120.25)
         assert abs(bessel_j(nu, x) - ref) <= 1e-12 * abs(ref)
 
     def test_negative_argument_rejected(self):

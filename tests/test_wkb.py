@@ -140,6 +140,14 @@ class TestWavevector:
 
 
 class TestPhase:
+    @pytest.mark.parametrize("pot", [HomogeneousPotential(4, 0.3), two_tail_table()],
+                             ids=["v4", "table"])
+    def test_domain_error(self, pot):
+        fld = WkbField(pot, 0.02)
+        for z in (0.0, -1.0, np.array([1.0, 0.0]), math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="z > 0"):
+                fld.phi(z)
+
     def test_far_end_convention(self):
         fld = v4_field(0.3)
         kappa = fld.kappa
