@@ -87,7 +87,7 @@ def _build_potential(args) -> tuple[object, float | None]:
             mass = args.mass_amu * potentials.AMU
             c_n *= 2.0 * mass * potentials.HARTREE * potentials.BOHR_RADIUS ** 2 / potentials.HBAR ** 2
         pot = potentials.HomogeneousPotential(4 if args.model == "v4" else args.n, c_n)
-    n, c_n = pot.tail_far()
+    n, c_n, _ = pot.tails[1]
     return pot, math.sqrt(c_n) if n == 4 else None
 
 
@@ -271,7 +271,7 @@ def cmd_wall(args) -> int:
             meta[f"wall_min[{key}]"] = float(vbs.min())
             meta[f"wall_negative_fraction[{key}]"] = float(np.mean(vbs < 0.0))
         if args.overlay_universal:
-            n_far, _ = pot.tail_far()
+            n_far = pot.tails[1][0]
             for x in np.geomspace(args.x_min, args.x_max, args.points):
                 zb, vb = liouville.universal_wall(float(x), n_far)
                 rows.append({"curve": "universal", "z_bold": zb, "V_bold": vb})

@@ -124,17 +124,17 @@ def special_gauge(field: WkbField,
                   trunc_rel: float = Q_MATCH_REL) -> tuple[LiouvilleMap, TransformedProblem]:
     """The wall gauge zt = phi_dB/vk for a WKB field.
 
-    The scale vk = kappa (C/E)**(1/n), for the declared far tail -C/z**n,
-    collapses V_n onto its universal wall; on -C4/z**4 it is
-    sqrt(kappa ell). The domain is the field's ``matching_domain(trunc_rel)``:
-    truncated where Q has fallen to ``trunc_rel`` of its peak, which
-    quantifies the "free asymptotic states" residual, or on a threshold tail
-    at the cliff start of the other routes. The default is the routes'
+    The scale vk = kappa zeta, with the field's zeta = (C/E)**(1/n) of the
+    far tail -C/z**n, collapses V_n onto its universal wall; on -C4/z**4 it
+    is sqrt(kappa ell). The domain is the field's
+    ``matching_domain(trunc_rel)``: truncated where Q has fallen to
+    ``trunc_rel`` of its peak, which quantifies the "free asymptotic
+    states" residual, or on a threshold tail at the cliff start of the
+    other routes. The default is the routes'
     shared ``Q_MATCH_REL``, so the wall route matches at the same cut as the
     others.
     """
-    n, c_n = field.potential.tail_far()
-    vk = field.kappa * (c_n / field.energy) ** (1.0 / n)
+    vk = field.kappa * field.zeta
     e_bold = vk * vk
 
     mapping = LiouvilleMap(
@@ -170,18 +170,20 @@ def wall_integral(problem: TransformedProblem) -> float:
     on a -C_n/z**n cliff (5 for n = 4) and n + 1 on the far tail. It is
     integrated out to where that has fallen by e**-40, in one pass of the
     phase table's two Gauss-Legendre rules (``wkb._panel_sums``) on panels
-    at most 1/n wide, n the larger of the two tail exponents, that end on
-    the potential's knots, where Q jumps; the summed difference of the two
-    rules must stay below 1e-3 of the result.
+    at most 1/(4n) wide, n the larger of the two tail exponents, that end on
+    the potential's ``breaks``, where the derivative of Q jumps. Q is
+    continuous on every potential; on a table its third derivative jumps at
+    the nodes, which panels this narrow resolve to about 1e-14. The summed
+    difference of the two rules must stay below 1e-3 of the result.
     """
     field, vk = problem.field, problem._wall_scale()
     (n_cliff, _, _), (n_far, _, _) = field.potential.tails
     decay = 5.0 if n_cliff == 4 else 0.5 * n_cliff - 1.0
     u_peak = math.log(field.q_peak()[0])
     lo, hi = u_peak - 40.0 / decay, u_peak + 40.0 / (n_far + 1.0)
-    knots = np.log(field.potential.breaks)
-    ends = np.union1d(np.linspace(lo, hi, math.ceil((hi - lo) * max(n_cliff, n_far)) + 1),
-                      knots[(knots > lo) & (knots < hi)])
+    breaks = np.log(field.potential.breaks)
+    ends = np.union1d(np.linspace(lo, hi, math.ceil((hi - lo) * 4 * max(n_cliff, n_far)) + 1),
+                      breaks[(breaks > lo) & (breaks < hi)])
     width = np.diff(ends)
 
     def qkz(x):

@@ -8,11 +8,12 @@ Two potential families are supported:
 
 * ``HomogeneousPotential``: V_n(z) = -c_n / z**n for integer n >= 3.
 * ``TabulatedPotential``: samples of a Casimir-Polder-like potential joined
-  to declared power-law tails, -C3/z**3 below the table and -C4/z**4 above.
+  smoothly (V'' continuous) to declared power-law tails, -C3/z**3 below the
+  table and -C4/z**4 above.
 
 Each states once, as ``tails = ((n, C, z_top), (n, C, z_from))``, the exact
-power laws V = -C/z**n it follows at or below z_top and at or above z_from;
-``tail_far()`` is the declared far asymptote, whose C4 gives ell = sqrt(C4).
+power laws V = -C/z**n it follows at or below z_top and at or above z_from,
+with the declared strengths: the far tail's C4 gives ell = sqrt(C4).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+from scipy.interpolate import make_interp_spline
 
 __all__ = [
     "HomogeneousPotential",
@@ -45,7 +46,9 @@ HARTREE = 4.3597447222071e-18   # J
 AMU = 1.66053906660e-27         # kg
 AIRY_LAMBDA1 = 2.338107410459767  # |first zero of Ai|
 
-TAIL_TOLERANCE = 0.05   # largest relative gap between a table's declared and matched tails
+TAIL_TOLERANCE = 0.05   # largest relative gap between a table's end nodes and its declared tails
+BLEND = 10.0            # a table's blend to each declared tail spans this factor in z
+_SHAPE_SAMPLES = 16     # points a piece at which a table's shape is checked, ends included
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ class HomogeneousPotential:
 
     n: int
     c_n: float
-    breaks = np.empty(0)  # points where V'' jumps: none
+    breaks = np.empty(0)  # points where the third derivative of V jumps: none
     breaks.flags.writeable = False
 
     def __post_init__(self):
@@ -74,28 +77,30 @@ class HomogeneousPotential:
     def tails(self) -> tuple[tuple[int, float, float], tuple[int, float, float]]:
         return (self.n, self.c_n, math.inf), (self.n, self.c_n, 0.0)
 
-    def tail_far(self) -> tuple[int, float]:
-        return self.n, self.c_n
-
 
 class TabulatedPotential:
-    """Sampled attractive potential with declared power-law tails.
+    """Sampled attractive potential joined to declared power-law tails.
 
-    The interpolation runs through (ln z, ln(-V)) with a shape-preserving
-    monotone cubic, so pure power laws are interpolated exactly and the
-    interpolant stays attractive. Outside the table the declared power-law
-    tails take over, rescaled multiplicatively to pass through the boundary
-    nodes -- a value jump at the seams would act as an artificial step
-    potential. The deviation of those boundary-matched strengths from the
-    declared asymptotic C3/C4 is checked against ``TAIL_TOLERANCE``; ``tails``
-    holds the matched laws, and ``tail_far`` the declared far strength.
+    w = ln(-V) is interpolated in u = ln z by the not-a-knot quintic spline
+    through the samples, which is C4, so V'' is continuous with two
+    continuous derivatives and a pure power law is interpolated exactly. On
+    each side one quintic Hermite piece, a factor ``BLEND`` wide in z, runs
+    from the spline's (w, w', w'') at the end node to the declared tail's
+    line (ln C - n u, -n, 0); beyond the blends V is exactly -C3/z**3 and
+    -C4/z**4 with the declared strengths, which ``tails`` holds. V'' is
+    continuous everywhere, and its derivative jumps only at the two ends of
+    each blend, ``breaks``. The end nodes must lie within ``TAIL_TOLERANCE``
+    of the declared laws, which keeps the blends gentle. A quintic does not
+    preserve shape as a monotone cubic does, so w' < 0 is checked at load on
+    ``_SHAPE_SAMPLES`` points of every piece, and a table whose
+    interpolant turns anywhere raises ``ValueError`` naming the interval.
     """
 
     def __init__(self, z, v, cliff_c3: float, far_c4: float):
-        z = np.array(z, dtype=float)   # a copy: it is kept, read-only, as ``breaks``
+        z = np.asarray(z, dtype=float)
         v = np.asarray(v, dtype=float)
-        if z.ndim != 1 or z.shape != v.shape or z.size < 4:
-            raise ValueError("need matching 1D arrays with at least 4 samples")
+        if z.ndim != 1 or z.shape != v.shape:
+            raise ValueError("need matching 1D arrays of samples")
         # each test is false for nan, so nan fails it
         if not (np.isfinite(z).all() and z[0] > 0.0 and (np.diff(z) > 0.0).all()):
             raise ValueError("z samples must be finite, positive and strictly increasing")
@@ -103,61 +108,61 @@ class TabulatedPotential:
             raise ValueError("potential samples must be finite and negative (attractive)")
         if not (0.0 < cliff_c3 < math.inf and 0.0 < far_c4 < math.inf):
             raise ValueError("tail strengths must be finite and positive")
+        if z.size < 6:
+            raise ValueError("a quintic spline needs at least 6 samples")
         self.z_min = float(z[0])
         self.z_max = float(z[-1])
         self.cliff_c3 = float(cliff_c3)
         self.far_c4 = float(far_c4)
-        self._v = v
-        # points where V'' jumps: the nodes, where the log-log cubic is only C1
-        z.flags.writeable = False
-        self.breaks = z
-        spline = _log_log_spline(z, v)
-        self._knots = spline.x
-        # w = ln(-V) and its u-derivatives per piece, one row per power, lowest
-        # first, in u - _origin: piece 0 is the cliff tail below the table,
-        # piece i in 1 .. m the cubic from u_(i-1), piece m + 1 the far tail;
-        # a tail -C/z**n is the line w = ln(-V) at its end node - n (u - u_node)
-        cubic = np.zeros((4, len(z) + 1))
-        cubic[:, 1:-1] = spline.c[::-1]
-        cubic[:2, 0] = np.log(-v[0]), -3.0
-        cubic[:2, -1] = np.log(-v[-1]), -4.0
-        self._w = cubic
-        self._w1 = np.stack([cubic[1], 2.0 * cubic[2], 3.0 * cubic[3]])
-        self._w2 = np.stack([2.0 * cubic[2], 6.0 * cubic[3]])
-        self._origin = np.concatenate([spline.x[:1], spline.x])
-        # the search points: the last knot an ulp higher, so that z_max itself
-        # falls on the last cubic and only u > u_m on the far tail
-        self._search = np.append(spline.x[:-1], np.nextafter(spline.x[-1], np.inf))
-        # boundary-matched tail strengths: continuity at the seams
-        self.tails = ((3, float(-v[0] * z[0] ** 3), self.z_min),
-                      (4, float(-v[-1] * z[-1] ** 4), self.z_max))
-        mis_lo, mis_hi = (abs(c / declared - 1.0) for (_, c, _), declared
-                          in zip(self.tails, (self.cliff_c3, self.far_c4)))
+        mis_lo = abs(-v[0] * z[0] ** 3 / self.cliff_c3 - 1.0)
+        mis_hi = abs(-v[-1] * z[-1] ** 4 / self.far_c4 - 1.0)
         if not (mis_lo <= TAIL_TOLERANCE and mis_hi <= TAIL_TOLERANCE):   # also true for nan
             raise ValueError(
                 f"table ends deviate from declared tails by ({mis_lo:.3g}, {mis_hi:.3g}),"
                 f" above tolerance {TAIL_TOLERANCE:g}")
+        self.tails = ((3, self.cliff_c3, self.z_min / BLEND), (4, self.far_c4, self.z_max * BLEND))
+        self.breaks = np.array([self.tails[0][2], self.z_min, self.z_max, self.tails[1][2]])
+        self.breaks.flags.writeable = False
+        # the knots: the blends' outer ends and the nodes, in u = ln z, with
+        # (w, w', w'') at each, the tails' lines at the blends' outer ends
+        u = np.log(z)
+        knots = np.concatenate([np.log(self.breaks[:1]), u, np.log(self.breaks[-1:])])
+        ends = np.empty((3, len(knots)))
+        ends[0, 1:-1] = np.log(-v)
+        spline = make_interp_spline(u, ends[0, 1:-1], k=5)   # not-a-knot
+        ends[1:, 1:-1] = spline(u, 1), spline(u, 2)
+        for j, (n, c, _) in ((0, self.tails[0]), (-1, self.tails[1])):
+            ends[:, j] = math.log(c) - n * knots[j], -n, 0.0
+        # w per piece, one row per power, lowest first, in s = u - (the
+        # piece's start): the cliff tail below knots[0], the quintic between
+        # each two knots, which on the node intervals is the spline itself,
+        # and the far tail from knots[-1] on
+        pieces = np.zeros((6, len(knots) + 1))
+        pieces[:2, 0], pieces[:2, -1] = ends[:2, 0], ends[:2, -1]
+        pieces[:, 1:-1] = _quintic(np.diff(knots), ends[:, :-1], ends[:, 1:])
+        self._w = pieces
+        self._knots = knots
+        self._origin = np.concatenate([knots[:1], knots])
+        # the shape check on every piece between the tails
+        width = np.diff(knots)
+        _, w1, _ = _log_log_derivs(pieces[:, 1:-1, None],
+                                   width[:, None] * np.linspace(0.0, 1.0, _SHAPE_SAMPLES), 1)
+        bad = np.flatnonzero(~(w1 < 0.0).all(axis=1))
+        if len(bad):
+            lo, hi = np.exp(knots[[bad[0], bad[0] + 1]])
+            raise ValueError(f"table interpolant is not monotone: ln(-V) rises somewhere in"
+                             f" z = {lo:.6g} .. {hi:.6g} (check the table for a kink or noise)")
 
     def _pieces(self, z):
-        """Piece index and offset s = u - u_origin of each z, u = ln z.
-
-        As in PPoly, a node falls on the cubic that starts there, and z_max
-        on the last one.
-        """
+        """Piece index and offset s = u - (the piece's start) of each z, u = ln z."""
         _require_positive(z)
         u = np.log(z)
-        i = np.searchsorted(self._search, u, side="right")
+        i = np.searchsorted(self._knots, u, side="right")
         return i, u - self._origin[i]
-
-    @staticmethod
-    def _cubic(c, s):
-        # summed in PPoly's order, so that the table's cubic matches scipy bit for bit
-        c0, c1, c2, c3 = c
-        return c0 + c1 * s + c2 * (s * s) + c3 * ((s * s) * s)
 
     def value(self, z):
         i, s = self._pieces(z)
-        return -np.exp(self._cubic(self._w[:, i], s))
+        return -np.exp(_log_log_derivs(self._w[:, i], s, 0)[0])
 
     def dvalue(self, z):
         return self.derivs(z)[1]
@@ -171,33 +176,42 @@ class TabulatedPotential:
         V = -exp(w(u)) gives V' = -exp(w) w'/z and V'' = -exp(w)(w'' + w'**2 - w')/z**2.
         """
         i, s = self._pieces(z)
-        b0, b1, b2 = self._w1[:, i]
-        d0, d1 = self._w2[:, i]
-        w1 = b0 + b1 * s + b2 * (s * s)
-        mv = np.exp(self._cubic(self._w[:, i], s))
-        return -mv, -mv * w1 / z, -mv * (d0 + d1 * s + w1 * w1 - w1) / z ** 2
+        w, w1, w2 = _log_log_derivs(self._w[:, i], s)
+        mv = np.exp(w)
+        return -mv, -mv * w1 / z, -mv * (w2 + w1 * w1 - w1) / z ** 2
 
     def log_log_pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Knots u_i = ln z_i and the cubics w = ln(-V) in u - u_i on the m
-        intervals, shape (4, m): one row per power, lowest first."""
+        """The starts u_i of the m + 1 pieces between the tails, with the end
+        of the last one (m + 2 values of u = ln z), and the polynomials
+        w = ln(-V) in u - u_i, shape (6, m + 1): one row per power, lowest first."""
         return self._knots, self._w[:, 1:-1]
 
-    def tail_far(self) -> tuple[int, float]:
-        return 4, self.far_c4
+
+def _quintic(h: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The quintics, one a column, from (w, w', w'') = ``start`` at s = 0 to
+    ``end`` at s = h: one coefficient per power of s, lowest first."""
+    (w0, d0, dd0), (w1, d1, dd1) = start, end
+    # what the Taylor part of the start leaves of the end, in t = s/h
+    r0 = w1 - w0 - h * (d0 + 0.5 * h * dd0)
+    r1 = h * (d1 - d0 - h * dd0)
+    r2 = h * h * (dd1 - dd0)
+    return np.stack([w0, d0, 0.5 * dd0,
+                     (10.0 * r0 - 4.0 * r1 + 0.5 * r2) / h ** 3,
+                     (-15.0 * r0 + 7.0 * r1 - r2) / h ** 4,
+                     (6.0 * r0 - 3.0 * r1 + 0.5 * r2) / h ** 5])
 
 
-def _log_log_spline(z: np.ndarray, v: np.ndarray) -> CubicHermiteSpline:
-    """Monotone cubic through (ln z, ln(-V)) with the tail exponents as end slopes.
-
-    The slopes are shape-preserving (PCHIP); the end slopes are pinned to the
-    exact tail exponents so V stays C1 across the seams.
-    """
-    log_z = np.log(z)
-    log_mv = np.log(-v)
-    slopes = PchipInterpolator(log_z, log_mv, extrapolate=False)(log_z, 1)
-    slopes[0] = -3.0
-    slopes[-1] = -4.0
-    return CubicHermiteSpline(log_z, log_mv, slopes, extrapolate=False)
+def _log_log_derivs(c, s, order: int = 2):
+    """Polynomials ``c`` (one row per power, lowest first) at s, and their
+    first and second derivatives up to ``order``, by Horner's rule."""
+    w, w1, w2 = c[-1], 0.0, 0.0
+    for row in c[-2::-1]:
+        if order == 2:
+            w2 = w2 * s + w1
+        if order:
+            w1 = w1 * s + w
+        w = w * s + row
+    return w, w1, 2.0 * w2
 
 
 def _require_positive(z):

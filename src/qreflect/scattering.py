@@ -14,12 +14,13 @@ Three routes to the same amplitudes:
 All three start on one wave and end on one basis, the field's cliff wave and
 WKB pair; each route only maps them into and out of its own state. Each
 state obeys y' = [[0, a], [b, 0]] y with the route's own a and b, and all
-three run on one integrator, ``solve_ivp``: Chebyshev panels of two rules,
-32 nodes where the phase sets a panel's width and 12 where a knot of a
-table does, solved many at a time. The routes check each other as three
-gauges with very different coefficients; the tests also check each
-against scipy's ``solve_ivp`` reading the same coefficients point by
-point.
+three run on one integrator, ``solve_ivp``: Chebyshev panels of 32 nodes,
+as wide as the phase allows, solved many at a time. V'' is continuous on
+every potential, a table's included, so panels run across a table's
+nodes; they end only where the derivative of V'' jumps (``breaks``). The
+routes check each other as three gauges with very different
+coefficients; the tests also check each against scipy's ``solve_ivp``
+reading the same coefficients point by point.
 
 Conventions: r and t are defined for a wave incident from the far end; the
 incoming/transmitted wave at the cliff carries the WKB phase anchored by
@@ -137,15 +138,10 @@ def _decompose(psi: complex, dpsi: complex,
 # of first-kind Chebyshev points (Greengard, SIAM J. Numer. Anal. 28, 1071
 # (1991)). The system is linear, so a panel's 2x2 propagator does not depend
 # on the state, and the panels of a solve are solved together, in batches.
-# A panel takes one of two rules, after what set its width: the phase, or a
-# knot of a table, which leaves it narrow and smooth.
 
 _PHASE_NODES = 32     # a panel of up to _PHASE_RAD of phi and z_b/z_a <= _PHASE_RATIO
 _PHASE_RAD = 12.0
 _PHASE_RATIO = 2.0
-_KNOT_NODES = 12      # a panel of at most _KNOT_RAD and z_b/z_a <= _KNOT_RATIO; 8 fails too often
-_KNOT_RAD = 2.0
-_KNOT_RATIO = 1.1
 _BUDGET = 16384       # matrix entries (nodes**2 a panel) solved at once; more holds more memory
 _MAX_PANELS = 100_000  # a first partition above this fails; real solves take a few hundred
 _TAIL_FLOOR = 1e-14   # floor of the panel test's tol: its rounding noise
@@ -193,32 +189,19 @@ def _times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_partition(fld: WkbField, domain: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Panel ends across ``domain`` and each panel's node count: ``_panels``
-    between an end on every knot of the potential and ends no more than
-    ``_PHASE_RATIO`` apart, with the phase of ``fld``."""
+def _first_partition(domain: tuple[float, float], phases, breaks: np.ndarray) -> np.ndarray:
+    """Panel ends across ``domain``: points no more than ``_PHASE_RATIO``
+    apart and on each of the potential's ``breaks`` inside, each gap cut
+    evenly into the fewest panels of about ``_PHASE_RAD`` or less of the
+    phase ``phases(points)`` gives between each two. More than
+    ``_MAX_PANELS`` panels raise ``RuntimeError`` before anything is
+    allocated."""
     z_min, z_max = domain
     count = math.ceil(math.log(z_max / z_min) / math.log(_PHASE_RATIO))
-    coarse = z_min * (z_max / z_min) ** (np.arange(count + 1) / count)
-    coarse[-1] = z_max
-    knots = fld.potential.breaks
-    knots = knots[(knots > z_min) & (knots < z_max)]
-    if len(knots):
-        coarse = np.union1d(coarse, knots)
-    return _panels(coarse, np.diff(fld.phi(coarse)))
-
-
-def _panels(points: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Panel ends between ascending ``points``, with ``phase`` of phi between
-    each two, and each panel's node count.
-
-    Each gap is cut evenly into the fewest panels of about ``_PHASE_RAD`` of
-    phi or less. A gap of at most ``_KNOT_RAD`` and ``_KNOT_RATIO``, which on
-    a table is one knot interval or less, takes ``_KNOT_NODES``; the others
-    ``_PHASE_NODES``. More than ``_MAX_PANELS`` panels raise
-    ``RuntimeError`` before anything is allocated.
-    """
-    parts = np.maximum(np.ceil(phase / _PHASE_RAD), 1.0)
+    points = z_min * (z_max / z_min) ** (np.arange(count + 1) / count)
+    points[-1] = z_max
+    points = np.union1d(points, breaks[(breaks > z_min) & (breaks < z_max)])
+    parts = np.maximum(np.ceil(phases(points) / _PHASE_RAD), 1.0)
     count = parts.sum()
     if not count <= _MAX_PANELS:   # also true for nan
         raise RuntimeError(f"integration failed: the first partition needs {count:.3g} "
@@ -227,78 +210,74 @@ def _panels(points: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarr
     piece = np.repeat(np.arange(len(parts)), parts)
     step = np.diff(points)[piece] / parts[piece]
     ends = points[piece] + (np.arange(len(piece)) - (np.cumsum(parts) - parts)[piece]) * step
-    knot_bound = (phase <= _KNOT_RAD) & (points[1:] <= _KNOT_RATIO * points[:-1])
-    return np.append(ends, points[-1]), np.where(knot_bound, _KNOT_NODES, _PHASE_NODES)[piece]
+    return np.append(ends, z_max)
 
 
-def solve_ivp(coefficients, ends, nodes, y0, rtol: float) -> OdeResult:
+def solve_ivp(coefficients, ends, n: int, y0, rtol: float) -> OdeResult:
     """Integrate y' = [[0, a(z)], [b(z), 0]] y from ``y0`` at ends[0] to ends[-1].
 
-    ``ends`` is the first partition into panels and ``nodes`` the size of
-    each panel's Chebyshev rule (one count, or one per panel);
-    ``coefficients(z_a, zs, running)`` returns a and b at the nodes ``zs``
-    (one row per panel, from the panel starts ``z_a``), arrays or numbers,
-    where ``running(f)`` integrates node values from each panel's start to
-    each of its nodes. A panel solves Y = e_j + S (M Y) at its nodes for
-    both unit starts e_j at once, one component eliminated, and its
-    propagator's columns are e_j + w (M Y); no node lies on a panel end,
-    where a coefficient may jump. A panel is accepted when the last two
-    Chebyshev coefficients of both components are at most tol times their
-    largest value, in both columns, tol = max(rtol, 1e-14): below that
-    floor lies rounding noise. The panels that fail are halved, each half
-    on its parent's rule, and solved again, the others kept; a panel
-    narrower than ten ulps of z, or coefficients that are not finite,
-    raise ``RuntimeError`` ("integration failed: ..."). The product of the
+    ``ends`` is the first partition into panels and ``n`` the size of each
+    panel's Chebyshev rule; ``coefficients(z_a, zs, running)`` returns a
+    and b at the nodes ``zs`` (one row per panel, from the panel starts
+    ``z_a``), arrays or numbers, where ``running(f)`` integrates node
+    values from each panel's start to each of its nodes. A panel solves
+    Y = e_j + S (M Y) at its nodes for both unit starts e_j at once, one
+    component eliminated, and its propagator's columns are e_j + w (M Y);
+    no node lies on a panel end, where a coefficient may jump. A panel is
+    accepted when the last two Chebyshev coefficients of both components
+    are at most tol times their largest value, in both columns,
+    tol = max(rtol, 1e-14): below that floor lies rounding noise. The
+    panels that fail are halved and solved again, the others kept; a panel
+    narrower than ten ulps of z, or coefficients that are not finite, raise
+    ``RuntimeError`` ("integration failed: ..."). The product of the
     propagators in order gives the states at the panel ends; ``nfev``
     counts coefficient evaluations at nodes, retries included. The panels
-    of one rule are solved in batches of at most ``_BUDGET`` matrix
-    entries, nodes**2 a panel.
+    are solved in batches of at most ``_BUDGET`` matrix entries, n**2 a
+    panel.
     """
     ends = np.asarray(ends, dtype=float)
     if not (len(ends) > 1 and (np.diff(ends) > 0.0).all()):
         raise ValueError(f"integration span ({ends[0]}, {ends[-1]}) does not run forward")
-    nodes = np.broadcast_to(nodes, len(ends) - 1)
     tol = max(rtol, _TAIL_FLOOR)
     u_start = np.array([1.0, 0.0])    # the two columns start on (1, 0) and (0, 1)
     v_start = 1.0 - u_start
     starts, propagators, nfev = [], [], 0
-    for n in np.unique(nodes).tolist():
-        x, s_ref, w_ref, tail_ref = _chebyshev_rule(n)
-        batch = max(_BUDGET // (n * n), 1)
-        queue_a, queue_b = ends[:-1][nodes == n], ends[1:][nodes == n]
-        while len(queue_a):
-            z_a, z_b = queue_a[:batch], queue_b[:batch]
-            half = 0.5 * (z_b - z_a)
-            if not (half >= 5.0 * (np.nextafter(z_a, np.inf) - z_a)).all():
-                raise RuntimeError("integration failed: Required panel width is less "
-                                   "than spacing between numbers.")
-            zs = z_a[:, None] + half[:, None] * (x + 1.0)
-            a, b = (np.broadcast_to(c, zs.shape) for c in
-                    coefficients(z_a, zs, lambda f: half[:, None] * _times(f, s_ref.T)))
-            nfev += zs.size
-            if not (np.isfinite(a).all() and np.isfinite(b).all()):
-                raise RuntimeError("integration failed: Coefficients are not finite.")
-            # U = u_a + S a V and V = v_a + S b U, for (u_a, v_a) = (1, 0) and
-            # (0, 1): (1 - S a S b) U = u_a + v_a S a 1, then V = v_a + S b U
-            ha, hb = half[:, None] * a, half[:, None] * b
-            lhs = _times(s_ref * ha[:, None, :], s_ref)
-            lhs *= -hb[:, None, :]
-            lhs.reshape(len(z_a), -1)[:, ::n + 1] += 1.0
-            us = np.linalg.solve(lhs, np.stack([np.ones(zs.shape), _times(ha, s_ref.T)], axis=2))
-            us = np.ascontiguousarray(us.transpose(0, 2, 1))          # [panel, column, node]
-            vs = _times(hb[:, None, :] * us, s_ref.T) + v_start[:, None]
-            # the tail test on both components of both columns
-            tails = np.abs(_times(np.concatenate([us, vs], axis=2).reshape(-1, n), tail_ref.T))
-            size = np.maximum(np.abs(us).max(axis=2), np.abs(vs).max(axis=2))
-            good = (tails.reshape(len(z_a), 2, 4).max(axis=2) <= tol * size).all(axis=1)
-            starts.append(z_a[good])
-            weights = half[good, None] * w_ref
-            propagators.append(np.stack([
-                u_start + np.einsum("pcn,pn->pc", vs[good], weights * a[good]),
-                v_start + np.einsum("pcn,pn->pc", us[good], weights * b[good])], axis=1))
-            mid = z_a[~good] + half[~good]
-            queue_a = np.concatenate([queue_a[batch:], z_a[~good], mid])
-            queue_b = np.concatenate([queue_b[batch:], mid, z_b[~good]])
+    x, s_ref, w_ref, tail_ref = _chebyshev_rule(n)
+    batch = max(_BUDGET // (n * n), 1)
+    queue_a, queue_b = ends[:-1], ends[1:]
+    while len(queue_a):
+        z_a, z_b = queue_a[:batch], queue_b[:batch]
+        half = 0.5 * (z_b - z_a)
+        if not (half >= 5.0 * (np.nextafter(z_a, np.inf) - z_a)).all():
+            raise RuntimeError("integration failed: Required panel width is less "
+                               "than spacing between numbers.")
+        zs = z_a[:, None] + half[:, None] * (x + 1.0)
+        a, b = (np.broadcast_to(c, zs.shape) for c in
+                coefficients(z_a, zs, lambda f: half[:, None] * _times(f, s_ref.T)))
+        nfev += zs.size
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise RuntimeError("integration failed: Coefficients are not finite.")
+        # U = u_a + S a V and V = v_a + S b U, for (u_a, v_a) = (1, 0) and
+        # (0, 1): (1 - S a S b) U = u_a + v_a S a 1, then V = v_a + S b U
+        ha, hb = half[:, None] * a, half[:, None] * b
+        lhs = _times(s_ref * ha[:, None, :], s_ref)
+        lhs *= -hb[:, None, :]
+        lhs.reshape(len(z_a), -1)[:, ::n + 1] += 1.0
+        us = np.linalg.solve(lhs, np.stack([np.ones(zs.shape), _times(ha, s_ref.T)], axis=2))
+        us = np.ascontiguousarray(us.transpose(0, 2, 1))          # [panel, column, node]
+        vs = _times(hb[:, None, :] * us, s_ref.T) + v_start[:, None]
+        # the tail test on both components of both columns
+        tails = np.abs(_times(np.concatenate([us, vs], axis=2).reshape(-1, n), tail_ref.T))
+        size = np.maximum(np.abs(us).max(axis=2), np.abs(vs).max(axis=2))
+        good = (tails.reshape(len(z_a), 2, 4).max(axis=2) <= tol * size).all(axis=1)
+        starts.append(z_a[good])
+        weights = half[good, None] * w_ref
+        propagators.append(np.stack([
+            u_start + np.einsum("pcn,pn->pc", vs[good], weights * a[good]),
+            v_start + np.einsum("pcn,pn->pc", us[good], weights * b[good])], axis=1))
+        mid = z_a[~good] + half[~good]
+        queue_a = np.concatenate([queue_a[batch:], z_a[~good], mid])
+        queue_b = np.concatenate([queue_b[batch:], mid, z_b[~good]])
     order = np.argsort(np.concatenate(starts))
     y = tuple(map(complex, y0))
     ys = [y]
@@ -320,8 +299,8 @@ def _solve(fld: WkbField, domain: tuple[float, float], coefficients, rtol: float
     back to (Psi, Psi'), on which every check is read (``Diagnostics``).
     """
     z_min, z_max = domain
-    sol = solve_ivp(coefficients, *_first_partition(fld, domain),
-                    enter(z_min, fld.cliff_wave(z_min)), rtol)
+    ends = _first_partition(domain, lambda z: np.diff(fld.phi(z)), fld.potential.breaks)
+    sol = solve_ivp(coefficients, ends, _PHASE_NODES, enter(z_min, fld.cliff_wave(z_min)), rtol)
     psi, dpsi = leave(sol.t, sol.y)
     cp, cm = _decompose(psi[-1], dpsi[-1], *fld.wkb_pair(z_max))
     if cm == 0.0:
@@ -425,10 +404,10 @@ def scattering_length(potential, ctl: SolverControl | None = None) -> Scattering
     and at low energy r = -(1 - 2 i kappa a) + O(kappa**2). On -C4/z**4 that
     wave is z e^(i ell/z), so a = -i ell in closed form, ell = sqrt(C4). On a
     table a comes from one solve of psi'' = V psi at E = 0, exact at both
-    ends, so no matching cut enters: it starts at the first node on the
-    threshold wave of the -C3m/z**3 tail below (``threshold_wave``) and is
-    written at z_max as A z cos(ell/z) + B z sin(ell/z), the solutions of the
-    -C4m/z**4 tail above, ell = sqrt(C4m); then a = -B ell/A.
+    ends, so no matching cut enters: it starts where the -C3/z**3 tail ends,
+    on its threshold wave (``threshold_wave``), and is written where the
+    -C4/z**4 tail begins as A z cos(ell/z) + B z sin(ell/z), the solutions
+    of that tail; then a = -B ell/A.
 
     A direct solve at kappa ell = 1e-4 checks a:
     ``fit_residual`` is |r - r_model| there, for r_model = -(1 - 2 i kappa a)
@@ -457,14 +436,13 @@ def scattering_length(potential, ctl: SolverControl | None = None) -> Scattering
 
 def _threshold_length(table, ell: float, rtol: float) -> complex:
     """a from one solve of psi'' = V psi across a table at E = 0, from the
-    threshold wave at the first node to z_max, on panels between the knots
-    (``_panels`` with the phase of ``threshold_phases``): on a fine table one
-    panel of the knot rule per knot interval."""
-    knots = table.breaks
-    sol = solve_ivp(lambda z_a, zs, running: (1.0, table.value(zs)),
-                    *_panels(knots, threshold_phases(table)),
-                    threshold_wave(knots[0], *table.tails[0][:2]), rtol)
-    z = knots[-1]
+    threshold wave where its cliff tail ends to where its far tail begins,
+    on the panels of every solve (``_first_partition``) with the phase of
+    ``threshold_phases``."""
+    (n, c_n, z_top), (_, _, z) = table.tails
+    ends = _first_partition((z_top, z), functools.partial(threshold_phases, table), table.breaks)
+    sol = solve_ivp(lambda z_a, zs, running: (1.0, table.value(zs)), ends, _PHASE_NODES,
+                    threshold_wave(z_top, n, c_n), rtol)
     c, s = math.cos(ell / z), math.sin(ell / z)
     wave = tuple(sol.y[:, -1])
     # A and B, each times W(z cos, z sin) = -ell, which cancels in -B ell/A

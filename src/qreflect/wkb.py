@@ -12,18 +12,18 @@ Each field has one length zeta = (C/E)**(1/n) of its far tail -C/z**n
 scaled by it: phi = kappa zeta ``phase_coordinate(z/zeta, n)`` and
 Q = ``universal_badlands(z/zeta, n)``/(kappa zeta)**2, closed form at every z.
 On a table, Q comes from analytic derivatives of k_dB, propagated from the
-spline's own; Q needs two of them and finite differences of tabulated data
-would wreck its shape. Those two terms cancel on a cliff (on V_4 to a
+interpolant's own; Q needs two of them and finite differences of tabulated
+data would wreck its shape. Those two terms cancel on a cliff (on V_4 to a
 relative error of about eps/x**4), which is why V_n takes the closed form.
 
 The matching cut, where Q has fallen to a fraction of its peak, is closed
 form where V is an exact power law. Its far end on V_4 and on a table's
--C4m/z**4 tail is the quartic's algebraic root, and its cliff end on V_4 is
+-C4/z**4 tail is the quartic's algebraic root, and its cliff end on V_4 is
 that root's inverse (the universal badlands is even under x -> 1/x). On
 V_n, n != 4, the far crossing of ``universal_badlands`` is found once per
 (n, cut), and the cliff end is the threshold start. Q is searched, in array
 calls, only on a table: its peak, the walks from it, and the crossings that
-lie among the knots.
+lie off its exact tails.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gamma, hankel1, hyp2f1, roots_legendre
 
-from .potentials import HomogeneousPotential
+from .potentials import HomogeneousPotential, _log_log_derivs
 
 __all__ = [
     "WkbField",
@@ -182,47 +182,58 @@ def _panel_sums(width: np.ndarray, integrand) -> tuple[np.ndarray, float]:
     return high, float(np.sum(np.abs(high - low)))
 
 
-def _kz(knots: np.ndarray, cubics: np.ndarray, energy: float, interval: np.ndarray,
+def _kz(knots: np.ndarray, pieces: np.ndarray, energy: float, interval: np.ndarray,
         s: np.ndarray) -> np.ndarray:
-    """k z = sqrt(E + exp(w)) e**u at u = u_i + s, a row of s per knot
-    interval i in ``interval``, on the ``knots`` and ``cubics`` of
-    ``log_log_pieces``."""
-    c0, c1, c2, c3 = (c[:, None] for c in cubics[:, interval])
-    w = c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+    """k z = sqrt(E + exp(w)) e**u at u = u_i + s, a row of s per piece i in
+    ``interval``, on the ``knots`` and ``pieces`` of ``log_log_pieces``."""
+    w = _log_log_derivs(pieces[:, interval, None], s, 0)[0]
     return np.sqrt(energy + np.exp(w)) * np.exp(knots[interval][:, None] + s)
 
 
-def _log_panels(potential, energy: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """The phase table's panels, each knot interval of u = ln z cut evenly
-    into panels no wider than ``_PANEL_DU``: each panel's interval and offset
-    from that interval's knot, and the ``_panel_sums`` of k z at ``energy``."""
-    knots, cubics = potential.log_log_pieces()
-    widths = np.diff(knots)
+def _cut(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each gap of the ascending ``u`` cut evenly into the fewest panels no
+    wider than ``_PANEL_DU``: each panel's gap, offset from the gap's start,
+    and width."""
+    widths = np.diff(u)
     parts = np.ceil(widths / _PANEL_DU).astype(int)
-    interval = np.repeat(np.arange(len(widths)), parts)
-    width = (widths / parts)[interval]
-    offset = (np.arange(len(interval)) - np.repeat(np.cumsum(parts) - parts, parts)) * width
+    gap = np.repeat(np.arange(len(widths)), parts)
+    width = (widths / parts)[gap]
+    return gap, (np.arange(len(gap)) - np.repeat(np.cumsum(parts) - parts, parts)) * width, width
+
+
+def _log_panels(potential, energy: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The phase table's panels, the pieces of u = ln z ``_cut`` into
+    panels: each panel's piece and offset from that piece's start, and the
+    ``_panel_sums`` of k z at ``energy``."""
+    knots, pieces = potential.log_log_pieces()
+    interval, offset, width = _cut(knots)
     return interval, offset, *_panel_sums(
-        width, lambda x: _kz(knots, cubics, energy, interval, offset[:, None] + width[:, None] * x))
+        width, lambda x: _kz(knots, pieces, energy, interval, offset[:, None] + width[:, None] * x))
 
 
-def threshold_phases(potential) -> np.ndarray:
-    """int sqrt(-V) dz over each knot interval of a table: the phase at E = 0,
-    on the phase table's panels (``_log_panels``) summed per interval."""
-    interval, _, phases, _ = _log_panels(potential, 0.0)
-    return np.bincount(interval, weights=phases)
+def threshold_phases(potential, z: np.ndarray) -> np.ndarray:
+    """int sqrt(-V) dz between each two of the ascending points ``z``: the
+    phase at E = 0, on the gaps of u = ln z ``_cut`` into panels."""
+    u = np.log(z)
+    gap, offset, width = _cut(u)
+
+    def kz(x):
+        zs = np.exp((u[gap] + offset)[:, None] + width[:, None] * x)
+        return np.sqrt(-potential.value(zs)) * zs
+
+    return np.bincount(gap, weights=_panel_sums(width, kz)[0], minlength=len(u) - 1)
 
 
 class _PhaseTable:
     """phi_dB of a tabulated potential at one energy, built on first use.
 
-    V is an exact power law outside the table, so phi is closed form there:
-    -C4m/z**4 above z_max gives the far-end anchor, and -C3m/z**3 below
-    z_min continues phi from the table's first node to the cliff. Inside,
-    each knot interval of u = ln z is split into equal panels no wider than
-    ``_PANEL_DU``, and phi is kept at the panel starts. Gauss-Legendre rules
-    integrate k z = sqrt(E + exp(w)) e**u over each panel, with w = ln(-V)
-    the spline's own cubic on that interval, so the table integrates the
+    V is an exact power law on the table's ``tails``, so phi is closed form
+    there: -C4/z**4 from z_from on gives the far-end anchor, and -C3/z**3 up
+    to z_top continues phi from there to the cliff. Between, each piece of
+    u = ln z is split into equal panels no wider than ``_PANEL_DU``, and phi
+    is kept at the panel starts. Gauss-Legendre rules integrate
+    k z = sqrt(E + exp(w)) e**u over each panel, with w = ln(-V) the
+    potential's own polynomial on that piece, so the table integrates the
     potential the solvers see. The lower rule of ``_PHASE_RULES`` only
     estimates the error of the higher; their summed difference must stay
     within ``_PHASE_BUDGET``. A call inside the table then costs one lookup
@@ -232,12 +243,12 @@ class _PhaseTable:
     def __init__(self, field: WkbField):
         potential, energy, kappa = field.potential, field.energy, field.kappa
         self.energy = energy
-        self.z_min, self.z_max = potential.z_min, potential.z_max
+        (_, c3, self.z_min), (_, _, self.z_max) = potential.tails
         self.zeta4 = field.zeta
-        self.zeta3 = (potential.tails[0][1] / energy) ** (1.0 / 3.0)
+        self.zeta3 = (c3 / energy) ** (1.0 / 3.0)
         self.kz4, self.kz3 = kappa * self.zeta4, kappa * self.zeta3
 
-        self.knots, self.cubics = potential.log_log_pieces()
+        self.knots, self.pieces = potential.log_log_pieces()
         self.interval, self.offset, high, error = _log_panels(potential, energy)
         if not error <= _PHASE_BUDGET:
             raise RuntimeError(f"phase table error estimate {error:.1e} rad"
@@ -264,7 +275,7 @@ class _PhaseTable:
         h = u - self.knots[i] - a
         nodes, weights = _legendre(_PHASE_RULES[1])
         out[mid] = self.phi_start[p] + h * (
-            _kz(self.knots, self.cubics, self.energy, i, a[:, None] + h[:, None] * nodes) @ weights)
+            _kz(self.knots, self.pieces, self.energy, i, a[:, None] + h[:, None] * nodes) @ weights)
         return out.reshape(z.shape)[()]
 
 
@@ -286,7 +297,7 @@ class WkbField:
     @cached_property
     def zeta(self) -> float:
         """(C/E)**(1/n) of the far tail -C/z**n, where |V| = E: C_n on V_n,
-        and on a table the matched C4m that V has above z_max."""
+        and on a table the declared C4."""
         n, c, _ = self.potential.tails[1]
         return (c / self.energy) ** (1.0 / n)
 
@@ -416,31 +427,20 @@ class WkbField:
     def _q_peak_search(self) -> tuple[float, float]:
         """The largest Q on 241 points, zeta/300 .. 300 zeta, refined between
         that point's neighbours by ``_PEAK_ROUNDS`` array calls, each of which
-        keeps the two sections beside its largest value; a largest value on
-        a knot's jump is read beside it."""
-        # about the declared C4's zeta: on the matched one's grid a sample can
-        # fall on the ripple of Q in the last knot interval, where the spline
-        # bends to its pinned end slope -4, and read as a second mode
-        zeta = (self.potential.tail_far()[1] / self.energy) ** 0.25
-        grid = np.geomspace(zeta / 300.0, zeta * 300.0, 241)
+        keeps the two sections beside its largest value."""
+        grid = np.geomspace(self.zeta / 300.0, self.zeta * 300.0, 241)
         qs = self.q(grid)
         imax = int(np.argmax(qs))
         if imax in (0, len(grid) - 1):
             raise RuntimeError("badlands peak not bracketed by the search grid")
         interior = qs[1:-1]
         local_max = (interior > qs[:-2]) & (interior >= qs[2:])
-        prominent = local_max & (interior > 0.01 * qs[imax])  # knot ripple is not a mode
+        prominent = local_max & (interior > 0.01 * qs[imax])   # a ripple is not a mode
         if int(np.count_nonzero(prominent)) > 1:
             warnings.warn("badlands appears multimodal; reporting the global peak")
-        knots = self.potential.breaks
         lo, hi = grid[imax - 1], grid[imax + 1]
         for _ in range(_PEAK_ROUNDS):
-            # Q jumps at a knot, where its largest value may sit: it is read
-            # 1e-14 of z on each side of every knot in the bracket, far
-            # enough for ln z to fall on the cubic of that side
-            inner = knots[np.searchsorted(knots, lo, "right"):np.searchsorted(knots, hi, "left")]
-            zs = np.sort(np.concatenate([lo + (hi - lo) * _SECTION_ENDS,
-                                         inner * (1.0 - 1e-14), inner * (1.0 + 1e-14)]))
+            zs = lo + (hi - lo) * _SECTION_ENDS
             qs = self.q(zs)
             j = int(np.argmax(qs))
             lo, hi = zs[max(j - 1, 0)], zs[min(j + 1, len(zs) - 1)]
@@ -464,7 +464,7 @@ class WkbField:
         and ``outside``, where it is not: each array call cuts the bracket
         into ``_SECTIONS`` and keeps the section after the last point above,
         until the bracket is narrower than ``_CUT_RTOL`` of z. Of several
-        crossings that the sections resolve (knot ripple) it keeps the one
+        crossings that the sections resolve (a ripple) it keeps the one
         farthest from ``inside``.
         Returns the outer end, where Q is not above ``target``."""
         while abs(outside - inside) > _CUT_RTOL * outside:
@@ -483,11 +483,11 @@ class WkbField:
         V_4 z_min is zeta/x, so Q is not read at all. On a table Q is
         searched: its peak (``_q_peak_search``), then a doubling walk from it
         on each side and ``_crossing`` in the last step of the walk. Where
-        that step lies above the table, on the exact -C4m/z**4 tail, or
-        straddles z_max with Q on the tail still above the target at z_max,
-        the far crossing is the universal one of that tail instead; where the
-        step lies wholly on the -C3m/z**3 tail below, the cliff crossing is
-        not needed.
+        that step lies on the exact -C4/z**4 tail, or straddles the tail's
+        start z_from with Q on the tail still above the target there, the far
+        crossing is the universal one of that tail instead; where the step
+        lies wholly on the -C3/z**3 tail below, the cliff crossing is not
+        needed.
         Where the cliff-side crossing lies on the inner tail of an n != 4
         cliff, z_min is instead the shallowest point of that tail with
         E z**n/C_n <= q_rel: there ``cliff_wave`` is exact but for that E.
@@ -512,13 +512,12 @@ class WkbField:
             z_min = inside if self.on_threshold_tail(inside) else self._crossing(inside, lo, target)
             hi = self._walk(z_peak, +1, target)
             inside = max(hi / 2.0, z_peak)
-            zeta = self.zeta
+            zeta, z_from = self.zeta, pot.tails[1][2]
             level = target * self.energy * zeta * zeta   # the target of the universal badlands
-            # the last step lies above the table, or it straddles z_max and Q
-            # just above z_max, on the tail, is still above the target: either
-            # way the crossing lies on the tail
-            if inside > pot.z_max or (hi > pot.z_max
-                                      and universal_badlands(pot.z_max / zeta, 4) > level):
+            # the last step lies on the far tail, or it straddles z_from and Q
+            # there, on the tail, is still above the target: either way the
+            # crossing lies on the tail
+            if inside >= z_from or (hi > z_from and universal_badlands(z_from / zeta, 4) > level):
                 z_max = float(zeta * _quartic_far_crossing(level))
             else:
                 z_max = self._crossing(inside, hi, target)

@@ -46,14 +46,13 @@ def e1_energy(x: float) -> float:
     return kappa * kappa
 
 
-def write_cp_table(tmp_path, nodes: int = 500):
+def write_cp_table(tmp_path, nodes: int = 500, c3_au: float = 0.25, lam_au: float = 500.0):
     """The ``cp`` table file: the Casimir-Polder-like two-tail potential
     -c3/(z^3 (1 + z/lam)) on ``nodes`` points of 1 .. 40000 a0, atomic
-    units, c3 = 0.25 and lam = 500."""
-    lam_au, c3_au = 500.0, 0.25
+    units, by default c3 = 0.25 and lam = 500, values to 11 digits."""
     z = np.geomspace(1.0, 40000.0, nodes)
     v = -c3_au / (z ** 3 * (1.0 + z / lam_au))
-    table = tmp_path / f"cp{nodes}.pot"
+    table = tmp_path / f"cp{nodes}-{c3_au!r}-{lam_au!r}.pot"
     lines = [f"# C3={c3_au} C4={c3_au * lam_au}"]
     lines += [f"{a:.10e} {b:.10e}" for a, b in zip(z, v)]
     table.write_text("\n".join(lines) + "\n")

@@ -299,13 +299,14 @@ class TestReflect:
         assert row["status"] == "ok"
         assert float(row["method_spread"]) <= 1e-8
         assert elapsed < 20.0
-        # R of a WKB cliff start at cut 1e-11, at 3e-7 a0 deep in the glued
-        # tail (18 s for the direct route alone)
-        assert float(row["R_direct"]) == pytest.approx(0.705453141207, abs=1e-10)
+        # R of a WKB cliff start at cut 1e-11, at 3e-7 a0 deep in the cliff
+        # tail (0.5 s for the direct route alone)
+        assert float(row["R_direct"]) == pytest.approx(0.705455912828, abs=1e-10)
 
     def test_table_routes_agree_at_the_default_cut(self, tmp_path):
-        # the wall route's panels end on the knots, where V'' jumps: it agrees
-        # with direct and coupled to integration accuracy, not to 3e-10
+        # V'' is continuous: the wall route, whose coefficient holds it,
+        # agrees with direct and coupled to integration accuracy across the
+        # knots, not to 3e-10
         table = write_cp_table(tmp_path)
         code, text = run(tmp_path, "ts.csv",
                          ["reflect", "--table", str(table), "--energy-e1", "100",
@@ -589,6 +590,44 @@ class TestWall:
 
 
 class TestScatlength:
+    def test_one_ell_on_a_table(self, tmp_path):
+        # reflect's kappa*ell, wall's E_bold = (kappa zeta)**2 = kappa ell
+        # and scatlength's ell all read the declared C4 (scatlength read a
+        # strength matched to the last node, 0.62% off)
+        from qreflect.potentials import AMU, BOHR_RADIUS, HARTREE, HBAR, e1_unit, kappa_si
+        table = str(write_cp_table(tmp_path))
+        _, text = run(tmp_path, "r.csv", ["reflect", "--table", table, "--energy-e1", "100",
+                                          "--method", "direct"])
+        kappa_ell = float(csv_rows(text)[1][0]["kappa_ell"])
+        _, text = run(tmp_path, "w.csv", ["wall", "--table", table, "--energy-e1", "100",
+                                          "--points", "2"])
+        meta = dict(line[2:].split("=", 1) for line in text.splitlines()
+                    if line.startswith("# ") and "=" in line)
+        _, text = run(tmp_path, "s.csv", ["scatlength", "--table", table])
+        ell = float(csv_rows(text)[1][0]["ell"])
+        mass = 1.00782503207 * AMU
+        kappa = kappa_si(100.0 * e1_unit(mass), mass) * BOHR_RADIUS
+        c4 = 125.0 * 2.0 * mass * HARTREE * BOHR_RADIUS ** 2 / HBAR ** 2
+        assert ell == pytest.approx(math.sqrt(c4), rel=1e-11)
+        assert kappa * ell == pytest.approx(kappa_ell, rel=1e-11)
+        (e_bold,) = (float(v) for k, v in meta.items() if k.startswith("E_bold["))
+        assert e_bold == pytest.approx(kappa_ell, rel=1e-11)
+
+    @pytest.mark.parametrize("c3, lam", [(0.24085910610281003, 517.3716868468616),
+                                         (0.24559581912082906, 482.5424586962251)],
+                             ids=["table-cli-seed-1", "table-cli-seed-7"])
+    @pytest.mark.parametrize("cut", [[], ["--q-match", "1e-7"]], ids=["default-cut", "cut-1e-7"])
+    def test_table_is_quiet(self, tmp_path, capsys, c3, lam, cut):
+        # on tables shaped like the benchmark's table-cli ones, the badlands
+        # has one mode: no "badlands appears multimodal" on stderr
+        table = write_cp_table(tmp_path, c3_au=c3, lam_au=lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["scatlength", "--table", str(table), *cut])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert float(csv_rows(out)[1][0]["b"]) > 0.0
+
     def test_quartic_record(self, tmp_path):
         code, text = run(tmp_path, "s.json",
                          ["scatlength", "--model", "v4", "--format", "json"])

@@ -211,15 +211,17 @@ class TestWallIntegral:
         assert wall_integral(prob) == pytest.approx(wall_integral_closed(n), rel=1e-14)
 
     def test_table_matches_quadrature_per_knot_interval(self):
-        # Q jumps at every knot of a table: the panels end on the knots, and
-        # the integral matches quad run on each knot interval and on the tails
+        # Q is smooth between the knots of a table and continuous across
+        # them: the panels cross the knots, and the integral matches quad run
+        # on each knot interval, on each blend and on the tails
         lam, c3 = 3.0, 0.6
         z = np.geomspace(0.01, 1000.0, 120)
         fld = WkbField(TabulatedPotential(z, -c3 / (z ** 3 * (1.0 + z / lam)),
                                           cliff_c3=c3, far_c4=c3 * lam), 0.05)
         _, prob = special_gauge(fld)
         z_peak, _ = fld.q_peak()
-        edges = np.log([z_peak * 1e-40, *z, z_peak * 1e6])
+        knots = np.exp(fld.potential.log_log_pieces()[0])   # the nodes and the blend ends
+        edges = np.log([z_peak * 1e-40, *knots, z_peak * 1e6])
         total = sum(quad(lambda u: float(fld.q(math.exp(u)) * fld.k(math.exp(u))) * math.exp(u),
                          a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                     for a, b in zip(edges[:-1], edges[1:]))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import make_interp_spline
 
 from qreflect.potentials import (
     AIRY_LAMBDA1,
@@ -17,7 +18,6 @@ from qreflect.potentials import (
     kappa_si,
     load_potential_table,
 )
-from qreflect.potentials import _log_log_spline
 from qreflect.wkb import WkbField
 
 from helpers import two_tail_table
@@ -66,11 +66,12 @@ class TestHomogeneous:
 
 
 class TestTabulated:
-    def build(self, c3=1.3, lam=2.0, n=120):
+    Z = np.geomspace(0.05, 200.0, 120)
+
+    def build(self, c3=1.3, lam=2.0):
         model = cp_like(c3, lam)
-        z = np.geomspace(0.05, 200.0, n)
-        v = np.array([model(float(t)) for t in z])
-        return TabulatedPotential(z, v, cliff_c3=c3, far_c4=c3 * lam), model
+        v = np.array([model(float(t)) for t in self.Z])
+        return TabulatedPotential(self.Z, v, cliff_c3=c3, far_c4=c3 * lam), model
 
     def test_domain_error(self):
         pot, _ = self.build()
@@ -81,7 +82,7 @@ class TestTabulated:
 
     def test_nodes_exact(self):
         pot, model = self.build()
-        for z in (pot.breaks[3], pot.breaks[60], pot.breaks[-2]):
+        for z in (self.Z[3], self.Z[60], self.Z[-2]):
             assert pot.value(float(z)) == pytest.approx(model(float(z)), rel=1e-13)
 
     def test_between_nodes_close(self):
@@ -91,13 +92,12 @@ class TestTabulated:
 
     def test_tails_used_outside(self):
         pot, _ = self.build(c3=1.3, lam=2.0)
-        # boundary-matched power laws: exact -C/z^n shape with the strength
-        # pinned by the table's end values, close to the declared tails
-        (_, c3m, _), (_, c4m, _) = pot.tails
-        assert pot.value(0.01) == pytest.approx(-c3m / 0.01 ** 3, rel=1e-12)
-        assert pot.value(500.0) == pytest.approx(-c4m / 500.0 ** 4, rel=1e-12)
-        assert c3m == pytest.approx(1.3, rel=0.05)
-        assert c4m == pytest.approx(2.6, rel=0.05)
+        # the declared power laws, a factor 10 beyond the end nodes
+        assert pot.tails == ((3, 1.3, 0.005), (4, 2.6, 2000.0))
+        assert pot.value(0.005) == pytest.approx(-1.3 / 0.005 ** 3, rel=1e-12)
+        assert pot.value(0.001) == pytest.approx(-1.3 / 0.001 ** 3, rel=1e-12)
+        assert pot.value(2000.0) == pytest.approx(-2.6 / 2000.0 ** 4, rel=1e-12)
+        assert pot.value(5000.0) == pytest.approx(-2.6 / 5000.0 ** 4, rel=1e-12)
 
     @pytest.mark.parametrize("pot", [HomogeneousPotential(3, 0.7), HomogeneousPotential(4, 1.3),
                                      HomogeneousPotential(5, 0.7), two_tail_table()],
@@ -112,16 +112,18 @@ class TestTabulated:
         if isinstance(pot, HomogeneousPotential):
             assert pot.tails == ((pot.n, pot.c_n, math.inf), (pot.n, pot.c_n, 0.0))
         else:
-            assert (n_lo, z_top, n_hi, z_from) == (3, pot.z_min, 4, pot.z_max)
+            assert (n_lo, z_top, n_hi, z_from) == (3, pot.z_min / 10.0, 4, pot.z_max * 10.0)
         # the field's zeta is that of the far tail, bit for bit
         assert WkbField(pot, 0.02).zeta == (c_hi / 0.02) ** (1.0 / n_hi)
 
     def test_tails_continuous_at_seams(self):
+        # V, V' and V'' at the ends of both blends, and at the end nodes
         pot, _ = self.build()
-        for seam in (pot.z_min, pot.z_max):
-            below = pot.value(seam * (1.0 - 1e-9))
-            above = pot.value(seam * (1.0 + 1e-9))
-            assert below == pytest.approx(above, rel=1e-7)
+        for seam in (pot.tails[0][2], pot.z_min, pot.z_max, pot.tails[1][2]):
+            below = pot.derivs(seam * (1.0 - 1e-9))
+            above = pot.derivs(seam * (1.0 + 1e-9))
+            for a, b in zip(below, above):
+                assert a == pytest.approx(b, rel=1e-7)
 
     def test_tail_consistency_enforced(self):
         model = cp_like(1.0, 3.0)
@@ -138,30 +140,30 @@ class TestTabulated:
             assert pot.dvalue(z) == pytest.approx(fd, rel=1e-6)
 
     def test_kernel_matches_scipy_spline(self):
-        # the array kernel reproduces scipy's PPoly evaluation bit for bit,
-        # with numpy's log and exp as the kernel takes them, on arrays and on
-        # scalars, the table's own nodes included (a node falls on the cubic
-        # that starts there, as in PPoly, and z_max on the last one)
-        pot, _ = self.build()
-        spline = _log_log_spline(pot.breaks, pot._v)
+        # between the end nodes the array kernel is scipy's quintic B-spline
+        # to rounding, with numpy's log and exp, the table's own nodes
+        # included; one call on an array gives what one call per point gives
+        pot, model = self.build()
+        spline = make_interp_spline(np.log(self.Z), np.log(-model(self.Z)), k=5)
         rng = np.random.default_rng(20)
         interior = np.exp(rng.uniform(math.log(pot.z_min), math.log(pot.z_max), 4000))
-        zs = np.concatenate([interior, pot.breaks])
+        zs = np.concatenate([interior, self.Z])
         u = np.log(zs)
-        w, w1, w2 = (p(u) for p in (spline, spline.derivative(), spline.derivative(2)))
+        w, w1, w2 = (spline(u, nu) for nu in range(3))
         reference = (-np.exp(w), -np.exp(w) * w1 / zs, -np.exp(w) * (w2 + w1 * w1 - w1) / zs ** 2)
         got = (pot.value(zs), pot.dvalue(zs), pot.d2value(zs))
-        assert all(np.array_equal(g, r) for g, r in zip(got, reference))
-        assert all(np.array_equal(g, r) for g, r in zip(pot.derivs(zs), reference))
+        for g, r, rtol in zip(got, reference, (5e-14, 1e-13, 1e-12)):
+            np.testing.assert_allclose(g, r, rtol=rtol, atol=0.0)
+        assert all(np.array_equal(g, d) for g, d in zip(got, pot.derivs(zs)))
         for i in range(0, len(zs), 37):
-            assert pot.derivs(float(zs[i])) == tuple(r[i] for r in reference)
+            assert pot.derivs(float(zs[i])) == tuple(d[i] for d in pot.derivs(zs))
 
     def test_table_ends_are_finite(self):
         # math.log(z_min) falls one ulp below the np.log knot here, which made
         # the spline reject the table's own first node
         lo = 0.9661275959543612
-        z = lo * np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-        pot = TabulatedPotential(z, -1.0 / z ** 3, cliff_c3=1.0, far_c4=16.0 * lo)
+        z = lo * np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+        pot = TabulatedPotential(z, -1.0 / z ** 3, cliff_c3=1.0, far_c4=32.0 * lo)
         assert math.log(lo) < np.log(lo)
         for end in (pot.z_min, pot.z_max):
             for f in (pot.value, pot.dvalue, pot.d2value):
@@ -174,6 +176,33 @@ class TestTabulated:
             TabulatedPotential([1.0, 2.0, 3.0, 4.0], [-1.0, -0.5, 0.1, -0.1], 1.0, 1.0)
         with pytest.raises(ValueError):
             TabulatedPotential([1.0, 0.5, 2.0, 3.0], [-1, -1, -1, -1], 1.0, 1.0)
+        z = np.arange(1.0, 6.0)
+        with pytest.raises(ValueError, match="at least 6 samples"):
+            TabulatedPotential(z, -1.0 / z ** 3, cliff_c3=1.0, far_c4=5.0)
+
+    @pytest.mark.parametrize("node", [1500, 1], ids=["middle", "next-to-end"])
+    @pytest.mark.parametrize("factor", [1.01, 0.99])
+    def test_dent_rejected(self, node, factor):
+        # one sample 1% off the law, on 3000 nodes of 1 .. 40000: the quintic
+        # through it turns beside the dent, or in the blend that reads the
+        # end node's curvature, and the error names that interval
+        model = cp_like(0.25, 500.0)
+        z = np.geomspace(1.0, 40000.0, 3000)
+        v = model(z)
+        TabulatedPotential(z, v, cliff_c3=0.25, far_c4=125.0)
+        v[node] *= factor
+        with pytest.raises(ValueError, match="not monotone") as info:
+            TabulatedPotential(z, v, cliff_c3=0.25, far_c4=125.0)
+        lo, hi = (float(t) for t in str(info.value).split("z = ")[1].split(" (")[0].split(" .. "))
+        assert lo <= z[node + 1] and hi >= z[node - 1]
+
+    def test_noise_rejected(self):
+        # a relative noise of 1e-3 on every sample of a 500-node table
+        model = cp_like(0.25, 500.0)
+        z = np.geomspace(1.0, 40000.0, 500)
+        noisy = model(z) * (1.0 + 1e-3 * np.random.default_rng(1).standard_normal(len(z)))
+        with pytest.raises(ValueError, match=r"not monotone: ln\(-V\) rises somewhere in z = "):
+            TabulatedPotential(z, noisy, cliff_c3=0.25, far_c4=125.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("where", ["z", "v", "c3", "c4"])

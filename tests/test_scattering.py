@@ -1,7 +1,6 @@
 """Tests for the scattering solvers, their diagnostics and the scattering length."""
 
 import cmath
-import dataclasses
 import math
 import os
 import subprocess
@@ -17,7 +16,15 @@ import qreflect.scattering as scattering
 
 from qreflect.liouville import special_gauge, transform_f
 from qreflect.mathieu import solve_v4
-from qreflect.potentials import HomogeneousPotential, TabulatedPotential, load_potential_table
+from qreflect.potentials import (
+    BOHR_RADIUS,
+    HARTREE,
+    HBAR,
+    M_HYDROGEN,
+    HomogeneousPotential,
+    TabulatedPotential,
+    load_potential_table,
+)
 from qreflect.scattering import (
     SolverControl,
     scattering_length,
@@ -61,10 +68,10 @@ def spy_integrations(monkeypatch, integrate=None) -> list:
 ROUTES = ["direct", "coupled", "transformed"]
 
 
-def pointwise(integrate, coefficients, ends, nodes, y0, rtol: float):
+def pointwise(integrate, coefficients, ends, n, y0, rtol: float):
     """Stand in for ``scattering.solve_ivp``: integrate its y' = [[0, a], [b, 0]] y
     over the span of ``ends`` by ``integrate``, a DOP853 that knows no
-    panels and so no rules (``nodes``), with a and b read one point at a
+    panels and so no rule (``n``), with a and b read one point at a
     time (a one-node "panel" from z itself, whose running integral is
     zero). A run that scipy reports failed raises, as the panels do."""
     def rhs(z, y):
@@ -85,21 +92,20 @@ def on_dop853(monkeypatch, integrate) -> None:
     monkeypatch.setattr(scattering, "solve_ivp", partial(pointwise, integrate))
 
 
-def loop_solve_ivp(coefficients, ends, nodes, y0, rtol: float) -> scattering.OdeResult:
+def loop_solve_ivp(coefficients, ends, n, y0, rtol: float) -> scattering.OdeResult:
     """The reference for ``scattering.solve_ivp``: a loop over the panels in
-    order, each solved alone on its own rule of n nodes in the integral
-    form [[1, -S a], [-S b, 1]] (U, V) = (u_a, v_a) on all 2 x n unknowns,
+    order, each solved alone on the rule of n nodes in the integral form
+    [[1, -S a], [-S b, 1]] (U, V) = (u_a, v_a) on all 2 x n unknowns,
     nothing eliminated, for the two unit starts, with the same tail test; a
-    panel that fails it is replaced by its two halves, left first, on its
-    rule. The cases here all succeed."""
+    panel that fails it is replaced by its two halves, left first. The
+    cases here all succeed."""
     tol = max(rtol, 1e-14)
     y = np.array(y0, dtype=complex)
     ts, ys, nfev = [float(ends[0])], [y], 0
-    todo = list(zip(map(float, ends[:-1]), map(float, ends[1:]),
-                    np.broadcast_to(nodes, len(ends) - 1).tolist()))[::-1]
+    todo = list(zip(map(float, ends[:-1]), map(float, ends[1:])))[::-1]
+    x, s_ref, w_ref, tail_ref = scattering._chebyshev_rule(n)
     while todo:
-        z_a, z_b, n = todo.pop()
-        x, s_ref, w_ref, tail_ref = scattering._chebyshev_rule(n)
+        z_a, z_b = todo.pop()
         starts = np.kron(np.eye(2), np.ones((n, 1)))   # (1, 0) and (0, 1) at every node
         half = 0.5 * (z_b - z_a)
         assert half >= 5.0 * (math.nextafter(z_a, math.inf) - z_a)
@@ -114,7 +120,7 @@ def loop_solve_ivp(coefficients, ends, nodes, y0, rtol: float) -> scattering.Ode
         tails = np.abs(cols @ tail_ref.T).max(axis=(1, 2))
         if not (tails <= tol * np.abs(cols).max(axis=(1, 2))).all():
             mid = z_a + half
-            todo += [(mid, z_b, n), (z_a, mid, n)]
+            todo += [(mid, z_b), (z_a, mid)]
             continue
         weights = half * w_ref
         y = (np.eye(2) + np.array([[weights @ (a * cols[c, 1]) for c in range(2)],
@@ -126,14 +132,13 @@ def loop_solve_ivp(coefficients, ends, nodes, y0, rtol: float) -> scattering.Ode
 
 def run_kernel_case(case: str) -> None:
     """Integrate once through ``scattering.solve_ivp``."""
-    knot, phase = scattering._KNOT_NODES, scattering._PHASE_NODES
     if case == "decay":   # u'' = 2 u / (1 + z)**2 from u = 1/(1 + z), one first panel
         scattering.solve_ivp(lambda z_a, zs, running: (1.0, 2.0 / (1.0 + zs) ** 2),
-                             (0.0, 5.0), knot, (1.0, -1.0), rtol=1e-10)
-    elif case == "oscillators":   # u'' = -(4 + cos z) u, complex start, both rules
+                             (0.0, 5.0), 12, (1.0, -1.0), rtol=1e-10)
+    elif case == "oscillators":   # u'' = -(4 + cos z) u, complex start, two first panels
         scattering.solve_ivp(lambda z_a, zs, running: (1.0, -(4.0 + np.cos(zs))),
-                             (0.0, 3.5, 7.0), (knot, phase), (1.0, 0.5j), rtol=1e-11)
-    elif case == "table":   # the default cut starts below the table: both rules
+                             (0.0, 3.5, 7.0), 12, (1.0, 0.5j), rtol=1e-11)
+    elif case == "table":   # the default cut starts below the table, on its cliff tail
         solve_direct(two_tail_table(), 0.02)
     else:
         route, kl = case.split("-")
@@ -171,28 +176,22 @@ class TestScalarDop853:
         # the batches of panels, one component eliminated, take the loop's
         # panels, halved ones included, and land on its states: 3.7e-14 of
         # the largest component at worst (direct, kappa*ell = 10; x86-64 with
-        # OpenBLAS). "table"
-        # ends its panels on the spline knots, on both rules
+        # OpenBLAS)
         pairs = []
 
         def both(*args, **kwargs):
             pairs.append((solve_ivp(*args, **kwargs), loop_solve_ivp(*args, **kwargs),
-                          len(args[1]) - 1, np.unique(args[2])))
+                          len(args[1]) - 1))
             return pairs[-1][0]
 
         monkeypatch.setattr(scattering, "solve_ivp", both)
         run_kernel_case(case)
-        ((sol, ref, first, rules),) = pairs
+        ((sol, ref, first),) = pairs
         assert np.array_equal(sol.t, ref.t)
         assert sol.nfev == ref.nfev
         assert len(sol.t) > 4
         assert (np.abs(sol.y - ref.y) < 1e-13 * np.abs(ref.y).max(axis=0)).all()
-        if case in ("table", "oscillators"):
-            assert rules.tolist() == [scattering._KNOT_NODES, scattering._PHASE_NODES]
-        if case == "table":
-            knots = two_tail_table().breaks
-            assert np.isin(knots[(knots > sol.t[0]) & (knots < sol.t[-1])], sol.t).all()
-        elif case not in ("direct-1.0", "transformed-1.0"):   # these pass every first panel
+        if case not in ("direct-1.0", "transformed-1.0", "table"):   # these pass every first panel
             assert len(sol.t) - 1 > first   # halved panels
         if case == "decay":
             np.testing.assert_allclose(sol.y[0], 1.0 / (1.0 + sol.t), rtol=1e-10, atol=0.0)
@@ -226,7 +225,7 @@ class TestScalarDop853:
         # NaN at the first node: the run raises after the first batch of
         # panels and evaluates none of the others; a batch holds as many
         # panels of n nodes as the budget of n**2 entries each
-        for n in (scattering._KNOT_NODES, scattering._PHASE_NODES):
+        for n in (12, scattering._PHASE_NODES):
             batch = scattering._BUDGET // (n * n)
             ends = np.linspace(0.0, 1.0, 3 * batch + 1)
             evals = []
@@ -266,7 +265,7 @@ class TestCollocate:
         # one first panel, halved alike until the panels pass: to 1024
         # panels of 12 nodes, 32 of 32
         omega = 12.0
-        for n, least in ((scattering._KNOT_NODES, 100), (scattering._PHASE_NODES, 30)):
+        for n, least in ((12, 100), (scattering._PHASE_NODES, 30)):
             sol = solve_ivp(lambda z_a, zs, running: (1.0, -omega * omega),
                             (1.0, 51.0), n, (1.0, 1j * omega), rtol=1e-12)
             assert sol.t[-1] == 51.0 and len(sol.t) > least
@@ -279,36 +278,34 @@ class TestCollocate:
         # with b = 0 only the column started on (0, 1) moves, u = int a: a
         # panel passed on the other column alone would stay 10 rad wide
         sol = solve_ivp(lambda z_a, zs, running: (np.cos(20.0 * zs), 0.0),
-                        (0.0, 10.0), scattering._KNOT_NODES, (0.0, 1.0), rtol=1e-12)
+                        (0.0, 10.0), 12, (0.0, 1.0), rtol=1e-12)
         assert len(sol.t) > 30
         np.testing.assert_allclose(sol.y[0], np.sin(20.0 * sol.t) / 20.0, rtol=0.0, atol=1e-13)
         np.testing.assert_array_equal(sol.y[1], 1.0)
 
-    def test_panels_end_on_the_knots(self, monkeypatch):
-        # the wall's F_t holds V'', which jumps at every knot: each knot in
-        # the span ends a panel, and no node reads a knot or a panel across one
+    def test_panels_cross_the_knots(self, monkeypatch):
+        # V'' is continuous on a table, V'' of the wall's F_t included, so
+        # the panels run across the knots: a few dozen panels for some 600
+        # knots, all on the one rule, and r within 5e-12 of the solve whose
+        # panels end on every knot, at a tighter tolerance
         fld = WkbField(two_tail_table(), 0.02)
         prob = special_gauge(fld, trunc_rel=1e-6)[1]
-        nodes = []
-
-        def spy(z):
-            nodes.append(z)
-            return prob.coefficients(z)
-
-        sols = spy_integrations(monkeypatch)
-        solve_transformed(dataclasses.replace(prob, coefficients=spy))
+        knots = np.exp(fld.potential.log_log_pieces()[0][2:-2])   # the nodes between the ends
+        z_min, z_max = prob.domain
+        inside = knots[(knots > z_min) & (knots < z_max)]
+        sizes = []
+        sols = spy_integrations(monkeypatch, lambda c, ends, n, *args: (
+            sizes.append(n) or solve_ivp(c, ends, n, *args)))
+        crossing = solve_transformed(prob)
         (sol,) = sols
-        knots = fld.potential.breaks
-        inside = knots[(knots > prob.domain[0]) & (knots < prob.domain[1])]
-        assert len(inside) > 400
-        assert np.isin(inside, sol.t).all()
-        # inside the table every panel is one knot interval
-        assert {batch.shape[1] for batch in nodes} == {scattering._KNOT_NODES}
-        for batch in nodes:
-            assert not np.isin(batch, knots).any()
-            # every panel's nodes share one knot interval
-            panels = np.searchsorted(knots, batch)
-            assert (panels == panels[:, :1]).all()
+        assert len(inside) > 400 and len(sol.t) < 100 and sizes == [scattering._PHASE_NODES]
+        assert not np.isin(inside, sol.t).any()
+        first_partition = scattering._first_partition
+        monkeypatch.setattr(scattering, "_first_partition", lambda domain, phases, breaks: (
+            np.union1d(first_partition(domain, phases, breaks), inside)))
+        ended = solve_transformed(prob, SolverControl(rtol=1e-13))
+        assert np.isin(inside, sols[-1].t).all()
+        assert abs(crossing.r - ended.r) <= 5e-12
 
     def test_nan_coefficient_fails(self, monkeypatch):
         # as ``TestScalarDop853.test_failed_integration_raises`` for direct
@@ -338,64 +335,55 @@ class TestCollocate:
         assert evals == [2 * n]
 
     def test_rules_on_the_table(self):
-        # a knot interval of at most 2 rad takes the 12-node rule; the
-        # panels below the table, where the phase sets the width, take 32
+        # one rule on every potential: on a table, as on V_n, each first
+        # panel spans at most _PHASE_RATIO in z and about _PHASE_RAD of phi
+        # (its gap is cut evenly in z), among the nodes as on the tails, and
+        # the panels end on the table's breaks
         fld = WkbField(two_tail_table(), 0.02)
-        ends, nodes = scattering._first_partition(fld, fld.matching_domain())
-        assert len(nodes) == len(ends) - 1
-        knots = fld.potential.breaks
+        domain = fld.matching_domain()
+        breaks = fld.potential.breaks
+        ends = scattering._first_partition(domain, lambda z: np.diff(fld.phi(z)), breaks)
+        assert (ends[0], ends[-1]) == domain
+        assert np.isin(breaks[(breaks > domain[0]) & (breaks < domain[1])], ends).all()
         phase = np.diff(fld.phi(ends))
-        one_interval = np.searchsorted(knots, ends[:-1], side="right") == \
-            np.searchsorted(knots, ends[1:], side="left")
-        knot_bound = one_interval & (phase <= scattering._KNOT_RAD)
-        assert knot_bound.sum() > 500 and (~knot_bound).sum() >= 2
-        np.testing.assert_array_equal(
-            nodes, np.where(knot_bound, scattering._KNOT_NODES, scattering._PHASE_NODES))
-        # the phase-bound panels lie below the table, each within the phase
-        # rule's bounds
-        assert (ends[1:][~knot_bound] <= knots[0]).all()
-        assert (phase[~knot_bound] <= scattering._PHASE_RAD).all()
-        assert (ends[1:][~knot_bound] <= scattering._PHASE_RATIO * ends[:-1][~knot_bound]).all()
+        assert (ends[1:] <= scattering._PHASE_RATIO * (1.0 + 1e-12) * ends[:-1]).all()
+        assert (phase < 2.0 * scattering._PHASE_RAD).all()
+        assert ((ends > fld.potential.z_min) & (ends < fld.potential.z_max)).sum() >= 10
+        assert len(ends) < 60
 
     @pytest.mark.parametrize("case", ["v4-0.119", "v4-10", "cp-e1x100"])
     def test_partition_unchanged(self, tmp_path, case):
-        # _first_partition through _panels gives the ends and rules of the
-        # one-function reference, bit for bit
+        # _first_partition with the phase of a field gives the ends of the
+        # reference, bit for bit
         if case.startswith("v4"):
             kl = float(case.split("-")[1])
             fld = WkbField(v4(kl), kl)
         else:
             fld = WkbField(load_potential_table(write_cp_table(tmp_path)), e1_energy(100.0))
         domain = fld.matching_domain()
-        ends, nodes = scattering._first_partition(fld, domain)
-        old_ends, old_nodes = joined_partition(fld, domain)
-        np.testing.assert_array_equal(ends, old_ends)
-        np.testing.assert_array_equal(nodes, old_nodes)
+        ends = scattering._first_partition(domain, lambda z: np.diff(fld.phi(z)),
+                                           fld.potential.breaks)
+        np.testing.assert_array_equal(ends, joined_partition(fld, domain))
 
     def test_halves_keep_the_rule(self):
-        # 60 rad on every first panel fails both rules: each half is solved
-        # on its parent's rule, down to the accepted panels
+        # 60 rad on every first panel fails the rule: each half is solved on
+        # the call's rule, down to the accepted panels, halved more than once
         first = np.linspace(0.0, 4.0, 5)
-        rules = np.array([scattering._KNOT_NODES, scattering._PHASE_NODES] * 2)
-        panels = []
+        for n in (12, scattering._PHASE_NODES):
+            panels = []
 
-        def coefficients(z_a, zs, running):
-            x = scattering._chebyshev_rule(zs.shape[1])[0]
-            panels.extend(zip(z_a, z_a + (zs[:, -1] - zs[:, 0]) / (x[-1] - x[0]) * 2.0,
-                              [zs.shape[1]] * len(z_a)))
-            return 1.0, -3600.0
+            def coefficients(z_a, zs, running):
+                x = scattering._chebyshev_rule(zs.shape[1])[0]
+                panels.extend(zip(z_a, z_a + (zs[:, -1] - zs[:, 0]) / (x[-1] - x[0]) * 2.0,
+                                  [zs.shape[1]] * len(z_a)))
+                return 1.0, -3600.0
 
-        sol = solve_ivp(coefficients, first, rules, (1.0, 60j), rtol=1e-12)
-        assert sol.nfev == sum(n for _, _, n in panels)
-        np.testing.assert_allclose(sol.y[0], np.exp(60j * sol.t), rtol=0.0, atol=1e-10)
-        assert len(panels) > len(first) + 10
-        for z_a, z_b, n in panels:
-            # the first panel that holds this one sets its rule
-            parent = np.searchsorted(first, 0.5 * (z_a + z_b)) - 1
-            assert n == rules[parent]
-        # both rules were halved more than once
-        widths = {n: {round(z_b - z_a, 9) for z_a, z_b, m in panels if m == n} for n in rules}
-        assert all(len(w) > 2 for w in widths.values())
+            sol = solve_ivp(coefficients, first, n, (1.0, 60j), rtol=1e-12)
+            assert sol.nfev == n * len(panels)
+            np.testing.assert_allclose(sol.y[0], np.exp(60j * sol.t), rtol=0.0, atol=1e-10)
+            assert len(panels) > len(first) + 10
+            assert {m for _, _, m in panels} == {n}
+            assert len({round(z_b - z_a, 9) for z_a, z_b, _ in panels}) > 2
 
     @pytest.mark.parametrize("rtol", [1e-4, 1e-12])
     def test_retried_panels_shrink(self, monkeypatch, rtol):
@@ -422,7 +410,7 @@ class TestCollocate:
             sols = spy_integrations(monkeypatch, recorded)
             solve()
             (sol,), (first,) = sols, firsts
-            assert sol.nfev == scattering._PHASE_NODES * len(panels)   # v4: no knots
+            assert sol.nfev == scattering._PHASE_NODES * len(panels)
             assert len(panels) > first
             # each later panel is one half of an earlier one, and each panel
             # that was halved has both halves
@@ -462,24 +450,21 @@ class TestCollocate:
 
 def joined_partition(fld: WkbField, domain):
     """The first partition in one function reading ``fld.phi``: the
-    reference for ``scattering._first_partition`` and ``scattering._panels``."""
+    reference for ``scattering._first_partition``."""
     z_min, z_max = domain
     count = math.ceil(math.log(z_max / z_min) / math.log(scattering._PHASE_RATIO))
     coarse = z_min * (z_max / z_min) ** (np.arange(count + 1) / count)
     coarse[-1] = z_max
-    knots = fld.potential.breaks
-    knots = knots[(knots > z_min) & (knots < z_max)]
-    if len(knots):
-        coarse = np.union1d(coarse, knots)
+    breaks = fld.potential.breaks
+    breaks = breaks[(breaks > z_min) & (breaks < z_max)]
+    if len(breaks):
+        coarse = np.union1d(coarse, breaks)
     phase = np.diff(fld.phi(coarse))
     parts = np.maximum(np.ceil(phase / scattering._PHASE_RAD), 1.0).astype(int)
     piece = np.repeat(np.arange(len(parts)), parts)
     step = np.diff(coarse)[piece] / parts[piece]
     ends = coarse[piece] + (np.arange(len(piece)) - (np.cumsum(parts) - parts)[piece]) * step
-    knot_bound = ((phase <= scattering._KNOT_RAD)
-                  & (coarse[1:] <= scattering._KNOT_RATIO * coarse[:-1]))
-    return (np.append(ends, z_max),
-            np.where(knot_bound, scattering._KNOT_NODES, scattering._PHASE_NODES)[piece])
+    return np.append(ends, z_max)
 
 
 class TestCliffStart:
@@ -588,7 +573,7 @@ class TestWronskian:
         res = solve_route(route, 1.0)
         (sol,) = sols
         assert sol.y.shape == (2, len(sol.t))
-        assert sol.nfev < 2 * scattering._PHASE_NODES * (len(sol.t) - 1)   # v4: no knots
+        assert sol.nfev < 2 * scattering._PHASE_NODES * (len(sol.t) - 1)
         assert res.diagnostics.wronskian_drift < 1e-9
 
     @pytest.mark.parametrize("route", ROUTES)
@@ -737,7 +722,7 @@ class TestSolveTransformed:
         assert abs(direct.t - wall.t) < 5e-8
 
     def test_wall_gauge_on_a_table(self):
-        # panels end on the knots, where V'' jumps, so the wall route agrees
+        # V'' is continuous, so the wall route, whose F_t holds it, agrees
         # with direct to integration accuracy
         pot, ctl = two_tail_table(), SolverControl(q_match_rel=1e-6)
         direct = solve_direct(pot, 0.02, ctl)
@@ -778,22 +763,23 @@ class TestScatteringLength:
         assert abs(result.a - complex(0.0, -ell)) <= 1e-14 * ell
 
     def test_table_rules_and_tolerance(self, tmp_path, monkeypatch):
-        # the zero-energy solve on the 12-node rule agrees with the 32-node
-        # rule and with a tighter tolerance
+        # the zero-energy solve on the 32-node rule agrees with a tighter
+        # tolerance and with a 48-node rule
         pot = load_potential_table(write_cp_table(tmp_path))
         a = scattering_length(pot).a
         ell = math.sqrt(pot.tails[1][1])
         assert abs(scattering._threshold_length(pot, ell, 1e-14) / a - 1.0) <= 1e-10
-        monkeypatch.setattr(scattering, "_KNOT_NODES", 32)
+        monkeypatch.setattr(scattering, "_PHASE_NODES", 48)
         assert abs(scattering._threshold_length(pot, ell, 1e-12) / a - 1.0) <= 1e-10
 
     def test_table_against_scipy(self, tmp_path):
-        # scipy's DOP853 from the first node's threshold wave to z_max on the
-        # same V, decomposed on z cos(ell/z) and z sin(ell/z)
+        # scipy's DOP853 from the threshold wave where the cliff tail ends to
+        # where the far tail begins, on the same V, decomposed there on
+        # z cos(ell/z) and z sin(ell/z)
         pot = load_potential_table(write_cp_table(tmp_path))
         a = scattering_length(pot).a
         ell = math.sqrt(pot.tails[1][1])
-        z0, z1 = pot.breaks[0], pot.breaks[-1]
+        z0, z1 = pot.tails[0][2], pot.tails[1][2]
         sol = scipy_solve_ivp(lambda z, y: (y[1], pot.value(z) * y[0]), (z0, z1),
                               np.array(threshold_wave(z0, 3, pot.tails[0][1])),
                               method="DOP853", rtol=1e-13, atol=1e-300)
@@ -849,6 +835,22 @@ class TestScatteringLength:
 
 
 class TestTabulatedPipeline:
+    def test_cp_against_the_formula(self, tmp_path):
+        # the 500-node cp table against the formula it samples,
+        # -c3/(z**3 (1 + z/lam)), tabulated here at 870 nodes per decade on
+        # 1e-6 .. 4e7 a0 to full precision: the tails declared at a factor 10
+        # beyond the end nodes keep r within 1e-8 and a within 3e-5 (the
+        # strengths matched to the end nodes were 1.7e-6 to 5.9e-6 off in r)
+        pot = load_potential_table(write_cp_table(tmp_path))
+        to_reduced = 2.0 * M_HYDROGEN * HARTREE * BOHR_RADIUS ** 2 / HBAR ** 2
+        c3, c4 = 0.25 * to_reduced, 125.0 * to_reduced
+        z = np.geomspace(1e-6, 4e7, round(870 * math.log10(4e7 / 1e-6)) + 1)
+        ref = TabulatedPotential(z, -c3 / (z ** 3 * (1.0 + z / 500.0)), cliff_c3=c3, far_c4=c4)
+        for e1 in (30.0, 100.0, 300.0, 1000.0):
+            energy = e1_energy(e1)
+            assert abs(solve_direct(pot, energy).r - solve_direct(ref, energy).r) <= 1e-8, e1
+        assert abs(scattering_length(pot).a / scattering_length(ref).a - 1.0) <= 3e-5
+
     def test_tabulated_matches_dense_sampling_of_same_model(self):
         # ingesting a table of a known two-tail model reproduces the
         # reflection of the model itself within interpolation accuracy;

@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
+from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 
 from qreflect import inversion_center, potentials, wkb
 from qreflect.cli import main
-from qreflect.potentials import HomogeneousPotential, TabulatedPotential, _log_log_spline
+from qreflect.potentials import HomogeneousPotential, TabulatedPotential
 from qreflect.wkb import (
     WkbField,
     _cliff_offset,
@@ -72,19 +73,22 @@ MP_CLIFF_OFFSET = {
 
 def quadrature_phi(fld: WkbField, z: float) -> float:
     """Tabulated phi by adaptive quadrature, as the package computed it before
-    its phase table: quad per log unit of z up to max(50 zeta, z_max), under
-    the quartic closed form there.
+    its phase table: quad per quarter log unit of z up to max(50 zeta,
+    z_from), under the quartic closed form there, z_from the start of the
+    far tail.
     """
     pot = fld.potential
-    zeta = (pot.tails[1][1] / fld.energy) ** 0.25
-    anchor = max(50.0 * zeta, pot.z_max)
+    (_, _, z_top), (_, c4, z_from) = pot.tails
+    zeta = (c4 / fld.energy) ** 0.25
+    anchor = max(50.0 * zeta, z_from)
     phi_anchor = fld.kappa * zeta * phase_coordinate(anchor / zeta, 4)
     if z >= anchor:
         return fld.kappa * zeta * phase_coordinate(z / zeta, 4)
     s_lo, s_hi = math.log(z), math.log(anchor)
     edges = {s_lo, s_hi}
-    edges.update(s for s in (math.log(pot.z_min), math.log(pot.z_max)) if s_lo < s < s_hi)
-    edges.update(float(s) for s in np.arange(math.ceil(s_lo), s_hi, 1.0))
+    edges.update(s for s in map(math.log, (z_top, pot.z_min, pot.z_max, z_from))
+                 if s_lo < s < s_hi)
+    edges.update(float(s) for s in np.arange(math.ceil(s_lo), s_hi, 0.25))
     grid = sorted(edges)
     total = err_total = 0.0
     with warnings.catch_warnings():
@@ -270,8 +274,8 @@ class TestPhase:
         fld = WkbField(potentials.load_potential_table(table), e1_energy(100.0))
         with pytest.raises(RuntimeError, match="phase table error estimate"):
             fld.phi(10.0)
-        # the 6-node table's badlands has two modes
-        with pytest.warns(UserWarning, match="multimodal"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["wall", "--table", str(table), "--energy-e1", "100", "--points", "5"])
         out, err = capsys.readouterr()
         assert code == 2
@@ -280,15 +284,16 @@ class TestPhase:
 
 
     def test_threshold_phases_match_quadrature(self):
-        # knot intervals wider than a panel: the phase table splits each, and
-        # the phases at E = 0 sum its panels per interval
+        # the phases at E = 0 between points at most a factor 2 apart and on
+        # the breaks, across the knots
         lam, c3 = 3.0, 0.6
         z = np.geomspace(0.1, 100.0, 8)
         pot = TabulatedPotential(z, -c3 / (z ** 3 * (1.0 + z / lam)), cliff_c3=c3, far_c4=c3 * lam)
-        assert (np.diff(np.log(z)) > wkb._PANEL_DU).all()
-        ref = [quad(lambda t: math.sqrt(-pot.value(t)), a, b, epsabs=0.0, epsrel=1e-13)[0]
-               for a, b in zip(z[:-1], z[1:])]
-        assert np.allclose(wkb.threshold_phases(pot), ref, rtol=1e-10, atol=0.0)
+        points = np.union1d(0.005 * 2.0 ** np.arange(19), pot.breaks)
+        ref = [quad(lambda t: math.sqrt(-pot.value(t)), a, b, epsabs=0.0, epsrel=1e-13,
+                    points=z[(z > a) & (z < b)])[0]
+               for a, b in zip(points[:-1], points[1:])]
+        assert np.allclose(wkb.threshold_phases(pot, points), ref, rtol=1e-10, atol=0.0)
 
 
 class TestBadlands:
@@ -447,7 +452,7 @@ class TestBadlands:
         # point by point from scipy's PPoly and Python floats, and Q_peak is
         # the largest Q that a golden-section search on those point values
         # finds in its bracket; on the test tables and on the benchmark's
-        # table-cli table (seed 1) at its three energies
+        # table-cli table (seed 1) at its three energies, with no warning
         if case == "two-tail":
             pot, energy = two_tail_table(), 0.02
         elif case == "cp":
@@ -457,29 +462,12 @@ class TestBadlands:
             pot = table_cli_table(tmp_path)
             energy = e1_energy(float(case.rsplit("-", 1)[1]))
         fld = WkbField(pot, energy)
-        spline = _log_log_spline(pot.breaks, pot._v)
-        pieces = (spline, spline.derivative(), spline.derivative(2))
-
-        def q_point(z: float) -> float:
-            if pot.z_min <= z <= pot.z_max:
-                w, w1, w2 = (float(p(math.log(z))) for p in pieces)
-                mv = math.exp(w)
-                v, dv, d2v = -mv, -mv * w1 / z, -mv * (w2 + w1 * w1 - w1) / z ** 2
-            else:
-                n, c, _ = pot.tails[0] if z < pot.z_min else pot.tails[1]
-                v, dv, d2v = -c / z ** n, n * c / z ** (n + 1), -n * (n + 1) * c / z ** (n + 2)
-            k2 = energy - v
-            k = math.sqrt(k2)
-            dk = -dv / (2.0 * k)
-            d2k = (-d2v - 2.0 * dk * dk) / (2.0 * k)
-            return 0.5 * d2k / k2 ** 1.5 - 0.75 * dk * dk / (k2 * k2)
-
-        zeta = (pot.tail_far()[1] / energy) ** 0.25
-        grid = np.geomspace(zeta / 300.0, zeta * 300.0, 241)
+        q_point = scipy_q(pot, energy)
+        grid = np.geomspace(fld.zeta / 300.0, fld.zeta * 300.0, 241)
         imax = int(np.argmax([q_point(float(z)) for z in grid]))
         read = spy_q(monkeypatch)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")   # the multimodal warning of a coarse table
+            warnings.simplefilter("error")
             z_peak, q_peak = fld.q_peak()
         searched, values = read[0]
         np.testing.assert_array_equal(searched, grid)
@@ -488,34 +476,46 @@ class TestBadlands:
         z_golden = golden_max(q_point, grid[imax - 1], grid[imax + 1], tol=1e-12 * grid[imax])
         assert q_peak == pytest.approx(q_point(z_golden), rel=1e-13, abs=0.0)
 
+    def test_two_modes_warn(self):
+        # a shelf in -V about z = 10, where it falls by a factor 6 over
+        # about 0.3 in ln z, gives Q a second mode beside the one near zeta,
+        # at 11% of its height
+        z = np.geomspace(0.004, 4000.0, 700)
+        shelf = 1.0 + 2.5 * (1.0 - np.tanh(np.log(z / 10.0) / 0.15))
+        pot = TabulatedPotential(z, -0.6 * shelf / (z ** 3 * (1.0 + z / 3.0)),
+                                 cliff_c3=3.6, far_c4=1.8)
+        with pytest.warns(UserWarning, match="multimodal"):
+            z_peak, _ = WkbField(pot, 0.02).q_peak()
+        assert z_peak < 6.0
+
     def test_table_far_cut_on_the_tail(self, tmp_path):
-        # at E1 x 30 and cut 1e-7 the far crossing of the table-cli table lies
-        # above its last node, 40000 a0, on the exact -C4m/z**4 tail, whose Q
-        # is the universal quartic one scaled by zeta_4
+        # at E1 x 10 and cut 1e-13 the far crossing of the table-cli table
+        # lies above 400000 a0, ten times its last node, on the exact
+        # -C4/z**4 tail, whose Q is the universal quartic one scaled by zeta_4
         pot = table_cli_table(tmp_path)
-        energy = e1_energy(30.0)
+        energy = e1_energy(10.0)
         fld = WkbField(pot, energy)
-        _, z_max = fld.matching_domain(1e-7)
-        target = 1e-7 * fld.q_peak()[1]
+        _, z_max = fld.matching_domain(1e-13)
+        target = 1e-13 * fld.q_peak()[1]
         zeta = (pot.tails[1][1] / energy) ** 0.25
-        assert z_max > pot.z_max
+        assert z_max > pot.tails[1][2] == 10.0 * pot.z_max
         assert universal_badlands(z_max / zeta, 4) / (energy * zeta ** 2) == pytest.approx(
             target, rel=1e-12, abs=0.0)
         assert fld.q(z_max) == pytest.approx(target, rel=1e-12, abs=0.0)
 
     def test_table_far_cut_straddling_the_last_node(self, tmp_path, monkeypatch):
-        # at E1 x 100 and cut 1e-7 the walk's last step on the table-cli
-        # table straddles its last node, 40000 a0, and Q just above that node
-        # is still above the target: the crossing lies on the -C4m/z**4 tail,
+        # at E1 x 100 and cut 1e-13 the walk's last step on the table-cli
+        # table straddles the start of its far tail, 400000 a0, and Q there
+        # is still above the target: the crossing lies on the -C4/z**4 tail,
         # where its closed form replaces the search in the step
         pot = table_cli_table(tmp_path)
         fld = WkbField(pot, e1_energy(100.0))
         z_peak, q_peak = fld.q_peak()
-        target = 1e-7 * q_peak
+        target = 1e-13 * q_peak
         hi = fld._walk(z_peak, +1, target)
         inside = max(hi / 2.0, z_peak)
-        assert inside < pot.z_max < hi
-        assert inside == pytest.approx(33440.0, rel=1e-3) and hi == 2.0 * inside
+        assert inside < pot.tails[1][2] < hi
+        assert inside == pytest.approx(267800.0, rel=1e-3) and hi == 2.0 * inside
         searched = fld._crossing(inside, hi, target)
         crossings = []
         crossing = WkbField._crossing
@@ -525,9 +525,9 @@ class TestBadlands:
             return crossing(self, *args)
 
         monkeypatch.setattr(WkbField, "_crossing", spy)
-        _, z_max = fld.matching_domain(1e-7)
+        _, z_max = fld.matching_domain(1e-13)
         assert crossings == []
-        assert z_max == pytest.approx(45806.0, rel=1e-3)
+        assert z_max == pytest.approx(459057.0, rel=1e-3)
         assert z_max == pytest.approx(searched, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("cut", [1e-3, 1e-10])
@@ -589,7 +589,7 @@ class TestCutBudget:
         for cut in (1e-3, 1e-7, 1e-10, 1e-13):
             read = spy_q(monkeypatch)
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")   # the multimodal warning at small energies
+                warnings.simplefilter("error")
                 fld.matching_domain(cut)
             assert all(np.ndim(z) for z, _ in read), cut
             assert len(read) <= self.TABLE_ARRAY_CALLS, cut
@@ -609,6 +609,31 @@ class TestWavePair:
                 wave = k ** -0.5 * cmath.exp(1j * eta * fld.phi(z))
                 assert value == wave
                 assert derivative == (-fld.dk(z) / (2.0 * k) + 1j * eta * k) * wave
+
+
+def scipy_q(pot, energy: float):
+    """Q at a Python float z on a table, from scipy and Python floats: the
+    table's pieces between its tails as scipy's PPoly, the tails beyond."""
+    knots, pieces = pot.log_log_pieces()
+    w_poly = PPoly(pieces[::-1], knots)
+    polys = (w_poly, w_poly.derivative(), w_poly.derivative(2))
+
+    def q_point(t: float) -> float:
+        u = math.log(t)
+        if knots[0] <= u < knots[-1]:
+            w, w1, w2 = (float(p(u)) for p in polys)
+        else:
+            n, c, _ = pot.tails[0] if u < knots[0] else pot.tails[1]
+            w, w1, w2 = math.log(c) - n * u, -n, 0.0
+        mv = math.exp(w)
+        v, dv, d2v = -mv, -mv * w1 / t, -mv * (w2 + w1 * w1 - w1) / t ** 2
+        k2 = energy - v
+        k = math.sqrt(k2)
+        dk = -dv / (2.0 * k)
+        d2k = (-d2v - 2.0 * dk * dk) / (2.0 * k)
+        return 0.5 * d2k / k2 ** 1.5 - 0.75 * dk * dk / (k2 * k2)
+
+    return q_point
 
 
 def table_cli_table(tmp_path) -> TabulatedPotential:
@@ -691,21 +716,24 @@ class TestCliffWave:
             assert fld.on_threshold_tail(z_min)
 
     def test_table_starts_on_its_tail(self):
-        # below the first node the threshold point (cut 1e-10); capped at the
-        # first node (1e-6, 1e-4); where the Q cut lies inside the table, the
-        # WKB wave there (1e-3)
+        # below the top of the cliff tail, a tenth of the first node, the
+        # threshold point (cut 1e-12); capped at that top (1e-10, 1e-6);
+        # where the Q cut lies above it, in the blend (1e-4) or among the
+        # nodes (1e-3), the WKB wave there
         fld = WkbField(two_tail_table(), 0.02)
-        c3 = fld.potential.tails[0][1]
-        z_min, _ = fld.matching_domain(1e-10)
-        assert z_min == (1e-10 * c3 / 0.02) ** (1.0 / 3.0) < 0.004
-        for cut in (1e-6, 1e-4):
-            assert fld.matching_domain(cut)[0] == 0.004
-        z_min, _ = fld.matching_domain(1e-3)
+        _, c3, z_top = fld.potential.tails[0]
+        assert z_top == 0.0004
+        z_min, _ = fld.matching_domain(1e-12)
+        assert z_min == (1e-12 * c3 / 0.02) ** (1.0 / 3.0) < z_top
+        for cut in (1e-10, 1e-6):
+            assert fld.matching_domain(cut)[0] == z_top
         _, q_peak = fld.q_peak()
-        assert z_min > 0.004
-        assert fld.q(z_min) / q_peak == pytest.approx(1e-3, rel=1e-6)
-        assert not fld.on_threshold_tail(z_min)
-        assert fld.cliff_wave(z_min) == fld.wkb_pair(z_min)[1]
+        for cut, z_lo, z_hi in ((1e-4, z_top, 0.004), (1e-3, 0.004, 4000.0)):
+            z_min, _ = fld.matching_domain(cut)
+            assert z_lo < z_min < z_hi
+            assert fld.q(z_min) / q_peak == pytest.approx(cut, rel=1e-6)
+            assert not fld.on_threshold_tail(z_min)
+            assert fld.cliff_wave(z_min) == fld.wkb_pair(z_min)[1]
 
     @pytest.mark.parametrize("case", [0, 1, 2], ids=["n3", "n5", "table"])
     def test_residual_is_the_neglected_energy(self, case):
