@@ -7,9 +7,10 @@ from SI or atomic units happen at the boundary (file ingestion, CLI).
 Two potential families are supported:
 
 * ``HomogeneousPotential``: V_n(z) = -c_n / z**n for integer n >= 3.
-* ``TabulatedPotential``: samples of a Casimir-Polder-like potential joined
-  smoothly (V'' continuous) to declared power-law tails, -C3/z**3 below the
-  table and -C4/z**4 above.
+* ``TabulatedPotential``: samples of a Casimir-Polder-like potential,
+  fitted by a quintic in log-log coordinates and joined smoothly (V''
+  continuous) to declared power-law tails, -C3/z**3 below the table and
+  -C4/z**4 above.
 
 Each states once, as ``tails = ((n, C, z_top), (n, C, z_from))``, the exact
 power laws V = -C/z**n it follows at or below z_top and at or above z_from,
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
+from scipy.interpolate import make_interp_spline, make_lsq_spline
 
 __all__ = [
     "HomogeneousPotential",
@@ -47,6 +48,8 @@ AMU = 1.66053906660e-27         # kg
 AIRY_LAMBDA1 = 2.338107410459767  # |first zero of Ai|
 
 TAIL_TOLERANCE = 0.05   # largest relative gap between a table's end nodes and its declared tails
+FIT_TOLERANCE = 5e-3    # largest relative gap between a table's samples and its spline
+KNOT_DU = 0.06          # least gap in ln z between a table's spline knots
 BLEND = 10.0            # a table's blend to each declared tail spans this factor in z
 _SHAPE_SAMPLES = 16     # points a piece at which a table's shape is checked, ends included
 
@@ -81,19 +84,26 @@ class HomogeneousPotential:
 class TabulatedPotential:
     """Sampled attractive potential joined to declared power-law tails.
 
-    w = ln(-V) is interpolated in u = ln z by the not-a-knot quintic spline
-    through the samples, which is C4, so V'' is continuous with two
-    continuous derivatives and a pure power law is interpolated exactly. On
-    each side one quintic Hermite piece, a factor ``BLEND`` wide in z, runs
-    from the spline's (w, w', w'') at the end node to the declared tail's
-    line (ln C - n u, -n, 0); beyond the blends V is exactly -C3/z**3 and
+    w = ln(-V) is a quintic spline in u = ln z with the not-a-knot ends,
+    which is C4, so V'' is continuous with two continuous derivatives and a
+    pure power law is reproduced exactly. Its knots are the first and last
+    node and the nodes between at least ``KNOT_DU`` apart (``_knot_nodes``).
+    Where the nodes lie that far apart, every node is a knot and the spline
+    interpolates the samples; on a denser table it is their least-squares
+    fit, which averages the samples' rounding where interpolation would
+    carry it into V'' magnified by the inverse square of the node spacing
+    (on 47 nodes a decade at 11 digits, to about 1e-7 of V''). Every sample
+    must lie within ``FIT_TOLERANCE`` of the spline, relative in V. On each
+    side one quintic Hermite piece, a factor ``BLEND`` wide in z, runs from
+    the spline's (w, w', w'') at the end node to the declared tail's line
+    (ln C - n u, -n, 0); beyond the blends V is exactly -C3/z**3 and
     -C4/z**4 with the declared strengths, which ``tails`` holds. V'' is
     continuous everywhere, and its derivative jumps only at the two ends of
     each blend, ``breaks``. The end nodes must lie within ``TAIL_TOLERANCE``
     of the declared laws, which keeps the blends gentle. A quintic does not
     preserve shape as a monotone cubic does, so w' < 0 is checked at load on
-    ``_SHAPE_SAMPLES`` points of every piece, and a table whose
-    interpolant turns anywhere raises ``ValueError`` naming the interval.
+    ``_SHAPE_SAMPLES`` points of every piece, and a table whose spline turns
+    anywhere raises ``ValueError`` naming the interval.
     """
 
     def __init__(self, z, v, cliff_c3: float, far_c4: float):
@@ -101,6 +111,8 @@ class TabulatedPotential:
         v = np.asarray(v, dtype=float)
         if z.ndim != 1 or z.shape != v.shape:
             raise ValueError("need matching 1D arrays of samples")
+        if z.size < 6:
+            raise ValueError("a quintic spline needs at least 6 samples")
         # each test is false for nan, so nan fails it
         if not (np.isfinite(z).all() and z[0] > 0.0 and (np.diff(z) > 0.0).all()):
             raise ValueError("z samples must be finite, positive and strictly increasing")
@@ -108,8 +120,6 @@ class TabulatedPotential:
             raise ValueError("potential samples must be finite and negative (attractive)")
         if not (0.0 < cliff_c3 < math.inf and 0.0 < far_c4 < math.inf):
             raise ValueError("tail strengths must be finite and positive")
-        if z.size < 6:
-            raise ValueError("a quintic spline needs at least 6 samples")
         self.z_min = float(z[0])
         self.z_max = float(z[-1])
         self.cliff_c3 = float(cliff_c3)
@@ -123,20 +133,31 @@ class TabulatedPotential:
         self.tails = ((3, self.cliff_c3, self.z_min / BLEND), (4, self.far_c4, self.z_max * BLEND))
         self.breaks = np.array([self.tails[0][2], self.z_min, self.z_max, self.tails[1][2]])
         self.breaks.flags.writeable = False
-        # the knots: the blends' outer ends and the nodes, in u = ln z, with
-        # (w, w', w'') at each, the tails' lines at the blends' outer ends
-        u = np.log(z)
-        knots = np.concatenate([np.log(self.breaks[:1]), u, np.log(self.breaks[-1:])])
+        u, w = np.log(z), np.log(-v)
+        kept = u[_knot_nodes(u)]
+        if len(kept) == len(u):   # the interpolating spline, solved as the square system it is
+            spline = make_interp_spline(u, w, k=5)
+        else:
+            spline = make_lsq_spline(u, w, np.concatenate(
+                [np.repeat(kept[0], 6), kept[3:-3], np.repeat(kept[-1], 6)]), k=5)
+        miss = np.abs(np.expm1(spline(u) - w))
+        worst = int(np.argmax(miss))
+        if not miss[worst] <= FIT_TOLERANCE:   # also true for nan
+            raise ValueError(f"table sample at z = {z[worst]:.6g} lies {miss[worst]:.3g} off the"
+                             f" table's spline, above tolerance {FIT_TOLERANCE:g}"
+                             " (check the table for a dent or noise)")
+        # the knots: the blends' outer ends and the spline's own, in u = ln z,
+        # with (w, w', w'') at each, the tails' lines at the blends' outer ends
+        inner = np.unique(spline.t)
+        knots = np.concatenate([np.log(self.breaks[:1]), inner, np.log(self.breaks[-1:])])
         ends = np.empty((3, len(knots)))
-        ends[0, 1:-1] = np.log(-v)
-        spline = make_interp_spline(u, ends[0, 1:-1], k=5)   # not-a-knot
-        ends[1:, 1:-1] = spline(u, 1), spline(u, 2)
+        ends[:, 1:-1] = spline(inner), spline(inner, 1), spline(inner, 2)
         for j, (n, c, _) in ((0, self.tails[0]), (-1, self.tails[1])):
             ends[:, j] = math.log(c) - n * knots[j], -n, 0.0
         # w per piece, one row per power, lowest first, in s = u - (the
         # piece's start): the cliff tail below knots[0], the quintic between
-        # each two knots, which on the node intervals is the spline itself,
-        # and the far tail from knots[-1] on
+        # each two knots, which between the spline's knots is the spline
+        # itself, and the far tail from knots[-1] on
         pieces = np.zeros((6, len(knots) + 1))
         pieces[:2, 0], pieces[:2, -1] = ends[:2, 0], ends[:2, -1]
         pieces[:, 1:-1] = _quintic(np.diff(knots), ends[:, :-1], ends[:, 1:])
@@ -150,7 +171,7 @@ class TabulatedPotential:
         bad = np.flatnonzero(~(w1 < 0.0).all(axis=1))
         if len(bad):
             lo, hi = np.exp(knots[[bad[0], bad[0] + 1]])
-            raise ValueError(f"table interpolant is not monotone: ln(-V) rises somewhere in"
+            raise ValueError(f"table spline is not monotone: ln(-V) rises somewhere in"
                              f" z = {lo:.6g} .. {hi:.6g} (check the table for a kink or noise)")
 
     def _pieces(self, z):
@@ -180,11 +201,25 @@ class TabulatedPotential:
         mv = np.exp(w)
         return -mv, -mv * w1 / z, -mv * (w2 + w1 * w1 - w1) / z ** 2
 
-    def log_log_pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        """The starts u_i of the m + 1 pieces between the tails, with the end
-        of the last one (m + 2 values of u = ln z), and the polynomials
-        w = ln(-V) in u - u_i, shape (6, m + 1): one row per power, lowest first."""
-        return self._knots, self._w[:, 1:-1]
+    def log_knots(self) -> np.ndarray:
+        """The ends of the pieces between the tails, in u = ln z, on each of
+        which V is one polynomial in log-log coordinates: the blends' outer
+        ends and the spline's knots."""
+        return self._knots
+
+
+def _knot_nodes(u: np.ndarray) -> list[int]:
+    """The nodes, of the ascending ``u``, that are a table's spline knots:
+    the first and the last, and between them each node at least ``KNOT_DU``
+    beyond the last one kept and before the last; every node where that
+    leaves fewer than the 6 a quintic needs."""
+    us = u.tolist()
+    kept = [0]
+    for i in range(1, len(us) - 1):
+        if us[i] - us[kept[-1]] >= KNOT_DU and us[-1] - us[i] >= KNOT_DU:
+            kept.append(i)
+    kept.append(len(us) - 1)
+    return kept if len(kept) >= 6 else list(range(len(us)))
 
 
 def _quintic(h: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:

@@ -213,11 +213,11 @@ def _first_partition(domain: tuple[float, float], phases, breaks: np.ndarray) ->
     return np.append(ends, z_max)
 
 
-def solve_ivp(coefficients, ends, n: int, y0, rtol: float) -> OdeResult:
+def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:
     """Integrate y' = [[0, a(z)], [b(z), 0]] y from ``y0`` at ends[0] to ends[-1].
 
-    ``ends`` is the first partition into panels and ``n`` the size of each
-    panel's Chebyshev rule; ``coefficients(z_a, zs, running)`` returns a
+    ``ends`` is the first partition into panels, each panel a Chebyshev rule
+    of n = ``_PHASE_NODES`` nodes; ``coefficients(z_a, zs, running)`` returns a
     and b at the nodes ``zs`` (one row per panel, from the panel starts
     ``z_a``), arrays or numbers, where ``running(f)`` integrates node
     values from each panel's start to each of its nodes. A panel solves
@@ -239,6 +239,7 @@ def solve_ivp(coefficients, ends, n: int, y0, rtol: float) -> OdeResult:
     if not (len(ends) > 1 and (np.diff(ends) > 0.0).all()):
         raise ValueError(f"integration span ({ends[0]}, {ends[-1]}) does not run forward")
     tol = max(rtol, _TAIL_FLOOR)
+    n = _PHASE_NODES
     u_start = np.array([1.0, 0.0])    # the two columns start on (1, 0) and (0, 1)
     v_start = 1.0 - u_start
     starts, propagators, nfev = [], [], 0
@@ -300,7 +301,7 @@ def _solve(fld: WkbField, domain: tuple[float, float], coefficients, rtol: float
     """
     z_min, z_max = domain
     ends = _first_partition(domain, lambda z: np.diff(fld.phi(z)), fld.potential.breaks)
-    sol = solve_ivp(coefficients, ends, _PHASE_NODES, enter(z_min, fld.cliff_wave(z_min)), rtol)
+    sol = solve_ivp(coefficients, ends, enter(z_min, fld.cliff_wave(z_min)), rtol)
     psi, dpsi = leave(sol.t, sol.y)
     cp, cm = _decompose(psi[-1], dpsi[-1], *fld.wkb_pair(z_max))
     if cm == 0.0:
@@ -441,7 +442,7 @@ def _threshold_length(table, ell: float, rtol: float) -> complex:
     ``threshold_phases``."""
     (n, c_n, z_top), (_, _, z) = table.tails
     ends = _first_partition((z_top, z), functools.partial(threshold_phases, table), table.breaks)
-    sol = solve_ivp(lambda z_a, zs, running: (1.0, table.value(zs)), ends, _PHASE_NODES,
+    sol = solve_ivp(lambda z_a, zs, running: (1.0, table.value(zs)), ends,
                     threshold_wave(z_top, n, c_n), rtol)
     c, s = math.cos(ell / z), math.sin(ell / z)
     wave = tuple(sol.y[:, -1])

@@ -12,7 +12,7 @@ Each field has one length zeta = (C/E)**(1/n) of its far tail -C/z**n
 scaled by it: phi = kappa zeta ``phase_coordinate(z/zeta, n)`` and
 Q = ``universal_badlands(z/zeta, n)``/(kappa zeta)**2, closed form at every z.
 On a table, Q comes from analytic derivatives of k_dB, propagated from the
-interpolant's own; Q needs two of them and finite differences of tabulated
+spline's own; Q needs two of them and finite differences of tabulated
 data would wreck its shape. Those two terms cancel on a cliff (on V_4 to a
 relative error of about eps/x**4), which is why V_n takes the closed form.
 
@@ -38,7 +38,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gamma, hankel1, hyp2f1, roots_legendre
 
-from .potentials import HomogeneousPotential, _log_log_derivs
+from .potentials import HomogeneousPotential
 
 __all__ = [
     "WkbField",
@@ -182,12 +182,10 @@ def _panel_sums(width: np.ndarray, integrand) -> tuple[np.ndarray, float]:
     return high, float(np.sum(np.abs(high - low)))
 
 
-def _kz(knots: np.ndarray, pieces: np.ndarray, energy: float, interval: np.ndarray,
-        s: np.ndarray) -> np.ndarray:
-    """k z = sqrt(E + exp(w)) e**u at u = u_i + s, a row of s per piece i in
-    ``interval``, on the ``knots`` and ``pieces`` of ``log_log_pieces``."""
-    w = _log_log_derivs(pieces[:, interval, None], s, 0)[0]
-    return np.sqrt(energy + np.exp(w)) * np.exp(knots[interval][:, None] + s)
+def _kz(potential, energy: float, u: np.ndarray) -> np.ndarray:
+    """k z = sqrt(E - V) z at z = e**u."""
+    z = np.exp(u)
+    return np.sqrt(energy - potential.value(z)) * z
 
 
 def _cut(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -201,27 +199,21 @@ def _cut(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return gap, (np.arange(len(gap)) - np.repeat(np.cumsum(parts) - parts, parts)) * width, width
 
 
-def _log_panels(potential, energy: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """The phase table's panels, the pieces of u = ln z ``_cut`` into
-    panels: each panel's piece and offset from that piece's start, and the
-    ``_panel_sums`` of k z at ``energy``."""
-    knots, pieces = potential.log_log_pieces()
-    interval, offset, width = _cut(knots)
-    return interval, offset, *_panel_sums(
-        width, lambda x: _kz(knots, pieces, energy, interval, offset[:, None] + width[:, None] * x))
+def _log_panels(potential, energy: float,
+                u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The gaps of the ascending ``u`` = ln z ``_cut`` into panels: each
+    panel's gap and start, and the ``_panel_sums`` of k z at ``energy``."""
+    gap, offset, width = _cut(u)
+    start = u[gap] + offset
+    return gap, start, *_panel_sums(
+        width, lambda x: _kz(potential, energy, start[:, None] + width[:, None] * x))
 
 
 def threshold_phases(potential, z: np.ndarray) -> np.ndarray:
     """int sqrt(-V) dz between each two of the ascending points ``z``: the
     phase at E = 0, on the gaps of u = ln z ``_cut`` into panels."""
-    u = np.log(z)
-    gap, offset, width = _cut(u)
-
-    def kz(x):
-        zs = np.exp((u[gap] + offset)[:, None] + width[:, None] * x)
-        return np.sqrt(-potential.value(zs)) * zs
-
-    return np.bincount(gap, weights=_panel_sums(width, kz)[0], minlength=len(u) - 1)
+    gap, _, phases, _ = _log_panels(potential, 0.0, np.log(z))
+    return np.bincount(gap, weights=phases, minlength=len(z) - 1)
 
 
 class _PhaseTable:
@@ -230,10 +222,10 @@ class _PhaseTable:
     V is an exact power law on the table's ``tails``, so phi is closed form
     there: -C4/z**4 from z_from on gives the far-end anchor, and -C3/z**3 up
     to z_top continues phi from there to the cliff. Between, each piece of
-    u = ln z is split into equal panels no wider than ``_PANEL_DU``, and phi
-    is kept at the panel starts. Gauss-Legendre rules integrate
-    k z = sqrt(E + exp(w)) e**u over each panel, with w = ln(-V) the
-    potential's own polynomial on that piece, so the table integrates the
+    u = ln z on which V is one polynomial (``log_knots``) is split into
+    equal panels no wider than ``_PANEL_DU``, and phi is kept at the panel
+    starts. Gauss-Legendre rules integrate k z = sqrt(E - V) z over each
+    panel in u, with the potential's own V, so the table integrates the
     potential the solvers see. The lower rule of ``_PHASE_RULES`` only
     estimates the error of the higher; their summed difference must stay
     within ``_PHASE_BUDGET``. A call inside the table then costs one lookup
@@ -248,14 +240,13 @@ class _PhaseTable:
         self.zeta3 = (c3 / energy) ** (1.0 / 3.0)
         self.kz4, self.kz3 = kappa * self.zeta4, kappa * self.zeta3
 
-        self.knots, self.pieces = potential.log_log_pieces()
-        self.interval, self.offset, high, error = _log_panels(potential, energy)
+        self.potential = potential
+        _, self.start, high, error = _log_panels(potential, energy, potential.log_knots())
         if not error <= _PHASE_BUDGET:
             raise RuntimeError(f"phase table error estimate {error:.1e} rad"
                                f" above {_PHASE_BUDGET:g} rad")
         phi_top = self.kz4 * phase_coordinate(self.z_max / self.zeta4, 4)
         self.phi_start = phi_top - np.cumsum(high[::-1])[::-1]
-        self.start = self.knots[self.interval] + self.offset
         self.phi_cliff = self.phi_start[0] - self.kz3 * phase_coordinate(
             self.z_min / self.zeta3, 3)
 
@@ -270,12 +261,11 @@ class _PhaseTable:
         u = np.log(flat[mid])
         # clamped: the log may land an ulp outside the knots at the ends
         p = np.clip(np.searchsorted(self.start, u, side="right") - 1, 0, len(self.start) - 1)
-        i = self.interval[p]
-        a = self.offset[p]
-        h = u - self.knots[i] - a
+        a = self.start[p]
+        h = u - a
         nodes, weights = _legendre(_PHASE_RULES[1])
         out[mid] = self.phi_start[p] + h * (
-            _kz(self.knots, self.pieces, self.energy, i, a[:, None] + h[:, None] * nodes) @ weights)
+            _kz(self.potential, self.energy, a[:, None] + h[:, None] * nodes) @ weights)
         return out.reshape(z.shape)[()]
 
 

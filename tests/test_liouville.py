@@ -220,7 +220,7 @@ class TestWallIntegral:
                                           cliff_c3=c3, far_c4=c3 * lam), 0.05)
         _, prob = special_gauge(fld)
         z_peak, _ = fld.q_peak()
-        knots = np.exp(fld.potential.log_log_pieces()[0])   # the nodes and the blend ends
+        knots = np.exp(fld.potential.log_knots())   # the spline's knots and the blend ends
         edges = np.log([z_peak * 1e-40, *knots, z_peak * 1e6])
         total = sum(quad(lambda u: float(fld.q(math.exp(u)) * fld.k(math.exp(u))) * math.exp(u),
                          a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]

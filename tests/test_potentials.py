@@ -9,8 +9,10 @@ from scipy.interpolate import make_interp_spline
 from qreflect.potentials import (
     AIRY_LAMBDA1,
     BOHR_RADIUS,
+    FIT_TOLERANCE,
     G_STANDARD,
     HBAR,
+    KNOT_DU,
     M_HYDROGEN,
     HomogeneousPotential,
     TabulatedPotential,
@@ -183,32 +185,61 @@ class TestTabulated:
     @pytest.mark.parametrize("node", [1500, 1], ids=["middle", "next-to-end"])
     @pytest.mark.parametrize("factor", [1.01, 0.99])
     def test_dent_rejected(self, node, factor):
-        # one sample 1% off the law, on 3000 nodes of 1 .. 40000: the quintic
-        # through it turns beside the dent, or in the blend that reads the
-        # end node's curvature, and the error names that interval
+        # one sample 1% off the law, on 3000 nodes of 1 .. 40000: the
+        # least-squares spline does not follow it, and the error names it
         model = cp_like(0.25, 500.0)
         z = np.geomspace(1.0, 40000.0, 3000)
         v = model(z)
         TabulatedPotential(z, v, cliff_c3=0.25, far_c4=125.0)
         v[node] *= factor
-        with pytest.raises(ValueError, match="not monotone") as info:
+        with pytest.raises(ValueError, match=f"sample at z = {z[node]:.6g} lies 0.00"):
             TabulatedPotential(z, v, cliff_c3=0.25, far_c4=125.0)
-        lo, hi = (float(t) for t in str(info.value).split("z = ")[1].split(" (")[0].split(" .. "))
-        assert lo <= z[node + 1] and hi >= z[node - 1]
 
-    def test_noise_rejected(self):
-        # a relative noise of 1e-3 on every sample of a 500-node table
+    def test_turn_rejected(self):
+        # on nodes more than KNOT_DU apart the spline interpolates: a sample
+        # 30% shallower than the law makes -V rise to the next node, the
+        # spline turns, and the error names an interval beside the sample
+        model = cp_like(1.3, 2.0)
+        v = model(self.Z)
+        v[60] *= 0.7
+        with pytest.raises(ValueError, match="not monotone") as info:
+            TabulatedPotential(self.Z, v, cliff_c3=1.3, far_c4=2.6)
+        lo, hi = (float(t) for t in str(info.value).split("z = ")[1].split(" (")[0].split(" .. "))
+        assert self.Z[57] <= lo < hi <= self.Z[63]
+
+    @pytest.mark.parametrize("noise", [1e-3, 1e-2])
+    def test_noise(self, noise):
+        # a relative noise of 1e-3 on every sample of a 500-node table is
+        # averaged by the fit; one of 1e-2 leaves samples beyond
+        # FIT_TOLERANCE of it
         model = cp_like(0.25, 500.0)
         z = np.geomspace(1.0, 40000.0, 500)
-        noisy = model(z) * (1.0 + 1e-3 * np.random.default_rng(1).standard_normal(len(z)))
-        with pytest.raises(ValueError, match=r"not monotone: ln\(-V\) rises somewhere in z = "):
-            TabulatedPotential(z, noisy, cliff_c3=0.25, far_c4=125.0)
+        noisy = model(z) * (1.0 + noise * np.random.default_rng(1).standard_normal(len(z)))
+        if noise < FIT_TOLERANCE:
+            pot = TabulatedPotential(z, noisy, cliff_c3=0.25, far_c4=125.0)
+            np.testing.assert_allclose(pot.value(z), noisy, rtol=4.0 * noise, atol=0.0)
+        else:
+            with pytest.raises(ValueError, match="off the table's spline, above tolerance"):
+                TabulatedPotential(z, noisy, cliff_c3=0.25, far_c4=125.0)
+
+    def test_knots(self):
+        # the spline's knots: on the 120 nodes here (0.07 apart in ln z)
+        # every node, and the spline interpolates; on 500 nodes of the same
+        # range every third, at least KNOT_DU apart, and it fits
+        pot, model = self.build()
+        np.testing.assert_array_equal(pot.log_knots()[1:-1], np.log(self.Z)[[0, *range(3, 117), 119]])
+        z = np.geomspace(self.Z[0], self.Z[-1], 500)
+        pot = TabulatedPotential(z, model(z), cliff_c3=1.3, far_c4=2.6)
+        gaps = np.diff(pot.log_knots()[1:-1])
+        assert (gaps >= KNOT_DU).all() and len(gaps) < 500 // 3
+        np.testing.assert_allclose(pot.value(z), model(z), rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("where", ["z", "v", "c3", "c4"])
     def test_non_finite_input_rejected(self, where, bad):
-        z, v = [1.0, 2.0, 3.0, 4.0], [-1.0, -0.125, -1.0 / 27.0, -1.0 / 64.0]
-        c3, c4 = 1.0, 4.0
+        z = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        v = [-1.0 / t ** 3 for t in z]
+        c3, c4 = 1.0, 6.0
         if where == "z":
             z[-1] = bad
         elif where == "v":
@@ -271,9 +302,20 @@ class TestTableFile:
     def test_non_finite_tail_rejected(self, tmp_path, c4):
         path = tmp_path / "nan.pot"
         path.write_text(f"# C3=1 C4={c4}\n" + "".join(
-            f"{z} {-1.0 / (z ** 3 * (1.0 + z))}\n" for z in (1.0, 2.0, 4.0, 8.0)))
+            f"{z} {-1.0 / (z ** 3 * (1.0 + z))}\n" for z in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)))
         with pytest.raises(ValueError, match="finite and positive"):
             load_potential_table(path)
+
+    def test_header_only_rejected(self, tmp_path, capsys):
+        # no samples: the sample count is tested before any sample is read,
+        # so the CLI reports it as an error line, not a traceback
+        from qreflect.cli import main
+        path = tmp_path / "empty.pot"
+        path.write_text("# C3=0.25 C4=125\n")
+        with pytest.raises(ValueError, match="at least 6 samples"):
+            load_potential_table(path)
+        assert main(["scatlength", "--table", str(path)]) == 2
+        assert "at least 6 samples" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mass", [math.nan, math.inf, -1.0])
     def test_non_finite_mass_rejected(self, tmp_path, mass):

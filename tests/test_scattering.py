@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from functools import partial
 
 import numpy as np
@@ -68,10 +69,10 @@ def spy_integrations(monkeypatch, integrate=None) -> list:
 ROUTES = ["direct", "coupled", "transformed"]
 
 
-def pointwise(integrate, coefficients, ends, n, y0, rtol: float):
+def pointwise(integrate, coefficients, ends, y0, rtol: float):
     """Stand in for ``scattering.solve_ivp``: integrate its y' = [[0, a], [b, 0]] y
     over the span of ``ends`` by ``integrate``, a DOP853 that knows no
-    panels and so no rule (``n``), with a and b read one point at a
+    panels, with a and b read one point at a
     time (a one-node "panel" from z itself, whose running integral is
     zero). A run that scipy reports failed raises, as the panels do."""
     def rhs(z, y):
@@ -92,14 +93,14 @@ def on_dop853(monkeypatch, integrate) -> None:
     monkeypatch.setattr(scattering, "solve_ivp", partial(pointwise, integrate))
 
 
-def loop_solve_ivp(coefficients, ends, n, y0, rtol: float) -> scattering.OdeResult:
+def loop_solve_ivp(coefficients, ends, y0, rtol: float) -> scattering.OdeResult:
     """The reference for ``scattering.solve_ivp``: a loop over the panels in
-    order, each solved alone on the rule of n nodes in the integral form
+    order, each solved alone on the rule of n = ``_PHASE_NODES`` nodes in the integral form
     [[1, -S a], [-S b, 1]] (U, V) = (u_a, v_a) on all 2 x n unknowns,
     nothing eliminated, for the two unit starts, with the same tail test; a
     panel that fails it is replaced by its two halves, left first. The
     cases here all succeed."""
-    tol = max(rtol, 1e-14)
+    tol, n = max(rtol, 1e-14), scattering._PHASE_NODES
     y = np.array(y0, dtype=complex)
     ts, ys, nfev = [float(ends[0])], [y], 0
     todo = list(zip(map(float, ends[:-1]), map(float, ends[1:])))[::-1]
@@ -134,10 +135,10 @@ def run_kernel_case(case: str) -> None:
     """Integrate once through ``scattering.solve_ivp``."""
     if case == "decay":   # u'' = 2 u / (1 + z)**2 from u = 1/(1 + z), one first panel
         scattering.solve_ivp(lambda z_a, zs, running: (1.0, 2.0 / (1.0 + zs) ** 2),
-                             (0.0, 5.0), 12, (1.0, -1.0), rtol=1e-10)
+                             (0.0, 5.0), (1.0, -1.0), rtol=1e-10)
     elif case == "oscillators":   # u'' = -(4 + cos z) u, complex start, two first panels
         scattering.solve_ivp(lambda z_a, zs, running: (1.0, -(4.0 + np.cos(zs))),
-                             (0.0, 3.5, 7.0), 12, (1.0, 0.5j), rtol=1e-11)
+                             (0.0, 3.5, 7.0), (1.0, 0.5j), rtol=1e-11)
     elif case == "table":   # the default cut starts below the table, on its cliff tail
         solve_direct(two_tail_table(), 0.02)
     else:
@@ -185,6 +186,8 @@ class TestScalarDop853:
             return pairs[-1][0]
 
         monkeypatch.setattr(scattering, "solve_ivp", both)
+        if case in ("decay", "oscillators"):   # a 12-node rule halves their first panels
+            monkeypatch.setattr(scattering, "_PHASE_NODES", 12)
         run_kernel_case(case)
         ((sol, ref, first),) = pairs
         assert np.array_equal(sol.t, ref.t)
@@ -205,10 +208,10 @@ class TestScalarDop853:
             evals.append(zs.size)
             return 1.0, np.where(zs < 2.0, -1.0, np.nan)
 
-        ends, n = np.linspace(0.0, 10.0, 11), scattering._PHASE_NODES
+        ends = np.linspace(0.0, 10.0, 11)
         with pytest.raises(RuntimeError, match="integration failed: Coefficients are not finite."):
-            solve_ivp(coefficients, ends, n, (1.0, 0.0), rtol=1e-10)
-        assert evals == [10 * n]
+            solve_ivp(coefficients, ends, (1.0, 0.0), rtol=1e-10)
+        assert evals == [10 * scattering._PHASE_NODES]
         refs = []
 
         def record(*args, **kwargs):
@@ -216,16 +219,17 @@ class TestScalarDop853:
             return refs[-1]
 
         with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="integration failed"):
-            pointwise(record, coefficients, ends, n, (1.0, 0.0), rtol=1e-10)
+            pointwise(record, coefficients, ends, (1.0, 0.0), rtol=1e-10)
         (ref,) = refs
         assert not ref.success
         assert 1.9 < ref.t[-1] < 2.0
 
-    def test_nan_from_the_start_fails_at_once(self):
+    def test_nan_from_the_start_fails_at_once(self, monkeypatch):
         # NaN at the first node: the run raises after the first batch of
         # panels and evaluates none of the others; a batch holds as many
         # panels of n nodes as the budget of n**2 entries each
         for n in (12, scattering._PHASE_NODES):
+            monkeypatch.setattr(scattering, "_PHASE_NODES", n)
             batch = scattering._BUDGET // (n * n)
             ends = np.linspace(0.0, 1.0, 3 * batch + 1)
             evals = []
@@ -235,15 +239,14 @@ class TestScalarDop853:
                 return math.nan, math.nan
 
             with pytest.raises(RuntimeError, match="Coefficients are not finite"):
-                solve_ivp(coefficients, ends, n, (1.0, 0.0), rtol=1e-10)
+                solve_ivp(coefficients, ends, (1.0, 0.0), rtol=1e-10)
             assert evals == [batch * n]
 
     def test_span_must_run_forward(self):
         with pytest.raises(ValueError, match="does not run forward"):
-            solve_ivp(lambda z_a, zs, running: (1.0, -1.0), (1.0, 0.0), 12, (1.0, 0.0),
-                      rtol=1e-10)
+            solve_ivp(lambda z_a, zs, running: (1.0, -1.0), (1.0, 0.0), (1.0, 0.0), rtol=1e-10)
         with pytest.raises(ValueError, match="does not run forward"):
-            solve_ivp(lambda z_a, zs, running: (1.0, -1.0), (0.0, 2.0, 1.0, 3.0), 12, (1.0, 0.0),
+            solve_ivp(lambda z_a, zs, running: (1.0, -1.0), (0.0, 2.0, 1.0, 3.0), (1.0, 0.0),
                       rtol=1e-10)
 
     def test_failed_integration_raises(self, monkeypatch):
@@ -260,45 +263,45 @@ class TestScalarDop853:
 class TestCollocate:
     """``scattering.solve_ivp``, every route's Chebyshev-panel integrator."""
 
-    def test_oscillator_over_many_radians(self):
+    def test_oscillator_over_many_radians(self, monkeypatch):
         # y'' = -omega**2 y across 600 rad from y = e^(i omega (z - 1)), from
         # one first panel, halved alike until the panels pass: to 1024
         # panels of 12 nodes, 32 of 32
         omega = 12.0
         for n, least in ((12, 100), (scattering._PHASE_NODES, 30)):
+            monkeypatch.setattr(scattering, "_PHASE_NODES", n)
             sol = solve_ivp(lambda z_a, zs, running: (1.0, -omega * omega),
-                            (1.0, 51.0), n, (1.0, 1j * omega), rtol=1e-12)
+                            (1.0, 51.0), (1.0, 1j * omega), rtol=1e-12)
             assert sol.t[-1] == 51.0 and len(sol.t) > least
             assert np.ptp(np.diff(sol.t)) == 0.0
             wave = np.exp(1j * omega * (sol.t - 1.0))
             np.testing.assert_allclose(sol.y[0], wave, rtol=0.0, atol=1e-11)
             np.testing.assert_allclose(sol.y[1] / omega, 1j * wave, rtol=0.0, atol=1e-11)
 
-    def test_both_columns_pass_the_tail_test(self):
+    def test_both_columns_pass_the_tail_test(self, monkeypatch):
         # with b = 0 only the column started on (0, 1) moves, u = int a: a
         # panel passed on the other column alone would stay 10 rad wide
+        monkeypatch.setattr(scattering, "_PHASE_NODES", 12)
         sol = solve_ivp(lambda z_a, zs, running: (np.cos(20.0 * zs), 0.0),
-                        (0.0, 10.0), 12, (0.0, 1.0), rtol=1e-12)
+                        (0.0, 10.0), (0.0, 1.0), rtol=1e-12)
         assert len(sol.t) > 30
         np.testing.assert_allclose(sol.y[0], np.sin(20.0 * sol.t) / 20.0, rtol=0.0, atol=1e-13)
         np.testing.assert_array_equal(sol.y[1], 1.0)
 
     def test_panels_cross_the_knots(self, monkeypatch):
         # V'' is continuous on a table, V'' of the wall's F_t included, so
-        # the panels run across the knots: a few dozen panels for some 600
-        # knots, all on the one rule, and r within 5e-12 of the solve whose
-        # panels end on every knot, at a tighter tolerance
+        # the panels run across the spline's knots: a few dozen panels for
+        # some 100 knots, and r within 5e-12 of the solve whose panels end
+        # on every knot, at a tighter tolerance
         fld = WkbField(two_tail_table(), 0.02)
         prob = special_gauge(fld, trunc_rel=1e-6)[1]
-        knots = np.exp(fld.potential.log_log_pieces()[0][2:-2])   # the nodes between the ends
+        knots = np.exp(fld.potential.log_knots()[2:-2])   # the knots between the end nodes
         z_min, z_max = prob.domain
         inside = knots[(knots > z_min) & (knots < z_max)]
-        sizes = []
-        sols = spy_integrations(monkeypatch, lambda c, ends, n, *args: (
-            sizes.append(n) or solve_ivp(c, ends, n, *args)))
+        sols = spy_integrations(monkeypatch)
         crossing = solve_transformed(prob)
         (sol,) = sols
-        assert len(inside) > 400 and len(sol.t) < 100 and sizes == [scattering._PHASE_NODES]
+        assert len(inside) > 100 and len(sol.t) < 60
         assert not np.isin(inside, sol.t).any()
         first_partition = scattering._first_partition
         monkeypatch.setattr(scattering, "_first_partition", lambda domain, phases, breaks: (
@@ -331,7 +334,7 @@ class TestCollocate:
             return 1.0, np.where(zs < 2.0, -1.0, np.nan)
 
         with pytest.raises(RuntimeError, match="integration failed: Coefficients are not finite."):
-            solve_ivp(coefficients, (0.0, 1.0, 3.0), n, (1.0, 0.0), rtol=1e-10)
+            solve_ivp(coefficients, (0.0, 1.0, 3.0), (1.0, 0.0), rtol=1e-10)
         assert evals == [2 * n]
 
     def test_rules_on_the_table(self):
@@ -365,11 +368,12 @@ class TestCollocate:
                                            fld.potential.breaks)
         np.testing.assert_array_equal(ends, joined_partition(fld, domain))
 
-    def test_halves_keep_the_rule(self):
+    def test_halves_keep_the_rule(self, monkeypatch):
         # 60 rad on every first panel fails the rule: each half is solved on
-        # the call's rule, down to the accepted panels, halved more than once
+        # the rule, down to the accepted panels, halved more than once
         first = np.linspace(0.0, 4.0, 5)
         for n in (12, scattering._PHASE_NODES):
+            monkeypatch.setattr(scattering, "_PHASE_NODES", n)
             panels = []
 
             def coefficients(z_a, zs, running):
@@ -378,7 +382,7 @@ class TestCollocate:
                                   [zs.shape[1]] * len(z_a)))
                 return 1.0, -3600.0
 
-            sol = solve_ivp(coefficients, first, n, (1.0, 60j), rtol=1e-12)
+            sol = solve_ivp(coefficients, first, (1.0, 60j), rtol=1e-12)
             assert sol.nfev == n * len(panels)
             np.testing.assert_allclose(sol.y[0], np.exp(60j * sol.t), rtol=0.0, atol=1e-10)
             assert len(panels) > len(first) + 10
@@ -850,6 +854,27 @@ class TestTabulatedPipeline:
             energy = e1_energy(e1)
             assert abs(solve_direct(pot, energy).r - solve_direct(ref, energy).r) <= 1e-8, e1
         assert abs(scattering_length(pot).a / scattering_length(ref).a - 1.0) <= 3e-5
+
+    @pytest.mark.parametrize("nodes", [500, 3000])
+    def test_rounded_table(self, nodes):
+        # the cp table with z and V rounded to 5 significant digits, as real
+        # tables come: it loads, the three routes and the scattering length
+        # run without a warning and agree to 1e-10, and r lies within 1e-5
+        # of the same table at full precision (3e-6 .. 6e-6)
+        to_reduced = 2.0 * M_HYDROGEN * HARTREE * BOHR_RADIUS ** 2 / HBAR ** 2
+        c3, c4 = 0.25 * to_reduced, 125.0 * to_reduced
+        z = np.geomspace(1.0, 40000.0, nodes)
+        exact = TabulatedPotential(z, -c3 / (z ** 3 * (1.0 + z / 500.0)), cliff_c3=c3, far_c4=c4)
+        z = np.array([float(f"{t:.4e}") for t in z])
+        v = np.array([float(f"{t:.4e}") for t in -0.25 / (z ** 3 * (1.0 + z / 500.0))])
+        energy = e1_energy(100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pot = TabulatedPotential(z, v * to_reduced, cliff_c3=c3, far_c4=c4)
+            rs = [solve_on(route, pot, energy).r for route in ROUTES]
+            scattering_length(pot)
+        assert max(abs(a - b) for a in rs for b in rs) <= 1e-10
+        assert abs(rs[0] - solve_direct(exact, energy).r) <= 1e-5
 
     def test_tabulated_matches_dense_sampling_of_same_model(self):
         # ingesting a table of a known two-tail model reproduces the

@@ -614,8 +614,8 @@ class TestWavePair:
 def scipy_q(pot, energy: float):
     """Q at a Python float z on a table, from scipy and Python floats: the
     table's pieces between its tails as scipy's PPoly, the tails beyond."""
-    knots, pieces = pot.log_log_pieces()
-    w_poly = PPoly(pieces[::-1], knots)
+    knots = pot.log_knots()
+    w_poly = PPoly(pot._w[::-1, 1:-1], knots)   # one row per power, lowest first
     polys = (w_poly, w_poly.derivative(), w_poly.derivative(2))
 
     def q_point(t: float) -> float:
