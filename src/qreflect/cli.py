@@ -146,15 +146,15 @@ def _solve_route(name, pot, energy, row, ctl):
     return scattering.solve_transformed(prob, ctl)
 
 
-def _pure_quartic(pot, args) -> bool:
+def _pure_quartic(pot) -> bool:
     """The Mathieu route applies: the closed form exists for -C4/z**4 only."""
-    return not args.table and getattr(pot, "n", 4) == 4
+    return potentials.one_law(pot) and pot.tails[1][0] == 4
 
 
 def _reflect_row(pot, energy, row, args, ctl) -> dict:
     if args.method == "all":
         methods = ["direct", "coupled", "transformed"]
-        if row.get("kappa_ell") is not None and _pure_quartic(pot, args):
+        if row.get("kappa_ell") is not None and _pure_quartic(pot):
             methods.append("mathieu")
     else:
         methods = [args.method]
@@ -193,7 +193,7 @@ def cmd_reflect(args) -> int:
     # 0 and inf are usable gates (inf switches one off); nan and negatives pass nothing
     if not (args.max_spread >= 0.0 and args.max_unitarity >= 0.0):
         raise ValueError("--max-spread and --max-unitarity must be non-negative numbers")
-    if args.method == "mathieu" and not _pure_quartic(pot, args):
+    if args.method == "mathieu" and not _pure_quartic(pot):
         raise ValueError("the mathieu route applies to the inverse-quartic model only")
     energies, rows = _energies(args, ell)
     rows = [_reflect_row(pot, e, row, args, ctl) for e, row in zip(energies, rows)]

@@ -4,17 +4,17 @@ Internally everything runs in reduced units with hbar**2/(2m) = 1, so the
 Schrodinger coefficient is F(z) = E - V(z) with E = kappa**2. Conversions
 from SI or atomic units happen at the boundary (file ingestion, CLI).
 
-Two potential families are supported:
+Each potential states once, as ``tails = ((n, C, z_top), (n, C, z_from))``,
+the exact power laws V = -C/z**n it follows at or below z_top and at or
+above z_from, with the declared strengths: the far tail's C4 gives
+ell = sqrt(C4). Between the tails V is one polynomial in log-log
+coordinates on each of its pieces.
 
-* ``HomogeneousPotential``: V_n(z) = -c_n / z**n for integer n >= 3.
+* ``HomogeneousPotential``, V_n(z) = -c_n / z**n for integer n >= 3, is all
+  tail: its tails ((n, c_n, inf), (n, c_n, 0)) overlap (``one_law``).
 * ``TabulatedPotential``: samples of a Casimir-Polder-like potential,
   fitted by a quintic in log-log coordinates and joined smoothly (V''
-  continuous) to declared power-law tails, -C3/z**3 below the table and
-  -C4/z**4 above.
-
-Each states once, as ``tails = ((n, C, z_top), (n, C, z_from))``, the exact
-power laws V = -C/z**n it follows at or below z_top and at or above z_from,
-with the declared strengths: the far tail's C4 gives ell = sqrt(C4).
+  continuous) to declared tails, -C3/z**3 below the table and -C4/z**4 above.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "TabulatedPotential",
     "kappa_si",
     "load_potential_table",
+    "one_law",
     "HBAR",
     "M_HYDROGEN",
     "G_STANDARD",
@@ -206,6 +207,12 @@ class TabulatedPotential:
         which V is one polynomial in log-log coordinates: the blends' outer
         ends and the spline's knots."""
         return self._knots
+
+
+def one_law(potential) -> bool:
+    """Whether one law holds at every z > 0: the two ``tails`` overlap."""
+    (_, _, z_top), (_, _, z_from) = potential.tails
+    return z_from < z_top
 
 
 def _knot_nodes(u: np.ndarray) -> list[int]:

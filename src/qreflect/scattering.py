@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liouville import TransformedProblem
-from .potentials import HomogeneousPotential
+from .potentials import one_law
 from .wkb import Q_MATCH_REL, WkbField, threshold_phases, threshold_wave
 
 __all__ = [
@@ -402,13 +402,14 @@ def scattering_length(potential, ctl: SolverControl | None = None) -> Scattering
     """Complex scattering length a of a potential with a -C4/z**4 far tail.
 
     At E = 0 the one-way wave into the surface tends to A (z - a) far out,
-    and at low energy r = -(1 - 2 i kappa a) + O(kappa**2). On -C4/z**4 that
-    wave is z e^(i ell/z), so a = -i ell in closed form, ell = sqrt(C4). On a
-    table a comes from one solve of psi'' = V psi at E = 0, exact at both
-    ends, so no matching cut enters: it starts where the -C3/z**3 tail ends,
-    on its threshold wave (``threshold_wave``), and is written where the
-    -C4/z**4 tail begins as A z cos(ell/z) + B z sin(ell/z), the solutions
-    of that tail; then a = -B ell/A.
+    and at low energy r = -(1 - 2 i kappa a) + O(kappa**2). Where -C4/z**4
+    holds at every z (``one_law``) that wave is z e^(i ell/z), so a = -i ell
+    in closed form, ell = sqrt(C4). Otherwise a comes from one solve of
+    psi'' = V psi at E = 0, exact at both ends, so no matching cut enters:
+    it starts where the cliff tail ends, on its threshold wave
+    (``threshold_wave``), and is written where the -C4/z**4 tail begins as
+    A z cos(ell/z) + B z sin(ell/z), the solutions of that tail; then
+    a = -B ell/A.
 
     A direct solve at kappa ell = 1e-4 checks a:
     ``fit_residual`` is |r - r_model| there, for r_model = -(1 - 2 i kappa a)
@@ -421,10 +422,7 @@ def scattering_length(potential, ctl: SolverControl | None = None) -> Scattering
     if n != 4:
         raise ValueError("scattering length needs an inverse-quartic far-end tail")
     ell = math.sqrt(c4)
-    if isinstance(potential, HomogeneousPotential):
-        a = complex(0.0, -ell)
-    else:
-        a = _threshold_length(potential, ell, ctl.rtol)
+    a = complex(0.0, -ell) if one_law(potential) else _threshold_length(potential, ell, ctl.rtol)
     kappa = 1e-4 / ell
     residual = float(abs(solve_direct(potential, kappa * kappa, ctl).r + 1.0 - 2j * kappa * a))
     if residual > FIT_RESIDUAL_MAX:

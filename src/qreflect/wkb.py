@@ -3,27 +3,19 @@
 A ``WkbField`` bundles the local wavevector k_dB = sqrt(E - V), the WKB
 amplitude 1/sqrt(k_dB), the action phase with the far-end convention
 phi(z) - kappa z -> 0, and the breakdown measure Q(z) (the "badlands"
-function) that localizes where quantum reflection happens. On the inner
-power-law tail of an n != 4 cliff, the routes start instead on the exact
-threshold wave of that tail (``cliff_wave``).
+function) that localizes where quantum reflection happens.
 
-Each field has one length zeta = (C/E)**(1/n) of its far tail -C/z**n
-(``WkbField.zeta``), and the field's geometry on V_n is the universal one
-scaled by it: phi = kappa zeta ``phase_coordinate(z/zeta, n)`` and
-Q = ``universal_badlands(z/zeta, n)``/(kappa zeta)**2, closed form at every z.
-On a table, Q comes from analytic derivatives of k_dB, propagated from the
-spline's own; Q needs two of them and finite differences of tabulated
-data would wreck its shape. Those two terms cancel on a cliff (on V_4 to a
-relative error of about eps/x**4), which is why V_n takes the closed form.
-
-The matching cut, where Q has fallen to a fraction of its peak, is closed
-form where V is an exact power law. Its far end on V_4 and on a table's
--C4/z**4 tail is the quartic's algebraic root, and its cliff end on V_4 is
-that root's inverse (the universal badlands is even under x -> 1/x). On
-V_n, n != 4, the far crossing of ``universal_badlands`` is found once per
-(n, cut), and the cliff end is the threshold start. Q is searched, in array
-calls, only on a table: its peak, the walks from it, and the crossings that
-lie off its exact tails.
+A potential is a cliff tail, pieces and a far tail (``tails``). On a tail
+-C/z**n the field is that of V_n scaled by zeta = (C/E)**(1/n), in closed
+form: phi = kappa zeta ``phase_coordinate(z/zeta, n)``, plus on a table's
+cliff tail what its pieces add, and Q = ``universal_badlands(z/zeta,
+n)``/(kappa zeta)**2, free of the cancellation of the numeric Q's two terms
+on a cliff (on V_4 to about eps/x**4). On a table's pieces phi is a panel
+quadrature and Q comes from analytic derivatives of the spline; a table's
+evaluator puts the closed forms over the tails' share of its result
+(``_tails_over``). V_n is all tail (``one_law``). The matching cut, where Q
+has fallen to a fraction of its peak, is closed form where the peak lies on
+a tail (``matching_domain``); elsewhere Q is searched in array calls.
 """
 
 from __future__ import annotations
@@ -38,7 +30,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gamma, hankel1, hyp2f1, roots_legendre
 
-from .potentials import HomogeneousPotential
+from .potentials import one_law
 
 __all__ = [
     "WkbField",
@@ -90,26 +82,23 @@ def badlands_peak_x(n: int) -> float:
 
 @cache
 def _far_cut(n: int, q_rel: float) -> float:
-    """The x > x* where the universal badlands of V_n has fallen to q_rel of
-    its peak: ``_quartic_far_crossing`` for n = 4; otherwise the first of
-    x* 2, x* 4, ... not above that level and its half bracket the crossing,
-    which brentq finds on the Python-float formula."""
-    x_star = badlands_peak_x(n)
-    level = q_rel * universal_badlands(x_star, n)
+    """The x > x* where the universal badlands of V_n has fallen to q_rel of its peak."""
+    return _far_crossing(n, q_rel * universal_badlands(badlands_peak_x(n), n))
+
+
+def _far_crossing(n: int, level: float) -> float:
+    """The x > x* where the universal badlands of V_n falls to ``level``: for
+    n = 4, 5 x**6/(1 + x**4)**3, where x**2 + x**-2 = (5/level)**(1/3);
+    otherwise the first of x* 2, x* 4, ... not above ``level`` and its half
+    bracket the crossing, which brentq finds on the Python-float formula."""
     if n == 4:
-        return _quartic_far_crossing(level)
-    x = x_star
+        t = float(np.cbrt(5.0 / level))   # ** (1/3) would lose up to 3 ulps of x
+        return math.sqrt(0.5 * (t + math.sqrt(t * t - 4.0)))
+    x = badlands_peak_x(n)
     while universal_badlands(x, n) > level:
         x *= 2.0
     return brentq(lambda t: universal_badlands(t, n) - level, 0.5 * x, x,
                   xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
-
-
-def _quartic_far_crossing(level: float) -> float:
-    """The x > 1 where the universal badlands of V_4, 5 x**6/(1 + x**4)**3,
-    falls to ``level``: there x**2 + x**-2 = (5/level)**(1/3)."""
-    t = float(np.cbrt(5.0 / level))   # ** (1/3) would lose up to 3 ulps of x
-    return math.sqrt(0.5 * (t + math.sqrt(t * t - 4.0)))
 
 
 def threshold_wave(z: float, n: int, c_n: float, c: complex = 1.0) -> tuple[complex, complex]:
@@ -216,57 +205,22 @@ def threshold_phases(potential, z: np.ndarray) -> np.ndarray:
     return np.bincount(gap, weights=phases, minlength=len(z) - 1)
 
 
-class _PhaseTable:
-    """phi_dB of a tabulated potential at one energy, built on first use.
+class _Law:
+    """A tail -C/z**n at energy E, below ``edge`` (the cliff tail's z_top)
+    or from it on (the far tail's z_from): there phi and Q are those of V_n
+    at x = z/zeta, zeta = (C/E)**(1/n)."""
 
-    V is an exact power law on the table's ``tails``, so phi is closed form
-    there: -C4/z**4 from z_from on gives the far-end anchor, and -C3/z**3 up
-    to z_top continues phi from there to the cliff. Between, each piece of
-    u = ln z on which V is one polynomial (``log_knots``) is split into
-    equal panels no wider than ``_PANEL_DU``, and phi is kept at the panel
-    starts. Gauss-Legendre rules integrate k z = sqrt(E - V) z over each
-    panel in u, with the potential's own V, so the table integrates the
-    potential the solvers see. The lower rule of ``_PHASE_RULES`` only
-    estimates the error of the higher; their summed difference must stay
-    within ``_PHASE_BUDGET``. A call inside the table then costs one lookup
-    and one short rule over the part of a panel below z.
-    """
+    __slots__ = ("n", "c", "edge", "energy", "zeta")
 
-    def __init__(self, field: WkbField):
-        potential, energy, kappa = field.potential, field.energy, field.kappa
-        self.energy = energy
-        (_, c3, self.z_min), (_, _, self.z_max) = potential.tails
-        self.zeta4 = field.zeta
-        self.zeta3 = (c3 / energy) ** (1.0 / 3.0)
-        self.kz4, self.kz3 = kappa * self.zeta4, kappa * self.zeta3
+    def __init__(self, n: int, c: float, edge: float, energy: float):
+        self.n, self.c, self.edge, self.energy = n, c, edge, energy
+        self.zeta = (c / energy) ** (1.0 / n)
 
-        self.potential = potential
-        _, self.start, high, error = _log_panels(potential, energy, potential.log_knots())
-        if not error <= _PHASE_BUDGET:
-            raise RuntimeError(f"phase table error estimate {error:.1e} rad"
-                               f" above {_PHASE_BUDGET:g} rad")
-        phi_top = self.kz4 * phase_coordinate(self.z_max / self.zeta4, 4)
-        self.phi_start = phi_top - np.cumsum(high[::-1])[::-1]
-        self.phi_cliff = self.phi_start[0] - self.kz3 * phase_coordinate(
-            self.z_min / self.zeta3, 3)
+    def phase(self, z):
+        return math.sqrt(self.energy) * self.zeta * phase_coordinate(z / self.zeta, self.n)
 
-    def phi(self, z):
-        z = np.asarray(z, dtype=float)
-        flat = z.reshape(-1)
-        out = np.empty(flat.shape)
-        top, low = flat >= self.z_max, flat < self.z_min
-        out[top] = self.kz4 * phase_coordinate(flat[top] / self.zeta4, 4)
-        out[low] = self.phi_cliff + self.kz3 * phase_coordinate(flat[low] / self.zeta3, 3)
-        mid = ~(top | low)
-        u = np.log(flat[mid])
-        # clamped: the log may land an ulp outside the knots at the ends
-        p = np.clip(np.searchsorted(self.start, u, side="right") - 1, 0, len(self.start) - 1)
-        a = self.start[p]
-        h = u - a
-        nodes, weights = _legendre(_PHASE_RULES[1])
-        out[mid] = self.phi_start[p] + h * (
-            _kz(self.potential, self.energy, a[:, None] + h[:, None] * nodes) @ weights)
-        return out.reshape(z.shape)[()]
+    def q(self, z):
+        return universal_badlands(z / self.zeta, self.n) / (self.energy * self.zeta * self.zeta)
 
 
 @dataclass(frozen=True)
@@ -285,11 +239,32 @@ class WkbField:
         return math.sqrt(self.energy)
 
     @cached_property
+    def _laws(self) -> tuple[_Law, _Law]:
+        """The ``_Law`` of the cliff tail and of the far tail."""
+        return tuple(_Law(n, c, edge, self.energy) for n, c, edge in self.potential.tails)
+
+    @cached_property
+    def _one_law(self) -> bool:
+        return one_law(self.potential)
+
+    @property
     def zeta(self) -> float:
-        """(C/E)**(1/n) of the far tail -C/z**n, where |V| = E: C_n on V_n,
-        and on a table the declared C4."""
-        n, c, _ = self.potential.tails[1]
-        return (c / self.energy) ** (1.0 / n)
+        """(C/E)**(1/n) of the far tail -C/z**n, where |V| = E."""
+        return self._laws[1].zeta
+
+    def _tails_over(self, z, out, on_tail):
+        """``out``, an evaluator's values at z (a float or an array) by the
+        code of a table's pieces, with each tail's share of z put over by
+        ``on_tail(law, z)``, its ``_Law``'s closed form. A pass of the pieces'
+        code over the whole of z costs less than a pass split by region."""
+        cliff, far = self._laws
+        if np.ndim(z) == 0:
+            law = far if z >= far.edge else cliff if z < cliff.edge else None
+            return on_tail(law, z) if law else out
+        for law, on in ((far, z >= far.edge), (cliff, z < cliff.edge)):
+            if on.any():
+                out[on] = on_tail(law, z[on])
+        return out
 
     # -- local wavevector and derivatives ---------------------------------
     # each evaluator takes z as a float or an array
@@ -307,36 +282,58 @@ class WkbField:
     def phi(self, z):
         if not (np.asarray(z) > 0.0).all():   # also false for nan
             raise ValueError("phase is defined on z > 0")
-        if isinstance(self.potential, HomogeneousPotential):
-            zeta = self.zeta
-            return self.kappa * zeta * phase_coordinate(z / zeta, self.potential.n)
-        return self._phase_table.phi(z)
+        if self._one_law:
+            return self._laws[1].phase(z)
+        return self._tails_over(z, self._pieces_phi(z), self._tail_phase)
+
+    def _tail_phase(self, law: _Law, z):
+        # on the cliff tail of a table, phi is offset by what the pieces add
+        return law.phase(z) if law is self._laws[1] else self._phase_table[2] + law.phase(z)
 
     @cached_property
-    def _phase_table(self) -> _PhaseTable:
-        # per field, not per potential in a module cache: a field lives for
-        # one solve, so its table goes when the solve is done
-        return _PhaseTable(self)
+    def _phase_table(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """phi between the tails, built on first use and kept per field (a
+        solve's): the panel starts in u = ln z, phi there, and phi less the
+        cliff law's phase on the cliff tail. Each piece of u on which V is one
+        polynomial (``log_knots``) is cut into equal panels no wider than
+        ``_PANEL_DU``, and phi is summed down from the far law's at the far
+        tail's start, by Gauss-Legendre rules on k z = sqrt(E - V) z in u with
+        the potential's own V; the lower rule of ``_PHASE_RULES`` only
+        estimates the error of the higher, and their summed difference must
+        stay within ``_PHASE_BUDGET``. ``_pieces_phi`` adds one short rule
+        over the part of a panel below z."""
+        _, start, high, error = _log_panels(self.potential, self.energy,
+                                            self.potential.log_knots())
+        if not error <= _PHASE_BUDGET:
+            raise RuntimeError(f"phase table error estimate {error:.1e} rad"
+                               f" above {_PHASE_BUDGET:g} rad")
+        cliff, far = self._laws
+        phi_start = far.phase(far.edge) - np.cumsum(high[::-1])[::-1]
+        return start, phi_start, phi_start[0] - cliff.phase(cliff.edge)
 
-    @cached_property
-    def _threshold_tail(self) -> tuple[int, float, float] | None:
-        """(n, C_n, z_top) of the inner tail: V = -C_n/z**n exactly for z <= z_top.
-
-        None for n = 4, where the WKB wave with E included is the better
-        cliff start: there Q falls like z**6 and E z**4/C_4 only like z**4.
-        """
-        tail = self.potential.tails[0]
-        return None if tail[0] == 4 else tail
+    def _pieces_phi(self, z):
+        start, phi_start, _ = self._phase_table
+        u = np.log(z)
+        # clamped to a panel: the log may land an ulp outside the knots at the
+        # ends, and on a tail, whose law's phi replaces this, z is off them
+        p = np.clip(np.searchsorted(start, u, side="right") - 1, 0, len(start) - 1)
+        a = start[p]
+        h = np.clip(u - a, 0.0, _PANEL_DU)
+        nodes, weights = _legendre(_PHASE_RULES[1])
+        return phi_start[p] + h * (
+            _kz(self.potential, self.energy, a[..., None] + h[..., None] * nodes) @ weights)
 
     def on_threshold_tail(self, z: float) -> bool:
-        """Whether ``cliff_wave(z)`` is the threshold wave of the inner tail."""
-        tail = self._threshold_tail
-        return tail is not None and z <= tail[2]
+        """Whether ``cliff_wave(z)`` is the threshold wave of the cliff tail:
+        z lies on it, and its n is not 4, where the WKB wave with E included
+        is the better cliff start (Q falls like z**6, E z**4/C_4 only like z**4)."""
+        cliff = self._laws[0]
+        return cliff.n != 4 and z <= cliff.edge
 
     def cliff_wave(self, z: float) -> tuple[complex, complex]:
         """The one-way wave into the surface at a cliff start z, and its derivative.
 
-        On the inner tail (``on_threshold_tail``) it is the threshold solution
+        On the cliff tail (``on_threshold_tail``) it is the threshold solution
         of psi'' + C_n z**-n psi = 0 (Friedrich & Trost, Phys. Rep. 397, 359),
         c times ``threshold_wave``; its only error is the neglected E z**n/C_n. With
         phi -> phi_0 - x as z -> 0, the Hankel asymptote (DLMF 10.17.5) gives
@@ -346,26 +343,21 @@ class WkbField:
         """
         if not self.on_threshold_tail(z):
             return self.wkb_pair(z)[1]
-        n, c_n, _ = self._threshold_tail
-        if isinstance(self.potential, HomogeneousPotential):
-            phi_0 = self.kappa * self.zeta * _cliff_offset(n)
-        else:
-            table = self._phase_table
-            phi_0 = table.phi_cliff + table.kz3 * _cliff_offset(3)
-        nu = 1.0 / (n - 2)
+        cliff = self._laws[0]
+        offset = 0.0 if self._one_law else self._phase_table[2]   # what a table's pieces add
+        phi_0 = offset + self.kappa * cliff.zeta * _cliff_offset(cliff.n)
+        nu = 1.0 / (cliff.n - 2)
         c = math.sqrt(math.pi * nu) * cmath.exp(1j * (0.5 * math.pi * nu + 0.25 * math.pi - phi_0))
-        return threshold_wave(z, n, c_n, c)
+        return threshold_wave(z, cliff.n, cliff.c, c)
 
     def cliff_residual(self, z: float) -> float:
         """Relative error of the wave equation that ``cliff_wave(z)`` solves.
 
-        E z**n/C_n on the inner tail, for F = E + C_n/z**n; elsewhere Q(z),
+        E z**n/C_n on the cliff tail, for F = E + C_n/z**n; elsewhere Q(z),
         for the WKB wave's k**2 (1 + Q).
         """
-        if not self.on_threshold_tail(z):
-            return self.q(z)
-        n, c_n, _ = self._threshold_tail
-        return self.energy * z ** n / c_n
+        cliff = self._laws[0]
+        return self.energy * z ** cliff.n / cliff.c if self.on_threshold_tail(z) else self.q(z)
 
     def wkb_pair(self, z: float) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
         """The WKB waves alpha e^(i eta phi) and their exact derivatives, for
@@ -387,30 +379,28 @@ class WkbField:
     def k_q(self, z):
         """(k_dB, Q) at z: the wall-gauge solver needs both at every step.
 
-        On V_n, Q is ``universal_badlands(z/zeta, n)/(kappa zeta)**2``, free of
-        the cancellation of the two terms below on the cliff (to about
-        eps/x**4 on V_4); on a table both come from one pass over V, V' and V''.
+        On a tail Q is its law's ``universal_badlands(z/zeta, n)/(kappa zeta)**2``,
+        at every z where one law holds there; otherwise both come from one
+        pass over V, V' and V'', and the tails' Q over its result.
         """
-        if isinstance(self.potential, HomogeneousPotential):
-            zeta = self.zeta
-            return (self.k(z),
-                    universal_badlands(z / zeta, self.potential.n) / (self.energy * zeta * zeta))
+        if self._one_law:
+            return self.k(z), self._laws[1].q(z)
         v, dv, d2v = self.potential.derivs(z)
         k2 = self.energy - v
         k = np.sqrt(k2)
         dk = -dv / (2.0 * k)
         d2k = (-d2v - 2.0 * dk * dk) / (2.0 * k)
-        return k, 0.5 * d2k / k2 ** 1.5 - 0.75 * dk * dk / (k2 * k2)
+        q = 0.5 * d2k / k2 ** 1.5 - 0.75 * dk * dk / (k2 * k2)
+        return k, self._tails_over(z, q, _Law.q)
 
     def q_peak(self) -> tuple[float, float]:
-        """(z_peak, Q_peak); closed form for homogeneous, search otherwise,
-        found once per field."""
+        """(z_peak, Q_peak), once per field: the law's if one holds at every z, else searched."""
         return self._peak
 
     @cached_property
     def _peak(self) -> tuple[float, float]:
-        if isinstance(self.potential, HomogeneousPotential):
-            z_peak = self.zeta * badlands_peak_x(self.potential.n)
+        if self._one_law:
+            z_peak = self.zeta * badlands_peak_x(self._laws[1].n)
             return z_peak, self.q(z_peak)
         return self._q_peak_search()
 
@@ -468,54 +458,52 @@ class WkbField:
     def matching_domain(self, q_rel: float = Q_MATCH_REL) -> tuple[float, float]:
         """(z_min, z_max) where Q has fallen to q_rel of its peak on each side.
 
-        On V_n, z_max is zeta_n x, with x the far crossing of
-        ``universal_badlands`` found once per (n, q_rel) (``_far_cut``), and on
-        V_4 z_min is zeta/x, so Q is not read at all. On a table Q is
-        searched: its peak (``_q_peak_search``), then a doubling walk from it
-        on each side and ``_crossing`` in the last step of the walk. Where
-        that step lies on the exact -C4/z**4 tail, or straddles the tail's
-        start z_from with Q on the tail still above the target there, the far
-        crossing is the universal one of that tail instead; where the step
-        lies wholly on the -C3/z**3 tail below, the cliff crossing is not
-        needed.
-        Where the cliff-side crossing lies on the inner tail of an n != 4
-        cliff, z_min is instead the shallowest point of that tail with
-        E z**n/C_n <= q_rel: there ``cliff_wave`` is exact but for that E.
-        A cut that puts that point at or beyond the badlands peak is rejected,
-        and so is a domain that is not finite and ordered, as where
+        Where the peak lies on the far tail, z_max is zeta x on its law, x the
+        far crossing of ``universal_badlands`` found once per (n, q_rel)
+        (``_far_cut``), and on an n = 4 law z_min is zeta/x where that lies
+        on the tail too; where one law holds at every z, Q is not read.
+        Elsewhere Q is searched: its peak (``_q_peak_search``), then a doubling
+        walk on each side and ``_crossing`` in the walk's last step, unless
+        that step lies on the far tail, or straddles its start with Q there
+        above the target: then the far law's crossing stands.
+        Where the cliff-side crossing lies on an n != 4 cliff tail, z_min is
+        the shallowest point of that tail with E z**n/C_n <= q_rel, where
+        ``cliff_wave`` is exact but for that E; one at or beyond the peak is
+        rejected, and so is a domain that is not finite and ordered, as where
         zeta = (C/E)**(1/n) overflows or underflows.
         """
         if not (0.0 < q_rel < 1.0):
             raise ValueError("q_rel must lie in (0, 1)")
-        pot = self.potential
-        if isinstance(pot, HomogeneousPotential):
-            n, zeta = pot.n, self.zeta
-            x_max = _far_cut(n, q_rel)
-            # V_4's badlands is even under x -> 1/x; for n != 4 z_min is the
-            # threshold start below, on a tail that holds at every z
-            z_min, z_max, z_peak = zeta / x_max, zeta * x_max, zeta * badlands_peak_x(n)
+        cliff, far = self._laws
+        if self._one_law:   # its peak, and no Q read: only the searches below need a target
+            z_peak, target = far.zeta * badlands_peak_x(far.n), None
         else:
             z_peak, q_peak = self.q_peak()
             target = q_rel * q_peak
+        if z_peak >= far.edge:
+            x_max = _far_cut(far.n, q_rel)
+            z_max = far.zeta * x_max
+        else:
+            hi = self._walk(z_peak, +1, target)
+            inside = max(hi / 2.0, z_peak)
+            level = target * self.energy * far.zeta * far.zeta   # that of the universal badlands
+            if inside >= far.edge or (hi > far.edge
+                                      and universal_badlands(far.edge / far.zeta, far.n) > level):
+                z_max = float(far.zeta * _far_crossing(far.n, level))
+            else:
+                z_max = self._crossing(inside, hi, target)
+        if z_peak >= far.edge and far.n == 4 and far.zeta / x_max >= far.edge:
+            z_min = far.zeta / x_max   # the badlands of V_4 is even under x -> 1/x
+        elif self.on_threshold_tail(z_peak):
+            z_min = z_peak             # the threshold start below stands in for it
+        else:
             lo = self._walk(z_peak, -1, target)
             inside = min(2.0 * lo, z_peak)
             z_min = inside if self.on_threshold_tail(inside) else self._crossing(inside, lo, target)
-            hi = self._walk(z_peak, +1, target)
-            inside = max(hi / 2.0, z_peak)
-            zeta, z_from = self.zeta, pot.tails[1][2]
-            level = target * self.energy * zeta * zeta   # the target of the universal badlands
-            # the last step lies on the far tail, or it straddles z_from and Q
-            # there, on the tail, is still above the target: either way the
-            # crossing lies on the tail
-            if inside >= z_from or (hi > z_from and universal_badlands(z_from / zeta, 4) > level):
-                z_max = float(zeta * _quartic_far_crossing(level))
-            else:
-                z_max = self._crossing(inside, hi, target)
         if not 0.0 < z_min < z_max < math.inf:   # also false for nan
             raise ValueError(f"matching domain ({z_min:g}, {z_max:g}) is not finite and ordered")
         if self.on_threshold_tail(z_min):
-            n, c_n, z_top = self._threshold_tail
-            z_min = min(z_top, (q_rel * c_n / self.energy) ** (1.0 / n))
+            z_min = min(cliff.edge, (q_rel * cliff.c / self.energy) ** (1.0 / cliff.n))
             if z_min >= z_peak:
                 raise ValueError(f"matching cut {q_rel:g} puts the cliff start at or"
                                  " beyond the badlands peak")

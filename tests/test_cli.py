@@ -68,6 +68,34 @@ class TestReflect:
             assert err.startswith("error: ") and err.count("\n") == 1, argv
             assert "grid" in err, argv
 
+    @pytest.mark.parametrize("argv", [["--table", "cp", "--energy-e1", "100"],
+                                      ["--model", "vn", "--n", "3", "--energy-e1", "1000"]],
+                             ids=["table", "vn-3"])
+    def test_mathieu_route_needs_one_quartic_law(self, tmp_path, capsys, argv):
+        # the closed form solves -C4/z**4 at every z: not a table, whose
+        # tails are two laws, nor another exponent
+        argv = [str(write_cp_table(tmp_path)) if a == "cp" else a for a in argv]
+        code = main(["reflect", *argv, "--method", "mathieu"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: the mathieu route applies to the inverse-quartic model only\n"
+
+    def test_mathieu_route_on_the_quartic_model(self, tmp_path):
+        # --model vn --n 4 is the inverse-quartic model, as --model v4 is
+        code, text = run(tmp_path, "vn4.csv", ["reflect", "--model", "vn", "--n", "4",
+                                               "--kappa-ell", "0.1", "--method", "mathieu"])
+        assert code == 0
+        assert csv_rows(text)[1][0]["R_mathieu"] == f"{mathieu.solve_v4(0.1).R:.12g}"
+
+    def test_table_rows_have_no_mathieu_column(self, tmp_path):
+        # a kappa*ell grid on a table runs the numeric routes only
+        code, text = run(tmp_path, "tk.csv", ["reflect", "--table", str(write_cp_table(tmp_path)),
+                                              "--kappa-ell", "0.1", "--method", "all"])
+        header, rows = csv_rows(text)
+        assert code == 0 and rows[0]["status"] == "ok"
+        assert "R_mathieu" not in header
+        assert {"R_direct", "R_coupled", "R_transformed"} <= set(header)
+
     def test_cut_past_the_badlands_peak_rejected(self, capsys):
         code = main(["reflect", "--model", "vn", "--n", "3", "--energy-e1", "1000",
                      "--method", "all", "--q-match", "0.9"])

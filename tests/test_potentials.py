@@ -1,6 +1,7 @@
 """Tests for potential models, tabulated ingestion and unit conversions."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qreflect.potentials import (
     e1_unit,
     kappa_si,
     load_potential_table,
+    one_law,
 )
 from qreflect.wkb import WkbField
 
@@ -58,6 +60,16 @@ class TestHomogeneous:
         vals = [pot.value(float(z)) for z in zs]
         assert all(v < 0.0 for v in vals)
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    def test_one_law_where_the_tails_overlap(self):
+        # two laws that agree on an interval are one; tails that only meet
+        # at a point may be two
+        def tails(z_top, z_from):
+            return SimpleNamespace(tails=((4, 0.8, z_top), (4, 0.8, z_from)))
+
+        assert one_law(HomogeneousPotential(4, 0.8))
+        assert one_law(tails(2.0, 1.0))
+        assert not one_law(tails(1.0, 1.0)) and not one_law(tails(1.0, 2.0))
 
     def test_derivatives_match_finite_differences(self):
         pot = HomogeneousPotential(4, 0.8)
@@ -111,6 +123,7 @@ class TestTabulated:
         for n, c, zs in ((n_lo, c_lo, min(z_top, 1.0) * np.array([1.0, 0.5, 1e-3])),
                          (n_hi, c_hi, max(z_from, 1.0) * np.array([1.0, 2.0, 1e3]))):
             np.testing.assert_allclose(pot.value(zs), -c / zs ** n, rtol=1e-12, atol=0.0)
+        assert one_law(pot) == isinstance(pot, HomogeneousPotential)
         if isinstance(pot, HomogeneousPotential):
             assert pot.tails == ((pot.n, pot.c_n, math.inf), (pot.n, pot.c_n, 0.0))
         else:

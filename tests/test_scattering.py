@@ -876,6 +876,29 @@ class TestTabulatedPipeline:
         assert max(abs(a - b) for a in rs for b in rs) <= 1e-10
         assert abs(rs[0] - solve_direct(exact, energy).r) <= 1e-5
 
+    @pytest.mark.parametrize("nodes", [40, 80])
+    @pytest.mark.parametrize("sample", [0, 1, -2, -1],
+                             ids=["first", "second", "next-to-last", "last"])
+    def test_noisy_end_sample_on_a_sparse_table(self, nodes, sample):
+        # two_tail_table()'s shape on nodes 0.35 and 0.17 apart in ln z, where
+        # the spline interpolates and the blends read w'' from the samples
+        # next to each end: an error of 1e-3 in one of them loads quietly and
+        # moves r by at most 9.4e-5 (second sample, 80 nodes), less than the
+        # same error at an interior node near the cliff does (4.2e-4)
+        lam, c3 = 3.0, 0.6
+        z = np.geomspace(0.004, 4000.0, nodes)
+        v = -c3 / (z ** 3 * (1.0 + z / lam))
+        clean = TabulatedPotential(z, v, cliff_c3=c3, far_c4=c3 * lam)
+        for factor in (1.0 + 1e-3, 1.0 - 1e-3):
+            noisy = v.copy()
+            noisy[sample] *= factor
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pot = TabulatedPotential(z, noisy, cliff_c3=c3, far_c4=c3 * lam)
+                for energy in (0.002, 0.02, 0.2):
+                    moved = abs(solve_direct(pot, energy).r - solve_direct(clean, energy).r)
+                    assert moved <= 2e-4, (factor, energy)
+
     def test_tabulated_matches_dense_sampling_of_same_model(self):
         # ingesting a table of a known two-tail model reproduces the
         # reflection of the model itself within interpolation accuracy;

@@ -232,12 +232,15 @@ class TestPhase:
             assert fld.phi(z) == pytest.approx(quadrature_phi(fld, z), rel=0.0, abs=1e-10), z
 
     def test_tabulated_continuous_across_seams(self, tmp_path):
+        # the end nodes, and the tails' edges, where their laws take over
+        # phi and Q from the pieces
         pot = potentials.load_potential_table(write_cp_table(tmp_path, 500))
         fld = WkbField(pot, e1_energy(100.0))
-        for seam in (pot.z_min, pot.z_max):
+        for seam in pot.breaks:
             lo, hi = seam * (1.0 - 1e-13), seam * (1.0 + 1e-13)
             jump = fld.phi(hi) - fld.phi(lo) - fld.k(seam) * (hi - lo)
             assert abs(jump) < 1e-12, seam
+            assert fld.q(hi) == pytest.approx(fld.q(lo), rel=1e-10), seam
 
     def test_coarse_table_vs_quadrature(self, tmp_path):
         # six knots, 2.1 in ln z apart: the table splits them into panels
@@ -554,6 +557,38 @@ class TestBadlands:
         assert q_peak > 0.0
         grid = np.geomspace(z_peak / 40.0, z_peak * 40.0, 300)
         assert q_peak >= max(fld.q(float(t)) for t in grid) * (1.0 - 1e-6)
+
+
+class TestTails:
+    """Beyond a table's declared tail edges the field is that tail's law."""
+
+    @pytest.mark.parametrize("case", ["two-tail", "cp"])
+    def test_closed_forms_beyond_the_edges(self, tmp_path, case):
+        # Q from universal_badlands, k from V and phi from phase_coordinate
+        # with the tail's zeta = (C/E)**(1/n), bit for bit, in array and scalar
+        # calls; on the cliff tail phi carries what the pieces add on top
+        if case == "two-tail":
+            pot, energy = two_tail_table(), 0.02
+        else:
+            pot = potentials.load_potential_table(write_cp_table(tmp_path))
+            energy = e1_energy(100.0)
+        fld = WkbField(pot, energy)
+        (_, _, z_top), (_, _, z_from) = pot.tails
+        kappa = math.sqrt(energy)
+        for j, zs in ((0, z_top * np.array([1e-6, 1e-3, 0.3, 0.999])),
+                      (1, z_from * np.array([1.0, 1.001, 3.0, 1e4]))):
+            n, c, _ = pot.tails[j]
+            zeta = (c / energy) ** (1.0 / n)
+            q = universal_badlands(zs / zeta, n) / (energy * zeta * zeta)
+            k_q = fld.k_q(zs)
+            assert k_q[1].tolist() == fld.q(zs).tolist() == q.tolist()
+            assert [fld.q(z) for z in zs.tolist()] == q.tolist()
+            assert k_q[0].tolist() == fld.k(zs).tolist()
+            phase = kappa * zeta * phase_coordinate(zs / zeta, n)
+            if j == 0:
+                phase = fld._phase_table[2] + phase
+            assert fld.phi(zs).tolist() == phase.tolist()
+            assert [fld.phi(z) for z in zs.tolist()] == phase.tolist()
 
 
 class TestCutBudget:
