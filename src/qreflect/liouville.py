@@ -12,20 +12,22 @@ repulsive wall of height vk**2 Q(z) probed at energy vk**2.
 
 Maps are evaluator bundles (value, derivative, second derivative,
 Schwarzian), so no symbolic algebra is ever needed, which keeps tabulated
-potentials first-class citizens. The one map built here is the wall gauge;
-``transform_f`` takes any other, such as the log gauge zt = ln(z/zeta) that
-turns -C4/z**4 into the modified Mathieu equation of ``mathieu``.
+potentials first-class citizens. Every map goes through ``transform_f``, the
+wall gauge built here included, and F_t has one formula,
+``TransformedProblem.coefficients``; another map, such as the log gauge
+zt = ln(z/zeta) that turns -C4/z**4 into the modified Mathieu equation of
+``mathieu``, needs only its evaluators.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .wkb import Q_MATCH_REL, WkbField, _panel_sums, phase_coordinate, universal_badlands
+from .wkb import Q_MATCH_REL, WkbField, _log_panels, phase_coordinate, universal_badlands
 
 __all__ = [
     "LiouvilleMap",
@@ -62,8 +64,12 @@ class TransformedProblem:
     mapping: LiouvilleMap
     field: WkbField
     domain: tuple[float, float]           # in the original coordinate
-    coefficients: Callable[[float], tuple[float, float]]
     vk: float | None = None               # the wall gauge's scale
+
+    def coefficients(self, z):
+        """(zt'(z), F_t(zt(z))), F_t = (F - {zt, z}/2)/zt'**2."""
+        d = self.mapping.derivative(z)
+        return d, (self.field.f_coeff(z) - 0.5 * self.mapping.schwarzian(z)) / d ** 2
 
     def _wall_scale(self) -> float:
         """vk, which every wall quantity reads: only a wall-form problem has one."""
@@ -105,19 +111,13 @@ class TransformedProblem:
 
 def transform_f(mapping: LiouvilleMap, field: WkbField,
                 domain: tuple[float, float]) -> TransformedProblem:
-    """Transform a field's Schrodinger coefficient F under a Liouville map."""
+    """A field's Schrodinger problem under a Liouville map on ``domain``."""
     a, b = domain
     if not (a < b):
         raise ValueError("domain must be an increasing interval")
     if mapping.derivative(0.5 * (a + b)) <= 0.0 or mapping.derivative(a) <= 0.0:
         raise ValueError("map must be strictly increasing on the domain")
-
-    def coefficients(z):
-        d = mapping.derivative(z)
-        return d, (field.f_coeff(z) - 0.5 * mapping.schwarzian(z)) / d ** 2
-
-    return TransformedProblem(mapping=mapping, field=field, domain=domain,
-                              coefficients=coefficients)
+    return TransformedProblem(mapping=mapping, field=field, domain=domain)
 
 
 def special_gauge(field: WkbField,
@@ -132,28 +132,23 @@ def special_gauge(field: WkbField,
     states" residual, or on a threshold tail at the cliff start of the
     other routes. The default is the routes'
     shared ``Q_MATCH_REL``, so the wall route matches at the same cut as the
-    others.
+    others. The map's Schwarzian is 2 Q k**2, so ``transform_f`` gives
+    F_t = vk**2 (1 - Q), the wall vk**2 Q at energy vk**2.
     """
     vk = field.kappa * field.zeta
-    e_bold = vk * vk
+
+    def schwarzian(z):
+        k, q = field.k_q(z)
+        return 2.0 * q * k * k
 
     mapping = LiouvilleMap(
         forward=lambda z: field.phi(z) / vk,
         derivative=lambda z: field.k(z) / vk,
-        schwarzian=lambda z: 2.0 * field.q(z) * field.k(z) ** 2,
+        schwarzian=schwarzian,
         dderivative=lambda z: field.dk(z) / vk,
     )
-
-    def coefficients(z):
-        # the Jacobian k/vk and the wall vk**2 Q from one k_q call, where
-        # the map would evaluate k twice
-        k, q = field.k_q(z)
-        return k / vk, e_bold - vk * vk * q
-
-    problem = TransformedProblem(mapping=mapping, field=field,
-                                 domain=field.matching_domain(trunc_rel),
-                                 coefficients=coefficients, vk=vk)
-    return mapping, problem
+    problem = transform_f(mapping, field, field.matching_domain(trunc_rel))
+    return mapping, replace(problem, vk=vk)
 
 
 def universal_wall(x: float, n: int) -> tuple[float, float]:
@@ -169,12 +164,13 @@ def wall_integral(problem: TransformedProblem) -> float:
     integrand Q k z falls like exp(-p |u - u_peak|) on both sides: p = n/2 - 1
     on a -C_n/z**n cliff (5 for n = 4) and n + 1 on the far tail. It is
     integrated out to where that has fallen by e**-40, in one pass of the
-    phase table's two Gauss-Legendre rules (``wkb._panel_sums``) on panels
-    at most 1/(4n) wide, n the larger of the two tail exponents, that end on
-    the potential's ``breaks``, where the derivative of Q jumps. Q is
-    continuous on every potential; on a table its third derivative jumps at
-    the nodes, which panels this narrow resolve to about 1e-14. The summed
-    difference of the two rules must stay below 1e-3 of the result.
+    phase table's two Gauss-Legendre rules (``wkb._log_panels``) on panels
+    at most 1/(4n) wide, n the larger of the two tail exponents, each gap
+    between the ends and the potential's ``breaks`` (where the derivative of
+    Q jumps) cut evenly. Q is continuous on every potential; on a table its
+    third derivative jumps at the nodes, which panels this narrow resolve to
+    about 1e-14. The summed difference of the two rules must stay below 1e-3
+    of the result.
     """
     field, vk = problem.field, problem._wall_scale()
     (n_cliff, _, _), (n_far, _, _) = field.potential.tails
@@ -182,16 +178,13 @@ def wall_integral(problem: TransformedProblem) -> float:
     u_peak = math.log(field.q_peak()[0])
     lo, hi = u_peak - 40.0 / decay, u_peak + 40.0 / (n_far + 1.0)
     breaks = np.log(field.potential.breaks)
-    ends = np.union1d(np.linspace(lo, hi, math.ceil((hi - lo) * 4 * max(n_cliff, n_far)) + 1),
-                      breaks[(breaks > lo) & (breaks < hi)])
-    width = np.diff(ends)
+    u = np.concatenate([[lo], breaks[(breaks > lo) & (breaks < hi)], [hi]])
 
-    def qkz(x):
-        z = np.exp(ends[:-1, None] + width[:, None] * x)
+    def qk(z):
         k, q = field.k_q(z)
-        return q * k * z
+        return q * k
 
-    sums, err_total = _panel_sums(width, qkz)
+    _, _, sums, err_total = _log_panels(u, qk, 0.25 / max(n_cliff, n_far))
     total = float(np.sum(sums))
     if total <= 0.0:
         raise RuntimeError("wall integral must be positive")

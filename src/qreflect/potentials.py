@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_interp_spline, make_lsq_spline
+from scipy.interpolate import make_lsq_spline
 
 __all__ = [
     "HomogeneousPotential",
@@ -88,12 +88,12 @@ class TabulatedPotential:
     w = ln(-V) is a quintic spline in u = ln z with the not-a-knot ends,
     which is C4, so V'' is continuous with two continuous derivatives and a
     pure power law is reproduced exactly. Its knots are the first and last
-    node and the nodes between at least ``KNOT_DU`` apart (``_knot_nodes``).
-    Where the nodes lie that far apart, every node is a knot and the spline
-    interpolates the samples; on a denser table it is their least-squares
-    fit, which averages the samples' rounding where interpolation would
-    carry it into V'' magnified by the inverse square of the node spacing
-    (on 47 nodes a decade at 11 digits, to about 1e-7 of V''). Every sample
+    node and the nodes between at least ``KNOT_DU`` apart (``_knot_nodes``),
+    and it is the samples' least-squares fit on them. Where the nodes lie
+    that far apart, every node is a knot and the fit interpolates the
+    samples; on a denser table it averages the samples' rounding, which
+    interpolation would carry into V'' magnified by the inverse square of the
+    node spacing (on 47 nodes a decade at 11 digits, to about 1e-7 of V''). Every sample
     must lie within ``FIT_TOLERANCE`` of the spline, relative in V. On each
     side one quintic Hermite piece, a factor ``BLEND`` wide in z, runs from
     the spline's (w, w', w'') at the end node to the declared tail's line
@@ -136,11 +136,8 @@ class TabulatedPotential:
         self.breaks.flags.writeable = False
         u, w = np.log(z), np.log(-v)
         kept = u[_knot_nodes(u)]
-        if len(kept) == len(u):   # the interpolating spline, solved as the square system it is
-            spline = make_interp_spline(u, w, k=5)
-        else:
-            spline = make_lsq_spline(u, w, np.concatenate(
-                [np.repeat(kept[0], 6), kept[3:-3], np.repeat(kept[-1], 6)]), k=5)
+        spline = make_lsq_spline(u, w, np.concatenate(
+            [np.repeat(kept[0], 6), kept[3:-3], np.repeat(kept[-1], 6)]), k=5)
         miss = np.abs(np.expm1(spline(u) - w))
         worst = int(np.argmax(miss))
         if not miss[worst] <= FIT_TOLERANCE:   # also true for nan

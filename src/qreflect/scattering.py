@@ -38,7 +38,7 @@ import numpy as np
 
 from .liouville import TransformedProblem
 from .potentials import one_law
-from .wkb import Q_MATCH_REL, WkbField, threshold_phases, threshold_wave
+from .wkb import Q_MATCH_REL, WkbField, _even_cut, threshold_phases, threshold_wave
 
 __all__ = [
     "SolverControl",
@@ -193,9 +193,9 @@ def _first_partition(domain: tuple[float, float], phases, breaks: np.ndarray) ->
     """Panel ends across ``domain``: points no more than ``_PHASE_RATIO``
     apart and on each of the potential's ``breaks`` inside, each gap cut
     evenly into the fewest panels of about ``_PHASE_RAD`` or less of the
-    phase ``phases(points)`` gives between each two. More than
-    ``_MAX_PANELS`` panels raise ``RuntimeError`` before anything is
-    allocated."""
+    phase ``phases(points)`` gives between each two (``wkb._even_cut``).
+    More than ``_MAX_PANELS`` panels raise ``RuntimeError`` before anything
+    is allocated."""
     z_min, z_max = domain
     count = math.ceil(math.log(z_max / z_min) / math.log(_PHASE_RATIO))
     points = z_min * (z_max / z_min) ** (np.arange(count + 1) / count)
@@ -206,11 +206,7 @@ def _first_partition(domain: tuple[float, float], phases, breaks: np.ndarray) ->
     if not count <= _MAX_PANELS:   # also true for nan
         raise RuntimeError(f"integration failed: the first partition needs {count:.3g} "
                            f"panels, more than {_MAX_PANELS}")
-    parts = parts.astype(int)
-    piece = np.repeat(np.arange(len(parts)), parts)
-    step = np.diff(points)[piece] / parts[piece]
-    ends = points[piece] + (np.arange(len(piece)) - (np.cumsum(parts) - parts)[piece]) * step
-    return np.append(ends, z_max)
+    return np.append(_even_cut(points, parts.astype(int))[1], z_max)
 
 
 def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:

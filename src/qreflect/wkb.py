@@ -47,9 +47,9 @@ __all__ = [
 Q_MATCH_REL = 1e-10
 
 # Phase table of a tabulated potential: Gauss-Legendre rules of two orders
-# (the lower one only estimates the error of the higher; ``_panel_sums``,
-# which the wall integral shares) on panels no wider than _PANEL_DU in
-# u = ln z, gated on the summed estimate in radians.
+# (the lower one only estimates the error of the higher; ``_log_panels``,
+# which the threshold phases and the wall integral share) on panels no wider
+# than _PANEL_DU in u = ln z, gated on the summed estimate in radians.
 _PHASE_RULES = (8, 12)
 _PANEL_DU = 0.5
 _PHASE_BUDGET = 1e-8
@@ -163,45 +163,36 @@ def _legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _panel_sums(width: np.ndarray, integrand) -> tuple[np.ndarray, float]:
-    """Each panel's integral by the higher rule of ``_PHASE_RULES``, and the
-    summed |higher - lower|, the sum's error estimate; ``integrand(x)`` reads
-    each panel of ``width``, one a row, at a rule's points x on [0, 1]."""
-    low, high = (width * (integrand(x) @ w) for x, w in map(_legendre, _PHASE_RULES))
-    return high, float(np.sum(np.abs(high - low)))
+def _even_cut(u: np.ndarray, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each gap of the ascending ``u`` cut evenly into as many panels as
+    ``parts`` (integers, one a gap) says: each panel's gap, start and width."""
+    gap = np.repeat(np.arange(len(parts)), parts)
+    width = (np.diff(u) / parts)[gap]
+    index = np.arange(len(gap)) - np.repeat(np.cumsum(parts) - parts, parts)
+    return gap, u[gap] + index * width, width
 
 
-def _kz(potential, energy: float, u: np.ndarray) -> np.ndarray:
-    """k z = sqrt(E - V) z at z = e**u."""
-    z = np.exp(u)
-    return np.sqrt(energy - potential.value(z)) * z
+def _log_panels(u: np.ndarray, integrand,
+                du: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """int ``integrand(z)`` dz on panels in u = ln z, each gap of the
+    ascending ``u`` cut evenly into the fewest panels no wider than ``du``:
+    each panel's gap and start, its integral of integrand(z) z du by the
+    higher rule of ``_PHASE_RULES``, and the summed |higher - lower|, the
+    sum's error estimate."""
+    gap, start, width = _even_cut(u, np.ceil(np.diff(u) / du).astype(int))
 
+    def sums(x, w):
+        z = np.exp(start[:, None] + width[:, None] * x)
+        return width * ((integrand(z) * z) @ w)
 
-def _cut(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each gap of the ascending ``u`` cut evenly into the fewest panels no
-    wider than ``_PANEL_DU``: each panel's gap, offset from the gap's start,
-    and width."""
-    widths = np.diff(u)
-    parts = np.ceil(widths / _PANEL_DU).astype(int)
-    gap = np.repeat(np.arange(len(widths)), parts)
-    width = (widths / parts)[gap]
-    return gap, (np.arange(len(gap)) - np.repeat(np.cumsum(parts) - parts, parts)) * width, width
-
-
-def _log_panels(potential, energy: float,
-                u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """The gaps of the ascending ``u`` = ln z ``_cut`` into panels: each
-    panel's gap and start, and the ``_panel_sums`` of k z at ``energy``."""
-    gap, offset, width = _cut(u)
-    start = u[gap] + offset
-    return gap, start, *_panel_sums(
-        width, lambda x: _kz(potential, energy, start[:, None] + width[:, None] * x))
+    low, high = (sums(*_legendre(m)) for m in _PHASE_RULES)
+    return gap, start, high, float(np.sum(np.abs(high - low)))
 
 
 def threshold_phases(potential, z: np.ndarray) -> np.ndarray:
     """int sqrt(-V) dz between each two of the ascending points ``z``: the
-    phase at E = 0, on the gaps of u = ln z ``_cut`` into panels."""
-    gap, _, phases, _ = _log_panels(potential, 0.0, np.log(z))
+    phase at E = 0, on panels of u = ln z no wider than ``_PANEL_DU``."""
+    gap, _, phases, _ = _log_panels(np.log(z), lambda z: np.sqrt(-potential.value(z)), _PANEL_DU)
     return np.bincount(gap, weights=phases, minlength=len(z) - 1)
 
 
@@ -302,8 +293,7 @@ class WkbField:
         estimates the error of the higher, and their summed difference must
         stay within ``_PHASE_BUDGET``. ``_pieces_phi`` adds one short rule
         over the part of a panel below z."""
-        _, start, high, error = _log_panels(self.potential, self.energy,
-                                            self.potential.log_knots())
+        _, start, high, error = _log_panels(self.potential.log_knots(), self.k, _PANEL_DU)
         if not error <= _PHASE_BUDGET:
             raise RuntimeError(f"phase table error estimate {error:.1e} rad"
                                f" above {_PHASE_BUDGET:g} rad")
@@ -320,8 +310,8 @@ class WkbField:
         a = start[p]
         h = np.clip(u - a, 0.0, _PANEL_DU)
         nodes, weights = _legendre(_PHASE_RULES[1])
-        return phi_start[p] + h * (
-            _kz(self.potential, self.energy, a[..., None] + h[..., None] * nodes) @ weights)
+        zs = np.exp(a[..., None] + h[..., None] * nodes)
+        return phi_start[p] + h * ((self.k(zs) * zs) @ weights)
 
     def on_threshold_tail(self, z: float) -> bool:
         """Whether ``cliff_wave(z)`` is the threshold wave of the cliff tail:
@@ -377,7 +367,8 @@ class WkbField:
         return self.k_q(z)[1]
 
     def k_q(self, z):
-        """(k_dB, Q) at z: the wall-gauge solver needs both at every step.
+        """(k_dB, Q) at z, for the callers that read both: the wall map's
+        Schwarzian and the wall integral.
 
         On a tail Q is its law's ``universal_badlands(z/zeta, n)/(kappa zeta)**2``,
         at every z where one law holds there; otherwise both come from one
@@ -394,15 +385,19 @@ class WkbField:
         return k, self._tails_over(z, q, _Law.q)
 
     def q_peak(self) -> tuple[float, float]:
-        """(z_peak, Q_peak), once per field: the law's if one holds at every z, else searched."""
+        """(z_peak, Q_peak), once per field: searched, unless one law holds at
+        every z; where the peak lies on the far tail, that law's zeta x* and Q."""
         return self._peak
 
     @cached_property
     def _peak(self) -> tuple[float, float]:
-        if self._one_law:
-            z_peak = self.zeta * badlands_peak_x(self._laws[1].n)
-            return z_peak, self.q(z_peak)
-        return self._q_peak_search()
+        far = self._laws[1]
+        z_law = far.zeta * badlands_peak_x(far.n)
+        if not self._one_law:
+            found = self._q_peak_search()
+            if found[0] < far.edge or z_law < far.edge:
+                return found
+        return z_law, far.q(z_law)
 
     def _q_peak_search(self) -> tuple[float, float]:
         """The largest Q on 241 points, zeta/300 .. 300 zeta, refined between

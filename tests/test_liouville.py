@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 import qreflect
+from qreflect import scattering
 from qreflect.liouville import (
     LiouvilleMap,
     special_gauge,
@@ -102,15 +103,31 @@ class TestCarry:
 class TestSpecialGauge:
     def test_wall_equals_scaled_badlands(self):
         fld = v4_field(0.3)
-        mapping, prob = special_gauge(fld)
-        generic = transform_f(mapping, fld, prob.domain)
+        _, prob = special_gauge(fld)
         vk2 = prob.e_bold
         assert vk2 == pytest.approx(0.3, rel=1e-12)
         for z in (0.3, 1.0, 3.0):
             assert prob.v_bold(z) == pytest.approx(vk2 * fld.q(z), rel=1e-13)
-            # 1 - Q = F_t / vk^2 through the generic transformation route
-            assert generic.coefficients(z)[1] / vk2 == pytest.approx(1.0 - fld.q(z), rel=1e-10)
-            assert prob.coefficients(z) == pytest.approx(generic.coefficients(z), rel=1e-10)
+
+    @pytest.mark.parametrize("case", ["v4-1e-3", "v4-1", "v4-10", "v3", "two-tail-0.02",
+                                      "two-tail-0.2"])
+    def test_wall_is_the_papers_wall(self, case):
+        # F_t = vk**2 (1 - Q) from the one formula (F - {zt, z}/2)/zt'**2,
+        # to rounding, at every end and midpoint of a solve's first
+        # partition: the tails, a table's blends and the matching ends
+        if case.startswith("v4"):
+            fld = v4_field(float(case[3:]))
+        elif case == "v3":
+            fld = WkbField(HomogeneousPotential(3, 0.9), 0.4)
+        else:
+            fld = WkbField(two_tail_table(), float(case.rsplit("-", 1)[1]))
+        _, prob = special_gauge(fld)
+        ends = scattering._first_partition(prob.domain, lambda z: np.diff(fld.phi(z)),
+                                           fld.potential.breaks)
+        zs = np.concatenate([ends, 0.5 * (ends[:-1] + ends[1:])])
+        one_less_q = 1.0 - fld.q(zs)
+        _, f = prob.coefficients(zs)
+        assert (np.abs(f / prob.e_bold - one_less_q) <= 1e-14 * np.abs(one_less_q)).all()
 
     def test_map_is_scaled_phase(self):
         fld = v4_field(0.3)

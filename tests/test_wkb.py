@@ -591,6 +591,29 @@ class TestTails:
             assert [fld.phi(z) for z in zs.tolist()] == phase.tolist()
 
 
+    @pytest.mark.parametrize("x", [1e-12, 1e-9, 100.0])
+    def test_peak_on_the_far_tail_is_the_laws(self, tmp_path, x):
+        # on CI's t.pot (the table-cli shape at seed 1) the searched peak lies
+        # on the far tail at E1 x 1e-12 and 1e-9, where q_peak is the law's
+        # zeta x* and its Q there (the search lands 5e-9 relative off at
+        # 1e-12); at E1 x 100 it lies between the tails and is the search's
+        pot = potentials.load_potential_table(
+            write_cp_table(tmp_path, c3_au=0.24085910610281003, lam_au=517.3716868468616))
+        energy = e1_energy(x)
+        fld = WkbField(pot, energy)
+        n, _, z_from = pot.tails[1]
+        zeta = fld.zeta
+        z_law = zeta * badlands_peak_x(n)
+        found = fld._q_peak_search()
+        if x < 1.0:
+            assert found[0] >= z_from
+            q_law = universal_badlands(z_law / zeta, n) / (energy * zeta * zeta)
+            assert fld.q_peak() == (z_law, q_law)
+        else:
+            assert found[0] < z_from
+            assert fld.q_peak() == found
+
+
 class TestCutBudget:
     """How often ``matching_domain`` reads Q."""
 
