@@ -18,6 +18,7 @@ units for strengths and lengths).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -35,6 +36,10 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return _FMT.format(value)
     return str(value)
+
+
+def _row_key(label: dict) -> str:
+    return _fmt(label.get("kappa_ell", label.get("energy_e1")))
 
 
 def _grid_value(text: str) -> float:
@@ -84,8 +89,7 @@ def _build_potential(args) -> tuple[object, float | None]:
     else:
         c_n = args.cn
         if getattr(args, "energy_e1", None):
-            mass = args.mass_amu * potentials.AMU
-            c_n *= 2.0 * mass * potentials.HARTREE * potentials.BOHR_RADIUS ** 2 / potentials.HBAR ** 2
+            c_n *= potentials.to_reduced(args.mass_amu * potentials.AMU)
         pot = potentials.HomogeneousPotential(4 if args.model == "v4" else args.n, c_n)
     n, c_n, _ = pot.tails[1]
     return pot, math.sqrt(c_n) if n == 4 else None
@@ -221,8 +225,8 @@ def cmd_badlands(args) -> int:
         ]))
         for z, q in zip(grid.tolist(), field.q(grid).tolist()):
             rows.append({**label, "z": z, "Q": q})
-        meta[f"q_peak[{_fmt(label.get('kappa_ell', label.get('energy_e1')))}]"] = q_peak
-        meta[f"z_peak[{_fmt(label.get('kappa_ell', label.get('energy_e1')))}]"] = z_peak
+        key = _row_key(label)
+        meta[f"q_peak[{key}]"], meta[f"z_peak[{key}]"] = q_peak, z_peak
     first_cols = [c for c in ("kappa_ell", "energy_e1") if any(c in r for r in rows)]
     _emit(args.output, args.format, meta, first_cols + ["z", "Q"], rows)
     return 0
@@ -264,7 +268,7 @@ def cmd_wall(args) -> int:
             for zt, vb in zip(zts, vbs):
                 rows.append({**label, "curve": "field", "z_bold": float(zt),
                              "V_bold": float(vb)})
-            key = _fmt(label.get("kappa_ell", label.get("energy_e1")))
+            key = _row_key(label)
             meta[f"E_bold[{key}]"] = prob.e_bold
             meta[f"integral[{key}]"] = liouville.wall_integral(prob)
             # the wall of a two-tail potential may dip below zero: how far, and how often
@@ -324,7 +328,9 @@ def _add_common(sub: argparse.ArgumentParser, energy: bool = True, rtol: bool = 
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``main`` reuses it on every call."""
     parser = argparse.ArgumentParser(
         prog="qreflect",
         description="quantum reflection on attractive surface potentials")
@@ -363,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:

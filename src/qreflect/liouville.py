@@ -163,14 +163,12 @@ def wall_integral(problem: TransformedProblem) -> float:
     (0, inf), positive for every attractive potential. In u = ln z the
     integrand Q k z falls like exp(-p |u - u_peak|) on both sides: p = n/2 - 1
     on a -C_n/z**n cliff (5 for n = 4) and n + 1 on the far tail. It is
-    integrated out to where that has fallen by e**-40, in one pass of the
-    phase table's two Gauss-Legendre rules (``wkb._log_panels``) on panels
-    at most 1/(4n) wide, n the larger of the two tail exponents, each gap
-    between the ends and the potential's ``breaks`` (where the derivative of
-    Q jumps) cut evenly. Q is continuous on every potential; on a table its
-    third derivative jumps at the nodes, which panels this narrow resolve to
-    about 1e-14. The summed difference of the two rules must stay below 1e-3
-    of the result.
+    integrated out to where that has fallen by e**-40 by ``wkb._log_panels``,
+    the phase table's rule, on panels at most 1/(4n) wide, n the larger tail
+    exponent, each gap between the ends and the potential's ``breaks`` (where
+    the derivative of Q jumps) cut evenly; on a table the third derivative of
+    Q jumps at the nodes, which panels this narrow resolve to about 1e-14.
+    The summed error estimate must stay below 1e-3 of the result.
     """
     field, vk = problem.field, problem._wall_scale()
     (n_cliff, _, _), (n_far, _, _) = field.potential.tails
@@ -179,12 +177,8 @@ def wall_integral(problem: TransformedProblem) -> float:
     lo, hi = u_peak - 40.0 / decay, u_peak + 40.0 / (n_far + 1.0)
     breaks = np.log(field.potential.breaks)
     u = np.concatenate([[lo], breaks[(breaks > lo) & (breaks < hi)], [hi]])
-
-    def qk(z):
-        k, q = field.k_q(z)
-        return q * k
-
-    _, _, sums, err_total = _log_panels(u, qk, 0.25 / max(n_cliff, n_far))
+    _, _, sums, err_total = _log_panels(u, lambda z: np.multiply(*field.k_q(z)),
+                                        0.25 / max(n_cliff, n_far))
     total = float(np.sum(sums))
     if total <= 0.0:
         raise RuntimeError("wall integral must be positive")

@@ -272,17 +272,23 @@ def e1_unit(mass_kg: float = M_HYDROGEN, g: float = G_STANDARD) -> float:
     return (HBAR ** 2 * mass_kg * g * g / 2.0) ** (1.0 / 3.0) * AIRY_LAMBDA1
 
 
+def to_reduced(mass_kg: float) -> float:
+    """2 m E_h a0**2/hbar**2: an energy or strength in atomic units times
+    this is 2 m V/hbar**2 with lengths in a0, its reduced value for a mass in kg."""
+    if not 0.0 < mass_kg < math.inf:   # also false for nan
+        raise ValueError("mass must be finite and positive")
+    return 2.0 * mass_kg * HARTREE * BOHR_RADIUS ** 2 / HBAR ** 2
+
+
 def load_potential_table(path, mass_kg: float = M_HYDROGEN) -> TabulatedPotential:
     """Read a two-column potential table in atomic units.
 
     Format: ``#`` comment lines, a header line ``# C3=<val> C4=<val>``
     declaring the tails (hartree a0^3 and hartree a0^4), then rows
     ``z_atomic_units  V_atomic_units``. The result is converted to reduced
-    units with the Bohr radius as the length unit, i.e. V is replaced by
-    2 m V / hbar**2 expressed in 1/a0**2.
+    units with the Bohr radius as the length unit (``to_reduced``).
     """
-    if not 0.0 < mass_kg < math.inf:   # also false for nan
-        raise ValueError("mass must be finite and positive")
+    scale = to_reduced(mass_kg)
     declared: dict[str, float] = {}
     zs: list[float] = []
     vs: list[float] = []
@@ -306,8 +312,5 @@ def load_potential_table(path, mass_kg: float = M_HYDROGEN) -> TabulatedPotentia
     if declared.keys() != {"C3", "C4"}:
         raise ValueError("table must declare tails in a '# C3=<val> C4=<val>' header")
     c3, c4 = declared["C3"], declared["C4"]
-    # 2mV/hbar^2 with lengths in a0: multiply energies by this factor
-    to_reduced = 2.0 * mass_kg * HARTREE * BOHR_RADIUS ** 2 / HBAR ** 2
-    z = np.asarray(zs)
-    v = np.asarray(vs) * to_reduced
-    return TabulatedPotential(z, v, cliff_c3=c3 * to_reduced, far_c4=c4 * to_reduced)
+    return TabulatedPotential(np.asarray(zs), np.asarray(vs) * scale,
+                              cliff_c3=c3 * scale, far_c4=c4 * scale)

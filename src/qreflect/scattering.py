@@ -38,7 +38,8 @@ import numpy as np
 
 from .liouville import TransformedProblem
 from .potentials import one_law
-from .wkb import Q_MATCH_REL, WkbField, _even_cut, threshold_phases, threshold_wave
+from .wkb import (Q_MATCH_REL, _TAIL_FLOOR, WkbField, _chebyshev_rule, _even_cut, threshold_phases,
+                  threshold_wave)
 
 __all__ = [
     "SolverControl",
@@ -135,16 +136,15 @@ def _decompose(psi: complex, dpsi: complex,
 
 # -- Chebyshev panels ----------------------------------------------------------
 # Every route's state obeys y' = [[0, a], [b, 0]] y, in integral form on panels
-# of first-kind Chebyshev points (Greengard, SIAM J. Numer. Anal. 28, 1071
-# (1991)). The system is linear, so a panel's 2x2 propagator does not depend
-# on the state, and the panels of a solve are solved together, in batches.
+# of first-kind Chebyshev points (``wkb._chebyshev_rule``). The system is
+# linear, so a panel's 2x2 propagator does not depend on the state, and the
+# panels of a solve are solved together, in batches.
 
 _PHASE_NODES = 32     # a panel of up to _PHASE_RAD of phi and z_b/z_a <= _PHASE_RATIO
 _PHASE_RAD = 12.0
 _PHASE_RATIO = 2.0
 _BUDGET = 16384       # matrix entries (nodes**2 a panel) solved at once; more holds more memory
 _MAX_PANELS = 100_000  # a first partition above this fails; real solves take a few hundred
-_TAIL_FLOOR = 1e-14   # floor of the panel test's tol: its rounding noise
 
 
 class OdeResult:
@@ -155,27 +155,6 @@ class OdeResult:
 
     def __init__(self, t: np.ndarray, y: np.ndarray, nfev: int):
         self.t, self.y, self.nfev = t, y, nfev
-
-
-@functools.cache
-def _chebyshev_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(x, S, w, tail) on [-1, 1]: the n points, ascending; S @ f and w @ f,
-    the integrals of the interpolant of f from -1 to each point and over
-    [-1, 1] (Fejer's first rule); tail @ f, its last two Chebyshev
-    coefficients. Built on first use, so that importing the package builds
-    nothing."""
-    theta = np.pi - np.pi * (np.arange(n) + 0.5) / n       # arccos of the points
-    x = np.cos(theta)
-    cheb = np.cos(np.outer(np.arange(n + 1), theta))      # T_m(x_j), m = 0 .. n
-    to_coeffs = 2.0 / n * cheb[:n]
-    to_coeffs[0] *= 0.5
-    # int_{-1}^{x} T_m = T_(m+1)/(2(m+1)) - T_(m-1)/(2(m-1)) - (its value at -1)
-    m = np.arange(2, n)[:, None]
-    sign = (-1.0) ** (m + 1)
-    upper = (cheb[3:] - sign) / (2.0 * (m + 1)) - (cheb[1:n - 1] - sign) / (2.0 * (m - 1))
-    integrals = np.vstack([x + 1.0, 0.5 * (x * x - 1.0), upper])   # [m, i]
-    whole = np.array([2.0 / (1 - k * k) if k % 2 == 0 else 0.0 for k in range(n)])
-    return x, integrals.T @ to_coeffs, whole @ to_coeffs, to_coeffs[-2:]
 
 
 def _times(x: np.ndarray, m: np.ndarray) -> np.ndarray:

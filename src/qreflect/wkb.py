@@ -28,7 +28,7 @@ from functools import cache, cached_property
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import gamma, hankel1, hyp2f1, roots_legendre
+from scipy.special import gamma, hankel1, hyp2f1
 
 from .potentials import one_law
 
@@ -46,11 +46,11 @@ __all__ = [
 # threshold tail, at both ends of a solve
 Q_MATCH_REL = 1e-10
 
-# Phase table of a tabulated potential: Gauss-Legendre rules of two orders
-# (the lower one only estimates the error of the higher; ``_log_panels``,
-# which the threshold phases and the wall integral share) on panels no wider
-# than _PANEL_DU in u = ln z, gated on the summed estimate in radians.
-_PHASE_RULES = (8, 12)
+# Panel sums in u = ln z (``_log_panels``) take the Chebyshev rule of
+# _RULE_NODES points on panels no wider than _PANEL_DU; the phase table is
+# gated on their summed error estimate in radians.
+_RULE_NODES = 12
+_TAIL_FLOOR = 1e-14   # floor of every panel test: rounding noise, relative to the values
 _PANEL_DU = 0.5
 _PHASE_BUDGET = 1e-8
 
@@ -157,10 +157,24 @@ def inversion_center() -> float:
 
 
 @cache
-def _legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of order m on [0, 1]."""
-    x, w = roots_legendre(m)
-    return 0.5 * (x + 1.0), 0.5 * w
+def _chebyshev_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(x, S, w, tail) on [-1, 1]: the n first-kind Chebyshev points, ascending;
+    S @ f and w @ f, the integrals of the interpolant of f from -1 to each
+    point and over [-1, 1] (Fejer's first rule); tail @ f, its last two
+    Chebyshev coefficients (Greengard, SIAM J. Numer. Anal. 28, 1071 (1991)),
+    every panel test's. Built on first use: importing the package builds nothing."""
+    theta = np.pi - np.pi * (np.arange(n) + 0.5) / n       # arccos of the points
+    x = np.cos(theta)
+    cheb = np.cos(np.outer(np.arange(n + 1), theta))      # T_m(x_j), m = 0 .. n
+    to_coeffs = 2.0 / n * cheb[:n]
+    to_coeffs[0] *= 0.5
+    # int_{-1}^{x} T_m = T_(m+1)/(2(m+1)) - T_(m-1)/(2(m-1)) - (its value at -1)
+    m = np.arange(2, n)[:, None]
+    sign = (-1.0) ** (m + 1)
+    upper = (cheb[3:] - sign) / (2.0 * (m + 1)) - (cheb[1:n - 1] - sign) / (2.0 * (m - 1))
+    integrals = np.vstack([x + 1.0, 0.5 * (x * x - 1.0), upper])   # [m, i]
+    whole = np.array([2.0 / (1 - k * k) if k % 2 == 0 else 0.0 for k in range(n)])
+    return x, integrals.T @ to_coeffs, whole @ to_coeffs, to_coeffs[-2:]
 
 
 def _even_cut(u: np.ndarray, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,21 +186,28 @@ def _even_cut(u: np.ndarray, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return gap, u[gap] + index * width, width
 
 
+def _log_rule(start, width, integrand):
+    """int integrand(z) z du on the panels [start, start + width] of u = ln z
+    (numpy arrays or scalars) by the rule of ``_RULE_NODES`` points, and each
+    panel's error estimate: half its width times its last two Chebyshev
+    coefficients, each less ``_TAIL_FLOOR`` of the largest value (rounding)."""
+    x, _, w, tail = _chebyshev_rule(_RULE_NODES)
+    half = 0.5 * width
+    z = np.exp(start[..., None] + half[..., None] * (x + 1.0))
+    values = integrand(z) * z
+    noise = _TAIL_FLOOR * np.abs(values).max(axis=-1, keepdims=True)
+    return half * (values @ w), half * np.maximum(np.abs(values @ tail.T) - noise, 0.0).sum(axis=-1)
+
+
 def _log_panels(u: np.ndarray, integrand,
                 du: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """int ``integrand(z)`` dz on panels in u = ln z, each gap of the
     ascending ``u`` cut evenly into the fewest panels no wider than ``du``:
-    each panel's gap and start, its integral of integrand(z) z du by the
-    higher rule of ``_PHASE_RULES``, and the summed |higher - lower|, the
-    sum's error estimate."""
+    each panel's gap and start, its integral of integrand(z) z du
+    (``_log_rule``), and the summed error estimate."""
     gap, start, width = _even_cut(u, np.ceil(np.diff(u) / du).astype(int))
-
-    def sums(x, w):
-        z = np.exp(start[:, None] + width[:, None] * x)
-        return width * ((integrand(z) * z) @ w)
-
-    low, high = (sums(*_legendre(m)) for m in _PHASE_RULES)
-    return gap, start, high, float(np.sum(np.abs(high - low)))
+    sums, errors = _log_rule(start, width, integrand)
+    return gap, start, sums, float(np.sum(errors))
 
 
 def threshold_phases(potential, z: np.ndarray) -> np.ndarray:
@@ -288,17 +309,15 @@ class WkbField:
         cliff law's phase on the cliff tail. Each piece of u on which V is one
         polynomial (``log_knots``) is cut into equal panels no wider than
         ``_PANEL_DU``, and phi is summed down from the far law's at the far
-        tail's start, by Gauss-Legendre rules on k z = sqrt(E - V) z in u with
-        the potential's own V; the lower rule of ``_PHASE_RULES`` only
-        estimates the error of the higher, and their summed difference must
-        stay within ``_PHASE_BUDGET``. ``_pieces_phi`` adds one short rule
-        over the part of a panel below z."""
-        _, start, high, error = _log_panels(self.potential.log_knots(), self.k, _PANEL_DU)
+        tail's start, by ``_log_panels`` on k z = sqrt(E - V) z with the
+        potential's own V, within ``_PHASE_BUDGET`` of summed error estimate.
+        ``_pieces_phi`` adds one rule over the part of a panel below z."""
+        _, start, sums, error = _log_panels(self.potential.log_knots(), self.k, _PANEL_DU)
         if not error <= _PHASE_BUDGET:
             raise RuntimeError(f"phase table error estimate {error:.1e} rad"
                                f" above {_PHASE_BUDGET:g} rad")
         cliff, far = self._laws
-        phi_start = far.phase(far.edge) - np.cumsum(high[::-1])[::-1]
+        phi_start = far.phase(far.edge) - np.cumsum(sums[::-1])[::-1]
         return start, phi_start, phi_start[0] - cliff.phase(cliff.edge)
 
     def _pieces_phi(self, z):
@@ -308,10 +327,7 @@ class WkbField:
         # ends, and on a tail, whose law's phi replaces this, z is off them
         p = np.clip(np.searchsorted(start, u, side="right") - 1, 0, len(start) - 1)
         a = start[p]
-        h = np.clip(u - a, 0.0, _PANEL_DU)
-        nodes, weights = _legendre(_PHASE_RULES[1])
-        zs = np.exp(a[..., None] + h[..., None] * nodes)
-        return phi_start[p] + h * ((self.k(zs) * zs) @ weights)
+        return phi_start[p] + _log_rule(a, np.clip(u - a, 0.0, _PANEL_DU), self.k)[0]
 
     def on_threshold_tail(self, z: float) -> bool:
         """Whether ``cliff_wave(z)`` is the threshold wave of the cliff tail:

@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
 
-from qreflect import mathieu, scattering
+from qreflect import cli, mathieu, scattering
 from qreflect.cli import main
 from qreflect.potentials import HomogeneousPotential
 from qreflect.wkb import WkbField
@@ -209,6 +212,14 @@ class TestReflect:
         assert main(["reflect", "--model", "v4", *(a.format(bad) for a in argv)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite and positive" in err
+
+    @pytest.mark.parametrize("bad", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("model", ["v4", "vn"])
+    def test_non_physical_mass_rejected(self, capsys, model, bad):
+        # with --energy-e1 the mass converts --cn to reduced units: the error
+        # names the mass, not the strength it would have made
+        assert main(["reflect", "--model", model, "--energy-e1", "100", "--mass-amu", bad]) == 2
+        assert capsys.readouterr().err == "error: mass must be finite and positive\n"
 
     @pytest.mark.parametrize("bad", ["nan", "-1"])
     @pytest.mark.parametrize("gate", ["--max-spread", "--max-unitarity"])
@@ -708,3 +719,19 @@ def test_unread_flag_is_a_usage_error(capsys, argv):
         main(argv)
     assert stop.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; each call prints what a fresh
+    # process prints, whatever subcommand ran before it (badlands has its
+    # own default cut, which must not reach reflect)
+    assert cli.build_parser() is cli.build_parser()
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for argv in (["badlands", "--model", "v4", "--kappa-ell", "0.3", "--points", "3"],
+                 ["reflect", "--model", "v4", "--kappa-ell", "0.3", "--method", "direct"],
+                 ["wall", "--model", "v4", "--kappa-ell", "0.3", "--points", "3"]):
+        assert main(argv) == 0
+        fresh = subprocess.run([sys.executable, "-m", "qreflect.cli", *argv], capture_output=True,
+                               text=True, check=True, env=env)
+        assert tuple(capsys.readouterr()) == (fresh.stdout, fresh.stderr)

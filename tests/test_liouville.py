@@ -259,7 +259,7 @@ class TestWallIntegral:
 
 def test_package_import_leaves_out_scipy_integrate():
     # every quadrature of the package is closed form or its own
-    # Gauss-Legendre rule: importing it does not load scipy's integrators
+    # Chebyshev rule: importing it does not load scipy's integrators
     code = "import sys, qreflect; print('scipy.integrate' in sys.modules)"
     src = os.path.dirname(os.path.dirname(qreflect.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -271,20 +271,33 @@ class TestPhase:
         np.testing.assert_array_equal(fld.phi(grid), fld.phi(zs).reshape(grid.shape))
 
     def test_table_error_gate(self, tmp_path, monkeypatch, capsys):
-        # 2- and 3-point rules cannot resolve the coarse table's panels
-        monkeypatch.setattr(wkb, "_PHASE_RULES", (2, 3))
+        # the coarse table passes at the rule's own node count; starved rules
+        # cannot resolve its panels, and their estimates read about 18, 0.7
+        # and 7e-4 rad
         table = write_cp_table(tmp_path, 6)
-        fld = WkbField(potentials.load_potential_table(table), e1_energy(100.0))
-        with pytest.raises(RuntimeError, match="phase table error estimate"):
-            fld.phi(10.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["wall", "--table", str(table), "--energy-e1", "100", "--points", "5"])
-        out, err = capsys.readouterr()
-        assert code == 2
-        assert out == ""
-        assert err.splitlines()[-1].startswith("error: phase table error estimate")
+        pot = potentials.load_potential_table(table)
+        WkbField(pot, e1_energy(100.0)).phi(10.0)
+        for nodes in (3, 4, 6):
+            monkeypatch.setattr(wkb, "_RULE_NODES", nodes)
+            with pytest.raises(RuntimeError, match="phase table error estimate"):
+                WkbField(pot, e1_energy(100.0)).phi(10.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["wall", "--table", str(table), "--energy-e1", "100", "--points", "5"])
+            out, err = capsys.readouterr()
+            assert code == 2
+            assert out == ""
+            assert err.splitlines()[-1].startswith("error: phase table error estimate")
 
+
+    def test_table_error_gate_reads_truncation_not_rounding(self, tmp_path):
+        # at E1 x 1e13 and 1e14 phi spans 2e7 and 6e7 rad between the tails,
+        # and rounding alone puts about 1e-8 rad into the coefficients that
+        # the estimate reads; counted above their floor it stays near 1e-10
+        pot = potentials.load_potential_table(write_cp_table(tmp_path))
+        for x in (1e13, 1e14):
+            phi = WkbField(pot, e1_energy(x)).phi(np.geomspace(1.0, 4e4, 50))
+            assert (np.diff(phi) > 0.0).all()
 
     def test_threshold_phases_match_quadrature(self):
         # the phases at E = 0 between points at most a factor 2 apart and on
