@@ -290,27 +290,24 @@ def load_potential_table(path, mass_kg: float = M_HYDROGEN) -> TabulatedPotentia
     """
     scale = to_reduced(mass_kg)
     declared: dict[str, float] = {}
-    zs: list[float] = []
-    vs: list[float] = []
+    numbers: list[str] = []   # z, V, z, V, ...: parsed at once after the loop
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 # only ``C3=<val>`` and ``C4=<val>`` declare, spaces around = allowed
                 tokens = line[1:].replace("=", " = ").split()
                 declared.update((key, float(value)) for key, eq, value
                                 in zip(tokens, tokens[1:], tokens[2:])
                                 if key in ("C3", "C4") and eq == "=")
-                continue
-            cols = line.split()
-            if len(cols) != 2:
-                raise ValueError(f"malformed table row: {raw!r}")
-            zs.append(float(cols[0]))
-            vs.append(float(cols[1]))
+            elif line:
+                cols = line.split()
+                if len(cols) != 2:
+                    raise ValueError(f"malformed table row: {raw!r}")
+                numbers += cols
+    z, v = np.array(numbers, dtype=float).reshape(-1, 2).T
     if declared.keys() != {"C3", "C4"}:
         raise ValueError("table must declare tails in a '# C3=<val> C4=<val>' header")
     c3, c4 = declared["C3"], declared["C4"]
-    return TabulatedPotential(np.asarray(zs), np.asarray(vs) * scale,
+    return TabulatedPotential(z, v * scale,
                               cliff_c3=c3 * scale, far_c4=c4 * scale)

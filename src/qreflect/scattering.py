@@ -15,12 +15,12 @@ All three start on one wave and end on one basis, the field's cliff wave and
 WKB pair; each route only maps them into and out of its own state. Each
 state obeys y' = [[0, a], [b, 0]] y with the route's own a and b, and all
 three run on one integrator, ``solve_ivp``: Chebyshev panels of 32 nodes,
-as wide as the phase allows, solved many at a time. V'' is continuous on
-every potential, a table's included, so panels run across a table's
-nodes; they end only where the derivative of V'' jumps (``breaks``). The
-routes check each other as three gauges with very different
-coefficients; the tests also check each against scipy's ``solve_ivp``
-reading the same coefficients point by point.
+as wide as the phase allows, each round of them solved in one batch. V''
+is continuous on every potential, a table's included, so panels run
+across a table's nodes; they end only where the derivative of V'' jumps
+(``breaks``). The routes check each other as three gauges with very
+different coefficients; the tests also check each against scipy's
+``solve_ivp`` reading the same coefficients point by point.
 
 Conventions: r and t are defined for a wave incident from the far end; the
 incoming/transmitted wave at the cliff carries the WKB phase anchored by
@@ -138,12 +138,13 @@ def _decompose(psi: complex, dpsi: complex,
 # Every route's state obeys y' = [[0, a], [b, 0]] y, in integral form on panels
 # of first-kind Chebyshev points (``wkb._chebyshev_rule``). The system is
 # linear, so a panel's 2x2 propagator does not depend on the state, and the
-# panels of a solve are solved together, in batches.
+# panels of a solve are solved together: each round of panels, the first
+# partition and then the halves of those that failed, in one batch.
 
 _PHASE_NODES = 32     # a panel of up to _PHASE_RAD of phi and z_b/z_a <= _PHASE_RATIO
 _PHASE_RAD = 12.0
 _PHASE_RATIO = 2.0
-_BUDGET = 16384       # matrix entries (nodes**2 a panel) solved at once; more holds more memory
+_BUDGET = 65536       # matrix entries (nodes**2 a panel) solved at once, 64 panels: a memory cap
 _MAX_PANELS = 100_000  # a first partition above this fails; real solves take a few hundred
 
 
@@ -168,6 +169,17 @@ def _times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _panel_rule(n: int) -> tuple[np.ndarray, ...]:
+    """``wkb._chebyshev_rule(n)`` as the panels use it: (x, S, [S; w],
+    squares, w, tail), where [S; w] @ f gives a panel's running integrals of
+    f and its integral in one product, and row i n + j of squares holds
+    S[i, k] S[k, j] over k, so that a @ squares.T is S diag(a) S, flat."""
+    x, s_ref, w_ref, tail_ref = _chebyshev_rule(n)
+    squares = np.einsum("ik,kj->ijk", s_ref, s_ref).reshape(n * n, n)
+    return x, s_ref, np.vstack([s_ref, w_ref]), squares, w_ref, tail_ref
+
+
 def _first_partition(domain: tuple[float, float], phases, breaks: np.ndarray) -> np.ndarray:
     """Panel ends across ``domain``: points no more than ``_PHASE_RATIO``
     apart and on each of the potential's ``breaks`` inside, each gap cut
@@ -179,13 +191,15 @@ def _first_partition(domain: tuple[float, float], phases, breaks: np.ndarray) ->
     count = math.ceil(math.log(z_max / z_min) / math.log(_PHASE_RATIO))
     points = z_min * (z_max / z_min) ** (np.arange(count + 1) / count)
     points[-1] = z_max
-    points = np.union1d(points, breaks[(breaks > z_min) & (breaks < z_max)])
+    inside = breaks[(breaks > z_min) & (breaks < z_max)]
+    if len(inside):
+        points = np.union1d(points, inside)
     parts = np.maximum(np.ceil(phases(points) / _PHASE_RAD), 1.0)
     count = parts.sum()
     if not count <= _MAX_PANELS:   # also true for nan
         raise RuntimeError(f"integration failed: the first partition needs {count:.3g} "
                            f"panels, more than {_MAX_PANELS}")
-    return np.append(_even_cut(points, parts.astype(int))[1], z_max)
+    return np.concatenate((_even_cut(points, parts.astype(int))[1], (z_max,)))
 
 
 def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:
@@ -207,8 +221,9 @@ def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:
     ``RuntimeError`` ("integration failed: ..."). The product of the
     propagators in order gives the states at the panel ends; ``nfev``
     counts coefficient evaluations at nodes, retries included. The panels
-    are solved in batches of at most ``_BUDGET`` matrix entries, n**2 a
-    panel.
+    are solved in the order they are queued, the first partition and then
+    the halves of those that failed, in batches of up to ``_BUDGET`` matrix
+    entries, n**2 a panel: one batch a round where a round fits.
     """
     ends = np.asarray(ends, dtype=float)
     if not (len(ends) > 1 and (np.diff(ends) > 0.0).all()):
@@ -218,7 +233,7 @@ def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:
     u_start = np.array([1.0, 0.0])    # the two columns start on (1, 0) and (0, 1)
     v_start = 1.0 - u_start
     starts, propagators, nfev = [], [], 0
-    x, s_ref, w_ref, tail_ref = _chebyshev_rule(n)
+    x, s_ref, s_end, squares, w_ref, tail_ref = _panel_rule(n)
     batch = max(_BUDGET // (n * n), 1)
     queue_a, queue_b = ends[:-1], ends[1:]
     while len(queue_a):
@@ -236,32 +251,37 @@ def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:
         # U = u_a + S a V and V = v_a + S b U, for (u_a, v_a) = (1, 0) and
         # (0, 1): (1 - S a S b) U = u_a + v_a S a 1, then V = v_a + S b U
         ha, hb = half[:, None] * a, half[:, None] * b
-        lhs = _times(s_ref * ha[:, None, :], s_ref)
+        # S a S of every panel in one product, with no (panel, n, n)
+        # temporary; a complex ha's (re, im) pairs are two real columns
+        if np.iscomplexobj(ha):
+            lhs = np.matmul(squares, ha.view(float).reshape(len(z_a), n, 2)).view(complex)
+        else:
+            lhs = ha @ squares.T
+        lhs = lhs.reshape(len(z_a), n, n)
         lhs *= -hb[:, None, :]
         lhs.reshape(len(z_a), -1)[:, ::n + 1] += 1.0
         us = np.linalg.solve(lhs, np.stack([np.ones(zs.shape), _times(ha, s_ref.T)], axis=2))
         us = np.ascontiguousarray(us.transpose(0, 2, 1))          # [panel, column, node]
-        vs = _times(hb[:, None, :] * us, s_ref.T) + v_start[:, None]
+        # V at the nodes and at the panel's end in one product, then U at its end
+        vs = _times(hb[:, None, :] * us, s_end.T) + v_start[:, None]
+        u_end = _times(ha[:, None, :] * vs[..., :n], w_ref) + u_start
         # the tail test on both components of both columns
-        tails = np.abs(_times(np.concatenate([us, vs], axis=2).reshape(-1, n), tail_ref.T))
-        size = np.maximum(np.abs(us).max(axis=2), np.abs(vs).max(axis=2))
-        good = (tails.reshape(len(z_a), 2, 4).max(axis=2) <= tol * size).all(axis=1)
+        uv = np.concatenate([us, vs[..., :n]], axis=2)
+        tails = np.abs(_times(uv.reshape(-1, n), tail_ref.T)).reshape(len(z_a), 2, 4)
+        good = (tails.max(axis=2) <= tol * np.abs(uv).max(axis=2)).all(axis=1)
         starts.append(z_a[good])
-        weights = half[good, None] * w_ref
-        propagators.append(np.stack([
-            u_start + np.einsum("pcn,pn->pc", vs[good], weights * a[good]),
-            v_start + np.einsum("pcn,pn->pc", us[good], weights * b[good])], axis=1))
+        propagators.append(np.stack([u_end, vs[..., n]], axis=1)[good])
         mid = z_a[~good] + half[~good]
         queue_a = np.concatenate([queue_a[batch:], z_a[~good], mid])
         queue_b = np.concatenate([queue_b[batch:], mid, z_b[~good]])
-    order = np.argsort(np.concatenate(starts))
+    starts = np.concatenate(starts)
+    order = np.argsort(starts)
     y = tuple(map(complex, y0))
     ys = [y]
     for (m00, m01), (m10, m11) in np.concatenate(propagators)[order].tolist():
         y = (m00 * y[0] + m01 * y[1], m10 * y[0] + m11 * y[1])
         ys.append(y)
-    t = np.append(np.concatenate(starts)[order], ends[-1])
-    return OdeResult(t, np.array(ys).T, nfev)
+    return OdeResult(np.concatenate((starts[order], ends[-1:])), np.array(ys).T, nfev)
 
 
 def _solve(fld: WkbField, domain: tuple[float, float], coefficients, rtol: float,

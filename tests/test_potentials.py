@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import make_interp_spline
 
+import qreflect.potentials as potentials
+
 from qreflect.potentials import (
     AIRY_LAMBDA1,
     BOHR_RADIUS,
@@ -358,3 +360,36 @@ class TestTableFile:
         path.write_text("# C3=1 C4=1\n1.0 -1.0 7.0\n")
         with pytest.raises(ValueError):
             load_potential_table(path)
+
+    def test_malformed_row_named_mid_table(self, tmp_path):
+        # a bad row among good ones is named in the error, newline and all; a
+        # three-number row is caught even where a one-number row follows it
+        rows = [f"{z:.12e} {-0.25 / (z ** 3 * (1.0 + z / 500.0)):.12e}\n"
+                for z in np.geomspace(1.0, 20000.0, 40)]
+        path = tmp_path / "mid.pot"
+        path.write_text("".join(["# C3=0.25 C4=125.0\n", *rows[:20], "3.5 -0.1 7.0\n", "8.0\n",
+                                 *rows[20:]]))
+        with pytest.raises(ValueError, match=r"^malformed table row: '3\.5 -0\.1 7\.0\\n'$"):
+            load_potential_table(path)
+
+    def test_comments_and_blank_lines_between_rows(self, tmp_path, monkeypatch):
+        # comments, blank and indented lines anywhere: the samples are those
+        # of the plain file, each number as float() reads it
+        z = np.geomspace(1.0, 20000.0, 40)
+        rows = [f"{a!r} {-0.25 / (a ** 3 * (1.0 + a / 500.0)):.15g}" for a in z.tolist()]
+        plain = tmp_path / "plain.pot"
+        plain.write_text("\n".join(["# C3=0.25 C4=125.0", *rows]) + "\n")
+        mixed = tmp_path / "mixed.pot"
+        mixed.write_text("\n".join(["", "# C3=0.25 C4=125.0", *rows[:10], "", "# a comment",
+                                    *(f"  {row}\t" for row in rows[10:30]), "   ", *rows[30:],
+                                    "# end"]) + "\n")
+        seen = []
+        monkeypatch.setattr(potentials, "TabulatedPotential",
+                            lambda z, v, **tails: seen.append((z, v, tails)))
+        load_potential_table(plain)
+        load_potential_table(mixed)
+        scale = potentials.to_reduced(M_HYDROGEN)
+        expected = [(float(a), float(b) * scale) for a, b in map(str.split, rows)]
+        for z_read, v_read, tails in seen:
+            assert [(a, b) for a, b in zip(z_read.tolist(), v_read.tolist())] == expected
+            assert tails == seen[0][2]

@@ -131,6 +131,10 @@ def loop_solve_ivp(coefficients, ends, y0, rtol: float) -> scattering.OdeResult:
     return scattering.OdeResult(np.array(ts), np.array(ys).T, nfev)
 
 
+KERNEL_CASES = [f"{route}-{kl}" for route in ROUTES for kl in (0.119, 1.0, 10.0)] + [
+    "table", "decay", "oscillators"]
+
+
 def run_kernel_case(case: str) -> None:
     """Integrate once through ``scattering.solve_ivp``."""
     if case == "decay":   # u'' = 2 u / (1 + z)**2 from u = 1/(1 + z), one first panel
@@ -170,9 +174,7 @@ class TestScalarDop853:
         assert sol.success and len(sol.t) > 20
         assert abs(solve_route(route, kl).r - ref.r) < 1e-10
 
-    @pytest.mark.parametrize("case", [f"{route}-{kl}" for route in ROUTES
-                                      for kl in (0.119, 1.0, 10.0)]
-                             + ["table", "decay", "oscillators"])
+    @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_kernel_matches_loop(self, monkeypatch, case):
         # the batches of panels, one component eliminated, take the loop's
         # panels, halved ones included, and land on its states: 3.7e-14 of
@@ -198,6 +200,49 @@ class TestScalarDop853:
             assert len(sol.t) - 1 > first   # halved panels
         if case == "decay":
             np.testing.assert_allclose(sol.y[0], 1.0 / (1.0 + sol.t), rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_one_panel_a_batch(self, monkeypatch, case):
+        # a batch only groups panels: one panel a batch (a budget of n**2
+        # entries) takes the panels and evaluations of one batch a round and
+        # lands on its states to rounding
+        runs = []
+
+        def record(*args, **kwargs):
+            runs[-1].append(solve_ivp(*args, **kwargs))
+            return runs[-1][-1]
+
+        monkeypatch.setattr(scattering, "solve_ivp", record)
+        if case in ("decay", "oscillators"):   # as in test_kernel_matches_loop
+            monkeypatch.setattr(scattering, "_PHASE_NODES", 12)
+        for budget in (scattering._BUDGET, scattering._PHASE_NODES ** 2):
+            monkeypatch.setattr(scattering, "_BUDGET", budget)
+            runs.append([])
+            run_kernel_case(case)
+        (sol,), (single,) = runs
+        assert np.array_equal(sol.t, single.t)
+        assert sol.nfev == single.nfev
+        assert (np.abs(sol.y - single.y) < 1e-13 * np.abs(sol.y).max(axis=0)).all()
+
+    def test_one_batch_a_round(self, monkeypatch):
+        # each round of panels is one batch, one call of the coefficients: on
+        # v4 at kappa*ell = 10 a direct solve's 43 first panels, then the
+        # halves of those that fail
+        firsts, batches = [], []
+
+        def counted(coefficients, ends, *args, **kwargs):
+            def count(z_a, zs, running):
+                batches.append(len(z_a))
+                return coefficients(z_a, zs, running)
+            firsts.append(len(ends) - 1)
+            return solve_ivp(count, ends, *args, **kwargs)
+
+        sols = spy_integrations(monkeypatch, counted)
+        solve_route("direct", 10.0)
+        (sol,), (first,) = sols, firsts
+        halved = len(sol.t) - 1 - first
+        assert first == 43 and halved >= 1
+        assert batches == [first, 2 * halved]
 
     def test_nan_rhs_fails_like_scipy(self):
         # b turns NaN at z = 2: scipy's DOP853 creeps up to it and gives up
