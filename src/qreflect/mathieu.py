@@ -19,8 +19,10 @@ Each layer works in one pass: every truncation of Hill's determinant
 (DLMF 28.29) comes from one outward sweep, and the continued fractions run
 on Python complex numbers. The coefficient table is sized by q: it ends
 where a leading-order bound on the coefficients falls below 1e-20. The
-Bessel-product series is summed over that whole table at zt = 0, each
-Bessel factor one ``bessel_j`` call over the table's orders.
+Bessel-product series is summed over that whole table at zt = 0. Its
+growing factors come from one downward Bessel recurrence per ladder of
+orders (DLMF 10.6.1), its decaying ones from one ``bessel_j`` call on the
+integer orders.
 """
 
 from __future__ import annotations
@@ -159,24 +161,34 @@ def coefficients(tau: complex, q: float) -> np.ndarray:
 def _waves(tau: complex, q: float, coeff: np.ndarray, signs) -> np.ndarray:
     """Psi_t^(sign)(0) for each of ``signs``, summed over the coefficient table.
 
-    Psi_t^(+-)(0) = sum_m (-1)**m A_m J_(+-(m+tau))(sqrt(q)) J_(+-m)(sqrt(q)),
-    with every m of the table; each Bessel factor is one ``bessel_j`` call
-    over the orders of all signs.
+    Psi_t^(+-)(0) = sum_m (-1)**m A_m J_(+-(m+tau))(x) J_(+-m)(x), x = sqrt(q),
+    over every m of the table. The growing factors of each sign come from one
+    downward recurrence, J_(nu-1) = (2 nu/x) J_nu - J_(nu+1), from the top two
+    orders of their ladder; the decaying ones from J_m, m = 0..N, with
+    J_(-m) = (-1)**m J_m: two ``bessel_j`` calls in all.
 
     The table's cut on |A_m| is a cut on these terms: a factor of negative
-    order, about Gamma(|m| -+ tau) (2/x)**(|m| -+ tau) at x = sqrt(q),
-    meets one of about (x/2)**|m|/|m|!, so a term exceeds |A_m| by a factor
-    that grows no faster than a power of |m|.
+    order, about Gamma(|m| -+ tau) (2/x)**(|m| -+ tau), meets one of about
+    (x/2)**|m|/|m|!, so a term exceeds |A_m| by a factor that grows no
+    faster than a power of |m|.
     """
     n_terms = (len(coeff) - 1) // 2
-    m = np.arange(-n_terms, n_terms + 1.0)
-    signs = np.array(signs)[:, None]
-    sq = math.sqrt(q)
-    # real orders go to bessel_j as floats, which hands them to scipy in one call
-    grow_orders = signs * (m + tau.real) if tau.imag == 0.0 else signs * (m + tau)
-    # (-1)**m J_(+-m) = J_(-+m) carries the sign of each term
-    terms = bessel_j(grow_orders, sq) * bessel_j(-signs * m, sq)
-    return (terms * coeff).sum(axis=1)
+    x = math.sqrt(q)
+    j_int = bessel_j(np.arange(n_terms + 1.0), x).tolist()
+    j_m = [-v if k % 2 else v for k, v in enumerate(j_int)][:0:-1] + j_int   # m = -N..N
+    # a real exponent goes to bessel_j as a float, which hands it to scipy,
+    # and its recurrences run on floats
+    tau = tau.real if tau.imag == 0.0 else tau
+    tops = bessel_j(np.array([[s * tau + n_terms, s * tau + n_terms - 1] for s in signs]), x)
+    waves = []
+    for sign, grow in zip(signs, tops.tolist()):
+        # grow lists J_(sign tau + j) for j = N, N-1, ..., -N; in that order
+        # coeff[::-sign] lists A_m, m = sign j, and j_m J_(-j) = (-1)**m J_(sign m)
+        base = sign * tau
+        for j in range(n_terms - 1, -n_terms, -1):
+            grow.append((2.0 * (base + j) / x) * grow[-1] - grow[-2])
+        waves.append(sum(map(operator.mul, map(operator.mul, coeff[::-sign].tolist(), j_m), grow)))
+    return np.array(waves)
 
 
 def parity_sigma(tau: complex, q: float, coeff: np.ndarray) -> complex:
@@ -224,10 +236,14 @@ class MathieuSolution:
 def solve_v4(kappa_ell: float) -> MathieuSolution:
     """Exact amplitudes for the inverse-quartic model at dimensionless kappa*ell.
 
-    The closed form covers kappa*ell up to about 299. Above that (first at
-    299.37 on a grid of step 0.01) the characteristic exponent does not
-    settle within the Hill determinant's truncations, and
-    ``characteristic_exponent`` raises ``ConvergenceError``.
+    The closed form covers kappa*ell up to about 299. Above that the
+    characteristic exponent does not settle within the Hill determinant's
+    truncations, and ``characteristic_exponent`` raises ``ConvergenceError``
+    (on a grid of step 0.01 at 299.42, 299.49 and most points from 299.53
+    on). It raises too at some kappa*ell within about 7e-8 of 0.6947186,
+    where tau = (2/pi) asin(sqrt(w)) meets the branch point w = 1 and tau
+    and r are 0/0-conditioned; r is within 1e-9 of the direct route from
+    1e-6 away, and within 1e-11 from 1e-4 away.
     """
     if not 0.0 < kappa_ell < math.inf:   # also false for nan
         raise ValueError("kappa_ell must be finite and positive")

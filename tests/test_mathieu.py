@@ -24,7 +24,7 @@ from qreflect.mathieu import (
     solve_v4,
 )
 from qreflect.potentials import HomogeneousPotential
-from qreflect.scattering import solve_direct
+from qreflect.scattering import SolverControl, solve_direct
 from qreflect.specialfns import ConvergenceError, bessel_j
 from qreflect.wkb import inversion_center
 
@@ -134,6 +134,11 @@ def full_ladder_waves(zt, tau, q, coeff, signs) -> tuple[np.ndarray, np.ndarray]
     decay = bessel_j(signs * m.astype(float), sq * math.exp(-zt))
     terms = np.where(m % 2, -c, c) * grow * decay
     return np.sum(terms, axis=1), np.sum(np.abs(terms), axis=1)
+
+
+# kappa*ell at which tau reaches the branch point tau = 1, between its real
+# and its complex values
+BRANCH_KL = 0.6947185777459376
 
 
 def full_ladder_solve_v4(kappa_ell: float) -> tuple[complex, complex]:
@@ -248,8 +253,10 @@ class TestSeriesCut:
         sol = solve_v4(0.01)
         # 7 coefficients a side, not N_TERMS = 30
         assert len(sol.coeff) <= 15
-        # one call per Bessel factor, each on the table's orders of both series
-        assert sizes == [2 * len(sol.coeff)] * 2
+        # one call on the integer orders 0..N of the decaying factors, and
+        # one on the top two orders of each series' ladder of growing ones
+        n_terms = (len(sol.coeff) - 1) // 2
+        assert sizes == [n_terms + 1, 4]
 
     @pytest.mark.parametrize("kl", [1e-300, 1e-12, 1e-8, 1e-6, 150.0, 250.0])
     def test_extremes_stay_quiet(self, kl):
@@ -259,6 +266,26 @@ class TestSeriesCut:
             warnings.simplefilter("error", RuntimeWarning)
             sol = solve_v4(kl)
         assert abs(sol.r) ** 2 + abs(sol.t) ** 2 == pytest.approx(1.0, abs=1e-10)
+
+
+class TestWaveLadders:
+    """The waves' growing factors from one downward recurrence per sign, and
+    their decaying ones from the integer orders 0..N, against the whole
+    ladder's array calls."""
+
+    def test_waves_match_the_full_ladder_on_a_grid(self):
+        # and on both sides of the branch point: real tau below, complex above
+        branch = BRANCH_KL + np.array([-1e-4, -1e-5, -1e-6, 1e-6, 1e-5, 1e-4])
+        kinds = set()
+        for kl in np.concatenate([np.geomspace(1e-3, 299.0, 200), branch]):
+            tau = characteristic_exponent(kl)
+            coeff = coefficients(tau, kl)
+            waves = mathieu._waves(tau, kl, coeff, [+1, -1])
+            ref, size = full_ladder_waves(0.0, tau, kl, coeff, [+1, -1])
+            assert np.all(np.abs(waves - ref) <= 1e-14 * size), kl
+            assert (tau.imag > 0.0) == (kl > BRANCH_KL), kl
+            kinds.add("x > 12" if kl > 144.0 else "complex" if tau.imag else "real")
+        assert kinds == {"real", "complex", "x > 12"}
 
 
 class TestCharacteristicExponent:
@@ -410,6 +437,19 @@ class TestAmplitudes:
             assert abs(ana.R - ode.R) < 1e-6
             assert abs(ana.r - ode.r) < 1e-7
             assert abs(ana.t - ode.t) < 1e-7
+
+    def test_branch_point_window(self):
+        # tau = (2/pi) asin sqrt(w) is 0/0-conditioned at w = 1, where the
+        # doubling of the Hill determinant cannot settle it; so close to the
+        # branch point solve_v4 raises rather than return an r that is 0/0
+        # there, and further out r follows the tight direct route
+        with pytest.raises(ConvergenceError):
+            solve_v4(BRANCH_KL)
+        ctl = SolverControl(rtol=1e-13, q_match_rel=1e-13)
+        for offset, bound in ((1e-6, 1e-9), (1e-5, 1e-9), (1e-4, 1e-11), (1e-3, 1e-11)):
+            for kl in (BRANCH_KL - offset, BRANCH_KL + offset):
+                ode = solve_direct(HomogeneousPotential(4, kl), kl, ctl)
+                assert abs(solve_v4(kl).r - ode.r) <= bound, kl
 
     def test_curve_monotone(self):
         table = r4_curve(np.geomspace(1e-3, 10.0, 25))

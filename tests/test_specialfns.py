@@ -208,9 +208,9 @@ class TestBesselJOrderArrays:
 
     @pytest.mark.parametrize("x", [0.03, 3.0, 11.9, 12.1, 17.0])
     def test_complex_orders_equal_scalar_calls(self, x):
-        # numpy may round a long array and a one-element one differently, so
-        # the series (x <= 12) agrees to its rounding bound; Miller's
-        # recurrence runs once per ladder of an array, once per order alone
+        # the series (x <= 12) agrees with the scalar sum of old to its
+        # rounding bound; Miller's recurrence runs once per ladder of an
+        # array, once per order alone
         for tau in self.TAUS:
             orders = self.ladders(tau)
             out = bessel_j(orders, x)
@@ -226,6 +226,15 @@ class TestBesselJOrderArrays:
                 for a, b in ((value, single), (value, ref), (single, ref)):
                     assert abs(a - b) <= 1e-15 * size, (nu, x)
                 assert abs(value - ref) <= 1e-10 * abs(ref), (nu, x)
+
+    @pytest.mark.parametrize("x", [0.03, 3.0, 11.9, 12.0])
+    def test_series_orders_alone_and_in_an_array_agree_exactly(self, x):
+        # up to x = 12 each complex order sums its own series, whether it
+        # comes alone or in an array
+        for tau in self.TAUS:
+            orders = np.concatenate([self.ladders(tau), [2.2 - 0.4j]])
+            out = bessel_j(orders, x)
+            assert np.array_equal(out, [bessel_j(complex(nu), x) for nu in orders]), (tau, x)
 
     @pytest.mark.parametrize("x", [12.1, 17.0, 30.0, 74.0])
     def test_ladder_sweep_matches_per_order_recurrence(self, x):
