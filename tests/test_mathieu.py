@@ -423,7 +423,8 @@ class TestAmplitudes:
     def test_above_barrier_prefactor(self):
         # R approaches exp(-4 z* sqrt(kappa*ell)) from above (Pokrovskii and
         # Khalatnikov), with a prefactor that falls toward 1; these orders
-        # reach x = sqrt(kappa*ell) > 12, where bessel_j sweeps each ladder
+        # reach x = sqrt(kappa*ell) > 12, where bessel_j takes each top order
+        # of the waves from its own Miller recurrence
         kls = (100.0, 150.0, 200.0, 250.0, 299.0)
         prefactor = [solve_v4(kl).R * math.exp(4.0 * inversion_center() * math.sqrt(kl))
                      for kl in kls]

@@ -2,15 +2,15 @@
 
 Oracles: closed forms (half-integer Bessel), scipy's independent
 implementations for real orders (which bessel_j hands to scipy itself, so
-its complex-order code is checked against them at zero imaginary part), the
-one-order-at-a-time ascending series and Miller recurrence that bessel_j
-ran before it took arrays of orders and ladders of them, and quadratures
-evaluated by scipy.integrate.quad. Frozen constants were computed from
-those oracles.
+its complex-order code is checked against them at zero imaginary part), an
+ascending series and a Miller recurrence for one order written apart from
+bessel_j's, 40-digit mpmath values, and quadratures evaluated by
+scipy.integrate.quad. Frozen constants were computed from those oracles.
 """
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,29 +61,34 @@ class TestBesselJ:
     def test_against_scipy_real_orders(self):
         # the complex-order code at zero imaginary part, where scipy is the
         # oracle: the series up to its crossover, Miller's recurrence everywhere,
-        # over the ladder nu .. nu + 4
+        # at the orders nu .. nu + 4
         steps = np.arange(5)
         for nu in (-9.5, -2.3, 0.0, 0.5, 3.7, 9.9):
+            orders = (nu + steps).astype(complex)
             for x in (0.05, 1.0, 5.0, 11.0, 13.0, 25.0, 50.0, 100.0):
                 ref = scipy_jv(nu + steps, x)
                 scale = np.maximum(np.abs(ref), math.sqrt(2.0 / (math.pi * x)) * 1e-2)
-                routes = {"ladder": specialfns._jv_ladder(complex(nu), steps, x)}
+                routes = {"miller": np.array([specialfns._jv_miller(order, x)
+                                              for order in orders.tolist()])}
                 if x <= specialfns._SERIES_CROSSOVER:
-                    routes["series"] = specialfns._jv_series(nu + steps, x)
+                    routes["series"] = specialfns._jv_series(orders, x)
                 for route, out in routes.items():
                     assert np.all(np.abs(out - ref) <= 1e-9 * scale), (route, nu, x)
 
     def test_series_above_order_140(self):
-        # the series assembles its leading terms above Re nu = 140 in log
-        # space, where Gamma(nu + 1) would overflow
-        orders = np.array([140.5, 150.5, 163.25, 12.5]) + 0j
+        # above Re nu = 140, where Gamma(nu + 1) nears overflow, bessel_j
+        # hands an order to Miller's recurrence, which normalizes in log
+        # space, at every x; the series keeps the orders below
+        orders = np.array([140.5, 150.5, 163.25]) + 0j
         for x in (3.0, 7.5, 11.9):
-            out = specialfns._jv_series(orders, x)
+            out = [specialfns._jv_miller(nu, x) for nu in orders.tolist()]
             assert np.allclose(out, scipy_jv(orders.real, x), rtol=1e-12, atol=0.0), x
+            below = specialfns._jv_series(np.array([12.5 + 0j]), x)
+            assert np.allclose(below, scipy_jv(12.5, x), rtol=1e-12, atol=0.0), x
 
     def test_orders_above_140_in_a_mixed_array(self):
-        # one order above Re nu = 140 sends the call's leading terms through
-        # both chains; each order still gives its value alone
+        # in one call an order above Re nu = 140 takes Miller's recurrence
+        # and one below it the series; each gives its value alone
         orders = np.array([1.5 + 0.5j, 150.5 + 0.5j])
         out = bessel_j(orders, 3.0)
         for nu, value in zip(orders, out):
@@ -128,11 +133,39 @@ class TestBesselJ:
         (-120.25 + 0.5j, 30.0, -7.130385482717410921e55 - 3.4819676266918799581e56j)],
         ids=["171.5", "200.25", "-150.3", "-120.25"])
     def test_order_beyond_gamma_overflow(self, nu, x, ref):
-        # above x = 12 the ladder's normalizing sum takes its Gamma weights
-        # relative to Gamma(b + 1), which overflows from Re b ~ 170 on; far
-        # below order 0 the recurrence itself grows past 1e250, and the
-        # ladder rescales it (twice at -150.3, once at -120.25)
+        # Miller's normalizing sum takes its Gamma weights relative to
+        # Gamma(b + 1), which overflows from Re b ~ 170 on; far below order 0
+        # the recurrence itself grows past 1e250 and is rescaled (twice at
+        # -150.3, once at -120.25)
         assert abs(bessel_j(nu, x) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("nu, x, ref", [
+        # 40-digit mpmath besselj, frozen
+        (-175.3 + 1j, 3.0, -9.4817165637873376177e285 - 1.191249911643073134e286j),
+        (-171.5 + 0.5j, 11.0, 1.4128143321648283707e180 + 9.5323299408364230284e180j),
+        (175.3 + 1j, 3.0, 7.0983513188441195315e-290 + 1.3790536087257177365e-288j)],
+        ids=["-175.3", "-171.5", "175.3"])
+    def test_order_beyond_140_below_the_crossover(self, nu, x, ref):
+        # up to x = 12 too, an order beyond |Re nu| = 140 takes Miller's
+        # recurrence: the series' leading term would need 1/Gamma(nu + 1),
+        # which overflows at -175.3 although J stays finite
+        assert abs(bessel_j(nu, x) - ref) <= 1e-13 * abs(ref)
+
+    def test_underflow_gives_zero(self):
+        # mpmath puts each of these below 1e-420: the first by Miller's
+        # recurrence, the others by a series whose leading term is 0
+        for nu, x in ((150.5 + 0.3j, 0.03), (40 + 0.3j, 1e-12), (20 + 1j, 1e-20)):
+            assert bessel_j(nu, x) == 0.0, (nu, x)
+
+    @pytest.mark.parametrize("nu, x", [(-175.3 + 1j, 0.5), (-140 + 0.3j, 0.03)],
+                             ids=["miller", "series"])
+    def test_overflow_is_raised(self, nu, x):
+        # |J| is about 4e422 at -175.3, 7e493 at -140 (mpmath); the message
+        # names the order and the argument
+        with pytest.raises(ArithmeticError, match=re.escape(f"nu={nu}, x={x}")):
+            bessel_j(nu, x)
+        with pytest.raises(ArithmeticError):
+            bessel_j(np.array([1.5 + 0.5j, nu]), x)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
@@ -163,8 +196,8 @@ def scalar_series(nu: complex, x: float) -> tuple[complex, float]:
 
 
 def per_order_miller(nu: complex, x: float) -> complex:
-    """Miller's recurrence for one complex order, as bessel_j ran it above
-    x = 12 before it swept whole ladders of orders: downward from a tiny
+    """Miller's recurrence for one complex order, as bessel_j runs it, but
+    with Gamma(b + 1) taken directly, not in log space: downward from a tiny
     seed and normalized through (x/2)^b = sum_j (b+2j) Gamma(b+j)/j! J_{b+2j}(x),
     with a base b = nu + 2 shift of real part >= 0.5."""
     shift = max(0, int(math.ceil(0.5 * (0.5 - nu.real))))
@@ -191,14 +224,16 @@ def per_order_miller(nu: complex, x: float) -> complex:
     return f_lo * cmath.exp(base * math.log(0.5 * x)) / norm
 
 
-# relative agreement of one recurrence per ladder with one per order above
-# x = 12: the two start and normalize at different orders
-LADDER_RTOL = 1e-13
+# relative agreement of bessel_j's recurrence with per_order_miller above
+# x = 12: the two scale their normalizing sums by Gamma(b + 1) differently
+MILLER_RTOL = 1e-13
 
 
 class TestBesselJOrderArrays:
-    """bessel_j over a whole array of orders, as the Mathieu series calls it:
-    the ladders m + tau and -(m + tau), |m| <= 30, of a complex exponent."""
+    """bessel_j over a whole array of orders: the ladders m + tau and
+    -(m + tau), |m| <= 30, of a complex exponent, whose factors a Mathieu
+    series sums. Each order is evaluated on its own, so it gives the same
+    number in an array as alone."""
 
     LADDER = np.arange(-30, 31)
     TAUS = (0.37 + 0.8j, 0.02 + 1.9j, 0.5 + 1e-3j)
@@ -209,8 +244,8 @@ class TestBesselJOrderArrays:
     @pytest.mark.parametrize("x", [0.03, 3.0, 11.9, 12.1, 17.0])
     def test_complex_orders_equal_scalar_calls(self, x):
         # the series (x <= 12) agrees with the scalar sum of old to its
-        # rounding bound; Miller's recurrence runs once per ladder of an
-        # array, once per order alone
+        # rounding bound; above, an order runs the same recurrence in an
+        # array as alone
         for tau in self.TAUS:
             orders = self.ladders(tau)
             out = bessel_j(orders, x)
@@ -218,7 +253,7 @@ class TestBesselJOrderArrays:
             scalar = [bessel_j(complex(nu), x) for nu in orders]
             assert all(type(v) is complex for v in scalar)
             if x > specialfns._SERIES_CROSSOVER:
-                assert np.allclose(out, scalar, rtol=LADDER_RTOL, atol=0.0), (tau, x)
+                assert np.array_equal(out, scalar), (tau, x)
                 continue
             for nu, value, single in zip(orders, out, scalar):
                 ref, size = scalar_series(complex(nu), x)
@@ -236,23 +271,25 @@ class TestBesselJOrderArrays:
             out = bessel_j(orders, x)
             assert np.array_equal(out, [bessel_j(complex(nu), x) for nu in orders]), (tau, x)
 
-    @pytest.mark.parametrize("x", [12.1, 17.0, 30.0, 74.0])
+    # x = 45 is kappa*ell = 2000
+    @pytest.mark.parametrize("x", [12.1, 17.0, 30.0, 45.0, 74.0])
     def test_ladder_sweep_matches_per_order_recurrence(self, x):
+        # each order of the ladders against the test's own recurrence for it
         for tau in self.TAUS:
             orders = self.ladders(tau)
             out = bessel_j(orders, x)
             ref = np.array([per_order_miller(complex(nu), x) for nu in orders])
-            assert np.allclose(out, ref, rtol=LADDER_RTOL, atol=0.0), (tau, x)
+            assert np.allclose(out, ref, rtol=MILLER_RTOL, atol=0.0), (tau, x)
 
     def test_ladders_are_found_in_a_mixed_array(self):
         # three ladders, two of them with one imaginary part, shuffled, with
-        # a lone order beside them; each order keeps its place
+        # a lone order beside them; each order keeps its place and its value
         orders = np.concatenate([self.ladders(0.37 + 0.8j), self.LADDER + 0.61 + 0.8j,
                                  [2.2 - 0.4j]])
         shuffle = np.random.default_rng(5).permutation(orders.size)
         out = bessel_j(orders[shuffle], 17.0)
         ref = np.array([per_order_miller(complex(nu), 17.0) for nu in orders[shuffle]])
-        assert np.allclose(out, ref, rtol=LADDER_RTOL, atol=0.0)
+        assert np.allclose(out, ref, rtol=MILLER_RTOL, atol=0.0)
 
     @pytest.mark.parametrize("x", [0.0, 0.03, 3.0, 11.9, 12.1, 17.0])
     def test_real_orders_are_scipy_bit_for_bit(self, x):
