@@ -19,10 +19,11 @@ Each layer works in one pass: every truncation of Hill's determinant
 (DLMF 28.29) comes from one outward sweep, and the continued fractions run
 on Python complex numbers. The coefficient table is sized by q: it ends
 where a leading-order bound on the coefficients falls below 1e-20. The
-Bessel-product series is summed over that whole table at zt = 0. Its
-growing factors come from one downward Bessel recurrence per ladder of
-orders (DLMF 10.6.1), its decaying ones from one ``bessel_j`` call on the
-integer orders.
+Bessel-product series is summed over that whole table at zt = 0. Each
+series is one ``bessel_j_sum`` over its ladder of growing orders: one
+downward Miller recurrence, normalized by Neumann's sum at the ladder's
+foot. The decaying factors come from one ``bessel_j`` call on the integer
+orders.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specialfns import ConvergenceError, bessel_j
+from .specialfns import ConvergenceError, bessel_j, bessel_j_sum
 from .wkb import inversion_center
 
 __all__ = [
@@ -158,14 +159,15 @@ def coefficients(tau: complex, q: float) -> np.ndarray:
     return coeff
 
 
-def _waves(tau: complex, q: float, coeff: np.ndarray, signs) -> np.ndarray:
+def _waves(tau: complex, q: float, coeff: np.ndarray, signs) -> list[complex]:
     """Psi_t^(sign)(0) for each of ``signs``, summed over the coefficient table.
 
     Psi_t^(+-)(0) = sum_m (-1)**m A_m J_(+-(m+tau))(x) J_(+-m)(x), x = sqrt(q),
-    over every m of the table. The growing factors of each sign come from one
-    downward recurrence, J_(nu-1) = (2 nu/x) J_nu - J_(nu+1), from the top two
-    orders of their ladder; the decaying ones from J_m, m = 0..N, with
-    J_(-m) = (-1)**m J_m: two ``bessel_j`` calls in all.
+    over every m of the table. With j = sign m the term is
+    A_(sign j) J_(-j)(x) J_(sign tau + j)(x), so each sign is one
+    ``bessel_j_sum`` over the ladder sign tau + j, j = -N..N, with weights
+    A_(sign j) J_(-j); the decaying factors come from one ``bessel_j`` call
+    on the integer orders 0..N, with J_(-m) = (-1)**m J_m.
 
     The table's cut on |A_m| is a cut on these terms: a factor of negative
     order, about Gamma(|m| -+ tau) (2/x)**(|m| -+ tau), meets one of about
@@ -175,20 +177,12 @@ def _waves(tau: complex, q: float, coeff: np.ndarray, signs) -> np.ndarray:
     n_terms = (len(coeff) - 1) // 2
     x = math.sqrt(q)
     j_int = bessel_j(np.arange(n_terms + 1.0), x).tolist()
-    j_m = [-v if k % 2 else v for k, v in enumerate(j_int)][:0:-1] + j_int   # m = -N..N
-    # a real exponent goes to bessel_j as a float, which hands it to scipy,
-    # and its recurrences run on floats
-    tau = tau.real if tau.imag == 0.0 else tau
-    tops = bessel_j(np.array([[s * tau + n_terms, s * tau + n_terms - 1] for s in signs]), x)
-    waves = []
-    for sign, grow in zip(signs, tops.tolist()):
-        # grow lists J_(sign tau + j) for j = N, N-1, ..., -N; in that order
-        # coeff[::-sign] lists A_m, m = sign j, and j_m J_(-j) = (-1)**m J_(sign m)
-        base = sign * tau
-        for j in range(n_terms - 1, -n_terms, -1):
-            grow.append((2.0 * (base + j) / x) * grow[-1] - grow[-2])
-        waves.append(sum(map(operator.mul, map(operator.mul, coeff[::-sign].tolist(), j_m), grow)))
-    return np.array(waves)
+    j_neg = j_int[:0:-1] + [-v if k % 2 else v for k, v in enumerate(j_int)]   # j = -N..N
+    if tau.imag == 0.0:   # so is the table, and the ladders run on floats
+        tau, coeff = tau.real, coeff.real
+    coeff = coeff.tolist()
+    return [bessel_j_sum(sign * tau, x, list(map(operator.mul, coeff[::sign], j_neg)))
+            for sign in signs]
 
 
 def parity_sigma(tau: complex, q: float, coeff: np.ndarray) -> complex:
@@ -199,7 +193,7 @@ def parity_sigma(tau: complex, q: float, coeff: np.ndarray) -> complex:
     since they are 2 pi i periodic in sigma. Both waves come from one
     series evaluation.
     """
-    plus, minus = _waves(tau, q, coeff, [+1, -1]).tolist()
+    plus, minus = _waves(tau, q, coeff, [+1, -1])
     if abs(plus) < 1e-250:
         raise ZeroDivisionError("Psi_t^+(0) vanishes; sigma undefined at this q")
     return cmath.log(minus / plus)

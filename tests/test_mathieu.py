@@ -253,15 +253,15 @@ class TestSeriesCut:
         sol = solve_v4(0.01)
         # 7 coefficients a side, not N_TERMS = 30
         assert len(sol.coeff) <= 15
-        # one call on the integer orders 0..N of the decaying factors, and
-        # one on the top two orders of each series' ladder of growing ones
+        # one call, on the integer orders 0..N of the decaying factors
         n_terms = (len(sol.coeff) - 1) // 2
-        assert sizes == [n_terms + 1, 4]
+        assert sizes == [n_terms + 1]
 
     @pytest.mark.parametrize("kl", [1e-300, 1e-12, 1e-8, 1e-6, 150.0, 250.0])
     def test_extremes_stay_quiet(self, kl):
-        # tables of one to three coefficients a side at small kappa*ell, and
-        # Miller's recurrence for complex orders above x = 12
+        # tables of one to three coefficients a side at small kappa*ell, where
+        # each step of a ladder's recurrence multiplies it by up to 1e150, and
+        # ladders of complex orders above x = 12
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             sol = solve_v4(kl)
@@ -269,9 +269,36 @@ class TestSeriesCut:
 
 
 class TestWaveLadders:
-    """The waves' growing factors from one downward recurrence per sign, and
-    their decaying ones from the integer orders 0..N, against the whole
-    ladder's array calls."""
+    """The waves' growing factors from one self-normalized recurrence per
+    sign, and their decaying ones from the integer orders 0..N, against the
+    whole ladder's array calls and against 40-digit sums."""
+
+    # Psi_t^+(0) and Psi_t^-(0), summed in 40-digit mpmath over the table
+    # with tau and the coefficients as solve_v4 computes them, frozen; the
+    # last is at x = 12.003
+    MPMATH_WAVES = [
+        (0.21406, 0.44719658154569454405, 1.0061567374156752741),
+        (0.689477, 0.069114291787909666127, 0.073704893643633734189),
+        (3.95, 1.3976634981918681061 - 0.89957830176630674355j,
+         -1.3976634981918849568 - 0.89957830176632627142j),
+        (144.06, -792.34607719182783463 + 20.129143105082771873j,
+         -792.34607719182783463 - 20.129143105082771873j),
+    ]
+
+    @pytest.mark.parametrize("kl, plus, minus", MPMATH_WAVES, ids=[f"{kl}" for kl, *_ in MPMATH_WAVES])
+    def test_waves_against_mpmath(self, kl, plus, minus):
+        tau = characteristic_exponent(kl)
+        coeff = coefficients(tau, kl)
+        waves = mathieu._waves(tau, kl, coeff, [+1, -1])
+        _, size = full_ladder_waves(0.0, tau, kl, coeff, [+1, -1])
+        assert np.all(np.abs(np.subtract(waves, [plus, minus])) <= 4e-15 * size), kl
+
+    def test_r_near_the_branch_point_against_mpmath(self):
+        # 0.0052 below the branch point R carries the waves' error some 30
+        # times over, and the products A_m J_(-m) alone leave about 5e-16 of
+        # each wave, whose terms sum to 9 times it: R reads 4.4e-14 from the
+        # R of the 40-digit waves above, frozen
+        assert solve_v4(0.689477).R == pytest.approx(0.12300920951702040621, rel=6e-14, abs=0.0)
 
     def test_waves_match_the_full_ladder_on_a_grid(self):
         # and on both sides of the branch point: real tau below, complex above
@@ -422,9 +449,8 @@ class TestAmplitudes:
 
     def test_above_barrier_prefactor(self):
         # R approaches exp(-4 z* sqrt(kappa*ell)) from above (Pokrovskii and
-        # Khalatnikov), with a prefactor that falls toward 1; these orders
-        # reach x = sqrt(kappa*ell) > 12, where bessel_j takes each top order
-        # of the waves from its own Miller recurrence
+        # Khalatnikov), with a prefactor that falls toward 1; these reach
+        # x = sqrt(kappa*ell) = 10 to 17.3
         kls = (100.0, 150.0, 200.0, 250.0, 299.0)
         prefactor = [solve_v4(kl).R * math.exp(4.0 * inversion_center() * math.sqrt(kl))
                      for kl in kls]
