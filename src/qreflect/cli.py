@@ -59,6 +59,8 @@ def _parse_grid(spec: str) -> list[float]:
             if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
                 raise ValueError(f"bad grid spec {chunk!r}")
             start, stop, count = _grid_value(parts[0]), _grid_value(parts[1]), int(parts[2])
+            if count < 1:
+                raise ValueError(f"bad grid spec {chunk!r}: a range needs a count of at least 1")
             if len(parts) == 4:
                 values.extend(np.geomspace(start, stop, count).tolist())
             else:
@@ -258,6 +260,15 @@ def cmd_wall(args) -> int:
                 max(abs(row["z_bold"] + zb - 2.0 * z_star) / (abs(row["z_bold"]) + abs(zb)),
                     abs(row["V_bold"] - vb))
                 for row, (zb, vb) in zip(rows, mirror))
+        # checked after the wall, so that an exponent's own error comes first
+        unread = [flag for flag, value in (("--table", args.table), ("--model", args.model),
+                                           ("--kappa-ell", args.kappa_ell),
+                                           ("--energy-e1", args.energy_e1),
+                                           ("--overlay-universal", args.overlay_universal))
+                  if value not in (None, False)]
+        if unread:
+            raise ValueError("--universal-n draws the universal wall alone: drop "
+                             + ", ".join(unread))
     else:
         pot, ell = _build_potential(args)
         energies, labels = _energies(args, ell)

@@ -13,9 +13,9 @@ n)``/(kappa zeta)**2, free of the cancellation of the numeric Q's two terms
 on a cliff (on V_4 to about eps/x**4). On a table's pieces phi is a panel
 quadrature and Q comes from analytic derivatives of the spline; a table's
 evaluator puts the closed forms over the tails' share of its result
-(``_tails_over``). V_n is all tail (``one_law``). The matching cut, where Q
-has fallen to a fraction of its peak, is closed form where the peak lies on
-a tail (``matching_domain``); elsewhere Q is searched in array calls.
+(``_tails_over``). V_n is all tail (``one_law``). Each end of the matching
+domain, where |Q| has fallen to a fraction of its peak, is closed form where
+it lies on a tail (``matching_domain``); elsewhere Q is searched in array calls.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ _PANEL_DU = 0.5
 _PHASE_BUDGET = 1e-8
 
 # Searches on the numeric Q of a table: each array call reads Q on a bracket
-# cut into _SECTIONS equal parts; the badlands peak takes _PEAK_ROUNDS calls
-# after its grid, and a matching crossing reads Q until its bracket is
-# narrower than _CUT_RTOL of z
+# cut into _SECTIONS equal parts, of z for the badlands peak, which takes
+# _PEAK_ROUNDS calls after its grid, and of ln z for a matching crossing,
+# which reads |Q| until its bracket is narrower than _CUT_RTOL of z
 _SECTIONS = 128
 _SECTION_ENDS = np.arange(_SECTIONS + 1) / _SECTIONS
 _PEAK_ROUNDS = 4
@@ -437,51 +437,41 @@ class WkbField:
             lo, hi = zs[max(j - 1, 0)], zs[min(j + 1, len(zs) - 1)]
         return float(zs[j]), float(qs[j])
 
-    def _walk(self, z: float, way: int, target: float) -> float:
-        """The first of z, z 2**way, z 2**(2 way), ... (way = +-1) where Q is
-        not above ``target``: the doubling walk, with Q read on 8, 16, 32, ...
-        points a call. ldexp scales by a power of two exactly, so each point
-        is the one that halving or doubling one step at a time reaches."""
-        first, count = 0, 8
-        while True:
-            zs = np.ldexp(z, way * np.arange(first, first + count))
-            stop = np.flatnonzero(~(self.q(zs) > target))
-            if len(stop):
-                return float(zs[stop[0]])
-            first, count = first + count, 2 * count
-
     def _crossing(self, inside: float, outside: float, target: float) -> float:
-        """Where Q falls to ``target`` between ``inside``, where it is above,
+        """Where |Q| falls to ``target`` between ``inside``, where it is above,
         and ``outside``, where it is not: each array call cuts the bracket
-        into ``_SECTIONS`` and keeps the section after the last point above,
-        until the bracket is narrower than ``_CUT_RTOL`` of z. Of several
-        crossings that the sections resolve (a ripple) it keeps the one
-        farthest from ``inside``.
-        Returns the outer end, where Q is not above ``target``."""
+        into ``_SECTIONS`` equal parts of ln z, as a bracket may span decades,
+        and keeps the section after the last point above, until the bracket is
+        narrower than ``_CUT_RTOL`` of z. Of several crossings that the
+        sections resolve it keeps the one farthest from ``inside``, so a
+        ripple, or a dip where Q turns negative, stays inside the domain.
+        Returns the outer end, where |Q| is not above ``target``."""
         while abs(outside - inside) > _CUT_RTOL * outside:
-            zs = inside + (outside - inside) * _SECTION_ENDS
+            zs = inside * (outside / inside) ** _SECTION_ENDS
+            zs[-1] = outside   # the power may miss it by an ulp; a tail edge must stay exact
             # Q is known at the ends, so only the points between are read
-            above = np.flatnonzero(self.q(zs[1:-1]) > target)
+            above = np.flatnonzero(np.abs(self.q(zs[1:-1])) > target)
             j = int(above[-1]) + 1 if len(above) else 0
             inside, outside = float(zs[j]), float(zs[j + 1])
         return outside
 
     def matching_domain(self, q_rel: float = Q_MATCH_REL) -> tuple[float, float]:
-        """(z_min, z_max) where Q has fallen to q_rel of its peak on each side.
+        """(z_min, z_max): on each side of the peak, the outermost point where
+        |Q| has fallen to q_rel of its peak.
 
-        Where the peak lies on the far tail, z_max is zeta x on its law, x the
-        far crossing of ``universal_badlands`` found once per (n, q_rel)
-        (``_far_cut``), and on an n = 4 law z_min is zeta/x where that lies
-        on the tail too; where one law holds at every z, Q is not read.
-        Elsewhere Q is searched: its peak (``_q_peak_search``), then a doubling
-        walk on each side and ``_crossing`` in the walk's last step, unless
-        that step lies on the far tail, or straddles its start with Q there
-        above the target: then the far law's crossing stands.
-        Where the cliff-side crossing lies on an n != 4 cliff tail, z_min is
-        the shallowest point of that tail with E z**n/C_n <= q_rel, where
-        ``cliff_wave`` is exact but for that E; one at or beyond the peak is
-        rejected, and so is a domain that is not finite and ordered, as where
-        zeta = (C/E)**(1/n) overflows or underflows.
+        An end lies on a tail where that tail's closed-form Q rises above the
+        cut: on the far tail, read at the larger of its start and zeta x*; on
+        an n != 4 cliff tail, at its top, or where the peak lies on it. There
+        the far end is zeta x on the far law, x the far crossing of
+        ``universal_badlands`` (``_far_cut`` where the peak lies on the far
+        tail, and on an n = 4 law z_min is zeta/x where that lies on the tail
+        too); the cliff end, like a crossing on that tail, is the shallowest
+        point of the tail with E z**n/C_n <= q_rel, where ``cliff_wave`` is
+        exact but for that E, and one at or beyond the peak is rejected.
+        Otherwise the end is the ``_crossing`` from the peak to the tail's
+        edge. Where one law holds at every z, Q is not read. A domain that is
+        not finite and ordered, as where zeta = (C/E)**(1/n) overflows or
+        underflows, is rejected.
         """
         if not (0.0 < q_rel < 1.0):
             raise ValueError("q_rel must lie in (0, 1)")
@@ -494,23 +484,17 @@ class WkbField:
         if z_peak >= far.edge:
             x_max = _far_cut(far.n, q_rel)
             z_max = far.zeta * x_max
-        else:
-            hi = self._walk(z_peak, +1, target)
-            inside = max(hi / 2.0, z_peak)
+        elif far.q(max(far.edge, far.zeta * badlands_peak_x(far.n))) > target:
             level = target * self.energy * far.zeta * far.zeta   # that of the universal badlands
-            if inside >= far.edge or (hi > far.edge
-                                      and universal_badlands(far.edge / far.zeta, far.n) > level):
-                z_max = float(far.zeta * _far_crossing(far.n, level))
-            else:
-                z_max = self._crossing(inside, hi, target)
+            z_max = far.zeta * _far_crossing(far.n, level)
+        else:
+            z_max = self._crossing(z_peak, far.edge, target)
         if z_peak >= far.edge and far.n == 4 and far.zeta / x_max >= far.edge:
             z_min = far.zeta / x_max   # the badlands of V_4 is even under x -> 1/x
-        elif self.on_threshold_tail(z_peak):
-            z_min = z_peak             # the threshold start below stands in for it
+        elif self.on_threshold_tail(z_peak) or (cliff.n != 4 and cliff.q(cliff.edge) > target):
+            z_min = min(z_peak, cliff.edge)   # on the tail: the threshold start below replaces it
         else:
-            lo = self._walk(z_peak, -1, target)
-            inside = min(2.0 * lo, z_peak)
-            z_min = inside if self.on_threshold_tail(inside) else self._crossing(inside, lo, target)
+            z_min = self._crossing(z_peak, cliff.edge, target)
         if not 0.0 < z_min < z_max < math.inf:   # also false for nan
             raise ValueError(f"matching domain ({z_min:g}, {z_max:g}) is not finite and ordered")
         if self.on_threshold_tail(z_min):

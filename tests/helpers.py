@@ -40,6 +40,16 @@ def two_tail_table() -> TabulatedPotential:
     return TabulatedPotential(z, -c3 / (z ** 3 * (1.0 + z / lam)), cliff_c3=c3, far_c4=c3 * lam)
 
 
+def shelf_table() -> TabulatedPotential:
+    """``two_tail_table``'s shape with a shelf in -V about z = 10, where -V
+    falls by a factor 6 over about 0.3 in ln z, on its 700 nodes: c3 = 3.6
+    below the shelf and c4 = 1.8 above it."""
+    z = np.geomspace(0.004, 4000.0, 700)
+    shelf = 1.0 + 2.5 * (1.0 - np.tanh(np.log(z / 10.0) / 0.15))
+    return TabulatedPotential(z, -0.6 * shelf / (z ** 3 * (1.0 + z / 3.0)),
+                              cliff_c3=3.6, far_c4=1.8)
+
+
 def e1_energy(x: float) -> float:
     """Reduced energy of x E1 for hydrogen, as the CLI's --energy-e1 sets it."""
     kappa = kappa_si(x * e1_unit(M_HYDROGEN), M_HYDROGEN) * BOHR_RADIUS

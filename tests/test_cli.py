@@ -249,6 +249,17 @@ class TestReflect:
                      "--method", "direct"]) == 2
         assert "finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["1,1:2:0", "1:2:-1"])
+    def test_range_count_below_one_rejected(self, capsys, spec):
+        # a zero count dropped its range from a list in silence, and a
+        # negative one printed numpy's message
+        code = main(["reflect", "--model", "v4", "--kappa-ell", spec, "--method", "mathieu"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        chunk = spec.split(",")[-1]
+        assert err == f"error: bad grid spec {chunk!r}: a range needs a count of at least 1\n"
+
     def test_grid_spec_expansion(self, tmp_path):
         code, text = run(tmp_path, "g.csv",
                          ["reflect", "--model", "v4", "--kappa-ell", "0.1:1:3:log",
@@ -517,6 +528,21 @@ class TestWall:
         assert code == 2
         assert out == ""
         assert err == "error: needs n > 2 for a finite far-end anchor\n"
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["--table", "nonexistent.pot"], "--table"),
+        (["--model", "v4", "--kappa-ell", "0.3"], "--model, --kappa-ell"),
+        (["--energy-e1", "100"], "--energy-e1"),
+        (["--overlay-universal"], "--overlay-universal"),
+    ], ids=["table", "model", "energy-e1", "overlay"])
+    def test_universal_n_takes_no_field(self, capsys, argv, unread):
+        # each of these chooses or draws a field's wall, which --universal-n
+        # replaces: they were ignored, and the universal wall printed
+        code = main(["wall", "--universal-n", "4", "--points", "2", *argv])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --universal-n draws the universal wall alone: drop {unread}\n"
 
     @pytest.mark.parametrize("x_max", ["50", "1e8", "1e20", "1e50"])
     def test_universal_quartic(self, tmp_path, x_max):

@@ -37,7 +37,7 @@ from qreflect.scattering import (
 )
 from qreflect.wkb import WkbField, threshold_wave
 
-from helpers import e1_energy, log_map, two_tail_table, v4, write_cp_table
+from helpers import e1_energy, log_map, shelf_table, two_tail_table, v4, write_cp_table
 
 
 def solve_on(route: str, pot, energy: float, ctl: SolverControl | None = None):
@@ -593,6 +593,21 @@ class TestCliffStart:
         ref = solve_direct(pot, 0.02, SolverControl(q_match_rel=1e-13)).r
         for cut in (1e-8, 1e-10, 1e-12):
             assert abs(solve_direct(pot, 0.02, SolverControl(q_match_rel=cut)).r - ref) < 50.0 * cut
+
+    # r of the direct route on the shelf table at E = 1e-6 and cut 1e-13,
+    # whose domain runs from the cliff tail's top, 4e-4, to the far law's
+    # crossing, 7601
+    SHELF_R = -0.99432400270218 + 0.00022645778j
+
+    @pytest.mark.filterwarnings("ignore:badlands appears multimodal")
+    @pytest.mark.parametrize("cut, bound", [(1e-10, 1e-6), (1e-3, 5e-3)])
+    @pytest.mark.parametrize("route", ["direct", "coupled", "transformed"])
+    def test_shelf_domain_keeps_the_dip(self, route, cut, bound):
+        # at E = 1e-6 the shelf table's Q falls to -0.36 Q_peak at z = 10.1,
+        # below its peak at 36: a domain whose cliff end stops above that dip,
+        # where Q changes sign, leaves r 1.2e-2 off at every cut
+        r = solve_on(route, shelf_table(), 1e-6, SolverControl(q_match_rel=cut)).r
+        assert abs(r - self.SHELF_R) < bound
 
 
 class TestWronskian:

@@ -24,7 +24,7 @@ from qreflect.wkb import (
     universal_badlands,
 )
 
-from helpers import e1_energy, two_tail_table, v4_field, write_cp_table
+from helpers import e1_energy, shelf_table, two_tail_table, v4_field, write_cp_table
 
 Z_STAR = 0.8472130847939791
 
@@ -440,26 +440,6 @@ class TestBadlands:
         assert abs(numeric(z_min / 2.0, 2.0 * z_min) / z_min - 1.0) <= eps / z_min ** 4
         assert numeric(z_max / 2.0, 2.0 * z_max) == pytest.approx(z_max, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("cut", [1e-6, 1e-10, 1e-13])
-    @pytest.mark.parametrize("case", ["v4", "v3", "v5", "two-tail"])
-    def test_walks_match_the_scalar_walk(self, case, cut):
-        # matching_domain's brackets come from doubling walks that read Q in
-        # array calls; they stop on the very point that halving or doubling
-        # one step at a time stops on. The table's cliff walk runs past the
-        # first call of 8 points
-        fld = {"v4": v4_field(0.7), "v3": WkbField(HomogeneousPotential(3, 1.0), 1.0),
-               "v5": WkbField(HomogeneousPotential(5, 0.7), 0.3),
-               "two-tail": WkbField(two_tail_table(), 0.02)}[case]
-        z_peak, q_peak = fld.q_peak()
-        target = cut * q_peak
-        for way in (-1, +1):
-            z, steps = z_peak, 0
-            while fld.q(z) > target:
-                z, steps = (z / 2.0 if way < 0 else z * 2.0), steps + 1
-            assert fld._walk(z_peak, way, target) == z
-            if case == "two-tail" and way < 0:
-                assert steps >= 8
-
     @pytest.mark.parametrize("case", ["two-tail", "cp", "table-cli-30", "table-cli-100",
                                       "table-cli-300"])
     def test_peak_search_argmax(self, tmp_path, monkeypatch, case):
@@ -493,15 +473,10 @@ class TestBadlands:
         assert q_peak == pytest.approx(q_point(z_golden), rel=1e-13, abs=0.0)
 
     def test_two_modes_warn(self):
-        # a shelf in -V about z = 10, where it falls by a factor 6 over
-        # about 0.3 in ln z, gives Q a second mode beside the one near zeta,
-        # at 11% of its height
-        z = np.geomspace(0.004, 4000.0, 700)
-        shelf = 1.0 + 2.5 * (1.0 - np.tanh(np.log(z / 10.0) / 0.15))
-        pot = TabulatedPotential(z, -0.6 * shelf / (z ** 3 * (1.0 + z / 3.0)),
-                                 cliff_c3=3.6, far_c4=1.8)
+        # the shelf gives Q a second mode beside the one near zeta, at 11%
+        # of its height
         with pytest.warns(UserWarning, match="multimodal"):
-            z_peak, _ = WkbField(pot, 0.02).q_peak()
+            z_peak, _ = WkbField(shelf_table(), 0.02).q_peak()
         assert z_peak < 6.0
 
     def test_table_far_cut_on_the_tail(self, tmp_path):
@@ -520,31 +495,33 @@ class TestBadlands:
         assert fld.q(z_max) == pytest.approx(target, rel=1e-12, abs=0.0)
 
     def test_table_far_cut_straddling_the_last_node(self, tmp_path, monkeypatch):
-        # at E1 x 100 and cut 1e-13 the walk's last step on the table-cli
-        # table straddles the start of its far tail, 400000 a0, and Q there
-        # is still above the target: the crossing lies on the -C4/z**4 tail,
-        # where its closed form replaces the search in the step
+        # at E1 x 100 and cut 1e-13 the far law of the table-cli table is
+        # still above the cut at the start of its far tail, 400000 a0, ten
+        # times its last node: the far end is that law's closed-form
+        # crossing, with no search toward the tail, and a search on the tail
+        # lands on it
         pot = table_cli_table(tmp_path)
-        fld = WkbField(pot, e1_energy(100.0))
-        z_peak, q_peak = fld.q_peak()
-        target = 1e-13 * q_peak
-        hi = fld._walk(z_peak, +1, target)
-        inside = max(hi / 2.0, z_peak)
-        assert inside < pot.tails[1][2] < hi
-        assert inside == pytest.approx(267800.0, rel=1e-3) and hi == 2.0 * inside
-        searched = fld._crossing(inside, hi, target)
-        crossings = []
+        energy = e1_energy(100.0)
+        fld = WkbField(pot, energy)
+        target = 1e-13 * fld.q_peak()[1]
+        n, c, z_from = pot.tails[1]
+        zeta = (c / energy) ** 0.25
+        assert zeta * badlands_peak_x(n) < z_from
+        assert universal_badlands(z_from / zeta, n) / (energy * zeta ** 2) > target
+        outsides = []
         crossing = WkbField._crossing
 
-        def spy(self, *args):
-            crossings.append(args)
-            return crossing(self, *args)
+        def spy(self, inside, outside, target):
+            outsides.append(outside)
+            return crossing(self, inside, outside, target)
 
         monkeypatch.setattr(WkbField, "_crossing", spy)
         _, z_max = fld.matching_domain(1e-13)
-        assert crossings == []
+        assert z_from not in outsides
         assert z_max == pytest.approx(459057.0, rel=1e-3)
-        assert z_max == pytest.approx(searched, rel=1e-10, abs=0.0)
+        assert fld.q(z_max) == pytest.approx(target, rel=1e-12, abs=0.0)
+        assert z_max == pytest.approx(crossing(fld, z_from, 2.0 * z_from, target),
+                                      rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("cut", [1e-3, 1e-10])
     def test_table_cut_inside_the_table(self, cut):
@@ -558,6 +535,34 @@ class TestBadlands:
         for z, inward in ends:
             assert fld.potential.z_min < z < fld.potential.z_max
             assert fld.q(z) <= target < fld.q(z * (1.0 + inward * 1e-10))
+
+    @pytest.mark.filterwarnings("ignore:badlands appears multimodal")
+    @pytest.mark.parametrize("cut", [1e-3, 1e-7, 1e-10, 1e-13])
+    @pytest.mark.parametrize("case", ["two-tail", "cp", "shelf", "table-cli"])
+    def test_table_domain_holds_every_crossing(self, tmp_path, case, cut):
+        # beyond each end |Q| stays at or below the cut, on the table's
+        # pieces and on its tails, unless the cliff end is a threshold
+        # start, where E z**3/C_3 is; at E1 x 1e-12 .. 1e9, and on the tables
+        # in reduced units at the kappa*ell of cp there. The end that a
+        # search stopped on where Q first came down to the cut left the
+        # shelf's dip, and cp's blend to its far tail at E1 x 1e-12, outside
+        cp = potentials.load_potential_table(write_cp_table(tmp_path, 500))
+        pot, atomic = {"two-tail": (two_tail_table(), False), "cp": (cp, True),
+                       "shelf": (shelf_table(), False),
+                       "table-cli": (table_cli_table(tmp_path), True)}[case]
+        (_, c3, z_top), (_, c4, z_from) = pot.tails
+        for power in np.arange(-12.0, 9.1, 1.5):
+            energy = e1_energy(10.0 ** power) * (1.0 if atomic else cp.tails[1][1] / c4)
+            fld = WkbField(pot, energy)
+            z_min, z_max = fld.matching_domain(cut)
+            target = cut * fld.q_peak()[1] * (1.0 + 1e-12)
+            beyond = [np.geomspace(z_max, 10.0 * max(z_max, z_from), 1000)]
+            if z_min > z_top:
+                beyond.append(np.geomspace(z_top, z_min, 1000))
+            else:
+                assert energy * z_min ** 3 / c3 <= cut * (1.0 + 1e-14), power
+            for zs in beyond:
+                assert np.abs(fld.q(zs)).max() <= target, (power, zs[0])
 
     def test_tabulated_peak_search(self):
         lam = 2.0
@@ -630,10 +635,13 @@ class TestTails:
 class TestCutBudget:
     """How often ``matching_domain`` reads Q."""
 
-    # on a table: the peak's grid and its 4 rounds; 3 calls (56 doublings)
-    # per walk reach the cut of every case below; 5 rounds of 128 sections
-    # per crossing take a factor-2 bracket below 1e-10 of z
-    TABLE_ARRAY_CALLS = 5 + 2 * 3 + 2 * 5
+    # on a table: the peak's grid and its 4 rounds; 6 rounds of 128 sections
+    # of ln z per crossing take a bracket of up to 190 decades below 1e-10 of z
+    TABLE_ARRAY_CALLS = 5 + 2 * 6
+    # one matching_domain on the table-cli table at cut 1e-7 after its peak
+    # search: the cliff end is the threshold start, as the cliff law is above
+    # the cut at its top, and the far end one crossing
+    TABLE_CLI_CALLS = 6
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_homogeneous_reads_no_q(self, monkeypatch, n):
@@ -664,6 +672,14 @@ class TestCutBudget:
                 fld.matching_domain(cut)
             assert all(np.ndim(z) for z, _ in read), cut
             assert len(read) <= self.TABLE_ARRAY_CALLS, cut
+
+    @pytest.mark.parametrize("e1", [30.0, 100.0, 300.0])
+    def test_table_cli_calls(self, tmp_path, monkeypatch, e1):
+        fld = WkbField(table_cli_table(tmp_path), e1_energy(e1))
+        fld.q_peak()
+        read = spy_q(monkeypatch)
+        fld.matching_domain(1e-7)
+        assert len(read) == self.TABLE_CLI_CALLS
 
 
 class TestWavePair:
