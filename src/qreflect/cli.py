@@ -29,6 +29,16 @@ from . import liouville, mathieu, potentials, scattering, wkb
 
 _FMT = "{:.12g}"
 
+# the field flags default to None, so that the universal wall, which reads
+# no field, can tell a given flag from an absent one: these are their values
+# where a command reads them and they were not given
+_FIELD_DEFAULTS = {"n": 3, "cn": 1.0, "mass_amu": 1.00782503207, "q_match": wkb.Q_MATCH_REL}
+
+
+def _field_flag(args, name: str):
+    value = getattr(args, name)
+    return _FIELD_DEFAULTS[name] if value is None else value
+
 
 def _fmt(value) -> str:
     if value is None:   # the cell of a route that failed
@@ -84,15 +94,17 @@ def _build_potential(args) -> tuple[object, float | None]:
     (hartree a0**n) and converted like a table; with --kappa-ell it is
     already the reduced strength.
     """
+    mass = _field_flag(args, "mass_amu") * potentials.AMU
     if args.table:
-        pot = potentials.load_potential_table(args.table, mass_kg=args.mass_amu * potentials.AMU)
+        pot = potentials.load_potential_table(args.table, mass_kg=mass)
     elif args.model not in ("v4", "vn"):
         raise ValueError("specify --model v4, --model vn or --table")
     else:
-        c_n = args.cn
+        c_n = _field_flag(args, "cn")
         if getattr(args, "energy_e1", None):
-            c_n *= potentials.to_reduced(args.mass_amu * potentials.AMU)
-        pot = potentials.HomogeneousPotential(4 if args.model == "v4" else args.n, c_n)
+            c_n *= potentials.to_reduced(mass)
+        n = 4 if args.model == "v4" else _field_flag(args, "n")
+        pot = potentials.HomogeneousPotential(n, c_n)
     n, c_n, _ = pot.tails[1]
     return pot, math.sqrt(c_n) if n == 4 else None
 
@@ -109,7 +121,7 @@ def _energies(args, ell: float | None) -> tuple[list[float], list[dict]]:
             energies.append(kappa * kappa)
             rows.append({"kappa_ell": kl})
     elif args.energy_e1:
-        mass = args.mass_amu * potentials.AMU
+        mass = _field_flag(args, "mass_amu") * potentials.AMU
         for x in _parse_grid(args.energy_e1):
             e_j = x * potentials.e1_unit(mass, args.g)
             kappa = potentials.kappa_si(e_j, mass) * potentials.BOHR_RADIUS
@@ -195,7 +207,7 @@ def _reflect_row(pot, energy, row, args, ctl) -> dict:
 
 def cmd_reflect(args) -> int:
     pot, ell = _build_potential(args)
-    ctl = scattering.SolverControl(rtol=args.rtol, q_match_rel=args.q_match)
+    ctl = scattering.SolverControl(rtol=args.rtol, q_match_rel=_field_flag(args, "q_match"))
     # 0 and inf are usable gates (inf switches one off); nan and negatives pass nothing
     if not (args.max_spread >= 0.0 and args.max_unitarity >= 0.0):
         raise ValueError("--max-spread and --max-unitarity must be non-negative numbers")
@@ -206,7 +218,7 @@ def cmd_reflect(args) -> int:
     columns = sorted({key for row in rows for key in row},
                      key=lambda c: (c not in ("kappa_ell", "energy_e1"), c))
     meta = {"command": "reflect", "method": args.method, "rtol": args.rtol,
-            "q_match": args.q_match, "potential": args.table or args.model}
+            "q_match": ctl.q_match_rel, "potential": args.table or args.model}
     _emit(args.output, args.format, meta, columns, rows)
     return 0 if all(r["status"] == "ok" for r in rows) else 1
 
@@ -219,7 +231,7 @@ def cmd_badlands(args) -> int:
     meta = {"command": "badlands", "potential": args.table or args.model}
     for energy, label in zip(energies, labels):
         field = wkb.WkbField(pot, energy)
-        z_lo, z_hi = field.matching_domain(args.q_match)
+        z_lo, z_hi = field.matching_domain(args.q_match)   # never None: badlands sets 1e-7
         z_peak, q_peak = field.q_peak()
         grid = np.unique(np.concatenate([
             np.geomspace(z_lo, z_hi, args.points),
@@ -262,10 +274,13 @@ def cmd_wall(args) -> int:
                 for row, (zb, vb) in zip(rows, mirror))
         # checked after the wall, so that an exponent's own error comes first
         unread = [flag for flag, value in (("--table", args.table), ("--model", args.model),
+                                           ("--n", args.n), ("--cn", args.cn),
+                                           ("--mass-amu", args.mass_amu),
                                            ("--kappa-ell", args.kappa_ell),
                                            ("--energy-e1", args.energy_e1),
-                                           ("--overlay-universal", args.overlay_universal))
-                  if value not in (None, False)]
+                                           ("--q-match", args.q_match),
+                                           ("--overlay-universal", args.overlay_universal or None))
+                  if value is not None]
         if unread:
             raise ValueError("--universal-n draws the universal wall alone: drop "
                              + ", ".join(unread))
@@ -274,7 +289,7 @@ def cmd_wall(args) -> int:
         energies, labels = _energies(args, ell)
         for energy, label in zip(energies, labels):
             field = wkb.WkbField(pot, energy)
-            _, prob = liouville.special_gauge(field, trunc_rel=args.q_match)
+            _, prob = liouville.special_gauge(field, trunc_rel=_field_flag(args, "q_match"))
             zts, vbs = prob.probe(args.points)
             for zt, vb in zip(zts, vbs):
                 rows.append({**label, "curve": "field", "z_bold": float(zt),
@@ -298,7 +313,7 @@ def cmd_wall(args) -> int:
 
 def cmd_scatlength(args) -> int:
     pot, ell = _build_potential(args)
-    ctl = scattering.SolverControl(rtol=args.rtol, q_match_rel=args.q_match)
+    ctl = scattering.SolverControl(rtol=args.rtol, q_match_rel=_field_flag(args, "q_match"))
     result = scattering.scattering_length(pot, ctl)
     record = {
         "a_re": result.a.real,
@@ -317,11 +332,11 @@ def cmd_scatlength(args) -> int:
 def _add_common(sub: argparse.ArgumentParser, energy: bool = True, rtol: bool = False) -> None:
     sub.add_argument("--model", choices=("v4", "vn"), default=None,
                      help="homogeneous potential family")
-    sub.add_argument("--n", type=int, default=3, help="exponent for --model vn")
-    sub.add_argument("--cn", type=float, default=1.0,
+    sub.add_argument("--n", type=int, default=None, help="exponent for --model vn")
+    sub.add_argument("--cn", type=float, default=None,
                      help="strength c_n (reduced units, or atomic units with --energy-e1)")
     sub.add_argument("--table", default=None, help="tabulated potential file (atomic units)")
-    sub.add_argument("--mass-amu", type=float, default=1.00782503207,
+    sub.add_argument("--mass-amu", type=float, default=None,
                      help="atom mass in amu for unit conversions")
     if energy:
         sub.add_argument("--g", type=float, default=potentials.G_STANDARD,
@@ -334,7 +349,7 @@ def _add_common(sub: argparse.ArgumentParser, energy: bool = True, rtol: bool = 
                           help="energy grid in units of the first gravitational state")
     if rtol:
         sub.add_argument("--rtol", type=float, default=scattering.RTOL)
-    sub.add_argument("--q-match", type=float, default=wkb.Q_MATCH_REL)
+    sub.add_argument("--q-match", type=float, default=None)
     sub.add_argument("--output", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -81,6 +81,10 @@ class HomogeneousPotential:
     def tails(self) -> tuple[tuple[int, float, float], tuple[int, float, float]]:
         return (self.n, self.c_n, math.inf), (self.n, self.c_n, 0.0)
 
+    def log_knots(self) -> np.ndarray:
+        """The ends of the pieces between the tails, which overlap: none."""
+        return np.empty(0)
+
 
 class TabulatedPotential:
     """Sampled attractive potential joined to declared power-law tails.

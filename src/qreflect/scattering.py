@@ -14,13 +14,15 @@ Three routes to the same amplitudes:
 All three start on one wave and end on one basis, the field's cliff wave and
 WKB pair; each route only maps them into and out of its own state. Each
 state obeys y' = [[0, a], [b, 0]] y with the route's own a and b, and all
-three run on one integrator, ``solve_ivp``: Chebyshev panels of 32 nodes,
-as wide as the phase allows, each round of them solved in one batch. V''
-is continuous on every potential, a table's included, so panels run
-across a table's nodes; they end only where the derivative of V'' jumps
-(``breaks``). The routes check each other as three gauges with very
-different coefficients; the tests also check each against scipy's
-``solve_ivp`` reading the same coefficients point by point.
+three run on one integrator, ``solve_ivp``, on u = ln z, the paper's log
+gauge, where a power law is an exponential (``_integrate``): Chebyshev
+panels of 32 nodes, as wide as the phase and ln 4 of u allow, each round
+of them solved in one batch. V'' is continuous on every potential, a
+table's included, so panels run across a table's nodes and knots, the wall
+route's at most the phase table's 0.5 of u wide there; they end only where
+the derivative of V'' jumps (``breaks``). The routes check each other as
+three gauges with very different coefficients; the tests also check each
+against scipy's ``solve_ivp`` reading the same coefficients point by point.
 
 Conventions: r and t are defined for a wave incident from the far end; the
 incoming/transmitted wave at the cliff carries the WKB phase anchored by
@@ -38,8 +40,8 @@ import numpy as np
 
 from .liouville import TransformedProblem
 from .potentials import one_law
-from .wkb import (Q_MATCH_REL, _TAIL_FLOOR, WkbField, _chebyshev_rule, _even_cut, threshold_phases,
-                  threshold_wave)
+from .wkb import (_PANEL_DU, Q_MATCH_REL, _TAIL_FLOOR, WkbField, _chebyshev_rule, _even_ends,
+                  threshold_phases, threshold_wave)
 
 __all__ = [
     "SolverControl",
@@ -136,14 +138,15 @@ def _decompose(psi: complex, dpsi: complex,
 
 # -- Chebyshev panels ----------------------------------------------------------
 # Every route's state obeys y' = [[0, a], [b, 0]] y, in integral form on panels
-# of first-kind Chebyshev points (``wkb._chebyshev_rule``). The system is
-# linear, so a panel's 2x2 propagator does not depend on the state, and the
-# panels of a solve are solved together: each round of panels, the first
-# partition and then the halves of those that failed, in one batch.
+# of first-kind Chebyshev points (``wkb._chebyshev_rule``) of u = ln z, as
+# every panel of the package. The system is linear, so a panel's 2x2
+# propagator does not depend on the state, and the panels of a solve are
+# solved together: each round of panels, the first partition and then the
+# halves of those that failed, in one batch.
 
-_PHASE_NODES = 32     # a panel of up to _PHASE_RAD of phi and z_b/z_a <= _PHASE_RATIO
-_PHASE_RAD = 12.0
-_PHASE_RATIO = 2.0
+_PHASE_NODES = 32     # a first panel of up to _PHASE_RAD of phi and _PHASE_DU of u,
+_PHASE_RAD = 12.0     # or the phase table's _PANEL_DU across the wall route's knots
+_PHASE_DU = math.log(4.0)
 _BUDGET = 65536       # matrix entries (nodes**2 a panel) solved at once, 64 panels: a memory cap
 _MAX_PANELS = 100_000  # a first partition above this fails; real solves take a few hundred
 
@@ -180,26 +183,31 @@ def _panel_rule(n: int) -> tuple[np.ndarray, ...]:
     return x, s_ref, np.vstack([s_ref, w_ref]), squares, w_ref, tail_ref
 
 
-def _first_partition(domain: tuple[float, float], phases, breaks: np.ndarray) -> np.ndarray:
-    """Panel ends across ``domain``: points no more than ``_PHASE_RATIO``
-    apart and on each of the potential's ``breaks`` inside, each gap cut
-    evenly into the fewest panels of about ``_PHASE_RAD`` or less of the
-    phase ``phases(points)`` gives between each two (``wkb._even_cut``).
-    More than ``_MAX_PANELS`` panels raise ``RuntimeError`` before anything
-    is allocated."""
+def _first_partition(domain: tuple[float, float], phases, breaks: np.ndarray,
+                     knots=()) -> np.ndarray:
+    """Panel ends across ``domain``, in z. The gaps between its ends and the
+    ``breaks`` inside are cut evenly in u = ln z into the fewest parts no
+    wider than ``_PHASE_DU``, or than the phase table's ``_PANEL_DU`` where
+    a gap holds any of the ascending ``knots`` (in u), then each part evenly
+    in u into the fewest panels of about ``_PHASE_RAD`` or less of the phase
+    ``phases(points)`` gives between each two (``wkb._even_ends``). The
+    domain's ends and the breaks stay the same floats. More than
+    ``_MAX_PANELS`` panels raise ``RuntimeError`` before anything is
+    allocated."""
     z_min, z_max = domain
-    count = math.ceil(math.log(z_max / z_min) / math.log(_PHASE_RATIO))
-    points = z_min * (z_max / z_min) ** (np.arange(count + 1) / count)
-    points[-1] = z_max
-    inside = breaks[(breaks > z_min) & (breaks < z_max)]
-    if len(inside):
-        points = np.union1d(points, inside)
-    parts = np.maximum(np.ceil(phases(points) / _PHASE_RAD), 1.0)
+    points = np.concatenate(([z_min], breaks[(breaks > z_min) & (breaks < z_max)], [z_max]))
+    u = np.log(points)
+    holds = np.searchsorted(knots, u[:-1], side="right") < np.searchsorted(knots, u[1:])
+    coarse = _even_ends(u, np.ceil(np.diff(u) / np.where(holds, _PANEL_DU, _PHASE_DU)))
+    parts = np.maximum(np.ceil(phases(np.exp(coarse)) / _PHASE_RAD), 1.0)
     count = parts.sum()
     if not count <= _MAX_PANELS:   # also true for nan
         raise RuntimeError(f"integration failed: the first partition needs {count:.3g} "
                            f"panels, more than {_MAX_PANELS}")
-    return np.concatenate((_even_cut(points, parts.astype(int))[1], (z_max,)))
+    fine = _even_ends(coarse, parts)
+    ends = np.exp(fine)
+    ends[np.searchsorted(fine, u)] = points   # each gap of u starts on its own float
+    return ends
 
 
 def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:
@@ -284,19 +292,39 @@ def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:
     return OdeResult(np.concatenate((starts[order], ends[-1:])), np.array(ys).T, nfev)
 
 
+def _integrate(coefficients, ends, y0, rtol: float) -> OdeResult:
+    """``solve_ivp`` on u = ln z across the panel ends ``ends`` in z, for a
+    system y' = [[0, a(z)], [b(z), 0]] y given in z, as ``solve_ivp`` takes it:
+    in u its coefficients are a z and b z at z = e**u, and ``running(f)``
+    integrates f z du. Returns that solve with its panel ends ``t`` in z,
+    each of ``ends`` the same float and the others e**u."""
+    u = np.log(ends)
+
+    def on_log(u_a, us, running):
+        z = np.exp(us)
+        a, b = coefficients(np.exp(u_a), z, lambda f: running(f * z))
+        return a * z, b * z
+
+    sol = solve_ivp(on_log, u, y0, rtol)
+    given = np.minimum(np.searchsorted(u, sol.t), len(u) - 1)
+    return OdeResult(np.where(u[given] == sol.t, ends[given], np.exp(sol.t)), sol.y, sol.nfev)
+
+
 def _solve(fld: WkbField, domain: tuple[float, float], coefficients, rtol: float,
-           enter, leave) -> ScatteringResult:
+           enter, leave, knots=()) -> ScatteringResult:
     """Integrate one route across ``domain`` and assemble its amplitudes.
 
     Every route starts on the field's cliff wave at z_min and is decomposed
     on its WKB pair at z_max. The route supplies the ``coefficients`` of its
     system for ``solve_ivp``, ``enter(z, (Psi, Psi'))`` mapping a wave into
     its state and ``leave(zs, ys)`` mapping the states at all panel ends
-    back to (Psi, Psi'), on which every check is read (``Diagnostics``).
+    back to (Psi, Psi'), on which every check is read (``Diagnostics``),
+    and the ``knots`` of its first partition, ln z of where a low derivative
+    of its coefficients jumps unseen by the panel test (``_first_partition``).
     """
     z_min, z_max = domain
-    ends = _first_partition(domain, lambda z: np.diff(fld.phi(z)), fld.potential.breaks)
-    sol = solve_ivp(coefficients, ends, enter(z_min, fld.cliff_wave(z_min)), rtol)
+    ends = _first_partition(domain, lambda z: np.diff(fld.phi(z)), fld.potential.breaks, knots)
+    sol = _integrate(coefficients, ends, enter(z_min, fld.cliff_wave(z_min)), rtol)
     psi, dpsi = leave(sol.t, sol.y)
     cp, cm = _decompose(psi[-1], dpsi[-1], *fld.wkb_pair(z_max))
     if cm == 0.0:
@@ -389,8 +417,9 @@ def solve_transformed(problem: TransformedProblem, ctl: SolverControl | None = N
         jac, f = problem.coefficients(zs)
         return jac, -f * jac
 
+    # F_t holds V'', whose third derivative jumps at each knot of a table's fit
     return _solve(problem.field, problem.domain, coefficients, ctl.rtol,
-                  problem.carry, problem.uncarry)
+                  problem.carry, problem.uncarry, problem.field.potential.log_knots())
 
 
 def scattering_length(potential, ctl: SolverControl | None = None) -> ScatteringLength:
@@ -435,8 +464,8 @@ def _threshold_length(table, ell: float, rtol: float) -> complex:
     ``threshold_phases``."""
     (n, c_n, z_top), (_, _, z) = table.tails
     ends = _first_partition((z_top, z), functools.partial(threshold_phases, table), table.breaks)
-    sol = solve_ivp(lambda z_a, zs, running: (1.0, table.value(zs)), ends,
-                    threshold_wave(z_top, n, c_n), rtol)
+    sol = _integrate(lambda z_a, zs, running: (1.0, table.value(zs)), ends,
+                     threshold_wave(z_top, n, c_n), rtol)
     c, s = math.cos(ell / z), math.sin(ell / z)
     wave = tuple(sol.y[:, -1])
     # A and B, each times W(z cos, z sin) = -ell, which cancels in -B ell/A

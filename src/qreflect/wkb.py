@@ -46,9 +46,11 @@ __all__ = [
 # threshold tail, at both ends of a solve
 Q_MATCH_REL = 1e-10
 
-# Panel sums in u = ln z (``_log_panels``) take the Chebyshev rule of
-# _RULE_NODES points on panels no wider than _PANEL_DU; the phase table is
-# gated on their summed error estimate in radians.
+# Every panel of the package lies on u = ln z. Panel sums (``_log_panels``)
+# take the Chebyshev rule of _RULE_NODES points on panels no wider than
+# _PANEL_DU, and the phase table is gated on their summed error estimate in
+# radians; the wall route's first panels (``scattering._first_partition``)
+# are no wider than _PANEL_DU either across a table's knots.
 _RULE_NODES = 12
 _TAIL_FLOOR = 1e-14   # floor of every panel test: rounding noise, relative to the values
 _PANEL_DU = 0.5
@@ -177,13 +179,14 @@ def _chebyshev_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return x, integrals.T @ to_coeffs, whole @ to_coeffs, to_coeffs[-2:]
 
 
-def _even_cut(u: np.ndarray, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _even_ends(u: np.ndarray, parts: np.ndarray) -> np.ndarray:
     """Each gap of the ascending ``u`` cut evenly into as many panels as
-    ``parts`` (integers, one a gap) says: each panel's gap, start and width."""
-    gap = np.repeat(np.arange(len(parts)), parts)
-    width = (np.diff(u) / parts)[gap]
-    index = np.arange(len(gap)) - np.repeat(np.cumsum(parts) - parts, parts)
-    return gap, u[gap] + index * width, width
+    ``parts`` (whole numbers, one a gap) says: the panel ends, u[i] + k (u[i +
+    1] - u[i])/parts[i] for k = 0 .. parts[i] - 1 in each gap, then u[-1],
+    from one interpolation. Each u[i] is among them as the same float."""
+    edges = np.zeros(len(parts) + 1)   # the count of panels before each u[i]
+    np.cumsum(parts, out=edges[1:])
+    return np.interp(np.arange(edges[-1] + 1.0), edges, u)
 
 
 def _log_rule(start, width, integrand):
@@ -205,8 +208,10 @@ def _log_panels(u: np.ndarray, integrand,
     ascending ``u`` cut evenly into the fewest panels no wider than ``du``:
     each panel's gap and start, its integral of integrand(z) z du
     (``_log_rule``), and the summed error estimate."""
-    gap, start, width = _even_cut(u, np.ceil(np.diff(u) / du).astype(int))
-    sums, errors = _log_rule(start, width, integrand)
+    parts = np.ceil(np.diff(u) / du).astype(int)
+    start = _even_ends(u, parts)[:-1]
+    gap = np.repeat(np.arange(len(parts)), parts)
+    sums, errors = _log_rule(start, (np.diff(u) / parts)[gap], integrand)
     return gap, start, sums, float(np.sum(errors))
 
 

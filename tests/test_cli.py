@@ -534,10 +534,14 @@ class TestWall:
         (["--model", "v4", "--kappa-ell", "0.3"], "--model, --kappa-ell"),
         (["--energy-e1", "100"], "--energy-e1"),
         (["--overlay-universal"], "--overlay-universal"),
-    ], ids=["table", "model", "energy-e1", "overlay"])
+        (["--cn", "5", "--n", "7", "--q-match", "1e-3", "--mass-amu", "7"],
+         "--n, --cn, --mass-amu, --q-match"),
+        (["--cn", "0"], "--cn"),
+    ], ids=["table", "model", "energy-e1", "overlay", "field-flags", "zero"])
     def test_universal_n_takes_no_field(self, capsys, argv, unread):
-        # each of these chooses or draws a field's wall, which --universal-n
-        # replaces: they were ignored, and the universal wall printed
+        # each of these chooses, draws or sets up a field's wall, which
+        # --universal-n replaces: they were ignored, and the universal wall
+        # printed; a given zero counts as given
         code = main(["wall", "--universal-n", "4", "--points", "2", *argv])
         out, err = capsys.readouterr()
         assert code == 2

@@ -54,15 +54,19 @@ def solve_route(route: str, kl: float, ctl: SolverControl | None = None):
 
 
 def spy_integrations(monkeypatch, integrate=None) -> list:
-    """Collect the results of ``scattering.solve_ivp``, every route's
-    integrator, run through ``integrate`` when given."""
+    """Collect the results of ``scattering._integrate``, every route's
+    integration, with the panel ends in z; ``integrate``, when given, stands
+    in for ``scattering.solve_ivp``, the integrator beneath it on u = ln z."""
     sols = []
+    on_log = scattering._integrate
 
     def call(*args, **kwargs):
-        sols.append((integrate or solve_ivp)(*args, **kwargs))
+        sols.append(on_log(*args, **kwargs))
         return sols[-1]
 
-    monkeypatch.setattr(scattering, "solve_ivp", call)
+    if integrate is not None:
+        monkeypatch.setattr(scattering, "solve_ivp", integrate)
+    monkeypatch.setattr(scattering, "_integrate", call)
     return sols
 
 
@@ -179,7 +183,8 @@ class TestScalarDop853:
         # the batches of panels, one component eliminated, take the loop's
         # panels, halved ones included, and land on its states: 3.7e-14 of
         # the largest component at worst (direct, kappa*ell = 10; x86-64 with
-        # OpenBLAS)
+        # OpenBLAS). Both run in the integrator's own variable, u = ln z for
+        # the routes
         pairs = []
 
         def both(*args, **kwargs):
@@ -196,8 +201,8 @@ class TestScalarDop853:
         assert sol.nfev == ref.nfev
         assert len(sol.t) > 4
         assert (np.abs(sol.y - ref.y) < 1e-13 * np.abs(ref.y).max(axis=0)).all()
-        if case not in ("direct-1.0", "transformed-1.0", "table"):   # these pass every first panel
-            assert len(sol.t) - 1 > first   # halved panels
+        if case.startswith("coupled") or case in ("decay", "oscillators"):
+            assert len(sol.t) - 1 > first   # halved panels; the others pass every first panel
         if case == "decay":
             np.testing.assert_allclose(sol.y[0], 1.0 / (1.0 + sol.t), rtol=1e-10, atol=0.0)
 
@@ -226,8 +231,8 @@ class TestScalarDop853:
 
     def test_one_batch_a_round(self, monkeypatch):
         # each round of panels is one batch, one call of the coefficients: on
-        # v4 at kappa*ell = 10 a direct solve's 43 first panels, then the
-        # halves of those that fail
+        # v4 at kappa*ell = 10 a coupled solve's 39 first panels, then the
+        # halves of the 7 that fail
         firsts, batches = [], []
 
         def counted(coefficients, ends, *args, **kwargs):
@@ -238,10 +243,10 @@ class TestScalarDop853:
             return solve_ivp(count, ends, *args, **kwargs)
 
         sols = spy_integrations(monkeypatch, counted)
-        solve_route("direct", 10.0)
+        solve_route("coupled", 10.0)
         (sol,), (first,) = sols, firsts
         halved = len(sol.t) - 1 - first
-        assert first == 43 and halved >= 1
+        assert first == 39 and halved >= 1
         assert batches == [first, 2 * halved]
 
     def test_nan_rhs_fails_like_scipy(self):
@@ -349,8 +354,8 @@ class TestCollocate:
         assert len(inside) > 100 and len(sol.t) < 60
         assert not np.isin(inside, sol.t).any()
         first_partition = scattering._first_partition
-        monkeypatch.setattr(scattering, "_first_partition", lambda domain, phases, breaks: (
-            np.union1d(first_partition(domain, phases, breaks), inside)))
+        monkeypatch.setattr(scattering, "_first_partition", lambda domain, phases, *cuts: (
+            np.union1d(first_partition(domain, phases, *cuts), inside)))
         ended = solve_transformed(prob, SolverControl(rtol=1e-13))
         assert np.isin(inside, sols[-1].t).all()
         assert abs(crossing.r - ended.r) <= 5e-12
@@ -384,34 +389,42 @@ class TestCollocate:
 
     def test_rules_on_the_table(self):
         # one rule on every potential: on a table, as on V_n, each first
-        # panel spans at most _PHASE_RATIO in z and about _PHASE_RAD of phi
-        # (its gap is cut evenly in z), among the nodes as on the tails, and
-        # the panels end on the table's breaks
+        # panel spans at most _PHASE_DU of u = ln z, or the phase table's
+        # _PANEL_DU across the spline's knots where the route gives them
+        # (the wall route), and about _PHASE_RAD of phi (its gap is cut
+        # evenly in u), among the nodes as on the tails, and the panels end
+        # on the table's breaks
         fld = WkbField(two_tail_table(), 0.02)
         domain = fld.matching_domain()
-        breaks = fld.potential.breaks
-        ends = scattering._first_partition(domain, lambda z: np.diff(fld.phi(z)), breaks)
-        assert (ends[0], ends[-1]) == domain
-        assert np.isin(breaks[(breaks > domain[0]) & (breaks < domain[1])], ends).all()
-        phase = np.diff(fld.phi(ends))
-        assert (ends[1:] <= scattering._PHASE_RATIO * (1.0 + 1e-12) * ends[:-1]).all()
-        assert (phase < 2.0 * scattering._PHASE_RAD).all()
-        assert ((ends > fld.potential.z_min) & (ends < fld.potential.z_max)).sum() >= 10
-        assert len(ends) < 60
+        pot = fld.potential
+        for knots, across in (((), scattering._PHASE_DU), (pot.log_knots(), scattering._PANEL_DU)):
+            ends = scattering._first_partition(domain, lambda z: np.diff(fld.phi(z)), pot.breaks,
+                                               knots)
+            assert (ends[0], ends[-1]) == domain
+            assert np.isin(pot.breaks[(pot.breaks > domain[0]) & (pot.breaks < domain[1])],
+                           ends).all()
+            phase = np.diff(fld.phi(ends))
+            on_knots = (ends[:-1] >= pot.z_min) & (ends[1:] <= pot.z_max)
+            width = np.where(on_knots, across, scattering._PHASE_DU)
+            assert (np.diff(np.log(ends)) <= width * (1.0 + 1e-12)).all()
+            assert (phase < 2.0 * scattering._PHASE_RAD).all()
+            assert ((ends > pot.z_min) & (ends < pot.z_max)).sum() >= 10
+            assert len(ends) < 60
 
-    @pytest.mark.parametrize("case", ["v4-0.119", "v4-10", "cp-e1x100"])
+    @pytest.mark.parametrize("case", ["v4-0.119", "v4-10", "cp-e1x100", "cp-e1x100-knots"])
     def test_partition_unchanged(self, tmp_path, case):
         # _first_partition with the phase of a field gives the ends of the
-        # reference, bit for bit
+        # reference, bit for bit, with and without a table's knots
         if case.startswith("v4"):
             kl = float(case.split("-")[1])
             fld = WkbField(v4(kl), kl)
         else:
             fld = WkbField(load_potential_table(write_cp_table(tmp_path)), e1_energy(100.0))
         domain = fld.matching_domain()
+        knots = fld.potential.log_knots() if case.endswith("knots") else ()
         ends = scattering._first_partition(domain, lambda z: np.diff(fld.phi(z)),
-                                           fld.potential.breaks)
-        np.testing.assert_array_equal(ends, joined_partition(fld, domain))
+                                           fld.potential.breaks, knots)
+        np.testing.assert_array_equal(ends, joined_partition(fld, domain, knots))
 
     def test_halves_keep_the_rule(self, monkeypatch):
         # 60 rad on every first panel fails the rule: each half is solved on
@@ -497,23 +510,28 @@ class TestCollocate:
         assert out.stdout.strip() == "0"
 
 
-def joined_partition(fld: WkbField, domain):
+def joined_partition(fld: WkbField, domain, knots):
     """The first partition in one function reading ``fld.phi``: the
-    reference for ``scattering._first_partition``."""
+    reference for ``scattering._first_partition``. Each gap between the
+    domain's ends and the breaks inside is cut evenly in u = ln z into
+    parts no wider than ``_PHASE_DU``, or ``_PANEL_DU`` where it holds one
+    of ``knots``, and each part evenly in u by its phase; each gap starts on
+    its own float."""
     z_min, z_max = domain
-    count = math.ceil(math.log(z_max / z_min) / math.log(scattering._PHASE_RATIO))
-    coarse = z_min * (z_max / z_min) ** (np.arange(count + 1) / count)
-    coarse[-1] = z_max
-    breaks = fld.potential.breaks
-    breaks = breaks[(breaks > z_min) & (breaks < z_max)]
-    if len(breaks):
-        coarse = np.union1d(coarse, breaks)
-    phase = np.diff(fld.phi(coarse))
-    parts = np.maximum(np.ceil(phase / scattering._PHASE_RAD), 1.0).astype(int)
-    piece = np.repeat(np.arange(len(parts)), parts)
-    step = np.diff(coarse)[piece] / parts[piece]
-    ends = coarse[piece] + (np.arange(len(piece)) - (np.cumsum(parts) - parts)[piece]) * step
-    return np.append(ends, z_max)
+    pot = fld.potential
+    points = np.array([z_min, *pot.breaks[(pot.breaks > z_min) & (pot.breaks < z_max)], z_max])
+    u, knots = np.log(points), np.asarray(knots)
+    ends = []
+    for a, b, start in zip(u[:-1], u[1:], points):
+        width = scattering._PANEL_DU if ((knots > a) & (knots < b)).any() else scattering._PHASE_DU
+        count = math.ceil((b - a) / width)
+        coarse = np.append(a + np.arange(count) * ((b - a) / count), b)
+        parts = np.maximum(np.ceil(np.diff(fld.phi(np.exp(coarse))) / scattering._PHASE_RAD), 1.0)
+        first = len(ends)
+        for c, d, p in zip(coarse[:-1], coarse[1:], parts.astype(int)):
+            ends.extend(np.exp(c + np.arange(p) * ((d - c) / p)))
+        ends[first] = start
+    return np.array(ends + [z_max])
 
 
 class TestCliffStart:
@@ -521,15 +539,17 @@ class TestCliffStart:
     # cut (n = 4 keeps the WKB start), within 10%: the panel tests pass
     # through BLAS and LAPACK, whose kernels differ between CPUs
     V4_WORK = {
-        (0.119, "direct"): (14, 480), (0.119, "coupled"): (14, 480),
-        (0.119, "transformed"): (14, 480),
-        (1.0, "direct"): (19, 608), (1.0, "coupled"): (22, 800),
-        (1.0, "transformed"): (19, 608),
-        (10.0, "direct"): (44, 1440), (10.0, "coupled"): (51, 1888),
-        (10.0, "transformed"): (44, 1440),
+        (1e-3, "direct"): (7, 224), (1e-3, "coupled"): (7, 224),
+        (1e-3, "transformed"): (7, 224),
+        (0.119, "direct"): (9, 288), (0.119, "coupled"): (10, 352),
+        (0.119, "transformed"): (9, 288),
+        (1.0, "direct"): (15, 480), (1.0, "coupled"): (17, 608),
+        (1.0, "transformed"): (15, 480),
+        (10.0, "direct"): (39, 1248), (10.0, "coupled"): (46, 1696),
+        (10.0, "transformed"): (39, 1248),
     }
 
-    @pytest.mark.parametrize("kl", [0.119, 1.0, 10.0])
+    @pytest.mark.parametrize("kl", [1e-3, 0.119, 1.0, 10.0])
     @pytest.mark.parametrize("route", ["direct", "coupled", "transformed"])
     def test_quartic_starts_on_the_wkb_wave(self, monkeypatch, route, kl):
         sols = spy_integrations(monkeypatch)
@@ -550,16 +570,23 @@ class TestCliffStart:
         assert work == pytest.approx(self.V4_WORK[kl, route], rel=0.1)
 
     def test_routes_share_the_threshold_wave(self, monkeypatch):
-        # each route's start state maps back to the same (Psi, Psi') at z_min
+        # each route's start state maps back to the same (Psi, Psi') at z_min;
+        # the panels run on u = ln z, yet each route starts and ends on the
+        # matching domain bit for bit, and the table's break inside it, z =
+        # 0.004, is a panel end in z, the same float: e**(ln z) misses all three
         pot, energy = two_tail_table(), 0.02
         sols = spy_integrations(monkeypatch)
         res = [solve_direct(pot, energy), solve_coupled(pot, energy),
                solve_transformed(special_gauge(WkbField(pot, energy))[1])]
         fld = WkbField(pot, energy)
-        z_min, _ = fld.matching_domain(SolverControl().q_match_rel)
+        z_min, z_max = fld.matching_domain(SolverControl().q_match_rel)
         assert fld.on_threshold_tail(z_min)
         psi, dpsi = fld.cliff_wave(z_min)
-        assert all(sol.t[0] == z_min for sol in sols)
+        inside = pot.breaks[(pot.breaks > z_min) & (pot.breaks < z_max)]
+        assert len(inside) == 1
+        for sol in sols:
+            assert (sol.t[0], sol.t[-1]) == (z_min, z_max)
+            assert np.isin(inside, sol.t).all()
         direct, coupled, wall = (sol.y[:, 0].tolist() for sol in sols)
         assert direct == [psi, dpsi]
         k, phi = fld.k(z_min), fld.phi(z_min)
