@@ -237,7 +237,12 @@ def solve_v4(kappa_ell: float) -> MathieuSolution:
     on). It raises too at some kappa*ell within about 7e-8 of 0.6947186,
     where tau = (2/pi) asin(sqrt(w)) meets the branch point w = 1 and tau
     and r are 0/0-conditioned; r is within 1e-9 of the direct route from
-    1e-6 away, and within 1e-11 from 1e-4 away.
+    1e-6 away, and within 1e-11 from 1e-4 away. tau meets an integer at
+    four more kappa*ell below 41: about 7.224158434 (tau = 1), 7.302939141
+    (0), 21.02175766 (0) and 21.02678611 (1). Within about 2e-7 of the
+    first, third and fourth some points raise. Near 7.302939141 none does,
+    and r is wrong unseen: at 7.30293914102 R reads 0.999999999696 where
+    the numeric routes give 1.39721186482e-4.
     """
     if not 0.0 < kappa_ell < math.inf:   # also false for nan
         raise ValueError("kappa_ell must be finite and positive")

@@ -17,7 +17,8 @@ state obeys y' = [[0, a], [b, 0]] y with the route's own a and b, and all
 three run on one integrator, ``solve_ivp``, on u = ln z, the paper's log
 gauge, where a power law is an exponential (``_integrate``): Chebyshev
 panels of 32 nodes, as wide as the phase and ln 4 of u allow, each round
-of them solved in one batch. V'' is continuous on every potential, a
+of them solved in one batch. A route gives a and b at the nodes, in z,
+from the nodes alone and the integrals of node values along each panel. V'' is continuous on every potential, a
 table's included, so panels run across a table's nodes and knots, the wall
 route's at most the phase table's 0.5 of u wide there; they end only where
 the derivative of V'' jumps (``breaks``). The routes check each other as
@@ -161,17 +162,6 @@ class OdeResult:
         self.t, self.y, self.nfev = t, y, nfev
 
 
-def _times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x @ m for a real m, with a complex x split into real and imaginary
-    parts: numpy multiplies a complex by a real matrix many times slower."""
-    if not np.iscomplexobj(x):
-        return x @ m
-    out = np.empty(x.shape[:-1] + m.shape[1:], dtype=complex)
-    out.real = x.real @ m
-    out.imag = x.imag @ m
-    return out
-
-
 @functools.cache
 def _panel_rule(n: int) -> tuple[np.ndarray, ...]:
     """``wkb._chebyshev_rule(n)`` as the panels use it: (x, S, [S; w],
@@ -184,16 +174,16 @@ def _panel_rule(n: int) -> tuple[np.ndarray, ...]:
 
 
 def _first_partition(domain: tuple[float, float], phases, breaks: np.ndarray,
-                     knots=()) -> np.ndarray:
-    """Panel ends across ``domain``, in z. The gaps between its ends and the
-    ``breaks`` inside are cut evenly in u = ln z into the fewest parts no
-    wider than ``_PHASE_DU``, or than the phase table's ``_PANEL_DU`` where
-    a gap holds any of the ascending ``knots`` (in u), then each part evenly
-    in u into the fewest panels of about ``_PHASE_RAD`` or less of the phase
-    ``phases(points)`` gives between each two (``wkb._even_ends``). The
-    domain's ends and the breaks stay the same floats. More than
-    ``_MAX_PANELS`` panels raise ``RuntimeError`` before anything is
-    allocated."""
+                     knots=()) -> tuple[np.ndarray, np.ndarray]:
+    """Panel ends across ``domain`` in u = ln z, and the points they cut at
+    in z: the domain's ends and the ``breaks`` inside. The gaps between the
+    points are cut evenly in u into the fewest parts no wider than
+    ``_PHASE_DU``, or than the phase table's ``_PANEL_DU`` where a gap holds
+    any of the ascending ``knots`` (in u), then each part evenly in u into
+    the fewest panels of about ``_PHASE_RAD`` or less of the phase
+    ``phases(z)`` gives between each two (``wkb._even_ends``). ln of each
+    point is among the ends as the same float. More than ``_MAX_PANELS``
+    panels raise ``RuntimeError`` before anything is allocated."""
     z_min, z_max = domain
     points = np.concatenate(([z_min], breaks[(breaks > z_min) & (breaks < z_max)], [z_max]))
     u = np.log(points)
@@ -204,20 +194,17 @@ def _first_partition(domain: tuple[float, float], phases, breaks: np.ndarray,
     if not count <= _MAX_PANELS:   # also true for nan
         raise RuntimeError(f"integration failed: the first partition needs {count:.3g} "
                            f"panels, more than {_MAX_PANELS}")
-    fine = _even_ends(coarse, parts)
-    ends = np.exp(fine)
-    ends[np.searchsorted(fine, u)] = points   # each gap of u starts on its own float
-    return ends
+    return _even_ends(coarse, parts), points
 
 
 def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:
-    """Integrate y' = [[0, a(z)], [b(z), 0]] y from ``y0`` at ends[0] to ends[-1].
+    """Integrate y' = [[0, a(t)], [b(t), 0]] y from ``y0`` at ends[0] to ends[-1].
 
     ``ends`` is the first partition into panels, each panel a Chebyshev rule
-    of n = ``_PHASE_NODES`` nodes; ``coefficients(z_a, zs, running)`` returns a
-    and b at the nodes ``zs`` (one row per panel, from the panel starts
-    ``z_a``), arrays or numbers, where ``running(f)`` integrates node
-    values from each panel's start to each of its nodes. A panel solves
+    of n = ``_PHASE_NODES`` nodes; ``coefficients(ts, running)`` returns a
+    and b at the nodes ``ts`` (one row per panel), arrays or numbers, where
+    ``running(f)`` integrates node values from each panel's start to each
+    of its nodes. A panel solves
     Y = e_j + S (M Y) at its nodes for both unit starts e_j at once, one
     component eliminated, and its propagator's columns are e_j + w (M Y);
     no node lies on a panel end, where a coefficient may jump. A panel is
@@ -225,7 +212,7 @@ def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:
     are at most tol times their largest value, in both columns,
     tol = max(rtol, 1e-14): below that floor lies rounding noise. The
     panels that fail are halved and solved again, the others kept; a panel
-    narrower than ten ulps of z, or coefficients that are not finite, raise
+    narrower than ten ulps of t, or coefficients that are not finite, raise
     ``RuntimeError`` ("integration failed: ..."). The product of the
     propagators in order gives the states at the panel ends; ``nfev``
     counts coefficient evaluations at nodes, retries included. The panels
@@ -245,15 +232,15 @@ def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:
     batch = max(_BUDGET // (n * n), 1)
     queue_a, queue_b = ends[:-1], ends[1:]
     while len(queue_a):
-        z_a, z_b = queue_a[:batch], queue_b[:batch]
-        half = 0.5 * (z_b - z_a)
-        if not (half >= 5.0 * (np.nextafter(z_a, np.inf) - z_a)).all():
+        t_a, t_b = queue_a[:batch], queue_b[:batch]
+        half = 0.5 * (t_b - t_a)
+        if not (half >= 5.0 * (np.nextafter(t_a, np.inf) - t_a)).all():
             raise RuntimeError("integration failed: Required panel width is less "
                                "than spacing between numbers.")
-        zs = z_a[:, None] + half[:, None] * (x + 1.0)
-        a, b = (np.broadcast_to(c, zs.shape) for c in
-                coefficients(z_a, zs, lambda f: half[:, None] * _times(f, s_ref.T)))
-        nfev += zs.size
+        ts = t_a[:, None] + half[:, None] * (x + 1.0)
+        a, b = (np.broadcast_to(c, ts.shape) for c in
+                coefficients(ts, lambda f: half[:, None] * (f @ s_ref.T)))
+        nfev += ts.size
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise RuntimeError("integration failed: Coefficients are not finite.")
         # U = u_a + S a V and V = v_a + S b U, for (u_a, v_a) = (1, 0) and
@@ -262,26 +249,27 @@ def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:
         # S a S of every panel in one product, with no (panel, n, n)
         # temporary; a complex ha's (re, im) pairs are two real columns
         if np.iscomplexobj(ha):
-            lhs = np.matmul(squares, ha.view(float).reshape(len(z_a), n, 2)).view(complex)
+            lhs = np.matmul(squares, ha.view(float).reshape(len(t_a), n, 2)).view(complex)
         else:
             lhs = ha @ squares.T
-        lhs = lhs.reshape(len(z_a), n, n)
+        lhs = lhs.reshape(len(t_a), n, n)
         lhs *= -hb[:, None, :]
-        lhs.reshape(len(z_a), -1)[:, ::n + 1] += 1.0
-        us = np.linalg.solve(lhs, np.stack([np.ones(zs.shape), _times(ha, s_ref.T)], axis=2))
+        lhs.reshape(len(t_a), -1)[:, ::n + 1] += 1.0
+        us = np.linalg.solve(lhs, np.stack([np.ones(ts.shape), ha @ s_ref.T], axis=2))
         us = np.ascontiguousarray(us.transpose(0, 2, 1))          # [panel, column, node]
         # V at the nodes and at the panel's end in one product, then U at its end
-        vs = _times(hb[:, None, :] * us, s_end.T) + v_start[:, None]
-        u_end = _times(ha[:, None, :] * vs[..., :n], w_ref) + u_start
+        vs = ((hb[:, None, :] * us).reshape(-1, n) @ s_end.T).reshape(len(t_a), 2, n + 1)
+        vs += v_start[:, None]
+        u_end = (ha[:, None, :] * vs[..., :n]) @ w_ref + u_start
         # the tail test on both components of both columns
         uv = np.concatenate([us, vs[..., :n]], axis=2)
-        tails = np.abs(_times(uv.reshape(-1, n), tail_ref.T)).reshape(len(z_a), 2, 4)
+        tails = np.abs(uv.reshape(-1, n) @ tail_ref.T).reshape(len(t_a), 2, 4)
         good = (tails.max(axis=2) <= tol * np.abs(uv).max(axis=2)).all(axis=1)
-        starts.append(z_a[good])
+        starts.append(t_a[good])
         propagators.append(np.stack([u_end, vs[..., n]], axis=1)[good])
-        mid = z_a[~good] + half[~good]
-        queue_a = np.concatenate([queue_a[batch:], z_a[~good], mid])
-        queue_b = np.concatenate([queue_b[batch:], mid, z_b[~good]])
+        mid = t_a[~good] + half[~good]
+        queue_a = np.concatenate([queue_a[batch:], t_a[~good], mid])
+        queue_b = np.concatenate([queue_b[batch:], mid, t_b[~good]])
     starts = np.concatenate(starts)
     order = np.argsort(starts)
     y = tuple(map(complex, y0))
@@ -292,22 +280,25 @@ def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:
     return OdeResult(np.concatenate((starts[order], ends[-1:])), np.array(ys).T, nfev)
 
 
-def _integrate(coefficients, ends, y0, rtol: float) -> OdeResult:
-    """``solve_ivp`` on u = ln z across the panel ends ``ends`` in z, for a
-    system y' = [[0, a(z)], [b(z), 0]] y given in z, as ``solve_ivp`` takes it:
-    in u its coefficients are a z and b z at z = e**u, and ``running(f)``
-    integrates f z du. Returns that solve with its panel ends ``t`` in z,
-    each of ``ends`` the same float and the others e**u."""
-    u = np.log(ends)
+def _integrate(coefficients, partition, y0, rtol: float) -> OdeResult:
+    """``solve_ivp`` on u = ln z across ``partition``, the panel ends in u
+    and the points in z of ``_first_partition``, for a system y' = [[0,
+    a(z)], [b(z), 0]] y given in z, as ``solve_ivp`` takes it: in u its
+    coefficients are a z and b z at z = e**u, and ``running(f)`` integrates
+    f z du. Returns that solve with its panel ends ``t`` in z: an end that
+    is ln of one of the points is that point, the same float, and the
+    others are e**u."""
+    u, points = partition
 
-    def on_log(u_a, us, running):
+    def on_log(us, running):
         z = np.exp(us)
-        a, b = coefficients(np.exp(u_a), z, lambda f: running(f * z))
+        a, b = coefficients(z, lambda f: running(f * z))
         return a * z, b * z
 
     sol = solve_ivp(on_log, u, y0, rtol)
-    given = np.minimum(np.searchsorted(u, sol.t), len(u) - 1)
-    return OdeResult(np.where(u[given] == sol.t, ends[given], np.exp(sol.t)), sol.y, sol.nfev)
+    given = np.log(points)
+    i = np.minimum(np.searchsorted(given, sol.t), len(given) - 1)
+    return OdeResult(np.where(given[i] == sol.t, points[i], np.exp(sol.t)), sol.y, sol.nfev)
 
 
 def _solve(fld: WkbField, domain: tuple[float, float], coefficients, rtol: float,
@@ -316,15 +307,15 @@ def _solve(fld: WkbField, domain: tuple[float, float], coefficients, rtol: float
 
     Every route starts on the field's cliff wave at z_min and is decomposed
     on its WKB pair at z_max. The route supplies the ``coefficients`` of its
-    system for ``solve_ivp``, ``enter(z, (Psi, Psi'))`` mapping a wave into
+    system in z (``_integrate``), ``enter(z, (Psi, Psi'))`` mapping a wave into
     its state and ``leave(zs, ys)`` mapping the states at all panel ends
     back to (Psi, Psi'), on which every check is read (``Diagnostics``),
     and the ``knots`` of its first partition, ln z of where a low derivative
     of its coefficients jumps unseen by the panel test (``_first_partition``).
     """
     z_min, z_max = domain
-    ends = _first_partition(domain, lambda z: np.diff(fld.phi(z)), fld.potential.breaks, knots)
-    sol = _integrate(coefficients, ends, enter(z_min, fld.cliff_wave(z_min)), rtol)
+    partition = _first_partition(domain, lambda z: np.diff(fld.phi(z)), fld.potential.breaks, knots)
+    sol = _integrate(coefficients, partition, enter(z_min, fld.cliff_wave(z_min)), rtol)
     psi, dpsi = leave(sol.t, sol.y)
     cp, cm = _decompose(psi[-1], dpsi[-1], *fld.wkb_pair(z_max))
     if cm == 0.0:
@@ -355,7 +346,7 @@ def solve_direct(potential, energy: float, ctl: SolverControl | None = None) -> 
     ctl = ctl or _DEFAULT_CTL
     fld = WkbField(potential, energy)
 
-    def coefficients(z_a, zs, running):
+    def coefficients(zs, running):
         return 1.0, -fld.f_coeff(zs)
 
     return _solve(fld, fld.matching_domain(ctl.q_match_rel), coefficients, ctl.rtol,
@@ -375,20 +366,21 @@ def solve_coupled(potential, energy: float, ctl: SolverControl | None = None) ->
 
     The state carries (beta_+, beta_-); the amplitudes obey
     beta_eta' = beta_(-eta) (k'/2k) exp(-2 i eta phi). On each panel phi
-    is ``fld.phi`` at the panel's start plus the panel's integral of k, so
-    it never drifts. (beta_+, beta_-) are a wave's coefficients on the
-    adiabatic pair (``_adiabatic_pair``), so a wave enters by ``_decompose``
-    on that pair and leaves as its sum over it. The cliff wave enters
+    is ``fld.phi`` at the panel's first node plus the integral of k from
+    there, so it never drifts. (beta_+, beta_-) are a wave's coefficients
+    on the adiabatic pair (``_adiabatic_pair``), so a wave enters by
+    ``_decompose`` on that pair and leaves as its sum over it. The cliff wave enters
     exactly; the leftward WKB wave, for one, enters with a first-order
     dressing beta_+ = i k'/(4 k**2) e^(-2 i phi).
     """
     ctl = ctl or _DEFAULT_CTL
     fld = WkbField(potential, energy)
 
-    def coefficients(z_a, zs, running):
+    def coefficients(zs, running):
         k = fld.k(zs)
         g = fld.potential.dvalue(zs) / (-4.0 * k * k)   # k'/(2k)
-        rot = np.exp(-2j * (fld.phi(z_a)[:, None] + running(k)))
+        phase = running(k)
+        rot = np.exp(-2j * (fld.phi(zs[:, 0])[:, None] + phase - phase[:, :1]))
         return g * rot, g * rot.conj()
 
     def enter(z, wave):
@@ -413,7 +405,7 @@ def solve_transformed(problem: TransformedProblem, ctl: SolverControl | None = N
     """
     ctl = ctl or _DEFAULT_CTL
 
-    def coefficients(z_a, zs, running):
+    def coefficients(zs, running):
         jac, f = problem.coefficients(zs)
         return jac, -f * jac
 
@@ -463,8 +455,9 @@ def _threshold_length(table, ell: float, rtol: float) -> complex:
     on the panels of every solve (``_first_partition``) with the phase of
     ``threshold_phases``."""
     (n, c_n, z_top), (_, _, z) = table.tails
-    ends = _first_partition((z_top, z), functools.partial(threshold_phases, table), table.breaks)
-    sol = _integrate(lambda z_a, zs, running: (1.0, table.value(zs)), ends,
+    partition = _first_partition((z_top, z), functools.partial(threshold_phases, table),
+                                 table.breaks)
+    sol = _integrate(lambda zs, running: (1.0, table.value(zs)), partition,
                      threshold_wave(z_top, n, c_n), rtol)
     c, s = math.cos(ell / z), math.sin(ell / z)
     wave = tuple(sol.y[:, -1])

@@ -81,7 +81,7 @@ def pointwise(integrate, coefficients, ends, y0, rtol: float):
     zero). A run that scipy reports failed raises, as the panels do."""
     def rhs(z, y):
         a, b = (complex(np.ravel(c)[0]) for c in
-                coefficients(np.array([z]), np.array([[z]]), np.zeros_like))
+                coefficients(np.array([[z]]), np.zeros_like))
         return (a * y[1], b * y[0])
 
     sol = integrate(rhs, (ends[0], ends[-1]), np.asarray(y0, dtype=complex), method="DOP853",
@@ -116,7 +116,7 @@ def loop_solve_ivp(coefficients, ends, y0, rtol: float) -> scattering.OdeResult:
         assert half >= 5.0 * (math.nextafter(z_a, math.inf) - z_a)
         zs = z_a + half * (x + 1.0)
         a, b = (np.broadcast_to(c, (1, n))[0] for c in
-                coefficients(np.array([z_a]), zs[None, :], lambda f: half * (f @ s_ref.T)))
+                coefficients(zs[None, :], lambda f: half * (f @ s_ref.T)))
         nfev += n
         assert np.isfinite(a).all() and np.isfinite(b).all()
         s = half * s_ref
@@ -135,6 +135,14 @@ def loop_solve_ivp(coefficients, ends, y0, rtol: float) -> scattering.OdeResult:
     return scattering.OdeResult(np.array(ts), np.array(ys).T, nfev)
 
 
+def panel_spans(zs):
+    """The start and half width of each panel whose Chebyshev nodes are the
+    rows of ``zs``, to rounding."""
+    x = scattering._chebyshev_rule(zs.shape[1])[0]
+    half = (zs[:, -1] - zs[:, 0]) / (x[-1] - x[0])
+    return zs[:, 0] - half * (x[0] + 1.0), half
+
+
 KERNEL_CASES = [f"{route}-{kl}" for route in ROUTES for kl in (0.119, 1.0, 10.0)] + [
     "table", "decay", "oscillators"]
 
@@ -142,10 +150,10 @@ KERNEL_CASES = [f"{route}-{kl}" for route in ROUTES for kl in (0.119, 1.0, 10.0)
 def run_kernel_case(case: str) -> None:
     """Integrate once through ``scattering.solve_ivp``."""
     if case == "decay":   # u'' = 2 u / (1 + z)**2 from u = 1/(1 + z), one first panel
-        scattering.solve_ivp(lambda z_a, zs, running: (1.0, 2.0 / (1.0 + zs) ** 2),
+        scattering.solve_ivp(lambda zs, running: (1.0, 2.0 / (1.0 + zs) ** 2),
                              (0.0, 5.0), (1.0, -1.0), rtol=1e-10)
     elif case == "oscillators":   # u'' = -(4 + cos z) u, complex start, two first panels
-        scattering.solve_ivp(lambda z_a, zs, running: (1.0, -(4.0 + np.cos(zs))),
+        scattering.solve_ivp(lambda zs, running: (1.0, -(4.0 + np.cos(zs))),
                              (0.0, 3.5, 7.0), (1.0, 0.5j), rtol=1e-11)
     elif case == "table":   # the default cut starts below the table, on its cliff tail
         solve_direct(two_tail_table(), 0.02)
@@ -159,12 +167,19 @@ class TestScalarDop853:
     scipy's DOP853, reading each route's coefficients one point at a time,
     and ``loop_solve_ivp``, one panel at a time."""
 
-    @pytest.mark.parametrize("kl", [0.119, 1.0, 10.0])
+    @pytest.mark.parametrize("kl", [0.119, 1.0, 10.0, "cp"])
     @pytest.mark.parametrize("route", ROUTES)
-    def test_same_steps_as_scipy(self, monkeypatch, route, kl):
+    def test_same_steps_as_scipy(self, monkeypatch, tmp_path, route, kl):
         # the routes' systems go through DOP853 here, pointwise, and land on
         # the routes' own r: two integrators, one r (2.3e-12 at worst, wall
-        # route at kappa*ell = 0.119; x86-64 with OpenBLAS)
+        # route at kappa*ell = 0.119; x86-64 with OpenBLAS). Its steps in u
+        # come back in z as the matching ends, the same floats, and e**u of
+        # every other step: on the cp table at E1 x 100 the breaks z = 1 and
+        # 4e4 lie inside the domain, off the steps, and no step takes them
+        if kl == "cp":
+            pot, energy = load_potential_table(write_cp_table(tmp_path)), e1_energy(100.0)
+        else:
+            pot, energy = v4(kl), kl
         sols = []
 
         def record(*args, **kwargs):
@@ -172,11 +187,15 @@ class TestScalarDop853:
             return sols[-1]
 
         on_dop853(monkeypatch, record)
-        ref = solve_route(route, kl)
+        spied = spy_integrations(monkeypatch)
+        ref = solve_on(route, pot, energy)
         monkeypatch.undo()
-        (sol,) = sols
+        (sol,), (in_z,) = sols, spied
         assert sol.success and len(sol.t) > 20
-        assert abs(solve_route(route, kl).r - ref.r) < 1e-10
+        domain = WkbField(pot, energy).matching_domain(SolverControl().q_match_rel)
+        assert (in_z.t[0], in_z.t[-1]) == domain
+        np.testing.assert_array_equal(in_z.t[1:-1], np.exp(sol.t[1:-1]))
+        assert abs(solve_on(route, pot, energy).r - ref.r) < 1e-10
 
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_kernel_matches_loop(self, monkeypatch, case):
@@ -236,9 +255,9 @@ class TestScalarDop853:
         firsts, batches = [], []
 
         def counted(coefficients, ends, *args, **kwargs):
-            def count(z_a, zs, running):
-                batches.append(len(z_a))
-                return coefficients(z_a, zs, running)
+            def count(zs, running):
+                batches.append(len(zs))
+                return coefficients(zs, running)
             firsts.append(len(ends) - 1)
             return solve_ivp(count, ends, *args, **kwargs)
 
@@ -254,7 +273,7 @@ class TestScalarDop853:
         # below ten ulps of z; the panels raise at the batch that meets it
         evals = []
 
-        def coefficients(z_a, zs, running):
+        def coefficients(zs, running):
             evals.append(zs.size)
             return 1.0, np.where(zs < 2.0, -1.0, np.nan)
 
@@ -284,7 +303,7 @@ class TestScalarDop853:
             ends = np.linspace(0.0, 1.0, 3 * batch + 1)
             evals = []
 
-            def coefficients(z_a, zs, running):
+            def coefficients(zs, running):
                 evals.append(zs.size)
                 return math.nan, math.nan
 
@@ -294,9 +313,9 @@ class TestScalarDop853:
 
     def test_span_must_run_forward(self):
         with pytest.raises(ValueError, match="does not run forward"):
-            solve_ivp(lambda z_a, zs, running: (1.0, -1.0), (1.0, 0.0), (1.0, 0.0), rtol=1e-10)
+            solve_ivp(lambda zs, running: (1.0, -1.0), (1.0, 0.0), (1.0, 0.0), rtol=1e-10)
         with pytest.raises(ValueError, match="does not run forward"):
-            solve_ivp(lambda z_a, zs, running: (1.0, -1.0), (0.0, 2.0, 1.0, 3.0), (1.0, 0.0),
+            solve_ivp(lambda zs, running: (1.0, -1.0), (0.0, 2.0, 1.0, 3.0), (1.0, 0.0),
                       rtol=1e-10)
 
     def test_failed_integration_raises(self, monkeypatch):
@@ -320,7 +339,7 @@ class TestCollocate:
         omega = 12.0
         for n, least in ((12, 100), (scattering._PHASE_NODES, 30)):
             monkeypatch.setattr(scattering, "_PHASE_NODES", n)
-            sol = solve_ivp(lambda z_a, zs, running: (1.0, -omega * omega),
+            sol = solve_ivp(lambda zs, running: (1.0, -omega * omega),
                             (1.0, 51.0), (1.0, 1j * omega), rtol=1e-12)
             assert sol.t[-1] == 51.0 and len(sol.t) > least
             assert np.ptp(np.diff(sol.t)) == 0.0
@@ -332,7 +351,7 @@ class TestCollocate:
         # with b = 0 only the column started on (0, 1) moves, u = int a: a
         # panel passed on the other column alone would stay 10 rad wide
         monkeypatch.setattr(scattering, "_PHASE_NODES", 12)
-        sol = solve_ivp(lambda z_a, zs, running: (np.cos(20.0 * zs), 0.0),
+        sol = solve_ivp(lambda zs, running: (np.cos(20.0 * zs), 0.0),
                         (0.0, 10.0), (0.0, 1.0), rtol=1e-12)
         assert len(sol.t) > 30
         np.testing.assert_allclose(sol.y[0], np.sin(20.0 * sol.t) / 20.0, rtol=0.0, atol=1e-13)
@@ -354,8 +373,12 @@ class TestCollocate:
         assert len(inside) > 100 and len(sol.t) < 60
         assert not np.isin(inside, sol.t).any()
         first_partition = scattering._first_partition
-        monkeypatch.setattr(scattering, "_first_partition", lambda domain, phases, *cuts: (
-            np.union1d(first_partition(domain, phases, *cuts), inside)))
+
+        def ended_on_the_knots(*args):
+            u, points = first_partition(*args)
+            return np.union1d(u, np.log(inside)), np.union1d(points, inside)
+
+        monkeypatch.setattr(scattering, "_first_partition", ended_on_the_knots)
         ended = solve_transformed(prob, SolverControl(rtol=1e-13))
         assert np.isin(inside, sols[-1].t).all()
         assert abs(crossing.r - ended.r) <= 5e-12
@@ -379,7 +402,7 @@ class TestCollocate:
         # both panels
         n, evals = scattering._PHASE_NODES, []
 
-        def coefficients(z_a, zs, running):
+        def coefficients(zs, running):
             evals.append(zs.size)
             return 1.0, np.where(zs < 2.0, -1.0, np.nan)
 
@@ -397,16 +420,18 @@ class TestCollocate:
         fld = WkbField(two_tail_table(), 0.02)
         domain = fld.matching_domain()
         pot = fld.potential
+        inside = pot.breaks[(pot.breaks > domain[0]) & (pot.breaks < domain[1])]
         for knots, across in (((), scattering._PHASE_DU), (pot.log_knots(), scattering._PANEL_DU)):
-            ends = scattering._first_partition(domain, lambda z: np.diff(fld.phi(z)), pot.breaks,
-                                               knots)
-            assert (ends[0], ends[-1]) == domain
-            assert np.isin(pot.breaks[(pot.breaks > domain[0]) & (pot.breaks < domain[1])],
-                           ends).all()
+            u, points = scattering._first_partition(domain, lambda z: np.diff(fld.phi(z)),
+                                                    pot.breaks, knots)
+            np.testing.assert_array_equal(points, [domain[0], *inside, domain[1]])
+            assert (u[0], u[-1]) == tuple(np.log(domain))
+            assert np.isin(np.log(inside), u).all()
+            ends = np.exp(u)
             phase = np.diff(fld.phi(ends))
             on_knots = (ends[:-1] >= pot.z_min) & (ends[1:] <= pot.z_max)
             width = np.where(on_knots, across, scattering._PHASE_DU)
-            assert (np.diff(np.log(ends)) <= width * (1.0 + 1e-12)).all()
+            assert (np.diff(u) <= width * (1.0 + 1e-12)).all()
             assert (phase < 2.0 * scattering._PHASE_RAD).all()
             assert ((ends > pot.z_min) & (ends < pot.z_max)).sum() >= 10
             assert len(ends) < 60
@@ -414,7 +439,8 @@ class TestCollocate:
     @pytest.mark.parametrize("case", ["v4-0.119", "v4-10", "cp-e1x100", "cp-e1x100-knots"])
     def test_partition_unchanged(self, tmp_path, case):
         # _first_partition with the phase of a field gives the ends of the
-        # reference, bit for bit, with and without a table's knots
+        # reference in u, bit for bit, with and without a table's knots, and
+        # ln of each of its points is among them as the same float
         if case.startswith("v4"):
             kl = float(case.split("-")[1])
             fld = WkbField(v4(kl), kl)
@@ -422,9 +448,10 @@ class TestCollocate:
             fld = WkbField(load_potential_table(write_cp_table(tmp_path)), e1_energy(100.0))
         domain = fld.matching_domain()
         knots = fld.potential.log_knots() if case.endswith("knots") else ()
-        ends = scattering._first_partition(domain, lambda z: np.diff(fld.phi(z)),
-                                           fld.potential.breaks, knots)
-        np.testing.assert_array_equal(ends, joined_partition(fld, domain, knots))
+        u, points = scattering._first_partition(domain, lambda z: np.diff(fld.phi(z)),
+                                                fld.potential.breaks, knots)
+        np.testing.assert_array_equal(u, joined_partition(fld, domain, knots))
+        assert np.isin(np.log(points), u).all()
 
     def test_halves_keep_the_rule(self, monkeypatch):
         # 60 rad on every first panel fails the rule: each half is solved on
@@ -434,10 +461,9 @@ class TestCollocate:
             monkeypatch.setattr(scattering, "_PHASE_NODES", n)
             panels = []
 
-            def coefficients(z_a, zs, running):
-                x = scattering._chebyshev_rule(zs.shape[1])[0]
-                panels.extend(zip(z_a, z_a + (zs[:, -1] - zs[:, 0]) / (x[-1] - x[0]) * 2.0,
-                                  [zs.shape[1]] * len(z_a)))
+            def coefficients(zs, running):
+                z_a, half = panel_spans(zs)
+                panels.extend(zip(z_a, z_a + 2.0 * half, [zs.shape[1]] * len(zs)))
                 return 1.0, -3600.0
 
             sol = solve_ivp(coefficients, first, (1.0, 60j), rtol=1e-12)
@@ -457,10 +483,9 @@ class TestCollocate:
         panels, firsts = [], []
 
         def recorded(coefficients, ends, *args, **kwargs):
-            def record(z_a, zs, running):
-                x = scattering._chebyshev_rule(zs.shape[1])[0]
-                panels.extend(zip(z_a, (zs[:, -1] - zs[:, 0]) / (x[-1] - x[0])))
-                return coefficients(z_a, zs, running)
+            def record(zs, running):
+                panels.extend(zip(*panel_spans(zs)))
+                return coefficients(zs, running)
             firsts.append(len(ends) - 1)
             return solve_ivp(record, ends, *args, **kwargs)
 
@@ -512,26 +537,23 @@ class TestCollocate:
 
 def joined_partition(fld: WkbField, domain, knots):
     """The first partition in one function reading ``fld.phi``: the
-    reference for ``scattering._first_partition``. Each gap between the
-    domain's ends and the breaks inside is cut evenly in u = ln z into
-    parts no wider than ``_PHASE_DU``, or ``_PANEL_DU`` where it holds one
-    of ``knots``, and each part evenly in u by its phase; each gap starts on
-    its own float."""
+    reference for ``scattering._first_partition``, its ends in u = ln z.
+    Each gap between the domain's ends and the breaks inside is cut evenly
+    in u into parts no wider than ``_PHASE_DU``, or ``_PANEL_DU`` where it
+    holds one of ``knots``, and each part evenly in u by its phase."""
     z_min, z_max = domain
     pot = fld.potential
     points = np.array([z_min, *pot.breaks[(pot.breaks > z_min) & (pot.breaks < z_max)], z_max])
     u, knots = np.log(points), np.asarray(knots)
     ends = []
-    for a, b, start in zip(u[:-1], u[1:], points):
+    for a, b in zip(u[:-1], u[1:]):
         width = scattering._PANEL_DU if ((knots > a) & (knots < b)).any() else scattering._PHASE_DU
         count = math.ceil((b - a) / width)
         coarse = np.append(a + np.arange(count) * ((b - a) / count), b)
         parts = np.maximum(np.ceil(np.diff(fld.phi(np.exp(coarse))) / scattering._PHASE_RAD), 1.0)
-        first = len(ends)
         for c, d, p in zip(coarse[:-1], coarse[1:], parts.astype(int)):
-            ends.extend(np.exp(c + np.arange(p) * ((d - c) / p)))
-        ends[first] = start
-    return np.array(ends + [z_max])
+            ends.extend(c + np.arange(p) * ((d - c) / p))
+    return np.array(ends + [u[-1]])
 
 
 class TestCliffStart:
