@@ -177,8 +177,8 @@ def wall_integral(problem: TransformedProblem) -> float:
     lo, hi = u_peak - 40.0 / decay, u_peak + 40.0 / (n_far + 1.0)
     breaks = np.log(field.potential.breaks)
     u = np.concatenate([[lo], breaks[(breaks > lo) & (breaks < hi)], [hi]])
-    _, _, sums, err_total = _log_panels(u, lambda z: np.multiply(*field.k_q(z)),
-                                        0.25 / max(n_cliff, n_far))
+    _, sums, err_total = _log_panels(u, lambda z: np.multiply(*field.k_q(z)),
+                                     0.25 / max(n_cliff, n_far))
     total = float(np.sum(sums))
     if total <= 0.0:
         raise RuntimeError("wall integral must be positive")

@@ -16,9 +16,10 @@ WKB pair; each route only maps them into and out of its own state. Each
 state obeys y' = [[0, a], [b, 0]] y with the route's own a and b, and all
 three run on one integrator, ``solve_ivp``, on u = ln z, the paper's log
 gauge, where a power law is an exponential (``_integrate``): Chebyshev
-panels of 32 nodes, as wide as the phase and ln 4 of u allow, each round
-of them solved in one batch. A route gives a and b at the nodes, in z,
-from the nodes alone and the integrals of node values along each panel. V'' is continuous on every potential, a
+panels of 32 nodes, as wide as ln 4 of u and the phase int k dz by the
+phase table's rule allow, each round of them solved in one batch. A route
+gives a and b at the nodes, in z, from the nodes alone and the integrals
+of node values along each panel. V'' is continuous on every potential, a
 table's included, so panels run across a table's nodes and knots, the wall
 route's at most the phase table's 0.5 of u wide there; they end only where
 the derivative of V'' jumps (``breaks``). The routes check each other as
@@ -42,7 +43,7 @@ import numpy as np
 from .liouville import TransformedProblem
 from .potentials import one_law
 from .wkb import (_PANEL_DU, Q_MATCH_REL, _TAIL_FLOOR, WkbField, _chebyshev_rule, _even_ends,
-                  threshold_phases, threshold_wave)
+                  _log_rule, threshold_wave)
 
 __all__ = [
     "SolverControl",
@@ -173,25 +174,30 @@ def _panel_rule(n: int) -> tuple[np.ndarray, ...]:
     return x, s_ref, np.vstack([s_ref, w_ref]), squares, w_ref, tail_ref
 
 
-def _first_partition(domain: tuple[float, float], phases, breaks: np.ndarray,
+def _first_partition(domain: tuple[float, float], k, breaks: np.ndarray,
                      knots=()) -> tuple[np.ndarray, np.ndarray]:
     """Panel ends across ``domain`` in u = ln z, and the points they cut at
     in z: the domain's ends and the ``breaks`` inside. The gaps between the
-    points are cut evenly in u into the fewest parts no wider than
-    ``_PHASE_DU``, or than the phase table's ``_PANEL_DU`` where a gap holds
-    any of the ascending ``knots`` (in u), then each part evenly in u into
-    the fewest panels of about ``_PHASE_RAD`` or less of the phase
-    ``phases(z)`` gives between each two (``wkb._even_ends``). ln of each
-    point is among the ends as the same float. More than ``_MAX_PANELS``
-    panels raise ``RuntimeError`` before anything is allocated."""
+    points are cut evenly in u (``wkb._even_ends``) into the fewest parts no
+    wider than ``_PHASE_DU``, or than the phase table's ``_PANEL_DU`` where a
+    gap holds any of the ascending ``knots`` (in u), then each part into the
+    fewest panels of about ``_PHASE_RAD`` or less of its phase int k dz, one
+    sum of k z by the phase table's rule (``wkb._log_rule``). ln of each
+    point is among the ends as the same float. A phase that is not finite
+    raises the ``RuntimeError`` of ``solve_ivp`` for coefficients that are
+    not, and more than ``_MAX_PANELS`` panels raise one before anything is
+    allocated."""
     z_min, z_max = domain
     points = np.concatenate(([z_min], breaks[(breaks > z_min) & (breaks < z_max)], [z_max]))
     u = np.log(points)
     holds = np.searchsorted(knots, u[:-1], side="right") < np.searchsorted(knots, u[1:])
     coarse = _even_ends(u, np.ceil(np.diff(u) / np.where(holds, _PANEL_DU, _PHASE_DU)))
-    parts = np.maximum(np.ceil(phases(np.exp(coarse)) / _PHASE_RAD), 1.0)
+    phases = _log_rule(coarse[:-1], np.diff(coarse), k)[0]
+    if not np.isfinite(phases).all():
+        raise RuntimeError("integration failed: Coefficients are not finite.")
+    parts = np.maximum(np.ceil(phases / _PHASE_RAD), 1.0)
     count = parts.sum()
-    if not count <= _MAX_PANELS:   # also true for nan
+    if count > _MAX_PANELS:
         raise RuntimeError(f"integration failed: the first partition needs {count:.3g} "
                            f"panels, more than {_MAX_PANELS}")
     return _even_ends(coarse, parts), points
@@ -280,15 +286,16 @@ def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:
     return OdeResult(np.concatenate((starts[order], ends[-1:])), np.array(ys).T, nfev)
 
 
-def _integrate(coefficients, partition, y0, rtol: float) -> OdeResult:
-    """``solve_ivp`` on u = ln z across ``partition``, the panel ends in u
-    and the points in z of ``_first_partition``, for a system y' = [[0,
-    a(z)], [b(z), 0]] y given in z, as ``solve_ivp`` takes it: in u its
-    coefficients are a z and b z at z = e**u, and ``running(f)`` integrates
-    f z du. Returns that solve with its panel ends ``t`` in z: an end that
-    is ln of one of the points is that point, the same float, and the
-    others are e**u."""
-    u, points = partition
+def _integrate(coefficients, domain: tuple[float, float], k, breaks: np.ndarray, y0,
+               rtol: float, knots=()) -> OdeResult:
+    """``solve_ivp`` on u = ln z across ``domain`` from ``y0``, on the first
+    partition of ``k``, ``breaks`` and ``knots`` (``_first_partition``), for
+    a system y' = [[0, a(z)], [b(z), 0]] y given in z, as ``solve_ivp``
+    takes it: in u its coefficients are a z and b z at z = e**u, and
+    ``running(f)`` integrates f z du. Returns that solve with its panel ends
+    ``t`` in z: an end that is ln of one of the partition's points is that
+    point, the same float, and the others are e**u."""
+    u, points = _first_partition(domain, k, breaks, knots)
 
     def on_log(us, running):
         z = np.exp(us)
@@ -314,8 +321,8 @@ def _solve(fld: WkbField, domain: tuple[float, float], coefficients, rtol: float
     of its coefficients jumps unseen by the panel test (``_first_partition``).
     """
     z_min, z_max = domain
-    partition = _first_partition(domain, lambda z: np.diff(fld.phi(z)), fld.potential.breaks, knots)
-    sol = _integrate(coefficients, partition, enter(z_min, fld.cliff_wave(z_min)), rtol)
+    sol = _integrate(coefficients, domain, fld.k, fld.potential.breaks,
+                     enter(z_min, fld.cliff_wave(z_min)), rtol, knots)
     psi, dpsi = leave(sol.t, sol.y)
     cp, cm = _decompose(psi[-1], dpsi[-1], *fld.wkb_pair(z_max))
     if cm == 0.0:
@@ -452,12 +459,11 @@ def scattering_length(potential, ctl: SolverControl | None = None) -> Scattering
 def _threshold_length(table, ell: float, rtol: float) -> complex:
     """a from one solve of psi'' = V psi across a table at E = 0, from the
     threshold wave where its cliff tail ends to where its far tail begins,
-    on the panels of every solve (``_first_partition``) with the phase of
-    ``threshold_phases``."""
+    on the panels of every solve (``_integrate``), laid by the phase at
+    E = 0, int sqrt(-V) dz."""
     (n, c_n, z_top), (_, _, z) = table.tails
-    partition = _first_partition((z_top, z), functools.partial(threshold_phases, table),
-                                 table.breaks)
-    sol = _integrate(lambda zs, running: (1.0, table.value(zs)), partition,
+    sol = _integrate(lambda zs, running: (1.0, table.value(zs)), (z_top, z),
+                     lambda zs: np.sqrt(-table.value(zs)), table.breaks,
                      threshold_wave(z_top, n, c_n), rtol)
     c, s = math.cos(ell / z), math.sin(ell / z)
     wave = tuple(sol.y[:, -1])

@@ -39,7 +39,6 @@ __all__ = [
     "phase_coordinate",
     "inversion_center",
     "threshold_wave",
-    "threshold_phases",
 ]
 
 # the default matching cut of every route: Q/Q_peak, or E z**n/C_n on a
@@ -191,35 +190,28 @@ def _even_ends(u: np.ndarray, parts: np.ndarray) -> np.ndarray:
 
 def _log_rule(start, width, integrand):
     """int integrand(z) z du on the panels [start, start + width] of u = ln z
-    (numpy arrays or scalars) by the rule of ``_RULE_NODES`` points, and each
-    panel's error estimate: half its width times its last two Chebyshev
-    coefficients, each less ``_TAIL_FLOOR`` of the largest value (rounding)."""
-    x, _, w, tail = _chebyshev_rule(_RULE_NODES)
+    (numpy arrays or scalars) by the rule of ``_RULE_NODES`` points, and the
+    values integrand(z) z at its nodes (one row a panel)."""
+    x, _, w, _ = _chebyshev_rule(_RULE_NODES)
     half = 0.5 * width
     z = np.exp(start[..., None] + half[..., None] * (x + 1.0))
     values = integrand(z) * z
-    noise = _TAIL_FLOOR * np.abs(values).max(axis=-1, keepdims=True)
-    return half * (values @ w), half * np.maximum(np.abs(values @ tail.T) - noise, 0.0).sum(axis=-1)
+    return half * (values @ w), values
 
 
-def _log_panels(u: np.ndarray, integrand,
-                du: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _log_panels(u: np.ndarray, integrand, du: float) -> tuple[np.ndarray, np.ndarray, float]:
     """int ``integrand(z)`` dz on panels in u = ln z, each gap of the
     ascending ``u`` cut evenly into the fewest panels no wider than ``du``:
-    each panel's gap and start, its integral of integrand(z) z du
-    (``_log_rule``), and the summed error estimate."""
+    each panel's start, its integral of integrand(z) z du (``_log_rule``),
+    and the summed error estimate: half a panel's width times its last two
+    Chebyshev coefficients, less ``_TAIL_FLOOR`` of its largest value each."""
     parts = np.ceil(np.diff(u) / du).astype(int)
     start = _even_ends(u, parts)[:-1]
-    gap = np.repeat(np.arange(len(parts)), parts)
-    sums, errors = _log_rule(start, (np.diff(u) / parts)[gap], integrand)
-    return gap, start, sums, float(np.sum(errors))
-
-
-def threshold_phases(potential, z: np.ndarray) -> np.ndarray:
-    """int sqrt(-V) dz between each two of the ascending points ``z``: the
-    phase at E = 0, on panels of u = ln z no wider than ``_PANEL_DU``."""
-    gap, _, phases, _ = _log_panels(np.log(z), lambda z: np.sqrt(-potential.value(z)), _PANEL_DU)
-    return np.bincount(gap, weights=phases, minlength=len(z) - 1)
+    width = np.repeat(np.diff(u) / parts, parts)
+    sums, values = _log_rule(start, width, integrand)
+    noise = _TAIL_FLOOR * np.abs(values).max(axis=-1, keepdims=True)
+    tails = np.maximum(np.abs(values @ _chebyshev_rule(_RULE_NODES)[3].T) - noise, 0.0)
+    return start, sums, float(np.sum(0.5 * width * tails.sum(axis=-1)))
 
 
 class _Law:
@@ -317,7 +309,7 @@ class WkbField:
         tail's start, by ``_log_panels`` on k z = sqrt(E - V) z with the
         potential's own V, within ``_PHASE_BUDGET`` of summed error estimate.
         ``_pieces_phi`` adds one rule over the part of a panel below z."""
-        _, start, sums, error = _log_panels(self.potential.log_knots(), self.k, _PANEL_DU)
+        start, sums, error = _log_panels(self.potential.log_knots(), self.k, _PANEL_DU)
         if not error <= _PHASE_BUDGET:
             raise RuntimeError(f"phase table error estimate {error:.1e} rad"
                                f" above {_PHASE_BUDGET:g} rad")
@@ -350,9 +342,13 @@ class WkbField:
         phi -> phi_0 - x as z -> 0, the Hankel asymptote (DLMF 10.17.5) gives
         c = sqrt(pi/(n - 2)) e^(i(nu pi/2 + pi/4 - phi_0)), so the wave tends
         to the leftward WKB wave ``wkb_pair(z)[1]`` and carries its flux, -1.
-        Elsewhere it is that wave.
+        Elsewhere it is that wave, whose -k'/(2k) psi term dominates psi' at
+        a cliff start: where V'(z) underflows to 0 (V_4 from kappa ell ~ 1e-134
+        on) that term is lost, and ``ArithmeticError`` is raised.
         """
         if not self.on_threshold_tail(z):
+            if self.potential.dvalue(z) == 0.0:
+                raise ArithmeticError(f"V' underflows to 0 at the cliff start z = {z:g}")
             return self.wkb_pair(z)[1]
         cliff = self._laws[0]
         offset = 0.0 if self._one_law else self._phase_table[2]   # what a table's pieces add
@@ -481,6 +477,7 @@ class WkbField:
         if not (0.0 < q_rel < 1.0):
             raise ValueError("q_rel must lie in (0, 1)")
         cliff, far = self._laws
+        # V_n reads no Q: its Q divides by E zeta**2, which can underflow to 0 (C_n = 1e-300)
         if self._one_law:   # its peak, and no Q read: only the searches below need a target
             z_peak, target = far.zeta * badlands_peak_x(far.n), None
         else:

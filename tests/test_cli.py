@@ -198,6 +198,21 @@ class TestReflect:
         assert err.startswith("warning: kappa_ell=0.3: direct: integration failed: ")
         assert err.count("\n") == 1 and str(scattering._MAX_PANELS) in err
 
+    @pytest.mark.parametrize("method", ["direct", "coupled", "transformed"])
+    def test_underflowed_cliff_slope_fails_its_row(self, tmp_path, capsys, method):
+        # from kappa ell = 1e-134 on, V' of V_4 at z_min underflows to 0, and
+        # the cliff wave would lose its -k'/(2k) psi term, which dominates
+        # psi' there (R_direct 0.999, R_coupled 0, each with status ok); at
+        # 1e-133 V' is subnormal and R = 1
+        code, text = run(tmp_path, "u.csv", ["reflect", "--model", "v4", "--kappa-ell",
+                                             "1e-133,1e-150", "--method", method])
+        err = capsys.readouterr().err
+        assert code == 1
+        _, rows = csv_rows(text)
+        assert [row["status"] for row in rows] == ["ok", "fail"]
+        assert [row[f"R_{method}"] for row in rows] == ["1", ""]
+        assert err.startswith(f"warning: kappa_ell=1e-150: {method}: ") and err.count("\n") == 1
+
     def test_missing_potential_rejected(self):
         assert main(["reflect", "--kappa-ell", "0.1"]) == 2
 

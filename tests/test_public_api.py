@@ -3,7 +3,8 @@
 The demos import from ``qreflect`` by name, and the benchmark's tracer
 (``perfbench/tracing.py``) patches module attributes and class methods by
 name; a rename or a pruned alias must fail here, not in a demo run or a
-traced benchmark run.
+traced benchmark run. One pass of each benchmark workload
+(``perfbench/workloads.py``) must pass the workload's own checks here too.
 """
 
 import ast
@@ -37,12 +38,20 @@ def test_demo_imports_exist(demo):
     assert missing == []
 
 
+def load_perfbench(name: str):
+    """The benchmark's module ``perfbench/<name>.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = load_perfbench("workloads").WORKLOADS
+
+
 def test_benchmark_tracer_installs_and_uninstalls():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    tracer = tracing.Tracer()
+    tracer = load_perfbench("tracing").Tracer()
     try:
         tracer.install()
         patched = [(owner, attr, original) for owner, attr, original in tracer._patched]
@@ -51,3 +60,16 @@ def test_benchmark_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, attr
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_workload_passes_its_checks(tmp_path, name):
+    # one pass of the workload at seed 1, as the benchmark runs it: every
+    # operation must pass the workload's own check
+    workload = WORKLOADS[name](1, str(tmp_path / "input"))
+    workload.write_inputs()
+    workload.setup()
+    workload.prepare()
+    results = [(label, op()) for label, op in workload.ops()]
+    ok, _ = workload.check(results)
+    assert ok and all(ok), [label for (label, _), good in zip(results, ok) if not good]

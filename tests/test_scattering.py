@@ -11,6 +11,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 import qreflect.scattering as scattering
@@ -422,8 +423,7 @@ class TestCollocate:
         pot = fld.potential
         inside = pot.breaks[(pot.breaks > domain[0]) & (pot.breaks < domain[1])]
         for knots, across in (((), scattering._PHASE_DU), (pot.log_knots(), scattering._PANEL_DU)):
-            u, points = scattering._first_partition(domain, lambda z: np.diff(fld.phi(z)),
-                                                    pot.breaks, knots)
+            u, points = scattering._first_partition(domain, fld.k, pot.breaks, knots)
             np.testing.assert_array_equal(points, [domain[0], *inside, domain[1]])
             assert (u[0], u[-1]) == tuple(np.log(domain))
             assert np.isin(np.log(inside), u).all()
@@ -436,21 +436,33 @@ class TestCollocate:
             assert ((ends > pot.z_min) & (ends < pot.z_max)).sum() >= 10
             assert len(ends) < 60
 
-    @pytest.mark.parametrize("case", ["v4-0.119", "v4-10", "cp-e1x100", "cp-e1x100-knots"])
+    @pytest.mark.parametrize("case", ["v4-0.119", "v4-10", "cp-e1x100", "cp-e1x100-knots",
+                                      "cp-threshold"])
     def test_partition_unchanged(self, tmp_path, case):
-        # _first_partition with the phase of a field gives the ends of the
-        # reference in u, bit for bit, with and without a table's knots, and
-        # ln of each of its points is among them as the same float
+        # _first_partition with a field's k gives the ends of the reference
+        # in u, which reads the field's phi, bit for bit, with and without a
+        # table's knots; at E = 0 (scattering_length's solve, from the cliff
+        # tail's top to the far tail's start) with sqrt(-V), against quad's
+        # phase; ln of each point is among the ends as the same float
         if case.startswith("v4"):
             kl = float(case.split("-")[1])
-            fld = WkbField(v4(kl), kl)
+            pot, energy = v4(kl), kl
         else:
-            fld = WkbField(load_potential_table(write_cp_table(tmp_path)), e1_energy(100.0))
-        domain = fld.matching_domain()
-        knots = fld.potential.log_knots() if case.endswith("knots") else ()
-        u, points = scattering._first_partition(domain, lambda z: np.diff(fld.phi(z)),
-                                                fld.potential.breaks, knots)
-        np.testing.assert_array_equal(u, joined_partition(fld, domain, knots))
+            pot, energy = load_potential_table(write_cp_table(tmp_path)), e1_energy(100.0)
+        knots = pot.log_knots() if case.endswith("knots") else ()
+        if case == "cp-threshold":
+            domain = (pot.tails[0][2], pot.tails[1][2])
+
+            def k(z):
+                return np.sqrt(-pot.value(z))
+
+            phases = partial(quad_phases, k)
+        else:
+            fld = WkbField(pot, energy)
+            domain = fld.matching_domain()
+            k, phases = fld.k, lambda z: np.diff(fld.phi(z))
+        u, points = scattering._first_partition(domain, k, pot.breaks, knots)
+        np.testing.assert_array_equal(u, joined_partition(pot, domain, knots, phases))
         assert np.isin(np.log(points), u).all()
 
     def test_halves_keep_the_rule(self, monkeypatch):
@@ -535,14 +547,14 @@ class TestCollocate:
         assert out.stdout.strip() == "0"
 
 
-def joined_partition(fld: WkbField, domain, knots):
-    """The first partition in one function reading ``fld.phi``: the
-    reference for ``scattering._first_partition``, its ends in u = ln z.
-    Each gap between the domain's ends and the breaks inside is cut evenly
-    in u into parts no wider than ``_PHASE_DU``, or ``_PANEL_DU`` where it
-    holds one of ``knots``, and each part evenly in u by its phase."""
+def joined_partition(pot, domain, knots, phases):
+    """The first partition in one function: the reference for
+    ``scattering._first_partition``, its ends in u = ln z. Each gap between
+    the domain's ends and the breaks of ``pot`` inside is cut evenly in u
+    into parts no wider than ``_PHASE_DU``, or ``_PANEL_DU`` where it holds
+    one of ``knots``, and each part evenly in u by its phase, which
+    ``phases(z)`` gives between each two of the parts' ends z."""
     z_min, z_max = domain
-    pot = fld.potential
     points = np.array([z_min, *pot.breaks[(pot.breaks > z_min) & (pot.breaks < z_max)], z_max])
     u, knots = np.log(points), np.asarray(knots)
     ends = []
@@ -550,10 +562,15 @@ def joined_partition(fld: WkbField, domain, knots):
         width = scattering._PANEL_DU if ((knots > a) & (knots < b)).any() else scattering._PHASE_DU
         count = math.ceil((b - a) / width)
         coarse = np.append(a + np.arange(count) * ((b - a) / count), b)
-        parts = np.maximum(np.ceil(np.diff(fld.phi(np.exp(coarse))) / scattering._PHASE_RAD), 1.0)
+        parts = np.maximum(np.ceil(phases(np.exp(coarse)) / scattering._PHASE_RAD), 1.0)
         for c, d, p in zip(coarse[:-1], coarse[1:], parts.astype(int)):
             ends.extend(c + np.arange(p) * ((d - c) / p))
     return np.array(ends + [u[-1]])
+
+
+def quad_phases(k, z):
+    """int k dz between each two of the ascending points ``z`` by quad."""
+    return np.array([quad(k, a, b, epsabs=0.0, epsrel=1e-13)[0] for a, b in zip(z[:-1], z[1:])])
 
 
 class TestCliffStart:
@@ -884,6 +901,17 @@ class TestScatteringLength:
         assert abs(scattering._threshold_length(pot, ell, 1e-14) / a - 1.0) <= 1e-10
         monkeypatch.setattr(scattering, "_PHASE_NODES", 48)
         assert abs(scattering._threshold_length(pot, ell, 1e-12) / a - 1.0) <= 1e-10
+
+    def test_nan_phase_fails_like_the_integrator(self, tmp_path, monkeypatch):
+        # a sqrt(-V) that is not finite on the zero-energy solve's first
+        # partition fails as a coefficient that is not finite does
+        pot = load_potential_table(write_cp_table(tmp_path))
+        value = TabulatedPotential.value
+        monkeypatch.setattr(TabulatedPotential, "value",
+                            lambda self, z: np.where(z < 100.0, value(self, z), np.nan))
+        with pytest.raises(RuntimeError) as failure:
+            scattering_length(pot)
+        assert str(failure.value) == "integration failed: Coefficients are not finite."
 
     def test_table_against_scipy(self, tmp_path):
         # scipy's DOP853 from the threshold wave where the cliff tail ends to

@@ -299,18 +299,6 @@ class TestPhase:
             phi = WkbField(pot, e1_energy(x)).phi(np.geomspace(1.0, 4e4, 50))
             assert (np.diff(phi) > 0.0).all()
 
-    def test_threshold_phases_match_quadrature(self):
-        # the phases at E = 0 between points at most a factor 2 apart and on
-        # the breaks, across the knots
-        lam, c3 = 3.0, 0.6
-        z = np.geomspace(0.1, 100.0, 8)
-        pot = TabulatedPotential(z, -c3 / (z ** 3 * (1.0 + z / lam)), cliff_c3=c3, far_c4=c3 * lam)
-        points = np.union1d(0.005 * 2.0 ** np.arange(19), pot.breaks)
-        ref = [quad(lambda t: math.sqrt(-pot.value(t)), a, b, epsabs=0.0, epsrel=1e-13,
-                    points=z[(z > a) & (z < b)])[0]
-               for a, b in zip(points[:-1], points[1:])]
-        assert np.allclose(wkb.threshold_phases(pot, points), ref, rtol=1e-10, atol=0.0)
-
 
 class TestBadlands:
     def test_far_tail_does_not_overflow(self):
