@@ -32,7 +32,8 @@ _FMT = "{:.12g}"
 # the field flags default to None, so that the universal wall, which reads
 # no field, can tell a given flag from an absent one: these are their values
 # where a command reads them and they were not given
-_FIELD_DEFAULTS = {"n": 3, "cn": 1.0, "mass_amu": 1.00782503207, "q_match": wkb.Q_MATCH_REL}
+_FIELD_DEFAULTS = {"n": 3, "cn": 1.0, "mass_amu": potentials.M_HYDROGEN_AMU,
+                   "q_match": wkb.Q_MATCH_REL}
 
 
 def _field_flag(args, name: str):
@@ -273,14 +274,10 @@ def cmd_wall(args) -> int:
                     abs(row["V_bold"] - vb))
                 for row, (zb, vb) in zip(rows, mirror))
         # checked after the wall, so that an exponent's own error comes first
-        unread = [flag for flag, value in (("--table", args.table), ("--model", args.model),
-                                           ("--n", args.n), ("--cn", args.cn),
-                                           ("--mass-amu", args.mass_amu),
-                                           ("--kappa-ell", args.kappa_ell),
-                                           ("--energy-e1", args.energy_e1),
-                                           ("--q-match", args.q_match),
-                                           ("--overlay-universal", args.overlay_universal or None))
-                  if value is not None]
+        unread = ["--" + dest.replace("_", "-")
+                  for dest in ("table", "model", "n", "cn", "mass_amu", "kappa_ell",
+                               "energy_e1", "q_match", "overlay_universal")
+                  if getattr(args, dest) is not None]
         if unread:
             raise ValueError("--universal-n draws the universal wall alone: drop "
                              + ", ".join(unread))
@@ -381,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_wall)
     p_wall.add_argument("--universal-n", type=int, default=None,
                         help="emit the universal wall of V_n instead of a field's wall")
-    p_wall.add_argument("--overlay-universal", action="store_true",
+    p_wall.add_argument("--overlay-universal", action="store_true", default=None,
                         help="append the matching universal wall to a field's table")
     p_wall.add_argument("--x-min", type=float, default=0.02)
     p_wall.add_argument("--x-max", type=float, default=50.0)

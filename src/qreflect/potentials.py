@@ -2,7 +2,9 @@
 
 Internally everything runs in reduced units with hbar**2/(2m) = 1, so the
 Schrodinger coefficient is F(z) = E - V(z) with E = kappa**2. Conversions
-from SI or atomic units happen at the boundary (file ingestion, CLI).
+from SI or atomic units happen at the boundary (file ingestion, CLI), by
+default for the neutral hydrogen atom: ``M_HYDROGEN_AMU`` in u, the CLI's
+--mass-amu default, and ``M_HYDROGEN`` in kg, the one mass derived from it.
 
 Each potential states once, as ``tails = ((n, C, z_top), (n, C, z_from))``,
 the exact power laws V = -C/z**n it follows at or below z_top and at or
@@ -33,6 +35,7 @@ __all__ = [
     "one_law",
     "HBAR",
     "M_HYDROGEN",
+    "M_HYDROGEN_AMU",
     "G_STANDARD",
     "BOHR_RADIUS",
     "HARTREE",
@@ -41,11 +44,12 @@ __all__ = [
 
 # CODATA 2018 values; the hydrogen mass is the neutral-atom mass.
 HBAR = 1.054571817e-34          # J s
-M_HYDROGEN = 1.6735328e-27      # kg
 G_STANDARD = 9.80665            # m / s^2
 BOHR_RADIUS = 5.29177210903e-11  # m
 HARTREE = 4.3597447222071e-18   # J
 AMU = 1.66053906660e-27         # kg
+M_HYDROGEN_AMU = 1.00782503207  # u
+M_HYDROGEN = M_HYDROGEN_AMU * AMU  # kg
 AIRY_LAMBDA1 = 2.338107410459767  # |first zero of Ai|
 
 TAIL_TOLERANCE = 0.05   # largest relative gap between a table's end nodes and its declared tails
@@ -127,15 +131,14 @@ class TabulatedPotential:
             raise ValueError("tail strengths must be finite and positive")
         self.z_min = float(z[0])
         self.z_max = float(z[-1])
-        self.cliff_c3 = float(cliff_c3)
-        self.far_c4 = float(far_c4)
-        mis_lo = abs(-v[0] * z[0] ** 3 / self.cliff_c3 - 1.0)
-        mis_hi = abs(-v[-1] * z[-1] ** 4 / self.far_c4 - 1.0)
+        cliff_c3, far_c4 = float(cliff_c3), float(far_c4)
+        mis_lo = abs(-v[0] * z[0] ** 3 / cliff_c3 - 1.0)
+        mis_hi = abs(-v[-1] * z[-1] ** 4 / far_c4 - 1.0)
         if not (mis_lo <= TAIL_TOLERANCE and mis_hi <= TAIL_TOLERANCE):   # also true for nan
             raise ValueError(
                 f"table ends deviate from declared tails by ({mis_lo:.3g}, {mis_hi:.3g}),"
                 f" above tolerance {TAIL_TOLERANCE:g}")
-        self.tails = ((3, self.cliff_c3, self.z_min / BLEND), (4, self.far_c4, self.z_max * BLEND))
+        self.tails = ((3, cliff_c3, self.z_min / BLEND), (4, far_c4, self.z_max * BLEND))
         self.breaks = np.array([self.tails[0][2], self.z_min, self.z_max, self.tails[1][2]])
         self.breaks.flags.writeable = False
         u, w = np.log(z), np.log(-v)

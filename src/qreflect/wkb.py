@@ -81,12 +81,6 @@ def badlands_peak_x(n: int) -> float:
     return (num / (4.0 * (n ** 2 + 3.0 * n + 2.0))) ** (1.0 / n)
 
 
-@cache
-def _far_cut(n: int, q_rel: float) -> float:
-    """The x > x* where the universal badlands of V_n has fallen to q_rel of its peak."""
-    return _far_crossing(n, q_rel * universal_badlands(badlands_peak_x(n), n))
-
-
 def _far_crossing(n: int, level: float) -> float:
     """The x > x* where the universal badlands of V_n falls to ``level``: for
     n = 4, 5 x**6/(1 + x**4)**3, where x**2 + x**-2 = (5/level)**(1/3);
@@ -464,15 +458,15 @@ class WkbField:
         cut: on the far tail, read at the larger of its start and zeta x*; on
         an n != 4 cliff tail, at its top, or where the peak lies on it. There
         the far end is zeta x on the far law, x the far crossing of
-        ``universal_badlands`` (``_far_cut`` where the peak lies on the far
-        tail, and on an n = 4 law z_min is zeta/x where that lies on the tail
-        too); the cliff end, like a crossing on that tail, is the shallowest
-        point of the tail with E z**n/C_n <= q_rel, where ``cliff_wave`` is
-        exact but for that E, and one at or beyond the peak is rejected.
-        Otherwise the end is the ``_crossing`` from the peak to the tail's
-        edge. Where one law holds at every z, Q is not read. A domain that is
-        not finite and ordered, as where zeta = (C/E)**(1/n) overflows or
-        underflows, is rejected.
+        ``universal_badlands`` (at q_rel of its peak where the peak lies on
+        the far tail, and on an n = 4 law z_min is zeta/x where that lies on
+        the tail too); the cliff end, like a crossing on that tail, is the
+        shallowest point of the tail with E z**n/C_n <= q_rel, where
+        ``cliff_wave`` is exact but for that E, and one at or beyond the peak
+        is rejected. Otherwise the end is the ``_crossing`` from the peak to
+        the tail's edge. Where one law holds at every z, Q is not read. A
+        domain that is not finite and ordered, as where zeta = (C/E)**(1/n)
+        overflows or underflows, is rejected.
         """
         if not (0.0 < q_rel < 1.0):
             raise ValueError("q_rel must lie in (0, 1)")
@@ -484,7 +478,7 @@ class WkbField:
             z_peak, q_peak = self.q_peak()
             target = q_rel * q_peak
         if z_peak >= far.edge:
-            x_max = _far_cut(far.n, q_rel)
+            x_max = _far_crossing(far.n, q_rel * universal_badlands(badlands_peak_x(far.n), far.n))
             z_max = far.zeta * x_max
         elif far.q(max(far.edge, far.zeta * badlands_peak_x(far.n))) > target:
             level = target * self.energy * far.zeta * far.zeta   # that of the universal badlands

@@ -1,4 +1,7 @@
-"""Potentials, fields and tables that several test files share."""
+"""Potentials, fields, tables and loaders that several test files share."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -12,6 +15,8 @@ from qreflect.potentials import (
     kappa_si,
 )
 from qreflect.wkb import WkbField
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def v4(kappa_ell: float) -> HomogeneousPotential:
@@ -51,7 +56,8 @@ def shelf_table() -> TabulatedPotential:
 
 
 def e1_energy(x: float) -> float:
-    """Reduced energy of x E1 for hydrogen, as the CLI's --energy-e1 sets it."""
+    """Reduced energy of x E1 for hydrogen, ``M_HYDROGEN``, bit for bit as the
+    CLI's --energy-e1 sets it at its default --mass-amu and --g."""
     kappa = kappa_si(x * e1_unit(M_HYDROGEN), M_HYDROGEN) * BOHR_RADIUS
     return kappa * kappa
 
@@ -67,3 +73,12 @@ def write_cp_table(tmp_path, nodes: int = 500, c3_au: float = 0.25, lam_au: floa
     lines += [f"{a:.10e} {b:.10e}" for a, b in zip(z, v)]
     table.write_text("\n".join(lines) + "\n")
     return table
+
+
+def load_perfbench(name: str):
+    """The benchmark's module ``perfbench/<name>.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -13,10 +13,10 @@ import pytest
 
 from qreflect import cli, mathieu, scattering
 from qreflect.cli import main
-from qreflect.potentials import HomogeneousPotential
+from qreflect.potentials import AMU, M_HYDROGEN, HomogeneousPotential
 from qreflect.wkb import WkbField
 
-from helpers import write_cp_table
+from helpers import e1_energy, write_cp_table
 
 
 def run(tmp_path, name, argv):
@@ -59,10 +59,14 @@ class TestReflect:
 
     def test_zero_grid_rejected(self, capsys):
         # non-finite values used to reach the solvers and fail there with
-        # unrelated messages (and a numpy warning on the Mathieu route)
+        # unrelated messages (and a numpy warning on the Mathieu route); an
+        # empty list, an unknown range scale, no grid and a kappa*ell grid
+        # without a C4 tail are rejected before any solve too
         for argv in (["--kappa-ell", "0"], ["--kappa-ell", "nan"], ["--kappa-ell", "inf"],
                      ["--kappa-ell", "1e400"], ["--kappa-ell", "0.1,inf", "--method", "mathieu"],
-                     ["--kappa-ell", "1e-3:inf:4:log"], ["--energy-e1", "inf"]):
+                     ["--kappa-ell", "1e-3:inf:4:log"], ["--energy-e1", "inf"],
+                     ["--kappa-ell", ","], ["--kappa-ell", "1:2:3:lin"], [],
+                     ["--model", "vn", "--n", "3", "--kappa-ell", "1"]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code = main(["reflect", "--model", "v4", *argv])
@@ -276,15 +280,18 @@ class TestReflect:
         assert err == f"error: bad grid spec {chunk!r}: a range needs a count of at least 1\n"
 
     def test_grid_spec_expansion(self, tmp_path):
-        code, text = run(tmp_path, "g.csv",
-                         ["reflect", "--model", "v4", "--kappa-ell", "0.1:1:3:log",
-                          "--method", "mathieu"])
-        assert code == 0
-        _, rows = csv_rows(text)
-        kls = [float(r["kappa_ell"]) for r in rows]
-        assert kls == pytest.approx(list(np.geomspace(0.1, 1.0, 3)))
-        rs = [float(r["R_mathieu"]) for r in rows]
-        assert rs[0] > rs[1] > rs[2]
+        # a range spaces its values by ratio with :log, evenly without
+        for spec, expected in (("0.1:1:3:log", np.geomspace(0.1, 1.0, 3)),
+                               ("0.1:0.3:3", np.linspace(0.1, 0.3, 3))):
+            code, text = run(tmp_path, "g.csv",
+                             ["reflect", "--model", "v4", "--kappa-ell", spec,
+                              "--method", "mathieu"])
+            assert code == 0
+            _, rows = csv_rows(text)
+            kls = [float(r["kappa_ell"]) for r in rows]
+            assert kls == pytest.approx(list(expected))
+            rs = [float(r["R_mathieu"]) for r in rows]
+            assert rs[0] > rs[1] > rs[2]
 
     def test_byte_determinism(self, tmp_path):
         argv = ["reflect", "--model", "v4", "--kappa-ell", "0.2,0.4",
@@ -321,10 +328,9 @@ class TestReflect:
     def test_e1_energy_conversion_for_model(self, tmp_path):
         # C4 in atomic units with an E1 energy grid: kappa_ell in the output
         # must equal kappa[1/a0] * ell[a0] computed independently
-        from qreflect.potentials import (AMU, BOHR_RADIUS, HARTREE, HBAR,
-                                         e1_unit, kappa_si)
+        from qreflect.potentials import BOHR_RADIUS, HARTREE, HBAR, e1_unit, kappa_si
         c4_au = 14.0  # hartree a0^4, sized to put kappa*ell near 0.1
-        mass = 1.00782503207 * AMU
+        mass = M_HYDROGEN
         code, text = run(tmp_path, "e1.csv",
                          ["reflect", "--model", "v4", "--cn", str(c4_au),
                           "--energy-e1", "1000", "--method", "mathieu"])
@@ -333,6 +339,16 @@ class TestReflect:
         kappa_a0 = kappa_si(1000.0 * e1_unit(mass), mass) * BOHR_RADIUS
         ell_a0 = math.sqrt(2.0 * mass * c4_au * HARTREE * BOHR_RADIUS ** 4) / HBAR / BOHR_RADIUS
         assert float(rows[0]["kappa_ell"]) == pytest.approx(kappa_a0 * ell_a0, rel=1e-10)
+
+    def test_hydrogen_mass_is_the_library_constant(self):
+        # the --mass-amu default and potentials.M_HYDROGEN are one mass
+        assert cli._FIELD_DEFAULTS["mass_amu"] * AMU == M_HYDROGEN
+
+    @pytest.mark.parametrize("x", ["30", "100", "300"])
+    def test_e1_energy_helper_is_the_cli_energy(self, x):
+        # the tests' E1 energies are those of the CLI's --energy-e1, bit for bit
+        args = cli.build_parser().parse_args(["reflect", "--model", "v4", "--energy-e1", x])
+        assert cli._energies(args, None)[0] == [e1_energy(float(x))]
 
     def test_table_all_methods_in_bounded_time(self, tmp_path):
         # every route, the wall route included, on a real-surface table
@@ -679,7 +695,7 @@ class TestScatlength:
         # reflect's kappa*ell, wall's E_bold = (kappa zeta)**2 = kappa ell
         # and scatlength's ell all read the declared C4 (scatlength read a
         # strength matched to the last node, 0.62% off)
-        from qreflect.potentials import AMU, BOHR_RADIUS, HARTREE, HBAR, e1_unit, kappa_si
+        from qreflect.potentials import BOHR_RADIUS, HARTREE, HBAR, e1_unit, kappa_si
         table = str(write_cp_table(tmp_path))
         _, text = run(tmp_path, "r.csv", ["reflect", "--table", table, "--energy-e1", "100",
                                           "--method", "direct"])
@@ -690,7 +706,7 @@ class TestScatlength:
                     if line.startswith("# ") and "=" in line)
         _, text = run(tmp_path, "s.csv", ["scatlength", "--table", table])
         ell = float(csv_rows(text)[1][0]["ell"])
-        mass = 1.00782503207 * AMU
+        mass = M_HYDROGEN
         kappa = kappa_si(100.0 * e1_unit(mass), mass) * BOHR_RADIUS
         c4 = 125.0 * 2.0 * mass * HARTREE * BOHR_RADIUS ** 2 / HBAR ** 2
         assert ell == pytest.approx(math.sqrt(c4), rel=1e-11)

@@ -74,8 +74,10 @@ class TestTransformF:
     def test_monotonicity_enforced(self):
         fld = v4_field(0.3)
         decreasing = LiouvilleMap(lambda z: -z, lambda z: -1.0, lambda z: 0.0, lambda z: 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="map must be strictly increasing"):
             transform_f(decreasing, fld, (0.1, 1.0))
+        with pytest.raises(ValueError, match="domain must be an increasing interval"):
+            transform_f(log_map(1.0), fld, (1.0, 0.1))
 
 
 class TestCarry:

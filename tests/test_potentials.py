@@ -305,7 +305,7 @@ class TestTableFile:
         pot = load_potential_table(path, mass_kg=M_HYDROGEN)
         factor = 2.0 * M_HYDROGEN * 4.3597447222071e-18 * BOHR_RADIUS ** 2 / HBAR ** 2
         assert pot.value(300.0) == pytest.approx(model(300.0) * factor, rel=1e-6)
-        assert pot.far_c4 == pytest.approx(c3_au * lam_au * factor, rel=1e-12)
+        assert pot.tails[1][1] == pytest.approx(c3_au * lam_au * factor, rel=1e-12)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.pot"
@@ -351,7 +351,7 @@ class TestTableFile:
                                     "# C3 and C4 in hartree a0**3 and a0**4",
                                     "# C3 = 0.25 C4= 125.0", *rows]) + "\n")
         a, b = load_potential_table(plain), load_potential_table(noisy)
-        assert (a.cliff_c3, a.far_c4) == (b.cliff_c3, b.far_c4)
+        assert a.tails == b.tails
         zs = np.geomspace(0.5, 40000.0, 50)
         assert np.array_equal(a.value(zs), b.value(zs))
 

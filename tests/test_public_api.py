@@ -8,14 +8,14 @@ traced benchmark run. One pass of each benchmark workload
 """
 
 import ast
-import importlib.util
 from pathlib import Path
 
 import pytest
 
 import qreflect
 
-ROOT = Path(__file__).resolve().parents[1]
+from helpers import ROOT, load_perfbench
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -36,15 +36,6 @@ def test_demo_imports_exist(demo):
     assert names
     missing = [name for name in names if not hasattr(qreflect, name)]
     assert missing == []
-
-
-def load_perfbench(name: str):
-    """The benchmark's module ``perfbench/<name>.py``, loaded by path."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  ROOT / "perfbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 WORKLOADS = load_perfbench("workloads").WORKLOADS

@@ -785,6 +785,16 @@ class TestSolveDirect:
         assert res.diagnostics.matching_q_left == pytest.approx(1e-9 * q_peak, rel=1e-5)
         assert res.diagnostics.matching_q_right == pytest.approx(1e-9 * q_peak, rel=1e-5)
 
+    @pytest.mark.parametrize("value", ["zero", "bound", "nan"])
+    @pytest.mark.parametrize("knob, bound, message", [
+        ("rtol", 1e-3, "rtol out of range"),
+        ("q_match_rel", 1.0, r"q_match_rel must lie in \(0, 1\)"),
+    ], ids=["rtol", "q_match_rel"])
+    def test_control_out_of_range_rejected(self, knob, bound, message, value):
+        # each knob lies in an open interval: its ends and nan are rejected
+        with pytest.raises(ValueError, match=message):
+            SolverControl(**{knob: {"zero": 0.0, "bound": bound, "nan": math.nan}[value]})
+
     def test_truncation_insensitive_beyond_badlands(self):
         # shrinking the matched window to where Q is significant changes
         # nothing at the 1e-6 level: the coupling lives on the badlands

@@ -1,10 +1,8 @@
 """Tests for the WKB field: wavevector, phase convention, badlands function."""
 
 import cmath
-import importlib.util
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +16,13 @@ from qreflect.potentials import HomogeneousPotential, TabulatedPotential
 from qreflect.wkb import (
     WkbField,
     _cliff_offset,
-    _far_cut,
+    _far_crossing,
     badlands_peak_x,
     phase_coordinate,
     universal_badlands,
 )
 
-from helpers import e1_energy, shelf_table, two_tail_table, v4_field, write_cp_table
+from helpers import e1_energy, load_perfbench, shelf_table, two_tail_table, v4_field, write_cp_table
 
 Z_STAR = 0.8472130847939791
 
@@ -309,6 +307,11 @@ class TestBadlands:
         assert universal_badlands(1e50, 4) == pytest.approx(5e-300, rel=1e-14)
         assert universal_badlands(1.15e77, 4) == 0.0
 
+    @pytest.mark.parametrize("q_rel", [0.0, 1.0, math.nan])
+    def test_cut_out_of_range_rejected(self, q_rel):
+        with pytest.raises(ValueError, match=r"q_rel must lie in \(0, 1\)"):
+            v4_field(0.3).matching_domain(q_rel)
+
     def test_quartic_explicit_formula(self):
         fld = v4_field(0.3)
         kap = ell = math.sqrt(0.3)
@@ -379,7 +382,7 @@ class TestBadlands:
         # is the threshold start instead, pinned bit for bit by TestCliffWave
         fld = WkbField(HomogeneousPotential(n, 0.7), 0.3)
         zeta = (0.7 / 0.3) ** (1.0 / n)
-        x_max = _far_cut(n, cut)
+        x_max = _far_crossing(n, cut * universal_badlands(badlands_peak_x(n), n))
         z_min, z_max = fld.matching_domain(cut)
         assert z_max == zeta * x_max
         assert z_min == (zeta / x_max if n == 4 else (cut * 0.7 / 0.3) ** (1.0 / n))
@@ -391,7 +394,7 @@ class TestBadlands:
     def test_closed_form_cut_hits_the_ratio(self, n, cut):
         x_star = badlands_peak_x(n)
         peak = universal_badlands(x_star, n)
-        x_max = _far_cut(n, cut)
+        x_max = _far_crossing(n, cut * peak)
         assert x_star < x_max
         ends = (1.0 / x_max, x_max) if n == 4 else (x_max,)
         for x in ends:
@@ -406,7 +409,7 @@ class TestBadlands:
         # the two roots of 5 x**6/(1 + x**4)**3 = 5/8 cut by 30-digit mpmath
         # findroot: the closed form and its inverse keep them to two ulps,
         # as the brentq search that they replace did
-        x = _far_cut(4, cut)
+        x = _far_crossing(4, cut * universal_badlands(badlands_peak_x(4), 4))
         assert x == pytest.approx(x_max, rel=4.5e-16, abs=0.0)
         assert 1.0 / x == pytest.approx(x_min, rel=4.5e-16, abs=0.0)
 
@@ -713,11 +716,7 @@ def scipy_q(pot, energy: float):
 
 def table_cli_table(tmp_path) -> TabulatedPotential:
     """The benchmark's table-cli table at seed 1, written by its own workload."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    table = workloads.TableCli(1, tmp_path / "table-cli")
+    table = load_perfbench("workloads").TableCli(1, tmp_path / "table-cli")
     table.write_inputs()
     return potentials.load_potential_table(table.table)
 
