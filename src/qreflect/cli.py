@@ -34,11 +34,23 @@ _FMT = "{:.12g}"
 # where a command reads them and they were not given
 _FIELD_DEFAULTS = {"n": 3, "cn": 1.0, "mass_amu": potentials.M_HYDROGEN_AMU,
                    "q_match": wkb.Q_MATCH_REL}
+# the flag of each SolverControl field, which names it in an error line
+_CONTROL_FLAGS = {"rtol": "--rtol", "q_match_rel": "--q-match"}
 
 
 def _field_flag(args, name: str):
     value = getattr(args, name)
     return _FIELD_DEFAULTS[name] if value is None else value
+
+
+def _control(args) -> scattering.SolverControl:
+    """The solver control of --rtol and --q-match; a value out of range is
+    reported under its flag, not under the library's field."""
+    try:
+        return scattering.SolverControl(rtol=args.rtol, q_match_rel=_field_flag(args, "q_match"))
+    except ValueError as exc:
+        field, rest = str(exc).split(" ", 1)
+        raise ValueError(f"{_CONTROL_FLAGS[field]} {rest}") from None
 
 
 def _fmt(value) -> str:
@@ -208,7 +220,7 @@ def _reflect_row(pot, energy, row, args, ctl) -> dict:
 
 def cmd_reflect(args) -> int:
     pot, ell = _build_potential(args)
-    ctl = scattering.SolverControl(rtol=args.rtol, q_match_rel=_field_flag(args, "q_match"))
+    ctl = _control(args)
     # 0 and inf are usable gates (inf switches one off); nan and negatives pass nothing
     if not (args.max_spread >= 0.0 and args.max_unitarity >= 0.0):
         raise ValueError("--max-spread and --max-unitarity must be non-negative numbers")
@@ -310,7 +322,7 @@ def cmd_wall(args) -> int:
 
 def cmd_scatlength(args) -> int:
     pot, ell = _build_potential(args)
-    ctl = scattering.SolverControl(rtol=args.rtol, q_match_rel=_field_flag(args, "q_match"))
+    ctl = _control(args)
     result = scattering.scattering_length(pot, ctl)
     record = {
         "a_re": result.a.real,

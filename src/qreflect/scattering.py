@@ -70,10 +70,10 @@ class SolverControl:
     q_match_rel: float = Q_MATCH_REL    # matching cut: Q/Q_peak, or E z**n/C_n on a threshold tail
 
     def __post_init__(self):
-        if not (0.0 < self.rtol < 1e-3):
-            raise ValueError("rtol out of range")
-        if not (0.0 < self.q_match_rel < 1.0):
-            raise ValueError("q_match_rel must lie in (0, 1)")
+        for name, upper in (("rtol", 1e-3), ("q_match_rel", 1.0)):
+            value = getattr(self, name)
+            if not (0.0 < value < upper):   # also false for nan
+                raise ValueError(f"{name} must lie in (0, {upper:g}), got {value}")
 
 
 _DEFAULT_CTL = SolverControl()
@@ -165,13 +165,14 @@ class OdeResult:
 
 @functools.cache
 def _panel_rule(n: int) -> tuple[np.ndarray, ...]:
-    """``wkb._chebyshev_rule(n)`` as the panels use it: (x, S, [S; w],
-    squares, w, tail), where [S; w] @ f gives a panel's running integrals of
-    f and its integral in one product, and row i n + j of squares holds
-    S[i, k] S[k, j] over k, so that a @ squares.T is S diag(a) S, flat."""
+    """``wkb._chebyshev_rule(n)`` as the panels use it: (x + 1, S, [S; w],
+    squares, w, tail), where x + 1 puts the nodes on [0, 2], [S; w] @ f
+    gives a panel's running integrals of f and its integral in one product,
+    and row i n + j of squares holds S[i, k] S[k, j] over k, so that
+    a @ squares.T is S diag(a) S, flat."""
     x, s_ref, w_ref, tail_ref = _chebyshev_rule(n)
     squares = np.einsum("ik,kj->ijk", s_ref, s_ref).reshape(n * n, n)
-    return x, s_ref, np.vstack([s_ref, w_ref]), squares, w_ref, tail_ref
+    return x + 1.0, s_ref, np.vstack([s_ref, w_ref]), squares, w_ref, tail_ref
 
 
 def _first_partition(domain: tuple[float, float], k, breaks: np.ndarray,
@@ -188,10 +189,16 @@ def _first_partition(domain: tuple[float, float], k, breaks: np.ndarray,
     not, and more than ``_MAX_PANELS`` panels raise one before anything is
     allocated."""
     z_min, z_max = domain
-    points = np.concatenate(([z_min], breaks[(breaks > z_min) & (breaks < z_max)], [z_max]))
+    if len(breaks):
+        points = np.concatenate(([z_min], breaks[(breaks > z_min) & (breaks < z_max)], [z_max]))
+    else:   # V_n: the domain's ends alone
+        points = np.array([z_min, z_max], dtype=float)
     u = np.log(points)
-    holds = np.searchsorted(knots, u[:-1], side="right") < np.searchsorted(knots, u[1:])
-    coarse = _even_ends(u, np.ceil(np.diff(u) / np.where(holds, _PANEL_DU, _PHASE_DU)))
+    width = _PHASE_DU
+    if len(knots):
+        holds = np.searchsorted(knots, u[:-1], side="right") < np.searchsorted(knots, u[1:])
+        width = np.where(holds, _PANEL_DU, _PHASE_DU)
+    coarse = _even_ends(u, np.ceil(np.diff(u) / width))
     phases = _log_rule(coarse[:-1], np.diff(coarse), k)[0]
     if not np.isfinite(phases).all():
         raise RuntimeError("integration failed: Coefficients are not finite.")
@@ -208,9 +215,11 @@ def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:
 
     ``ends`` is the first partition into panels, each panel a Chebyshev rule
     of n = ``_PHASE_NODES`` nodes; ``coefficients(ts, running)`` returns a
-    and b at the nodes ``ts`` (one row per panel), arrays or numbers, where
+    and b at the nodes ``ts`` (one row per panel), where
     ``running(f)`` integrates node values from each panel's start to each
-    of its nodes. A panel solves
+    of its nodes: an array of the nodes' shape is read as it is, and a
+    number, or anything else that broadcasts, is spread over the nodes,
+    to the same bits. A panel solves
     Y = e_j + S (M Y) at its nodes for both unit starts e_j at once, one
     component eliminated, and its propagator's columns are e_j + w (M Y);
     no node lies on a panel end, where a coefficient may jump. A panel is
@@ -224,55 +233,70 @@ def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:
     counts coefficient evaluations at nodes, retries included. The panels
     are solved in the order they are queued, the first partition and then
     the halves of those that failed, in batches of up to ``_BUDGET`` matrix
-    entries, n**2 a panel: one batch a round where a round fits.
+    entries, n**2 a panel: one batch a round where a round fits. A round
+    whose panels all pass queues nothing, so a first partition that passes
+    whole takes one round and ``nfev`` is n times its panels.
     """
     ends = np.asarray(ends, dtype=float)
     if not (len(ends) > 1 and (np.diff(ends) > 0.0).all()):
         raise ValueError(f"integration span ({ends[0]}, {ends[-1]}) does not run forward")
     tol = max(rtol, _TAIL_FLOOR)
     n = _PHASE_NODES
-    u_start = np.array([1.0, 0.0])    # the two columns start on (1, 0) and (0, 1)
-    v_start = 1.0 - u_start
     starts, propagators, nfev = [], [], 0
-    x, s_ref, s_end, squares, w_ref, tail_ref = _panel_rule(n)
+    x1, s_ref, s_end, squares, w_ref, tail_ref = _panel_rule(n)
     batch = max(_BUDGET // (n * n), 1)
     queue_a, queue_b = ends[:-1], ends[1:]
     while len(queue_a):
         t_a, t_b = queue_a[:batch], queue_b[:batch]
+        m = len(t_a)
         half = 0.5 * (t_b - t_a)
         if not (half >= 5.0 * (np.nextafter(t_a, np.inf) - t_a)).all():
             raise RuntimeError("integration failed: Required panel width is less "
                                "than spacing between numbers.")
-        ts = t_a[:, None] + half[:, None] * (x + 1.0)
-        a, b = (np.broadcast_to(c, ts.shape) for c in
-                coefficients(ts, lambda f: half[:, None] * (f @ s_ref.T)))
+        h = half[:, None]
+        ts = t_a[:, None] + h * x1
+        # a number, or a row a panel, is spread over the nodes; node values are read as they are
+        a, b = (c if np.shape(c) == ts.shape else np.broadcast_to(c, ts.shape)
+                for c in coefficients(ts, lambda f: h * (f @ s_ref.T)))
         nfev += ts.size
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise RuntimeError("integration failed: Coefficients are not finite.")
         # U = u_a + S a V and V = v_a + S b U, for (u_a, v_a) = (1, 0) and
         # (0, 1): (1 - S a S b) U = u_a + v_a S a 1, then V = v_a + S b U
-        ha, hb = half[:, None] * a, half[:, None] * b
+        ha, hb = h * a, h * b
         # S a S of every panel in one product, with no (panel, n, n)
         # temporary; a complex ha's (re, im) pairs are two real columns
         if np.iscomplexobj(ha):
-            lhs = np.matmul(squares, ha.view(float).reshape(len(t_a), n, 2)).view(complex)
+            lhs = np.matmul(squares, ha.view(float).reshape(m, n, 2)).view(complex)
         else:
             lhs = ha @ squares.T
-        lhs = lhs.reshape(len(t_a), n, n)
+        lhs = lhs.reshape(m, n, n)
         lhs *= -hb[:, None, :]
-        lhs.reshape(len(t_a), -1)[:, ::n + 1] += 1.0
-        us = np.linalg.solve(lhs, np.stack([np.ones(ts.shape), ha @ s_ref.T], axis=2))
+        lhs.reshape(m, -1)[:, ::n + 1] += 1.0
+        # both right-hand sides, [panel, column, node], as the solve's columns
+        rhs = np.empty((m, 2, n), dtype=ha.dtype)
+        rhs[:, 0] = 1.0
+        rhs[:, 1] = ha @ s_ref.T
+        us = np.linalg.solve(lhs, rhs.transpose(0, 2, 1))
         us = np.ascontiguousarray(us.transpose(0, 2, 1))          # [panel, column, node]
         # V at the nodes and at the panel's end in one product, then U at its end
-        vs = ((hb[:, None, :] * us).reshape(-1, n) @ s_end.T).reshape(len(t_a), 2, n + 1)
-        vs += v_start[:, None]
-        u_end = (ha[:, None, :] * vs[..., :n]) @ w_ref + u_start
+        vs = ((hb[:, None, :] * us).reshape(-1, n) @ s_end.T).reshape(m, 2, n + 1)
+        vs[:, 1] += 1.0
+        propagator = np.empty((m, 2, 2), dtype=vs.dtype)
+        propagator[:, 0] = (ha[:, None, :] * vs[..., :n]) @ w_ref
+        propagator[:, 0, 0] += 1.0
+        propagator[:, 1] = vs[..., n]
         # the tail test on both components of both columns
         uv = np.concatenate([us, vs[..., :n]], axis=2)
-        tails = np.abs(uv.reshape(-1, n) @ tail_ref.T).reshape(len(t_a), 2, 4)
+        tails = np.abs(uv.reshape(-1, n) @ tail_ref.T).reshape(m, 2, 4)
         good = (tails.max(axis=2) <= tol * np.abs(uv).max(axis=2)).all(axis=1)
+        if good.all():
+            starts.append(t_a)
+            propagators.append(propagator)
+            queue_a, queue_b = queue_a[batch:], queue_b[batch:]
+            continue
         starts.append(t_a[good])
-        propagators.append(np.stack([u_end, vs[..., n]], axis=1)[good])
+        propagators.append(propagator[good])
         mid = t_a[~good] + half[~good]
         queue_a = np.concatenate([queue_a[batch:], t_a[~good], mid])
         queue_b = np.concatenate([queue_b[batch:], mid, t_b[~good]])

@@ -118,10 +118,16 @@ def phase_coordinate(x, n: int):
     antiderivative G(t) = t**a/a 2F1(-1/2, a/n; 1 + a/n; -t**n) and
     a = 1 - n/2 (DLMF 8.17.7). Near the cliff it runs like
     -2/(n - 2) x**(1 - n/2). Raises OverflowError where x**n or x**a
-    overflows, which would make the 2F1 nan or the result -inf.
+    overflows, which would make the 2F1 nan or the result -inf. A float
+    is read as it is, with no 0-d array, and gives the bits of the
+    one-element array: the powers are numpy's either way, which round
+    apart from Python's.
     """
-    x = np.asarray(x, dtype=float)
-    lo, hi = float(x.min(initial=1.0)), float(x.max(initial=1.0))   # an empty x passes
+    if isinstance(x, float):
+        lo = hi = float(x)
+    else:
+        x = np.asarray(x, dtype=float)
+        lo, hi = float(x.min(initial=1.0)), float(x.max(initial=1.0))   # an empty x passes
     if not 0.0 < lo:   # also false for nan
         raise ValueError("x must be positive")
     if n <= 2:
@@ -132,7 +138,8 @@ def phase_coordinate(x, n: int):
             end ** power
         except OverflowError:
             raise OverflowError(f"x**{power:g} overflows a float at x = {end:g}") from None
-    return _cliff_offset(n) + x ** a / a * hyp2f1(-0.5, a / n, 1.0 + a / n, -x ** float(n))
+    return (_cliff_offset(n)
+            + np.power(x, a) / a * hyp2f1(-0.5, a / n, 1.0 + a / n, -np.power(x, float(n))))
 
 
 @cache
@@ -283,7 +290,9 @@ class WkbField:
 
     # -- phase with the far-end convention ---------------------------------
     def phi(self, z):
-        if not (np.asarray(z) > 0.0).all():   # also false for nan
+        """phi_dB at z, a float (read with no 0-d array) or an array."""
+        positive = z > 0.0 if isinstance(z, float) else (np.asarray(z) > 0.0).all()
+        if not positive:   # also false for nan
             raise ValueError("phase is defined on z > 0")
         if self._one_law:
             return self._laws[1].phase(z)
@@ -341,9 +350,10 @@ class WkbField:
         on) that term is lost, and ``ArithmeticError`` is raised.
         """
         if not self.on_threshold_tail(z):
-            if self.potential.dvalue(z) == 0.0:
+            dv = self.potential.dvalue(z)
+            if dv == 0.0:
                 raise ArithmeticError(f"V' underflows to 0 at the cliff start z = {z:g}")
-            return self.wkb_pair(z)[1]
+            return self._waves(z, dv)[1]
         cliff = self._laws[0]
         offset = 0.0 if self._one_law else self._phase_table[2]   # what a table's pieces add
         phi_0 = offset + self.kappa * cliff.zeta * _cliff_offset(cliff.n)
@@ -363,8 +373,12 @@ class WkbField:
     def wkb_pair(self, z: float) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
         """The WKB waves alpha e^(i eta phi) and their exact derivatives, for
         eta = +1 and -1 in that order, from one evaluation of k, k' and phi."""
+        return self._waves(z, self.potential.dvalue(z))
+
+    def _waves(self, z: float, dv: float):
+        """``wkb_pair(z)`` from V'(z) = ``dv``, read once by its caller."""
         k = self.k(z)
-        dk = -self.potential.dvalue(z) / (2.0 * k)
+        dk = -dv / (2.0 * k)
         alpha, phase = k ** -0.5, self.phi(z)
         waves = []
         for direction in (+1, -1):

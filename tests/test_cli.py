@@ -240,6 +240,22 @@ class TestReflect:
         assert main(["reflect", "--model", model, "--energy-e1", "100", "--mass-amu", bad]) == 2
         assert capsys.readouterr().err == "error: mass must be finite and positive\n"
 
+    @pytest.mark.parametrize("command", ["reflect", "scatlength"])
+    @pytest.mark.parametrize("flag, bad, message", [
+        ("--rtol", "0", "(0, 0.001), got 0.0"),
+        ("--rtol", "1e-3", "(0, 0.001), got 0.001"),
+        ("--rtol", "nan", "(0, 0.001), got nan"),
+        ("--q-match", "1", "(0, 1), got 1.0"),
+    ], ids=["rtol-0", "rtol-bound", "rtol-nan", "q-match-1"])
+    def test_control_out_of_range_names_its_flag(self, capsys, command, flag, bad, message):
+        # one error line that names the flag and the open interval, not the
+        # library's field
+        grid = ["--kappa-ell", "0.119"] if command == "reflect" else []
+        assert main([command, "--model", "v4", *grid, flag, bad]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {flag} must lie in {message}\n"
+
     @pytest.mark.parametrize("bad", ["nan", "-1"])
     @pytest.mark.parametrize("gate", ["--max-spread", "--max-unitarity"])
     def test_invalid_gate_rejected(self, capsys, gate, bad):

@@ -348,6 +348,48 @@ class TestCollocate:
             np.testing.assert_allclose(sol.y[0], wave, rtol=0.0, atol=1e-11)
             np.testing.assert_allclose(sol.y[1] / omega, 1j * wave, rtol=0.0, atol=1e-11)
 
+    def test_number_is_its_node_array(self):
+        # a number is spread over the nodes, an array of node values read as
+        # it is: the same panels, states and evaluation count, bit for bit
+        def spread(zs, running):
+            return 1.0, -(4.0 + np.cos(zs))
+
+        def given(zs, running):
+            return np.ones(zs.shape), -(4.0 + np.cos(zs))
+
+        ends = np.linspace(0.0, 30.0, 4)
+        one, each = (solve_ivp(c, ends, (1.0, 0.5j), rtol=1e-12) for c in (spread, given))
+        assert len(one.t) > len(ends)   # halved panels too
+        assert one.t.tobytes() == each.t.tobytes()
+        assert one.y.tobytes() == each.y.tobytes()
+        assert one.nfev == each.nfev
+
+    def test_one_round_when_every_panel_passes(self):
+        # a first partition that passes whole is one round: each panel's
+        # nodes are evaluated once, in one call, and nothing is queued again
+        calls = []
+
+        def coefficients(zs, running):
+            calls.append(zs.shape)
+            return 1.0, -1.0
+
+        sol = solve_ivp(coefficients, np.linspace(0.0, 10.0, 11), (1.0, 1j), rtol=1e-12)
+        n = scattering._PHASE_NODES
+        assert calls == [(10, n)]
+        assert sol.nfev == n * (len(sol.t) - 1) == 10 * n
+        np.testing.assert_array_equal(sol.t, np.linspace(0.0, 10.0, 11))
+        np.testing.assert_allclose(sol.y[0], np.exp(1j * sol.t), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("kl", [0.119, 1.0, 10.0])
+    @pytest.mark.parametrize("route", ["direct", "transformed"])
+    def test_routes_pass_their_first_partition(self, monkeypatch, route, kl):
+        # on V_4 the direct and wall routes' first panels all pass: 32 node
+        # evaluations a panel, and no second round
+        sols = spy_integrations(monkeypatch)
+        solve_on(route, v4(kl), kl)
+        (sol,) = sols
+        assert sol.nfev == scattering._PHASE_NODES * (len(sol.t) - 1)
+
     def test_both_columns_pass_the_tail_test(self, monkeypatch):
         # with b = 0 only the column started on (0, 1) moves, u = int a: a
         # panel passed on the other column alone would stay 10 rad wide
@@ -787,8 +829,8 @@ class TestSolveDirect:
 
     @pytest.mark.parametrize("value", ["zero", "bound", "nan"])
     @pytest.mark.parametrize("knob, bound, message", [
-        ("rtol", 1e-3, "rtol out of range"),
-        ("q_match_rel", 1.0, r"q_match_rel must lie in \(0, 1\)"),
+        ("rtol", 1e-3, r"rtol must lie in \(0, 0\.001\), got "),
+        ("q_match_rel", 1.0, r"q_match_rel must lie in \(0, 1\), got "),
     ], ids=["rtol", "q_match_rel"])
     def test_control_out_of_range_rejected(self, knob, bound, message, value):
         # each knob lies in an open interval: its ends and nan are rejected

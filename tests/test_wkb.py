@@ -221,6 +221,34 @@ class TestPhase:
         with pytest.raises(ValueError, match="positive"):
             phase_coordinate(np.array([1.0, math.nan]), 4)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    def test_float_is_the_one_element_array(self, n):
+        # a float takes no 0-d array, and gives the bits of the array path
+        for x in np.geomspace(1e-3, 1e3, 301).tolist():
+            assert phase_coordinate(x, n) == phase_coordinate(np.array([x]), n)[0], x
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="x must be positive"):
+                phase_coordinate(bad, n)
+            with pytest.raises(ValueError, match="x must be positive"):
+                phase_coordinate(np.array([bad]), n)
+        big = 10.0 ** (310.0 / n)   # x**n overflows a float
+        for x in (big, np.array([big])):
+            with pytest.raises(OverflowError, match=rf"x\*\*{n} overflows a float at x = "):
+                phase_coordinate(x, n)
+
+    @pytest.mark.parametrize("case", ["v4", "table"])
+    def test_phi_float_is_the_one_element_array(self, case):
+        # the float path of phi, on a law and on a table's pieces and tails
+        if case == "v4":
+            fld, zs = v4_field(0.3), np.geomspace(1e-3, 1e3, 301)
+        else:
+            fld, zs = WkbField(two_tail_table(), 0.02), np.geomspace(0.05, 5e3, 301)
+        for z in zs.tolist():
+            assert fld.phi(z) == fld.phi(np.array([z]))[0], z
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="phase is defined on z > 0"):
+                fld.phi(bad)
+
     @pytest.mark.parametrize("e1", [1.0, 100.0, 1000.0])
     def test_tabulated_table_vs_quadrature(self, tmp_path, e1):
         # below, inside and above the 500-node table on 1 .. 40000 a0
