@@ -255,7 +255,7 @@ def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:
                                "than spacing between numbers.")
         h = half[:, None]
         ts = t_a[:, None] + h * x1
-        # a number, or a row a panel, is spread over the nodes; node values are read as they are
+        # node values are read as they are, anything else spread over the nodes
         a, b = (c if np.shape(c) == ts.shape else np.broadcast_to(c, ts.shape)
                 for c in coefficients(ts, lambda f: h * (f @ s_ref.T)))
         nfev += ts.size
@@ -281,7 +281,7 @@ def solve_ivp(coefficients, ends, y0, rtol: float) -> OdeResult:
         us = np.ascontiguousarray(us.transpose(0, 2, 1))          # [panel, column, node]
         # V at the nodes and at the panel's end in one product, then U at its end
         vs = ((hb[:, None, :] * us).reshape(-1, n) @ s_end.T).reshape(m, 2, n + 1)
-        vs[:, 1] += 1.0
+        vs[:, 1] += 1.0   # the unit starts: v_a = 1 in the second column, u_a = 1 in the first
         propagator = np.empty((m, 2, 2), dtype=vs.dtype)
         propagator[:, 0] = (ha[:, None, :] * vs[..., :n]) @ w_ref
         propagator[:, 0, 0] += 1.0
